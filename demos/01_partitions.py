@@ -19,7 +19,7 @@ parts = enumerate_partitions(ground)
 print(f"partitions of {tuple(ground)}: {len(parts)} (Bell B_4 = {bell_number(4)})")
 for p in parts[:6]:
     blocks = " | ".join(",".join(map(str, b)) for b in p.blocks)
-    print(f"  coeff {mobius_coefficient(p):+d}   {blocks}")
+    print(f"  coeff {mobius_coefficient(len(p)):+d}   {blocks}")
 print(f"  ... and {len(parts) - 6} more")
 
 # Stirling triangle: row n counts partitions with exactly k blocks

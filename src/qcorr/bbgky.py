@@ -18,7 +18,6 @@ particle-number / dispersion observables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
@@ -31,20 +30,13 @@ from .hamiltonian import SystemSpec, interaction_liouvillian_apply
 from .hierarchy import CorrelationState, DensityState, cluster_expand
 from .operators import (
     ManyBodyOperator,
-    block_product,
     partial_trace,
     relabel,
     tensor_embed,
     tensor_product,
 )
-from .partitions import (
-    ClusterSet,
-    Partition,
-    ParticleSet,
-    enumerate_partitions,
-    mobius_coefficient,
-)
-from .star_algebra import OperatorSequence, annihilation_expand
+from .partitions import ClusterSet, ParticleSet
+from .star_algebra import OperatorSequence, annihilation_expand, seq_signed_block_sum
 
 _NORM_FLOOR = 1e-12
 
@@ -125,37 +117,8 @@ def cluster_correlation_component(
     seq = d.seq
     if s + n > seq.n_max:
         raise ValueError(f"needs density component {s + n} beyond cutoff {seq.n_max}")
-    units = [ParticleSet.range1(s)] + [
-        ParticleSet((s + j,)) for j in range(1, n + 1)
-    ]
-    ground = ParticleSet.range1(s + n)
-    acc = None
-    for p in enumerate_partitions(ParticleSet.range1(n + 1)):
-        coeff = mobius_coefficient(p)
-        blocks = []
-        for block in p.blocks:
-            blocks.append(
-                ParticleSet.of(
-                    itertools.chain(*(units[i - 1].labels for i in block.labels))
-                )
-            )
-        part = Partition(tuple(blocks), ground)
-        ops = {}
-        ok = True
-        for b in part.blocks:
-            if not seq.has(len(b)):
-                ok = False
-                break
-            ops[b] = relabel(seq.components[len(b)], b)
-        if not ok:
-            continue
-        term = block_product(part, ops).matrix * coeff
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = np.zeros(
-            (seq.dim_single ** (s + n),) * 2, dtype=complex
-        )
-    return ManyBodyOperator(ground, seq.dim_single, acc)
+    units = ClusterSet.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
+    return seq_signed_block_sum(seq, units)
 
 
 def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
@@ -317,23 +280,7 @@ def correlation_from_marginals(f: MarginalState, s: int) -> ManyBodyOperator:
     seq = f.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    ground = ParticleSet.range1(s)
-    acc = None
-    for p in enumerate_partitions(ground):
-        ops = {}
-        ok = True
-        for b in p.blocks:
-            if not seq.has(len(b)):
-                ok = False
-                break
-            ops[b] = relabel(seq.components[len(b)], b)
-        if not ok:
-            continue
-        term = block_product(p, ops).matrix * mobius_coefficient(p)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = np.zeros((seq.dim_single**s,) * 2, dtype=complex)
-    return ManyBodyOperator(ground, seq.dim_single, acc)
+    return seq_signed_block_sum(seq, ClusterSet.singletons(range(1, s + 1)))
 
 
 def correlation_from_g(g: CorrelationState, s: int) -> ManyBodyOperator:

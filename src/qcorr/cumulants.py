@@ -13,7 +13,7 @@ all-singletons cluster family gives the plain mth-order cumulant.
 
 Zero time is special: for two or more clusters the coefficients cancel
 exactly, so an early-out returns the zero operator without touching any
-matrix arithmetic (the long path is kept reachable for tests).
+matrix arithmetic.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .partitions import (
     ParticleSet,
     enumerate_partitions,
     mobius_coefficient,
+    partition_sum,
 )
 
 
@@ -51,51 +52,21 @@ class CumulantRequest:
     t: float
 
 
-def _parts_as_cluster_unions(partition, clusters) -> ClusterSet:
-    """Map a partition of cluster indices to the particle-set blocks."""
-    unions = []
-    for block in partition.blocks:
-        members = [clusters[i - 1] for i in block.labels]
-        unions.append(
-            ParticleSet.of(itertools.chain(*(c.labels for c in members)))
-        )
-    return ClusterSet(tuple(unions))
-
-
-def _kahan_add(acc, comp, term):
-    y = term - comp
-    tmp = acc + y
-    comp = (tmp - acc) - y
-    return tmp, comp
-
-
 def cumulant_apply(
-    spec: SystemSpec,
-    req: CumulantRequest,
-    f: ManyBodyOperator,
-    compensated: bool = False,
-    zero_time_shortcut: bool = True,
+    spec: SystemSpec, req: CumulantRequest, f: ManyBodyOperator
 ) -> ManyBodyOperator:
     """Apply the cumulant over req.clusters at time req.t to f."""
-    clusters = tuple(req.clusters)
     if req.clusters.union != f.labels:
         raise ValueError(
             f"clusters cover {req.clusters.union} but operand lives on {f.labels}"
         )
-    m = len(clusters)
-    if m >= 2 and req.t == 0.0 and zero_time_shortcut:
+    if len(req.clusters) >= 2 and req.t == 0.0:
         return zero_operator(f.labels, f.dim_single)
-    index_set = ParticleSet.range1(m)
-    acc = np.zeros_like(f.matrix)
-    comp = np.zeros_like(f.matrix)
-    for p in enumerate_partitions(index_set):
-        blocks = _parts_as_cluster_unions(p, clusters)
-        coeff = mobius_coefficient(p)
-        term = group_apply_on_subsets(spec, req.t, blocks, f).matrix * coeff
-        if compensated:
-            acc, comp = _kahan_add(acc, comp, term)
-        else:
-            acc = acc + term
+    acc = partition_sum(
+        req.clusters,
+        lambda blocks: group_apply_on_subsets(spec, req.t, blocks, f).matrix,
+        signed=True,
+    )
     return ManyBodyOperator(f.labels, f.dim_single, acc)
 
 
@@ -122,29 +93,21 @@ def cumulant_generator_fd(
     req: CumulantRequest,
     f: ManyBodyOperator,
     h: float = 1e-4,
-    richardson: bool = False,
 ) -> ManyBodyOperator:
     """Central-difference time derivative of the cumulant at zero.
 
     For two or more clusters this approximates the cluster-interaction
     generator (see hamiltonian.cluster_interaction_apply) with O(h^2)
-    error, or O(h^4) with the Richardson flag.
+    error.
     """
     if len(req.clusters) < 2:
         raise ValueError("the generator check needs at least two clusters")
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"step {h} outside [1e-6, 1e-2]")
-
-    def fd(step: float) -> np.ndarray:
-        plus = cumulant_apply(spec, CumulantRequest(req.clusters, step), f)
-        minus = cumulant_apply(spec, CumulantRequest(req.clusters, -step), f)
-        return (plus.matrix - minus.matrix) / (2 * step)
-
-    first = fd(h)
-    if not richardson:
-        return ManyBodyOperator(f.labels, f.dim_single, first)
-    finer = fd(h / 2)
-    return ManyBodyOperator(f.labels, f.dim_single, (4 * finer - first) / 3)
+    plus = cumulant_apply(spec, CumulantRequest(req.clusters, h), f)
+    minus = cumulant_apply(spec, CumulantRequest(req.clusters, -h), f)
+    diff = (plus.matrix - minus.matrix) / (2 * h)
+    return ManyBodyOperator(f.labels, f.dim_single, diff)
 
 
 def _scattering_unitary(spec: SystemSpec, t: float, labels: ParticleSet) -> np.ndarray:
@@ -178,31 +141,23 @@ def scattering_cumulant_apply(
     spec: SystemSpec, t: float, clusters: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
     """Cumulant built from scattering operators instead of propagators."""
-    members = tuple(clusters)
     if clusters.union != f.labels:
         raise ValueError(
             f"clusters cover {clusters.union} but operand lives on {f.labels}"
         )
-    m = len(members)
-    if m >= 2 and t == 0.0:
+    if len(clusters) >= 2 and t == 0.0:
         return zero_operator(f.labels, f.dim_single)
-    if m == 1:
+    if len(clusters) == 1:
         return scattering_operator_apply(spec, t, f.labels, f)
-    acc = np.zeros_like(f.matrix)
-    for p in enumerate_partitions(ParticleSet.range1(m)):
-        coeff = mobius_coefficient(p)
-        factors = []
-        for block in p.blocks:
-            union = ParticleSet.of(
-                itertools.chain(*(members[i - 1].labels for i in block.labels))
-            )
-            factors.append(
-                ManyBodyOperator(
-                    union, spec.dim_single, _scattering_unitary(spec, t, union)
-                )
-            )
-        w = tensor_product(factors).matrix
-        acc = acc + coeff * (w @ f.matrix @ w.conj().T)
+
+    def conjugated(blocks: ClusterSet) -> np.ndarray:
+        w = tensor_product(
+            ManyBodyOperator(b, spec.dim_single, _scattering_unitary(spec, t, b))
+            for b in blocks
+        ).matrix
+        return w @ f.matrix @ w.conj().T
+
+    acc = partition_sum(clusters, conjugated, signed=True)
     return ManyBodyOperator(f.labels, f.dim_single, acc)
 
 
@@ -239,7 +194,7 @@ def recover_group_from_cumulants(
             coeff = 1
             sub_blocks = []
             for q in combo:
-                coeff *= mobius_coefficient(q)
+                coeff *= mobius_coefficient(len(q.blocks))
                 sub_blocks.extend(q.blocks)
             blocks = ClusterSet(tuple(sub_blocks))
             term = group_apply_on_subsets(spec, t, blocks, f).matrix * coeff

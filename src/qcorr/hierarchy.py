@@ -3,9 +3,24 @@
 The density sequence D and the correlation sequence g determine each other
 through sums over set partitions: D_n collects products of g-blocks over
 all partitions, and g_n inverts that with the signed coefficients.  Time
-evolution closes on the correlation side: component n of the solution is a
-sum over partitions of an n-dependent cumulant applied to the product of
-initial blocks.
+evolution closes on the correlation side.  The paper's solution formula,
+
+    g_n(t) = sum over partitions P of (1..n) of
+             (cumulant over the blocks of P at time t)(product of g_|B|),
+
+is regrouped here by the coarse partition Q that each cumulant term's
+blocks merge into.  Every term with the same Q carries the same Mobius
+weight and the same blockwise propagator, and the g-products under one Q
+add up to the product of density components D = cluster_expand(g):
+
+    g_n(t) = sum over Q of
+             mu(|Q|) U_Q(t) [product over C in Q of D_|C|(C)] U_Q(t)^*,
+
+with mu(k) = (-1)^(k-1) (k-1)! and U_Q the tensor product of the
+propagators of Q's blocks: one blockwise conjugation per partition of
+(1..n).  At t = 0 the solver returns g itself, not the round-off image
+cluster_invert(cluster_expand(g)).  The literal per-partition cumulant sum
+is kept as a reference route in :mod:`qcorr.verify`.
 
 Everything here is verifiable against one ground truth, exposed as
 :func:`solve_via_density_oracle`: expand the initial correlations to a
@@ -25,22 +40,21 @@ from .cumulants import (
     cumulant_apply,
     scattering_cumulant_apply,
 )
-from .evolution import evolve_density_sequence, group_apply, make_unitary_group
+from .evolution import (
+    evolve_density_sequence,
+    group_apply,
+    group_apply_on_subsets,
+    make_unitary_group,
+)
 from .hamiltonian import (
     SystemSpec,
     build_hamiltonian,
     cluster_interaction_apply,
     liouvillian_apply,
 )
-from .operators import (
-    ManyBodyOperator,
-    block_product,
-    relabel,
-    tensor_product,
-    trace_norm,
-)
-from .partitions import ClusterSet, ParticleSet, enumerate_partitions, mobius_coefficient
-from .star_algebra import OperatorSequence, seq_residual
+from .operators import ManyBodyOperator, relabel, tensor_product, trace_norm
+from .partitions import ClusterSet, ParticleSet, partition_sum
+from .star_algebra import OperatorSequence, seq_block_product, seq_residual
 
 
 @dataclass(frozen=True)
@@ -69,50 +83,29 @@ class DensityState:
             raise ValueError("a density sequence has scalar component 1")
 
 
-def _partition_block_product(
-    seq: OperatorSequence, p
-) -> ManyBodyOperator | None:
-    """Product over p's blocks of seq components; None if any block is zero."""
-    ops = {}
-    for block in p.blocks:
-        if not seq.has(len(block)):
-            return None
-        ops[block] = relabel(seq.components[len(block)], block)
-    return block_product(p, ops)
+def _componentwise(
+    seq: OperatorSequence, term, signed: bool
+) -> dict[int, ManyBodyOperator]:
+    """Component n: partition_sum over the singletons of (1..n), if nonempty."""
+    comps = {}
+    for n in range(1, seq.n_max + 1):
+        total = partition_sum(ClusterSet.singletons(range(1, n + 1)), term, signed)
+        if total is not None:
+            comps[n] = total
+    return comps
 
 
 def cluster_expand(g: CorrelationState) -> DensityState:
     """Density components as partition sums of correlation products."""
     seq = g.seq
-    comps: dict[int, ManyBodyOperator] = {}
-    for n in range(1, seq.n_max + 1):
-        ground = ParticleSet.range1(n)
-        acc = None
-        for p in enumerate_partitions(ground):
-            term = _partition_block_product(seq, p)
-            if term is None:
-                continue
-            acc = term.matrix if acc is None else acc + term.matrix
-        if acc is not None:
-            comps[n] = ManyBodyOperator(ground, seq.dim_single, acc)
+    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed=False)
     return DensityState(OperatorSequence(seq.dim_single, seq.n_max, 1.0, comps))
 
 
 def cluster_invert(d: DensityState) -> CorrelationState:
     """Correlation components by signed partition sums of density products."""
     seq = d.seq
-    comps: dict[int, ManyBodyOperator] = {}
-    for n in range(1, seq.n_max + 1):
-        ground = ParticleSet.range1(n)
-        acc = None
-        for p in enumerate_partitions(ground):
-            term = _partition_block_product(seq, p)
-            if term is None:
-                continue
-            signed = term.matrix * mobius_coefficient(p)
-            acc = signed if acc is None else acc + signed
-        if acc is not None:
-            comps[n] = ManyBodyOperator(ground, seq.dim_single, acc)
+    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed=True)
     return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
 
 
@@ -121,26 +114,27 @@ def solve_hierarchy(
 ) -> CorrelationState:
     """Correlation sequence at time t from initial data g0.
 
-    Component n sums, over partitions of (1..n), the partition-indexed
-    cumulant applied to the product of initial blocks.  At t = 0 this
-    returns g0 exactly: the single-block term passes the operand through
-    and every multi-block cumulant vanishes identically.
+    Component n is the regrouped solution formula
+
+        g_n(t) = sum over partitions Q of (1..n) of
+                 mu(|Q|) U_Q(t) [product over C in Q of D_|C|(C)] U_Q(t)^*
+
+    with D = cluster_expand(g0) and U_Q the blockwise propagator of Q: one
+    conjugation per partition.  At t = 0 this returns g0 itself, exactly.
     """
-    seq = g0.seq
-    comps: dict[int, ManyBodyOperator] = {}
-    for n in range(1, seq.n_max + 1):
-        ground = ParticleSet.range1(n)
-        acc = None
-        for p in enumerate_partitions(ground):
-            operand = _partition_block_product(seq, p)
-            if operand is None:
-                continue
-            req = CumulantRequest(ClusterSet(p.blocks), t)
-            term = cumulant_apply(spec, req, operand)
-            acc = term.matrix if acc is None else acc + term.matrix
-        if acc is not None:
-            comps[n] = ManyBodyOperator(ground, seq.dim_single, acc)
-    return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
+    if t == 0.0:
+        return g0
+    d0 = cluster_expand(g0).seq
+
+    def conjugated(blocks: ClusterSet) -> ManyBodyOperator | None:
+        product = seq_block_product(d0, blocks)
+        if product is None:
+            return None
+        return group_apply_on_subsets(spec, t, blocks, product)
+
+    comps = _componentwise(d0, conjugated, signed=True)
+    seq = OperatorSequence(g0.seq.dim_single, g0.seq.n_max, 0.0, comps)
+    return CorrelationState(seq)
 
 
 def solve_via_density_oracle(
@@ -202,23 +196,17 @@ def nonlinear_generator(spec: SystemSpec, g: CorrelationState) -> CorrelationSta
     applied to the product of g-blocks.
     """
     seq = g.seq
-    comps: dict[int, ManyBodyOperator] = {}
-    for n in range(1, seq.n_max + 1):
-        ground = ParticleSet.range1(n)
-        acc = None
-        if seq.has(n):
-            h = build_hamiltonian(spec, ground)
-            acc = liouvillian_apply(h, seq.components[n], spec.hbar).matrix
-        for p in enumerate_partitions(ground):
-            if len(p.blocks) < 2:
-                continue
-            operand = _partition_block_product(seq, p)
-            if operand is None:
-                continue
-            term = cluster_interaction_apply(ClusterSet(p.blocks), operand, spec)
-            acc = term.matrix if acc is None else acc + term.matrix
-        if acc is not None:
-            comps[n] = ManyBodyOperator(ground, seq.dim_single, acc)
+
+    def term(blocks: ClusterSet) -> ManyBodyOperator | None:
+        operand = seq_block_product(seq, blocks)
+        if operand is None:
+            return None
+        if len(blocks) == 1:
+            h = build_hamiltonian(spec, operand.labels)
+            return liouvillian_apply(h, operand, spec.hbar)
+        return cluster_interaction_apply(blocks, operand, spec)
+
+    comps = _componentwise(seq, term, signed=False)
     return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
 
 
@@ -283,16 +271,17 @@ def weak_solution_check(
     lhs = (_pair_trace(phi_n, plus) - _pair_trace(phi_n, minus)) / (2 * h)
 
     gt = solve_hierarchy(spec, g0, t)
-    hmat = build_hamiltonian(spec, ground)
-    rhs = _pair_trace(
-        -liouvillian_apply(hmat, phi_n, spec.hbar), gt.seq.component(n)
-    )
-    for p in enumerate_partitions(ground):
-        if len(p.blocks) < 2:
-            continue
-        operand = _partition_block_product(gt.seq, p)
+
+    def term(blocks: ClusterSet) -> complex | None:
+        if len(blocks) == 1:
+            hmat = build_hamiltonian(spec, ground)
+            moved = -liouvillian_apply(hmat, phi_n, spec.hbar)
+            return _pair_trace(moved, gt.seq.component(n))
+        operand = seq_block_product(gt.seq, blocks)
         if operand is None:
-            continue
-        moved = -cluster_interaction_apply(ClusterSet(p.blocks), phi_n, spec)
-        rhs += _pair_trace(moved, operand)
+            return None
+        moved = -cluster_interaction_apply(blocks, phi_n, spec)
+        return _pair_trace(moved, operand)
+
+    rhs = partition_sum(ClusterSet.singletons(ground), term, signed=False)
     return abs(lhs - rhs)

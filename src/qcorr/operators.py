@@ -18,12 +18,12 @@ import itertools
 import string
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError
-from .partitions import Partition, ParticleSet
+from .partitions import ParticleSet
 
 TAU_HERM = 1e-10
 TAU_PSD = 1e-10
@@ -219,26 +219,6 @@ def tensor_embed(op: ManyBodyOperator, target: ParticleSet) -> ManyBodyOperator:
     if len(extra) == 0:
         return op
     return tensor_product([op, identity_operator(extra, op.dim_single)])
-
-
-def block_product(
-    p: Partition, block_ops: Mapping[ParticleSet, ManyBodyOperator]
-) -> ManyBodyOperator:
-    """Product over the blocks of a partition of per-block operators.
-
-    Supports are disjoint, so the result does not depend on block order.
-    """
-    factors = []
-    for block in p.blocks:
-        if block not in block_ops:
-            raise KeyError(f"no operator supplied for block {block}")
-        op = block_ops[block]
-        if op.labels != block:
-            raise ValueError(
-                f"operator labels {op.labels} do not match block {block}"
-            )
-        factors.append(op)
-    return tensor_product(factors)
 
 
 def partial_trace(op: ManyBodyOperator, traced: ParticleSet) -> ManyBodyOperator:

@@ -3,8 +3,9 @@
 Everything downstream (cluster expansions, cumulants of evolution groups,
 hierarchy sums) walks the lattice of set partitions.  This module owns those
 walks: canonical enumeration of partitions and subsets, Stirling numbers of
-the second kind, and the signed factorial coefficient attached to each
-partition of the lattice.
+the second kind, the signed factorial coefficient attached to each
+partition of the lattice, and :func:`partition_sum`, the one partition loop
+that every cluster expansion, cumulant and solution formula is written with.
 
 Conventions
 -----------
@@ -25,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
 
@@ -217,14 +218,37 @@ def enumerate_nonempty_subsets(ground: ParticleSet) -> list[ParticleSet]:
     return out
 
 
-def mobius_coefficient(p: Partition) -> int:
-    """The lattice coefficient (-1)^(|P|-1) * (|P|-1)! of a partition."""
-    k = len(p.blocks)
+def mobius_coefficient(k: int) -> int:
+    """The lattice coefficient (-1)^(k-1) * (k-1)! of a partition with k blocks."""
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def _mobius_from_count(k: int) -> int:
-    return (-1) ** (k - 1) * factorial(k - 1)
+def partition_sum(units: ClusterSet, term: Callable, signed: bool):
+    """Sum of ``term`` over the set partitions of a family of units.
+
+    Each unit of ``units`` is one indivisible element.  For every partition
+    of the family, ``term`` receives the block unions as a ClusterSet (in
+    canonical order) and returns a value, or None to skip the partition.
+    With ``signed`` a value is weighted by mobius_coefficient(number of
+    blocks); otherwise it is added as it is (a factor 1 would still turn
+    -0.0 entries into 0.0).  Partitions are visited in the order of
+    :func:`enumerate_partitions`; the first kept value starts the sum.
+    Returns None when every partition was skipped.
+    """
+    if len(units) > MAX_PARTITION_GROUND:
+        raise CapacityError(
+            f"partition sums capped at {MAX_PARTITION_GROUND} units, got {len(units)}"
+        )
+    total = None
+    for blocks in iter_set_partitions(tuple(units)):
+        unions = ClusterSet(tuple(ParticleSet.of(itertools.chain(*b)) for b in blocks))
+        value = term(unions)
+        if value is None:
+            continue
+        if signed:
+            value = value * mobius_coefficient(len(unions))
+        total = value if total is None else total + value
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +288,7 @@ def partition_alternating_sum(n: int) -> int:
         raise CapacityError(
             f"alternating sum supported for 1 <= n <= {MAX_PARTITION_GROUND}, got {n}"
         )
-    coeff = [0] + [_mobius_from_count(k) for k in range(1, n + 2)]
+    coeff = [0] + [mobius_coefficient(k) for k in range(1, n + 2)]
     if n == 1:
         return coeff[1]
 

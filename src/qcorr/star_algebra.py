@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterable
 from math import factorial
 
 import numpy as np
@@ -29,13 +30,12 @@ from .errors import NormalizationError
 from .operators import (
     ManyBodyOperator,
     partial_trace,
-    permute_particles,
     relabel,
     tensor_product,
     trace_norm,
     zero_operator,
 )
-from .partitions import ParticleSet, enumerate_partitions, mobius_coefficient
+from .partitions import ClusterSet, ParticleSet, partition_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +146,33 @@ def seq_residual(f: OperatorSequence, h: OperatorSequence, upto: int | None = No
     for n in range(lo, hi + 1):
         worst = max(worst, trace_norm(f.component(n) - h.component(n)))
     return float(worst)
+
+
+def seq_block_product(
+    seq: OperatorSequence, blocks: Iterable[ParticleSet]
+) -> ManyBodyOperator | None:
+    """Tensor product over disjoint blocks of seq components moved onto them.
+
+    Block B carries component |B| of the plain sequence seq, relabelled
+    onto B.  None when one of those components is missing (zero).
+    """
+    parts = []
+    for block in blocks:
+        if not seq.has(len(block)):
+            return None
+        parts.append(relabel(seq.components[len(block)], block))
+    return tensor_product(parts)
+
+
+def seq_signed_block_sum(seq: OperatorSequence, units: ClusterSet) -> ManyBodyOperator:
+    """Mobius-signed partition sum over units of seq block products.
+
+    The zero operator on the units' union when every product vanishes.
+    """
+    total = partition_sum(units, lambda b: seq_block_product(seq, b), signed=True)
+    if total is None:
+        return zero_operator(units.union, seq.dim_single)
+    return total
 
 
 def _ordinary_labels(prefix: int, n: int) -> tuple[int, ...]:
@@ -274,28 +301,13 @@ def shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
     return OperatorSequence(f.dim_single, f.n_max - s, 0.0, comps, s)
 
 
-def cluster_shift_map(
-    f: OperatorSequence, s: int, symmetrize_cluster: bool = False
-) -> OperatorSequence:
+def cluster_shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
     """Shift with the first s particles read as a single s-cluster unit.
 
     Componentwise this is shift_map; the cluster reading only changes how
-    later maps treat the prefix.  With ``symmetrize_cluster`` each
-    component is averaged over the internal orderings of the cluster.
+    later maps treat the prefix.
     """
-    out = shift_map(f, s)
-    if not symmetrize_cluster or s == 1:
-        return out
-    comps = {}
-    for n, op in out.components.items():
-        total_slots = s + n
-        acc = None
-        for perm in itertools.permutations(range(s)):
-            full = tuple(perm) + tuple(range(s, total_slots))
-            term = permute_particles(op, full).matrix
-            acc = term if acc is None else acc + term
-        comps[n] = ManyBodyOperator(op.labels, op.dim_single, acc / factorial(s))
-    return OperatorSequence(out.dim_single, out.n_max, 0.0, comps, s)
+    return shift_map(f, s)
 
 
 def annihilation_expand(f: OperatorSequence) -> OperatorSequence:
@@ -345,38 +357,6 @@ def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> floa
 _NORM_FLOOR = 1e-12
 
 
-def _cluster_argument_component(
-    seq: OperatorSequence, s: int, n: int
-) -> ManyBodyOperator:
-    """Component of ``seq`` read with an s-cluster as its first argument.
-
-    The 1+n units are the cluster (1..s) and the singletons s+1..s+n.
-    Each partition of the units contributes its Mobius coefficient times
-    the product of seq components over the block unions.  For s = 1 this
-    is the ordinary logarithm-by-inversion of an exponential sequence.
-    """
-    units = [tuple(range(1, s + 1))] + [(s + j,) for j in range(1, n + 1)]
-    acc = None
-    for p in enumerate_partitions(ParticleSet.range1(1 + n)):
-        parts = []
-        dead = False
-        for block in p.blocks:
-            labels = ParticleSet.of(
-                itertools.chain.from_iterable(units[i - 1] for i in block)
-            )
-            if not seq.has(len(labels)):
-                dead = True
-                break
-            parts.append(relabel(seq.components[len(labels)], labels))
-        if dead:
-            continue
-        term = tensor_product(parts).matrix * mobius_coefficient(p)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return zero_operator(ParticleSet.range1(s + n), seq.dim_single)
-    return ManyBodyOperator(ParticleSet.range1(s + n), seq.dim_single, acc)
-
-
 def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
     """Residual of the normalized-reduction identity for an s-cluster.
 
@@ -407,7 +387,10 @@ def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
     # holds a cluster particle, and past that the Mobius sums cancel.
     n_hi = min(big.n_max - s, s * (f.n_max - 1))
     u_comps = {
-        n: _cluster_argument_component(big, s, n) for n in range(0, n_hi + 1)
+        n: seq_signed_block_sum(
+            big, ClusterSet.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
+        )
+        for n in range(0, n_hi + 1)
     }
     useq = OperatorSequence(big.dim_single, big.n_max - s, 0.0, u_comps, s)
     rhs = annihilation_expand(useq).component(0)

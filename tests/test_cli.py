@@ -4,8 +4,7 @@ import json
 import os
 import shutil
 import subprocess
-
-import pytest
+import sys
 
 from qcorr.cli import main
 
@@ -219,10 +218,14 @@ def test_schema_command_prints_registry(capsys):
     assert "operator" in schemas
 
 
-@pytest.mark.skipif(shutil.which("qcorr") is None, reason="entry point not on PATH")
 def test_console_script():
+    # without an installed entry point, run the same main as a module
+    if shutil.which("qcorr"):
+        cmd = ["qcorr"]
+    else:
+        cmd = [sys.executable, "-m", "qcorr.cli"]
     proc = subprocess.run(
-        ["qcorr", "schema", "--print"], capture_output=True, text=True
+        cmd + ["schema", "--print"], capture_output=True, text=True
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)

@@ -28,9 +28,11 @@ from qcorr.presets import (
     chaos_one_particle,
     random_correlation_state,
     random_operator,
+    random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import OperatorSequence, seq_residual
+from qcorr.star_algebra import OperatorSequence, seq_residual, star_exp, star_ln
+from qcorr.verify import literal_cumulant_solution
 
 TOL = 1e-12
 
@@ -109,6 +111,25 @@ def test_solution_matches_oracle_pair_interaction_only(spec_pair):
     fast = solve_hierarchy(spec_pair, g, 0.7)
     slow = solve_via_density_oracle(spec_pair, g, 0.7)
     assert seq_residual(fast.seq, slow.seq) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_regrouped_solution_equals_literal_cumulant_sum(d):
+    spec = random_system(133, dim_single=d, orders=(2, 3))
+    g = random_correlation_state(134, d, 4, norms=0.5)
+    for t in (0.3, 1.1):
+        regrouped = solve_hierarchy(spec, g, t)
+        literal = literal_cumulant_solution(spec, g, t)
+        assert seq_residual(regrouped.seq, literal.seq) <= 1e-12
+
+
+def test_cluster_transforms_equal_star_series():
+    # both routes stay: the partition sum is the faster one at n = 4, the
+    # star series the faster one for the depth-8 exponentials of the lemmas
+    g = gstate(135, n_max=4)
+    d = cluster_expand(g)
+    assert seq_residual(d.seq, star_exp(g.seq)) <= 1e-14
+    assert seq_residual(cluster_invert(d).seq, star_ln(d.seq)) <= 1e-14
 
 
 def test_chaos_solution_equals_hierarchy_on_product_data(spec2):

@@ -8,7 +8,6 @@ from qcorr.errors import CapacityError
 from qcorr.operators import (
     ManyBodyOperator,
     assert_density,
-    block_product,
     check_mb_symmetry,
     frobenius_norm,
     identity_operator,
@@ -25,7 +24,7 @@ from qcorr.operators import (
     trace_norm,
     zero_operator,
 )
-from qcorr.partitions import Partition, ParticleSet
+from qcorr.partitions import ParticleSet
 from qcorr.presets import random_operator, rng_from_seed
 
 TOL = 1e-12
@@ -149,18 +148,6 @@ def test_permutation_composition(perm):
     back = [perm.index(i) for i in range(3)]
     roundtrip = permute_particles(permute_particles(op, tuple(perm)), tuple(back))
     assert np.allclose(roundtrip.matrix, op.matrix, atol=TOL)
-
-
-def test_block_product_checks_labels():
-    p = Partition.of([[1, 2], [3]])
-    ops = {
-        ParticleSet((1, 2)): rand_op(21, [1, 2]),
-        ParticleSet((3,)): rand_op(22, [3]),
-    }
-    out = block_product(p, ops)
-    assert out.labels.labels == (1, 2, 3)
-    with pytest.raises(KeyError):
-        block_product(p, {ParticleSet((1, 2)): ops[ParticleSet((1, 2))]})
 
 
 def test_trace_norm_is_singular_value_sum():

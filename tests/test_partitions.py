@@ -1,5 +1,6 @@
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from qcorr.partitions import (
     iter_set_partitions,
     mobius_coefficient,
     partition_alternating_sum,
+    partition_sum,
     stirling2,
 )
 
@@ -98,7 +100,7 @@ def test_nonempty_subsets_ordered_by_size():
 def test_mobius_coefficient_formula():
     for p in enumerate_partitions(ParticleSet.range1(4)):
         k = len(p.blocks)
-        assert mobius_coefficient(p) == (-1) ** (k - 1) * factorial(k - 1)
+        assert mobius_coefficient(k) == (-1) ** (k - 1) * factorial(k - 1)
 
 
 @pytest.mark.parametrize("n,k,val", [(3, 2, 3), (4, 2, 7), (5, 3, 25), (6, 3, 90)])
@@ -148,7 +150,7 @@ def test_alternating_sum_matches_direct_fold():
     # small n: direct sum over materialized partitions must agree
     for n in range(1, 8):
         direct = sum(
-            mobius_coefficient(p)
+            mobius_coefficient(len(p.blocks))
             for p in enumerate_partitions(ParticleSet.range1(n))
         )
         assert partition_alternating_sum(n) == direct
@@ -174,3 +176,43 @@ def test_every_partition_covers_and_is_disjoint(labels):
             seen.extend(b.labels)
         assert sorted(seen) == list(ground.labels)
         assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize(
+    "units",
+    [[[1], [2], [3], [4]], [[1, 2], [3], [4], [5]], [[1, 2, 3], [4], [5]]],
+)
+@pytest.mark.parametrize("signed", [False, True])
+def test_partition_sum_visits_each_partition_once(units, signed):
+    # each partition's term is its own unit vector, so the sum lists the
+    # weight every partition received; a few are skipped by returning None
+    family = [tuple(u) for u in units]
+    naive = [
+        canon(tuple(tuple(x for u in block for x in u) for block in p))
+        for p in naive_partitions(tuple(family))
+    ]
+    index = {p: i for i, p in enumerate(naive)}
+    skipped = set(naive[1::3])
+    seen = []
+
+    def term(blocks):
+        key = tuple(b.labels for b in blocks)
+        seen.append(key)
+        if key in skipped:
+            return None
+        e = np.zeros(len(naive), dtype=int)
+        e[index[key]] = 1
+        return e
+
+    total = partition_sum(ClusterSet.of(units), term, signed=signed)
+    assert sorted(seen) == sorted(naive)
+    for p, i in index.items():
+        want = 0 if p in skipped else (mobius_coefficient(len(p)) if signed else 1)
+        assert total[i] == want
+
+
+def test_partition_sum_all_skipped_and_guard():
+    pair = ClusterSet.singletons([1, 2])
+    assert partition_sum(pair, lambda b: None, signed=True) is None
+    with pytest.raises(CapacityError):
+        partition_sum(ClusterSet.singletons(range(1, 14)), lambda b: 1, signed=False)

@@ -170,11 +170,6 @@ def test_cluster_shift_symmetrization():
     f = seq(105)
     raw = cluster_shift_map(f, 2)
     assert seq_residual(raw, shift_map(f, 2)) == 0.0
-    sym = cluster_shift_map(f, 2, symmetrize_cluster=True)
-    # generic components are not invariant under swapping inside the cluster
-    assert seq_residual(sym, raw) > 1e-6
-    one = cluster_shift_map(f, 1, symmetrize_cluster=True)
-    assert seq_residual(one, shift_map(f, 1)) == 0.0
 
 
 def test_prefixed_star_product_keeps_cluster_with_factor():
