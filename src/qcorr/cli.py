@@ -1,7 +1,8 @@
 """Command-line front end: scenario runner, verification suites, schemas.
 
-Exit codes: 0 success, 1 contract failure (a verification check failed or a
-normalization degenerated), 2 malformed or schema-violating input, 3 a
+Exit codes: 0 success, 1 contract or numeric failure (a verification check
+failed, a normalization degenerated, or a task overflowed or produced an
+invalid floating-point result), 2 malformed or schema-violating input, 3 a
 capacity guard tripped.  Outputs are written only after every task has
 computed, so a failing run leaves no partial files, and all serialization is
 canonical: rerunning an identical scenario reproduces identical bytes.
@@ -32,7 +33,7 @@ from .bbgky import (
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
-from .errors import CapacityError, NormalizationError, SchemaViolation
+from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
 from .evolution import evolve_density_sequence
 from .hamiltonian import SystemSpec
 from .hierarchy import (
@@ -43,7 +44,7 @@ from .hierarchy import (
     solve_chaos,
     solve_hierarchy,
 )
-from .operators import ManyBodyOperator, min_eigenvalue, trace_norm
+from .operators import TAU_HERM, ManyBodyOperator, min_eigenvalue, trace_norm
 from .partitions import ParticleSet
 from .presets import chaos_one_particle, random_correlation_state, random_density_state
 from .serialize import (
@@ -191,6 +192,14 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
             raise SchemaViolation(
                 f"observable must be {spec.dim_single}x{spec.dim_single}"
             )
+        # ||A - A^dagger||_F <= TAU_HERM ||A||_F: the dispersion is real only
+        # for Hermitian A, and would silently drop an imaginary part otherwise
+        dev = float(np.linalg.norm(a - a.conj().T))
+        if dev > TAU_HERM * float(np.linalg.norm(a)):
+            raise SchemaViolation(
+                f"observable must be Hermitian, deviation {dev} exceeds "
+                f"{TAU_HERM} times its norm"
+            )
     else:
         a = np.eye(spec.dim_single, dtype=complex)
 
@@ -242,11 +251,22 @@ def _as_density(sc: Scenario) -> DensityState:
     return cluster_expand(_as_correlation(sc))
 
 
+def _strict_fp():
+    """Floating-point state for tasks: overflow and invalid results raise."""
+    return np.errstate(over="raise", invalid="raise")
+
+
 def _pmap(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+
+    def strict(x):
+        # numpy's error state is per thread, so each worker sets its own
+        with _strict_fp():
+            return fn(x)
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(strict, items))
 
 
 def _marginal_record(s: int, t: float, op: ManyBodyOperator) -> dict:
@@ -408,7 +428,11 @@ def run_scenario(sc: Scenario, threads: int = 1) -> tuple[dict[str, str], int]:
                 exit_code = 1
             files[f"verify-{suite}.json"] = dumps_canonical(report)
             continue
-        result = _TASK_FNS[task](sc, threads)
+        try:
+            with _strict_fp():
+                result = _TASK_FNS[task](sc, threads)
+        except FloatingPointError as exc:
+            raise NumericError(f"task {task}: {exc}") from exc
         if want_json:
             files[f"{task}.json"] = dumps_canonical(result)
         if want_csv and task in ("bbgky", "iterate"):
@@ -548,6 +572,9 @@ def main(argv=None) -> int:
         return 3
     except NormalizationError as exc:
         print(f"normalization failure: {exc}", file=sys.stderr)
+        return 1
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
 

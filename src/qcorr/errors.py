@@ -11,3 +11,7 @@ class SchemaViolation(ValueError):
 
 class NormalizationError(ArithmeticError):
     """A grand-canonical normalization factor vanished or is unusable."""
+
+
+class NumericError(ArithmeticError):
+    """A computation overflowed or produced an invalid floating-point result."""

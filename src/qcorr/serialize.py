@@ -10,11 +10,36 @@ Conventions
   or a preset {"preset": "random_hermitian", "seed": ..., "orders": [...]}.
 
 All dumps go through dumps_canonical so that reruns produce identical bytes.
+
+Fast paths for raw matrices
+---------------------------
+Documents are large only in their raw-matrix leaves, so both directions
+treat those leaves apart from the rest.
+
+* validate first checks, in one pass, which lists are raw matrices: non-empty
+  lists of non-empty rows of two-element lists whose entries are exactly
+  int or float.  Each such leaf is replaced by the stand-in [[[0.0, 0.0]]]
+  in a skeleton copy, and jsonschema validates only the skeleton.  This is
+  sound because no schema in ALL_SCHEMAS constrains a matrix-level array
+  beyond "minItems": 1 (tests pin this), so no schema can tell a valid leaf
+  from the stand-in: the skeleton is valid exactly when the document is.
+  A failing skeleton sends the original document to jsonschema, so the
+  error reported is the one jsonschema reports for the full document.
+* dumps_canonical writes the text itself instead of going through json's
+  pure-Python indenting encoder.  Its output is defined as, and tested equal
+  to, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n":
+  rows of [re, im] pairs are formatted with one format string per row,
+  dicts and lists are framed by hand, and every other leaf (str, bool,
+  None, numpy scalars, dicts with non-str keys, non-finite floats) is
+  handed to json itself.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
+from math import isfinite
 from typing import Any
 
 import jsonschema
@@ -235,18 +260,142 @@ ALL_SCHEMAS = {
 }
 
 
+# exact types only: bool, numpy scalars and other number-likes take the slow
+# routes, where jsonschema and json decide about them as they always have
+_NUMBER_TYPES = {int, float}
+
+_MATRIX_STAND_IN = [[[0.0, 0.0]]]
+
+# id(schema) -> (schema, validator); the schema is kept so its id stays unique
+_VALIDATORS: dict[int, tuple] = {}
+
+
+def _validator(schema: dict):
+    hit = _VALIDATORS.get(id(schema))
+    if hit is not None and hit[0] is schema:
+        return hit[1]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    validator = cls(schema)
+    _VALIDATORS[id(schema)] = (schema, validator)
+    return validator
+
+
+def _pair_row(row) -> tuple | None:
+    """The entries of a row of [re, im] pairs of exact ints and floats,
+    flattened; None when row is anything else (an empty row included)."""
+    if type(row) is not list or set(map(type, row)) != {list}:
+        return None
+    if set(map(len, row)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(row))
+    return flat if set(map(type, flat)) <= _NUMBER_TYPES else None
+
+
+def _is_raw_matrix(x) -> bool:
+    """True when x is a raw-matrix leaf that every raw-matrix schema accepts."""
+    if type(x) is not list or not x:
+        return False
+    return all(_pair_row(row) is not None for row in x)
+
+
+def _skeleton(x):
+    """x with every raw-matrix leaf replaced by the stand-in."""
+    if type(x) is dict:
+        return {k: _skeleton(v) for k, v in x.items()}
+    if type(x) is list:
+        if _is_raw_matrix(x):
+            return _MATRIX_STAND_IN
+        return [_skeleton(v) for v in x]
+    return x
+
+
 def validate(obj: Any, schema: dict, what: str = "document") -> None:
     """Validate obj against schema, raising SchemaViolation on failure."""
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as exc:
+    validator = _validator(schema)
+    if validator.is_valid(_skeleton(obj)):
+        return
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise SchemaViolation(f"{what} at '{path}': {exc.message}") from exc
 
 
+def _json_text(value, level: int) -> str:
+    """json's own text for value, indented as if written at depth level."""
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", "\n" + "  " * level) if level else text
+
+
+@lru_cache(maxsize=64)
+def _row_format(level: int, n_pairs: int) -> str:
+    """%-format of a row of n_pairs [re, im] pairs whose "[" sits at level."""
+    row_in = "\n" + "  " * level
+    pair_in = row_in + "  "
+    num_in = pair_in + "  "
+    pair = "[" + num_in + "%r," + num_in + "%r" + pair_in + "]"
+    return "[" + pair_in + ("," + pair_in).join([pair] * n_pairs) + row_in + "]"
+
+
+def _pair_row_text(row, level: int) -> str | None:
+    """json's text for a row of [re, im] pairs of exact ints and floats
+    written at depth level; None for any other value, or a non-finite entry."""
+    flat = _pair_row(row)
+    if flat is None:
+        return None
+    text = _row_format(level, len(row)) % flat
+    # finite reprs are made of digits, ".", "-", "+" and "e": an "n" can only
+    # come from nan or inf, which json refuses
+    return None if "n" in text else text
+
+
+def _write(value, level: int, out: list) -> None:
+    """Append json's text for value, written at depth level, to out."""
+    kind = type(value)
+    if kind is float and isfinite(value):
+        out.append(float.__repr__(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            text = _pair_row_text(item, level + 1)
+            if text is None:
+                _write(item, level + 1, out)
+            else:
+                out.append(text)
+        out.append("\n" + "  " * level + "]")
+    elif kind is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + json.dumps(key) + ": ")
+            sep = "," + inner
+            _write(item, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    else:
+        out.append(_json_text(value, level))
+
+
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed indentation, newline end."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, fixed indentation, newline end.
+
+    Equal to json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    plus a newline, written without json's pure-Python indenting encoder.
+    """
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -260,7 +409,7 @@ def decode_complex(pair) -> complex:
 
 def encode_raw_matrix(m: np.ndarray) -> list:
     a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def decode_raw_matrix(rows) -> np.ndarray:

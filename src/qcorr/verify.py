@@ -1,7 +1,10 @@
 """Self-verification suites: each check measures one law and its residual.
 
 A report lists, per check, the law being exercised, the measured residual,
-the tolerance, and the verdict.  All inputs are seeded so reports are
+the tolerance, the verdict, and the headroom residual / tolerance (above 1
+fails; null for exact checks, whose tolerance is 0), plus the report's
+largest headroom, so a check drifting towards failure shows before it fails.
+All inputs are seeded so reports are
 identical run to run.  Checks are independent, so a thread pool may compute
 them concurrently; results are assembled in declaration order either way.
 """
@@ -981,8 +984,10 @@ def run_suite(name: str, tol_scale: float = 1.0, threads: int = 1) -> dict:
                 "residual": float(residual),
                 "tolerance": tol,
                 "pass": bool(residual <= tol),
+                "headroom": float(residual) / tol if tol > 0 else None,
             }
         )
+    ratios = [r["headroom"] for r in rows if r["headroom"] is not None]
     return {
         "suite": name,
         "checks": rows,
@@ -990,4 +995,5 @@ def run_suite(name: str, tol_scale: float = 1.0, threads: int = 1) -> dict:
         "n_failed": sum(1 for r in rows if not r["pass"]),
         "passed": all(r["pass"] for r in rows),
         "tol_scale": tol_scale,
+        "max_headroom": max(ratios, default=None),
     }

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from qcorr.cli import main
+from qcorr.serialize import REPORT_SCHEMA, validate
 
 # small scenario: every value chosen so a full run stays under a second
 BASE_SCENARIO = {
@@ -132,6 +133,34 @@ def test_capacity_guards_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_hermitian_observable_exits_2(tmp_path, capsys):
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["observable"] = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    code, out = _run(tmp_path, sc, "non-hermitian")
+    assert code == 2
+    assert not out.exists()
+    assert "observable must be Hermitian" in capsys.readouterr().err
+
+    # a Hermitian observable with complex entries is accepted
+    sc["observable"] = [[[1, 0], [0, -2]], [[0, 2], [-1, 0]]]
+    code, _ = _run(tmp_path, sc, "hermitian")
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_overflow_is_a_numeric_failure(tmp_path, capsys):
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["initial"]["preset"]["norms"] = 1e200
+    for name, extra in [("overflow", ()), ("overflow-threads", ("--threads", "2"))]:
+        code, out = _run(tmp_path, sc, name, extra)
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ")
+        assert "overflow" in err
+        assert "Warning" not in err
+
+
 def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["tasks"] = ["evolve", "chaos"]
@@ -172,13 +201,27 @@ def test_csv_floats_roundtrip(tmp_path):
 
 def test_verify_task_writes_report(tmp_path):
     sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["tasks"] = ["verify:combinatorics"]
+    sc["tasks"] = ["verify:combinatorics", "verify:group-law"]
     code, out = _run(tmp_path, sc, "with-verify")
     assert code == 0
-    report = json.loads((out / "verify-combinatorics.json").read_text())
-    assert report["suite"] == "combinatorics"
-    assert report["passed"] is True
-    assert all(c["pass"] for c in report["checks"])
+    for suite in ("combinatorics", "group-law"):
+        report = json.loads((out / f"verify-{suite}.json").read_text())
+        validate(report, REPORT_SCHEMA, "report")
+        assert report["suite"] == suite
+        assert report["passed"] is True
+        assert all(c["pass"] for c in report["checks"])
+        ratios = []
+        for c in report["checks"]:
+            # headroom is residual / tolerance; exact checks have none
+            if c["tolerance"] == 0:
+                assert c["headroom"] is None
+            else:
+                assert c["headroom"] == c["residual"] / c["tolerance"]
+                assert c["headroom"] <= 1.0
+                ratios.append(c["headroom"])
+        assert report["max_headroom"] == max(ratios, default=None)
+    # combinatorics is all exact counts; group-law has toleranced checks
+    assert report["max_headroom"] is not None
 
 
 def test_unknown_verify_suite_rejected(tmp_path, capsys):

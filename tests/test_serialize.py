@@ -1,10 +1,12 @@
 """JSON codec roundtrips and schema rejection paths."""
 
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorr.errors import SchemaViolation
@@ -14,6 +16,7 @@ from qcorr.presets import random_correlation_state, random_system, rng_from_seed
 from qcorr.serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
+    SEQUENCE_SCHEMA,
     decode_complex,
     decode_operator,
     decode_raw_matrix,
@@ -217,6 +220,109 @@ def test_dumps_canonical_stable_bytes():
     )
 
 
+def _json_reference(obj):
+    """The definition of canonical text that dumps_canonical must equal."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _outcome(fn, obj):
+    try:
+        return fn(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_edge_floats = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1e308, -1.7976931348623157e308]
+)
+_scalars = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _edge_floats,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**300),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+# mostly [re, im] pairs of floats, sometimes 1- or 3-element, tuple or scalar
+_pairs = st.one_of(
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _edge_floats),
+             min_size=2, max_size=2),
+    st.lists(_scalars, min_size=1, max_size=3),
+    st.tuples(_scalars, _scalars),
+    _scalars,
+)
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _edge_floats,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**300),
+)
+# well-formed raw matrices, which take the writer's row fast path
+_raw_matrices = st.lists(
+    st.lists(st.lists(_numbers, min_size=2, max_size=2), min_size=1, max_size=4),
+    min_size=1,
+    max_size=4,
+)
+# matrix-shaped leaves, ragged and empty rows included
+_matrices = st.lists(st.lists(_pairs, max_size=4), max_size=4)
+_json_trees = st.recursive(
+    st.one_of(_scalars, _raw_matrices, _matrices),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        st.dictionaries(st.integers(), kids, max_size=2),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(_json_trees)
+def test_dumps_canonical_equals_json_dumps(obj):
+    assert _outcome(dumps_canonical, obj) == _outcome(_json_reference, obj)
+
+
+def test_dumps_canonical_equals_json_dumps_on_documents():
+    g = random_correlation_state(21, 2, 4).seq
+    spec = random_system(22, dim_single=2, orders=(2, 3))
+    doc = {
+        "states": [encode_sequence(g, kind="correlation")],
+        "system": encode_system(spec),
+        "nested": {"deeper": [[encode_operator(g.components[2])]]},
+    }
+    assert dumps_canonical(doc) == _json_reference(doc)
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.lists(st.lists(_edge_floats, min_size=2, max_size=2), min_size=1,
+                      max_size=3), min_size=1, max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_dumps_canonical_refuses_non_finite_like_json(matrix, bad, data):
+    i = data.draw(st.integers(0, len(matrix) - 1))
+    j = data.draw(st.integers(0, len(matrix[i]) - 1))
+    k = data.draw(st.integers(0, 1))
+    matrix[i][j][k] = bad
+    doc = data.draw(st.sampled_from([matrix, {"m": matrix}, [1, {"a": [matrix]}]]))
+    with pytest.raises(ValueError) as ours:
+        dumps_canonical(doc)
+    with pytest.raises(ValueError) as theirs:
+        _json_reference(doc)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_raw_matrix_encoding_is_plain_floats():
+    m = np.array([[1 - 0j, complex(-0.0, 2.5)], [5e-324j, 1e16 + 0j]])
+    rows = encode_raw_matrix(m)
+    assert rows == [[[1.0, 0.0], [-0.0, 2.5]], [[0.0, 5e-324], [1e16, 0.0]]]
+    assert all(type(x) is float for row in rows for pair in row for x in pair)
+    assert math.copysign(1.0, rows[0][1][0]) == -1.0
+
+
 # ---------------------------------------------------------------------------
 # scenario schema
 
@@ -269,6 +375,154 @@ def test_violation_message_carries_path():
     sc["times"] = []
     with pytest.raises(SchemaViolation, match="'times'"):
         validate(sc, SCENARIO_SCHEMA, "scenario")
+
+
+def _explicit_scenario(values):
+    """A d = 2 scenario whose matrix entries are drawn from values."""
+    it = iter(values)
+
+    def matrix(dim):
+        return [[[next(it), next(it)] for _ in range(dim)] for _ in range(dim)]
+
+    return {
+        "system": {
+            "dim_single": 2,
+            "one_body": matrix(2),
+            "potentials": {"2": matrix(4)},
+        },
+        "initial": {
+            "density": {
+                "dim_single": 2,
+                "n_max": 2,
+                "scalar0": [1.0, 0.0],
+                "components": [matrix(2), matrix(4)],
+            }
+        },
+        "times": [0.1],
+        "tasks": ["evolve"],
+        "n_max": 2,
+        "observable": matrix(2),
+    }
+
+
+_MATRIX_PATHS = [
+    ("system", "one_body"),
+    ("system", "potentials", "2"),
+    ("initial", "density", "components", 0),
+    ("initial", "density", "components", 1),
+    ("observable",),
+]
+
+_BAD_VALUES = [
+    True, None, "1.0", [], [1.0], [1.0, 2.0, 3.0], {}, np.float64(0.5), 2**80, -0.0
+]
+
+
+def _jsonschema_outcome(obj, schema, what):
+    try:
+        jsonschema.validate(obj, schema)
+    except jsonschema.ValidationError as exc:
+        path = "/".join(str(p) for p in exc.absolute_path)
+        return f"{what} at '{path}': {exc.message}"
+    return None
+
+
+def _validate_outcome(obj, schema, what):
+    try:
+        validate(obj, schema, what)
+    except SchemaViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.one_of(_edge_floats, st.integers(-3, 3)), min_size=96, max_size=96),
+    st.sampled_from(_MATRIX_PATHS),
+    st.data(),
+)
+def test_validate_agrees_with_jsonschema(values, where, data):
+    doc = _explicit_scenario(values)
+    *parents, key = where
+    holder = doc
+    for p in parents:
+        holder = holder[p]
+    matrix = holder[key]
+    bad = data.draw(st.sampled_from(_BAD_VALUES))
+    depth = data.draw(st.sampled_from(["matrix", "row", "pair", "number"]))
+    i = data.draw(st.integers(0, len(matrix) - 1))
+    j = data.draw(st.integers(0, len(matrix) - 1))
+    if depth == "matrix":
+        holder[key] = bad
+    elif depth == "row":
+        matrix[i] = bad
+    elif depth == "pair":
+        matrix[i][j] = bad
+    else:
+        matrix[i][j][data.draw(st.integers(0, 1))] = bad
+    for obj, schema, what in [
+        (doc, SCENARIO_SCHEMA, "scenario"),
+        (doc["initial"]["density"], SEQUENCE_SCHEMA, "sequence"),
+    ]:
+        assert _validate_outcome(obj, schema, what) == _jsonschema_outcome(
+            obj, schema, what
+        )
+
+
+def _subschemas(schema):
+    yield schema
+    for key in ("properties", "patternProperties"):
+        for sub in schema.get(key, {}).values():
+            yield from _subschemas(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from _subschemas(schema[key])
+    for sub in schema.get("oneOf", []):
+        yield from _subschemas(sub)
+
+
+def test_schemas_cannot_tell_a_raw_matrix_from_the_stand_in():
+    """validate replaces every raw-matrix leaf by [[[0.0, 0.0]]] before
+    jsonschema sees it.  That is sound only while every array schema either
+    is a raw-matrix level, which constrains nothing beyond type,
+    "minItems": 1 and the pair's two unbounded numbers, or rejects every row
+    of [re, im] pairs as an item, so that a raw matrix and the stand-in (both
+    non-empty lists of such rows) fail it alike."""
+    raw_matrix = SCENARIO_SCHEMA["properties"]["observable"]
+    row = raw_matrix["items"]
+    pair = row["items"]
+    assert raw_matrix == {"type": "array", "minItems": 1, "items": row}
+    assert row == {"type": "array", "minItems": 1, "items": pair}
+    assert pair == {
+        "type": "array",
+        "items": {"type": "number"},
+        "minItems": 2,
+        "maxItems": 2,
+    }
+    scalar_types = {"number", "integer", "string", "boolean", "null", "object"}
+
+    def rejects_rows(schema):
+        # a row's items are [re, im] pairs, whose items are numbers, so a
+        # row is never a raw matrix
+        if "oneOf" in schema:
+            return all(rejects_rows(branch) for branch in schema["oneOf"])
+        return schema.get("type") in scalar_types or schema == raw_matrix
+
+    # keywords whose verdict on a list depends only on the facts above
+    allowed = {
+        "type", "properties", "required", "additionalProperties",
+        "patternProperties", "items", "minItems", "maxItems", "minProperties",
+        "maxProperties", "enum", "pattern", "minimum", "maximum",
+        "exclusiveMinimum", "oneOf",
+    }
+    for schema in ALL_SCHEMAS.values():
+        for sub in _subschemas(schema):
+            assert set(sub) <= allowed, set(sub) - allowed
+            assert all(isinstance(v, str) for v in sub.get("enum", []))
+            assert "type" in sub or set(sub) == {"oneOf"}
+            if sub.get("type") == "array" and sub not in (raw_matrix, row):
+                assert isinstance(sub["items"], dict)
+                assert rejects_rows(sub["items"]), sub
 
 
 def test_schema_registry_names():
