@@ -235,29 +235,25 @@ def _outcome(fn, obj):
 _edge_floats = st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1e308, -1.7976931348623157e308]
 )
-_scalars = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    _edge_floats,
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**300),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=4),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-)
-# mostly [re, im] pairs of floats, sometimes 1- or 3-element, tuple or scalar
-_pairs = st.one_of(
-    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _edge_floats),
-             min_size=2, max_size=2),
-    st.lists(_scalars, min_size=1, max_size=3),
-    st.tuples(_scalars, _scalars),
-    _scalars,
-)
 _numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     _edge_floats,
     st.integers(),
     st.integers(min_value=2**64, max_value=2**300),
+)
+_scalars = st.one_of(
+    _numbers,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+# mostly [re, im] pairs of numbers, sometimes 1- or 3-element, tuple or scalar
+_pairs = st.one_of(
+    st.lists(_numbers, min_size=2, max_size=2),
+    st.lists(_scalars, min_size=1, max_size=3),
+    st.tuples(_scalars, _scalars),
+    _scalars,
 )
 # well-formed raw matrices, which take the writer's row fast path
 _raw_matrices = st.lists(
