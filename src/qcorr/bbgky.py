@@ -26,7 +26,7 @@ import numpy as np
 from .cumulants import CumulantRequest, cumulant_apply
 from .errors import NormalizationError
 from .evolution import group_apply, make_unitary_group, unitary_matrix
-from .hamiltonian import SystemSpec, interaction_liouvillian_apply
+from .hamiltonian import SystemSpec, liouvillian_apply
 from .hierarchy import CorrelationState, DensityState, cluster_expand
 from .operators import (
     ManyBodyOperator,
@@ -172,7 +172,11 @@ def solve_bbgky_cumulant(
 def _embedded_group_conj(
     spec: SystemSpec, full: ParticleSet, sub_n: int, tau: float, x: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Conjugate x by the propagator of the first sub_n particles."""
+    """Conjugate x by the propagator of the first sub_n particles.
+
+    The propagator is extended by identities to the labels ``full``; the
+    iteration series passes x's own labels, so nothing is embedded.
+    """
     if tau == 0.0:
         return x
     sub = ParticleSet.range1(sub_n)
@@ -182,6 +186,24 @@ def _embedded_group_conj(
     return ManyBodyOperator(full, x.dim_single, w @ x.matrix @ w.conj().T)
 
 
+def _pair_potential_sums(
+    spec: SystemSpec, s: int, depth: int
+) -> dict[int, ManyBodyOperator]:
+    """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for m = s+1..s+depth."""
+    d = spec.dim_single
+    phi2 = spec.potentials[2]
+    out = {}
+    for m in range(s + 1, s + depth + 1):
+        ground = ParticleSet.range1(m)
+        acc = None
+        for i in range(1, m):
+            pair = ManyBodyOperator(ParticleSet((i, m)), d, phi2)
+            emb = tensor_embed(pair, ground).matrix
+            acc = emb if acc is None else acc + emb
+        out[m] = ManyBodyOperator(ground, d, acc)
+    return out
+
+
 def _iteration_integrand(
     spec: SystemSpec,
     f_init: ManyBodyOperator,
@@ -189,22 +211,25 @@ def _iteration_integrand(
     n: int,
     t: float,
     ts: tuple[float, ...],
+    coupling: dict[int, ManyBodyOperator],
 ) -> ManyBodyOperator:
-    """One time-ordered chain evaluated at the node times ts = (t_1..t_n)."""
-    full = ParticleSet.range1(s + n)
-    phi2 = spec.potentials[2]
-    x = _embedded_group_conj(spec, full, s + n, ts[n - 1], f_init)
+    """One time-ordered chain at the node times ts = (t_1..t_n), t_0 = t.
+
+    Collision-operator form: starting from G_{s+n}(t_n) F_{s+n}, level
+    j = n..1 with m = s + j applies the commutator generator of
+    V_m = ``coupling[m]``, traces particle m out, and conjugates with
+    U_{m-1}(t_{j-1} - t_j) on particles 1..m-1.  Tracing each level out at
+    once is exact: every later step acts on particles 1..m-1 only, so Tr_m
+    commutes with it, and each propagator runs at its own dimension.
+    """
+    x = _embedded_group_conj(spec, f_init.labels, s + n, ts[n - 1], f_init)
     for j in range(n, 0, -1):
-        acc = None
-        for i in range(1, s + j):
-            pair = ParticleSet((i, s + j))
-            term = interaction_liouvillian_apply(phi2, pair, x, spec.hbar)
-            acc = term.matrix if acc is None else acc + term.matrix
-        x = ManyBodyOperator(full, spec.dim_single, acc)
+        m = s + j
+        x = liouvillian_apply(coupling[m], x, spec.hbar)
+        x = partial_trace(x, ParticleSet((m,)))
         upper = ts[j - 2] if j >= 2 else t
-        x = _embedded_group_conj(spec, full, s + j - 1, upper - ts[j - 1], x)
-    traced = ParticleSet(tuple(range(s + 1, s + n + 1)))
-    return partial_trace(x, traced)
+        x = _embedded_group_conj(spec, x.labels, m - 1, upper - ts[j - 1], x)
+    return x
 
 
 def _nested_nodes(rule: str, nodes: int, upper: float) -> list[tuple[float, float]]:
@@ -234,9 +259,18 @@ def solve_bbgky_iteration(
 ) -> ManyBodyOperator:
     """F_s(t) by the truncated time-ordered series with numerical quadrature.
 
-    Defined for systems with a two-body potential only.  Term n integrates
-    the n-fold chain of embedded propagators and pair generators over the
-    ordered simplex 0 <= t_n <= ... <= t_1 <= t.
+    Defined for systems with a two-body potential only.  Term n integrates,
+    over the ordered simplex 0 <= t_n <= ... <= t_1 <= t, the chain in
+    collision-operator form
+
+        G_s(t - t_1) Tr_{s+1} [V_{s+1}, .] G_{s+1}(t_1 - t_2) ...
+            Tr_{s+n} [V_{s+n}, .] G_{s+n}(t_n) F_{s+n}
+
+    with V_m = sum_{i<m} Phi(i, m) built once per solve, each G_m the
+    conjugation on particles 1..m, and the commutator taken as the
+    generator -(i/hbar)[V_m, .].  Each particle is traced out right after
+    its own commutator (see :func:`_iteration_integrand`), so no
+    propagator is embedded into the (s+n)-particle space.
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")
@@ -251,6 +285,7 @@ def solve_bbgky_iteration(
     ).matrix
 
     depth = min(q.order, seq.n_max - s)
+    coupling = _pair_potential_sums(spec, s, depth)
     for n in range(1, depth + 1):
         if not seq.has(s + n):
             continue
@@ -265,7 +300,7 @@ def solve_bbgky_iteration(
                     continue
                 here = ts + (node,)
                 if level == n:
-                    val = _iteration_integrand(spec, f_init, s, n, t, here)
+                    val = _iteration_integrand(spec, f_init, s, n, t, here, coupling)
                     acc = acc + wt * val.matrix
                 else:
                     descend(level + 1, node, wt, here)

@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import isfinite
+from math import comb, isfinite
 from typing import Any
 
 import numpy as np
@@ -67,6 +67,9 @@ from .verify import SUITE_NAMES, run_suite
 MAX_N_MAX = 4
 MAX_TOTAL_DIM = 256
 MAX_TIME = 10.0
+# bound on max|t| ||H||_2 / hbar: a phase of 1e6 carries about 1e-10 of
+# absolute round-off, so the propagator keeps its digits
+MAX_PHASE = 1e6
 
 _TASK_ORDER = ("evolve", "hierarchy", "chaos", "bbgky", "iterate", "observables")
 
@@ -168,6 +171,18 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
     for t in times:
         if not isfinite(t) or abs(t) > MAX_TIME:
             raise CapacityError(f"time {t} outside [-{MAX_TIME}, {MAX_TIME}]")
+    # n_max ||h||_2 + sum_k C(n_max, k) ||Phi_k||_2 bounds ||H_{n_max}||_2,
+    # the largest Hamiltonian any task exponentiates
+    h_norm = n_max * float(np.linalg.norm(spec.one_body, 2)) + sum(
+        comb(n_max, k) * float(np.linalg.norm(phi, 2))
+        for k, phi in spec.potentials.items()
+    )
+    phase = max(abs(t) for t in times) * h_norm / spec.hbar
+    if phase > MAX_PHASE:
+        raise CapacityError(
+            f"phase bound max|t| * (n_max ||h|| + sum_k C(n_max, k) ||Phi_k||) "
+            f"/ hbar = {phase:.3g} exceeds {MAX_PHASE:g}"
+        )
 
     kind, initial = _build_initial(obj["initial"], spec, n_max, seed_override)
     if getattr(initial, "seq", None) is not None:
@@ -483,9 +498,14 @@ def run_scenario(sc: Scenario, threads: int = 1) -> tuple[dict[str, str], int]:
     return files, exit_code
 
 
+def _reject_constant(name: str):
+    """json hook for NaN, Infinity and -Infinity, which JSON itself lacks."""
+    raise ValueError(f"non-standard JSON literal {name} is not allowed")
+
+
 def _cmd_run(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_constant=_reject_constant)
     sc = load_scenario(obj, seed_override=args.seed)
     files, exit_code = run_scenario(sc, threads=args.threads)
 

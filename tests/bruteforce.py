@@ -122,6 +122,78 @@ def expm_series(m, scale_target=0.25):
     return out
 
 
+def naive_pair_hamiltonian(h1, phi2, n, d):
+    """H on n slots: h1 on every slot plus phi2 on every pair of slots."""
+    out = np.zeros((d**n, d**n), dtype=complex)
+    for p in range(n):
+        out += naive_embed(h1, [p], n, d)
+    for p in range(n):
+        for q in range(p + 1, n):
+            out += naive_embed(phi2, [p, q], n, d)
+    return out
+
+
+def naive_nested_nodes(rule, nodes, upper):
+    """(node, weight) pairs of one level of the simplex quadrature on [0, upper]."""
+    if rule == "gauss-legendre-simplex":
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        return [((xi + 1.0) * upper / 2.0, wi * upper / 2.0) for xi, wi in zip(x, w)]
+    step = upper / (nodes - 1)
+    return [
+        (i * step, step * (0.5 if i in (0, nodes - 1) else 1.0)) for i in range(nodes)
+    ]
+
+
+def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
+    """F_s(t) from the time-ordered series, every chain on all s+n slots.
+
+    comps maps n to the matrix of F_n on slots 0..n-1.  Term n integrates,
+    over 0 <= t_n <= ... <= t_1 <= t, the chain that conjugates F_{s+n}
+    with the (s+n)-slot propagator at t_n, then for j = n..1 applies
+    -(i/hbar)[phi2(i, s+j), .] for every slot i < s+j, each pair embedded
+    into all s+n slots, and conjugates with the propagator of the first
+    s+j-1 slots over t_{j-1} - t_j (t_0 = t), embedded the same way; the
+    s+1..s+n slots are traced out only at the very end.
+    """
+
+    def propagator(m, tau):
+        return expm_series((-1j * tau / hbar) * naive_pair_hamiltonian(h1, phi2, m, d))
+
+    def conj(u, x):
+        return u @ x @ u.conj().T
+
+    u_s = propagator(s, t)
+    total = conj(u_s, comps[s])
+    n_max = max(comps)
+    for n in range(1, min(order, n_max - s) + 1):
+        full = s + n
+        pairs = {
+            m: [naive_embed(phi2, [i, m - 1], full, d) for i in range(m - 1)]
+            for m in range(s + 1, full + 1)
+        }
+
+        def chain(ts):
+            x = conj(propagator(full, ts[-1]), comps[full])
+            for j in range(n, 0, -1):
+                m = s + j
+                x = sum((-1j / hbar) * (v @ x - x @ v) for v in pairs[m])
+                upper = ts[j - 2] if j >= 2 else t
+                u = propagator(m - 1, upper - ts[j - 1])
+                x = conj(naive_embed(u, list(range(m - 1)), full, d), x)
+            return naive_partial_trace(x, full, d, list(range(s, full)))
+
+        def integrate(level, upper, ts):
+            acc = 0
+            for node, w in naive_nested_nodes(rule, nodes, upper):
+                here = ts + (node,)
+                inner = chain(here) if level == n else integrate(level + 1, node, here)
+                acc = acc + w * inner
+            return acc
+
+        total = total + integrate(1, t, ())
+    return total
+
+
 def _digits(x, d, n):
     """Big-endian base-d digits of x, length n (slot 0 most significant)."""
     out = []

@@ -11,7 +11,12 @@ from math import factorial
 import numpy as np
 import pytest
 
-from bruteforce import naive_embed, naive_partial_trace, naive_partitions
+from bruteforce import (
+    naive_embed,
+    naive_iteration_series,
+    naive_partial_trace,
+    naive_partitions,
+)
 from qcorr.bbgky import (
     MarginalState,
     QuadratureSpec,
@@ -261,6 +266,23 @@ def test_trapezoid_error_decreases_with_nodes():
         errs.append(trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
+@pytest.mark.parametrize("s,order,nodes", [(1, 2, 5), (2, 2, 5), (3, 2, 5), (1, 3, 4)])
+def test_iteration_matches_full_embedding_chain(rule, s, order, nodes):
+    # the literal chain keeps every operator on all s+n particles and traces
+    # them out at the end; the series traces each level out right away
+    spec = random_system(318, dim_single=2, orders=(2,), hbar=0.7)
+    f0 = marginal_state_from_density(random_density_state(319, 2, 4))
+    t = 0.4
+    comps = {n: op.matrix for n, op in f0.seq.components.items()}
+    ref = naive_iteration_series(
+        spec.one_body, spec.potentials[2], spec.hbar, 2, comps, s, t, order, rule, nodes
+    )
+    got = solve_bbgky_iteration(spec, f0, s, t, QuadratureSpec(order, nodes, rule))
+    ref_op = ManyBodyOperator(ParticleSet.range1(s), 2, ref)
+    assert trace_norm(got - ref_op) <= 1e-13 * trace_norm(ref_op)
 
 
 def test_iteration_requires_pair_potential_only():

@@ -6,8 +6,14 @@ import shutil
 import subprocess
 import sys
 
-from qcorr.cli import main
-from qcorr.serialize import REPORT_SCHEMA, validate
+import pytest
+
+from qcorr.bbgky import marginal_state_from_density, solve_bbgky_cumulant
+from qcorr.cli import load_scenario, main
+from qcorr.operators import ManyBodyOperator, trace_norm
+from qcorr.partitions import ParticleSet
+from qcorr.serialize import REPORT_SCHEMA, decode_raw_matrix, validate
+from qcorr.verify import SUITE_NAMES
 
 # small scenario: every value chosen so a full run stays under a second
 BASE_SCENARIO = {
@@ -24,6 +30,26 @@ BASE_SCENARIO = {
     "n_max": 2,
     "s_values": [1, 2],
     "tasks": ["evolve", "bbgky", "observables"],
+}
+
+
+# the iterate benchmark workload at d = 2: exchange-symmetric density data and
+# s >= n_max - 2, so the order-2 series equals the cumulant solution
+ITERATE_SCENARIO = {
+    "system": {
+        "preset": "random_hermitian",
+        "seed": 21,
+        "orders": [2],
+        "dim_single": 2,
+    },
+    "initial": {
+        "preset": {"preset": "random_density", "seed": 22, "trace_scale": 0.8}
+    },
+    "times": [0.5],
+    "n_max": 4,
+    "s_values": [2, 3],
+    "quadrature": {"order": 2, "nodes_per_dim": 6, "rule": "gauss-legendre-simplex"},
+    "tasks": ["iterate"],
 }
 
 
@@ -161,6 +187,65 @@ def test_overflow_is_a_numeric_failure(tmp_path, capsys):
         assert "Warning" not in err
 
 
+@pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")])
+def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
+    sc = {
+        "system": {
+            "dim_single": 2,
+            "one_body": [[[literal, 0], [0, 0]], [[0, 0], [1, 0]]],
+        },
+        "initial": {"preset": {"preset": "random_density", "seed": 1}},
+        "times": [0.1],
+        "n_max": 2,
+        "tasks": ["evolve"],
+    }
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON itself lacks
+    code, out = _run(tmp_path, sc, "literal")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: non-standard JSON literal")
+    assert json.dumps(literal) in err
+    assert "RuntimeWarning" not in err
+
+
+def test_tiny_hbar_exceeds_phase_bound(tmp_path, capsys):
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["system"]["hbar"] = 1e-300
+    code, out = _run(tmp_path, sc, "tiny-hbar")
+    assert code == 3
+    assert not out.exists()
+    assert "phase bound" in capsys.readouterr().err
+
+    # a small but workable hbar keeps its phases below the bound
+    sc["system"]["hbar"] = 1e-3
+    code, _ = _run(tmp_path, sc, "small-hbar")
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
+    code, out = _run(tmp_path, ITERATE_SCENARIO, "iterate")
+    assert code == 0
+    assert set(os.listdir(out)) == {"manifest.json", "iterate.json", "iterate.csv"}
+    result = json.loads((out / "iterate.json").read_text())
+    assert result["quadrature"] == ITERATE_SCENARIO["quadrature"]
+
+    sc = load_scenario(ITERATE_SCENARIO)
+    f0 = marginal_state_from_density(sc.initial)
+    records = result["records"]
+    assert [(r["s"], r["t"]) for r in records] == [(2, 0.5), (3, 0.5)]
+    for rec in records:
+        s, t = rec["s"], rec["t"]
+        matrix = decode_raw_matrix(rec["matrix"])
+        got = ManyBodyOperator(ParticleSet.range1(s), 2, matrix)
+        assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-5
+
+    _, parallel = _run(tmp_path, ITERATE_SCENARIO, "iterate-2", ("--threads", "2"))
+    assert _read_dir(out) == _read_dir(parallel)
+    capsys.readouterr()
+
+
 def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["tasks"] = ["evolve", "chaos"]
@@ -238,6 +323,16 @@ def test_verify_command_passes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_verify_suite_passes(suite, capsys):
+    code = main(["verify", "--suite", suite, "--tol-scale", "1"])
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == []
+    assert report["passed"] is True
+    assert code == 0
 
 
 def test_verify_command_unknown_suite(capsys):
