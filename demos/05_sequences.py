@@ -35,13 +35,12 @@ leib = seq_residual(
         star_product(shift_map(f, 1), h, out_n_max=5),
         star_product(f, shift_map(h, 1), out_n_max=5),
     ),
-    upto=5,
 )
 print(f"shift is a derivation over the product: {leib:.2e}")
 
 e = star_exp(f, out_n_max=4)
 dgamma = seq_residual(
-    shift_map(e, 1), star_product(shift_map(f, 1), e, out_n_max=3), upto=3
+    shift_map(e, 1), star_product(shift_map(f, 1), e, out_n_max=3)
 )
 print(f"shifted exponential identity: {dgamma:.2e}")
 

@@ -24,7 +24,6 @@ from math import factorial
 import numpy as np
 
 from .cumulants import CumulantRequest, cumulant_apply
-from .errors import NormalizationError
 from .evolution import group_apply, make_unitary_group, unitary_matrix
 from .hamiltonian import SystemSpec, liouvillian_apply
 from .hierarchy import CorrelationState, DensityState, cluster_expand
@@ -36,9 +35,15 @@ from .operators import (
     tensor_product,
 )
 from .partitions import ClusterSet, ParticleSet
-from .star_algebra import OperatorSequence, annihilation_expand, seq_signed_block_sum
-
-_NORM_FLOOR = 1e-12
+from .star_algebra import (
+    OperatorSequence,
+    annihilation_component,
+    annihilation_expand,
+    annihilation_scalar,
+    cluster_argument_sequence,
+    require_normalizable,
+    seq_signed_block_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -74,35 +79,22 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
-def _reduction_scalar(seq: OperatorSequence) -> complex:
-    z = annihilation_expand(seq).scalar0
-    if abs(z) < _NORM_FLOOR:
-        raise NormalizationError(f"normalization scalar {z} vanishes")
-    return z
+def marginal_state_from_density(d: DensityState) -> MarginalState:
+    """All reduced components at once, normalization recorded on the side."""
+    red = annihilation_expand(d.seq)
+    z = require_normalizable(red.scalar0)
+    comps = {n: op / z for n, op in red.components.items()}
+    return MarginalState(
+        OperatorSequence(d.seq.dim_single, d.seq.n_max, 1.0, comps),
+        normalization=float(z.real),
+    )
 
 
 def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
     """F_s from a density sequence: normalized aggregate of partial traces."""
     if not 1 <= s <= d.seq.n_max:
         raise ValueError(f"s must be in [1, {d.seq.n_max}], got {s}")
-    red = annihilation_expand(d.seq)
-    z = red.scalar0
-    if abs(z) < _NORM_FLOOR:
-        raise NormalizationError(f"normalization scalar {z} vanishes")
-    return red.component(s) / z
-
-
-def marginal_state_from_density(d: DensityState) -> MarginalState:
-    """All reduced components at once, normalization recorded on the side."""
-    red = annihilation_expand(d.seq)
-    z = red.scalar0
-    if abs(z) < _NORM_FLOOR:
-        raise NormalizationError(f"normalization scalar {z} vanishes")
-    comps = {n: op / z for n, op in red.components.items()}
-    return MarginalState(
-        OperatorSequence(d.seq.dim_single, d.seq.n_max, 1.0, comps),
-        normalization=float(z.real),
-    )
+    return marginal_state_from_density(d).seq.component(s)
 
 
 def cluster_correlation_component(
@@ -117,8 +109,7 @@ def cluster_correlation_component(
     seq = d.seq
     if s + n > seq.n_max:
         raise ValueError(f"needs density component {s + n} beyond cutoff {seq.n_max}")
-    units = ClusterSet.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
-    return seq_signed_block_sum(seq, units)
+    return seq_signed_block_sum(seq, ClusterSet.cluster_and_singletons(s, n))
 
 
 def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
@@ -129,14 +120,8 @@ def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
     seq = g.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    d = cluster_expand(g)
-    acc = None
-    for n in range(0, seq.n_max - s + 1):
-        comp = cluster_correlation_component(d, s, n)
-        traced = ParticleSet(tuple(range(s + 1, s + n + 1)))
-        red = partial_trace(comp, traced).matrix / factorial(n)
-        acc = red if acc is None else acc + red
-    return ManyBodyOperator(ParticleSet.range1(s), seq.dim_single, acc)
+    args = cluster_argument_sequence(cluster_expand(g).seq, s, seq.n_max - s)
+    return annihilation_component(args, 0)
 
 
 def solve_bbgky_cumulant(
@@ -145,28 +130,20 @@ def solve_bbgky_cumulant(
     """F_s(t) by the cumulant solution formula.
 
     Term n applies the (1+n)-cluster cumulant, with (1..s) fused as one
-    cluster and the traced particles as singletons, to the initial F_{s+n},
-    then traces those n particles out; weights 1/n!.
+    cluster and the traced particles as singletons, to the initial F_{s+n};
+    the reduction map then traces those n particles out with weight 1/n!.
     """
     seq = f0.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    acc = None
+    moved = {}
     for n in range(0, seq.n_max - s + 1):
         if not seq.has(s + n):
             continue
-        clusters = ClusterSet.of(
-            [tuple(range(1, s + 1))] + [(s + j,) for j in range(1, n + 1)]
-        )
-        req = CumulantRequest(clusters, t)
-        moved = cumulant_apply(spec, req, seq.components[s + n])
-        traced = ParticleSet(tuple(range(s + 1, s + n + 1)))
-        red = partial_trace(moved, traced).matrix / factorial(n)
-        acc = red if acc is None else acc + red
-    if acc is None:
-        dim = seq.dim_single**s
-        acc = np.zeros((dim, dim), dtype=complex)
-    return ManyBodyOperator(ParticleSet.range1(s), seq.dim_single, acc)
+        req = CumulantRequest(ClusterSet.cluster_and_singletons(s, n), t)
+        moved[n] = cumulant_apply(spec, req, seq.components[s + n])
+    cumulant_images = OperatorSequence(seq.dim_single, seq.n_max - s, 0.0, moved, s)
+    return annihilation_component(cumulant_images, 0)
 
 
 def _embedded_group_conj(
@@ -334,24 +311,22 @@ def correlation_chaos_expansion(
 ) -> ManyBodyOperator:
     """G_s(t) for independent initial particles, straight from cumulants.
 
-    Term n traces the (s+n)th-order cumulant applied to the (s+n)-fold
-    product of the initial one-particle correlation; weights 1/n!.
+    Term n is the (s+n)th-order cumulant applied to the (s+n)-fold product
+    of the initial one-particle correlation; the reduction map traces the
+    last n particles out with weight 1/n!.
     """
     if len(g1_0.labels) != 1:
         raise ValueError("chaos data is a one-particle operator")
-    acc = None
+    moved = {}
     for n in range(0, n_max - s + 1):
-        m = s + n
-        ground = ParticleSet.range1(m)
+        ground = ParticleSet.range1(s + n)
         operand = tensor_product(
             [relabel(g1_0, ParticleSet((i,))) for i in ground]
         )
         req = CumulantRequest(ClusterSet.singletons(ground), t)
-        moved = cumulant_apply(spec, req, operand)
-        traced = ParticleSet(tuple(range(s + 1, m + 1)))
-        red = partial_trace(moved, traced).matrix / factorial(n)
-        acc = red if acc is None else acc + red
-    return ManyBodyOperator(ParticleSet.range1(s), spec.dim_single, acc)
+        moved[n] = cumulant_apply(spec, req, operand)
+    cumulant_images = OperatorSequence(spec.dim_single, n_max - s, 0.0, moved, s)
+    return annihilation_component(cumulant_images, 0)
 
 
 def average_particle_number(f: MarginalState) -> float:
@@ -393,7 +368,7 @@ def additive_observable_moment(
     seq = d.seq
     dim = seq.dim_single
     a = np.asarray(a1, dtype=complex)
-    z = _reduction_scalar(seq)
+    z = require_normalizable(annihilation_scalar(seq))
     total = 0.0 + 0.0j
     for n in range(1, seq.n_max + 1):
         if not seq.has(n):

@@ -44,7 +44,13 @@ from .hierarchy import (
     solve_chaos,
     solve_hierarchy,
 )
-from .operators import TAU_HERM, ManyBodyOperator, min_eigenvalue, trace_norm
+from .operators import (
+    TAU_HERM,
+    ManyBodyOperator,
+    min_eigenvalue,
+    scaled_hermitian_defect,
+    trace_norm,
+)
 from .partitions import ParticleSet
 from .presets import chaos_one_particle, random_correlation_state, random_density_state
 from .serialize import (
@@ -209,10 +215,10 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
             )
         # ||A - A^dagger||_F <= TAU_HERM ||A||_F: the dispersion is real only
         # for Hermitian A, and would silently drop an imaginary part otherwise
-        dev = float(np.linalg.norm(a - a.conj().T))
-        if dev > TAU_HERM * float(np.linalg.norm(a)):
+        dev, norm, c = scaled_hermitian_defect(a)
+        if dev > TAU_HERM * norm:
             raise SchemaViolation(
-                f"observable must be Hermitian, deviation {dev} exceeds "
+                f"observable must be Hermitian, deviation {dev * c} exceeds "
                 f"{TAU_HERM} times its norm"
             )
     else:
@@ -293,6 +299,20 @@ def _marginal_record(s: int, t: float, op: ManyBodyOperator) -> dict:
         "trace_norm": trace_norm(op),
         "min_eig": min_eigenvalue(op),
     }
+
+
+# columns of the CSV twin of each record-valued task; csv writes None as ""
+_MARGINAL_COLUMNS = ["s", "t", "trace_re", "trace_im", "trace_norm", "min_eig"]
+_CSV_COLUMNS = {
+    "bbgky": _MARGINAL_COLUMNS,
+    "iterate": _MARGINAL_COLUMNS,
+    "observables": [
+        "t",
+        "mean_particle_number",
+        "observable_mean",
+        "observable_dispersion",
+    ],
+}
 
 
 def _records_csv(records: list[dict], columns: list[str]) -> str:
@@ -450,40 +470,8 @@ def run_scenario(sc: Scenario, threads: int = 1) -> tuple[dict[str, str], int]:
             raise NumericError(f"task {task}: {exc}") from exc
         if want_json:
             files[f"{task}.json"] = dumps_canonical(result)
-        if want_csv and task in ("bbgky", "iterate"):
-            files[f"{task}.csv"] = _records_csv(
-                result["records"],
-                ["s", "t", "trace_re", "trace_im", "trace_norm", "min_eig"],
-            )
-        if want_csv and task == "observables":
-            rows = []
-            for rec in result["records"]:
-                rows.append(
-                    {
-                        "t": rec["t"],
-                        "mean_particle_number": rec["mean_particle_number"],
-                        "observable_mean": rec["observable_mean"],
-                        "observable_dispersion": (
-                            rec["observable_dispersion"]
-                            if rec["observable_dispersion"] is not None
-                            else ""
-                        ),
-                    }
-                )
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            cols = [
-                "t",
-                "mean_particle_number",
-                "observable_mean",
-                "observable_dispersion",
-            ]
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow(
-                    [repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols]
-                )
-            files["observables.csv"] = buf.getvalue()
+        if want_csv and task in _CSV_COLUMNS:
+            files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
 
     # thread count must not appear here: outputs are byte-identical for a
     # given scenario regardless of how the work was scheduled

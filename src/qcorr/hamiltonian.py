@@ -28,6 +28,7 @@ import numpy as np
 from .operators import (
     ManyBodyOperator,
     check_mb_symmetry,
+    scaled_hermitian_defect,
     tensor_embed,
     zero_operator,
 )
@@ -92,9 +93,10 @@ class SystemSpec:
 
 
 def _require_hermitian(m: np.ndarray, name: str) -> None:
-    dev = float(np.linalg.norm(m - m.conj().T))
-    if dev > TAU_SPEC * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(f"{name} must be Hermitian, deviation {dev}")
+    # ||m - m^dagger||_F <= TAU_SPEC max(1, ||m||_F), divided through by c
+    dev, norm, c = scaled_hermitian_defect(m)
+    if dev > TAU_SPEC * max(1.0 / c, norm):
+        raise ValueError(f"{name} must be Hermitian, deviation {dev * c}")
 
 
 def free_spec(spec: SystemSpec) -> SystemSpec:

@@ -36,6 +36,7 @@ from math import exp, factorial
 import numpy as np
 
 from .cumulants import (
+    FD_STEP,
     CumulantRequest,
     cumulant_apply,
     scattering_cumulant_apply,
@@ -251,13 +252,13 @@ def weak_solution_check(
     phi_n: ManyBodyOperator,
     g0: CorrelationState,
     t: float,
-    h: float = 1e-4,
 ) -> float:
     """Defect of the weak form of the evolution equation on a test operator.
 
-    The time derivative of Tr(phi g_n(t)) by central differences is
-    compared with the adjoint-generator expression evaluated at t: the
-    generators move onto phi with a sign flip under the trace pairing.
+    The time derivative of Tr(phi g_n(t)) by central differences (step
+    ``FD_STEP``) is compared with the adjoint-generator expression
+    evaluated at t: the generators move onto phi with a sign flip under
+    the trace pairing.
     """
     n = len(phi_n.labels)
     if n > 3:
@@ -266,9 +267,9 @@ def weak_solution_check(
     if phi_n.labels != ground:
         raise ValueError(f"test operator must live on {ground}")
 
-    plus = solve_hierarchy(spec, g0, t + h).seq.component(n)
-    minus = solve_hierarchy(spec, g0, t - h).seq.component(n)
-    lhs = (_pair_trace(phi_n, plus) - _pair_trace(phi_n, minus)) / (2 * h)
+    plus = solve_hierarchy(spec, g0, t + FD_STEP).seq.component(n)
+    minus = solve_hierarchy(spec, g0, t - FD_STEP).seq.component(n)
+    lhs = (_pair_trace(phi_n, plus) - _pair_trace(phi_n, minus)) / (2 * FD_STEP)
 
     gt = solve_hierarchy(spec, g0, t)
 

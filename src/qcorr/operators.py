@@ -26,7 +26,6 @@ from .errors import CapacityError
 from .partitions import ParticleSet
 
 TAU_HERM = 1e-10
-TAU_PSD = 1e-10
 
 # hard cap on a single operator's matrix dimension (d^n); 1024 covers every
 # desk-scale target (d<=4, n<=4 -> 256) plus deep sequence work at d=2
@@ -257,10 +256,6 @@ def trace_norm(op: ManyBodyOperator) -> float:
     return float(np.sum(s))
 
 
-def frobenius_norm(op: ManyBodyOperator) -> float:
-    return float(np.linalg.norm(op.matrix))
-
-
 def max_abs(op: ManyBodyOperator) -> float:
     return float(np.max(np.abs(op.matrix))) if op.matrix.size else 0.0
 
@@ -296,6 +291,22 @@ def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:
     return ManyBodyOperator(op.labels, op.dim_single, acc / factorial(n))
 
 
+def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
+    """||m - m^dagger||_F and ||m||_F, each divided by c, and c itself.
+
+    c is the largest |Re| or |Im| of an entry (1 for the zero matrix), so
+    neither norm can overflow however large the entries are.  The real and
+    imaginary parts are scaled apart: complex division by a subnormal c
+    would overflow in its reciprocal.
+    """
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max())) or 1.0
+    re, im = m.real / scale, m.imag / scale
+    dev = np.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T))
+    return float(dev), float(np.hypot(np.linalg.norm(re), np.linalg.norm(im))), scale
+
+
 def is_hermitian(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
     dev = np.linalg.norm(op.matrix - op.matrix.conj().T)
     return float(dev) <= tol * max(1.0, float(np.linalg.norm(op.matrix)))
@@ -304,19 +315,3 @@ def is_hermitian(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
 def min_eigenvalue(op: ManyBodyOperator) -> float:
     herm = (op.matrix + op.matrix.conj().T) / 2
     return float(np.linalg.eigvalsh(herm)[0])
-
-
-def assert_density(
-    op: ManyBodyOperator,
-    tol_herm: float = TAU_HERM,
-    tol_psd: float = TAU_PSD,
-    require_unit_trace: bool = False,
-) -> None:
-    """Validate the density-operator refinement; raises ValueError on failure."""
-    if not is_hermitian(op, tol_herm):
-        raise ValueError("density operator must be Hermitian")
-    lo = min_eigenvalue(op)
-    if lo < -tol_psd:
-        raise ValueError(f"density operator must be positive, min eigenvalue {lo}")
-    if require_unit_trace and abs(op.trace - 1.0) > 1e-10:
-        raise ValueError(f"density operator trace {op.trace} != 1")

@@ -153,6 +153,11 @@ class ClusterSet:
     def singletons(cls, labels: Iterable[int]) -> "ClusterSet":
         return cls(tuple(ParticleSet.of([x]) for x in labels))
 
+    @classmethod
+    def cluster_and_singletons(cls, s: int, n: int) -> "ClusterSet":
+        """The s-cluster (1..s) as one unit, then particles s+1..s+n."""
+        return cls.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
+
     @property
     def union(self) -> ParticleSet:
         return ParticleSet.of(

@@ -136,14 +136,13 @@ def seq_sub(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
     return seq_add(f, seq_scale(h, -1.0))
 
 
-def seq_residual(f: OperatorSequence, h: OperatorSequence, upto: int | None = None) -> float:
-    """Largest componentwise trace-norm difference, scalar included."""
+def seq_residual(f: OperatorSequence, h: OperatorSequence) -> float:
+    """Largest componentwise trace-norm difference up to the shorter cutoff."""
     if f.dim_single != h.dim_single or f.prefix != h.prefix:
         raise ValueError("sequences are not comparable")
-    hi = min(f.n_max, h.n_max) if upto is None else upto
     worst = abs(f.scalar0 - h.scalar0)
     lo = 0 if f.prefix else 1
-    for n in range(lo, hi + 1):
+    for n in range(lo, min(f.n_max, h.n_max) + 1):
         worst = max(worst, trace_norm(f.component(n) - h.component(n)))
     return float(worst)
 
@@ -301,45 +300,79 @@ def shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
     return OperatorSequence(f.dim_single, f.n_max - s, 0.0, comps, s)
 
 
-def cluster_shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
-    """Shift with the first s particles read as a single s-cluster unit.
+def cluster_argument_sequence(
+    f: OperatorSequence, s: int, n_max: int
+) -> OperatorSequence:
+    """Correlations of the plain sequence f whose first argument is the s-cluster.
 
-    Componentwise this is shift_map; the cluster reading only changes how
-    later maps treat the prefix.
+    Component n (n = 0..n_max) of the s-prefixed result is the Mobius-signed
+    partition sum over the units {the cluster (1..s), particle s+1, ...,
+    particle s+n} of products of f's components; component 0 is f_s.
     """
-    return shift_map(f, s)
+    comps = {
+        n: seq_signed_block_sum(f, ClusterSet.cluster_and_singletons(s, n))
+        for n in range(n_max + 1)
+    }
+    return OperatorSequence(f.dim_single, n_max, 0.0, comps, s)
+
+
+def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:
+    """Component s of :func:`annihilation_expand`, computed on its own.
+
+    The sum over n of (1/n!) times f_{s+n} with its last n ordinary
+    particles traced out, accumulated in ascending n; the zero operator
+    when f has no component at or above s.  This is the only place where
+    partial traces are weighted and summed.
+    """
+    p = f.prefix
+    acc = None
+    for n in range(0, f.n_max - s + 1):
+        if not f.has(s + n):
+            continue
+        traced = ParticleSet(_ordinary_labels(p, s + n)[s:])
+        term = partial_trace(f.components[s + n], traced).matrix / factorial(n)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return zero_operator(ParticleSet.range1(p + s), f.dim_single)
+    return ManyBodyOperator(ParticleSet.range1(p + s), f.dim_single, acc)
+
+
+def annihilation_scalar(f: OperatorSequence) -> complex:
+    """Scalar of the reduction of a plain sequence: f_0 + sum_n tr(f_n) / n!."""
+    if f.prefix:
+        raise ValueError("a prefixed sequence has no reduction scalar")
+    scalar = f.scalar0
+    for n in range(1, f.n_max + 1):
+        if f.has(n):
+            scalar = scalar + f.components[n].trace / factorial(n)
+    return scalar
 
 
 def annihilation_expand(f: OperatorSequence) -> OperatorSequence:
     """Aggregate of weighted partial traces.
 
-    Component s of the result is sum over n of (1/n!) times f_{s+n} with
-    its last n ordinary particles traced out.  On prefixed sequences only
-    ordinary particles are traced and the prefix survives untouched.
+    Component s of the result is :func:`annihilation_component`; it is
+    present exactly when f has a component at or above s.  On prefixed
+    sequences only ordinary particles are traced and the prefix survives
+    untouched; plain sequences also get :func:`annihilation_scalar`.
     """
-    p = f.prefix
-    comps: dict[int, ManyBodyOperator] = {}
-    scalar = f.scalar0
-    lo = 0 if p else 1
-    for s in range(lo, f.n_max + 1):
-        acc = None
-        for n in range(0, f.n_max - s + 1):
-            if not f.has(s + n):
-                continue
-            op = f.components[s + n]
-            traced = ParticleSet(_ordinary_labels(p, s + n)[s:])
-            red = partial_trace(op, traced)
-            term = red.matrix / factorial(n)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            comps[s] = ManyBodyOperator(
-                ParticleSet.range1(p + s), f.dim_single, acc
-            )
-    if p == 0:
-        for n in range(1, f.n_max + 1):
-            if f.has(n):
-                scalar = scalar + f.components[n].trace / factorial(n)
-    return OperatorSequence(f.dim_single, f.n_max, scalar, comps, p)
+    top = max(f.components, default=-1)
+    comps = {
+        s: annihilation_component(f, s)
+        for s in range(0 if f.prefix else 1, top + 1)
+    }
+    scalar = f.scalar0 if f.prefix else annihilation_scalar(f)
+    return OperatorSequence(f.dim_single, f.n_max, scalar, comps, f.prefix)
+
+
+_NORM_FLOOR = 1e-12
+
+
+def require_normalizable(z: complex) -> complex:
+    """z itself, or NormalizationError when it is too small to divide by."""
+    if abs(z) < _NORM_FLOOR:
+        raise NormalizationError(f"normalization scalar {z} vanishes")
+    return z
 
 
 def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> float:
@@ -349,12 +382,9 @@ def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> floa
     exact up to round-off.
     """
     full = star_product(f, h, out_n_max=f.n_max + h.n_max)
-    lhs = annihilation_expand(full).scalar0
-    rhs = annihilation_expand(f).scalar0 * annihilation_expand(h).scalar0
+    lhs = annihilation_scalar(full)
+    rhs = annihilation_scalar(f) * annihilation_scalar(h)
     return abs(lhs - rhs)
-
-
-_NORM_FLOOR = 1e-12
 
 
 def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
@@ -363,8 +393,7 @@ def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
     The left side reduces the exponential of f with its first s particles
     frozen as one unit, normalized by the reduction scalar of the
     exponential.  The right side reduces the cluster-argument components
-    of f, which are Mobius sums over partitions of the units (cluster
-    plus singletons) of blockwise exponential components; for s = 1 they
+    of the exponential (:func:`cluster_argument_sequence`); for s = 1 they
     collapse back to f itself.  The exponential is evaluated out to
     ``depth`` components so the neglected tail sits far below the
     comparison floor for small-amplitude inputs.
@@ -374,26 +403,15 @@ def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
     if s < 1 or s > f.n_max:
         raise ValueError(f"cluster size {s} outside [1, {f.n_max}]")
     big = star_exp(f, out_n_max=max(depth, f.n_max))
-    denom = annihilation_expand(big).scalar0
-    if abs(denom) < _NORM_FLOOR:
-        raise NormalizationError(
-            f"reduction scalar {denom} too small to normalize by"
-        )
-    num = annihilation_expand(cluster_shift_map(big, s)).component(0)
+    denom = require_normalizable(annihilation_scalar(big))
+    num = annihilation_component(shift_map(big, s), 0)
     # the plain shift of f is NOT its cluster reading once s >= 2: shifted
     # products would split the cluster across factors.  Build the cluster
     # components from the exponential instead.  Nonzero ones stop at
     # n = s*(f.n_max - 1): every block linking a singleton to the cluster
     # holds a cluster particle, and past that the Mobius sums cancel.
     n_hi = min(big.n_max - s, s * (f.n_max - 1))
-    u_comps = {
-        n: seq_signed_block_sum(
-            big, ClusterSet.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
-        )
-        for n in range(0, n_hi + 1)
-    }
-    useq = OperatorSequence(big.dim_single, big.n_max - s, 0.0, u_comps, s)
-    rhs = annihilation_expand(useq).component(0)
+    rhs = annihilation_component(cluster_argument_sequence(big, s, n_hi), 0)
     return trace_norm(num / denom - rhs)
 
 
@@ -408,11 +426,7 @@ def verify_lemma3(f: OperatorSequence, depth: int = 8) -> float:
         raise ValueError("expects a plain sequence with zero scalar component")
     big = star_exp(f, out_n_max=max(depth, f.n_max))
     lhs_all = annihilation_expand(big)
-    denom = lhs_all.scalar0
-    if abs(denom) < _NORM_FLOOR:
-        raise NormalizationError(
-            f"reduction scalar {denom} too small to normalize by"
-        )
+    denom = require_normalizable(lhs_all.scalar0)
     red = annihilation_expand(f)
     red_centered = OperatorSequence(
         f.dim_single, f.n_max, 0.0,

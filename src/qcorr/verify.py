@@ -555,7 +555,7 @@ def _suite_generators() -> list[Check]:
             f = ManyBodyOperator(
                 union, 2, random_hermitian(rng, 2 ** len(union), 1.0)
             )
-            fd = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f, h=h)
+            fd = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f)
             direct = cluster_interaction_apply(clusters, f, spec)
             worst = max(worst, trace_norm(fd - direct))
         return worst

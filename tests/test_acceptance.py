@@ -193,7 +193,7 @@ def test_criterion_06_generators():
     # (c) cumulant derivative at zero against the block-interaction generator
     clusters = ClusterSet.of([(1,), (2, 3)])
     f3 = random_correlation_state(2033, 2, 3, norms=1.0).seq.components[3]
-    got = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f3, h=h)
+    got = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f3)
     want3 = cluster_interaction_apply(clusters, f3, spec)
     worst = max(worst, trace_norm(got - want3))
 
@@ -236,14 +236,14 @@ def test_criterion_08_sequence_algebra_lemmas():
         star_product(shift_map(f, 1), g, out_n_max=5),
         star_product(f, shift_map(g, 1), out_n_max=5),
     )
-    worst = max(worst, seq_residual(lhs, rhs, upto=5))
+    worst = max(worst, seq_residual(lhs, rhs))
 
     # shifting an exponential multiplies it by the shifted argument
     e = star_exp(f, out_n_max=4)
     worst = max(
         worst,
         seq_residual(
-            shift_map(e, 1), star_product(shift_map(f, 1), e, out_n_max=3), upto=3
+            shift_map(e, 1), star_product(shift_map(f, 1), e, out_n_max=3)
         ),
     )
 

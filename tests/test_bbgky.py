@@ -49,10 +49,11 @@ from qcorr.presets import (
     random_correlation_state,
     random_density_state,
     random_hermitian,
+    random_sequence,
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import OperatorSequence
+from qcorr.star_algebra import OperatorSequence, annihilation_component, shift_map
 
 TOL_TIGHT = 1e-10
 TOL_SOLVE = 1e-9
@@ -99,6 +100,31 @@ def test_reduction_matches_naive_traces():
     for s in (1, 2, 3):
         got = reduce_from_density(d, s)
         assert np.max(np.abs(got.matrix - comps[s])) < 1e-12
+
+    # the one-component core of the reduction map, unnormalized, on a plain
+    # sequence and on its prefixed shifts (the prefix is never traced); the
+    # components are not exchange-symmetric, so tracing a wrong particle
+    # shows, and n_max = 4 makes 1/n! differ from 1/n
+    plain = random_sequence(204, 2, 4)
+    for p in (0, 1, 2):
+        f = plain if p == 0 else shift_map(plain, p)
+        for s in range(0 if p else 1, f.n_max + 1):
+            want = sum(
+                naive_partial_trace(
+                    plain.components[p + s + n].matrix,
+                    p + s + n,
+                    2,
+                    list(range(p + s, p + s + n)),
+                )
+                / factorial(n)
+                for n in range(0, f.n_max - s + 1)
+            )
+            got = annihilation_component(f, s)
+            assert got.labels == ParticleSet.range1(p + s)
+            assert np.max(np.abs(got.matrix - want)) < 1e-12
+    # no component at or above s: the zero operator on (1..s)
+    low = OperatorSequence(2, 3, 1.0, {1: d.seq.components[1]})
+    assert not annihilation_component(low, 2).matrix.any()
 
 
 def test_marginal_state_from_density_bundles_everything():

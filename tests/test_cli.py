@@ -187,6 +187,54 @@ def test_overflow_is_a_numeric_failure(tmp_path, capsys):
         assert "Warning" not in err
 
 
+def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
+    # entries of 1e200 overflow a plain Frobenius norm, subnormal ones the
+    # reciprocal of a scale, and 1e400 parses as inf; the Hermiticity checks
+    # must still decide without a numpy warning
+    huge = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
+    sc = {
+        "system": {"dim_single": 2, "one_body": huge},
+        "initial": {"preset": {"preset": "random_density", "seed": 1}},
+        "times": [0.1],
+        "n_max": 2,
+        "tasks": ["evolve"],
+    }
+    code, out = _run(tmp_path, sc, "huge-one-body")
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("capacity guard: phase bound")
+    assert "Warning" not in err
+
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["observable"] = huge
+    code, out = _run(tmp_path, sc, "huge-observable")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "Warning" not in err
+
+    sc["observable"] = [[[1e-320, 0], [0, 0]], [[0, 0], [5e-324, 0]]]
+    code, _ = _run(tmp_path, sc, "tiny-observable")
+    assert code == 0
+    assert "Warning" not in capsys.readouterr().err
+
+    # json reads 1e400 as inf; both checks refuse it as bad input
+    cases = {
+        "inf-one-body": dict(sc, system={"dim_single": 2, "one_body": huge}),
+        "inf-observable": dict(sc, observable=huge),
+    }
+    for name, obj in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj).replace("1e+200", "1e400", 1))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / name)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "matrix entries must be finite" in err
+        assert "Warning" not in err
+
+
 @pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")])
 def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
     sc = {

@@ -106,7 +106,7 @@ def test_free_vanishing_rejects_bad_input(spec_free, spec2):
 def test_generator_matches_cluster_interaction(spec2):
     f = rand_op(72, [1, 2])
     clusters = ClusterSet.singletons([1, 2])
-    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f, h=1e-4)
+    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f)
     want = cluster_interaction_apply(clusters, f, spec2)
     assert trace_norm(fd - want) <= 5e-7
 
@@ -114,7 +114,7 @@ def test_generator_matches_cluster_interaction(spec2):
 def test_generator_with_cluster_block(spec2):
     f = rand_op(73, [1, 2, 3])
     clusters = ClusterSet.of([[1], [2, 3]])
-    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f, h=1e-4)
+    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f)
     want = cluster_interaction_apply(clusters, f, spec2)
     assert trace_norm(fd - want) <= 5e-7
 
@@ -124,10 +124,6 @@ def test_generator_fd_validation(spec2):
     with pytest.raises(ValueError):
         cumulant_generator_fd(
             spec2, CumulantRequest(ClusterSet.of([[1, 2]]), 0.0), f
-        )
-    with pytest.raises(ValueError):
-        cumulant_generator_fd(
-            spec2, CumulantRequest(ClusterSet.singletons([1, 2]), 0.0), f, h=1.0
         )
 
 

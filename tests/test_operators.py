@@ -7,9 +7,7 @@ from bruteforce import naive_embed, naive_kron, naive_partial_trace
 from qcorr.errors import CapacityError
 from qcorr.operators import (
     ManyBodyOperator,
-    assert_density,
     check_mb_symmetry,
-    frobenius_norm,
     identity_operator,
     is_hermitian,
     max_abs,
@@ -162,7 +160,6 @@ def test_trace_norm_is_singular_value_sum():
 
 def test_norm_helpers_agree_with_numpy():
     op = rand_op(24, [1, 2])
-    assert abs(frobenius_norm(op) - np.linalg.norm(op.matrix)) <= TOL
     assert abs(max_abs(op) - np.abs(op.matrix).max()) <= TOL
 
 
@@ -190,18 +187,6 @@ def test_hermiticity_and_spectrum_helpers():
     assert not is_hermitian(h + 1j * identity_operator(h.labels, 2))
     lo = min_eigenvalue(h)
     assert abs(lo - np.linalg.eigvalsh(h.matrix)[0]) <= 1e-12
-
-
-def test_assert_density_accepts_and_rejects():
-    rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    good = ManyBodyOperator(ParticleSet((1, 2)), 2, rho)
-    assert_density(good, require_unit_trace=True)
-    bad = ManyBodyOperator(ParticleSet((1, 2)), 2, np.diag([1.5, -0.5, 0, 0]))
-    with pytest.raises(ValueError):
-        assert_density(bad)
-    skew = rand_op(29, [1])
-    with pytest.raises(ValueError):
-        assert_density(skew)
 
 
 def test_zero_and_identity_builders():

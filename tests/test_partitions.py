@@ -60,6 +60,9 @@ def test_cluster_set_orders_and_rejects_overlap():
     with pytest.raises(ValueError):
         ClusterSet.of([[1, 2], [2, 3]])
     assert len(ClusterSet.singletons([7, 3])) == 2
+    mixed = ClusterSet.cluster_and_singletons(2, 2)
+    assert tuple(c.labels for c in mixed) == ((1, 2), (3,), (4,))
+    assert tuple(c.labels for c in ClusterSet.cluster_and_singletons(3, 0)) == ((1, 2, 3),)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
