@@ -8,32 +8,34 @@ all series are exact finite sums.
 The module carries three independent routes to F_s(t):
 
 * reduce the evolved density sequence            (:func:`reduce_from_density`)
-* the cumulant solution formula                  (:func:`solve_bbgky_cumulant`)
+* the cumulant formula, un-reduce/evolve/reduce  (:func:`solve_bbgky_cumulant`)
 * reduce the evolved correlation sequence        (:func:`reduce_from_correlations`)
 
-plus a time-ordered iteration series with numerical quadrature as a
-cross-check, correlation operators G_s from two directions, and the
-particle-number / dispersion observables.
+(the literal cumulant sum is kept in :mod:`qcorr.verify`), plus a
+time-ordered iteration series with numerical quadrature as a cross-check,
+correlation operators G_s from two directions (for independent particles,
+the reduced chaos solution), and the particle-number / dispersion
+observables.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .cumulants import CumulantRequest, cumulant_apply
 from .evolution import group_apply, make_unitary_group, unitary_matrix
 from .hamiltonian import SystemSpec, liouvillian_apply
-from .hierarchy import CorrelationState, DensityState, cluster_expand
-from .operators import (
-    ManyBodyOperator,
-    partial_trace,
-    relabel,
-    tensor_embed,
-    tensor_product,
+from .hierarchy import (
+    CorrelationState,
+    DensityState,
+    chaos_data,
+    cluster_expand,
+    solve_via_density_oracle,
 )
+from .operators import ManyBodyOperator, partial_trace, tensor_embed
 from .partitions import ClusterSet, ParticleSet
 from .star_algebra import (
     OperatorSequence,
@@ -97,21 +99,6 @@ def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
     return marginal_state_from_density(d).seq.component(s)
 
 
-def cluster_correlation_component(
-    d: DensityState, s: int, n: int
-) -> ManyBodyOperator:
-    """Correlation operator whose first argument is the s-cluster (1..s).
-
-    Signed partition sum over the mixed unit family {the s-cluster,
-    particle s+1, ..., particle s+n} of products of density components.
-    For n = 0 this is just D_s: the single unit admits only one partition.
-    """
-    seq = d.seq
-    if s + n > seq.n_max:
-        raise ValueError(f"needs density component {s + n} beyond cutoff {seq.n_max}")
-    return seq_signed_block_sum(seq, ClusterSet.cluster_and_singletons(s, n))
-
-
 def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
     """F_s from the correlation side: traced cluster-argument correlations.
 
@@ -127,23 +114,39 @@ def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
 def solve_bbgky_cumulant(
     spec: SystemSpec, f0: MarginalState, s: int, t: float
 ) -> ManyBodyOperator:
-    """F_s(t) by the cumulant solution formula.
+    """F_s(t) by the cumulant solution formula, through its factorization.
 
-    Term n applies the (1+n)-cluster cumulant, with (1..s) fused as one
-    cluster and the traced particles as singletons, to the initial F_{s+n};
-    the reduction map then traces those n particles out with weight 1/n!.
+    Term n of the formula traces n particles, with weight 1/n!, out of the
+    (1+n)-cluster cumulant ((1..s) fused) applied to F_{s+n}.  A block of
+    traced particles alone drops out under the trace, and the Mobius weights
+    over partitions of the traced-away set R sum to (-1)^|R|, so the sum is
+    the reduction of the s-prefixed sequence U_{s+k}(t) E_k U_{s+k}(t)^* with
+
+        E_k = sum over n >= k and the (n-k)-subsets R of (s+1..s+n) of
+              (-1)^(n-k) (k!/n!) Tr_R F_{s+n}, relabelled onto (1..s+k).
+
+    Exact without exchange symmetry; at t = 0 this returns F_s itself.
     """
     seq = f0.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    moved = {}
-    for n in range(0, seq.n_max - s + 1):
+    if t == 0.0:
+        return seq.component(s)
+    unreduced: dict[int, np.ndarray] = {}
+    for n in range(seq.n_max - s + 1):
         if not seq.has(s + n):
             continue
-        req = CumulantRequest(ClusterSet.cluster_and_singletons(s, n), t)
-        moved[n] = cumulant_apply(spec, req, seq.components[s + n])
-    cumulant_images = OperatorSequence(seq.dim_single, seq.n_max - s, 0.0, moved, s)
-    return annihilation_component(cumulant_images, 0)
+        for r in range(n + 1):
+            weight = (-1) ** r * factorial(n - r) / factorial(n)
+            for traced in itertools.combinations(range(s + 1, s + n + 1), r):
+                term = partial_trace(seq.components[s + n], ParticleSet(traced))
+                unreduced[n - r] = unreduced.get(n - r, 0) + term.matrix * weight
+    d = seq.dim_single
+    moved = {}
+    for k, m in unreduced.items():
+        e_k = ManyBodyOperator(ParticleSet.range1(s + k), d, m)
+        moved[k] = group_apply(make_unitary_group(spec, e_k.labels), t, e_k)
+    return annihilation_component(OperatorSequence(d, seq.n_max - s, 0.0, moved, s), 0)
 
 
 def _embedded_group_conj(
@@ -309,24 +312,13 @@ def correlation_chaos_expansion(
     t: float,
     n_max: int,
 ) -> ManyBodyOperator:
-    """G_s(t) for independent initial particles, straight from cumulants.
+    """G_s(t) for independent initial particles: the reduced chaos solution.
 
-    Term n is the (s+n)th-order cumulant applied to the (s+n)-fold product
-    of the initial one-particle correlation; the reduction map traces the
-    last n particles out with weight 1/n!.
+    Term n of the paper's cumulant expansion is chaos component s+n traced
+    with weight 1/n!.
     """
-    if len(g1_0.labels) != 1:
-        raise ValueError("chaos data is a one-particle operator")
-    moved = {}
-    for n in range(0, n_max - s + 1):
-        ground = ParticleSet.range1(s + n)
-        operand = tensor_product(
-            [relabel(g1_0, ParticleSet((i,))) for i in ground]
-        )
-        req = CumulantRequest(ClusterSet.singletons(ground), t)
-        moved[n] = cumulant_apply(spec, req, operand)
-    cumulant_images = OperatorSequence(spec.dim_single, n_max - s, 0.0, moved, s)
-    return annihilation_component(cumulant_images, 0)
+    sol = solve_via_density_oracle(spec, chaos_data(g1_0, n_max), t)
+    return correlation_from_g(sol, s)
 
 
 def average_particle_number(f: MarginalState) -> float:

@@ -39,10 +39,11 @@ from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
     DensityState,
+    chaos_data,
     cluster_expand,
     cluster_invert,
-    solve_chaos,
     solve_hierarchy,
+    solve_via_density_oracle,
 )
 from .operators import (
     TAU_HERM,
@@ -51,7 +52,6 @@ from .operators import (
     scaled_hermitian_defect,
     trace_norm,
 )
-from .partitions import ParticleSet
 from .presets import chaos_one_particle, random_correlation_state, random_density_state
 from .serialize import (
     ALL_SCHEMAS,
@@ -364,13 +364,11 @@ def _task_hierarchy(sc: Scenario, threads: int) -> dict:
 def _task_chaos(sc: Scenario, threads: int) -> dict:
     if sc.initial_kind != "chaos":
         raise SchemaViolation("the chaos task needs one-particle initial data")
-    g1 = sc.initial
+    g0 = chaos_data(sc.initial, sc.n_max)
 
     def one(t: float) -> dict:
-        comps = [
-            encode_operator(solve_chaos(sc.spec, g1, n, t))
-            for n in range(1, sc.n_max + 1)
-        ]
+        sol = solve_via_density_oracle(sc.spec, g0, t).seq
+        comps = [encode_operator(sol.component(n)) for n in range(1, sc.n_max + 1)]
         return {"t": t, "components": comps}
 
     return {

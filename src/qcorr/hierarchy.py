@@ -26,6 +26,9 @@ Everything here is verifiable against one ground truth, exposed as
 :func:`solve_via_density_oracle`: expand the initial correlations to a
 density sequence, conjugate each component with its propagator, and invert
 back.  The direct solution must agree with that path to round-off.
+
+The chaos solution (:func:`solve_chaos`), the nth-order cumulant on the
+n-fold product of g_1, is that path on the product data (g_1, 0, 0, ...).
 """
 
 from __future__ import annotations
@@ -35,12 +38,7 @@ from math import exp, factorial
 
 import numpy as np
 
-from .cumulants import (
-    FD_STEP,
-    CumulantRequest,
-    cumulant_apply,
-    scattering_cumulant_apply,
-)
+from .cumulants import FD_STEP, scattering_cumulant_apply
 from .evolution import (
     evolve_density_sequence,
     group_apply,
@@ -147,22 +145,23 @@ def solve_via_density_oracle(
     return cluster_invert(DensityState(dt))
 
 
+def chaos_data(g1_0: ManyBodyOperator, n_max: int) -> CorrelationState:
+    """Initial correlations (g1_0, 0, 0, ...) of independent particles."""
+    if len(g1_0.labels) != 1:
+        raise ValueError("chaos data is a one-particle operator")
+    g1 = relabel(g1_0, ParticleSet.range1(1))
+    return CorrelationState(OperatorSequence(g1.dim_single, n_max, 0.0, {1: g1}))
+
+
 def solve_chaos(
     spec: SystemSpec, g1_0: ManyBodyOperator, n: int, t: float
 ) -> ManyBodyOperator:
     """Correlation component n for initial data with independent particles.
 
     The nth-order cumulant applied to the n-fold product of the one-particle
-    component.
+    component: component n of the oracle solution on :func:`chaos_data`.
     """
-    if len(g1_0.labels) != 1:
-        raise ValueError("chaos data is a one-particle operator")
-    ground = ParticleSet.range1(n)
-    operand = tensor_product(
-        [relabel(g1_0, ParticleSet((i,))) for i in ground]
-    )
-    req = CumulantRequest(ClusterSet.singletons(ground), t)
-    return cumulant_apply(spec, req, operand)
+    return solve_via_density_oracle(spec, chaos_data(g1_0, n), t).seq.component(n)
 
 
 def solve_chaos_scattering_form(
@@ -175,15 +174,10 @@ def solve_chaos_scattering_form(
     """
     if n < 2:
         raise ValueError("the scattering form is stated for n >= 2")
-    if len(g1_0.labels) != 1:
-        raise ValueError("chaos data is a one-particle operator")
+    g1 = chaos_data(g1_0, n).seq.components[1]
+    g1_t = group_apply(make_unitary_group(spec, g1.labels), t, g1)
     ground = ParticleSet.range1(n)
-    evolved = []
-    for i in ground:
-        labels = ParticleSet((i,))
-        ug = make_unitary_group(spec, labels)
-        evolved.append(group_apply(ug, t, relabel(g1_0, labels)))
-    operand = tensor_product(evolved)
+    operand = tensor_product([relabel(g1_t, ParticleSet((i,))) for i in ground])
     return scattering_cumulant_apply(
         spec, t, ClusterSet.singletons(ground), operand
     )

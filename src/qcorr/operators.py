@@ -308,8 +308,9 @@ def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
 
 
 def is_hermitian(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
-    dev = np.linalg.norm(op.matrix - op.matrix.conj().T)
-    return float(dev) <= tol * max(1.0, float(np.linalg.norm(op.matrix)))
+    """True iff ||op - op^dagger||_F <= tol max(1, ||op||_F), overflow-free."""
+    dev, norm, c = scaled_hermitian_defect(op.matrix)
+    return dev <= tol * max(1.0 / c, norm)
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

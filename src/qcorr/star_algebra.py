@@ -132,10 +132,6 @@ def seq_scale(f: OperatorSequence, c: complex) -> OperatorSequence:
     return OperatorSequence(f.dim_single, f.n_max, f.scalar0 * c, comps, f.prefix)
 
 
-def seq_sub(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
-    return seq_add(f, seq_scale(h, -1.0))
-
-
 def seq_residual(f: OperatorSequence, h: OperatorSequence) -> float:
     """Largest componentwise trace-norm difference up to the shorter cutoff."""
     if f.dim_single != h.dim_single or f.prefix != h.prefix:
@@ -321,8 +317,7 @@ def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:
 
     The sum over n of (1/n!) times f_{s+n} with its last n ordinary
     particles traced out, accumulated in ascending n; the zero operator
-    when f has no component at or above s.  This is the only place where
-    partial traces are weighted and summed.
+    when f has no component at or above s.
     """
     p = f.prefix
     acc = None

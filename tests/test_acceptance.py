@@ -45,8 +45,8 @@ from qcorr.hamiltonian import (
     liouvillian_apply,
 )
 from qcorr.hierarchy import (
-    CorrelationState,
     DensityState,
+    chaos_data,
     cluster_expand,
     solve_chaos,
     solve_chaos_scattering_form,
@@ -83,6 +83,7 @@ from qcorr.star_algebra import (
     verify_lemma2,
     verify_lemma3,
 )
+from qcorr.verify import literal_cumulant_solution
 
 
 def _report(number: int, name: str, worst, tol) -> None:
@@ -343,8 +344,7 @@ def test_criterion_11_correlation_observables():
 
     g1 = chaos_one_particle(2084, 2, norm=0.7)
     t = 0.5
-    chaos_comps = {n: solve_chaos(spec, g1, n, t) for n in (1, 2, 3)}
-    gct = CorrelationState(OperatorSequence(2, 3, 0.0, chaos_comps))
+    gct = literal_cumulant_solution(spec, chaos_data(g1, 3), t)
     worst = 0.0
     for s in (1, 2):
         worst = max(

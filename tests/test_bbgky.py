@@ -23,7 +23,6 @@ from qcorr.bbgky import (
     additive_dispersion,
     additive_observable_moment,
     average_particle_number,
-    cluster_correlation_component,
     correlation_chaos_expansion,
     correlation_from_g,
     correlation_from_marginals,
@@ -36,10 +35,9 @@ from qcorr.bbgky import (
 from qcorr.errors import NormalizationError
 from qcorr.evolution import evolve_density_sequence
 from qcorr.hierarchy import (
-    CorrelationState,
     DensityState,
+    chaos_data,
     cluster_expand,
-    solve_chaos,
     solve_hierarchy,
 )
 from qcorr.operators import ManyBodyOperator, trace_norm
@@ -53,7 +51,13 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import OperatorSequence, annihilation_component, shift_map
+from qcorr.star_algebra import (
+    OperatorSequence,
+    annihilation_component,
+    cluster_argument_sequence,
+    shift_map,
+)
+from qcorr.verify import literal_bbgky_cumulant, literal_cumulant_solution
 
 TOL_TIGHT = 1e-10
 TOL_SOLVE = 1e-9
@@ -174,7 +178,7 @@ def test_marginal_state_validation():
 def test_cluster_component_order_zero_is_density():
     d = random_density_state(210, 2, 3)
     for s in (1, 2, 3):
-        got = cluster_correlation_component(d, s, 0)
+        got = cluster_argument_sequence(d.seq, s, 0).components[0]
         assert np.array_equal(got.matrix, d.seq.components[s].matrix)
 
 
@@ -183,14 +187,8 @@ def test_cluster_component_pair_formula():
     d = random_density_state(211, 2, 2)
     d1 = d.seq.components[1].matrix
     d2 = d.seq.components[2].matrix
-    got = cluster_correlation_component(d, 1, 1)
+    got = cluster_argument_sequence(d.seq, 1, 1).components[1]
     assert np.max(np.abs(got.matrix - (d2 - np.kron(d1, d1)))) < 1e-14
-
-
-def test_cluster_component_beyond_cutoff():
-    d = random_density_state(212, 2, 2)
-    with pytest.raises(ValueError):
-        cluster_correlation_component(d, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +212,23 @@ def test_solution_triangle():
             assert trace_norm(a - b) < TOL_SOLVE
             assert trace_norm(b - c) < TOL_SOLVE
             assert trace_norm(a - c) < TOL_SOLVE
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_cumulant_solution_equals_literal_cumulant_sum(d, symmetric):
+    # the factorized route against the paper's per-partition cumulant sum;
+    # the identity holds without exchange symmetry
+    spec = random_system(360 + d, dim_single=d, orders=(2, 3))
+    g0 = random_correlation_state(
+        370 + d, d, 4, norms=0.4, traceless=True, symmetric=symmetric
+    )
+    f0 = marginal_state_from_density(cluster_expand(g0))
+    for s in (1, 2, 3):
+        for t in (0.3, 1.1):
+            got = solve_bbgky_cumulant(spec, f0, s, t)
+            want = literal_bbgky_cumulant(spec, f0, s, t)
+            assert trace_norm(got - want) <= 1e-12 * trace_norm(want)
 
 
 def test_reduce_from_correlations_at_time_zero():
@@ -387,8 +402,7 @@ def test_chaos_expansion_matches_reduction():
     spec = random_system(330, dim_single=2, orders=(2, 3))
     g1 = chaos_one_particle(331, 2, norm=0.7)
     t = 0.5
-    comps = {n: solve_chaos(spec, g1, n, t) for n in (1, 2, 3)}
-    gt = CorrelationState(OperatorSequence(2, 3, 0.0, comps))
+    gt = literal_cumulant_solution(spec, chaos_data(g1, 3), t)
     for s in (1, 2):
         a = correlation_chaos_expansion(spec, g1, s, t, 3)
         b = correlation_from_g(gt, s)

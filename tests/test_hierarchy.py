@@ -6,6 +6,7 @@ from qcorr.evolution import group_apply, make_unitary_group
 from qcorr.hierarchy import (
     CorrelationState,
     DensityState,
+    chaos_data,
     cluster_expand,
     cluster_invert,
     nonlinear_generator,
@@ -141,6 +142,17 @@ def test_chaos_solution_equals_hierarchy_on_product_data(spec2):
         g0 = CorrelationState(OperatorSequence(2, n, 0.0, comps))
         via = solve_hierarchy(spec2, g0, t)
         assert trace_norm(direct - via.seq.component(n)) <= 1e-10
+
+
+def test_chaos_solution_equals_literal_cumulant_sum(spec2):
+    # the oracle route against the paper's nth-order cumulant applied to
+    # the n-fold product of g1
+    g1 = chaos_one_particle(137, 2, norm=0.8)
+    for t in (0.3, 1.1):
+        literal = literal_cumulant_solution(spec2, chaos_data(g1, 4), t).seq
+        for n in (1, 2, 3, 4):
+            got = solve_chaos(spec2, g1, n, t)
+            assert trace_norm(got - literal.component(n)) <= 1e-12
 
 
 def test_chaos_forms_agree(spec2):

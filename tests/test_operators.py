@@ -189,6 +189,15 @@ def test_hermiticity_and_spectrum_helpers():
     assert abs(lo - np.linalg.eigvalsh(h.matrix)[0]) <= 1e-12
 
 
+def test_is_hermitian_on_huge_entries():
+    # a plain Frobenius norm of these entries overflows (a RuntimeWarning,
+    # an error under the test settings); the scaled norms do not
+    one = ParticleSet.range1(1)
+    assert is_hermitian(ManyBodyOperator(one, 2, np.diag([1e200, 1e200])))
+    skew = np.array([[0, 1e200], [-1e200, 0]], dtype=complex)
+    assert not is_hermitian(ManyBodyOperator(one, 2, skew))
+
+
 def test_zero_and_identity_builders():
     z = zero_operator(ParticleSet.range1(2), 2)
     assert trace_norm(z) == 0.0
