@@ -13,7 +13,8 @@ The module carries three independent routes to F_s(t):
 
 (the literal cumulant sum is kept in :mod:`qcorr.verify`), plus a
 time-ordered iteration series with numerical quadrature as a cross-check,
-correlation operators G_s from two directions (for independent particles,
+correlation operators G_s from two directions (the star logarithm of the
+marginals, the reduced correlation sequence; for independent particles,
 the reduced chaos solution), and the particle-number / dispersion
 observables.
 """
@@ -36,7 +37,7 @@ from .hierarchy import (
     solve_via_density_oracle,
 )
 from .operators import ManyBodyOperator, partial_trace, tensor_embed
-from .partitions import ClusterSet, ParticleSet
+from .partitions import ParticleSet
 from .star_algebra import (
     OperatorSequence,
     annihilation_component,
@@ -44,7 +45,7 @@ from .star_algebra import (
     annihilation_scalar,
     cluster_argument_sequence,
     require_normalizable,
-    seq_signed_block_sum,
+    star_ln,
 )
 
 
@@ -291,11 +292,14 @@ def solve_bbgky_iteration(
 
 
 def correlation_from_marginals(f: MarginalState, s: int) -> ManyBodyOperator:
-    """G_s as the signed partition combination of marginal products."""
+    """G_s as the signed partition combination of marginal products.
+
+    That is component s of the star logarithm of the marginal sequence.
+    """
     seq = f.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    return seq_signed_block_sum(seq, ClusterSet.singletons(range(1, s + 1)))
+    return star_ln(seq, out_n_max=s).component(s)
 
 
 def correlation_from_g(g: CorrelationState, s: int) -> ManyBodyOperator:

@@ -260,10 +260,7 @@ def _as_correlation(sc: Scenario) -> CorrelationState:
         return sc.initial
     if sc.initial_kind == "density":
         return cluster_invert(sc.initial)
-    comps = {1: sc.initial}
-    return CorrelationState(
-        OperatorSequence(sc.spec.dim_single, sc.n_max, 0.0, comps)
-    )
+    return chaos_data(sc.initial, sc.n_max)
 
 
 def _as_density(sc: Scenario) -> DensityState:

@@ -104,6 +104,17 @@ def free_spec(spec: SystemSpec) -> SystemSpec:
     return SystemSpec(spec.dim_single, spec.one_body, {}, spec.hbar)
 
 
+def _add_potentials(
+    spec: SystemSpec, labels: ParticleSet, total: ManyBodyOperator
+) -> ManyBodyOperator:
+    """total plus every k-body potential embedded on each k-subset of labels."""
+    for k, phi in spec.potentials.items():
+        for combo in itertools.combinations(labels.labels, k):
+            term = ManyBodyOperator(ParticleSet(combo), spec.dim_single, phi)
+            total = total + tensor_embed(term, labels)
+    return total
+
+
 def build_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
     """H on the given labels: one-body terms plus all embedded k-body terms."""
     if len(labels) < 1:
@@ -113,13 +124,7 @@ def build_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator
     for i in labels:
         one = ManyBodyOperator(ParticleSet((i,)), d, spec.one_body)
         total = total + tensor_embed(one, labels)
-    for k, phi in spec.potentials.items():
-        if k > len(labels):
-            continue
-        for combo in itertools.combinations(labels.labels, k):
-            term = ManyBodyOperator(ParticleSet(combo), d, phi)
-            total = total + tensor_embed(term, labels)
-    return total
+    return _add_potentials(spec, labels, total)
 
 
 def _commutator_generator(
@@ -191,12 +196,4 @@ def cluster_interaction_apply(
 
 def interaction_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
     """The interaction part of H alone: sum of all embedded potentials."""
-    d = spec.dim_single
-    total = zero_operator(labels, d)
-    for k, phi in spec.potentials.items():
-        if k > len(labels):
-            continue
-        for combo in itertools.combinations(labels.labels, k):
-            term = ManyBodyOperator(ParticleSet(combo), d, phi)
-            total = total + tensor_embed(term, labels)
-    return total
+    return _add_potentials(spec, labels, zero_operator(labels, spec.dim_single))

@@ -1,9 +1,10 @@
 """Correlation-operator dynamics: cluster transforms and solution formulas.
 
 The density sequence D and the correlation sequence g determine each other
-through sums over set partitions: D_n collects products of g-blocks over
-all partitions, and g_n inverts that with the signed coefficients.  Time
-evolution closes on the correlation side.  The paper's solution formula,
+through sums over set partitions, D = Exp(g) and g = Ln(D) under the star
+product, both evaluated by the first-block recursion of
+:mod:`qcorr.star_algebra`.  Time evolution closes on the correlation side.
+The paper's solution formula,
 
     g_n(t) = sum over partitions P of (1..n) of
              (cumulant over the blocks of P at time t)(product of g_|B|),
@@ -53,7 +54,13 @@ from .hamiltonian import (
 )
 from .operators import ManyBodyOperator, relabel, tensor_product, trace_norm
 from .partitions import ClusterSet, ParticleSet, partition_sum
-from .star_algebra import OperatorSequence, seq_block_product, seq_residual
+from .star_algebra import (
+    OperatorSequence,
+    seq_block_product,
+    seq_residual,
+    star_exp,
+    star_ln,
+)
 
 
 @dataclass(frozen=True)
@@ -95,17 +102,13 @@ def _componentwise(
 
 
 def cluster_expand(g: CorrelationState) -> DensityState:
-    """Density components as partition sums of correlation products."""
-    seq = g.seq
-    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed=False)
-    return DensityState(OperatorSequence(seq.dim_single, seq.n_max, 1.0, comps))
+    """Density components as partition sums of correlation products: Exp(g)."""
+    return DensityState(star_exp(g.seq))
 
 
 def cluster_invert(d: DensityState) -> CorrelationState:
-    """Correlation components by signed partition sums of density products."""
-    seq = d.seq
-    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed=True)
-    return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
+    """Correlation components by signed partition sums of density products: Ln(D)."""
+    return CorrelationState(star_ln(d.seq))
 
 
 def solve_hierarchy(

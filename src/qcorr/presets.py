@@ -99,12 +99,6 @@ def random_operator(
     return op * (norm / tn)
 
 
-def _norm_for(norms, n: int) -> float:
-    if isinstance(norms, (int, float)):
-        return float(norms)
-    return float(norms[n - 1])
-
-
 def random_correlation_state(
     seed: int,
     dim_single: int,
@@ -114,7 +108,11 @@ def random_correlation_state(
     traceless: bool = False,
     symmetric: bool = False,
 ) -> CorrelationState:
-    """Seeded correlation sequence with prescribed component trace norms."""
+    """Seeded correlation sequence; component n gets trace norm norms[n-1]."""
+    if isinstance(norms, (int, float)):
+        norms = [norms] * n_max
+    if len(norms) < n_max:
+        raise ValueError(f"norms has {len(norms)} entries but n_max is {n_max}")
     rng = rng_from_seed(seed)
     comps = {}
     for n in range(1, n_max + 1):
@@ -122,7 +120,7 @@ def random_correlation_state(
             rng,
             ParticleSet.range1(n),
             dim_single,
-            norm=_norm_for(norms, n),
+            norm=float(norms[n - 1]),
             hermitian=hermitian,
             traceless=traceless,
             symmetric=symmetric,

@@ -4,10 +4,19 @@ An :class:`OperatorSequence` is a finite family (f_0, f_1, f_2, ..., f_N)
 where f_0 is a scalar and f_n acts on the canonical labels (1..n).  The
 star product convolves two sequences over subsets of the labels,
 
-    (f * h)_n(Y) = sum_{Z subset of Y} f_|Z|(Z) h_{n-|Z|}(Y \\ Z),
+    (f * h)_n(Y) = sum_{Z subset of Y} f_|Z|(Z) h_{n-|Z|}(Y \\ Z).
 
-and its exponential and logarithm are exact finite sums here: a star power
-raises minimum support, so on a sequence cut at N the series terminate.
+Exp(f)_n sums f-block products over the set partitions of (1..n), and
+Ln(D)_n the Mobius-weighted D-block products.  Both are exact finite sums,
+computed by one recursion that groups the partitions by the block {1} u S
+holding the first unit:
+
+    Exp(f)_n = sum_{S subset of (2..n)} f_{1+|S|}({1} u S) Exp(f)_{n-1-|S|}(rest),
+    D_{s+n} = sum_{S subset of (s+1..s+n)} kappa_|S|((1..s) u S) D_{n-|S|}(rest),
+
+where kappa_n, the Mobius sum over the units (1..s), s+1, ..., s+n, is the
+S = all term, and Ln(D)_n = kappa_{n-1} at s = 1.  Each partition term
+appears exactly once; a component with no term stays absent.
 
 Sequences may carry a cluster prefix of size s: component n then acts on
 (1..s+n) with the first s labels frozen as one unit.  Prefixed sequences
@@ -35,7 +44,7 @@ from .operators import (
     trace_norm,
     zero_operator,
 )
-from .partitions import ClusterSet, ParticleSet, partition_sum
+from .partitions import ParticleSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +117,6 @@ def unit_sequence(dim_single: int, n_max: int) -> OperatorSequence:
     return OperatorSequence(dim_single, n_max, 1.0)
 
 
-def zero_sequence(dim_single: int, n_max: int, prefix: int = 0) -> OperatorSequence:
-    return OperatorSequence(dim_single, n_max, 0.0, {}, prefix)
-
-
 def seq_add(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
     if f.dim_single != h.dim_single or f.prefix != h.prefix:
         raise ValueError("sequences are not compatible for addition")
@@ -125,11 +130,6 @@ def seq_add(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
         else:
             comps[n] = h.components[n]
     return OperatorSequence(f.dim_single, n_max, f.scalar0 + h.scalar0, comps, f.prefix)
-
-
-def seq_scale(f: OperatorSequence, c: complex) -> OperatorSequence:
-    comps = {n: op * c for n, op in f.components.items()}
-    return OperatorSequence(f.dim_single, f.n_max, f.scalar0 * c, comps, f.prefix)
 
 
 def seq_residual(f: OperatorSequence, h: OperatorSequence) -> float:
@@ -159,19 +159,37 @@ def seq_block_product(
     return tensor_product(parts)
 
 
-def seq_signed_block_sum(seq: OperatorSequence, units: ClusterSet) -> ManyBodyOperator:
-    """Mobius-signed partition sum over units of seq block products.
-
-    The zero operator on the units' union when every product vanishes.
-    """
-    total = partition_sum(units, lambda b: seq_block_product(seq, b), signed=True)
-    if total is None:
-        return zero_operator(units.union, seq.dim_single)
-    return total
-
-
 def _ordinary_labels(prefix: int, n: int) -> tuple[int, ...]:
     return tuple(range(prefix + 1, prefix + n + 1))
+
+
+def _scalar_operator(c: complex, dim_single: int) -> ManyBodyOperator:
+    """The scalar c as an operator on no particles."""
+    return ManyBodyOperator(ParticleSet(()), dim_single, np.array([[c]]))
+
+
+def _first_block_sum(a: dict, b: dict, s: int, n: int) -> np.ndarray | None:
+    """Sum over S subset of (s+1..s+n) of a_|S| on (1..s) u S times b_{n-|S|}.
+
+    a_k acts on (1..s+k) and b_m on (1..m); each is moved in order onto its
+    labels, (1..s) u S and the rest.  A missing key is a zero factor, so
+    S = all counts only when b holds b_0, a scalar on no particles.  The
+    matrix on (1..s+n), or None when no S finds both of its factors.
+    """
+    head = tuple(range(1, s + 1))
+    ordinary = _ordinary_labels(s, n)
+    acc = None
+    for k in range(n + 1):
+        if k not in a or n - k not in b:
+            continue
+        for z in itertools.combinations(ordinary, k):
+            rest = tuple(x for x in ordinary if x not in z)
+            term = tensor_product([
+                relabel(a[k], ParticleSet(head + z)),
+                relabel(b[n - k], ParticleSet(rest)),
+            ]).matrix
+            acc = term if acc is None else acc + term
+    return acc
 
 
 def star_product(
@@ -183,6 +201,7 @@ def star_product(
     factor and only ordinary labels are distributed over subsets.  With
     ``out_n_max = f.n_max + h.n_max`` the product of finitely supported
     sequences is exact; the default cut is min(f.n_max, h.n_max).
+    Components that sum to exact zeros are dropped.
     """
     if f.dim_single != h.dim_single:
         raise ValueError("mixed single-particle dimensions")
@@ -190,43 +209,18 @@ def star_product(
         raise ValueError("cannot star-multiply two prefixed sequences")
     if h.prefix:
         return star_product(h, f, out_n_max)
-    d = f.dim_single
-    s = f.prefix
+    d, s = f.dim_single, f.prefix
     out = min(f.n_max, h.n_max) if out_n_max is None else out_n_max
-
+    a, b = dict(f.components), dict(h.components)
+    if f.scalar0 != 0:
+        a[0] = _scalar_operator(f.scalar0, d)
+    if h.scalar0 != 0:
+        b[0] = _scalar_operator(h.scalar0, d)
     comps: dict[int, ManyBodyOperator] = {}
-    lo = 0 if s else 1
-    for n in range(lo, out + 1):
-        ordinary = _ordinary_labels(s, n)
-        acc = None
-        for k in range(0, n + 1):
-            left_ok = f.has(k) or (k == 0 and s == 0 and f.scalar0 != 0)
-            right_ok = h.has(n - k) or (n - k == 0 and h.scalar0 != 0)
-            if not left_ok or not right_ok:
-                continue
-            for z in itertools.combinations(ordinary, k):
-                zs = set(z)
-                rest = tuple(x for x in ordinary if x not in zs)
-                parts = []
-                coeff = 1.0 + 0.0j
-                if s > 0:
-                    left_labels = ParticleSet(tuple(range(1, s + 1)) + z)
-                    parts.append(relabel(f.component(k), left_labels))
-                elif k > 0:
-                    parts.append(relabel(f.component(k), ParticleSet(z)))
-                else:
-                    coeff *= f.scalar0
-                if n - k > 0:
-                    parts.append(relabel(h.component(n - k), ParticleSet(rest)))
-                else:
-                    coeff *= h.scalar0
-                if parts:
-                    term = tensor_product(parts).matrix * coeff
-                else:
-                    term = None  # unreachable: n >= lo means some labels exist
-                acc = term if acc is None else acc + term
-        if acc is not None and np.any(acc):
-            comps[n] = ManyBodyOperator(ParticleSet.range1(s + n), d, acc)
+    for n in range(0 if s else 1, out + 1):
+        m = _first_block_sum(a, b, s, n)
+        if m is not None and np.any(m):
+            comps[n] = ManyBodyOperator(ParticleSet.range1(s + n), d, m)
     scalar = 0.0 if s else f.scalar0 * h.scalar0
     return OperatorSequence(d, out, scalar, comps, s)
 
@@ -234,50 +228,59 @@ def star_product(
 def star_exp(f: OperatorSequence, out_n_max: int | None = None) -> OperatorSequence:
     """Exponential under the star product; an exact finite sum.
 
-    Requires a plain sequence with zero scalar component.  Each star power
-    raises minimum support, so components up to the cut are exact.
+    Requires a plain sequence with zero scalar component.  Component n is
+    the first-block recursion over the block {1} u S that holds particle 1:
+    f_{1+|S|} on it times the earlier component n-1-|S| on the rest.
     """
     if f.prefix:
         raise ValueError("star_exp is defined for plain sequences")
     if f.scalar0 != 0:
         raise ValueError("star_exp requires a vanishing scalar component")
     out = f.n_max if out_n_max is None else out_n_max
-    base = OperatorSequence(
-        f.dim_single, out, 0.0, {n: op for n, op in f.components.items() if n <= out}
-    )
-    total = unit_sequence(f.dim_single, out)
-    power = base
-    for k in range(1, out + 1):
-        total = seq_add(total, seq_scale(power, 1.0 / factorial(k)))
-        if k < out:
-            power = star_product(power, base, out_n_max=out)
-            if not power.components:
-                break
-    return total
+    first = {n - 1: op for n, op in f.components.items()}
+    e = {0: _scalar_operator(1.0, f.dim_single)}
+    for n in range(1, out + 1):
+        m = _first_block_sum(first, e, 1, n - 1)
+        if m is not None:
+            e[n] = ManyBodyOperator(ParticleSet.range1(n), f.dim_single, m)
+    del e[0]
+    return OperatorSequence(f.dim_single, out, 1.0, e)
+
+
+def _cluster_arguments(
+    f: OperatorSequence, s: int, n_max: int
+) -> dict[int, ManyBodyOperator]:
+    """The present components kappa_0..kappa_{n_max} of the s-cluster reading.
+
+    kappa_n = f_{s+n} minus the first-block sum of the earlier kappa against
+    f's components; f's scalar is never read, so S = all drops out.
+    """
+    kappa: dict[int, ManyBodyOperator] = {}
+    for n in range(n_max + 1):
+        top = f.components.get(s + n)
+        lower = _first_block_sum(kappa, f.components, s, n)
+        if lower is not None:
+            m = -lower if top is None else top.matrix - lower
+            top = ManyBodyOperator(ParticleSet.range1(s + n), f.dim_single, m)
+        if top is not None:
+            kappa[n] = top
+    return kappa
 
 
 def star_ln(g: OperatorSequence, out_n_max: int | None = None) -> OperatorSequence:
     """Logarithm under the star product, inverse of star_exp.
 
     Requires a plain sequence of the form 1 + h (scalar component one).
+    Component n is kappa_{n-1} at s = 1 of the module docstring.
     """
     if g.prefix:
         raise ValueError("star_ln is defined for plain sequences")
     if abs(g.scalar0 - 1.0) > 1e-12:
         raise ValueError("star_ln requires scalar component 1")
     out = g.n_max if out_n_max is None else out_n_max
-    h = OperatorSequence(
-        g.dim_single, out, 0.0, {n: op for n, op in g.components.items() if n <= out}
-    )
-    total = zero_sequence(g.dim_single, out)
-    power = h
-    for k in range(1, out + 1):
-        total = seq_add(total, seq_scale(power, (-1.0) ** (k - 1) / k))
-        if k < out:
-            power = star_product(power, h, out_n_max=out)
-            if not power.components:
-                break
-    return total
+    kappa = _cluster_arguments(g, 1, out - 1)
+    comps = {n + 1: op for n, op in kappa.items()}
+    return OperatorSequence(g.dim_single, out, 0.0, comps)
 
 
 def shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
@@ -303,13 +306,14 @@ def cluster_argument_sequence(
 
     Component n (n = 0..n_max) of the s-prefixed result is the Mobius-signed
     partition sum over the units {the cluster (1..s), particle s+1, ...,
-    particle s+n} of products of f's components; component 0 is f_s.
+    particle s+n} of products of f's components; component 0 is f_s.  Read
+    off the recursion of the module docstring; a component with no term is
+    the zero operator.
     """
-    comps = {
-        n: seq_signed_block_sum(f, ClusterSet.cluster_and_singletons(s, n))
-        for n in range(n_max + 1)
-    }
-    return OperatorSequence(f.dim_single, n_max, 0.0, comps, s)
+    kappa = _cluster_arguments(f, s, n_max)
+    for n in range(n_max + 1):
+        kappa.setdefault(n, zero_operator(ParticleSet.range1(s + n), f.dim_single))
+    return OperatorSequence(f.dim_single, n_max, 0.0, kappa, s)
 
 
 def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:

@@ -54,6 +54,7 @@ from .hamiltonian import (
     liouvillian_apply,
 )
 from .hierarchy import (
+    _componentwise,
     CorrelationState,
     chaos_data,
     cluster_expand,
@@ -78,7 +79,6 @@ from .partitions import (
     enumerate_partitions,
     mobius_coefficient,
     partition_alternating_sum,
-    partition_sum,
     stirling2,
 )
 from .presets import (
@@ -375,12 +375,7 @@ def literal_cumulant_solution(
             return None
         return cumulant_apply(spec, CumulantRequest(blocks, t), operand)
 
-    comps = {}
-    for n in range(1, seq.n_max + 1):
-        units = ClusterSet.singletons(range(1, n + 1))
-        total = partition_sum(units, term, signed=False)
-        if total is not None:
-            comps[n] = total
+    comps = _componentwise(seq, term, signed=False)
     return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
 
 
@@ -606,16 +601,34 @@ def _suite_generators() -> list[Check]:
 # star-lemmas
 
 
+def literal_cluster_transform(seq: OperatorSequence, signed: bool) -> OperatorSequence:
+    """The reference route for Exp(seq), or for Ln(seq) when ``signed``.
+
+    Component n sums, over the partitions of (1..n), the product of seq's
+    block components, weighted by the Mobius coefficient when ``signed``;
+    it is absent when no partition has all its blocks in seq.
+    """
+    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed)
+    scalar = 0.0 if signed else 1.0
+    return OperatorSequence(seq.dim_single, seq.n_max, scalar, comps)
+
+
 def _suite_star_lemmas() -> list[Check]:
     f = random_sequence(111, 2, 3, norms=0.5)
     h2 = random_sequence(222, 2, 3, norms=0.5)
     small = random_sequence(333, 2, 3, norms=1e-3)
+    u = seq_add(unit_sequence(2, 3), f)
+
+    def exp_partition_sum():
+        return seq_residual(star_exp(f), literal_cluster_transform(f, signed=False))
+
+    def ln_partition_sum():
+        return seq_residual(star_ln(u), literal_cluster_transform(u, signed=True))
 
     def exp_ln():
         return seq_residual(star_ln(star_exp(f)), f)
 
     def ln_exp():
-        u = seq_add(unit_sequence(2, 3), f)
         return seq_residual(star_exp(star_ln(u)), u)
 
     def leibniz():
@@ -643,6 +656,20 @@ def _suite_star_lemmas() -> list[Check]:
         return verify_lemma3(small)
 
     return [
+        Check(
+            "exp-partition-sum",
+            "the star exponential equals the sum over set partitions of "
+            "block products",
+            1e-10,
+            exp_partition_sum,
+        ),
+        Check(
+            "ln-partition-sum",
+            "the star logarithm equals the Mobius-signed sum over set "
+            "partitions of block products",
+            1e-10,
+            ln_partition_sum,
+        ),
         Check(
             "exp-ln-roundtrip",
             "the star logarithm inverts the star exponential",

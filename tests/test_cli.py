@@ -10,9 +10,10 @@ import pytest
 
 from qcorr.bbgky import marginal_state_from_density, solve_bbgky_cumulant
 from qcorr.cli import load_scenario, main
-from qcorr.operators import ManyBodyOperator, trace_norm
+from qcorr.operators import ManyBodyOperator, relabel, trace_norm
 from qcorr.partitions import ParticleSet
-from qcorr.serialize import REPORT_SCHEMA, decode_raw_matrix, validate
+from qcorr.presets import chaos_one_particle
+from qcorr.serialize import REPORT_SCHEMA, decode_raw_matrix, encode_operator, validate
 from qcorr.verify import SUITE_NAMES
 
 # small scenario: every value chosen so a full run stays under a second
@@ -300,6 +301,38 @@ def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
     code, out = _run(tmp_path, sc, "mismatched")
     assert code == 2
     assert not out.exists()
+    capsys.readouterr()
+
+
+def test_short_norms_list_exits_2_without_traceback(tmp_path):
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["n_max"] = 3
+    sc["initial"]["preset"]["norms"] = [0.5]
+    path = _write_scenario(tmp_path, sc)
+    out = tmp_path / "short-norms"
+    cmd = [sys.executable, "-m", "qcorr.cli", "run", "--scenario", path]
+    proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "norms has 1 entries but n_max is 3" in proc.stderr
+    assert not out.exists()
+
+
+def test_chaos_data_on_another_label_serves_every_task(tmp_path, capsys):
+    g1 = chaos_one_particle(31, 2, norm=0.8)
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["initial"] = {"chaos": encode_operator(relabel(g1, ParticleSet((2,))))}
+    sc["tasks"] = ["chaos", "hierarchy"]
+    code, out = _run(tmp_path, sc, "chaos-label-2")
+    assert code == 0
+    chaos = json.loads((out / "chaos.json").read_text())["solutions"]
+    states = json.loads((out / "hierarchy.json").read_text())["states"]
+    assert len(chaos) == len(states) == len(sc["times"])
+    for sol, state in zip(chaos, states):
+        a = decode_raw_matrix(sol["components"][0]["matrix"])
+        b = decode_raw_matrix(state["components"][0])
+        one = ParticleSet.range1(1)
+        assert trace_norm(ManyBodyOperator(one, 2, a - b)) <= 1e-12
     capsys.readouterr()
 
 

@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bruteforce import naive_partitions
+from qcorr.bbgky import MarginalState, correlation_from_marginals
 from qcorr.errors import NormalizationError
+from qcorr.hierarchy import (
+    CorrelationState,
+    DensityState,
+    cluster_expand,
+    cluster_invert,
+)
 from qcorr.operators import (
     ManyBodyOperator,
     partial_trace,
@@ -14,15 +21,17 @@ from qcorr.operators import (
     tensor_product,
     trace_norm,
 )
-from qcorr.partitions import ParticleSet
+from qcorr.partitions import ClusterSet, ParticleSet, partition_sum
 from qcorr.presets import random_sequence
+from qcorr.serialize import encode_sequence
 from qcorr.star_algebra import (
     OperatorSequence,
     annihilation_expand,
+    cluster_argument_sequence,
     product_reduction_residual,
     seq_add,
+    seq_block_product,
     seq_residual,
-    seq_scale,
     shift_map,
     star_exp,
     star_ln,
@@ -30,8 +39,8 @@ from qcorr.star_algebra import (
     unit_sequence,
     verify_lemma2,
     verify_lemma3,
-    zero_sequence,
 )
+from qcorr.verify import literal_cluster_transform
 
 TOL = 1e-12
 
@@ -62,7 +71,7 @@ def test_sequence_component_materializes_zero():
 
 def test_seq_arithmetic_and_residual():
     f = seq(91)
-    g = seq_scale(f, 2.0)
+    g = OperatorSequence(2, 3, 0.0, {n: op * 2.0 for n, op in f.components.items()})
     assert seq_residual(seq_add(f, f), g) <= TOL
     assert seq_residual(f, f) == 0.0
     h = seq(92)
@@ -269,6 +278,74 @@ def test_reduction_identities_reject_tiny_normalization():
 
 
 def test_zero_sequence_behaves():
-    z = zero_sequence(2, 3)
+    z = OperatorSequence(2, 3)
     f = seq(118)
     assert seq_residual(star_product(z, f, out_n_max=3), z) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the first-block recursion against the literal partition sums
+
+RECURSION_CASES = [
+    (d, n_max, hermitian)
+    for d in (2, 3)
+    for n_max in (3, 4)
+    for hermitian in (True, False)
+]
+
+
+def plain(seed, d, n_max, hermitian, scalar):
+    f = random_sequence(seed, d, n_max, norms=0.5, hermitian=hermitian)
+    return OperatorSequence(d, n_max, scalar, dict(f.components))
+
+
+@pytest.mark.parametrize("d,n_max,hermitian", RECURSION_CASES)
+def test_star_exp_equals_literal_partition_sum(d, n_max, hermitian):
+    f = plain(1300 + n_max, d, n_max, hermitian, 0.0)
+    # out_n_max up to n_max + 2, within the command line's 256-dimension cap
+    for out in [m for m in range(n_max, n_max + 3) if d**m <= 256]:
+        wide = OperatorSequence(d, out, 0.0, dict(f.components))
+        want = literal_cluster_transform(wide, signed=False)
+        got = star_exp(f, out_n_max=out)
+        assert got.support == want.support
+        assert seq_residual(got, want) <= TOL
+
+
+@pytest.mark.parametrize("d,n_max,hermitian", RECURSION_CASES)
+def test_star_ln_equals_literal_partition_sum(d, n_max, hermitian):
+    u = plain(1310 + n_max, d, n_max, hermitian, 1.0)
+    want = literal_cluster_transform(u, signed=True)
+    got = star_ln(u)
+    assert got.support == want.support
+    assert seq_residual(got, want) <= TOL
+    f = MarginalState(u)
+    for s in range(1, n_max + 1):
+        assert trace_norm(correlation_from_marginals(f, s) - want.component(s)) <= TOL
+
+
+@pytest.mark.parametrize("d,n_max,hermitian", RECURSION_CASES)
+def test_cluster_arguments_equal_literal_partition_sum(d, n_max, hermitian):
+    u = plain(1320 + n_max, d, n_max, hermitian, 1.0)
+    for s in (1, 2, 3):
+        got = cluster_argument_sequence(u, s, n_max - s)
+        for n in range(n_max - s + 1):
+            units = ClusterSet.cluster_and_singletons(s, n)
+            want = partition_sum(units, lambda b: seq_block_product(u, b), signed=True)
+            assert trace_norm(got.components[n] - want) <= TOL
+
+
+def test_sparse_input_keeps_components_absent():
+    # (1, 0, D_2, 0): only the partitions into pairs have every block present
+    d2 = seq(1330).components[2]
+    dens = OperatorSequence(2, 3, 1.0, {2: d2})
+    corr = OperatorSequence(2, 3, 0.0, {2: d2})
+    assert cluster_invert(DensityState(dens)).seq.support == (2,)
+    assert cluster_expand(CorrelationState(corr)).seq.support == (2,)
+    assert star_ln(dens).support == (2,)
+    assert star_exp(corr, out_n_max=6).support == (2, 4, 6)
+    assert encode_sequence(star_ln(dens))["components"][0::2] == [None, None]
+    # the cluster reading still materializes zeros
+    args = cluster_argument_sequence(dens, 1, 2)
+    assert args.support == (0, 1, 2)
+    assert trace_norm(args.components[0]) == 0.0
+    assert trace_norm(args.components[2]) == 0.0
