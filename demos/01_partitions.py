@@ -13,12 +13,13 @@ from qcorr.partitions import (
     stirling2,
 )
 
-# all partitions of {1,2,3,4} with their signed coefficients
+# all partitions of {1,2,3,4} with their signed coefficients; each
+# partition is a ClusterSet of its blocks, ordered by smallest label
 ground = ParticleSet.range1(4)
 parts = enumerate_partitions(ground)
 print(f"partitions of {tuple(ground)}: {len(parts)} (Bell B_4 = {bell_number(4)})")
 for p in parts[:6]:
-    blocks = " | ".join(",".join(map(str, b)) for b in p.blocks)
+    blocks = " | ".join(",".join(map(str, b)) for b in p)
     print(f"  coeff {mobius_coefficient(len(p)):+d}   {blocks}")
 print(f"  ... and {len(parts) - 6} more")
 

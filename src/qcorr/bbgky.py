@@ -97,7 +97,8 @@ def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
     """F_s from a density sequence: normalized aggregate of partial traces."""
     if not 1 <= s <= d.seq.n_max:
         raise ValueError(f"s must be in [1, {d.seq.n_max}], got {s}")
-    return marginal_state_from_density(d).seq.component(s)
+    z = require_normalizable(annihilation_scalar(d.seq))
+    return annihilation_component(d.seq, s) / z
 
 
 def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
@@ -306,7 +307,7 @@ def correlation_from_g(g: CorrelationState, s: int) -> ManyBodyOperator:
     """G_s as the reduction of the correlation sequence itself."""
     if not 1 <= s <= g.seq.n_max:
         raise ValueError(f"s must be in [1, {g.seq.n_max}], got {s}")
-    return annihilation_expand(g.seq).component(s)
+    return annihilation_component(g.seq, s)
 
 
 def correlation_chaos_expansion(

@@ -14,27 +14,27 @@ all-singletons cluster family gives the plain mth-order cumulant.
 Zero time is special: for two or more clusters the coefficients cancel
 exactly, so an early-out returns the zero operator without touching any
 matrix arithmetic.
+
+The scattering unitary of a block B is W_B(t) = U_B(t) (x)_{k in B} U_k(-t).
+Its free factors multiply, for every partition of the operand's labels, to
+the same F(-t) = (x)_k U_k(-t), so the scattering cumulant is the propagator
+cumulant applied to the freely back-evolved operand F(-t) f F(-t)^*.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .evolution import (
-    group_apply_on_subsets,
-    make_unitary_group,
-    unitary_matrix,
-)
+from .evolution import group_apply_on_subsets
 from .hamiltonian import (
     SystemSpec,
     interaction_hamiltonian,
     liouvillian_apply,
 )
-from .operators import ManyBodyOperator, tensor_product, trace_norm, zero_operator
+from .operators import ManyBodyOperator, trace_norm, zero_operator
 from .partitions import (
     ClusterSet,
     ParticleSet,
@@ -47,27 +47,19 @@ from .partitions import (
 FD_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class CumulantRequest:
-    """Which clusters to take the cumulant over, and at what time."""
-
-    clusters: ClusterSet
-    t: float
-
-
 def cumulant_apply(
-    spec: SystemSpec, req: CumulantRequest, f: ManyBodyOperator
+    spec: SystemSpec, t: float, clusters: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Apply the cumulant over req.clusters at time req.t to f."""
-    if req.clusters.union != f.labels:
+    """Apply the cumulant over the clusters at time t to f."""
+    if clusters.union != f.labels:
         raise ValueError(
-            f"clusters cover {req.clusters.union} but operand lives on {f.labels}"
+            f"clusters cover {clusters.union} but operand lives on {f.labels}"
         )
-    if len(req.clusters) >= 2 and req.t == 0.0:
+    if len(clusters) >= 2 and t == 0.0:
         return zero_operator(f.labels, f.dim_single)
     acc = partition_sum(
-        req.clusters,
-        lambda blocks: group_apply_on_subsets(spec, req.t, blocks, f).matrix,
+        clusters,
+        lambda blocks: group_apply_on_subsets(spec, t, blocks, f).matrix,
         signed=True,
     )
     return ManyBodyOperator(f.labels, f.dim_single, acc)
@@ -87,12 +79,11 @@ def cumulant_vanishes_free(
         raise ValueError("vanishing concerns orders n >= 2")
     if len(f.labels) != n:
         raise ValueError(f"operand must live on {n} particles, got {f.labels}")
-    req = CumulantRequest(ClusterSet.singletons(f.labels), t)
-    return trace_norm(cumulant_apply(spec, req, f))
+    return trace_norm(cumulant_apply(spec, t, ClusterSet.singletons(f.labels), f))
 
 
 def cumulant_generator_fd(
-    spec: SystemSpec, req: CumulantRequest, f: ManyBodyOperator
+    spec: SystemSpec, clusters: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
     """Central-difference time derivative of the cumulant at zero.
 
@@ -100,27 +91,12 @@ def cumulant_generator_fd(
     generator (see hamiltonian.cluster_interaction_apply) with
     O(FD_STEP^2) error.
     """
-    if len(req.clusters) < 2:
+    if len(clusters) < 2:
         raise ValueError("the generator check needs at least two clusters")
-    plus = cumulant_apply(spec, CumulantRequest(req.clusters, FD_STEP), f)
-    minus = cumulant_apply(spec, CumulantRequest(req.clusters, -FD_STEP), f)
+    plus = cumulant_apply(spec, FD_STEP, clusters, f)
+    minus = cumulant_apply(spec, -FD_STEP, clusters, f)
     diff = (plus.matrix - minus.matrix) / (2 * FD_STEP)
     return ManyBodyOperator(f.labels, f.dim_single, diff)
-
-
-def _scattering_unitary(spec: SystemSpec, t: float, labels: ParticleSet) -> np.ndarray:
-    """Interacting propagator forward times free one-particle propagators back."""
-    d = spec.dim_single
-    full = unitary_matrix(make_unitary_group(spec, labels), t)
-    singles = [
-        ManyBodyOperator(
-            ParticleSet((k,)),
-            d,
-            unitary_matrix(make_unitary_group(spec, ParticleSet((k,))), -t),
-        )
-        for k in labels
-    ]
-    return full @ tensor_product(singles).matrix
 
 
 def scattering_operator_apply(
@@ -131,32 +107,19 @@ def scattering_operator_apply(
         raise ValueError(f"operand on {f.labels} does not match labels {labels}")
     if t == 0.0:
         return f
-    w = _scattering_unitary(spec, t, labels)
-    return ManyBodyOperator(f.labels, f.dim_single, w @ f.matrix @ w.conj().T)
+    return scattering_cumulant_apply(spec, t, ClusterSet((labels,)), f)
 
 
 def scattering_cumulant_apply(
     spec: SystemSpec, t: float, clusters: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Cumulant built from scattering operators instead of propagators."""
-    if clusters.union != f.labels:
-        raise ValueError(
-            f"clusters cover {clusters.union} but operand lives on {f.labels}"
-        )
-    if len(clusters) >= 2 and t == 0.0:
-        return zero_operator(f.labels, f.dim_single)
-    if len(clusters) == 1:
-        return scattering_operator_apply(spec, t, f.labels, f)
+    """Cumulant built from scattering operators instead of propagators.
 
-    def conjugated(blocks: ClusterSet) -> np.ndarray:
-        w = tensor_product(
-            ManyBodyOperator(b, spec.dim_single, _scattering_unitary(spec, t, b))
-            for b in blocks
-        ).matrix
-        return w @ f.matrix @ w.conj().T
-
-    acc = partition_sum(clusters, conjugated, signed=True)
-    return ManyBodyOperator(f.labels, f.dim_single, acc)
+    The propagator cumulant of the freely back-evolved operand (see the
+    module docstring).
+    """
+    free_back = group_apply_on_subsets(spec, -t, ClusterSet.singletons(f.labels), f)
+    return cumulant_apply(spec, t, clusters, free_back)
 
 
 def scattering_generator_expected(
@@ -187,13 +150,13 @@ def recover_group_from_cumulants(
         raise ValueError(f"operand on {f.labels} does not match {labels}")
     acc = np.zeros_like(f.matrix)
     for p in enumerate_partitions(labels):
-        per_block = [enumerate_partitions(block) for block in p.blocks]
+        per_block = [enumerate_partitions(block) for block in p]
         for combo in itertools.product(*per_block):
             coeff = 1
             sub_blocks = []
             for q in combo:
-                coeff *= mobius_coefficient(len(q.blocks))
-                sub_blocks.extend(q.blocks)
+                coeff *= mobius_coefficient(len(q))
+                sub_blocks.extend(q)
             blocks = ClusterSet(tuple(sub_blocks))
             term = group_apply_on_subsets(spec, t, blocks, f).matrix * coeff
             acc = acc + term

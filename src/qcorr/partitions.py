@@ -12,9 +12,11 @@ Conventions
 * Particle labels are positive integers.  A :class:`ParticleSet` stores them
   as a strictly increasing tuple; the empty set is allowed and represents the
   scalar (zero-particle) component of an operator sequence.
-* A :class:`Partition` keeps its blocks ordered by smallest element, and each
-  block is itself ascending.  Construction canonicalizes, so two partitions
-  with the same blocks compare equal.
+* A :class:`ClusterSet` is the one set-family type: a set partition, the
+  argument list of a cumulant, or the block unions handed to a
+  :func:`partition_sum` term.  It keeps its elements ordered by smallest
+  label, each element ascending.  Construction canonicalizes, so two
+  families with the same sets compare equal.
 * All counting is exact integer arithmetic.  Guards: partition enumeration up
   to 12 elements, subset enumeration up to 16 elements, Stirling numbers up
   to n = 20.
@@ -67,9 +69,6 @@ class ParticleSet:
     def __contains__(self, label: int) -> bool:
         return label in self.labels
 
-    def __or__(self, other: "ParticleSet") -> "ParticleSet":
-        return ParticleSet.of(self.labels + other.labels)
-
     def difference(self, other: Iterable[int]) -> "ParticleSet":
         drop = set(other)
         return ParticleSet(tuple(x for x in self.labels if x not in drop))
@@ -77,57 +76,17 @@ class ParticleSet:
     def issubset(self, other: "ParticleSet") -> bool:
         return set(self.labels) <= set(other.labels)
 
-    def isdisjoint(self, other: "ParticleSet") -> bool:
-        return set(self.labels).isdisjoint(other.labels)
-
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.labels)) + "}"
 
 
 @dataclass(frozen=True)
-class Partition:
-    """A set partition: disjoint nonempty blocks covering the ground set.
-
-    Blocks are kept in canonical order (sorted by smallest element).
-    """
-
-    blocks: tuple[ParticleSet, ...]
-    ground: ParticleSet
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("a partition needs at least one block")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if len(b) == 0:
-                raise ValueError("blocks must be nonempty")
-            if seen & set(b.labels):
-                raise ValueError(f"blocks overlap: {self.blocks}")
-            seen |= set(b.labels)
-        if seen != set(self.ground.labels):
-            raise ValueError(f"blocks {self.blocks} do not cover ground {self.ground}")
-        ordered = tuple(sorted(self.blocks, key=lambda b: b.labels[0]))
-        object.__setattr__(self, "blocks", ordered)
-
-    @classmethod
-    def of(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
-        bs = tuple(ParticleSet.of(b) for b in blocks)
-        ground = ParticleSet.of(itertools.chain.from_iterable(b.labels for b in bs))
-        return cls(bs, ground)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self) -> Iterator[ParticleSet]:
-        return iter(self.blocks)
-
-
-@dataclass(frozen=True)
 class ClusterSet:
-    """An ordered family of pairwise disjoint particle sets.
+    """An ordered family of pairwise disjoint nonempty particle sets.
 
-    Used as the argument list of a cumulant: each element is treated as one
-    indivisible unit.  Canonical order is by smallest contained label.
+    A set partition of its union, or the argument list of a cumulant, where
+    each element is one indivisible unit.  Canonical order is by smallest
+    contained label.
     """
 
     elements: tuple[ParticleSet, ...]
@@ -189,9 +148,10 @@ def iter_set_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:
         yield ((first,),) + sub
 
 
-def enumerate_partitions(ground: ParticleSet) -> list[Partition]:
+def enumerate_partitions(ground: ParticleSet) -> list[ClusterSet]:
     """All set partitions of ``ground`` in canonical deterministic order.
 
+    Each partition is a ClusterSet of its blocks, whose union is ``ground``.
     The list has Bell(|ground|) entries.  Guard: |ground| <= 12 (the top of
     that range materializes millions of partitions; the streaming helpers
     below avoid that for the alternating sum).
@@ -203,10 +163,10 @@ def enumerate_partitions(ground: ParticleSet) -> list[Partition]:
         )
     if len(ground) == 0:
         raise ValueError("cannot partition the empty set")
-    out = []
-    for blocks in iter_set_partitions(ground.labels):
-        out.append(Partition(tuple(ParticleSet.of(b) for b in blocks), ground))
-    return out
+    return [
+        ClusterSet(tuple(ParticleSet(b) for b in blocks))
+        for blocks in iter_set_partitions(ground.labels)
+    ]
 
 
 def enumerate_nonempty_subsets(ground: ParticleSet) -> list[ParticleSet]:

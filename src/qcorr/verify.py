@@ -34,7 +34,6 @@ from .bbgky import (
     solve_bbgky_iteration,
 )
 from .cumulants import (
-    CumulantRequest,
     cumulant_apply,
     cumulant_generator_fd,
     cumulant_vanishes_free,
@@ -179,9 +178,9 @@ def _suite_combinatorics() -> list[Check]:
         worst = 0
         fact = [1, 1, 2, 6]
         for p in enumerate_partitions(ParticleSet.range1(4)):
-            b = len(p.blocks)
+            b = len(p)
             want = (-1) ** (b - 1) * fact[b - 1]
-            worst = max(worst, abs(mobius_coefficient(len(p.blocks)) - want))
+            worst = max(worst, abs(mobius_coefficient(b) - want))
         return float(worst)
 
     return [
@@ -373,7 +372,7 @@ def literal_cumulant_solution(
         operand = seq_block_product(seq, blocks)
         if operand is None:
             return None
-        return cumulant_apply(spec, CumulantRequest(blocks, t), operand)
+        return cumulant_apply(spec, t, blocks, operand)
 
     comps = _componentwise(seq, term, signed=False)
     return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
@@ -550,7 +549,7 @@ def _suite_generators() -> list[Check]:
             f = ManyBodyOperator(
                 union, 2, random_hermitian(rng, 2 ** len(union), 1.0)
             )
-            fd = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f)
+            fd = cumulant_generator_fd(spec, clusters, f)
             direct = cluster_interaction_apply(clusters, f, spec)
             worst = max(worst, trace_norm(fd - direct))
         return worst
@@ -733,8 +732,8 @@ def literal_bbgky_cumulant(spec, f0: MarginalState, s: int, t: float) -> ManyBod
     moved = {}
     for n in range(seq.n_max - s + 1):
         if seq.has(s + n):
-            req = CumulantRequest(ClusterSet.cluster_and_singletons(s, n), t)
-            moved[n] = cumulant_apply(spec, req, seq.components[s + n])
+            clusters = ClusterSet.cluster_and_singletons(s, n)
+            moved[n] = cumulant_apply(spec, t, clusters, seq.components[s + n])
     cumulant_images = OperatorSequence(seq.dim_single, seq.n_max - s, 0.0, moved, s)
     return annihilation_component(cumulant_images, 0)
 

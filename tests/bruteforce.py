@@ -5,6 +5,9 @@ enumeration, Taylor series) and deliberately imports nothing from the
 package under test.
 """
 
+import itertools
+from math import factorial
+
 import numpy as np
 
 
@@ -122,15 +125,47 @@ def expm_series(m, scale_target=0.25):
     return out
 
 
-def naive_pair_hamiltonian(h1, phi2, n, d):
-    """H on n slots: h1 on every slot plus phi2 on every pair of slots."""
+def naive_hamiltonian(h1, potentials, slots, n, d):
+    """H of the given slots, embedded into n slots: h1 on each slot plus
+    every k-body potential on each ascending k-subset of the slots."""
     out = np.zeros((d**n, d**n), dtype=complex)
-    for p in range(n):
+    for p in slots:
         out += naive_embed(h1, [p], n, d)
-    for p in range(n):
-        for q in range(p + 1, n):
-            out += naive_embed(phi2, [p, q], n, d)
+    for k, phi in potentials.items():
+        for combo in itertools.combinations(slots, k):
+            out += naive_embed(phi, list(combo), n, d)
     return out
+
+
+def naive_scattering_cumulant(h1, potentials, hbar, d, f, t, clusters):
+    """Scattering cumulant over clusters of 0-based slots, from explicit W.
+
+    f lives on n = log_d(dim f) slots.  W_B(t) = U_B(t) prod_{k in B} U_k(-t)
+    for a union B of clusters, every propagator built by eigh of its naive
+    Hamiltonian embedded into all n slots; the sum over set partitions P of
+    the clusters of (-1)^(|P|-1) (|P|-1)! W_P f W_P^* with W_P the product
+    of W_B over the blocks of P.
+    """
+    n = round(np.log(f.shape[0]) / np.log(d))
+
+    def propagator(slots, tau):
+        lam, v = np.linalg.eigh(naive_hamiltonian(h1, potentials, slots, n, d))
+        return (v * np.exp(-1j * tau / hbar * lam)) @ v.conj().T
+
+    def w(slots):
+        out = propagator(slots, t)
+        for k in slots:
+            out = out @ propagator([k], -t)
+        return out
+
+    total = np.zeros_like(f, dtype=complex)
+    for part in naive_partitions(tuple(range(len(clusters)))):
+        wp = np.eye(d**n, dtype=complex)
+        for block in part:
+            wp = wp @ w(sorted(k for c in block for k in clusters[c]))
+        coeff = (-1) ** (len(part) - 1) * factorial(len(part) - 1)
+        total += coeff * (wp @ f @ wp.conj().T)
+    return total
 
 
 def naive_nested_nodes(rule, nodes, upper):
@@ -157,7 +192,7 @@ def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
     """
 
     def propagator(m, tau):
-        return expm_series((-1j * tau / hbar) * naive_pair_hamiltonian(h1, phi2, m, d))
+        return expm_series((-1j * tau / hbar) * naive_hamiltonian(h1, {2: phi2}, range(m), m, d))
 
     def conj(u, x):
         return u @ x @ u.conj().T

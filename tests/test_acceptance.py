@@ -27,7 +27,6 @@ from qcorr.bbgky import (
     solve_bbgky_iteration,
 )
 from qcorr.cumulants import (
-    CumulantRequest,
     cumulant_generator_fd,
     cumulant_vanishes_free,
     recover_group_from_cumulants,
@@ -194,7 +193,7 @@ def test_criterion_06_generators():
     # (c) cumulant derivative at zero against the block-interaction generator
     clusters = ClusterSet.of([(1,), (2, 3)])
     f3 = random_correlation_state(2033, 2, 3, norms=1.0).seq.components[3]
-    got = cumulant_generator_fd(spec, CumulantRequest(clusters, 0.0), f3)
+    got = cumulant_generator_fd(spec, clusters, f3)
     want3 = cluster_interaction_apply(clusters, f3, spec)
     worst = max(worst, trace_norm(got - want3))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from bruteforce import naive_scattering_cumulant
 from qcorr.cumulants import (
-    CumulantRequest,
     cumulant_apply,
     cumulant_generator_fd,
     cumulant_vanishes_free,
@@ -13,9 +13,9 @@ from qcorr.cumulants import (
 )
 from qcorr.evolution import group_apply, group_apply_on_subsets, make_unitary_group
 from qcorr.hamiltonian import cluster_interaction_apply
-from qcorr.operators import max_abs, trace_norm
+from qcorr.operators import ManyBodyOperator, max_abs, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, rng_from_seed
+from qcorr.presets import random_operator, random_system, rng_from_seed
 
 TOL_EXACT = 1e-12
 TOL_SUM = 1e-11
@@ -27,8 +27,7 @@ def rand_op(seed, labels, d=2, herm=True):
 
 def test_single_cluster_cumulant_is_the_group(spec2):
     f = rand_op(60, [1, 2])
-    req = CumulantRequest(ClusterSet.of([[1, 2]]), 0.7)
-    got = cumulant_apply(spec2, req, f)
+    got = cumulant_apply(spec2, 0.7, ClusterSet.of([[1, 2]]), f)
     want = group_apply(make_unitary_group(spec2, f.labels), 0.7, f)
     assert trace_norm(got - want) <= TOL_EXACT
 
@@ -37,8 +36,7 @@ def test_second_order_cumulant_formula(spec2):
     # two singleton clusters: joint conjugation minus the factorized one
     f = rand_op(61, [1, 2])
     t = 0.9
-    req = CumulantRequest(ClusterSet.singletons([1, 2]), t)
-    got = cumulant_apply(spec2, req, f)
+    got = cumulant_apply(spec2, t, ClusterSet.singletons([1, 2]), f)
     joint = group_apply_on_subsets(spec2, t, ClusterSet.of([[1, 2]]), f)
     split = group_apply_on_subsets(spec2, t, ClusterSet.of([[1], [2]]), f)
     assert trace_norm(got - (joint - split)) <= TOL_EXACT
@@ -47,8 +45,7 @@ def test_second_order_cumulant_formula(spec2):
 def test_third_order_cumulant_formula(spec2):
     f = rand_op(62, [1, 2, 3])
     t = 0.4
-    req = CumulantRequest(ClusterSet.singletons([1, 2, 3]), t)
-    got = cumulant_apply(spec2, req, f)
+    got = cumulant_apply(spec2, t, ClusterSet.singletons([1, 2, 3]), f)
 
     def ev(blocks):
         return group_apply_on_subsets(spec2, t, ClusterSet.of(blocks), f)
@@ -67,8 +64,7 @@ def test_cluster_argument_grouping(spec2):
     # clusters {1,2},{3}: partitions refine over clusters, not particles
     f = rand_op(63, [1, 2, 3])
     t = 0.5
-    req = CumulantRequest(ClusterSet.of([[1, 2], [3]]), t)
-    got = cumulant_apply(spec2, req, f)
+    got = cumulant_apply(spec2, t, ClusterSet.of([[1, 2], [3]]), f)
     joint = group_apply_on_subsets(spec2, t, ClusterSet.of([[1, 2, 3]]), f)
     split = group_apply_on_subsets(spec2, t, ClusterSet.of([[1, 2], [3]]), f)
     assert trace_norm(got - (joint - split)) <= TOL_EXACT
@@ -77,13 +73,12 @@ def test_cluster_argument_grouping(spec2):
 def test_cumulant_validates_cover(spec2):
     f = rand_op(64, [1, 2])
     with pytest.raises(ValueError):
-        cumulant_apply(spec2, CumulantRequest(ClusterSet.of([[1], [3]]), 0.1), f)
+        cumulant_apply(spec2, 0.1, ClusterSet.of([[1], [3]]), f)
 
 
 def test_zero_time_single_cluster_passes_through(spec2):
     f = rand_op(66, [1, 2])
-    req = CumulantRequest(ClusterSet.of([[1, 2]]), 0.0)
-    out = cumulant_apply(spec2, req, f)
+    out = cumulant_apply(spec2, 0.0, ClusterSet.of([[1, 2]]), f)
     assert np.array_equal(out.matrix, f.matrix)  # exact, not just close
 
 
@@ -106,7 +101,7 @@ def test_free_vanishing_rejects_bad_input(spec_free, spec2):
 def test_generator_matches_cluster_interaction(spec2):
     f = rand_op(72, [1, 2])
     clusters = ClusterSet.singletons([1, 2])
-    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f)
+    fd = cumulant_generator_fd(spec2, clusters, f)
     want = cluster_interaction_apply(clusters, f, spec2)
     assert trace_norm(fd - want) <= 5e-7
 
@@ -114,7 +109,7 @@ def test_generator_matches_cluster_interaction(spec2):
 def test_generator_with_cluster_block(spec2):
     f = rand_op(73, [1, 2, 3])
     clusters = ClusterSet.of([[1], [2, 3]])
-    fd = cumulant_generator_fd(spec2, CumulantRequest(clusters, 0.0), f)
+    fd = cumulant_generator_fd(spec2, clusters, f)
     want = cluster_interaction_apply(clusters, f, spec2)
     assert trace_norm(fd - want) <= 5e-7
 
@@ -122,9 +117,7 @@ def test_generator_with_cluster_block(spec2):
 def test_generator_fd_validation(spec2):
     f = rand_op(75, [1, 2])
     with pytest.raises(ValueError):
-        cumulant_generator_fd(
-            spec2, CumulantRequest(ClusterSet.of([[1, 2]]), 0.0), f
-        )
+        cumulant_generator_fd(spec2, ClusterSet.of([[1, 2]]), f)
 
 
 def test_scattering_operator_basic(spec2):
@@ -169,6 +162,23 @@ def test_scattering_cumulant_reductions(spec2, spec_free):
         spec_free, 1.0, ClusterSet.singletons([1, 2]), f
     )
     assert trace_norm(free2) <= TOL_SUM
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "clusters", [[[1], [2], [3]], [[1, 2], [3]], [[1, 2, 3]]], ids=str
+)
+@pytest.mark.parametrize("t", [0.4, -1.3])
+def test_scattering_cumulant_matches_explicit_w(d, clusters, t):
+    # the free back-evolution route against per-block W_B built from scratch
+    spec = random_system(seed=90 + d, dim_single=d, orders=(2, 3))
+    f = rand_op(91 + d, [1, 2, 3], d=d, herm=False)
+    got = scattering_cumulant_apply(spec, t, ClusterSet.of(clusters), f)
+    want = naive_scattering_cumulant(
+        spec.one_body, spec.potentials, spec.hbar, d, f.matrix, t,
+        [[k - 1 for k in c] for c in clusters],
+    )
+    assert trace_norm(got - ManyBodyOperator(f.labels, d, want)) <= TOL_EXACT
 
 
 def test_group_recovery_from_cumulants(spec2):

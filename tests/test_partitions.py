@@ -9,7 +9,6 @@ from bruteforce import canon, naive_bell, naive_partitions, naive_stirling2
 from qcorr.errors import CapacityError
 from qcorr.partitions import (
     ClusterSet,
-    Partition,
     ParticleSet,
     bell_number,
     enumerate_nonempty_subsets,
@@ -40,19 +39,6 @@ def test_particle_set_of_sorts_and_dedups():
     assert ParticleSet.of([5, 2]).difference([5]).labels == (2,)
 
 
-def test_partition_requires_disjoint_cover():
-    g = ParticleSet.range1(3)
-    with pytest.raises(ValueError):
-        Partition((ParticleSet((1, 2)), ParticleSet((2, 3))), g)
-    with pytest.raises(ValueError):
-        Partition((ParticleSet((1, 2)),), g)
-
-
-def test_partition_blocks_canonical_order():
-    p = Partition.of([[3], [1, 4], [2]])
-    assert tuple(b.labels for b in p.blocks) == ((1, 4), (2,), (3,))
-
-
 def test_cluster_set_orders_and_rejects_overlap():
     cs = ClusterSet.of([[4], [1, 2]])
     assert tuple(c.labels for c in cs) == ((1, 2), (4,))
@@ -73,7 +59,7 @@ def test_partition_count_is_bell(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partitions_match_naive_enumeration(n):
     ours = {
-        tuple(b.labels for b in p.blocks)
+        tuple(b.labels for b in p)
         for p in enumerate_partitions(ParticleSet.range1(n))
     }
     naive = {canon(p) for p in naive_partitions(tuple(range(1, n + 1)))}
@@ -82,8 +68,8 @@ def test_partitions_match_naive_enumeration(n):
 
 def test_enumeration_order_is_deterministic():
     g = ParticleSet.range1(5)
-    first = [tuple(b.labels for b in p.blocks) for p in enumerate_partitions(g)]
-    second = [tuple(b.labels for b in p.blocks) for p in enumerate_partitions(g)]
+    first = [tuple(b.labels for b in p) for p in enumerate_partitions(g)]
+    second = [tuple(b.labels for b in p) for p in enumerate_partitions(g)]
     assert first == second
 
 
@@ -102,7 +88,7 @@ def test_nonempty_subsets_ordered_by_size():
 
 def test_mobius_coefficient_formula():
     for p in enumerate_partitions(ParticleSet.range1(4)):
-        k = len(p.blocks)
+        k = len(p)
         assert mobius_coefficient(k) == (-1) ** (k - 1) * factorial(k - 1)
 
 
@@ -153,7 +139,7 @@ def test_alternating_sum_matches_direct_fold():
     # small n: direct sum over materialized partitions must agree
     for n in range(1, 8):
         direct = sum(
-            mobius_coefficient(len(p.blocks))
+            mobius_coefficient(len(p))
             for p in enumerate_partitions(ParticleSet.range1(n))
         )
         assert partition_alternating_sum(n) == direct
@@ -175,7 +161,7 @@ def test_every_partition_covers_and_is_disjoint(labels):
     ground = ParticleSet.of(labels)
     for p in enumerate_partitions(ground):
         seen = []
-        for b in p.blocks:
+        for b in p:
             seen.extend(b.labels)
         assert sorted(seen) == list(ground.labels)
         assert len(set(seen)) == len(seen)
