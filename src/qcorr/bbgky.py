@@ -28,7 +28,7 @@ from math import factorial
 import numpy as np
 
 from .evolution import group_apply, make_unitary_group, unitary_matrix
-from .hamiltonian import SystemSpec, liouvillian_apply
+from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
     DensityState,
@@ -170,47 +170,51 @@ def _embedded_group_conj(
 
 def _pair_potential_sums(
     spec: SystemSpec, s: int, depth: int
-) -> dict[int, ManyBodyOperator]:
+) -> dict[int, np.ndarray]:
     """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for m = s+1..s+depth."""
-    d = spec.dim_single
-    phi2 = spec.potentials[2]
+    d, phi2 = spec.dim_single, spec.potentials[2]
     out = {}
     for m in range(s + 1, s + depth + 1):
         ground = ParticleSet.range1(m)
-        acc = None
-        for i in range(1, m):
-            pair = ManyBodyOperator(ParticleSet((i, m)), d, phi2)
-            emb = tensor_embed(pair, ground).matrix
-            acc = emb if acc is None else acc + emb
-        out[m] = ManyBodyOperator(ground, d, acc)
+        pairs = (ManyBodyOperator(ParticleSet((i, m)), d, phi2) for i in range(1, m))
+        out[m] = sum(tensor_embed(pair, ground).matrix for pair in pairs)
     return out
 
 
+def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.ndarray:
+    """Tr_m of -(i/hbar)[V, X], particle m being the last tensor factor.
+
+    Only the blocks of V X and X V diagonal in m (rows and columns k, k+d,
+    ... for each k < d) survive the trace: D^3/d flops per side, not D^3.
+    """
+    acc = sum(v[k::d] @ x[:, k::d] - x[k::d] @ v[:, k::d] for k in range(d))
+    return (-1j / hbar) * acc
+
+
 def _iteration_integrand(
-    spec: SystemSpec,
-    f_init: ManyBodyOperator,
-    s: int,
-    n: int,
-    t: float,
-    ts: tuple[float, ...],
-    coupling: dict[int, ManyBodyOperator],
-) -> ManyBodyOperator:
+    spec: SystemSpec, top: tuple, s: int, n: int, t: float, ts: tuple, coupling: dict
+) -> np.ndarray:
     """One time-ordered chain at the node times ts = (t_1..t_n), t_0 = t.
 
-    Collision-operator form: starting from G_{s+n}(t_n) F_{s+n}, level
-    j = n..1 with m = s + j applies the commutator generator of
-    V_m = ``coupling[m]``, traces particle m out, and conjugates with
-    U_{m-1}(t_{j-1} - t_j) on particles 1..m-1.  Tracing each level out at
-    once is exact: every later step acts on particles 1..m-1 only, so Tr_m
-    commutes with it, and each propagator runs at its own dimension.
+    Collision-operator form on arrays.  ``top`` = (lambda, V, V^*, V^* F V)
+    is H_{s+n}'s spectrum with F = F_{s+n} in its eigenbasis, so with p =
+    exp(-i t_n lambda/hbar) the top level G_{s+n}(t_n) F_{s+n} is the two
+    matmuls (V p)(V^* F V p^*) V^*.  Level j = n..1 with m = s + j then
+    takes Tr_m of -(i/hbar)[V_m, .] (:func:`_traced_commutator`) and
+    conjugates with U_{m-1}(t_{j-1} - t_j) on particles 1..m-1.  Tracing
+    each level out at once is exact: every later step acts on particles
+    1..m-1 only, so Tr_m commutes with it.
     """
-    x = _embedded_group_conj(spec, f_init.labels, s + n, ts[n - 1], f_init)
+    lam, v, vh, f_eig = top
+    p = np.exp(-1j * ts[n - 1] / spec.hbar * lam)
+    x = (v * p) @ (f_eig * p.conj()) @ vh
     for j in range(n, 0, -1):
         m = s + j
-        x = liouvillian_apply(coupling[m], x, spec.hbar)
-        x = partial_trace(x, ParticleSet((m,)))
+        x = _traced_commutator(coupling[m], x, spec.dim_single, spec.hbar)
         upper = ts[j - 2] if j >= 2 else t
-        x = _embedded_group_conj(spec, x.labels, m - 1, upper - ts[j - 1], x)
+        rest = ParticleSet.range1(m - 1)
+        x = ManyBodyOperator(rest, spec.dim_single, x)
+        x = _embedded_group_conj(spec, rest, m - 1, upper - ts[j - 1], x).matrix
     return x
 
 
@@ -225,19 +229,23 @@ def _nested_nodes(rule: str, nodes: int, upper: float) -> list[tuple[float, floa
     if upper == 0.0:
         return [(0.0, 0.0)]
     step = upper / (nodes - 1)
-    out = []
-    for i in range(nodes):
-        weight = step * (0.5 if i in (0, nodes - 1) else 1.0)
-        out.append((i * step, weight))
-    return out
+    ends = (0, nodes - 1)
+    return [(i * step, step * (0.5 if i in ends else 1.0)) for i in range(nodes)]
+
+
+def _simplex_nodes(q: QuadratureSpec, n: int, upper: float, weight=1.0, ts=()):
+    """(t_1..t_n, weight) over 0 <= t_n <= ... <= t_1 <= upper, nonzero weights."""
+    for node, w in _nested_nodes(q.rule, q.nodes_per_dim, upper):
+        if weight * w == 0.0:
+            continue
+        if len(ts) + 1 == n:
+            yield ts + (node,), weight * w
+        else:
+            yield from _simplex_nodes(q, n, node, weight * w, ts + (node,))
 
 
 def solve_bbgky_iteration(
-    spec: SystemSpec,
-    f0: MarginalState,
-    s: int,
-    t: float,
-    q: QuadratureSpec,
+    spec: SystemSpec, f0: MarginalState, s: int, t: float, q: QuadratureSpec
 ) -> ManyBodyOperator:
     """F_s(t) by the truncated time-ordered series with numerical quadrature.
 
@@ -250,9 +258,10 @@ def solve_bbgky_iteration(
 
     with V_m = sum_{i<m} Phi(i, m) built once per solve, each G_m the
     conjugation on particles 1..m, and the commutator taken as the
-    generator -(i/hbar)[V_m, .].  Each particle is traced out right after
-    its own commutator (see :func:`_iteration_integrand`), so no
-    propagator is embedded into the (s+n)-particle space.
+    generator -(i/hbar)[V_m, .].  F_{s+n} is moved into the eigenbasis of
+    H_{s+n} once per term, so the top propagator is a phase there; each
+    Tr_m uses only the m-diagonal blocks of the commutator and follows it
+    at once (see :func:`_iteration_integrand`).
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")
@@ -271,23 +280,12 @@ def solve_bbgky_iteration(
     for n in range(1, depth + 1):
         if not seq.has(s + n):
             continue
-        f_init = seq.components[s + n]
+        ug = make_unitary_group(spec, ParticleSet.range1(s + n))
+        v, vh = ug.eigenvectors, ug.eigenvectors.conj().T
+        top = (ug.eigenvalues, v, vh, vh @ seq.components[s + n].matrix @ v)
         acc = np.zeros((spec.dim_single**s,) * 2, dtype=complex)
-
-        def descend(level: int, upper: float, weight: float, ts: tuple):
-            nonlocal acc
-            for node, w in _nested_nodes(q.rule, q.nodes_per_dim, upper):
-                wt = weight * w
-                if wt == 0.0:
-                    continue
-                here = ts + (node,)
-                if level == n:
-                    val = _iteration_integrand(spec, f_init, s, n, t, here, coupling)
-                    acc = acc + wt * val.matrix
-                else:
-                    descend(level + 1, node, wt, here)
-
-        descend(1, t, 1.0, ())
+        for ts, wt in _simplex_nodes(q, n, t):
+            acc = acc + wt * _iteration_integrand(spec, top, s, n, t, ts, coupling)
         total = total + acc
     return ManyBodyOperator(ParticleSet.range1(s), spec.dim_single, total)
 

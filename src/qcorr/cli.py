@@ -48,6 +48,8 @@ from .hierarchy import (
 from .operators import (
     TAU_HERM,
     ManyBodyOperator,
+    check_mb_symmetry,
+    mb_symmetry_defect,
     min_eigenvalue,
     scaled_hermitian_defect,
     trace_norm,
@@ -375,8 +377,27 @@ def _task_chaos(sc: Scenario, threads: int) -> dict:
     }
 
 
+def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
+    """Refuse density data on which the bbgky and iterate formulas fail.
+
+    Both formulas are linear in the density components and equal the
+    reduced evolved density for exchange-symmetric data; a component D_n
+    with n <= s + 1 gives the same answer either way, so only D_n with
+    n >= s + 2 are checked.  The check is sufficient, not necessary.
+    """
+    for n, op in sorted(d0.seq.components.items()):
+        if n >= min(s_values) + 2 and not check_mb_symmetry(op):
+            raise ValueError(
+                f"density component {n} is not exchange-symmetric (defect "
+                f"{mb_symmetry_defect(op):.3e}), so reduced operators for "
+                f"s <= {n - 2} would not match the evolved density"
+            )
+
+
 def _task_bbgky(sc: Scenario, threads: int) -> dict:
-    f0 = marginal_state_from_density(_as_density(sc))
+    d0 = _as_density(sc)
+    _require_exchange_symmetric(d0, sc.s_values)
+    f0 = marginal_state_from_density(d0)
     grid = [(s, t) for s in sc.s_values for t in sc.times]
 
     def one(st) -> dict:
@@ -387,7 +408,9 @@ def _task_bbgky(sc: Scenario, threads: int) -> dict:
 
 
 def _task_iterate(sc: Scenario, threads: int) -> dict:
-    f0 = marginal_state_from_density(_as_density(sc))
+    d0 = _as_density(sc)
+    _require_exchange_symmetric(d0, sc.s_values)
+    f0 = marginal_state_from_density(d0)
     q = sc.quadrature
     grid = [(s, t) for s in sc.s_values for t in sc.times]
 

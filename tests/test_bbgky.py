@@ -32,6 +32,7 @@ from qcorr.bbgky import (
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
+from qcorr.bbgky import _traced_commutator
 from qcorr.errors import NormalizationError
 from qcorr.evolution import evolve_density_sequence
 from qcorr.hierarchy import (
@@ -40,13 +41,15 @@ from qcorr.hierarchy import (
     cluster_expand,
     solve_hierarchy,
 )
-from qcorr.operators import ManyBodyOperator, trace_norm
+from qcorr.hamiltonian import liouvillian_apply
+from qcorr.operators import ManyBodyOperator, partial_trace, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import (
     chaos_one_particle,
     random_correlation_state,
     random_density_state,
     random_hermitian,
+    random_operator,
     random_sequence,
     random_system,
     rng_from_seed,
@@ -309,21 +312,45 @@ def test_trapezoid_error_decreases_with_nodes():
     assert errs[2] < errs[1]
 
 
+# (s, order, nodes, d, n_max); d = 2 alone cannot tell a stride of d from 2
+CHAINS = [(1, 2, 5, 2, 4), (2, 2, 5, 2, 4), (3, 2, 5, 2, 4), (1, 3, 4, 2, 4),
+          (1, 2, 4, 3, 3)]
+
+
 @pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
-@pytest.mark.parametrize("s,order,nodes", [(1, 2, 5), (2, 2, 5), (3, 2, 5), (1, 3, 4)])
-def test_iteration_matches_full_embedding_chain(rule, s, order, nodes):
+@pytest.mark.parametrize(
+    "s,order,nodes,d,n_max",
+    CHAINS,
+    ids=[f"{s}-{o}-{k}" + (f"-d{d}" if d != 2 else "") for s, o, k, d, _ in CHAINS],
+)
+def test_iteration_matches_full_embedding_chain(rule, s, order, nodes, d, n_max):
     # the literal chain keeps every operator on all s+n particles and traces
     # them out at the end; the series traces each level out right away
-    spec = random_system(318, dim_single=2, orders=(2,), hbar=0.7)
-    f0 = marginal_state_from_density(random_density_state(319, 2, 4))
+    spec = random_system(318, dim_single=d, orders=(2,), hbar=0.7)
+    f0 = marginal_state_from_density(random_density_state(319, d, n_max))
     t = 0.4
     comps = {n: op.matrix for n, op in f0.seq.components.items()}
     ref = naive_iteration_series(
-        spec.one_body, spec.potentials[2], spec.hbar, 2, comps, s, t, order, rule, nodes
+        spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, rule, nodes
     )
     got = solve_bbgky_iteration(spec, f0, s, t, QuadratureSpec(order, nodes, rule))
-    ref_op = ManyBodyOperator(ParticleSet.range1(s), 2, ref)
+    ref_op = ManyBodyOperator(ParticleSet.range1(s), d, ref)
     assert trace_norm(got - ref_op) <= 1e-13 * trace_norm(ref_op)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_traced_commutator_matches_full_commutator_then_trace(d, m):
+    # non-Hermitian operands, so no symmetry of the blocks can hide an error
+    rng = rng_from_seed(340 + 10 * d + m)
+    labels = ParticleSet.range1(m)
+    v = random_operator(rng, labels, d, hermitian=False)
+    x = random_operator(rng, labels, d, hermitian=False)
+    hbar = 0.7
+    want = partial_trace(liouvillian_apply(v, x, hbar), ParticleSet((m,)))
+    got = _traced_commutator(v.matrix, x.matrix, d, hbar)
+    got_op = ManyBodyOperator(ParticleSet.range1(m - 1), d, got)
+    assert trace_norm(got_op - want) <= 1e-14 * trace_norm(want)
 
 
 def test_iteration_requires_pair_potential_only():

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from qcorr import bbgky, cli
+from qcorr.operators import ManyBodyOperator
+from qcorr.presets import random_density_state, random_system
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -36,6 +38,26 @@ def test_spanned_function_resolves(modname, fname):
 
 def test_embedded_group_conj_exists():
     assert callable(getattr(bbgky, "_embedded_group_conj", None))
+
+
+def test_embedded_group_conj_receives_operators_on_full(monkeypatch):
+    # the tracer's hook reads x.dim_single from the fifth argument, so the
+    # series must hand it a ManyBodyOperator on the labels it names
+    calls = []
+    original = bbgky._embedded_group_conj
+
+    def recording(spec, full, sub_n, tau, x):
+        calls.append((full, x))
+        return original(spec, full, sub_n, tau, x)
+
+    monkeypatch.setattr(bbgky, "_embedded_group_conj", recording)
+    spec = random_system(330, dim_single=2, orders=(2,))
+    f0 = bbgky.marginal_state_from_density(random_density_state(331, 2, 4))
+    bbgky.solve_bbgky_iteration(spec, f0, 1, 0.3, bbgky.QuadratureSpec(3, 4))
+    assert calls
+    for full, x in calls:
+        assert isinstance(x, ManyBodyOperator)
+        assert x.labels == full
 
 
 def test_traced_tasks_are_cli_tasks():

@@ -150,10 +150,12 @@ def test_scattering_generator_at_zero(spec2):
 
 def test_scattering_cumulant_reductions(spec2, spec_free):
     f = rand_op(79, [1, 2])
-    # one cluster: plain scattering conjugation
+    # one cluster: plain scattering conjugation, against W built from scratch
     one = scattering_cumulant_apply(spec2, 0.6, ClusterSet.of([[1, 2]]), f)
-    want = scattering_operator_apply(spec2, 0.6, f.labels, f)
-    assert trace_norm(one - want) <= TOL_EXACT
+    want = naive_scattering_cumulant(
+        spec2.one_body, spec2.potentials, spec2.hbar, 2, f.matrix, 0.6, [[0, 1]]
+    )
+    assert trace_norm(one - ManyBodyOperator(f.labels, 2, want)) <= TOL_EXACT
     # zero time, two clusters: exact zero
     two0 = scattering_cumulant_apply(spec2, 0.0, ClusterSet.singletons([1, 2]), f)
     assert max_abs(two0) == 0.0
