@@ -46,6 +46,7 @@ from .hierarchy import (
     solve_via_density_oracle,
 )
 from .operators import (
+    MAX_OPERATOR_DIM,
     TAU_HERM,
     ManyBodyOperator,
     check_mb_symmetry,
@@ -58,9 +59,9 @@ from .presets import chaos_one_particle, random_correlation_state, random_densit
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
-    decode_operator,
+    _decode_operator,
+    _decode_sequence,
     decode_raw_matrix,
-    decode_sequence,
     decode_system,
     dumps_canonical,
     encode_complex,
@@ -120,16 +121,20 @@ def _norm_scalar(value, default: float) -> float:
 
 
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
-    """Decode the tagged initial-data union into (kind, state)."""
+    """Decode the tagged initial-data union into (kind, state).
+
+    obj is part of a scenario that load_scenario has validated, so the
+    decoders' own validation is skipped.
+    """
     (tag, body), = obj.items()
     if tag == "correlation":
-        seq = _fit_sequence(decode_sequence(body), n_max)
+        seq = _fit_sequence(_decode_sequence(body), n_max)
         return "correlation", CorrelationState(seq)
     if tag == "density":
-        seq = _fit_sequence(decode_sequence(body), n_max)
+        seq = _fit_sequence(_decode_sequence(body), n_max)
         return "density", DensityState(seq)
     if tag == "chaos":
-        op = decode_operator(body)
+        op = _decode_operator(body)
         if len(op.labels) != 1:
             raise SchemaViolation("chaos initial data must be a one-particle operator")
         if op.dim_single != spec.dim_single:
@@ -163,18 +168,28 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
     """Validate, decode, and capacity-check a scenario document."""
     validate(obj, SCENARIO_SCHEMA, "scenario")
 
+    # the dimensions are checked on the document, before decode_system draws
+    # a preset's random matrices
     system_obj = dict(obj["system"])
-    if seed_override is not None and "preset" in system_obj:
-        system_obj["seed"] = int(seed_override)
-    spec = decode_system(system_obj)
-
     n_max = int(obj["n_max"])
     if n_max > MAX_N_MAX:
         raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
-    if spec.dim_single**n_max > MAX_TOTAL_DIM:
-        raise CapacityError(
-            f"total dimension {spec.dim_single}^{n_max} exceeds {MAX_TOTAL_DIM}"
-        )
+    d = int(system_obj.get("dim_single", 2))
+    if d**n_max > MAX_TOTAL_DIM:
+        raise CapacityError(f"total dimension {d}^{n_max} exceeds {MAX_TOTAL_DIM}")
+    if "preset" in system_obj:
+        for k in map(int, system_obj.get("orders", [2])):
+            # d >= 2 exceeds the cap by the power MAX_OPERATOR_DIM.bit_length()
+            # already; capping k there keeps the power small to compute
+            if d ** min(k, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
+                raise CapacityError(
+                    f"potential of order {k} has dimension {d}^{k}, "
+                    f"above the cap {MAX_OPERATOR_DIM}"
+                )
+        if seed_override is not None:
+            system_obj["seed"] = int(seed_override)
+    spec = decode_system(system_obj)
+
     times = [float(t) for t in obj["times"]]
     for t in times:
         if not isfinite(t) or abs(t) > MAX_TIME:

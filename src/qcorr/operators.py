@@ -260,6 +260,11 @@ def max_abs(op: ManyBodyOperator) -> float:
     return float(np.max(np.abs(op.matrix))) if op.matrix.size else 0.0
 
 
+def _conjugate_defect(op: ManyBodyOperator, perm: tuple[int, ...]) -> float:
+    """Largest entry of |P op P^dagger - op| for the particle permutation perm."""
+    return float(np.max(np.abs(_permute_axes(op, perm) - op.matrix)))
+
+
 def mb_symmetry_defect(op: ManyBodyOperator) -> float:
     """Largest deviation of op from any particle-permutation conjugate."""
     n = len(op.labels)
@@ -269,15 +274,29 @@ def mb_symmetry_defect(op: ManyBodyOperator) -> float:
     for perm in itertools.permutations(range(n)):
         if perm == tuple(range(n)):
             continue
-        diff = np.max(np.abs(_permute_axes(op, perm) - op.matrix))
-        worst = max(worst, float(diff))
+        worst = max(worst, _conjugate_defect(op, perm))
     return worst
 
 
 def check_mb_symmetry(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
-    """True iff op commutes with every particle-permutation conjugation."""
-    scale = max(1.0, max_abs(op))
-    return mb_symmetry_defect(op) <= tol * scale
+    """True iff op commutes with every particle-permutation conjugation.
+
+    Decides mb_symmetry_defect(op) <= tol * max(1, max_abs(op)), first from
+    the transpositions alone: every permutation is a product of at most
+    n - 1 transpositions, and conjugating by a permutation only moves
+    entries, so the defect of any permutation is at most n - 1 times the
+    largest transposition defect.
+    """
+    bound = tol * max(1.0, max_abs(op))
+    n = len(op.labels)
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        swaps.append(tuple(perm))
+    if all(_conjugate_defect(op, p) <= bound / (n - 1) for p in swaps):
+        return True
+    return mb_symmetry_defect(op) <= bound
 
 
 def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:

@@ -11,20 +11,32 @@ Conventions
 
 All dumps go through dumps_canonical so that reruns produce identical bytes.
 
-Fast paths for raw matrices
----------------------------
+Fast paths
+----------
 Documents are large only in their raw-matrix leaves, so both directions
 treat those leaves apart from the rest.
 
 * validate first checks, in one pass, which lists are raw matrices: non-empty
   lists of non-empty rows of two-element lists whose entries are exactly
   int or float.  Each such leaf is replaced by the stand-in [[[0.0, 0.0]]]
-  in a skeleton copy, and jsonschema validates only the skeleton.  This is
-  sound because no schema in ALL_SCHEMAS constrains a matrix-level array
-  beyond "minItems": 1 (tests pin this), so no schema can tell a valid leaf
-  from the stand-in: the skeleton is valid exactly when the document is.
-  A failing skeleton sends the original document to jsonschema, so the
-  error reported is the one jsonschema reports for the full document.
+  in a skeleton copy.  This is sound because no schema in ALL_SCHEMAS
+  constrains a matrix-level array beyond "minItems": 1 (tests pin this), so
+  no schema can tell a valid leaf from the stand-in: the skeleton is valid
+  exactly when the document is.
+* The skeleton is accepted by _conforms, a checker written here for the
+  keywords these schemas use and nothing else: type, properties, required,
+  additionalProperties, patternProperties, items, minItems, maxItems,
+  minProperties, maxProperties, enum (of strings), pattern, minimum, maximum,
+  exclusiveMinimum and oneOf, with Draft 2020-12 meaning and jsonschema's
+  default type checks (bool is no number, 1.0 is an integer).  Every
+  subschema must name a type or be a lone oneOf.  A schema outside that
+  subset makes _conforms give up, which it reports as "not accepted".
+* Only a document _conforms does not accept reaches jsonschema, imported at
+  that point: jsonschema validates the original document and its best_match
+  error is the one reported.  So jsonschema still decides every rejection
+  and words it, while accepting a document costs no jsonschema import and
+  no meta-schema check.  Tests check that _conforms agrees with jsonschema
+  and that every schema passes jsonschema's meta-schema.
 * dumps_canonical writes the text itself instead of going through json's
   pure-Python indenting encoder.  Its output is defined as, and tested equal
   to, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n":
@@ -37,12 +49,13 @@ treat those leaves apart from the rest.
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from itertools import chain
 from math import isfinite
+from numbers import Number
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .errors import SchemaViolation
@@ -266,19 +279,13 @@ _NUMBER_TYPES = {int, float}
 
 _MATRIX_STAND_IN = [[[0.0, 0.0]]]
 
-# id(schema) -> (schema, validator); the schema is kept so its id stays unique
-_VALIDATORS: dict[int, tuple] = {}
-
-
-def _validator(schema: dict):
-    hit = _VALIDATORS.get(id(schema))
-    if hit is not None and hit[0] is schema:
-        return hit[1]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    validator = cls(schema)
-    _VALIDATORS[id(schema)] = (schema, validator)
-    return validator
+# the schema keywords _conforms knows; any other makes it give up
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties",
+    "patternProperties", "items", "minItems", "maxItems", "minProperties",
+    "maxProperties", "enum", "pattern", "minimum", "maximum",
+    "exclusiveMinimum", "oneOf",
+})
 
 
 def _pair_row(row) -> tuple | None:
@@ -310,11 +317,103 @@ def _skeleton(x):
     return x
 
 
+class _Undecided(Exception):
+    """The schema uses something _conforms does not know."""
+
+
+def _is_type(x, kind: str) -> bool:
+    """jsonschema's Draft 2020-12 default type check."""
+    if kind == "object":
+        return isinstance(x, dict)
+    if kind == "array":
+        return isinstance(x, list)
+    if kind == "string":
+        return isinstance(x, str)
+    if kind == "boolean":
+        return isinstance(x, bool)
+    if kind == "null":
+        return x is None
+    if kind == "number":
+        return isinstance(x, Number) and not isinstance(x, bool)
+    if kind == "integer":
+        if isinstance(x, float):
+            return x.is_integer()
+        return isinstance(x, int) and not isinstance(x, bool)
+    raise _Undecided
+
+
+def _check(x, schema) -> bool:
+    """Whether x is valid under schema; raises _Undecided for a schema
+    outside the known subset, so that False always means "invalid"."""
+    if schema is True or schema is False:
+        return schema
+    if type(schema) is not dict or not schema.keys() <= _KEYWORDS:
+        raise _Undecided
+    if "type" in schema:
+        if not _is_type(x, schema["type"]):
+            return False
+    elif schema.keys() != {"oneOf"}:
+        raise _Undecided
+    if "oneOf" in schema and sum(_check(x, s) for s in schema["oneOf"]) != 1:
+        return False
+    if "enum" in schema:
+        if not all(type(v) is str for v in schema["enum"]):
+            raise _Undecided
+        if x not in schema["enum"]:
+            return False
+    # each keyword below applies only to its own instance type
+    if isinstance(x, dict):
+        if not (
+            schema.get("minProperties", 0)
+            <= len(x)
+            <= schema.get("maxProperties", len(x))
+        ):
+            return False
+        if any(k not in x for k in schema.get("required", ())):
+            return False
+        props = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
+        rest = schema.get("additionalProperties", True)
+        for k, v in x.items():
+            subs = [sub for p, sub in patterns.items() if re.search(p, k)]
+            if k in props:
+                subs.append(props[k])
+            if not all(_check(v, sub) for sub in subs or [rest]):
+                return False
+    elif isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            return False
+        items = schema.get("items", True)
+        return all(_check(v, items) for v in x)
+    elif isinstance(x, str):
+        if "pattern" in schema and not re.search(schema["pattern"], x):
+            return False
+    elif _is_type(x, "number"):
+        if "minimum" in schema and x < schema["minimum"]:
+            return False
+        if "maximum" in schema and x > schema["maximum"]:
+            return False
+        if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
+            return False
+    return True
+
+
+def _conforms(instance, schema) -> bool:
+    """True when instance is valid under schema.  False when it is not, or
+    when schema uses a keyword or a form outside the subset _check knows."""
+    try:
+        return _check(instance, schema)
+    except _Undecided:
+        return False
+
+
 def validate(obj: Any, schema: dict, what: str = "document") -> None:
     """Validate obj against schema, raising SchemaViolation on failure."""
-    validator = _validator(schema)
-    if validator.is_valid(_skeleton(obj)):
+    if _conforms(_skeleton(obj), schema):
         return
+    import jsonschema
+
+    validator = jsonschema.validators.validator_for(schema)(schema)
     exc = jsonschema.exceptions.best_match(validator.iter_errors(obj))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)
@@ -431,6 +530,11 @@ def encode_operator(op: ManyBodyOperator) -> dict:
 
 def decode_operator(obj: dict) -> ManyBodyOperator:
     validate(obj, OPERATOR_SCHEMA, "operator")
+    return _decode_operator(obj)
+
+
+def _decode_operator(obj: dict) -> ManyBodyOperator:
+    """decode_operator for an obj already validated against OPERATOR_SCHEMA."""
     labels = ParticleSet.of(obj["labels"])
     d = int(obj["dim_single"])
     m = decode_raw_matrix(obj["matrix"])
@@ -464,6 +568,11 @@ def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
 
 def decode_sequence(obj: dict) -> OperatorSequence:
     validate(obj, SEQUENCE_SCHEMA, "sequence")
+    return _decode_sequence(obj)
+
+
+def _decode_sequence(obj: dict) -> OperatorSequence:
+    """decode_sequence for an obj already validated against SEQUENCE_SCHEMA."""
     d = int(obj["dim_single"])
     n_max = int(obj["n_max"])
     rows = obj["components"]

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import qcorr
 from qcorr.bbgky import (
     marginal_state_from_density,
     reduce_from_density,
@@ -19,7 +20,13 @@ from qcorr.hierarchy import DensityState, cluster_expand
 from qcorr.operators import ManyBodyOperator, relabel, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import chaos_one_particle
-from qcorr.serialize import REPORT_SCHEMA, decode_raw_matrix, encode_operator, validate
+from qcorr.serialize import (
+    ALL_SCHEMAS,
+    REPORT_SCHEMA,
+    decode_raw_matrix,
+    encode_operator,
+    validate,
+)
 from qcorr.verify import SUITE_NAMES
 
 # small scenario: every value chosen so a full run stays under a second
@@ -164,6 +171,72 @@ def test_capacity_guards_exit_3(tmp_path, capsys):
     code, _ = _run(tmp_path, sc, "too-long")
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "system, n_max",
+    [
+        # total dimension 40^2 = 1600 above 256
+        ({"preset": "random_hermitian", "seed": 1, "dim_single": 40}, 2),
+        # a potential of dimension 2^11 = 2048 above the operator cap 1024
+        ({"preset": "random_hermitian", "seed": 1, "orders": [11]}, 2),
+    ],
+)
+def test_capacity_checked_before_the_system_is_built(
+    tmp_path, capsys, monkeypatch, system, n_max
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_system called before the capacity check")
+
+    monkeypatch.setattr("qcorr.presets.random_system", refuse)
+    sc = dict(BASE_SCENARIO, system=system, n_max=n_max, s_values=[1])
+    code, out = _run(tmp_path, sc, "too-wide")
+    assert code == 3
+    assert not out.exists()
+    assert "capacity guard" in capsys.readouterr().err
+
+
+# imports the CLI, runs it on argv, then reports on stderr whether
+# jsonschema was ever imported
+_PROBE = (
+    "import sys\n"
+    "from qcorr.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('jsonschema imported:', 'jsonschema' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _probe(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcorr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+        env=env,
+    )
+
+
+def test_accepting_input_never_imports_jsonschema(tmp_path):
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    proc = _probe("run", "--scenario", path, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("jsonschema imported: False\n")
+
+    proc = _probe("schema", "--print")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout).keys() == ALL_SCHEMAS.keys()
+    assert proc.stderr.endswith("jsonschema imported: False\n")
+
+    bad = json.loads(json.dumps(BASE_SCENARIO))
+    bad["tasks"] = ["simulate"]
+    path = _write_scenario(tmp_path, bad, "bad.json")
+    proc = _probe("run", "--scenario", path, "--out", str(tmp_path / "bad-out"))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "schema violation: scenario at 'tasks/0': 'simulate' does not match "
+        "'^(evolve|hierarchy|chaos|bbgky|iterate|observables|verify:[a-z-]+)$'\n"
+        "jsonschema imported: True\n"
+    )
 
 
 def test_non_hermitian_observable_exits_2(tmp_path, capsys):

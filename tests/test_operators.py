@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bruteforce import naive_embed, naive_kron, naive_partial_trace
 from qcorr.errors import CapacityError
 from qcorr.operators import (
+    TAU_HERM,
     ManyBodyOperator,
     check_mb_symmetry,
     identity_operator,
@@ -178,6 +179,43 @@ def test_symmetry_defect_detects_asymmetry():
     prod = tensor_product([a, b])
     assert mb_symmetry_defect(prod) > 1e-3
     assert not check_mb_symmetry(prod)
+
+
+def _slot_pair_operator(values):
+    """A 3-qubit operator whose entry at slot pairs (p1, p2, p3) is
+    values[(p1, p2, p3)], a slot pair being a (row bit, column bit)."""
+    m = np.zeros((8, 8), dtype=complex)
+    for pairs, v in values.items():
+        row = sum(r << (2 - i) for i, (r, _) in enumerate(pairs))
+        col = sum(c << (2 - i) for i, (_, c) in enumerate(pairs))
+        m[row, col] = v
+    return ManyBodyOperator(ParticleSet.range1(3), 2, m)
+
+
+def _three_cycle_operator(t):
+    """Transposition defects t, 3-cycle defect 2t: on the orbit of three
+    distinct slot pairs, the even arrangements hold 0, 2t, t and the odd
+    ones t, so the bound (n - 1) * max transposition defect is attained."""
+    a, b, c = (0, 0), (0, 1), (1, 0)
+    even = {(a, b, c): 0.0, (b, c, a): 2 * t, (c, a, b): t}
+    odd = {(b, a, c): t, (a, c, b): t, (c, b, a): t}
+    return _slot_pair_operator({**even, **odd})
+
+
+def test_symmetry_check_keeps_the_exact_decision():
+    tol = TAU_HERM
+    for t, symmetric in [(0.45 * tol, True), (0.55 * tol, False)]:
+        op = _three_cycle_operator(t)
+        assert mb_symmetry_defect(op) == 2 * t
+        assert check_mb_symmetry(op) is symmetric
+    # one off-orbit entry: every transposition moves it, so each defect is
+    # the entry itself, above tol / 2; the exact defect decides
+    for eps, symmetric in [(0.9 * tol, True), (1.1 * tol, False)]:
+        op = _slot_pair_operator({((0, 0), (0, 1), (1, 0)): eps})
+        assert check_mb_symmetry(op) is symmetric
+    sym = symmetrize(rand_op(29, [1, 2, 3, 4]))
+    assert check_mb_symmetry(sym)
+    assert not check_mb_symmetry(rand_op(30, [1, 2, 3, 4]))
 
 
 def test_hermiticity_and_spectrum_helpers():

@@ -14,6 +14,7 @@ from qcorr.operators import ManyBodyOperator
 from qcorr.partitions import ParticleSet
 from qcorr.presets import random_correlation_state, random_system, rng_from_seed
 from qcorr.serialize import (
+    _KEYWORDS,
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
     SEQUENCE_SCHEMA,
@@ -30,6 +31,7 @@ from qcorr.serialize import (
     encode_system,
     validate,
 )
+from qcorr.serialize import _conforms
 from qcorr.star_algebra import OperatorSequence
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -530,3 +532,220 @@ def test_schema_registry_names():
         "quadrature",
         "report",
     }
+
+
+def test_every_schema_passes_the_meta_schema():
+    for schema in ALL_SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+# ---------------------------------------------------------------------------
+# the built-in checker against jsonschema
+
+_M2 = [[[1.0, 0.0], [0.5, -0.5]], [[0.5, 0.5], [2.0, 0.0]]]
+_M4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+
+
+def _full_scenario(explicit):
+    """A valid scenario that sets every optional field."""
+    if explicit:
+        system = {"dim_single": 2, "hbar": 1.0, "one_body": _M2,
+                  "potentials": {"2": _M4}}
+        initial = {"density": {"kind": "density", "dim_single": 2, "n_max": 2,
+                               "scalar0": [1.0, 0.0], "components": [_M2, None]}}
+    else:
+        system = {"preset": "random_hermitian", "seed": 1, "orders": [2, 3],
+                  "dim_single": 2, "hbar": 0.5, "scale": 1.0}
+        initial = {"preset": {"preset": "random_correlation", "seed": 2,
+                              "norms": [0.3, 0.2], "trace_scale": 0.8,
+                              "traceless": False, "symmetric": True}}
+    return {
+        "system": system,
+        "initial": initial,
+        "times": [0.1, 0.2],
+        "tasks": ["evolve", "verify:group-law"],
+        "n_max": 2,
+        "s_values": [1],
+        "quadrature": {"order": 2, "nodes_per_dim": 6,
+                       "rule": "gauss-legendre-simplex"},
+        "observable": _M2,
+        "tolerances": {"tol_scale": 1.0},
+        "output": {"path": "out", "format": "json"},
+    }
+
+
+def _report():
+    return {"suite": "group-law", "passed": True, "checks": [
+        {"name": "c", "law": "l", "residual": 1e-16, "tolerance": 1e-10,
+         "pass": True}]}
+
+
+_SCENARIO_PATHS = [
+    ("times",), ("times", 0), ("tasks",), ("tasks", 0), ("tasks", 1),
+    ("n_max",), ("s_values",), ("s_values", 0), ("quadrature",),
+    ("quadrature", "order"), ("quadrature", "nodes_per_dim"),
+    ("quadrature", "rule"), ("quadrature", "extra"), ("tolerances",),
+    ("tolerances", "tol_scale"), ("tolerances", "other"), ("output",),
+    ("output", "path"), ("output", "format"), ("output", "extra"),
+    ("system",), ("system", "seed"), ("system", "orders"),
+    ("system", "orders", 0), ("system", "dim_single"), ("system", "hbar"),
+    ("system", "scale"), ("system", "preset"), ("system", "extra"),
+    ("system", "potentials"), ("system", "potentials", "1"),
+    ("system", "potentials", "2"), ("system", "potentials", "10"),
+    ("initial",), ("initial", "extra"), ("initial", "chaos"),
+    ("initial", "preset", "preset"), ("initial", "preset", "seed"),
+    ("initial", "preset", "norms"), ("initial", "preset", "norms", 0),
+    ("initial", "preset", "trace_scale"), ("initial", "preset", "traceless"),
+    ("initial", "density", "kind"), ("initial", "density", "n_max"),
+    ("initial", "density", "scalar0"), ("initial", "density", "components", 1),
+    ("initial", "density", "extra"), ("extra",),
+]
+_REPORT_PATHS = [
+    ("suite",), ("passed",), ("checks",), ("checks", 0),
+    ("checks", 0, "residual"), ("checks", 0, "pass"), ("checks", 0, "name"),
+    ("extra",),
+]
+_MUTATIONS = [
+    True, False, 1.0, 2, np.float64(2.0), np.float64(0.5), 2**80, 0, -1,
+    -0.0, -2.5, 0.5, 1e-300, None, [], {}, [1.0], [0.5, 1.0], "evolve",
+    "evolve\n", "verify:group-law", "verify:", "simulate", "json",
+    "random_hermitian", _M2, _M4,
+]
+_DELETE = object()
+
+
+def _mutate(doc, path, value):
+    """Set the entry at path to value, or remove it for _DELETE; a path that
+    no longer leads anywhere leaves doc as it is."""
+    *parents, key = path
+    try:
+        holder = doc
+        for p in parents:
+            holder = holder[p]
+        if value is _DELETE:
+            del holder[key]
+        else:
+            holder[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def _nodes(x):
+    yield x
+    children = x.values() if isinstance(x, dict) else x if isinstance(x, list) else ()
+    for child in children:
+        yield from _nodes(child)
+
+
+_JSONSCHEMA = {
+    name: jsonschema.validators.validator_for(s)(s) for name, s in ALL_SCHEMAS.items()
+}
+
+
+def _base(kind):
+    doc = _report() if kind == "report" else _full_scenario(kind == "explicit")
+    return json.loads(json.dumps(doc))
+
+
+def _paths(kind):
+    return _REPORT_PATHS if kind == "report" else _SCENARIO_PATHS
+
+
+def _agrees(doc, name):
+    """_conforms and jsonschema give doc the same verdict under ALL_SCHEMAS[name]."""
+    return _conforms(doc, ALL_SCHEMAS[name]) == _JSONSCHEMA[name].is_valid(doc)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["explicit", "preset", "report"]), st.data())
+def test_conforms_agrees_with_jsonschema(kind, data):
+    doc = _base(kind)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(_paths(kind)))
+        _mutate(doc, path, data.draw(st.sampled_from(_MUTATIONS + [_DELETE])))
+    for node in _nodes(doc):
+        for name in ALL_SCHEMAS:
+            assert _agrees(node, name), (name, node)
+    if kind != "report":
+        assert _validate_outcome(doc, SCENARIO_SCHEMA, "scenario") == (
+            _jsonschema_outcome(doc, SCENARIO_SCHEMA, "scenario")
+        )
+
+
+def test_conforms_agrees_with_jsonschema_on_every_single_mutation():
+    for kind in ("explicit", "preset", "report"):
+        name = "report" if kind == "report" else "scenario"
+        for path in _paths(kind):
+            for value in _MUTATIONS + [_DELETE]:
+                doc = _base(kind)
+                _mutate(doc, path, value)
+                assert _agrees(doc, name), (path, value)
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "integer"}, True),
+        ({"type": "number"}, False),
+        ({"type": "integer"}, 2.0),
+        ({"type": "integer"}, np.float64(2.0)),
+        ({"type": "integer"}, 2.5),
+        ({"type": "integer"}, 2**80),
+        ({"type": "number"}, np.float64(0.5)),
+        ({"type": "number", "minimum": 0}, -0.0),
+        ({"type": "number", "exclusiveMinimum": 0}, -0.0),
+        ({"type": "number", "maximum": 3}, 2**80),
+        ({"type": "string", "pattern": "b"}, "abc"),
+        ({"type": "string", "pattern": "^a$"}, "a\n"),
+        ({"type": "object", "patternProperties": {"b": {"type": "null"}},
+          "additionalProperties": False}, {"ab": None}),
+        ({"type": "object", "patternProperties": {"b": {"type": "null"}},
+          "additionalProperties": False}, {"ab": 1}),
+        ({"type": "object", "properties": {"a": {"type": "null"}},
+          "additionalProperties": {"type": "integer"}}, {"a": None, "b": 1}),
+        ({"type": "object", "properties": {"a": {"type": "null"}},
+          "additionalProperties": {"type": "integer"}}, {"b": None}),
+        ({"type": "object", "properties": {"ab": {"type": "null"}},
+          "patternProperties": {"a": {"type": "null"}}}, {"ab": None}),
+        ({"type": "object", "properties": {"ab": {"type": "null"}},
+          "patternProperties": {"a": {"type": "integer"}}}, {"ab": None}),
+        ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 4),
+        ({"oneOf": [{"type": "integer"}, {"type": "number"}]}, 4.5),
+        ({"type": "array", "items": {"type": "null"}, "maxItems": 1}, [None] * 2),
+        ({"type": "object", "minProperties": 1}, {}),
+        ({"type": "string", "enum": ["a"]}, "b"),
+    ],
+)
+def test_conforms_follows_draft_2020_12(schema, instance):
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    assert _conforms(instance, schema) == validator.is_valid(instance)
+
+
+def test_conforms_knows_exactly_the_pinned_keywords():
+    assert _KEYWORDS == {
+        "type", "properties", "required", "additionalProperties",
+        "patternProperties", "items", "minItems", "maxItems", "minProperties",
+        "maxProperties", "enum", "pattern", "minimum", "maximum",
+        "exclusiveMinimum", "oneOf",
+    }
+
+
+@pytest.mark.parametrize(
+    "schema, instance",
+    [
+        ({"type": "integer", "multipleOf": 2}, 4),  # unknown keyword
+        ({"minimum": 1}, 4),  # no type
+        ({"type": ["integer", "null"]}, 4),  # a list of types
+        ({"type": "integer", "enum": [4]}, 4),  # an enum of non-strings
+        ({"type": "array", "prefixItems": [{"type": "string"}]}, [4]),
+        # exactly one branch is known to hold, but the other holds as well
+        ({"oneOf": [{"type": "integer"}, {"type": "integer", "multipleOf": 2}]}, 4),
+        ({"type": "object", "properties": {"a": {"const": 4}}}, {"a": 4}),
+    ],
+)
+def test_conforms_defers_outside_its_subset(schema, instance):
+    assert not _conforms(instance, schema)
+    # jsonschema decides instead, whatever its verdict
+    assert _validate_outcome(instance, schema, "doc") == _jsonschema_outcome(
+        instance, schema, "doc"
+    )
