@@ -1,9 +1,10 @@
 """The coupled evolution of correlation operators, checked against brute force.
 
-The solver writes component n at time t as a partition sum of cumulants
-applied to products of initial components.  The oracle takes the long way:
-expand correlations into density components, conjugate each with its own
-propagator, invert the cluster expansion.  The two must agree to rounding.
+The solver expands the correlations into density components, conjugates
+each with its own propagator and inverts the cluster expansion, with Exp
+and Ln by the first-block recursion.  The oracle takes the literal route:
+the same evolution between Exp and Ln written out as partition sums.  The
+two must agree to rounding.
 """
 
 from qcorr.hierarchy import (
@@ -19,7 +20,7 @@ from qcorr.star_algebra import seq_residual
 spec = random_system(31, dim_single=2, orders=(2, 3))
 g0 = random_correlation_state(32, 2, 3, norms=0.5)
 
-print("solver vs density oracle, componentwise trace-norm residuals:")
+print("solver vs literal oracle, componentwise trace-norm residuals:")
 for t in (0.1, 0.5, 1.0, 2.0):
     gt = solve_hierarchy(spec, g0, t)
     oracle = solve_via_density_oracle(spec, g0, t)

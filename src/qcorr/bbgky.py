@@ -34,7 +34,7 @@ from .hierarchy import (
     DensityState,
     chaos_data,
     cluster_expand,
-    solve_via_density_oracle,
+    solve_hierarchy,
 )
 from .operators import ManyBodyOperator, partial_trace, tensor_embed
 from .partitions import ParticleSet
@@ -320,7 +320,7 @@ def correlation_chaos_expansion(
     Term n of the paper's cumulant expansion is chaos component s+n traced
     with weight 1/n!.
     """
-    sol = solve_via_density_oracle(spec, chaos_data(g1_0, n_max), t)
+    sol = solve_hierarchy(spec, chaos_data(g1_0, n_max), t)
     return correlation_from_g(sol, s)
 
 
@@ -350,21 +350,18 @@ def additive_dispersion(a1: np.ndarray, f: MarginalState) -> float:
     return float((one + two).real)
 
 
-def additive_observable_moment(
-    d: DensityState, a1: np.ndarray, power: int
-) -> float:
-    """Moment of the additive observable straight from the density sequence.
+def additive_observable_moments(d: DensityState, a1: np.ndarray) -> tuple[float, float]:
+    """First and second moments of the additive observable, from the density.
 
-    The observable on n particles is (sum_i a(i))^power; the average is the
-    normalized weighted sum of traces against the density components.
+    The observable on n particles is A_n = sum_i a(i); each moment is the
+    normalized 1/n!-weighted sum of Tr(A_n^power D_n).  Both come from the
+    one product A_n D_n: its trace, and its pairing with A_n.
     """
-    if power not in (1, 2):
-        raise ValueError("only first and second moments are supported")
     seq = d.seq
     dim = seq.dim_single
     a = np.asarray(a1, dtype=complex)
     z = require_normalizable(annihilation_scalar(seq))
-    total = 0.0 + 0.0j
+    first = second = 0.0 + 0.0j
     for n in range(1, seq.n_max + 1):
         if not seq.has(n):
             continue
@@ -375,6 +372,16 @@ def additive_observable_moment(
                 ManyBodyOperator(ParticleSet((i,)), dim, a), ground
             ).matrix
             a_n = emb if a_n is None else a_n + emb
-        obs = a_n if power == 1 else a_n @ a_n
-        total += np.trace(obs @ seq.components[n].matrix) / factorial(n)
-    return float((total / z).real)
+        ad = a_n @ seq.components[n].matrix
+        first += np.trace(ad) / factorial(n)
+        second += np.sum(a_n.T * ad) / factorial(n)
+    return float((first / z).real), float((second / z).real)
+
+
+def additive_observable_moment(
+    d: DensityState, a1: np.ndarray, power: int
+) -> float:
+    """Moment ``power`` (1 or 2) of :func:`additive_observable_moments`."""
+    if power not in (1, 2):
+        raise ValueError("only first and second moments are supported")
+    return additive_observable_moments(d, a1)[power - 1]

@@ -26,8 +26,7 @@ import numpy as np
 from . import __version__
 from .bbgky import (
     QuadratureSpec,
-    additive_dispersion,
-    additive_observable_moment,
+    additive_observable_moments,
     average_particle_number,
     marginal_state_from_density,
     solve_bbgky_cumulant,
@@ -43,7 +42,6 @@ from .hierarchy import (
     cluster_expand,
     cluster_invert,
     solve_hierarchy,
-    solve_via_density_oracle,
 )
 from .operators import (
     MAX_OPERATOR_DIM,
@@ -381,7 +379,7 @@ def _task_chaos(sc: Scenario, threads: int) -> dict:
     g0 = chaos_data(sc.initial, sc.n_max)
 
     def one(t: float) -> dict:
-        sol = solve_via_density_oracle(sc.spec, g0, t).seq
+        sol = solve_hierarchy(sc.spec, g0, t).seq
         comps = [encode_operator(sol.component(n)) for n in range(1, sc.n_max + 1)]
         return {"t": t, "components": comps}
 
@@ -450,17 +448,15 @@ def _task_observables(sc: Scenario, threads: int) -> dict:
 
     def one(t: float) -> dict:
         dt = DensityState(evolve_density_sequence(sc.spec, d0.seq, t))
-        f = marginal_state_from_density(dt)
-        rec = {
+        mean, second = additive_observable_moments(dt, sc.observable)
+        return {
             "t": t,
-            "mean_particle_number": average_particle_number(f),
-            "observable_mean": additive_observable_moment(dt, sc.observable, 1),
+            "mean_particle_number": average_particle_number(
+                marginal_state_from_density(dt)
+            ),
+            "observable_mean": mean,
+            "observable_dispersion": second - mean * mean,
         }
-        if f.seq.has(2):
-            rec["observable_dispersion"] = additive_dispersion(sc.observable, f)
-        else:
-            rec["observable_dispersion"] = None
-        return rec
 
     return {
         "task": "observables",

@@ -3,33 +3,25 @@
 The density sequence D and the correlation sequence g determine each other
 through sums over set partitions, D = Exp(g) and g = Ln(D) under the star
 product, both evaluated by the first-block recursion of
-:mod:`qcorr.star_algebra`.  Time evolution closes on the correlation side.
-The paper's solution formula,
+:mod:`qcorr.star_algebra`.  Time evolution closes on the density side: each
+component D_n evolves under its own n-particle propagator, so the paper's
+solution formula,
 
     g_n(t) = sum over partitions P of (1..n) of
              (cumulant over the blocks of P at time t)(product of g_|B|),
 
-is regrouped here by the coarse partition Q that each cumulant term's
-blocks merge into.  Every term with the same Q carries the same Mobius
-weight and the same blockwise propagator, and the g-products under one Q
-add up to the product of density components D = cluster_expand(g):
-
-    g_n(t) = sum over Q of
-             mu(|Q|) U_Q(t) [product over C in Q of D_|C|(C)] U_Q(t)^*,
-
-with mu(k) = (-1)^(k-1) (k-1)! and U_Q the tensor product of the
-propagators of Q's blocks: one blockwise conjugation per partition of
-(1..n).  At t = 0 the solver returns g itself, not the round-off image
-cluster_invert(cluster_expand(g)).  The literal per-partition cumulant sum
+is computed as g(t) = Ln(U(t) Exp(g) U(t)^*), one conjugation per particle
+number (:func:`solve_hierarchy`).  At t = 0 the solver returns g itself,
+not the round-off image Ln(Exp(g)).  The literal per-partition cumulant sum
 is kept as a reference route in :mod:`qcorr.verify`.
 
-Everything here is verifiable against one ground truth, exposed as
-:func:`solve_via_density_oracle`: expand the initial correlations to a
-density sequence, conjugate each component with its propagator, and invert
-back.  The direct solution must agree with that path to round-off.
+:func:`solve_via_density_oracle` is the literal route to the same answer:
+Exp and Ln as the paper's partition sums (:func:`literal_cluster_transform`)
+around the same componentwise evolution.  It shares only the propagator
+with the solver, which the group-law checks compare with numpy.
 
 The chaos solution (:func:`solve_chaos`), the nth-order cumulant on the
-n-fold product of g_1, is that path on the product data (g_1, 0, 0, ...).
+n-fold product of g_1, is the solver on the product data (g_1, 0, 0, ...).
 """
 
 from __future__ import annotations
@@ -40,12 +32,7 @@ from math import exp, factorial
 import numpy as np
 
 from .cumulants import FD_STEP, scattering_cumulant_apply
-from .evolution import (
-    evolve_density_sequence,
-    group_apply,
-    group_apply_on_subsets,
-    make_unitary_group,
-)
+from .evolution import evolve_density_sequence, group_apply, make_unitary_group
 from .hamiltonian import (
     SystemSpec,
     build_hamiltonian,
@@ -116,36 +103,39 @@ def solve_hierarchy(
 ) -> CorrelationState:
     """Correlation sequence at time t from initial data g0.
 
-    Component n is the regrouped solution formula
-
-        g_n(t) = sum over partitions Q of (1..n) of
-                 mu(|Q|) U_Q(t) [product over C in Q of D_|C|(C)] U_Q(t)^*
-
-    with D = cluster_expand(g0) and U_Q the blockwise propagator of Q: one
-    conjugation per partition.  At t = 0 this returns g0 itself, exactly.
+    Expand to the density sequence, conjugate each component with its
+    propagator, invert: Ln(U(t) Exp(g0) U(t)^*), n_max conjugations.  At
+    t = 0 this returns g0 itself, exactly.
     """
     if t == 0.0:
         return g0
-    d0 = cluster_expand(g0).seq
+    dt = evolve_density_sequence(spec, cluster_expand(g0).seq, t)
+    return cluster_invert(DensityState(dt))
 
-    def conjugated(blocks: ClusterSet) -> ManyBodyOperator | None:
-        product = seq_block_product(d0, blocks)
-        if product is None:
-            return None
-        return group_apply_on_subsets(spec, t, blocks, product)
 
-    comps = _componentwise(d0, conjugated, signed=True)
-    seq = OperatorSequence(g0.seq.dim_single, g0.seq.n_max, 0.0, comps)
-    return CorrelationState(seq)
+def literal_cluster_transform(seq: OperatorSequence, signed: bool) -> OperatorSequence:
+    """The reference route for Exp(seq), or for Ln(seq) when ``signed``.
+
+    Component n sums, over the partitions of (1..n), the product of seq's
+    block components, weighted by the Mobius coefficient when ``signed``;
+    it is absent when no partition has all its blocks in seq.
+    """
+    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed)
+    scalar = 0.0 if signed else 1.0
+    return OperatorSequence(seq.dim_single, seq.n_max, scalar, comps)
 
 
 def solve_via_density_oracle(
     spec: SystemSpec, g0: CorrelationState, t: float
 ) -> CorrelationState:
-    """Ground-truth path: expand to densities, evolve each, invert back."""
-    d0 = cluster_expand(g0)
-    dt = evolve_density_sequence(spec, d0.seq, t)
-    return cluster_invert(DensityState(dt))
+    """Literal route: partition-sum Exp, evolve each component, partition-sum Ln.
+
+    Independent of the star recursion behind :func:`solve_hierarchy`; the
+    two share only :func:`qcorr.evolution.evolve_density_sequence`.
+    """
+    d0 = literal_cluster_transform(g0.seq, signed=False)
+    dt = evolve_density_sequence(spec, d0, t)
+    return CorrelationState(literal_cluster_transform(dt, signed=True))
 
 
 def chaos_data(g1_0: ManyBodyOperator, n_max: int) -> CorrelationState:
@@ -162,9 +152,9 @@ def solve_chaos(
     """Correlation component n for initial data with independent particles.
 
     The nth-order cumulant applied to the n-fold product of the one-particle
-    component: component n of the oracle solution on :func:`chaos_data`.
+    component: component n of the solution on :func:`chaos_data`.
     """
-    return solve_via_density_oracle(spec, chaos_data(g1_0, n), t).seq.component(n)
+    return solve_hierarchy(spec, chaos_data(g1_0, n), t).seq.component(n)
 
 
 def solve_chaos_scattering_form(

@@ -260,6 +260,13 @@ def max_abs(op: ManyBodyOperator) -> float:
     return float(np.max(np.abs(op.matrix))) if op.matrix.size else 0.0
 
 
+def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
+    """The permutation of range(n) that swaps i and j."""
+    perm = list(range(n))
+    perm[i], perm[j] = j, i
+    return tuple(perm)
+
+
 def _conjugate_defect(op: ManyBodyOperator, perm: tuple[int, ...]) -> float:
     """Largest entry of |P op P^dagger - op| for the particle permutation perm."""
     return float(np.max(np.abs(_permute_axes(op, perm) - op.matrix)))
@@ -289,25 +296,29 @@ def check_mb_symmetry(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
     """
     bound = tol * max(1.0, max_abs(op))
     n = len(op.labels)
-    swaps = []
-    for i, j in itertools.combinations(range(n), 2):
-        perm = list(range(n))
-        perm[i], perm[j] = j, i
-        swaps.append(tuple(perm))
+    swaps = [_transposition(n, i, j) for i, j in itertools.combinations(range(n), 2)]
     if all(_conjugate_defect(op, p) <= bound / (n - 1) for p in swaps):
         return True
     return mb_symmetry_defect(op) <= bound
 
 
 def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:
-    """Average of op over all particle-permutation conjugations."""
+    """Average of op over all particle-permutation conjugations.
+
+    The sum over S_n is the product over m = 2..n of the coset sums
+    e + sum_{j<m} (j m) of S_m over S_{m-1}, applied in turn: n(n-1)/2
+    transposition conjugations in place of n! permutations.
+    """
     n = len(op.labels)
     if n <= 1:
         return op
-    acc = np.zeros_like(op.matrix)
-    for perm in itertools.permutations(range(n)):
-        acc = acc + _permute_axes(op, perm)
-    return ManyBodyOperator(op.labels, op.dim_single, acc / factorial(n))
+    acc = op
+    for m in range(1, n):
+        total = acc.matrix
+        for j in range(m):
+            total = total + _permute_axes(acc, _transposition(n, j, m))
+        acc = ManyBodyOperator(op.labels, op.dim_single, total)
+    return ManyBodyOperator(op.labels, op.dim_single, acc.matrix / factorial(n))
 
 
 def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:

@@ -58,6 +58,7 @@ from .hierarchy import (
     chaos_data,
     cluster_expand,
     DensityState,
+    literal_cluster_transform,
     nonlinear_generator,
     solve_chaos,
     solve_chaos_scattering_form,
@@ -364,7 +365,8 @@ def literal_cumulant_solution(
 
     Component n sums, over partitions P of (1..n), the cumulant over P's
     blocks at time t applied to the product of initial blocks g_|B|: one
-    full cumulant per partition, where solve_hierarchy regroups them.
+    full cumulant per partition, where solve_hierarchy evolves the density
+    components once each.
     """
     seq = g0.seq
 
@@ -395,8 +397,8 @@ def _suite_oracle() -> list[Check]:
     checks = [
         Check(
             f"seed-{k}",
-            "the regrouped solver and the literal partition sum of "
-            "cumulants both equal expand, evolve componentwise, invert",
+            "the solver and the literal partition sum of cumulants both "
+            "equal partition-sum Exp, evolve componentwise, partition-sum Ln",
             1e-9,
             make_seeded(k),
         )
@@ -598,18 +600,6 @@ def _suite_generators() -> list[Check]:
 
 # ---------------------------------------------------------------------------
 # star-lemmas
-
-
-def literal_cluster_transform(seq: OperatorSequence, signed: bool) -> OperatorSequence:
-    """The reference route for Exp(seq), or for Ln(seq) when ``signed``.
-
-    Component n sums, over the partitions of (1..n), the product of seq's
-    block components, weighted by the Mobius coefficient when ``signed``;
-    it is absent when no partition has all its blocks in seq.
-    """
-    comps = _componentwise(seq, lambda b: seq_block_product(seq, b), signed)
-    scalar = 0.0 if signed else 1.0
-    return OperatorSequence(seq.dim_single, seq.n_max, scalar, comps)
 
 
 def _suite_star_lemmas() -> list[Check]:

@@ -5,26 +5,31 @@ import os
 import shutil
 import subprocess
 import sys
+from math import factorial
 
+import numpy as np
 import pytest
 
 import qcorr
+from bruteforce import naive_embed
 from qcorr.bbgky import (
+    additive_dispersion,
     marginal_state_from_density,
     reduce_from_density,
     solve_bbgky_cumulant,
 )
 from qcorr.cli import load_scenario, main
 from qcorr.evolution import evolve_density_sequence
-from qcorr.hierarchy import DensityState, cluster_expand
+from qcorr.hierarchy import DensityState, chaos_data, cluster_expand
 from qcorr.operators import ManyBodyOperator, relabel, trace_norm
 from qcorr.partitions import ParticleSet
-from qcorr.presets import chaos_one_particle
+from qcorr.presets import chaos_one_particle, random_hermitian, rng_from_seed
 from qcorr.serialize import (
     ALL_SCHEMAS,
     REPORT_SCHEMA,
     decode_raw_matrix,
     encode_operator,
+    encode_raw_matrix,
     validate,
 )
 from qcorr.verify import SUITE_NAMES
@@ -441,6 +446,67 @@ def test_chaos_data_on_another_label_serves_every_task(tmp_path, capsys):
         b = decode_raw_matrix(state["components"][0])
         one = ParticleSet.range1(1)
         assert trace_norm(ManyBodyOperator(one, 2, a - b)) <= 1e-12
+    capsys.readouterr()
+
+
+def test_chaos_task_at_time_zero_returns_the_data(tmp_path, capsys):
+    g1 = chaos_one_particle(32, 2, norm=0.8)
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc.update(initial={"chaos": encode_operator(g1)}, times=[0.0], n_max=3)
+    sc["tasks"] = ["chaos"]
+    code, out = _run(tmp_path, sc, "chaos-zero")
+    assert code == 0
+    (sol,) = json.loads((out / "chaos.json").read_text())["solutions"]
+    data = chaos_data(g1, 3).seq
+    for n, comp in enumerate(sol["components"], start=1):
+        got = decode_raw_matrix(comp["matrix"])
+        assert np.array_equal(got, data.component(n).matrix)
+    capsys.readouterr()
+
+
+def _direct_moments(dt, a):
+    """Normalized first and second moments of sum_i a(i), by index loops."""
+    z = 1.0 + 0.0j
+    m1 = m2 = 0.0 + 0.0j
+    for n, op in dt.seq.components.items():
+        a_n = sum(naive_embed(a, [i], n, 2) for i in range(n))
+        z += np.trace(op.matrix) / factorial(n)
+        m1 += np.trace(a_n @ op.matrix) / factorial(n)
+        m2 += np.trace(a_n @ a_n @ op.matrix) / factorial(n)
+    return (m1 / z).real, (m2 / z).real
+
+
+def test_observables_are_density_moments_on_non_symmetric_data(tmp_path, capsys):
+    a = random_hermitian(rng_from_seed(41), 2)
+    sc = dict(ASYMMETRIC_SCENARIO, times=[0.0, 0.3], tasks=["observables"])
+    sc["observable"] = encode_raw_matrix(a)
+    code, out = _run(tmp_path, sc, "asym-observables")
+    assert code == 0
+    records = json.loads((out / "observables.json").read_text())["records"]
+    loaded = load_scenario(sc)
+    d0 = cluster_expand(loaded.initial)
+    for t, rec in zip(sc["times"], records, strict=True):
+        dt = DensityState(evolve_density_sequence(loaded.spec, d0.seq, t))
+        m1, m2 = _direct_moments(dt, a)
+        assert abs(rec["observable_mean"] - m1) < 1e-12
+        assert abs(rec["observable_dispersion"] - (m2 - m1 * m1)) < 1e-12
+        # F_1 and F_2 do not stand for every particle and pair on these data
+        marginal = additive_dispersion(a, marginal_state_from_density(dt))
+        assert abs(marginal - (m2 - m1 * m1)) > 1e-3
+    capsys.readouterr()
+
+
+def test_one_particle_cutoff_still_has_a_dispersion(tmp_path, capsys):
+    # n_max = 1 and the identity observable: the particle number is 0 or 1,
+    # so its variance is p (1 - p) with p the mean, no pair marginal needed
+    initial = {"preset": {"preset": "random_density", "seed": 12, "trace_scale": 0.5}}
+    sc = dict(BASE_SCENARIO, initial=initial, n_max=1, tasks=["observables"])
+    del sc["s_values"]
+    code, out = _run(tmp_path, sc, "one-particle-observables")
+    assert code == 0
+    for rec in json.loads((out / "observables.json").read_text())["records"]:
+        p = rec["observable_mean"]
+        assert abs(rec["observable_dispersion"] - p * (1 - p)) < 1e-15
     capsys.readouterr()
 
 

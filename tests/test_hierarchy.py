@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from bruteforce import naive_partitions
+from qcorr import hierarchy
 from qcorr.evolution import group_apply, make_unitary_group
 from qcorr.hierarchy import (
     CorrelationState,
@@ -9,6 +12,7 @@ from qcorr.hierarchy import (
     chaos_data,
     cluster_expand,
     cluster_invert,
+    literal_cluster_transform,
     nonlinear_generator,
     solve_chaos,
     solve_chaos_scattering_form,
@@ -33,7 +37,7 @@ from qcorr.presets import (
     rng_from_seed,
 )
 from qcorr.star_algebra import OperatorSequence, seq_residual
-from qcorr.verify import literal_cluster_transform, literal_cumulant_solution
+from qcorr.verify import literal_cumulant_solution
 
 TOL = 1e-12
 
@@ -119,9 +123,58 @@ def test_regrouped_solution_equals_literal_cumulant_sum(d):
     spec = random_system(133, dim_single=d, orders=(2, 3))
     g = random_correlation_state(134, d, 4, norms=0.5)
     for t in (0.3, 1.1):
-        regrouped = solve_hierarchy(spec, g, t)
+        solved = solve_hierarchy(spec, g, t)
         literal = literal_cumulant_solution(spec, g, t)
-        assert seq_residual(regrouped.seq, literal.seq) <= 1e-12
+        assert seq_residual(solved.seq, literal.seq) <= 1e-12
+
+
+def _perturbed(transform, bump):
+    """transform with ``bump`` added to component 1 of its result."""
+
+    def wrapped(seq, *args, **kwargs):
+        out = transform(seq, *args, **kwargs)
+        comps = dict(out.components)
+        comps[1] = comps[1] + bump
+        return OperatorSequence(out.dim_single, out.n_max, out.scalar0, comps)
+
+    return wrapped
+
+
+def test_oracle_shares_no_star_recursion_with_the_solver(spec2, monkeypatch):
+    g = gstate(155)
+    t = 0.6
+    solved = solve_hierarchy(spec2, g, t).seq
+    oracle = solve_via_density_oracle(spec2, g, t).seq
+    bump = random_operator(rng_from_seed(156), ParticleSet.range1(1), 2) * 1e-7
+    monkeypatch.setattr(hierarchy, "star_exp", _perturbed(hierarchy.star_exp, bump))
+    monkeypatch.setattr(hierarchy, "star_ln", _perturbed(hierarchy.star_ln, bump))
+    moved = solve_hierarchy(spec2, g, t).seq
+    still = solve_via_density_oracle(spec2, g, t).seq
+    assert still.components.keys() == oracle.components.keys()
+    for n, op in oracle.components.items():
+        assert np.array_equal(still.components[n].matrix, op.matrix)
+    assert seq_residual(moved, solved) > 1e-8
+
+
+def test_one_conjugation_per_particle_number(spec2, monkeypatch):
+    g = gstate(157, n_max=4)
+    calls = {"group_apply": 0, "group_apply_on_subsets": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    # every qcorr module that binds either name, so no import route escapes
+    modules = [m for key, m in sys.modules.items() if key.startswith("qcorr.")]
+    for name in calls:
+        for module in modules:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
+    solve_hierarchy(spec2, g, 0.7)
+    assert calls == {"group_apply": 4, "group_apply_on_subsets": 0}
 
 
 def test_cluster_transforms_equal_star_series():

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +27,7 @@ from qcorr.operators import (
     zero_operator,
 )
 from qcorr.partitions import ParticleSet
-from qcorr.presets import random_operator, rng_from_seed
+from qcorr.presets import random_operator, random_system, rng_from_seed
 
 TOL = 1e-12
 
@@ -171,6 +174,23 @@ def test_symmetrize_projects_onto_symmetric_operators():
     assert mb_symmetry_defect(sym) <= 1e-12
     again = symmetrize(sym)
     assert np.allclose(sym.matrix, again.matrix, atol=TOL)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_symmetrize_equals_the_explicit_permutation_sum(d):
+    op = rand_op(31, [1, 2, 3, 4], d=d)
+    perms = list(itertools.permutations(range(4)))
+    want = sum(permute_particles(op, p).matrix for p in perms) / len(perms)
+    got = symmetrize(op).matrix
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_high_order_preset_potential_is_quick():
+    # order 8 at d = 2 has 8! = 40320 permutations but 28 transpositions
+    start = time.process_time()
+    spec = random_system(1, dim_single=2, orders=(8,))
+    assert time.process_time() - start < 5.0
+    assert check_mb_symmetry(ManyBodyOperator(ParticleSet.range1(8), 2, spec.potentials[8]))
 
 
 def test_symmetry_defect_detects_asymmetry():
