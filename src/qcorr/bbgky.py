@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .evolution import group_apply, make_unitary_group, unitary_matrix
+from .evolution import _conjugate, group_apply, make_unitary_group
 from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
@@ -154,18 +154,14 @@ def solve_bbgky_cumulant(
 def _embedded_group_conj(
     spec: SystemSpec, full: ParticleSet, sub_n: int, tau: float, x: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Conjugate x by the propagator of the first sub_n particles.
+    """Conjugate x by the propagator of its labels ``full`` (= 1..sub_n).
 
-    The propagator is extended by identities to the labels ``full``; the
-    iteration series passes x's own labels, so nothing is embedded.
+    Kept with five arguments because the benchmark's layer tracer wraps
+    this name to count the iteration series' lower-level conjugations.
     """
-    if tau == 0.0:
-        return x
-    sub = ParticleSet.range1(sub_n)
-    ug = make_unitary_group(spec, sub)
-    u = ManyBodyOperator(sub, spec.dim_single, unitary_matrix(ug, tau))
-    w = tensor_embed(u, full).matrix
-    return ManyBodyOperator(full, x.dim_single, w @ x.matrix @ w.conj().T)
+    if sub_n != len(full):
+        raise ValueError(f"the propagator of {sub_n} particles does not act on {full}")
+    return _conjugate(make_unitary_group(spec, full), tau, x)
 
 
 def _pair_potential_sums(
@@ -261,7 +257,9 @@ def solve_bbgky_iteration(
     generator -(i/hbar)[V_m, .].  F_{s+n} is moved into the eigenbasis of
     H_{s+n} once per term, so the top propagator is a phase there; each
     Tr_m uses only the m-diagonal blocks of the commutator and follows it
-    at once (see :func:`_iteration_integrand`).
+    at once (see :func:`_iteration_integrand`).  Only this top level
+    conjugates outside evolution's kernel: V^* F V serves every node for
+    two D^3 products each, against the kernel's three.
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")

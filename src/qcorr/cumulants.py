@@ -51,9 +51,10 @@ def cumulant_apply(
     spec: SystemSpec, t: float, clusters: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
     """Apply the cumulant over the clusters at time t to f."""
-    if clusters.union != f.labels:
+    if clusters.union != f.labels or f.dim_single != spec.dim_single:
         raise ValueError(
-            f"clusters cover {clusters.union} but operand lives on {f.labels}"
+            f"clusters cover {clusters.union} with d = {spec.dim_single} but the "
+            f"operand lives on {f.labels} with d = {f.dim_single}"
         )
     if len(clusters) >= 2 and t == 0.0:
         return zero_operator(f.labels, f.dim_single)
@@ -102,12 +103,9 @@ def cumulant_generator_fd(
 def scattering_operator_apply(
     spec: SystemSpec, t: float, labels: ParticleSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Conjugate f with the scattering unitary on the labels."""
-    if f.labels != labels or f.dim_single != spec.dim_single:
-        raise ValueError(f"operand on {f.labels} does not match labels {labels}")
-    if t == 0.0:
-        return f
-    return scattering_cumulant_apply(spec, t, ClusterSet((labels,)), f)
+    """Conjugate f with the scattering unitary U_L(t) (x)_{k in L} U_k(-t)."""
+    free_back = group_apply_on_subsets(spec, -t, ClusterSet.singletons(labels), f)
+    return group_apply_on_subsets(spec, t, ClusterSet((labels,)), free_back)
 
 
 def scattering_cumulant_apply(
@@ -146,8 +144,6 @@ def recover_group_from_cumulants(
     """
     if len(labels) > 4:
         raise CapacityError("group recovery supported for up to 4 particles")
-    if f.labels != labels:
-        raise ValueError(f"operand on {f.labels} does not match {labels}")
     acc = np.zeros_like(f.matrix)
     for p in enumerate_partitions(labels):
         per_block = [enumerate_partitions(block) for block in p]

@@ -99,11 +99,6 @@ def _require_hermitian(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be Hermitian, deviation {dev * c}")
 
 
-def free_spec(spec: SystemSpec) -> SystemSpec:
-    """The same system with every interaction switched off."""
-    return SystemSpec(spec.dim_single, spec.one_body, {}, spec.hbar)
-
-
 def _add_potentials(
     spec: SystemSpec, labels: ParticleSet, total: ManyBodyOperator
 ) -> ManyBodyOperator:

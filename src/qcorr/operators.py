@@ -337,12 +337,6 @@ def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
     return float(dev), float(np.hypot(np.linalg.norm(re), np.linalg.norm(im))), scale
 
 
-def is_hermitian(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
-    """True iff ||op - op^dagger||_F <= tol max(1, ||op||_F), overflow-free."""
-    dev, norm, c = scaled_hermitian_defect(op.matrix)
-    return dev <= tol * max(1.0 / c, norm)
-
-
 def min_eigenvalue(op: ManyBodyOperator) -> float:
     herm = (op.matrix + op.matrix.conj().T) / 2
     return float(np.linalg.eigvalsh(herm)[0])

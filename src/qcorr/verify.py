@@ -66,6 +66,7 @@ from .hierarchy import (
     solve_via_density_oracle,
     verify_group_property,
     verify_growth_bound,
+    weak_solution_check,
 )
 from .operators import (
     ManyBodyOperator,
@@ -86,6 +87,7 @@ from .presets import (
     random_correlation_state,
     random_density_state,
     random_hermitian,
+    random_operator,
     random_sequence,
     random_system,
     free_system,
@@ -525,6 +527,7 @@ def _suite_group_property() -> list[Check]:
 
 def _suite_generators() -> list[Check]:
     spec = random_system(808, dim_single=2, orders=(2, 3), scale=0.25)
+    g0 = random_correlation_state(825, 2, 3, norms=0.5)
     h = 1e-4
 
     def group_generator():
@@ -537,7 +540,6 @@ def _suite_generators() -> list[Check]:
         return trace_norm(fd - liouvillian_apply(ham, f, spec.hbar))
 
     def hierarchy_generator():
-        g0 = random_correlation_state(825, 2, 3, norms=0.5)
         fd = _fd_sequence(lambda step: solve_hierarchy(spec, g0, step), h)
         gen = nonlinear_generator(spec, g0).seq
         return seq_residual(fd, gen)
@@ -565,6 +567,11 @@ def _suite_generators() -> list[Check]:
             - scattering_operator_apply(spec, -h, labels, f)
         ) * (1.0 / (2 * h))
         return trace_norm(fd - scattering_generator_expected(spec, f))
+
+    def weak_form():
+        rng = rng_from_seed(855)
+        phis = [random_operator(rng, ParticleSet.range1(n), 2) for n in (2, 3)]
+        return max(weak_solution_check(spec, phi, g0, 0.4) for phi in phis)
 
     return [
         Check(
@@ -594,6 +601,13 @@ def _suite_generators() -> list[Check]:
             "interaction-only commutator generator",
             5e-7,
             scattering_generator,
+        ),
+        Check(
+            "weak-form",
+            "the time derivative of Tr(phi g_n(t)) at t=0.4 matches the "
+            "adjoint generators paired with the solution, n = 2 and 3",
+            2e-10,
+            weak_form,
         ),
     ]
 

@@ -32,7 +32,7 @@ from qcorr.bbgky import (
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
-from qcorr.bbgky import _traced_commutator
+from qcorr.bbgky import _embedded_group_conj, _traced_commutator
 from qcorr.errors import NormalizationError
 from qcorr.evolution import evolve_density_sequence
 from qcorr.hierarchy import (
@@ -531,3 +531,12 @@ def test_observable_validation():
     d = random_density_state(358, 2, 2)
     with pytest.raises(ValueError):
         additive_observable_moment(d, np.eye(2), 3)
+
+
+def test_embedded_group_conj_refuses_a_propagator_of_other_size(spec_pair):
+    full = ParticleSet.range1(2)
+    x = ManyBodyOperator(full, 2, np.eye(4))
+    with pytest.raises(ValueError, match="3 particles"):
+        _embedded_group_conj(spec_pair, full, 3, 0.2, x)
+    with pytest.raises(ValueError, match="1 particles"):
+        _embedded_group_conj(spec_pair, full, 1, 0.0, x)

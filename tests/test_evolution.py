@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from bruteforce import expm_series, naive_kron
+from bruteforce import expm_series, naive_hamiltonian, naive_kron
+from qcorr import bbgky, evolution
+from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import (
+    _family_group,
     evolve_density_sequence,
     group_apply,
     group_apply_on_subsets,
@@ -12,7 +15,13 @@ from qcorr.evolution import (
 from qcorr.hamiltonian import build_hamiltonian, liouvillian_apply
 from qcorr.operators import trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, random_sequence, rng_from_seed
+from qcorr.presets import (
+    random_density_state,
+    random_operator,
+    random_sequence,
+    random_system,
+    rng_from_seed,
+)
 
 TOL = 1e-11
 
@@ -124,6 +133,76 @@ def test_blockwise_free_system_equals_full_group(spec_free):
     a = group_apply_on_subsets(spec_free, 1.2, ClusterSet.singletons([1, 2, 3]), f)
     b = group_apply(make_unitary_group(spec_free, f.labels), 1.2, f)
     assert np.allclose(a.matrix, b.matrix, atol=TOL)
+
+
+@pytest.mark.parametrize(
+    "d,blocks", [(3, [[1, 3], [2]]), (2, [[1, 4], [2, 3]])], ids=["d3-13-2", "d2-14-23"]
+)
+def test_interleaved_block_family_is_product_of_block_exponentials(d, blocks):
+    # guards the label order of the family's Kronecker-sum eigenvalues
+    spec = random_system(seed=51, dim_single=d, orders=(2, 3))
+    family = ClusterSet.of(blocks)
+    n = len(family.union)
+    f = random_operator(rng_from_seed(52), family.union, d, hermitian=False)
+    t = 0.7
+    u = np.eye(d**n, dtype=complex)
+    for block in family:
+        slots = [label - 1 for label in block]
+        h = naive_hamiltonian(spec.one_body, spec.potentials, slots, n, d)
+        u = u @ expm_series(-1j * t / spec.hbar * h)
+    got = group_apply_on_subsets(spec, t, family, f)
+    assert np.abs(got.matrix - u @ f.matrix @ u.conj().T).max() <= 1e-12
+
+
+def test_block_family_group_is_cached_without_its_own_eigh(monkeypatch):
+    spec = random_system(seed=53, dim_single=2, orders=(2, 3))
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape[0])
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    blocks = ClusterSet.of([[1, 3], [2]])
+    first = _family_group(spec, blocks.elements)
+    assert sorted(calls) == [2, 4]  # the blocks {2} and {1,3}, nothing on {1,2,3}
+    assert _family_group(spec, blocks.elements) is first
+    assert len(calls) == 2
+    assert first.labels == ParticleSet.range1(3)
+
+
+def test_operand_dimension_mismatch_names_both_dimensions(spec2):
+    labels = ParticleSet.range1(2)
+    f3 = random_operator(rng_from_seed(54), labels, 3)
+    ug = make_unitary_group(spec2, labels)
+    match = "d = 2 .* d = 3"
+    for t in (0.0, 0.3):
+        with pytest.raises(ValueError, match=match):
+            group_apply(ug, t, f3)
+        with pytest.raises(ValueError, match=match):
+            group_apply_on_subsets(spec2, t, ClusterSet.singletons([1, 2]), f3)
+        with pytest.raises(ValueError, match=match):
+            cumulant_apply(spec2, t, ClusterSet.singletons([1, 2]), f3)
+
+
+def test_blockwise_and_iteration_conjugate_through_the_kernel(monkeypatch, spec_pair):
+    # labels of every operand the public group_apply receives
+    seen = []
+
+    def counting(ug, t, f):
+        seen.append(f.labels)
+        return evolution._conjugate(ug, t, f)
+
+    for module in (evolution, bbgky):
+        monkeypatch.setattr(module, "group_apply", counting)
+    f = rand_op(55, [1, 2, 3], herm=False)
+    group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 3], [2]]), f)
+    group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 2, 3]]), f)
+    assert seen == []
+    f0 = bbgky.marginal_state_from_density(random_density_state(56, 2, 3))
+    bbgky.solve_bbgky_iteration(spec_pair, f0, 1, 0.3, bbgky.QuadratureSpec(2, 4))
+    assert seen == [ParticleSet.range1(1)]
 
 
 def test_evolve_density_sequence_componentwise(spec2):

@@ -13,13 +13,13 @@ from qcorr.operators import (
     ManyBodyOperator,
     check_mb_symmetry,
     identity_operator,
-    is_hermitian,
     max_abs,
     mb_symmetry_defect,
     min_eigenvalue,
     partial_trace,
     permute_particles,
     relabel,
+    scaled_hermitian_defect,
     symmetrize,
     tensor_embed,
     tensor_product,
@@ -241,19 +241,21 @@ def test_symmetry_check_keeps_the_exact_decision():
 def test_hermiticity_and_spectrum_helpers():
     h = rand_op(28, [1, 2])
     h = (h + h.dagger()) * 0.5
-    assert is_hermitian(h)
-    assert not is_hermitian(h + 1j * identity_operator(h.labels, 2))
+    assert scaled_hermitian_defect(h.matrix)[0] <= 1e-15
+    shifted = h + 1j * identity_operator(h.labels, 2)
+    assert scaled_hermitian_defect(shifted.matrix)[0] > TAU_HERM
     lo = min_eigenvalue(h)
     assert abs(lo - np.linalg.eigvalsh(h.matrix)[0]) <= 1e-12
 
 
-def test_is_hermitian_on_huge_entries():
+def test_hermitian_defect_on_huge_entries():
     # a plain Frobenius norm of these entries overflows (a RuntimeWarning,
     # an error under the test settings); the scaled norms do not
-    one = ParticleSet.range1(1)
-    assert is_hermitian(ManyBodyOperator(one, 2, np.diag([1e200, 1e200])))
+    dev, norm, c = scaled_hermitian_defect(np.diag([1e200, 1e200]).astype(complex))
+    assert (dev, c) == (0.0, 1e200) and norm == pytest.approx(np.sqrt(2.0))
     skew = np.array([[0, 1e200], [-1e200, 0]], dtype=complex)
-    assert not is_hermitian(ManyBodyOperator(one, 2, skew))
+    dev, norm, c = scaled_hermitian_defect(skew)
+    assert dev == pytest.approx(np.sqrt(8.0)) and dev > TAU_HERM * norm
 
 
 def test_zero_and_identity_builders():
