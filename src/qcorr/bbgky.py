@@ -36,7 +36,7 @@ from .hierarchy import (
     cluster_expand,
     solve_hierarchy,
 )
-from .operators import ManyBodyOperator, partial_trace, tensor_embed
+from .operators import ManyBodyOperator, embed_sum, partial_trace
 from .partitions import ParticleSet
 from .star_algebra import (
     OperatorSequence,
@@ -169,12 +169,10 @@ def _pair_potential_sums(
 ) -> dict[int, np.ndarray]:
     """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for m = s+1..s+depth."""
     d, phi2 = spec.dim_single, spec.potentials[2]
-    out = {}
-    for m in range(s + 1, s + depth + 1):
-        ground = ParticleSet.range1(m)
-        pairs = (ManyBodyOperator(ParticleSet((i, m)), d, phi2) for i in range(1, m))
-        out[m] = sum(tensor_embed(pair, ground).matrix for pair in pairs)
-    return out
+    return {
+        m: embed_sum([((i, m), phi2) for i in range(1, m)], ParticleSet.range1(m), d)
+        for m in range(s + 1, s + depth + 1)
+    }
 
 
 def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.ndarray:
@@ -364,12 +362,7 @@ def additive_observable_moments(d: DensityState, a1: np.ndarray) -> tuple[float,
         if not seq.has(n):
             continue
         ground = ParticleSet.range1(n)
-        a_n = None
-        for i in ground:
-            emb = tensor_embed(
-                ManyBodyOperator(ParticleSet((i,)), dim, a), ground
-            ).matrix
-            a_n = emb if a_n is None else a_n + emb
+        a_n = embed_sum([((i,), a) for i in ground], ground, dim)
         ad = a_n @ seq.components[n].matrix
         first += np.trace(ad) / factorial(n)
         second += np.sum(a_n.T * ad) / factorial(n)

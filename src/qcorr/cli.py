@@ -240,8 +240,6 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
         a = np.eye(spec.dim_single, dtype=complex)
 
     tol_scale = float(obj.get("tolerances", {}).get("tol_scale", 1.0))
-    if tol_scale <= 0:
-        raise SchemaViolation("tolerances.tol_scale must be positive")
 
     tasks: list[str] = []
     for t in obj["tasks"]:
@@ -520,17 +518,28 @@ def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON literal {name} is not allowed")
 
 
+def _path_error(what: str, path: str, exc: OSError) -> int:
+    print(f"{what} {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, parse_constant=_reject_constant)
+    try:
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        return _path_error("cannot read scenario", args.scenario, exc)
     sc = load_scenario(obj, seed_override=args.seed)
     files, exit_code = run_scenario(sc, threads=args.threads)
 
     out_dir = args.out or sc.output.get("path") or "qcorr-out"
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in sorted(files.items()):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in sorted(files.items()):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        return _path_error("cannot write output", exc.filename or out_dir, exc)
     print(f"wrote {len(files)} files to {out_dir}")
     return exit_code
 
@@ -597,9 +606,6 @@ def main(argv=None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

@@ -28,9 +28,8 @@ import numpy as np
 from .operators import (
     ManyBodyOperator,
     check_mb_symmetry,
+    embed_sum,
     scaled_hermitian_defect,
-    tensor_embed,
-    zero_operator,
 )
 from .partitions import (
     ClusterSet,
@@ -99,15 +98,13 @@ def _require_hermitian(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be Hermitian, deviation {dev * c}")
 
 
-def _add_potentials(
-    spec: SystemSpec, labels: ParticleSet, total: ManyBodyOperator
-) -> ManyBodyOperator:
-    """total plus every k-body potential embedded on each k-subset of labels."""
-    for k, phi in spec.potentials.items():
-        for combo in itertools.combinations(labels.labels, k):
-            term = ManyBodyOperator(ParticleSet(combo), spec.dim_single, phi)
-            total = total + tensor_embed(term, labels)
-    return total
+def _potential_terms(spec: SystemSpec, labels: ParticleSet) -> list:
+    """(k-subset, Phi^(k)) for every declared order k and k-subset of labels."""
+    return [
+        (combo, phi)
+        for k, phi in spec.potentials.items()
+        for combo in itertools.combinations(labels.labels, k)
+    ]
 
 
 def build_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
@@ -115,11 +112,8 @@ def build_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator
     if len(labels) < 1:
         raise ValueError("a Hamiltonian needs at least one particle")
     d = spec.dim_single
-    total = zero_operator(labels, d)
-    for i in labels:
-        one = ManyBodyOperator(ParticleSet((i,)), d, spec.one_body)
-        total = total + tensor_embed(one, labels)
-    return _add_potentials(spec, labels, total)
+    terms = [((i,), spec.one_body) for i in labels] + _potential_terms(spec, labels)
+    return ManyBodyOperator(labels, d, embed_sum(terms, labels, d))
 
 
 def _commutator_generator(
@@ -154,8 +148,7 @@ def interaction_liouvillian_apply(
         raise ValueError(
             f"potential shape {phi.shape} does not fit cluster {cluster} (need {dim})"
         )
-    emb = tensor_embed(ManyBodyOperator(cluster, d, phi), f.labels)
-    return _commutator_generator(emb.matrix, f, hbar)
+    return _commutator_generator(embed_sum([(cluster, phi)], f.labels, d), f, hbar)
 
 
 def cluster_interaction_apply(
@@ -175,20 +168,15 @@ def cluster_interaction_apply(
         raise ValueError(
             f"blocks cover {blocks.union} but the operand lives on {f.labels}"
         )
-    d = f.dim_single
-    v = np.zeros_like(f.matrix)
-    choices = [enumerate_nonempty_subsets(b) for b in blocks]
-    for combo in itertools.product(*choices):
-        order = sum(len(z) for z in combo)
-        phi = spec.potentials.get(order)
-        if phi is None:
-            continue
-        union = ParticleSet.of(itertools.chain(*(z.labels for z in combo)))
-        emb = tensor_embed(ManyBodyOperator(union, d, phi), f.labels)
-        v = v + emb.matrix
-    return _commutator_generator(v, f, spec.hbar)
+    terms = []
+    for combo in itertools.product(*(enumerate_nonempty_subsets(b) for b in blocks)):
+        phi = spec.potentials.get(sum(len(z) for z in combo))
+        if phi is not None:
+            terms.append((sorted(itertools.chain(*combo)), phi))
+    return _commutator_generator(embed_sum(terms, f.labels, f.dim_single), f, spec.hbar)
 
 
 def interaction_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
     """The interaction part of H alone: sum of all embedded potentials."""
-    return _add_potentials(spec, labels, zero_operator(labels, spec.dim_single))
+    d = spec.dim_single
+    return ManyBodyOperator(labels, d, embed_sum(_potential_terms(spec, labels), labels, d))

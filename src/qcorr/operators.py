@@ -7,18 +7,27 @@ label order: the smallest label is the most significant digit.
 
 The module provides the plumbing every formula downstream is built from:
 embedding into larger label sets, products over disjoint supports, partial
-traces, trace norms, and permutation-symmetry checks.  Embeddings and
-symmetry checks are done with axis permutations of the reshaped tensor, so
-no d^{2n} x d^{2n} permutation matrices are ever materialized.
+traces, trace norms, and permutation-symmetry checks.
+
+The slot convention lives in one place.  :func:`_permute_slots` moves the
+row and column slots of a matrix alike, by an axis permutation of the
+reshaped tensor, so no d^{2n} x d^{2n} permutation matrix is ever
+materialized.  :func:`embed_sum` krons each local term with an identity and
+moves it into label order with that helper; every embedding and every sum
+of local terms (Hamiltonians, interaction generators, additive observables)
+goes through it.  :func:`tensor_product`, :func:`permute_particles`,
+:func:`symmetrize` and the symmetry checks use the helper too.
+:func:`partial_trace` stays on ``np.einsum`` with integer sublists, where a
+traced slot's column axis is its row axis: routing it through the helper
+would make a transposed copy first, several times slower than the einsum.
 """
 
 from __future__ import annotations
 
 import itertools
-import string
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,8 +39,6 @@ TAU_HERM = 1e-10
 # hard cap on a single operator's matrix dimension (d^n); 1024 covers every
 # desk-scale target (d<=4, n<=4 -> 256) plus deep sequence work at d=2
 MAX_OPERATOR_DIM = 1024
-
-_LETTERS = string.ascii_lowercase
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,24 +139,38 @@ def relabel(op: ManyBodyOperator, new_labels: ParticleSet) -> ManyBodyOperator:
     return ManyBodyOperator(new_labels, op.dim_single, op.matrix)
 
 
-def _as_tensor(op: ManyBodyOperator) -> np.ndarray:
-    n = len(op.labels)
-    d = op.dim_single
-    return op.matrix.reshape((d,) * (2 * n))
+def _permute_slots(m: np.ndarray, perm: Sequence[int], d: int) -> np.ndarray:
+    """m with its row and column slots rearranged alike.
 
-
-def _permute_axes(op: ManyBodyOperator, perm: tuple[int, ...]) -> np.ndarray:
-    """Matrix of op with row and column tensor axes rearranged by perm.
-
-    Output axis j takes input axis perm[j], applied identically to row and
-    column index groups.
+    Output slot j takes input slot perm[j]; the identity returns m itself.
     """
-    n = len(op.labels)
-    if n <= 1:
-        return op.matrix
-    t = _as_tensor(op)
-    full = tuple(perm) + tuple(n + p for p in perm)
-    return t.transpose(full).reshape(op.dim, op.dim)
+    perm = tuple(int(p) for p in perm)
+    n = len(perm)
+    if perm == tuple(range(n)):
+        return m
+    t = m.reshape((d,) * (2 * n))
+    return t.transpose(perm + tuple(n + p for p in perm)).reshape(m.shape)
+
+
+def embed_sum(
+    terms: Iterable[tuple[Sequence[int], np.ndarray]], target: ParticleSet, d: int
+) -> np.ndarray:
+    """Sum over (labels, m) terms of m extended by identities onto target.
+
+    m acts on the slots named by labels, in the order given.  Each term is
+    kron(m, 1) moved into the ascending label order of target, and the
+    terms are added in the order given.
+    """
+    dim = d ** len(target)
+    total = np.zeros((dim, dim), dtype=complex)
+    for labels, m in terms:
+        labels = tuple(labels)
+        rest = tuple(l for l in target if l not in labels)
+        if len(labels) + len(rest) != len(target):
+            raise ValueError(f"labels {labels} not contained in target {target}")
+        big = np.kron(m, np.eye(d ** len(rest), dtype=complex))
+        total += _permute_slots(big, np.argsort(labels + rest), d)
+    return total
 
 
 def permute_particles(op: ManyBodyOperator, perm: tuple[int, ...]) -> ManyBodyOperator:
@@ -161,63 +182,38 @@ def permute_particles(op: ManyBodyOperator, perm: tuple[int, ...]) -> ManyBodyOp
     n = len(op.labels)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of range({n})")
-    return ManyBodyOperator(op.labels, op.dim_single, _permute_axes(op, tuple(perm)))
+    return ManyBodyOperator(
+        op.labels, op.dim_single, _permute_slots(op.matrix, perm, op.dim_single)
+    )
 
 
 def tensor_product(ops: Iterable[ManyBodyOperator]) -> ManyBodyOperator:
     """Product of operators on pairwise disjoint label sets.
 
-    The result lives on the union of the labels with axes in ascending
-    label order, so it is independent of the order the factors are given.
+    The factors are kronned in the order given and the result moved once
+    into ascending label order.  A factor on no labels is a scalar.
     """
     ops = list(ops)
     if not ops:
         raise ValueError("tensor_product needs at least one factor")
     d = ops[0].dim_single
-    for op in ops:
-        if op.dim_single != d:
-            raise ValueError("mixed single-particle dimensions")
-    ordered = sorted(
-        (op for op in ops if len(op.labels) > 0),
-        key=lambda op: op.labels.labels[0],
-    )
-    scalars = [op for op in ops if len(op.labels) == 0]
-    scale = 1.0 + 0.0j
-    for s in scalars:
-        scale = scale * s.matrix[0, 0]
-    if not ordered:
-        return ManyBodyOperator(ParticleSet(()), d, np.array([[scale]]))
-
-    seen: set[int] = set()
-    for op in ordered:
-        if seen & set(op.labels.labels):
-            raise ValueError("tensor_product factors must have disjoint labels")
-        seen |= set(op.labels.labels)
-
-    big = ordered[0].matrix
-    cur: list[int] = list(ordered[0].labels)
-    for op in ordered[1:]:
+    if any(op.dim_single != d for op in ops):
+        raise ValueError("mixed single-particle dimensions")
+    labels = tuple(l for op in ops for l in op.labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("tensor_product factors must have disjoint labels")
+    big = ops[0].matrix
+    for op in ops[1:]:
         big = np.kron(big, op.matrix)
-        cur.extend(op.labels)
-    target = sorted(cur)
-    n = len(target)
-    if cur != target:
-        perm = tuple(cur.index(l) for l in target)
-        t = big.reshape((d,) * (2 * n))
-        big = t.transpose(perm + tuple(n + p for p in perm)).reshape(d**n, d**n)
-    if scale != 1.0 + 0.0j:
-        big = big * scale
-    return ManyBodyOperator(ParticleSet(tuple(target)), d, big)
+    return ManyBodyOperator(
+        ParticleSet.of(labels), d, _permute_slots(big, np.argsort(labels), d)
+    )
 
 
 def tensor_embed(op: ManyBodyOperator, target: ParticleSet) -> ManyBodyOperator:
     """Extend op by identity factors so it acts on the labels of target."""
-    if not op.labels.issubset(target):
-        raise ValueError(f"labels {op.labels} not contained in target {target}")
-    extra = target.difference(op.labels)
-    if len(extra) == 0:
-        return op
-    return tensor_product([op, identity_operator(extra, op.dim_single)])
+    d = op.dim_single
+    return ManyBodyOperator(target, d, embed_sum([(op.labels, op.matrix)], target, d))
 
 
 def partial_trace(op: ManyBodyOperator, traced: ParticleSet) -> ManyBodyOperator:
@@ -228,23 +224,13 @@ def partial_trace(op: ManyBodyOperator, traced: ParticleSet) -> ManyBodyOperator
         return op
     d = op.dim_single
     n = len(op.labels)
-    row: dict[int, str] = {}
-    col: dict[int, str] = {}
-    nxt = 0
-    for l in op.labels:
-        if l in traced:
-            row[l] = col[l] = _LETTERS[nxt]
-            nxt += 1
-        else:
-            row[l] = _LETTERS[nxt]
-            col[l] = _LETTERS[nxt + 1]
-            nxt += 2
-    kept = op.labels.difference(traced)
-    sub = "".join(row[l] for l in op.labels) + "".join(col[l] for l in op.labels)
-    out = "".join(row[l] for l in kept) + "".join(col[l] for l in kept)
-    res = np.einsum(f"{sub}->{out}", _as_tensor(op))
+    # row axis i, column axis n + i; a traced slot's column axis is its row axis
+    cols = [i if l in traced else n + i for i, l in enumerate(op.labels)]
+    kept = [i for i, l in enumerate(op.labels) if l not in traced]
+    t = op.matrix.reshape((d,) * (2 * n))
+    res = np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept])
     m = d ** len(kept)
-    return ManyBodyOperator(kept, d, np.asarray(res).reshape(m, m))
+    return ManyBodyOperator(op.labels.difference(traced), d, res.reshape(m, m))
 
 
 def trace_norm(op: ManyBodyOperator) -> float:
@@ -269,7 +255,8 @@ def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
 
 def _conjugate_defect(op: ManyBodyOperator, perm: tuple[int, ...]) -> float:
     """Largest entry of |P op P^dagger - op| for the particle permutation perm."""
-    return float(np.max(np.abs(_permute_axes(op, perm) - op.matrix)))
+    moved = _permute_slots(op.matrix, perm, op.dim_single)
+    return float(np.max(np.abs(moved - op.matrix)))
 
 
 def mb_symmetry_defect(op: ManyBodyOperator) -> float:
@@ -312,13 +299,13 @@ def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:
     n = len(op.labels)
     if n <= 1:
         return op
-    acc = op
+    acc = op.matrix
     for m in range(1, n):
-        total = acc.matrix
+        total = acc
         for j in range(m):
-            total = total + _permute_axes(acc, _transposition(n, j, m))
-        acc = ManyBodyOperator(op.labels, op.dim_single, total)
-    return ManyBodyOperator(op.labels, op.dim_single, acc.matrix / factorial(n))
+            total = total + _permute_slots(acc, _transposition(n, j, m), op.dim_single)
+        acc = total
+    return ManyBodyOperator(op.labels, op.dim_single, acc / factorial(n))
 
 
 def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:

@@ -164,11 +164,7 @@ def random_sequence(
     ).seq
 
 
-def chaos_one_particle(
-    seed: int, dim_single: int, norm: float = 1.0, hermitian: bool = True
-) -> ManyBodyOperator:
+def chaos_one_particle(seed: int, dim_single: int, norm: float = 1.0) -> ManyBodyOperator:
     """Seeded one-particle component for independent initial data."""
     rng = rng_from_seed(seed)
-    return random_operator(
-        rng, ParticleSet.range1(1), dim_single, norm=norm, hermitian=hermitian
-    )
+    return random_operator(rng, ParticleSet.range1(1), dim_single, norm=norm)

@@ -164,6 +164,35 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_directory_as_scenario_exits_2(tmp_path, capsys):
+    code = main(["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read scenario {tmp_path}:")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    code = main(["run", "--scenario", path, "--out", str(taken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write output {taken}:")
+    assert len(err.splitlines()) == 1
+    assert taken.read_text() == "keep"
+
+
+def test_zero_tol_scale_is_a_schema_violation(tmp_path, capsys):
+    sc = dict(BASE_SCENARIO, tolerances={"tol_scale": 0})
+    code, out = _run(tmp_path, sc, "zero-tol")
+    assert code == 2
+    assert not out.exists()
+    assert "schema violation" in capsys.readouterr().err
+
+
 def test_capacity_guards_exit_3(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["n_max"] = 5

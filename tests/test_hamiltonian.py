@@ -12,7 +12,7 @@ from qcorr.hamiltonian import (
 )
 from qcorr.operators import ManyBodyOperator, scaled_hermitian_defect, tensor_embed
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, rng_from_seed
+from qcorr.presets import random_operator, random_system, rng_from_seed
 
 TOL = 1e-12
 
@@ -117,6 +117,17 @@ def test_cluster_interaction_couples_across_blocks_only(spec2):
     )
     v = full.matrix - inner.matrix
     want = (-1j / spec2.hbar) * (v @ f.matrix - f.matrix @ v)
+    assert np.allclose(got.matrix, want, atol=TOL)
+
+
+def test_cluster_interaction_on_interleaved_blocks_matches_naive():
+    # blocks {1,3} and {2} at d = 3: the pairs {1,2}, {2,3} and the triple
+    spec = random_system(seed=39, dim_single=3, orders=(2, 3))
+    f = rand_op(40, [1, 2, 3], d=3, herm=False)
+    got = cluster_interaction_apply(ClusterSet.of([[1, 3], [2]]), f, spec)
+    phi2, phi3 = spec.potentials[2], spec.potentials[3]
+    v = naive_embed(phi2, [0, 1], 3, 3) + naive_embed(phi2, [1, 2], 3, 3) + phi3
+    want = (-1j / spec.hbar) * (v @ f.matrix - f.matrix @ v)
     assert np.allclose(got.matrix, want, atol=TOL)
 
 

@@ -12,6 +12,7 @@ from qcorr.operators import (
     TAU_HERM,
     ManyBodyOperator,
     check_mb_symmetry,
+    embed_sum,
     identity_operator,
     max_abs,
     mb_symmetry_defect,
@@ -109,6 +110,68 @@ def test_tensor_embed_matches_naive():
     got = tensor_embed(op, target).matrix
     want = naive_embed(op.matrix, [1, 3], 4, 2)
     assert np.allclose(got, want, atol=TOL)
+
+
+def test_embed_sum_of_scattered_terms_matches_naive():
+    # d = 3, terms on {1,3}, {2} and {4} of (1..4), one of them twice
+    a = rand_op(40, [1, 3], d=3).matrix
+    b = rand_op(41, [2], d=3).matrix
+    c = rand_op(42, [4], d=3).matrix
+    terms = [((1, 3), a), ((2,), b), ((4,), c), ((2,), c)]
+    got = embed_sum(terms, ParticleSet.range1(4), 3)
+    want = sum(naive_embed(m, [l - 1 for l in labels], 4, 3) for labels, m in terms)
+    assert np.allclose(got, want, atol=TOL)
+
+
+def test_embed_sum_reads_slots_in_the_order_given():
+    op = rand_op(43, [1, 3], d=3)
+    got = embed_sum([((3, 1), op.matrix)], ParticleSet.range1(3), 3)
+    swapped = permute_particles(op, (1, 0)).matrix
+    assert np.allclose(got, naive_embed(swapped, [0, 2], 3, 3), atol=TOL)
+
+
+@pytest.mark.parametrize("labels", [(1, 5), (2, 2), (4,)])
+def test_embed_sum_rejects_labels_outside_the_target(labels):
+    m = np.eye(2 ** len(labels))
+    with pytest.raises(ValueError, match="not contained"):
+        embed_sum([(labels, m)], ParticleSet.of([1, 2, 3]), 2)
+
+
+def test_tensor_product_of_factors_out_of_label_order_at_d3():
+    a = rand_op(44, [3], d=3)
+    b = rand_op(45, [1, 4], d=3)
+    c = rand_op(46, [2], d=3)
+    got = tensor_product([a, b, c])
+    assert got.labels.labels == (1, 2, 3, 4)
+    want = (
+        naive_embed(a.matrix, [2], 4, 3)
+        @ naive_embed(b.matrix, [0, 3], 4, 3)
+        @ naive_embed(c.matrix, [1], 4, 3)
+    )
+    assert np.allclose(got.matrix, want, atol=TOL)
+
+    # a factor on no labels is a scalar, wherever it stands
+    z = 2.5 - 1.0j
+    scalar = ManyBodyOperator(ParticleSet(()), 3, np.array([[z]]))
+    scaled = tensor_product([a, scalar, b, c])
+    assert scaled.labels.labels == (1, 2, 3, 4)
+    assert np.allclose(scaled.matrix, z * want, atol=TOL)
+    only = tensor_product([scalar, scalar])
+    assert only.labels.labels == () and np.allclose(only.matrix, [[z * z]], atol=TOL)
+
+
+def test_partial_trace_of_non_contiguous_sets_at_d3():
+    op = rand_op(47, [1, 2, 3, 4], d=3)
+    for traced in [(1, 3), (2, 4), (1, 2, 4)]:
+        got = partial_trace(op, ParticleSet(traced))
+        assert got.labels == op.labels.difference(traced)
+        want = naive_partial_trace(op.matrix, 4, 3, [t - 1 for t in traced])
+        assert np.allclose(got.matrix, want, atol=TOL)
+    # labels that do not start at 1
+    op = rand_op(48, [2, 5, 7], d=3)
+    got = partial_trace(op, ParticleSet((2, 7)))
+    assert got.labels.labels == (5,)
+    assert np.allclose(got.matrix, naive_partial_trace(op.matrix, 3, 3, [0, 2]), atol=TOL)
 
 
 def test_partial_trace_matches_naive():

@@ -1,5 +1,6 @@
 """JSON codec roundtrips and schema rejection paths."""
 
+import copy
 import json
 import math
 
@@ -625,7 +626,7 @@ def _mutate(doc, path, value):
         if value is _DELETE:
             del holder[key]
         else:
-            holder[key] = value
+            holder[key] = copy.deepcopy(value)
     except (KeyError, IndexError, TypeError):
         pass
 
