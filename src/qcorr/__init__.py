@@ -6,195 +6,10 @@ and correlation pictures by partition sums, evolves them with exact
 eigendecomposed propagators, and reduces them to marginal operators and
 scalar observables.  Everything is verified against independent
 constructions at small dimension.
+
+Names are imported from their modules (``qcorr.partitions``,
+``qcorr.operators``, ...); the package itself binds only ``__version__``,
+so importing one module loads only what that module needs.
 """
 
 __version__ = "0.1.0"
-
-from .bbgky import (
-    MarginalState,
-    QuadratureSpec,
-    additive_dispersion,
-    additive_observable_moment,
-    additive_observable_moments,
-    average_particle_number,
-    correlation_chaos_expansion,
-    correlation_from_g,
-    correlation_from_marginals,
-    marginal_state_from_density,
-    reduce_from_correlations,
-    reduce_from_density,
-    solve_bbgky_cumulant,
-    solve_bbgky_iteration,
-)
-from .cumulants import (
-    cumulant_apply,
-    cumulant_generator_fd,
-    cumulant_vanishes_free,
-    recover_group_from_cumulants,
-    scattering_cumulant_apply,
-    scattering_generator_expected,
-    scattering_operator_apply,
-)
-from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
-from .evolution import (
-    UnitaryGroup,
-    evolve_density_sequence,
-    group_apply,
-    group_apply_on_subsets,
-    make_unitary_group,
-    unitary_matrix,
-)
-from .hamiltonian import (
-    SystemSpec,
-    build_hamiltonian,
-    cluster_interaction_apply,
-    interaction_hamiltonian,
-    interaction_liouvillian_apply,
-    liouvillian_apply,
-)
-from .hierarchy import (
-    CorrelationState,
-    DensityState,
-    chaos_data,
-    cluster_expand,
-    cluster_invert,
-    nonlinear_generator,
-    solve_chaos,
-    solve_chaos_scattering_form,
-    solve_hierarchy,
-    solve_via_density_oracle,
-    verify_group_property,
-    verify_growth_bound,
-    weak_solution_check,
-)
-from .operators import (
-    ManyBodyOperator,
-    check_mb_symmetry,
-    identity_operator,
-    min_eigenvalue,
-    partial_trace,
-    permute_particles,
-    relabel,
-    symmetrize,
-    tensor_embed,
-    tensor_product,
-    trace_norm,
-    zero_operator,
-)
-from .partitions import (
-    ClusterSet,
-    ParticleSet,
-    bell_number,
-    enumerate_nonempty_subsets,
-    enumerate_partitions,
-    mobius_coefficient,
-    partition_alternating_sum,
-    partition_sum,
-    stirling2,
-)
-from .star_algebra import (
-    OperatorSequence,
-    annihilation_expand,
-    product_reduction_residual,
-    seq_add,
-    seq_block_product,
-    seq_residual,
-    shift_map,
-    star_exp,
-    star_ln,
-    star_product,
-    unit_sequence,
-    verify_lemma2,
-    verify_lemma3,
-)
-from .verify import SUITE_NAMES, run_suite
-
-__all__ = [
-    "__version__",
-    "CapacityError",
-    "NormalizationError",
-    "NumericError",
-    "SchemaViolation",
-    "ParticleSet",
-    "ClusterSet",
-    "enumerate_partitions",
-    "enumerate_nonempty_subsets",
-    "mobius_coefficient",
-    "partition_alternating_sum",
-    "partition_sum",
-    "stirling2",
-    "bell_number",
-    "ManyBodyOperator",
-    "zero_operator",
-    "identity_operator",
-    "relabel",
-    "permute_particles",
-    "tensor_product",
-    "tensor_embed",
-    "partial_trace",
-    "trace_norm",
-    "min_eigenvalue",
-    "check_mb_symmetry",
-    "symmetrize",
-    "SystemSpec",
-    "build_hamiltonian",
-    "liouvillian_apply",
-    "interaction_liouvillian_apply",
-    "interaction_hamiltonian",
-    "cluster_interaction_apply",
-    "UnitaryGroup",
-    "make_unitary_group",
-    "unitary_matrix",
-    "group_apply",
-    "group_apply_on_subsets",
-    "evolve_density_sequence",
-    "cumulant_apply",
-    "cumulant_vanishes_free",
-    "cumulant_generator_fd",
-    "scattering_operator_apply",
-    "scattering_cumulant_apply",
-    "scattering_generator_expected",
-    "recover_group_from_cumulants",
-    "OperatorSequence",
-    "unit_sequence",
-    "seq_add",
-    "seq_block_product",
-    "seq_residual",
-    "star_product",
-    "star_exp",
-    "star_ln",
-    "shift_map",
-    "annihilation_expand",
-    "product_reduction_residual",
-    "verify_lemma2",
-    "verify_lemma3",
-    "CorrelationState",
-    "DensityState",
-    "cluster_expand",
-    "cluster_invert",
-    "solve_hierarchy",
-    "solve_via_density_oracle",
-    "chaos_data",
-    "solve_chaos",
-    "solve_chaos_scattering_form",
-    "nonlinear_generator",
-    "verify_group_property",
-    "verify_growth_bound",
-    "weak_solution_check",
-    "MarginalState",
-    "QuadratureSpec",
-    "reduce_from_density",
-    "marginal_state_from_density",
-    "reduce_from_correlations",
-    "solve_bbgky_cumulant",
-    "solve_bbgky_iteration",
-    "correlation_from_marginals",
-    "correlation_from_g",
-    "correlation_chaos_expansion",
-    "average_particle_number",
-    "additive_dispersion",
-    "additive_observable_moment",
-    "additive_observable_moments",
-    "SUITE_NAMES",
-    "run_suite",
-]

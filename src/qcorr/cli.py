@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
 failed, a normalization degenerated, or a task overflowed or produced an
 invalid floating-point result), 2 malformed or schema-violating input, 3 a
-capacity guard tripped.  Outputs are written only after every task has
-computed, so a failing run leaves no partial files, and all serialization is
-canonical: rerunning an identical scenario reproduces identical bytes.
+capacity guard tripped.  An output path that is, or lies below, an existing
+non-directory is refused before any task runs.  Outputs are written only
+after every task has computed, so a failing run leaves no partial files, and
+all serialization is canonical: rerunning an identical scenario reproduces
+identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -27,8 +30,8 @@ from . import __version__
 from .bbgky import (
     QuadratureSpec,
     additive_observable_moments,
-    average_particle_number,
     marginal_state_from_density,
+    reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
@@ -449,9 +452,7 @@ def _task_observables(sc: Scenario, threads: int) -> dict:
         mean, second = additive_observable_moments(dt, sc.observable)
         return {
             "t": t,
-            "mean_particle_number": average_particle_number(
-                marginal_state_from_density(dt)
-            ),
+            "mean_particle_number": float(reduce_from_density(dt, 1).trace.real),
             "observable_mean": mean,
             "observable_dispersion": second - mean * mean,
         }
@@ -523,6 +524,18 @@ def _path_error(what: str, path: str, exc: OSError) -> int:
     return 2
 
 
+def _non_directory(path: str) -> OSError | None:
+    """The error os.makedirs(path) would raise because path, or its nearest
+    existing ancestor, is not a directory; None otherwise.  Creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if os.path.isdir(probe):
+        return None
+    code = errno.EEXIST if probe == os.path.abspath(path) else errno.ENOTDIR
+    return OSError(code, os.strerror(code), path)
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
@@ -530,9 +543,12 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _path_error("cannot read scenario", args.scenario, exc)
     sc = load_scenario(obj, seed_override=args.seed)
+    out_dir = args.out or sc.output.get("path") or "qcorr-out"
+    blocked = _non_directory(out_dir)
+    if blocked is not None:
+        return _path_error("cannot write output", out_dir, blocked)
     files, exit_code = run_scenario(sc, threads=args.threads)
 
-    out_dir = args.out or sc.output.get("path") or "qcorr-out"
     try:
         os.makedirs(out_dir, exist_ok=True)
         for name, text in sorted(files.items()):

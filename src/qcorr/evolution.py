@@ -30,6 +30,7 @@ import numpy as np
 from .hamiltonian import SystemSpec, build_hamiltonian
 from .operators import ManyBodyOperator
 from .partitions import ClusterSet, ParticleSet
+from .star_algebra import OperatorSequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +124,6 @@ def evolve_density_sequence(spec: SystemSpec, d0, t: float):
     Component n evolves under the n-particle propagator; the scalar
     component is unchanged.  Accepts and returns an OperatorSequence.
     """
-    from .star_algebra import OperatorSequence
-
     if not isinstance(d0, OperatorSequence):
         raise TypeError("evolve_density_sequence expects an OperatorSequence")
     if d0.prefix != 0:

@@ -244,36 +244,12 @@ def bell_number(n: int) -> int:
 def partition_alternating_sum(n: int) -> int:
     """Sum of (-1)^(|P|-1) (|P|-1)! over all set partitions of {1..n}.
 
-    Streamed over restricted-growth strings so no partition objects are
-    built; the choice for the final element is folded exactly (it lands in
-    one of the existing blocks or opens a new one).  Returns an exact
-    integer, which equals 1 for n = 1 and 0 otherwise.
+    The coefficient depends only on the block count, so the sum runs over
+    block counts k, each taken s(n, k) times.  Returns an exact integer,
+    which equals 1 for n = 1 and 0 otherwise.
     """
     if not 1 <= n <= MAX_PARTITION_GROUND:
         raise CapacityError(
             f"alternating sum supported for 1 <= n <= {MAX_PARTITION_GROUND}, got {n}"
         )
-    coeff = [0] + [mobius_coefficient(k) for k in range(1, n + 2)]
-    if n == 1:
-        return coeff[1]
-
-    m = n - 1
-    # a[j]: block index of element j+1 among the first m elements;
-    # mx[j] = max(a[0..j]).  a[0] = 0 is pinned.
-    a = [0] * m
-    mx = [0] * m
-    total = 0
-    while True:
-        nb = mx[m - 1] + 1
-        total += nb * coeff[nb] + coeff[nb + 1]
-        # advance to the next restricted-growth string
-        j = m - 1
-        while j >= 1 and a[j] > mx[j - 1]:
-            j -= 1
-        if j < 1:
-            return total
-        a[j] += 1
-        mx[j] = a[j] if a[j] > mx[j - 1] else mx[j - 1]
-        for i in range(j + 1, m):
-            a[i] = 0
-            mx[i] = mx[j]
+    return sum(stirling2(n, k) * mobius_coefficient(k) for k in range(1, n + 1))

@@ -12,6 +12,7 @@ them concurrently; results are assembled in declaration order either way.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -109,20 +110,6 @@ from .star_algebra import (
     verify_lemma3,
 )
 
-SUITE_NAMES = (
-    "combinatorics",
-    "group-law",
-    "cumulant-inversion",
-    "free-cumulants",
-    "oracle",
-    "group-property",
-    "generators",
-    "star-lemmas",
-    "bbgky-triangle",
-    "iteration",
-    "observables",
-)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -161,29 +148,39 @@ def _suite_combinatorics() -> list[Check]:
             worst = max(worst, abs(got - bell_number(n)))
         return float(worst)
 
-    def stirling_recurrence():
+    def stirling_block_count():
         worst = 0
-        for n in range(2, 13):
+        for n in range(1, 9):
+            parts = enumerate_partitions(ParticleSet.range1(n))
+            counts = Counter(len(p) for p in parts)
             for k in range(1, n + 1):
-                lhs = stirling2(n, k)
-                rhs = k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-                worst = max(worst, abs(lhs - rhs))
+                worst = max(worst, abs(counts[k] - stirling2(n, k)))
         return float(worst)
 
-    def stirling_row_sum():
-        worst = 0
+    def bell_triangle():
+        # Aitken's array: each row opens with the previous row's last entry,
+        # and B_n opens row n
+        worst, row = 0, [1]
         for n in range(1, 13):
-            got = sum(stirling2(n, k) for k in range(0, n + 1))
-            worst = max(worst, abs(got - bell_number(n)))
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+            worst = max(worst, abs(row[0] - bell_number(n)))
         return float(worst)
 
-    def mobius_parity():
-        worst = 0
-        fact = [1, 1, 2, 6]
-        for p in enumerate_partitions(ParticleSet.range1(4)):
-            b = len(p)
-            want = (-1) ** (b - 1) * fact[b - 1]
-            worst = max(worst, abs(mobius_coefficient(b) - want))
+    def mobius_lattice():
+        # mu(P, top) on the partition lattice of {1..5} by its defining
+        # recursion, -sum of mu over the strictly coarser partitions
+        parts = sorted(enumerate_partitions(ParticleSet.range1(5)), key=len)
+        mu, worst = [], 0
+        for i, p in enumerate(parts):
+            coarser = [
+                j for j in range(i)
+                if all(any(b.issubset(c) for c in parts[j]) for b in p)
+            ]
+            mu.append(-sum(mu[j] for j in coarser) if coarser else 1)
+            worst = max(worst, abs(mu[i] - mobius_coefficient(len(p))))
         return float(worst)
 
     return [
@@ -200,22 +197,25 @@ def _suite_combinatorics() -> list[Check]:
             bell_counts,
         ),
         Check(
-            "stirling-recurrence",
-            "S(n,k) = k S(n-1,k) + S(n-1,k-1) for n up to 12",
+            "stirling-block-count",
+            "S(n,k) counts the enumerated partitions of n elements with k "
+            "blocks, n up to 8",
             0.0,
-            stirling_recurrence,
+            stirling_block_count,
         ),
         Check(
-            "stirling-row-sum",
-            "row sums of Stirling partition numbers reproduce Bell numbers",
+            "bell-triangle",
+            "Bell numbers agree with the Bell triangle (Aitken's array) for "
+            "n up to 12",
             0.0,
-            stirling_row_sum,
+            bell_triangle,
         ),
         Check(
-            "mobius-parity",
-            "partition coefficient equals (-1)^(b-1) (b-1)! for b blocks",
+            "mobius-lattice",
+            "the partition-lattice Moebius function mu(P, top) from its "
+            "recursion equals (-1)^(b-1) (b-1)! for b blocks, n = 5",
             0.0,
-            mobius_parity,
+            mobius_lattice,
         ),
     ]
 
@@ -1000,6 +1000,7 @@ _SUITES: dict[str, Callable[[], list[Check]]] = {
     "iteration": _suite_iteration,
     "observables": _suite_observables,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, tol_scale: float = 1.0, threads: int = 1) -> dict:

@@ -12,6 +12,7 @@ import pytest
 
 import qcorr
 from bruteforce import naive_embed
+from qcorr import cli
 from qcorr.bbgky import (
     additive_dispersion,
     marginal_state_from_density,
@@ -173,16 +174,22 @@ def test_directory_as_scenario_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
+    # the output path is refused before any task runs, and nothing is written
+    def refuse(sc, threads):
+        raise AssertionError("a task ran before the output path was checked")
+
+    for task in cli._TASK_FNS:
+        monkeypatch.setitem(cli._TASK_FNS, task, refuse)
     taken = tmp_path / "taken"
     taken.write_text("keep")
     path = _write_scenario(tmp_path, BASE_SCENARIO)
-    code = main(["run", "--scenario", path, "--out", str(taken)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"cannot write output {taken}:")
-    assert len(err.splitlines()) == 1
-    assert taken.read_text() == "keep"
+    for out, reason in [(taken, "File exists"), (taken / "sub", "Not a directory")]:
+        code = main(["run", "--scenario", path, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"cannot write output {out}: {reason}\n"
+        assert taken.read_text() == "keep"
+        assert sorted(os.listdir(tmp_path)) == ["scenario.json", "taken"]
 
 
 def test_zero_tol_scale_is_a_schema_violation(tmp_path, capsys):
