@@ -51,10 +51,9 @@ from .star_algebra import (
 
 @dataclass(frozen=True)
 class MarginalState:
-    """Sequence of reduced operators F_s plus the normalization it came with."""
+    """Sequence of reduced operators F_s, scalar component 1."""
 
     seq: OperatorSequence
-    normalization: float = 1.0
 
     def __post_init__(self):
         if self.seq.prefix != 0:
@@ -83,14 +82,11 @@ class QuadratureSpec:
 
 
 def marginal_state_from_density(d: DensityState) -> MarginalState:
-    """All reduced components at once, normalization recorded on the side."""
+    """All reduced components at once."""
     red = annihilation_expand(d.seq)
     z = require_normalizable(red.scalar0)
     comps = {n: op / z for n, op in red.components.items()}
-    return MarginalState(
-        OperatorSequence(d.seq.dim_single, d.seq.n_max, 1.0, comps),
-        normalization=float(z.real),
-    )
+    return MarginalState(OperatorSequence(d.seq.dim_single, d.seq.n_max, 1.0, comps))
 
 
 def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:

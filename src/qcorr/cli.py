@@ -1,9 +1,9 @@
 """Command-line front end: scenario runner, verification suites, schemas.
 
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
-failed, a normalization degenerated, or a task overflowed or produced an
-invalid floating-point result), 2 malformed or schema-violating input, 3 a
-capacity guard tripped.  An output path that is, or lies below, an existing
+failed, a normalization degenerated, or a preset draw or a task overflowed
+or produced an invalid floating-point result), 2 malformed or
+schema-violating input, 3 a capacity guard tripped.  An output path that is, or lies below, an existing
 non-directory is refused before any task runs.  Outputs are written only
 after every task has computed, so a failing run leaves no partial files, and
 all serialization is canonical: rerunning an identical scenario reproduces
@@ -56,7 +56,7 @@ from .operators import (
     scaled_hermitian_defect,
     trace_norm,
 )
-from .presets import chaos_one_particle, random_correlation_state, random_density_state
+from .presets import random_correlation_state, random_density_state
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
@@ -72,7 +72,6 @@ from .serialize import (
     validate,
 )
 from .star_algebra import OperatorSequence
-from .verify import SUITE_NAMES, run_suite
 
 MAX_N_MAX = 4
 MAX_TOTAL_DIM = 256
@@ -80,8 +79,6 @@ MAX_TIME = 10.0
 # bound on max|t| ||H||_2 / hbar: a phase of 1e6 carries about 1e-10 of
 # absolute round-off, so the propagator keeps its digits
 MAX_PHASE = 1e6
-
-_TASK_ORDER = ("evolve", "hierarchy", "chaos", "bbgky", "iterate", "observables")
 
 
 @dataclass
@@ -92,12 +89,11 @@ class Scenario:
     initial_kind: str  # correlation | density | chaos
     initial: Any
     times: list[float]
-    tasks: list[str]
+    tasks: list[str]  # in the order of _TASK_FNS, each once
     n_max: int
     s_values: list[int]
     quadrature: QuadratureSpec
     observable: np.ndarray
-    tol_scale: float
     output: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
@@ -113,14 +109,6 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
     return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
 
 
-def _norm_scalar(value, default: float) -> float:
-    if value is None:
-        return default
-    if isinstance(value, (int, float)):
-        return float(value)
-    return float(value[0])
-
-
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
     """Decode the tagged initial-data union into (kind, state).
 
@@ -128,12 +116,14 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
     decoders' own validation is skipped.
     """
     (tag, body), = obj.items()
-    if tag == "correlation":
+    if tag in ("correlation", "density"):
+        if body.get("kind", tag) != tag:
+            raise SchemaViolation(
+                f"initial {tag} sequence is marked kind '{body['kind']}'"
+            )
         seq = _fit_sequence(_decode_sequence(body), n_max)
-        return "correlation", CorrelationState(seq)
-    if tag == "density":
-        seq = _fit_sequence(_decode_sequence(body), n_max)
-        return "density", DensityState(seq)
+        state = CorrelationState(seq) if tag == "correlation" else DensityState(seq)
+        return tag, state
     if tag == "chaos":
         op = _decode_operator(body)
         if len(op.labels) != 1:
@@ -141,9 +131,16 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
         if op.dim_single != spec.dim_single:
             raise SchemaViolation("chaos initial data does not match the system dimension")
         return "chaos", op
-    # preset
-    seed = int(seed_override) if seed_override is not None else int(body["seed"])
+    # the fields each preset reads besides "preset" and "seed"
+    reads = {
+        "random_correlation": ("norms", "traceless", "symmetric"),
+        "random_density": ("trace_scale",),
+    }
     name = body["preset"]
+    for key in body:
+        if key not in ("preset", "seed", *reads[name]):
+            raise SchemaViolation(f"initial preset {name} does not read '{key}'")
+    seed = int(seed_override) if seed_override is not None else int(body["seed"])
     if name == "random_correlation":
         state = random_correlation_state(
             seed,
@@ -154,15 +151,10 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
             symmetric=bool(body.get("symmetric", False)),
         )
         return "correlation", state
-    if name == "random_density":
-        state = random_density_state(
-            seed, spec.dim_single, n_max, trace_scale=body.get("trace_scale", 0.8)
-        )
-        return "density", state
-    op = chaos_one_particle(
-        seed, spec.dim_single, norm=_norm_scalar(body.get("norms"), 1.0)
+    state = random_density_state(
+        seed, spec.dim_single, n_max, trace_scale=body.get("trace_scale", 0.8)
     )
-    return "chaos", op
+    return "density", state
 
 
 def load_scenario(obj: dict, seed_override=None) -> Scenario:
@@ -208,7 +200,12 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
             f"/ hbar = {phase:.3g} exceeds {MAX_PHASE:g}"
         )
 
-    kind, initial = _build_initial(obj["initial"], spec, n_max, seed_override)
+    try:
+        # a preset draw can overflow, as a task can
+        with _strict_fp():
+            kind, initial = _build_initial(obj["initial"], spec, n_max, seed_override)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericError(f"initial data: {exc}") from exc
     if getattr(initial, "seq", None) is not None:
         if initial.seq.dim_single != spec.dim_single:
             raise SchemaViolation("initial data does not match the system dimension")
@@ -242,30 +239,16 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
     else:
         a = np.eye(spec.dim_single, dtype=complex)
 
-    tol_scale = float(obj.get("tolerances", {}).get("tol_scale", 1.0))
-
-    tasks: list[str] = []
-    for t in obj["tasks"]:
-        if t not in tasks:
-            tasks.append(t)
-    for t in tasks:
-        if t.startswith("verify:") and t.split(":", 1)[1] not in SUITE_NAMES:
-            raise SchemaViolation(
-                f"unknown suite '{t.split(':', 1)[1]}'; "
-                f"valid: {', '.join(SUITE_NAMES)}"
-            )
-
     return Scenario(
         spec=spec,
         initial_kind=kind,
         initial=initial,
         times=times,
-        tasks=tasks,
+        tasks=[t for t in _TASK_FNS if t in obj["tasks"]],
         n_max=n_max,
         s_values=s_values,
         quadrature=quadrature,
         observable=a,
-        tol_scale=tol_scale,
         output=obj.get("output", {}),
         raw=obj,
     )
@@ -473,24 +456,13 @@ _TASK_FNS = {
 }
 
 
-def run_scenario(sc: Scenario, threads: int = 1) -> tuple[dict[str, str], int]:
-    """Execute every task; return {filename: text} plus the exit code."""
+def run_scenario(sc: Scenario, threads: int = 1) -> dict[str, str]:
+    """Execute every task; return {filename: text}."""
     want_json = sc.output.get("format", "both") != "csv"
     want_csv = sc.output.get("format", "both") != "json"
 
-    ordered = [t for t in _TASK_ORDER if t in sc.tasks]
-    ordered += [t for t in sc.tasks if t.startswith("verify:")]
-
     files: dict[str, str] = {}
-    exit_code = 0
-    for task in ordered:
-        if task.startswith("verify:"):
-            suite = task.split(":", 1)[1]
-            report = run_suite(suite, tol_scale=sc.tol_scale, threads=threads)
-            if not report["passed"]:
-                exit_code = 1
-            files[f"verify-{suite}.json"] = dumps_canonical(report)
-            continue
+    for task in sc.tasks:
         try:
             with _strict_fp():
                 result = _TASK_FNS[task](sc, threads)
@@ -506,12 +478,10 @@ def run_scenario(sc: Scenario, threads: int = 1) -> tuple[dict[str, str], int]:
     manifest = {
         "scenario": sc.raw,
         "package": {"name": "qcorr", "version": __version__},
-        "tol_scale": sc.tol_scale,
         "files": sorted(files),
-        "exit_code": exit_code,
     }
     files["manifest.json"] = dumps_canonical(manifest)
-    return files, exit_code
+    return files
 
 
 def _reject_constant(name: str):
@@ -547,7 +517,7 @@ def _cmd_run(args) -> int:
     blocked = _non_directory(out_dir)
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
-    files, exit_code = run_scenario(sc, threads=args.threads)
+    files = run_scenario(sc, threads=args.threads)
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -557,10 +527,12 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _path_error("cannot write output", exc.filename or out_dir, exc)
     print(f"wrote {len(files)} files to {out_dir}")
-    return exit_code
+    return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITE_NAMES, run_suite
+
     if args.suite not in SUITE_NAMES:
         print(
             f"unknown suite '{args.suite}'; valid: {', '.join(SUITE_NAMES)}",

@@ -151,7 +151,7 @@ _INITIAL_PRESET = {
     "properties": {
         "preset": {
             "type": "string",
-            "enum": ["random_correlation", "random_density", "chaos"],
+            "enum": ["random_correlation", "random_density"],
         },
         "seed": {"type": "integer", "minimum": 0},
         "norms": {
@@ -197,7 +197,7 @@ QUADRATURE_SCHEMA = {
     },
 }
 
-_TASK_PATTERN = "^(evolve|hierarchy|chaos|bbgky|iterate|observables|verify:[a-z-]+)$"
+_TASK_PATTERN = "^(evolve|hierarchy|chaos|bbgky|iterate|observables)$"
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -224,10 +224,6 @@ SCENARIO_SCHEMA = {
         },
         "quadrature": QUADRATURE_SCHEMA,
         "observable": _RAW_MATRIX,
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": {"type": "number", "exclusiveMinimum": 0},
-        },
         "output": {
             "type": "object",
             "additionalProperties": False,

@@ -105,7 +105,8 @@ def test_run_writes_expected_files(tmp_path):
         "observables.csv",
     }
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["exit_code"] == 0
+    assert manifest.keys() == {"scenario", "package", "files"}
+    assert manifest["package"] == {"name": "qcorr", "version": qcorr.__version__}
     assert manifest["files"] == sorted(names - {"manifest.json"})
     assert manifest["scenario"] == BASE_SCENARIO
 
@@ -192,12 +193,79 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
         assert sorted(os.listdir(tmp_path)) == ["scenario.json", "taken"]
 
 
-def test_zero_tol_scale_is_a_schema_violation(tmp_path, capsys):
-    sc = dict(BASE_SCENARIO, tolerances={"tol_scale": 0})
-    code, out = _run(tmp_path, sc, "zero-tol")
+# suites run through `qcorr verify` only: a scenario has no route to them,
+# and no preset draws chaos data
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tasks", ["verify:group-law"], "'verify:group-law' does not match"),
+        ("tolerances", {"tol_scale": 1.0}, "('tolerances' was unexpected)"),
+        (
+            "initial",
+            {"preset": {"preset": "chaos", "seed": 12}},
+            "'chaos' is not one of",
+        ),
+    ],
+    ids=["verify-task", "tolerances", "chaos-preset"],
+)
+def test_suite_route_and_chaos_preset_exit_2(tmp_path, capsys, field, value, message):
+    sc = dict(BASE_SCENARIO, **{field: value})
+    code, out = _run(tmp_path, sc, "no-route")
     assert code == 2
     assert not out.exists()
-    assert "schema violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("schema violation: ")
+    assert message in err
+
+
+_CORRELATION_AS_DENSITY = {
+    "kind": "density",
+    "dim_single": 2,
+    "n_max": 1,
+    "scalar0": [0.0, 0.0],
+    "components": [[[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]],
+}
+
+
+# every initial field is read or refused
+@pytest.mark.parametrize(
+    "initial, message",
+    [
+        (
+            {"preset": {"preset": "random_correlation", "seed": 12, "trace_scale": 0.5}},
+            "initial preset random_correlation does not read 'trace_scale'",
+        ),
+        (
+            {"preset": {"preset": "random_density", "seed": 12, "norms": 0.5}},
+            "initial preset random_density does not read 'norms'",
+        ),
+        (
+            {"preset": {"preset": "random_density", "seed": 12, "traceless": False}},
+            "initial preset random_density does not read 'traceless'",
+        ),
+        (
+            {"preset": {"preset": "random_density", "seed": 12, "symmetric": True}},
+            "initial preset random_density does not read 'symmetric'",
+        ),
+        (
+            {"correlation": _CORRELATION_AS_DENSITY},
+            "initial correlation sequence is marked kind 'density'",
+        ),
+    ],
+    ids=[
+        "random_correlation-trace_scale",
+        "random_density-norms",
+        "random_density-traceless",
+        "random_density-symmetric",
+        "correlation-kind-density",
+    ],
+)
+def test_unread_initial_field_exits_2(tmp_path, capsys, initial, message):
+    sc = dict(BASE_SCENARIO, initial=initial)
+    code, out = _run(tmp_path, sc, "unread")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"schema violation: {message}\n"
 
 
 def test_capacity_guards_exit_3(tmp_path, capsys):
@@ -275,7 +343,7 @@ def test_accepting_input_never_imports_jsonschema(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == (
         "schema violation: scenario at 'tasks/0': 'simulate' does not match "
-        "'^(evolve|hierarchy|chaos|bbgky|iterate|observables|verify:[a-z-]+)$'\n"
+        "'^(evolve|hierarchy|chaos|bbgky|iterate|observables)$'\n"
         "jsonschema imported: True\n"
     )
 
@@ -306,6 +374,17 @@ def test_overflow_is_a_numeric_failure(tmp_path, capsys):
         assert err.startswith("numeric failure: ")
         assert "overflow" in err
         assert "Warning" not in err
+
+
+def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
+    # trace_scale**2 overflows while the preset is drawn, before any task
+    initial = {"preset": {"preset": "random_density", "seed": 12, "trace_scale": 1e200}}
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, initial=initial), "overflow-preset")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: initial data: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
@@ -575,40 +654,6 @@ def test_csv_floats_roundtrip(tmp_path):
         assert float(cells[4]) == rec["trace_norm"]
 
 
-def test_verify_task_writes_report(tmp_path):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["tasks"] = ["verify:combinatorics", "verify:group-law"]
-    code, out = _run(tmp_path, sc, "with-verify")
-    assert code == 0
-    for suite in ("combinatorics", "group-law"):
-        report = json.loads((out / f"verify-{suite}.json").read_text())
-        validate(report, REPORT_SCHEMA, "report")
-        assert report["suite"] == suite
-        assert report["passed"] is True
-        assert all(c["pass"] for c in report["checks"])
-        ratios = []
-        for c in report["checks"]:
-            # headroom is residual / tolerance; exact checks have none
-            if c["tolerance"] == 0:
-                assert c["headroom"] is None
-            else:
-                assert c["headroom"] == c["residual"] / c["tolerance"]
-                assert c["headroom"] <= 1.0
-                ratios.append(c["headroom"])
-        assert report["max_headroom"] == max(ratios, default=None)
-    # combinatorics is all exact counts; group-law has toleranced checks
-    assert report["max_headroom"] is not None
-
-
-def test_unknown_verify_suite_rejected(tmp_path, capsys):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["tasks"] = ["verify:everything"]
-    code, out = _run(tmp_path, sc, "bad-suite")
-    assert code == 2
-    assert not out.exists()
-    assert "unknown suite" in capsys.readouterr().err
-
-
 def test_verify_command_passes(capsys):
     code = main(["verify", "--suite", "combinatorics"])
     report = json.loads(capsys.readouterr().out)
@@ -624,6 +669,23 @@ def test_every_verify_suite_passes(suite, capsys):
     assert failed == []
     assert report["passed"] is True
     assert code == 0
+    validate(report, REPORT_SCHEMA, "report")
+    assert report["suite"] == suite
+    ratios = []
+    for c in report["checks"]:
+        # headroom is residual / tolerance; exact checks have none
+        if c["tolerance"] == 0:
+            assert c["headroom"] is None
+        else:
+            assert c["headroom"] == c["residual"] / c["tolerance"]
+            assert c["headroom"] <= 1.0
+            ratios.append(c["headroom"])
+    assert report["max_headroom"] == max(ratios, default=None)
+    # combinatorics is all exact counts; group-law has toleranced checks
+    if suite == "combinatorics":
+        assert report["max_headroom"] is None
+    if suite == "group-law":
+        assert report["max_headroom"] is not None
 
 
 def test_verify_command_unknown_suite(capsys):

@@ -38,3 +38,32 @@ def test_minimal_scenario_runs(tmp_path):
     out = tmp_path / "results"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+
+
+# runs the CLI on argv, then lists every loaded module on stderr
+_PROBE = (
+    "import sys\n"
+    "from qcorr.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_minimal_scenario_never_imports_verify(tmp_path):
+    # suites run through `qcorr verify` only, so a scenario run loads none
+    path = tmp_path / "scenario.json"
+    path.write_text(_block("json"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "results")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert "qcorr.cli" in loaded
+    assert "qcorr.verify" not in loaded

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcorr.cli import load_scenario
 from qcorr.errors import SchemaViolation
 from qcorr.operators import ManyBodyOperator
 from qcorr.partitions import ParticleSet
@@ -558,21 +559,28 @@ def _full_scenario(explicit):
         system = {"preset": "random_hermitian", "seed": 1, "orders": [2, 3],
                   "dim_single": 2, "hbar": 0.5, "scale": 1.0}
         initial = {"preset": {"preset": "random_correlation", "seed": 2,
-                              "norms": [0.3, 0.2], "trace_scale": 0.8,
-                              "traceless": False, "symmetric": True}}
+                              "norms": [0.3, 0.2], "traceless": False,
+                              "symmetric": True}}
     return {
         "system": system,
         "initial": initial,
         "times": [0.1, 0.2],
-        "tasks": ["evolve", "verify:group-law"],
+        "tasks": ["evolve", "observables"],
         "n_max": 2,
         "s_values": [1],
         "quadrature": {"order": 2, "nodes_per_dim": 6,
                        "rule": "gauss-legendre-simplex"},
         "observable": _M2,
-        "tolerances": {"tol_scale": 1.0},
         "output": {"path": "out", "format": "json"},
     }
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_full_scenario_is_valid(explicit):
+    doc = _full_scenario(explicit)
+    validate(doc, SCENARIO_SCHEMA, "scenario")
+    sc = load_scenario(doc)
+    assert sc.tasks == ["evolve", "observables"]
 
 
 def _report():
@@ -586,8 +594,7 @@ _SCENARIO_PATHS = [
     ("n_max",), ("s_values",), ("s_values", 0), ("quadrature",),
     ("quadrature", "order"), ("quadrature", "nodes_per_dim"),
     ("quadrature", "rule"), ("quadrature", "extra"), ("tolerances",),
-    ("tolerances", "tol_scale"), ("tolerances", "other"), ("output",),
-    ("output", "path"), ("output", "format"), ("output", "extra"),
+    ("output",), ("output", "path"), ("output", "format"), ("output", "extra"),
     ("system",), ("system", "seed"), ("system", "orders"),
     ("system", "orders", 0), ("system", "dim_single"), ("system", "hbar"),
     ("system", "scale"), ("system", "preset"), ("system", "extra"),
