@@ -1,13 +1,19 @@
 """Command-line front end: scenario runner, verification suites, schemas.
 
+`run` executes a scenario's tasks on correlation or density data, given
+explicitly or drawn by a preset; chaos data are a correlation sequence that
+holds only g_1.  `run --seed` writes the seed into both presets of a copy of
+the document before loading it, so the manifest records the seeds that ran.
+`verify` runs one suite at its fixed tolerances.
+
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
 failed, a normalization degenerated, or a preset draw or a task overflowed
 or produced an invalid floating-point result), 2 malformed or
-schema-violating input, 3 a capacity guard tripped.  An output path that is, or lies below, an existing
-non-directory is refused before any task runs.  Outputs are written only
-after every task has computed, so a failing run leaves no partial files, and
-all serialization is canonical: rerunning an identical scenario reproduces
-identical bytes.
+schema-violating input, 3 a capacity guard tripped.  An output path that
+is, or lies below, an existing non-directory is refused before any task
+runs.  Outputs are written only after every task has computed, so a failing
+run leaves no partial files, and all serialization is canonical: rerunning
+an identical scenario reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, isfinite
-from typing import Any
 
 import numpy as np
 
@@ -41,7 +46,6 @@ from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
     DensityState,
-    chaos_data,
     cluster_expand,
     cluster_invert,
     solve_hierarchy,
@@ -60,13 +64,11 @@ from .presets import random_correlation_state, random_density_state
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
-    _decode_operator,
     _decode_sequence,
     decode_raw_matrix,
     decode_system,
     dumps_canonical,
     encode_complex,
-    encode_operator,
     encode_raw_matrix,
     encode_sequence,
     validate,
@@ -86,8 +88,7 @@ class Scenario:
     """A fully decoded scenario: system, initial data, and work items."""
 
     spec: SystemSpec
-    initial_kind: str  # correlation | density | chaos
-    initial: Any
+    initial: CorrelationState | DensityState
     times: list[float]
     tasks: list[str]  # in the order of _TASK_FNS, each once
     n_max: int
@@ -109,8 +110,8 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
     return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
 
 
-def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
-    """Decode the tagged initial-data union into (kind, state).
+def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
+    """Decode the tagged initial-data union into a correlation or density state.
 
     obj is part of a scenario that load_scenario has validated, so the
     decoders' own validation is skipped.
@@ -122,15 +123,7 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
                 f"initial {tag} sequence is marked kind '{body['kind']}'"
             )
         seq = _fit_sequence(_decode_sequence(body), n_max)
-        state = CorrelationState(seq) if tag == "correlation" else DensityState(seq)
-        return tag, state
-    if tag == "chaos":
-        op = _decode_operator(body)
-        if len(op.labels) != 1:
-            raise SchemaViolation("chaos initial data must be a one-particle operator")
-        if op.dim_single != spec.dim_single:
-            raise SchemaViolation("chaos initial data does not match the system dimension")
-        return "chaos", op
+        return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
     # the fields each preset reads besides "preset" and "seed"
     reads = {
         "random_correlation": ("norms", "traceless", "symmetric"),
@@ -140,9 +133,9 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
     for key in body:
         if key not in ("preset", "seed", *reads[name]):
             raise SchemaViolation(f"initial preset {name} does not read '{key}'")
-    seed = int(seed_override) if seed_override is not None else int(body["seed"])
+    seed = int(body["seed"])
     if name == "random_correlation":
-        state = random_correlation_state(
+        return random_correlation_state(
             seed,
             spec.dim_single,
             n_max,
@@ -150,20 +143,18 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed_override):
             traceless=bool(body.get("traceless", False)),
             symmetric=bool(body.get("symmetric", False)),
         )
-        return "correlation", state
-    state = random_density_state(
+    return random_density_state(
         seed, spec.dim_single, n_max, trace_scale=body.get("trace_scale", 0.8)
     )
-    return "density", state
 
 
-def load_scenario(obj: dict, seed_override=None) -> Scenario:
+def load_scenario(obj: dict) -> Scenario:
     """Validate, decode, and capacity-check a scenario document."""
     validate(obj, SCENARIO_SCHEMA, "scenario")
 
     # the dimensions are checked on the document, before decode_system draws
     # a preset's random matrices
-    system_obj = dict(obj["system"])
+    system_obj = obj["system"]
     n_max = int(obj["n_max"])
     if n_max > MAX_N_MAX:
         raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
@@ -179,8 +170,6 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
                     f"potential of order {k} has dimension {d}^{k}, "
                     f"above the cap {MAX_OPERATOR_DIM}"
                 )
-        if seed_override is not None:
-            system_obj["seed"] = int(seed_override)
     spec = decode_system(system_obj)
 
     times = [float(t) for t in obj["times"]]
@@ -203,12 +192,11 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
     try:
         # a preset draw can overflow, as a task can
         with _strict_fp():
-            kind, initial = _build_initial(obj["initial"], spec, n_max, seed_override)
+            initial = _build_initial(obj["initial"], spec, n_max)
     except (FloatingPointError, OverflowError) as exc:
         raise NumericError(f"initial data: {exc}") from exc
-    if getattr(initial, "seq", None) is not None:
-        if initial.seq.dim_single != spec.dim_single:
-            raise SchemaViolation("initial data does not match the system dimension")
+    if initial.seq.dim_single != spec.dim_single:
+        raise SchemaViolation("initial data does not match the system dimension")
 
     s_values = [int(s) for s in obj.get("s_values", range(1, max(n_max, 2)))]
     for s in s_values:
@@ -241,7 +229,6 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
 
     return Scenario(
         spec=spec,
-        initial_kind=kind,
         initial=initial,
         times=times,
         tasks=[t for t in _TASK_FNS if t in obj["tasks"]],
@@ -255,17 +242,15 @@ def load_scenario(obj: dict, seed_override=None) -> Scenario:
 
 
 def _as_correlation(sc: Scenario) -> CorrelationState:
-    if sc.initial_kind == "correlation":
-        return sc.initial
-    if sc.initial_kind == "density":
+    if isinstance(sc.initial, DensityState):
         return cluster_invert(sc.initial)
-    return chaos_data(sc.initial, sc.n_max)
+    return sc.initial
 
 
 def _as_density(sc: Scenario) -> DensityState:
-    if sc.initial_kind == "density":
+    if isinstance(sc.initial, DensityState):
         return sc.initial
-    return cluster_expand(_as_correlation(sc))
+    return cluster_expand(sc.initial)
 
 
 def _strict_fp():
@@ -357,23 +342,6 @@ def _task_hierarchy(sc: Scenario, threads: int) -> dict:
     }
 
 
-def _task_chaos(sc: Scenario, threads: int) -> dict:
-    if sc.initial_kind != "chaos":
-        raise SchemaViolation("the chaos task needs one-particle initial data")
-    g0 = chaos_data(sc.initial, sc.n_max)
-
-    def one(t: float) -> dict:
-        sol = solve_hierarchy(sc.spec, g0, t).seq
-        comps = [encode_operator(sol.component(n)) for n in range(1, sc.n_max + 1)]
-        return {"t": t, "components": comps}
-
-    return {
-        "task": "chaos",
-        "times": sc.times,
-        "solutions": _pmap(one, sc.times, threads),
-    }
-
-
 def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
     """Refuse density data on which the bbgky and iterate formulas fail.
 
@@ -449,7 +417,6 @@ def _task_observables(sc: Scenario, threads: int) -> dict:
 _TASK_FNS = {
     "evolve": _task_evolve,
     "hierarchy": _task_hierarchy,
-    "chaos": _task_chaos,
     "bbgky": _task_bbgky,
     "iterate": _task_iterate,
     "observables": _task_observables,
@@ -506,13 +473,28 @@ def _non_directory(path: str) -> OSError | None:
     return OSError(code, os.strerror(code), path)
 
 
+def _with_seed(obj: dict, seed: int) -> dict:
+    """A copy of a valid scenario whose system and initial presets draw from seed."""
+    obj = dict(obj)
+    if "preset" in obj["system"]:
+        obj["system"] = dict(obj["system"], seed=seed)
+    if "preset" in obj["initial"]:
+        obj["initial"] = {"preset": dict(obj["initial"]["preset"], seed=seed)}
+    return obj
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             obj = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         return _path_error("cannot read scenario", args.scenario, exc)
-    sc = load_scenario(obj, seed_override=args.seed)
+    if args.seed is not None:
+        # the seeds go into the document, which the manifest records; a
+        # malformed document is refused as written
+        validate(obj, SCENARIO_SCHEMA, "scenario")
+        obj = _with_seed(obj, args.seed)
+    sc = load_scenario(obj)
     out_dir = args.out or sc.output.get("path") or "qcorr-out"
     blocked = _non_directory(out_dir)
     if blocked is not None:
@@ -539,7 +521,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    report = run_suite(args.suite, tol_scale=args.tol_scale, threads=args.threads)
+    report = run_suite(args.suite)
     sys.stdout.write(dumps_canonical(report))
     return 0 if report["passed"] else 1
 
@@ -569,10 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("--suite", required=True, help="suite name")
-    p_verify.add_argument(
-        "--tol-scale", type=float, default=1.0, help="multiply every tolerance"
-    )
-    p_verify.add_argument("--threads", type=int, default=1, help="parallelism bound")
 
     p_schema = sub.add_parser("schema", help="emit the JSON schemas")
     p_schema.add_argument(

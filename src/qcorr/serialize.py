@@ -178,7 +178,6 @@ INITIAL_SCHEMA = {
     "properties": {
         "correlation": SEQUENCE_SCHEMA,
         "density": SEQUENCE_SCHEMA,
-        "chaos": OPERATOR_SCHEMA,
         "preset": _INITIAL_PRESET,
     },
 }
@@ -197,7 +196,7 @@ QUADRATURE_SCHEMA = {
     },
 }
 
-_TASK_PATTERN = "^(evolve|hierarchy|chaos|bbgky|iterate|observables)$"
+_TASK_PATTERN = "^(evolve|hierarchy|bbgky|iterate|observables)$"
 
 SCENARIO_SCHEMA = {
     "type": "object",
@@ -526,11 +525,6 @@ def encode_operator(op: ManyBodyOperator) -> dict:
 
 def decode_operator(obj: dict) -> ManyBodyOperator:
     validate(obj, OPERATOR_SCHEMA, "operator")
-    return _decode_operator(obj)
-
-
-def _decode_operator(obj: dict) -> ManyBodyOperator:
-    """decode_operator for an obj already validated against OPERATOR_SCHEMA."""
     labels = ParticleSet.of(obj["labels"])
     d = int(obj["dim_single"])
     m = decode_raw_matrix(obj["matrix"])

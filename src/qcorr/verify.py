@@ -4,16 +4,14 @@ A report lists, per check, the law being exercised, the measured residual,
 the tolerance, the verdict, and the headroom residual / tolerance (above 1
 fails; null for exact checks, whose tolerance is 0), plus the report's
 largest headroom, so a check drifting towards failure shows before it fails.
-All inputs are seeded so reports are
-identical run to run.  Checks are independent, so a thread pool may compute
-them concurrently; results are assembled in declaration order either way.
+All inputs are seeded, and each suite runs its checks one after another in
+declaration order, so reports are identical run to run.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -1003,26 +1001,16 @@ _SUITES: dict[str, Callable[[], list[Check]]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, tol_scale: float = 1.0, threads: int = 1) -> dict:
+def run_suite(name: str) -> dict:
     """Execute one suite and return its report as a plain dictionary.
 
-    tol_scale multiplies every tolerance; threads bounds concurrent check
-    evaluation.  All checks always run; failures never short-circuit.
+    All checks always run; failures never short-circuit.
     """
     if name not in _SUITES:
         raise KeyError(f"unknown suite '{name}'; valid: {', '.join(SUITE_NAMES)}")
-    if tol_scale <= 0:
-        raise ValueError("tol-scale must be positive")
-    checks = _SUITES[name]()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            residuals = list(pool.map(lambda c: c.fn(), checks))
-    else:
-        residuals = [c.fn() for c in checks]
-
     rows = []
-    for check, residual in zip(checks, residuals):
-        tol = check.tolerance * tol_scale
+    for check in _SUITES[name]():
+        residual, tol = check.fn(), check.tolerance
         rows.append(
             {
                 "name": check.name,
@@ -1040,6 +1028,5 @@ def run_suite(name: str, tol_scale: float = 1.0, threads: int = 1) -> dict:
         "n_checks": len(rows),
         "n_failed": sum(1 for r in rows if not r["pass"]),
         "passed": all(r["pass"] for r in rows),
-        "tol_scale": tol_scale,
         "max_headroom": max(ratios, default=None),
     }

@@ -21,8 +21,9 @@ from qcorr.bbgky import (
 )
 from qcorr.cli import load_scenario, main
 from qcorr.evolution import evolve_density_sequence
-from qcorr.hierarchy import DensityState, chaos_data, cluster_expand
-from qcorr.operators import ManyBodyOperator, relabel, trace_norm
+from qcorr import verify
+from qcorr.hierarchy import DensityState, cluster_expand, solve_chaos
+from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import chaos_one_particle, random_hermitian, rng_from_seed
 from qcorr.serialize import (
@@ -130,13 +131,37 @@ def test_seed_override(tmp_path):
         overridden / "evolve.json"
     ).read_bytes()
 
+    # the manifest records the seeds that ran, so every byte matches a run of
+    # the document with both seeds written in
     pinned = json.loads(json.dumps(BASE_SCENARIO))
     pinned["system"]["seed"] = 99
     pinned["initial"]["preset"]["seed"] = 99
     _, direct = _run(tmp_path, pinned, "pinned")
-    assert (direct / "evolve.json").read_bytes() == (
-        overridden / "evolve.json"
-    ).read_bytes()
+    assert _read_dir(direct) == _read_dir(overridden)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("system", dict(BASE_SCENARIO["system"], seed=-1), "'system/seed': -1 is less"),
+        ("initial", [], "'initial': [] is not of type 'object'"),
+    ],
+    ids=["negative-seed", "initial-not-an-object"],
+)
+def test_seed_override_on_a_malformed_document_exits_2(
+    tmp_path, capsys, field, value, message
+):
+    # --seed changes no message: the document is judged as written
+    sc = dict(BASE_SCENARIO, **{field: value})
+    errors = []
+    for name, extra in [("plain", ()), ("seeded", ("--seed", "99"))]:
+        code, out = _run(tmp_path, sc, name, extra)
+        assert code == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"schema violation: scenario at {message}")
+    assert len(errors[0].splitlines()) == 1
 
 
 def test_malformed_json_exits_2_without_output(tmp_path, capsys):
@@ -193,8 +218,9 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
         assert sorted(os.listdir(tmp_path)) == ["scenario.json", "taken"]
 
 
-# suites run through `qcorr verify` only: a scenario has no route to them,
-# and no preset draws chaos data
+# suites run through `qcorr verify` only: a scenario has no route to them.
+# Chaos data are a correlation sequence that holds only g_1, so there is no
+# chaos task, preset or initial form
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -205,8 +231,14 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
             {"preset": {"preset": "chaos", "seed": 12}},
             "'chaos' is not one of",
         ),
+        (
+            "initial",
+            {"chaos": encode_operator(chaos_one_particle(31, 2, norm=0.8))},
+            "('chaos' was unexpected)",
+        ),
+        ("tasks", ["chaos"], "'chaos' does not match"),
     ],
-    ids=["verify-task", "tolerances", "chaos-preset"],
+    ids=["verify-task", "tolerances", "chaos-preset", "chaos-initial", "chaos-task"],
 )
 def test_suite_route_and_chaos_preset_exit_2(tmp_path, capsys, field, value, message):
     sc = dict(BASE_SCENARIO, **{field: value})
@@ -343,7 +375,7 @@ def test_accepting_input_never_imports_jsonschema(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == (
         "schema violation: scenario at 'tasks/0': 'simulate' does not match "
-        "'^(evolve|hierarchy|chaos|bbgky|iterate|observables)$'\n"
+        "'^(evolve|hierarchy|bbgky|iterate|observables)$'\n"
         "jsonschema imported: True\n"
     )
 
@@ -524,12 +556,13 @@ def test_non_symmetric_density_passes_when_every_checked_s_is_exact(tmp_path, ca
 
 
 def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["tasks"] = ["evolve", "chaos"]
+    # evolve succeeds, then bbgky refuses the non-symmetric data: nothing is
+    # written, not even the evolve result
+    sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=["evolve", "bbgky"])
     code, out = _run(tmp_path, sc, "mismatched")
     assert code == 2
     assert not out.exists()
-    capsys.readouterr()
+    assert "not exchange-symmetric" in capsys.readouterr().err
 
 
 def test_short_norms_list_exits_2_without_traceback(tmp_path):
@@ -546,36 +579,30 @@ def test_short_norms_list_exits_2_without_traceback(tmp_path):
     assert not out.exists()
 
 
-def test_chaos_data_on_another_label_serves_every_task(tmp_path, capsys):
-    g1 = chaos_one_particle(31, 2, norm=0.8)
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["initial"] = {"chaos": encode_operator(relabel(g1, ParticleSet((2,))))}
-    sc["tasks"] = ["chaos", "hierarchy"]
-    code, out = _run(tmp_path, sc, "chaos-label-2")
-    assert code == 0
-    chaos = json.loads((out / "chaos.json").read_text())["solutions"]
-    states = json.loads((out / "hierarchy.json").read_text())["states"]
-    assert len(chaos) == len(states) == len(sc["times"])
-    for sol, state in zip(chaos, states):
-        a = decode_raw_matrix(sol["components"][0]["matrix"])
-        b = decode_raw_matrix(state["components"][0])
-        one = ParticleSet.range1(1)
-        assert trace_norm(ManyBodyOperator(one, 2, a - b)) <= 1e-12
-    capsys.readouterr()
-
-
-def test_chaos_task_at_time_zero_returns_the_data(tmp_path, capsys):
+def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
+    # chaos data are a correlation sequence that holds only g_1; at t = 0 the
+    # solution is the data, with absent components written as null
     g1 = chaos_one_particle(32, 2, norm=0.8)
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc.update(initial={"chaos": encode_operator(g1)}, times=[0.0], n_max=3)
-    sc["tasks"] = ["chaos"]
-    code, out = _run(tmp_path, sc, "chaos-zero")
+    initial = {
+        "correlation": {
+            "dim_single": 2,
+            "n_max": 3,
+            "scalar0": [0.0, 0.0],
+            "components": [encode_raw_matrix(g1.matrix), None, None],
+        }
+    }
+    sc = dict(BASE_SCENARIO, initial=initial, times=[0.0, 0.3], n_max=3)
+    sc["tasks"] = ["hierarchy"]
+    code, out = _run(tmp_path, sc, "chaos-data")
     assert code == 0
-    (sol,) = json.loads((out / "chaos.json").read_text())["solutions"]
-    data = chaos_data(g1, 3).seq
-    for n, comp in enumerate(sol["components"], start=1):
-        got = decode_raw_matrix(comp["matrix"])
-        assert np.array_equal(got, data.component(n).matrix)
+    states = json.loads((out / "hierarchy.json").read_text())["states"]
+    spec = load_scenario(sc).spec
+    for t, state in zip(sc["times"], states, strict=True):
+        for n, rows in enumerate(state["components"], start=1):
+            want = solve_chaos(spec, g1, n, t).matrix
+            got = np.zeros_like(want) if rows is None else decode_raw_matrix(rows)
+            assert (rows is None) == (t == 0.0 and n > 1)
+            assert np.array_equal(got, want)
     capsys.readouterr()
 
 
@@ -663,7 +690,7 @@ def test_verify_command_passes(capsys):
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_every_verify_suite_passes(suite, capsys):
-    code = main(["verify", "--suite", suite, "--tol-scale", "1"])
+    code = main(["verify", "--suite", suite])
     report = json.loads(capsys.readouterr().out)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failed == []
@@ -694,12 +721,24 @@ def test_verify_command_unknown_suite(capsys):
     assert "valid:" in capsys.readouterr().err
 
 
-def test_tiny_tolerance_scale_fails(capsys):
-    # group-law residuals are tiny but nonzero, so scaling pushes them over
-    code = main(["verify", "--suite", "group-law", "--tol-scale", "1e-30"])
+def test_failing_check_exits_1(capsys, monkeypatch):
+    suite = verify._SUITES["combinatorics"]
+    failing = verify.Check("over-tolerance", "1 is above 0", 0.0, lambda: 1.0)
+    monkeypatch.setitem(verify._SUITES, "combinatorics", lambda: [*suite(), failing])
+    code = main(["verify", "--suite", "combinatorics"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["passed"] is False
+    assert report["n_failed"] == 1
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["over-tolerance"]
+
+
+@pytest.mark.parametrize("flag", [("--tol-scale", "10"), ("--threads", "2")])
+def test_verify_has_no_tolerance_scale_or_threads(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "combinatorics", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_schema_command_prints_registry(capsys):

@@ -1,4 +1,5 @@
-"""The README's library quick start and minimal scenario run as written."""
+"""The README's library quick start, minimal scenario and command lines run
+as written."""
 
 import os
 import re
@@ -6,14 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qcorr import cli, serialize
 from qcorr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _block(lang: str) -> str:
+def _blocks(lang: str) -> list[str]:
     text = (ROOT / "README.md").read_text()
-    (block,) = re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def _block(lang: str) -> str:
+    (block,) = _blocks(lang)
     return block
 
 
@@ -67,3 +73,24 @@ def test_minimal_scenario_never_imports_verify(tmp_path):
     loaded = set(proc.stderr.split())
     assert "qcorr.cli" in loaded
     assert "qcorr.verify" not in loaded
+
+
+def test_one_task_list_and_no_dead_flag_in_the_readme():
+    # the schema's task pattern and the runner's task table name the same tasks
+    alternatives = re.fullmatch(r"\^\((.*)\)\$", serialize._TASK_PATTERN).group(1)
+    assert alternatives.split("|") == list(cli._TASK_FNS)
+
+    # every qcorr command line the README shows parses, optional flags included
+    lines = [
+        line.split()[1:]
+        for block in _blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("qcorr ")
+    ]
+    assert {argv[0] for argv in lines} == {"run", "verify", "schema"}
+    for argv in lines:
+        argv = [word.strip("[]") for word in argv]
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"the README shows qcorr {' '.join(argv)}") from None

@@ -355,11 +355,13 @@ def test_scenario_requires_exactly_one_initial():
         validate(sc, SCENARIO_SCHEMA, "scenario")
     sc["initial"] = {
         "preset": {"preset": "random_correlation", "seed": 2},
-        "chaos": encode_operator(
-            ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
+        "correlation": encode_sequence(
+            OperatorSequence(
+                2, 1, 0.0, {1: ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2))}
+            )
         ),
     }
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation, match="has too many properties"):
         validate(sc, SCENARIO_SCHEMA, "scenario")
 
 
