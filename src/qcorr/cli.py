@@ -148,6 +148,16 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
     )
 
 
+def _require_hermitian(m: np.ndarray, what: str) -> None:
+    """Refuse m unless ||m - m^dagger||_F <= TAU_HERM ||m||_F."""
+    dev, norm, c = scaled_hermitian_defect(m)
+    if dev > TAU_HERM * norm:
+        raise SchemaViolation(
+            f"{what} must be Hermitian, deviation {dev * c} exceeds "
+            f"{TAU_HERM} times its norm"
+        )
+
+
 def load_scenario(obj: dict) -> Scenario:
     """Validate, decode, and capacity-check a scenario document."""
     validate(obj, SCENARIO_SCHEMA, "scenario")
@@ -197,6 +207,13 @@ def load_scenario(obj: dict) -> Scenario:
         raise NumericError(f"initial data: {exc}") from exc
     if initial.seq.dim_single != spec.dim_single:
         raise SchemaViolation("initial data does not match the system dimension")
+    if "observables" in obj["tasks"]:
+        # the task writes real numbers, exact only on a Hermitian density
+        # sequence, which is the cluster expansion of a Hermitian correlation
+        # sequence; the scalar components are 1 and 0 by construction
+        kind = "density" if isinstance(initial, DensityState) else "correlation"
+        for n, op in sorted(initial.seq.components.items()):
+            _require_hermitian(op.matrix, f"initial {kind} component {n}")
 
     s_values = [int(s) for s in obj.get("s_values", range(1, max(n_max, 2)))]
     for s in s_values:
@@ -216,14 +233,9 @@ def load_scenario(obj: dict) -> Scenario:
             raise SchemaViolation(
                 f"observable must be {spec.dim_single}x{spec.dim_single}"
             )
-        # ||A - A^dagger||_F <= TAU_HERM ||A||_F: the dispersion is real only
-        # for Hermitian A, and would silently drop an imaginary part otherwise
-        dev, norm, c = scaled_hermitian_defect(a)
-        if dev > TAU_HERM * norm:
-            raise SchemaViolation(
-                f"observable must be Hermitian, deviation {dev * c} exceeds "
-                f"{TAU_HERM} times its norm"
-            )
+        # the dispersion is real only for Hermitian A, and would silently
+        # drop an imaginary part otherwise
+        _require_hermitian(a, "observable")
     else:
         a = np.eye(spec.dim_single, dtype=complex)
 

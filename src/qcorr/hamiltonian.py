@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    TAU_HERM,
     ManyBodyOperator,
     check_mb_symmetry,
     embed_sum,
@@ -36,8 +37,6 @@ from .partitions import (
     ParticleSet,
     enumerate_nonempty_subsets,
 )
-
-TAU_SPEC = 1e-10
 
 
 @dataclass(eq=False)
@@ -78,7 +77,7 @@ class SystemSpec:
                 )
             _require_hermitian(m, f"potential[{k}]")
             as_op = ManyBodyOperator(ParticleSet.range1(k), d, m)
-            if not check_mb_symmetry(as_op, TAU_SPEC):
+            if not check_mb_symmetry(as_op):
                 raise ValueError(
                     f"potential[{k}] must be invariant under particle permutations"
                 )
@@ -86,15 +85,11 @@ class SystemSpec:
             pots[k] = m
         self.potentials = pots
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.potentials))
-
 
 def _require_hermitian(m: np.ndarray, name: str) -> None:
-    # ||m - m^dagger||_F <= TAU_SPEC max(1, ||m||_F), divided through by c
+    # ||m - m^dagger||_F <= TAU_HERM max(1, ||m||_F), divided through by c
     dev, norm, c = scaled_hermitian_defect(m)
-    if dev > TAU_SPEC * max(1.0 / c, norm):
+    if dev > TAU_HERM * max(1.0 / c, norm):
         raise ValueError(f"{name} must be Hermitian, deviation {dev * c}")
 
 

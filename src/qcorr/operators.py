@@ -98,20 +98,9 @@ class ManyBodyOperator:
     def __neg__(self) -> "ManyBodyOperator":
         return ManyBodyOperator(self.labels, self.dim_single, -self.matrix)
 
-    def __matmul__(self, other: "ManyBodyOperator") -> "ManyBodyOperator":
-        self._require_same_space(other)
-        return ManyBodyOperator(self.labels, self.dim_single, self.matrix @ other.matrix)
-
-    def dagger(self) -> "ManyBodyOperator":
-        return ManyBodyOperator(self.labels, self.dim_single, self.matrix.conj().T)
-
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def __repr__(self) -> str:
         return f"ManyBodyOperator(labels={self.labels}, d={self.dim_single})"
@@ -272,19 +261,27 @@ def mb_symmetry_defect(op: ManyBodyOperator) -> float:
     return worst
 
 
-def check_mb_symmetry(op: ManyBodyOperator, tol: float = TAU_HERM) -> bool:
+def check_mb_symmetry(op: ManyBodyOperator) -> bool:
     """True iff op commutes with every particle-permutation conjugation.
 
-    Decides mb_symmetry_defect(op) <= tol * max(1, max_abs(op)), first from
-    the transpositions alone: every permutation is a product of at most
-    n - 1 transpositions, and conjugating by a permutation only moves
-    entries, so the defect of any permutation is at most n - 1 times the
-    largest transposition defect.
+    Decides mb_symmetry_defect(op) <= TAU_HERM * max(1, max_abs(op)) from
+    the largest transposition defect T where it can: a transposition is a
+    permutation, so T above the bound refuses, and every permutation is a
+    product of at most n - 1 transpositions, each of which only moves
+    entries, so T within bound / (n - 1) accepts.  Only a T between the two
+    scans all n! permutations.
     """
-    bound = tol * max(1.0, max_abs(op))
     n = len(op.labels)
-    swaps = [_transposition(n, i, j) for i, j in itertools.combinations(range(n), 2)]
-    if all(_conjugate_defect(op, p) <= bound / (n - 1) for p in swaps):
+    if n <= 1:
+        return True
+    bound = TAU_HERM * max(1.0, max_abs(op))
+    worst = max(
+        _conjugate_defect(op, _transposition(n, i, j))
+        for i, j in itertools.combinations(range(n), 2)
+    )
+    if worst > bound:
+        return False
+    if worst <= bound / (n - 1):
         return True
     return mb_symmetry_defect(op) <= bound
 

@@ -63,14 +63,10 @@ def random_system(
     return SystemSpec(d, one, pots, hbar)
 
 
-def free_system(
-    seed: int, dim_single: int = 2, hbar: float = 1.0, scale: float = 1.0
-) -> SystemSpec:
+def free_system(seed: int, dim_single: int = 2) -> SystemSpec:
     """A seeded system without any interaction potentials."""
-    rng = rng_from_seed(seed)
-    return SystemSpec(
-        int(dim_single), random_hermitian(rng, int(dim_single), scale), {}, hbar
-    )
+    d = int(dim_single)
+    return SystemSpec(d, random_hermitian(rng_from_seed(seed), d), {})
 
 
 def random_operator(
@@ -78,17 +74,12 @@ def random_operator(
     labels: ParticleSet,
     dim_single: int,
     norm: float = 1.0,
-    hermitian: bool = True,
     traceless: bool = False,
     symmetric: bool = False,
 ) -> ManyBodyOperator:
-    """Random operator with the requested structure and trace norm."""
+    """Random Hermitian operator with the requested structure and trace norm."""
     dim = dim_single ** len(labels)
-    if hermitian:
-        m = random_hermitian(rng, dim, 1.0)
-    else:
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    op = ManyBodyOperator(labels, dim_single, m)
+    op = ManyBodyOperator(labels, dim_single, random_hermitian(rng, dim, 1.0))
     if symmetric:
         op = symmetrize(op)
     if traceless:
@@ -104,7 +95,6 @@ def random_correlation_state(
     dim_single: int,
     n_max: int,
     norms: float | Sequence[float] = 0.5,
-    hermitian: bool = True,
     traceless: bool = False,
     symmetric: bool = False,
 ) -> CorrelationState:
@@ -121,7 +111,6 @@ def random_correlation_state(
             ParticleSet.range1(n),
             dim_single,
             norm=float(norms[n - 1]),
-            hermitian=hermitian,
             traceless=traceless,
             symmetric=symmetric,
         )
@@ -156,12 +145,9 @@ def random_sequence(
     dim_single: int,
     n_max: int,
     norms: float | Sequence[float] = 0.5,
-    hermitian: bool = True,
 ) -> OperatorSequence:
     """Seeded plain sequence with zero scalar component."""
-    return random_correlation_state(
-        seed, dim_single, n_max, norms=norms, hermitian=hermitian
-    ).seq
+    return random_correlation_state(seed, dim_single, n_max, norms=norms).seq
 
 
 def chaos_one_particle(seed: int, dim_single: int, norm: float = 1.0) -> ManyBodyOperator:

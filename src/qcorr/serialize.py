@@ -1,10 +1,9 @@
-"""JSON codecs and schemas for operators, sequences, systems, and scenarios.
+"""JSON codecs and schemas for sequences, systems, and scenarios.
 
 Conventions
 -----------
 * A complex number is a two-element array [re, im].
 * A raw matrix is an array of rows, each row an array of [re, im] pairs.
-* An operator adds {labels, dim_single} around its raw matrix.
 * A sequence stores components as an array indexed by n-1 (null = absent).
 * A system is either explicit {dim_single, hbar, one_body, potentials}
   or a preset {"preset": "random_hermitian", "seed": ..., "orders": [...]}.
@@ -75,21 +74,6 @@ _RAW_MATRIX = {
     "type": "array",
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _COMPLEX},
-}
-
-OPERATOR_SCHEMA = {
-    "type": "object",
-    "required": ["labels", "dim_single", "matrix"],
-    "additionalProperties": False,
-    "properties": {
-        "labels": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "dim_single": {"type": "integer", "minimum": 2},
-        "matrix": _RAW_MATRIX,
-    },
 }
 
 SEQUENCE_SCHEMA = {
@@ -259,7 +243,6 @@ REPORT_SCHEMA = {
 }
 
 ALL_SCHEMAS = {
-    "operator": OPERATOR_SCHEMA,
     "sequence": SEQUENCE_SCHEMA,
     "system": SYSTEM_SCHEMA,
     "scenario": SCENARIO_SCHEMA,
@@ -513,28 +496,6 @@ def decode_raw_matrix(rows) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SchemaViolation(f"matrix must be square, got shape {a.shape}")
     return a
-
-
-def encode_operator(op: ManyBodyOperator) -> dict:
-    return {
-        "labels": list(op.labels),
-        "dim_single": op.dim_single,
-        "matrix": encode_raw_matrix(op.matrix),
-    }
-
-
-def decode_operator(obj: dict) -> ManyBodyOperator:
-    validate(obj, OPERATOR_SCHEMA, "operator")
-    labels = ParticleSet.of(obj["labels"])
-    d = int(obj["dim_single"])
-    m = decode_raw_matrix(obj["matrix"])
-    want = d ** len(labels)
-    if m.shape != (want, want):
-        raise SchemaViolation(
-            f"operator matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"labels and dim_single require {want}x{want}"
-        )
-    return ManyBodyOperator(labels, d, m)
 
 
 def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:

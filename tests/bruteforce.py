@@ -53,6 +53,14 @@ def naive_bell(n):
     return len(naive_partitions(tuple(range(n))))
 
 
+def complex_gaussian(rng, dim, norm=1.0):
+    """A dim x dim matrix of complex Gaussian entries, real parts drawn
+    first, scaled to trace norm ``norm``: a generic operand with no
+    Hermitian or permutation structure that could hide an error."""
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m * (norm / float(np.sum(np.linalg.svd(m, compute_uv=False))))
+
+
 def naive_kron(a, b):
     """Kronecker product by explicit index loops."""
     (ra, ca), (rb, cb) = a.shape, b.shape

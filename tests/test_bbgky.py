@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bruteforce import (
+    complex_gaussian,
     naive_embed,
     naive_iteration_series,
     naive_partial_trace,
@@ -49,7 +50,6 @@ from qcorr.presets import (
     random_correlation_state,
     random_density_state,
     random_hermitian,
-    random_operator,
     random_sequence,
     random_system,
     rng_from_seed,
@@ -343,8 +343,8 @@ def test_traced_commutator_matches_full_commutator_then_trace(d, m):
     # non-Hermitian operands, so no symmetry of the blocks can hide an error
     rng = rng_from_seed(340 + 10 * d + m)
     labels = ParticleSet.range1(m)
-    v = random_operator(rng, labels, d, hermitian=False)
-    x = random_operator(rng, labels, d, hermitian=False)
+    v = ManyBodyOperator(labels, d, complex_gaussian(rng, d**m))
+    x = ManyBodyOperator(labels, d, complex_gaussian(rng, d**m))
     hbar = 0.7
     want = partial_trace(liouvillian_apply(v, x, hbar), ParticleSet((m,)))
     got = _traced_commutator(v.matrix, x.matrix, d, hbar)

@@ -30,7 +30,6 @@ from qcorr.serialize import (
     ALL_SCHEMAS,
     REPORT_SCHEMA,
     decode_raw_matrix,
-    encode_operator,
     encode_raw_matrix,
     validate,
 )
@@ -233,7 +232,8 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
         ),
         (
             "initial",
-            {"chaos": encode_operator(chaos_one_particle(31, 2, norm=0.8))},
+            {"chaos": {"labels": [1], "dim_single": 2, "matrix": encode_raw_matrix(
+                chaos_one_particle(31, 2, norm=0.8).matrix)}},
             "('chaos' was unexpected)",
         ),
         ("tasks", ["chaos"], "'chaos' does not match"),
@@ -392,6 +392,42 @@ def test_non_hermitian_observable_exits_2(tmp_path, capsys):
     sc["observable"] = [[[1, 0], [0, -2]], [[0, 2], [-1, 0]]]
     code, _ = _run(tmp_path, sc, "hermitian")
     assert code == 0
+    capsys.readouterr()
+
+
+def _one_particle_density(d11, tasks=("observables",)):
+    """One particle at t = 0.5 with D_1 = diag(d11, 0.2)."""
+    return {
+        "system": {"preset": "random_hermitian", "seed": 11, "orders": [2]},
+        "initial": {"density": {
+            "dim_single": 2, "n_max": 1, "scalar0": [1, 0],
+            "components": [[[d11, [0, 0]], [[0, 0], [0.2, 0]]]],
+        }},
+        "times": [0.5],
+        "n_max": 1,
+        "tasks": list(tasks),
+    }
+
+
+def test_observables_refuse_non_hermitian_density(tmp_path, capsys):
+    # with D_1 = diag(0.3 + 0.1i, 0.2) the exact mean particle number is
+    # 0.33628 + 0.04425i, and its real part alone would be no answer
+    code, out = _run(tmp_path, _one_particle_density([0.3, 0.1]), "non-hermitian")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "initial density component 1 must be Hermitian" in err
+    assert "deviation 0.2" in err
+    # correlation data expand to a density that is Hermitian exactly when they are
+    sc = _one_particle_density([0.3, 0.1])
+    sc["initial"] = {"correlation": dict(sc["initial"]["density"], scalar0=[0, 0])}
+    assert _run(tmp_path, sc, "correlation")[0] == 2
+    assert "initial correlation component 1 must be Hermitian" in capsys.readouterr().err
+
+    # evolve writes complex numbers, so it runs on the same data
+    sc = _one_particle_density([0.3, 0.1], tasks=["evolve"])
+    assert _run(tmp_path, sc, "evolve")[0] == 0
+    assert _run(tmp_path, _one_particle_density([0.3, 0]), "hermitian")[0] == 0
     capsys.readouterr()
 
 
@@ -745,7 +781,8 @@ def test_schema_command_prints_registry(capsys):
     assert main(["schema", "--print"]) == 0
     schemas = json.loads(capsys.readouterr().out)
     assert "scenario" in schemas
-    assert "operator" in schemas
+    # no input holds a bare operator, so no operator format is published
+    assert "operator" not in schemas
 
 
 def test_console_script():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import naive_scattering_cumulant
+from bruteforce import complex_gaussian, naive_scattering_cumulant
 from qcorr.cumulants import (
     cumulant_apply,
     cumulant_generator_fd,
@@ -22,7 +22,10 @@ TOL_SUM = 1e-11
 
 
 def rand_op(seed, labels, d=2, herm=True):
-    return random_operator(rng_from_seed(seed), ParticleSet.of(labels), d, hermitian=herm)
+    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
+    if herm:
+        return random_operator(rng, labels, d)
+    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_single_cluster_cumulant_is_the_group(spec2):

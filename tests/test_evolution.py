@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import expm_series, naive_hamiltonian, naive_kron
+from bruteforce import complex_gaussian, expm_series, naive_hamiltonian, naive_kron
 from qcorr import bbgky, evolution
 from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import (
@@ -13,7 +13,7 @@ from qcorr.evolution import (
     unitary_matrix,
 )
 from qcorr.hamiltonian import build_hamiltonian, liouvillian_apply
-from qcorr.operators import trace_norm
+from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.presets import (
     random_density_state,
@@ -27,7 +27,10 @@ TOL = 1e-11
 
 
 def rand_op(seed, labels, d=2, herm=True):
-    return random_operator(rng_from_seed(seed), ParticleSet.of(labels), d, hermitian=herm)
+    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
+    if herm:
+        return random_operator(rng, labels, d)
+    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_propagator_matches_series_exponential(spec2):
@@ -143,7 +146,7 @@ def test_interleaved_block_family_is_product_of_block_exponentials(d, blocks):
     spec = random_system(seed=51, dim_single=d, orders=(2, 3))
     family = ClusterSet.of(blocks)
     n = len(family.union)
-    f = random_operator(rng_from_seed(52), family.union, d, hermitian=False)
+    f = ManyBodyOperator(family.union, d, complex_gaussian(rng_from_seed(52), d**n))
     t = 0.7
     u = np.eye(d**n, dtype=complex)
     for block in family:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import naive_embed
+from bruteforce import complex_gaussian, naive_embed
 from qcorr.hamiltonian import (
     SystemSpec,
     build_hamiltonian,
@@ -18,7 +18,10 @@ TOL = 1e-12
 
 
 def rand_op(seed, labels, d=2, herm=True):
-    return random_operator(rng_from_seed(seed), ParticleSet.of(labels), d, hermitian=herm)
+    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
+    if herm:
+        return random_operator(rng, labels, d)
+    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_spec_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import naive_embed, naive_kron, naive_partial_trace
+from bruteforce import complex_gaussian, naive_embed, naive_kron, naive_partial_trace
 from qcorr.errors import CapacityError
 from qcorr.operators import (
     TAU_HERM,
@@ -28,14 +28,14 @@ from qcorr.operators import (
     zero_operator,
 )
 from qcorr.partitions import ParticleSet
-from qcorr.presets import random_operator, random_system, rng_from_seed
+from qcorr.presets import random_system, rng_from_seed
 
 TOL = 1e-12
 
 
 def rand_op(seed, labels, d=2):
     rng = rng_from_seed(seed)
-    return random_operator(rng, ParticleSet.of(labels), d, hermitian=False)
+    return ManyBodyOperator(ParticleSet.of(labels), d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_constructor_validates_shape_and_finiteness():
@@ -58,8 +58,6 @@ def test_algebra_requires_matching_space():
     b = rand_op(2, [1, 3])
     with pytest.raises(ValueError):
         _ = a + b
-    with pytest.raises(ValueError):
-        _ = a @ b
 
 
 def test_relabel_moves_names_only():
@@ -219,8 +217,8 @@ def test_trace_norm_is_singular_value_sum():
     m = np.array([[0.0, 3.0], [4.0, 0.0]], dtype=complex)
     op = ManyBodyOperator(ParticleSet((1,)), 2, m)
     assert abs(trace_norm(op) - 7.0) <= TOL
-    herm = rand_op(23, [1, 2])
-    herm = (herm + herm.dagger()) * 0.5
+    m = rand_op(23, [1, 2]).matrix
+    herm = ManyBodyOperator(ParticleSet.of([1, 2]), 2, (m + m.conj().T) * 0.5)
     eigs = np.linalg.eigvalsh(herm.matrix)
     assert abs(trace_norm(herm) - np.abs(eigs).sum()) <= 1e-10
 
@@ -265,45 +263,77 @@ def test_symmetry_defect_detects_asymmetry():
 
 
 def _slot_pair_operator(values):
-    """A 3-qubit operator whose entry at slot pairs (p1, p2, p3) is
-    values[(p1, p2, p3)], a slot pair being a (row bit, column bit)."""
-    m = np.zeros((8, 8), dtype=complex)
+    """An n-qubit operator whose entry at slot pairs (p1, ..., pn) is
+    values[(p1, ..., pn)], a slot pair being a (row bit, column bit)."""
+    n = len(next(iter(values)))
+    m = np.zeros((2**n, 2**n), dtype=complex)
     for pairs, v in values.items():
-        row = sum(r << (2 - i) for i, (r, _) in enumerate(pairs))
-        col = sum(c << (2 - i) for i, (_, c) in enumerate(pairs))
+        row = sum(r << (n - 1 - i) for i, (r, _) in enumerate(pairs))
+        col = sum(c << (n - 1 - i) for i, (_, c) in enumerate(pairs))
         m[row, col] = v
-    return ManyBodyOperator(ParticleSet.range1(3), 2, m)
+    return ManyBodyOperator(ParticleSet.range1(n), 2, m)
 
 
-def _three_cycle_operator(t):
-    """Transposition defects t, 3-cycle defect 2t: on the orbit of three
-    distinct slot pairs, the even arrangements hold 0, 2t, t and the odd
-    ones t, so the bound (n - 1) * max transposition defect is attained."""
-    a, b, c = (0, 0), (0, 1), (1, 0)
-    even = {(a, b, c): 0.0, (b, c, a): 2 * t, (c, a, b): t}
-    odd = {(b, a, c): t, (a, c, b): t, (c, b, a): t}
-    return _slot_pair_operator({**even, **odd})
+_SLOT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for i in range(len(perm)):
+        count += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+    return count
+
+
+def _cayley_operator(n, t):
+    """On the orbit of n distinct slot pairs, the arrangement perm holds t
+    times n minus its number of cycles, its distance from the identity in
+    transpositions: every transposition defect is t, an n-cycle's (n - 1) t."""
+    return _slot_pair_operator({
+        tuple(_SLOT_PAIRS[p] for p in perm): t * (n - _cycle_count(perm))
+        for perm in itertools.permutations(range(n))
+    })
 
 
 def test_symmetry_check_keeps_the_exact_decision():
-    tol = TAU_HERM
-    for t, symmetric in [(0.45 * tol, True), (0.55 * tol, False)]:
-        op = _three_cycle_operator(t)
-        assert mb_symmetry_defect(op) == 2 * t
-        assert check_mb_symmetry(op) is symmetric
-    # one off-orbit entry: every transposition moves it, so each defect is
-    # the entry itself, above tol / 2; the exact defect decides
-    for eps, symmetric in [(0.9 * tol, True), (1.1 * tol, False)]:
-        op = _slot_pair_operator({((0, 0), (0, 1), (1, 0)): eps})
-        assert check_mb_symmetry(op) is symmetric
+    # entries below 1, so the bound is TAU_HERM.  A largest transposition
+    # defect t above it refuses, one within TAU_HERM / (n - 1) accepts, and
+    # one in between leaves the decision to the full scan: there the n-cycle
+    # defect (n - 1) t refuses, and a lone entry, which every permutation
+    # moves alike, accepts
+    for n in (3, 4):
+        lone = tuple(_SLOT_PAIRS[:n])
+        scanned = set()
+        for t in TAU_HERM * np.array([0.2, 0.3, 0.45, 0.6, 0.8, 0.95, 1.1, 2.0]):
+            cayley = _cayley_operator(n, t)
+            assert mb_symmetry_defect(cayley) == (n - 1) * t
+            for op in (cayley, _slot_pair_operator({lone: t})):
+                want = mb_symmetry_defect(op) <= TAU_HERM
+                assert check_mb_symmetry(op) is want
+                if TAU_HERM / (n - 1) < t < TAU_HERM:
+                    scanned.add(want)
+        assert scanned == {True, False}
     sym = symmetrize(rand_op(29, [1, 2, 3, 4]))
     assert check_mb_symmetry(sym)
     assert not check_mb_symmetry(rand_op(30, [1, 2, 3, 4]))
 
 
+def test_symmetry_check_refuses_without_the_full_scan(monkeypatch):
+    # order 8 at d = 2: 28 transpositions, against 8! = 40320 permutations
+    def full_scan(op):
+        raise AssertionError("scanned every permutation")
+
+    monkeypatch.setattr("qcorr.operators.mb_symmetry_defect", full_scan)
+    a = rng_from_seed(32).standard_normal((256, 256))
+    op = ManyBodyOperator(ParticleSet.range1(8), 2, (a + a.T) / 2)
+    assert not check_mb_symmetry(op)
+
+
 def test_hermiticity_and_spectrum_helpers():
-    h = rand_op(28, [1, 2])
-    h = (h + h.dagger()) * 0.5
+    m = rand_op(28, [1, 2]).matrix
+    h = ManyBodyOperator(ParticleSet.of([1, 2]), 2, (m + m.conj().T) * 0.5)
     assert scaled_hermitian_defect(h.matrix)[0] <= 1e-15
     shifted = h + 1j * identity_operator(h.labels, 2)
     assert scaled_hermitian_defect(shifted.matrix)[0] > TAU_HERM
@@ -325,5 +355,4 @@ def test_zero_and_identity_builders():
     z = zero_operator(ParticleSet.range1(2), 2)
     assert trace_norm(z) == 0.0
     i = identity_operator(ParticleSet.range1(2), 3)
-    assert i.dim == 9
     assert abs(i.trace - 9) <= TOL

@@ -21,13 +21,11 @@ from qcorr.serialize import (
     SCENARIO_SCHEMA,
     SEQUENCE_SCHEMA,
     decode_complex,
-    decode_operator,
     decode_raw_matrix,
     decode_sequence,
     decode_system,
     dumps_canonical,
     encode_complex,
-    encode_operator,
     encode_raw_matrix,
     encode_sequence,
     encode_system,
@@ -35,6 +33,7 @@ from qcorr.serialize import (
 )
 from qcorr.serialize import _conforms
 from qcorr.star_algebra import OperatorSequence
+from qcorr.verify import run_suite
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
@@ -61,49 +60,6 @@ def test_raw_matrix_must_be_square():
     rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]] * 3]
     with pytest.raises(SchemaViolation):
         decode_raw_matrix(rows)
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def test_operator_roundtrip_keeps_labels():
-    rng = rng_from_seed(11)
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    op = ManyBodyOperator(ParticleSet((2, 5)), 2, m)
-    back = decode_operator(encode_operator(op))
-    assert back.labels == op.labels
-    assert back.dim_single == 2
-    assert np.array_equal(back.matrix, op.matrix)
-
-
-def test_operator_schema_rejects_missing_field():
-    obj = encode_operator(
-        ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
-    )
-    del obj["labels"]
-    with pytest.raises(SchemaViolation):
-        decode_operator(obj)
-
-
-def test_operator_matrix_size_must_match_labels():
-    obj = {
-        "labels": [1, 2],
-        "dim_single": 2,
-        "matrix": encode_raw_matrix(np.eye(2)),
-    }
-    with pytest.raises(SchemaViolation, match="require"):
-        decode_operator(obj)
-
-
-def test_operator_schema_rejects_bad_label():
-    obj = {
-        "labels": [0],
-        "dim_single": 2,
-        "matrix": encode_raw_matrix(np.eye(2)),
-    }
-    with pytest.raises(SchemaViolation):
-        decode_operator(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +246,8 @@ def test_dumps_canonical_equals_json_dumps_on_documents():
     doc = {
         "states": [encode_sequence(g, kind="correlation")],
         "system": encode_system(spec),
-        "nested": {"deeper": [[encode_operator(g.components[2])]]},
+        "nested": {"deeper": [[{"labels": [1, 2], "dim_single": 2,
+                                "matrix": encode_raw_matrix(g.components[2].matrix)}]]},
     }
     assert dumps_canonical(doc) == _json_reference(doc)
 
@@ -529,13 +486,34 @@ def test_schemas_cannot_tell_a_raw_matrix_from_the_stand_in():
 
 def test_schema_registry_names():
     assert set(ALL_SCHEMAS) == {
-        "operator",
         "sequence",
         "system",
         "scenario",
         "quadrature",
         "report",
     }
+
+
+def _nested_schemas(x):
+    """x and every value nested in it, at any depth."""
+    yield x
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from _nested_schemas(v)
+
+
+def test_every_published_schema_has_a_reader():
+    # qcorr reads one document, a scenario, and writes one report; a
+    # published schema that neither could hold would describe a format
+    # that no input accepts
+    nested = list(_nested_schemas(SCENARIO_SCHEMA))
+    for name, schema in ALL_SCHEMAS.items():
+        if name == "report":
+            validate(run_suite("combinatorics"), schema, "report")
+        else:
+            assert any(s is schema for s in nested), name
 
 
 def test_every_schema_passes_the_meta_schema():

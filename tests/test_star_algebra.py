@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import naive_partitions
+from bruteforce import complex_gaussian, naive_partitions
 from qcorr.bbgky import MarginalState, correlation_from_marginals
 from qcorr.errors import NormalizationError
 from qcorr.hierarchy import (
@@ -22,7 +22,7 @@ from qcorr.operators import (
     trace_norm,
 )
 from qcorr.partitions import ClusterSet, ParticleSet, partition_sum
-from qcorr.presets import random_sequence
+from qcorr.presets import random_sequence, rng_from_seed
 from qcorr.serialize import encode_sequence
 from qcorr.star_algebra import (
     OperatorSequence,
@@ -295,8 +295,15 @@ RECURSION_CASES = [
 
 
 def plain(seed, d, n_max, hermitian, scalar):
-    f = random_sequence(seed, d, n_max, norms=0.5, hermitian=hermitian)
-    return OperatorSequence(d, n_max, scalar, dict(f.components))
+    if hermitian:
+        comps = random_sequence(seed, d, n_max, norms=0.5).components
+    else:
+        rng = rng_from_seed(seed)
+        comps = {
+            n: ManyBodyOperator(ParticleSet.range1(n), d, complex_gaussian(rng, d**n, 0.5))
+            for n in range(1, n_max + 1)
+        }
+    return OperatorSequence(d, n_max, scalar, dict(comps))
 
 
 @pytest.mark.parametrize("d,n_max,hermitian", RECURSION_CASES)
