@@ -4,14 +4,8 @@ Everything the rest of the package does is driven by sums over set
 partitions, so this walks the combinatorial layer first.
 """
 
-from qcorr.partitions import (
-    ParticleSet,
-    bell_number,
-    enumerate_partitions,
-    mobius_coefficient,
-    partition_alternating_sum,
-    stirling2,
-)
+from qcorr.partitions import ParticleSet, enumerate_partitions, mobius_coefficient
+from qcorr.verify import bell_number, partition_alternating_sum, stirling2
 
 # all partitions of {1,2,3,4} with their signed coefficients; each
 # partition is a ClusterSet of its blocks, ordered by smallest label

@@ -5,7 +5,6 @@ import numpy as np
 from qcorr.operators import (
     ManyBodyOperator,
     partial_trace,
-    permute_particles,
     symmetrize,
     tensor_embed,
     tensor_product,
@@ -34,11 +33,6 @@ print(f"embedded trace: {emb.trace.real:.6f} = {a.trace.real:.6f} * {d}^3")
 reduced = partial_trace(ab, ParticleSet((1, 3)))
 print(f"partial trace factorizes: residual "
       f"{np.abs(reduced.matrix - a.matrix * b.trace).max():.2e}")
-
-# slot permutations act by conjugation with the swap; (2,1,0) exchanges
-# the first and third tensor slots of the product
-swapped = permute_particles(ab, (2, 1, 0))
-print(f"swap changes the matrix by {np.abs(swapped.matrix - ab.matrix).max():.3f}")
 
 # the symmetrizer projects onto permutation-invariant operators
 sym = symmetrize(ab)

@@ -6,17 +6,17 @@ at t = 0, for interaction-free systems, and in the limit of far-separated
 dynamics.  What survives is exactly the correlated part of the evolution.
 """
 
-from qcorr.cumulants import (
-    cumulant_apply,
+from qcorr.cumulants import cumulant_apply
+from qcorr.evolution import group_apply, make_unitary_group, unitary_matrix
+from qcorr.operators import ManyBodyOperator, tensor_product, trace_norm
+from qcorr.partitions import ClusterSet, ParticleSet
+from qcorr.presets import free_system, random_correlation_state, random_system
+from qcorr.verify import (
     cumulant_vanishes_free,
     recover_group_from_cumulants,
     scattering_cumulant_apply,
     scattering_operator_apply,
 )
-from qcorr.evolution import group_apply, make_unitary_group, unitary_matrix
-from qcorr.operators import ManyBodyOperator, tensor_product, trace_norm
-from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import free_system, random_correlation_state, random_system
 
 spec = random_system(21, dim_single=2, orders=(2, 3))
 labels = ParticleSet.range1(3)

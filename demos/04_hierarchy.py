@@ -7,15 +7,10 @@ the same evolution between Exp and Ln written out as partition sums.  The
 two must agree to rounding.
 """
 
-from qcorr.hierarchy import (
-    solve_hierarchy,
-    solve_via_density_oracle,
-    verify_group_property,
-    verify_growth_bound,
-)
+from qcorr.hierarchy import solve_hierarchy, solve_via_density_oracle
 from qcorr.operators import trace_norm
 from qcorr.presets import random_correlation_state, random_system
-from qcorr.star_algebra import seq_residual
+from qcorr.verify import verify_group_property, verify_growth_bound
 
 spec = random_system(31, dim_single=2, orders=(2, 3))
 g0 = random_correlation_state(32, 2, 3, norms=0.5)

@@ -9,15 +9,12 @@ dynamics: both are checked at increasing series depth.
 """
 
 from qcorr.presets import random_sequence
-from qcorr.star_algebra import (
-    annihilation_expand,
+from qcorr.star_algebra import annihilation_expand, star_exp, star_ln, star_product
+from qcorr.verify import (
     product_reduction_residual,
     seq_add,
     seq_residual,
     shift_map,
-    star_exp,
-    star_ln,
-    star_product,
     verify_lemma2,
     verify_lemma3,
 )

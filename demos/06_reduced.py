@@ -8,7 +8,6 @@ from qcorr.bbgky import (
     additive_observable_moment,
     average_particle_number,
     marginal_state_from_density,
-    reduce_from_correlations,
     reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
@@ -23,6 +22,7 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
+from qcorr.verify import reduce_from_correlations
 
 spec = random_system(51, dim_single=2, orders=(2, 3))
 

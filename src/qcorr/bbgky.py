@@ -5,18 +5,16 @@ traces of all higher components, divided by the reduction scalar (the
 grand-canonical normalization).  Because every state here is cut at n_max,
 all series are exact finite sums.
 
-The module carries three independent routes to F_s(t):
+The module carries two independent routes to F_s(t):
 
 * reduce the evolved density sequence            (:func:`reduce_from_density`)
 * the cumulant formula, un-reduce/evolve/reduce  (:func:`solve_bbgky_cumulant`)
-* reduce the evolved correlation sequence        (:func:`reduce_from_correlations`)
 
-(the literal cumulant sum is kept in :mod:`qcorr.verify`), plus a
-time-ordered iteration series with numerical quadrature as a cross-check,
-correlation operators G_s from two directions (the star logarithm of the
-marginals, the reduced correlation sequence; for independent particles,
-the reduced chaos solution), and the particle-number / dispersion
-observables.
+plus a time-ordered iteration series with numerical quadrature as a
+cross-check, and the particle-number / dispersion observables.  The third
+route (reduce the evolved correlation sequence), the literal cumulant sum
+and the correlation operators G_s are reference routes in
+:mod:`qcorr.verify`.
 """
 
 from __future__ import annotations
@@ -29,13 +27,7 @@ import numpy as np
 
 from .evolution import _conjugate, group_apply, make_unitary_group
 from .hamiltonian import SystemSpec
-from .hierarchy import (
-    CorrelationState,
-    DensityState,
-    chaos_data,
-    cluster_expand,
-    solve_hierarchy,
-)
+from .hierarchy import DensityState
 from .operators import ManyBodyOperator, embed_sum, partial_trace
 from .partitions import ParticleSet
 from .star_algebra import (
@@ -43,9 +35,7 @@ from .star_algebra import (
     annihilation_component,
     annihilation_expand,
     annihilation_scalar,
-    cluster_argument_sequence,
     require_normalizable,
-    star_ln,
 )
 
 
@@ -95,18 +85,6 @@ def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
         raise ValueError(f"s must be in [1, {d.seq.n_max}], got {s}")
     z = require_normalizable(annihilation_scalar(d.seq))
     return annihilation_component(d.seq, s) / z
-
-
-def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
-    """F_s from the correlation side: traced cluster-argument correlations.
-
-    No normalization scalar appears; it is built into this representation.
-    """
-    seq = g.seq
-    if not 1 <= s <= seq.n_max:
-        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    args = cluster_argument_sequence(cluster_expand(g).seq, s, seq.n_max - s)
-    return annihilation_component(args, 0)
 
 
 def solve_bbgky_cumulant(
@@ -280,40 +258,6 @@ def solve_bbgky_iteration(
             acc = acc + wt * _iteration_integrand(spec, top, s, n, t, ts, coupling)
         total = total + acc
     return ManyBodyOperator(ParticleSet.range1(s), spec.dim_single, total)
-
-
-def correlation_from_marginals(f: MarginalState, s: int) -> ManyBodyOperator:
-    """G_s as the signed partition combination of marginal products.
-
-    That is component s of the star logarithm of the marginal sequence.
-    """
-    seq = f.seq
-    if not 1 <= s <= seq.n_max:
-        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    return star_ln(seq, out_n_max=s).component(s)
-
-
-def correlation_from_g(g: CorrelationState, s: int) -> ManyBodyOperator:
-    """G_s as the reduction of the correlation sequence itself."""
-    if not 1 <= s <= g.seq.n_max:
-        raise ValueError(f"s must be in [1, {g.seq.n_max}], got {s}")
-    return annihilation_component(g.seq, s)
-
-
-def correlation_chaos_expansion(
-    spec: SystemSpec,
-    g1_0: ManyBodyOperator,
-    s: int,
-    t: float,
-    n_max: int,
-) -> ManyBodyOperator:
-    """G_s(t) for independent initial particles: the reduced chaos solution.
-
-    Term n of the paper's cumulant expansion is chaos component s+n traced
-    with weight 1/n!.
-    """
-    sol = solve_hierarchy(spec, chaos_data(g1_0, n_max), t)
-    return correlation_from_g(sol, s)
 
 
 def average_particle_number(f: MarginalState) -> float:

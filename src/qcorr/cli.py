@@ -32,6 +32,10 @@ from math import comb, isfinite
 import numpy as np
 
 from . import __version__
+
+# no run path needs cumulants, but bench/layers.py traces it through
+# sys.modules["qcorr.cumulants"]; drop this once the tracer loads it itself
+from . import cumulants  # noqa: F401
 from .bbgky import (
     QuadratureSpec,
     additive_observable_moments,
@@ -64,8 +68,8 @@ from .presets import random_correlation_state, random_density_state
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
-    _decode_sequence,
     decode_raw_matrix,
+    decode_sequence,
     decode_system,
     dumps_canonical,
     encode_complex,
@@ -113,8 +117,8 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
     """Decode the tagged initial-data union into a correlation or density state.
 
-    obj is part of a scenario that load_scenario has validated, so the
-    decoders' own validation is skipped.
+    obj is part of a scenario that load_scenario has validated, as
+    decode_sequence requires.
     """
     (tag, body), = obj.items()
     if tag in ("correlation", "density"):
@@ -122,7 +126,7 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
             raise SchemaViolation(
                 f"initial {tag} sequence is marked kind '{body['kind']}'"
             )
-        seq = _fit_sequence(_decode_sequence(body), n_max)
+        seq = _fit_sequence(decode_sequence(body), n_max)
         return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
     # the fields each preset reads besides "preset" and "seed"
     reads = {
@@ -284,13 +288,16 @@ def _pmap(fn, items, threads: int) -> list:
 
 
 def _marginal_record(s: int, t: float, op: ManyBodyOperator) -> dict:
+    # the eigenvalues of a non-Hermitian F_s are complex, and the lowest one
+    # of its Hermitian part is none of them, so min_eig is null there
+    dev, norm, _ = scaled_hermitian_defect(op.matrix)
     return {
         "s": s,
         "t": t,
         "matrix": encode_raw_matrix(op.matrix),
         "trace": encode_complex(op.trace),
         "trace_norm": trace_norm(op),
-        "min_eig": min_eigenvalue(op),
+        "min_eig": min_eigenvalue(op) if dev <= TAU_HERM * norm else None,
     }
 
 
@@ -371,7 +378,8 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
             )
 
 
-def _task_bbgky(sc: Scenario, threads: int) -> dict:
+def _marginal_records(sc: Scenario, threads: int, solve) -> list[dict]:
+    """A record of solve(spec, f0, s, t) for every s, then t, of the scenario."""
     d0 = _as_density(sc)
     _require_exchange_symmetric(d0, sc.s_values)
     f0 = marginal_state_from_density(d0)
@@ -379,22 +387,21 @@ def _task_bbgky(sc: Scenario, threads: int) -> dict:
 
     def one(st) -> dict:
         s, t = st
-        return _marginal_record(s, t, solve_bbgky_cumulant(sc.spec, f0, s, t))
+        return _marginal_record(s, t, solve(sc.spec, f0, s, t))
 
-    return {"task": "bbgky", "records": _pmap(one, grid, threads)}
+    return _pmap(one, grid, threads)
+
+
+def _task_bbgky(sc: Scenario, threads: int) -> dict:
+    records = _marginal_records(sc, threads, solve_bbgky_cumulant)
+    return {"task": "bbgky", "records": records}
 
 
 def _task_iterate(sc: Scenario, threads: int) -> dict:
-    d0 = _as_density(sc)
-    _require_exchange_symmetric(d0, sc.s_values)
-    f0 = marginal_state_from_density(d0)
     q = sc.quadrature
-    grid = [(s, t) for s in sc.s_values for t in sc.times]
 
-    def one(st) -> dict:
-        s, t = st
-        rec = _marginal_record(s, t, solve_bbgky_iteration(sc.spec, f0, s, t, q))
-        return rec
+    def solve(spec, f0, s, t):
+        return solve_bbgky_iteration(spec, f0, s, t, q)
 
     return {
         "task": "iterate",
@@ -403,7 +410,7 @@ def _task_iterate(sc: Scenario, threads: int) -> dict:
             "nodes_per_dim": q.nodes_per_dim,
             "rule": q.rule,
         },
-        "records": _pmap(one, grid, threads),
+        "records": _marginal_records(sc, threads, solve),
     }
 
 

@@ -14,8 +14,8 @@ products per node, where the eigenbasis form would take four on a fresh operand.
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
 ``group_apply(ug, t, f)`` conjugates f with it.  The t-derivative of
-``group_apply`` at 0 is therefore exactly ``liouvillian_apply``, the RHS
-generator of module hamiltonian.
+``group_apply`` at 0 is therefore exactly the full Liouvillian RHS
+generator -(i/hbar)[H, f] (``verify.liouvillian_apply``).
 """
 
 from __future__ import annotations

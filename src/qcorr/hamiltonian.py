@@ -7,15 +7,16 @@ builds n-particle Hamiltonians
 
     H_n = sum_i h(i) + sum_k sum_{i_1<...<i_k} Phi^(k)(i_1,...,i_k)
 
-and applies the generators of the dynamics.  Sign convention, fixed once:
-every ``*_apply`` here returns the right-hand-side generator of an
-evolution equation, i.e. the map
+and the interaction generator of the dynamics.  Sign convention, fixed
+once: every generator returns the right-hand side of an evolution
+equation, i.e. the map
 
     f  ->  -(i/hbar) (X f - f X)
 
-with X the Hamiltonian (full Liouvillian) or an embedded potential
-(interaction Liouvillian).  Both are trace-annihilating and preserve
-Hermiticity of f.
+with X the Hamiltonian (the full Liouvillian, a reference route in
+:mod:`qcorr.verify` with the cluster-interaction generator) or an embedded
+potential (:func:`interaction_liouvillian_apply`).  Both are
+trace-annihilating and preserve Hermiticity of f.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from .operators import (
     embed_sum,
     scaled_hermitian_defect,
 )
-from .partitions import (
-    ClusterSet,
-    ParticleSet,
-    enumerate_nonempty_subsets,
-)
+from .partitions import ParticleSet
 
 
 @dataclass(eq=False)
@@ -118,15 +115,6 @@ def _commutator_generator(
     return ManyBodyOperator(f.labels, f.dim_single, m)
 
 
-def liouvillian_apply(
-    h: ManyBodyOperator, f: ManyBodyOperator, hbar: float = 1.0
-) -> ManyBodyOperator:
-    """RHS generator of the full evolution: -(i/hbar)(H f - f H)."""
-    if h.labels != f.labels or h.dim_single != f.dim_single:
-        raise ValueError(f"H on {h.labels} cannot act on f over {f.labels}")
-    return _commutator_generator(h.matrix, f, hbar)
-
-
 def interaction_liouvillian_apply(
     phi_k: np.ndarray,
     cluster: ParticleSet,
@@ -144,34 +132,3 @@ def interaction_liouvillian_apply(
             f"potential shape {phi.shape} does not fit cluster {cluster} (need {dim})"
         )
     return _commutator_generator(embed_sum([(cluster, phi)], f.labels, d), f, hbar)
-
-
-def cluster_interaction_apply(
-    blocks: ClusterSet, f: ManyBodyOperator, spec: SystemSpec
-) -> ManyBodyOperator:
-    """Interaction generator coupling the blocks of a cluster set.
-
-    Sums, over every choice of one nonempty subset Z_r from each block, the
-    interaction generator with the potential of order sum_r |Z_r| embedded
-    on the union of the chosen subsets.  Choices whose total order has no
-    declared potential contribute zero.  All chosen potentials are
-    accumulated first so only a single commutator is formed.
-    """
-    if len(blocks) < 2:
-        raise ValueError("cluster interaction needs at least two blocks")
-    if blocks.union != f.labels:
-        raise ValueError(
-            f"blocks cover {blocks.union} but the operand lives on {f.labels}"
-        )
-    terms = []
-    for combo in itertools.product(*(enumerate_nonempty_subsets(b) for b in blocks)):
-        phi = spec.potentials.get(sum(len(z) for z in combo))
-        if phi is not None:
-            terms.append((sorted(itertools.chain(*combo)), phi))
-    return _commutator_generator(embed_sum(terms, f.labels, f.dim_single), f, spec.hbar)
-
-
-def interaction_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
-    """The interaction part of H alone: sum of all embedded potentials."""
-    d = spec.dim_single
-    return ManyBodyOperator(labels, d, embed_sum(_potential_terms(spec, labels), labels, d))

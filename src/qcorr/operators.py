@@ -15,8 +15,8 @@ reshaped tensor, so no d^{2n} x d^{2n} permutation matrix is ever
 materialized.  :func:`embed_sum` krons each local term with an identity and
 moves it into label order with that helper; every embedding and every sum
 of local terms (Hamiltonians, interaction generators, additive observables)
-goes through it.  :func:`tensor_product`, :func:`permute_particles`,
-:func:`symmetrize` and the symmetry checks use the helper too.
+goes through it.  :func:`tensor_product`, :func:`symmetrize` and
+the symmetry checks use the helper too.
 :func:`partial_trace` stays on ``np.einsum`` with integer sublists, where a
 traced slot's column axis is its row axis: routing it through the helper
 would make a transposed copy first, several times slower than the einsum.
@@ -160,20 +160,6 @@ def embed_sum(
         big = np.kron(m, np.eye(d ** len(rest), dtype=complex))
         total += _permute_slots(big, np.argsort(labels + rest), d)
     return total
-
-
-def permute_particles(op: ManyBodyOperator, perm: tuple[int, ...]) -> ManyBodyOperator:
-    """Conjugate op by the permutation sending tensor slot perm[j] to slot j.
-
-    ``perm`` is a rearrangement of range(n) over the positions of
-    op.labels in ascending order; labels themselves do not change.
-    """
-    n = len(op.labels)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of range({n})")
-    return ManyBodyOperator(
-        op.labels, op.dim_single, _permute_slots(op.matrix, perm, op.dim_single)
-    )
 
 
 def tensor_product(ops: Iterable[ManyBodyOperator]) -> ManyBodyOperator:

@@ -2,10 +2,12 @@
 
 Everything downstream (cluster expansions, cumulants of evolution groups,
 hierarchy sums) walks the lattice of set partitions.  This module owns those
-walks: canonical enumeration of partitions and subsets, Stirling numbers of
-the second kind, the signed factorial coefficient attached to each
-partition of the lattice, and :func:`partition_sum`, the one partition loop
-that every cluster expansion, cumulant and solution formula is written with.
+walks: canonical enumeration of partitions, the signed factorial
+coefficient attached to each partition of the lattice, and
+:func:`partition_sum`, the one partition loop that every cluster
+expansion, cumulant and solution formula is written with.  Subset
+enumeration, Stirling and Bell numbers and the alternating partition sum
+serve only the checks, in :mod:`qcorr.verify`.
 
 Conventions
 -----------
@@ -17,24 +19,20 @@ Conventions
   :func:`partition_sum` term.  It keeps its elements ordered by smallest
   label, each element ascending.  Construction canonicalizes, so two
   families with the same sets compare equal.
-* All counting is exact integer arithmetic.  Guards: partition enumeration up
-  to 12 elements, subset enumeration up to 16 elements, Stirling numbers up
-  to n = 20.
+* All counting is exact integer arithmetic.  Guard: partitions of up to 12
+  elements or units.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError
 
 MAX_PARTITION_GROUND = 12
-MAX_SUBSET_GROUND = 16
-MAX_STIRLING_N = 20
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,6 @@ class ClusterSet:
     def singletons(cls, labels: Iterable[int]) -> "ClusterSet":
         return cls(tuple(ParticleSet.of([x]) for x in labels))
 
-    @classmethod
-    def cluster_and_singletons(cls, s: int, n: int) -> "ClusterSet":
-        """The s-cluster (1..s) as one unit, then particles s+1..s+n."""
-        return cls.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
-
     @property
     def union(self) -> ParticleSet:
         return ParticleSet.of(
@@ -153,8 +146,7 @@ def enumerate_partitions(ground: ParticleSet) -> list[ClusterSet]:
 
     Each partition is a ClusterSet of its blocks, whose union is ``ground``.
     The list has Bell(|ground|) entries.  Guard: |ground| <= 12 (the top of
-    that range materializes millions of partitions; the streaming helpers
-    below avoid that for the alternating sum).
+    that range materializes millions of partitions).
     """
     if len(ground) > MAX_PARTITION_GROUND:
         raise CapacityError(
@@ -167,20 +159,6 @@ def enumerate_partitions(ground: ParticleSet) -> list[ClusterSet]:
         ClusterSet(tuple(ParticleSet(b) for b in blocks))
         for blocks in iter_set_partitions(ground.labels)
     ]
-
-
-def enumerate_nonempty_subsets(ground: ParticleSet) -> list[ParticleSet]:
-    """All nonempty subsets, ordered by size then lexicographically."""
-    if len(ground) > MAX_SUBSET_GROUND:
-        raise CapacityError(
-            f"subset enumeration capped at {MAX_SUBSET_GROUND} elements, "
-            f"got {len(ground)}"
-        )
-    out = []
-    for size in range(1, len(ground) + 1):
-        for combo in itertools.combinations(ground.labels, size):
-            out.append(ParticleSet(combo))
-    return out
 
 
 def mobius_coefficient(k: int) -> int:
@@ -214,42 +192,3 @@ def partition_sum(units: ClusterSet, term: Callable, signed: bool):
             value = value * mobius_coefficient(len(unions))
         total = value if total is None else total + value
     return total
-
-
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind s(n, k), exact integer.
-
-    Counts partitions of an n-element set into exactly k blocks; zero when
-    k exceeds n.  Guards: n, k >= 0 and n <= 20.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"stirling2 requires n, k >= 0, got n={n}, k={k}")
-    if n > MAX_STIRLING_N:
-        raise CapacityError(f"stirling2 capped at n={MAX_STIRLING_N}, got {n}")
-    if k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set."""
-    return sum(stirling2(n, k) for k in range(n + 1)) if n else 1
-
-
-def partition_alternating_sum(n: int) -> int:
-    """Sum of (-1)^(|P|-1) (|P|-1)! over all set partitions of {1..n}.
-
-    The coefficient depends only on the block count, so the sum runs over
-    block counts k, each taken s(n, k) times.  Returns an exact integer,
-    which equals 1 for n = 1 and 0 otherwise.
-    """
-    if not 1 <= n <= MAX_PARTITION_GROUND:
-        raise CapacityError(
-            f"alternating sum supported for 1 <= n <= {MAX_PARTITION_GROUND}, got {n}"
-        )
-    return sum(stirling2(n, k) * mobius_coefficient(k) for k in range(1, n + 1))

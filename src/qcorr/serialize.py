@@ -518,12 +518,7 @@ def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
 
 
 def decode_sequence(obj: dict) -> OperatorSequence:
-    validate(obj, SEQUENCE_SCHEMA, "sequence")
-    return _decode_sequence(obj)
-
-
-def _decode_sequence(obj: dict) -> OperatorSequence:
-    """decode_sequence for an obj already validated against SEQUENCE_SCHEMA."""
+    """The sequence of an obj already validated against SEQUENCE_SCHEMA."""
     d = int(obj["dim_single"])
     n_max = int(obj["n_max"])
     rows = obj["components"]
@@ -545,17 +540,6 @@ def _decode_sequence(obj: dict) -> OperatorSequence:
             )
         comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, m)
     return OperatorSequence(d, n_max, decode_complex(obj["scalar0"]), comps)
-
-
-def encode_system(spec: SystemSpec) -> dict:
-    return {
-        "dim_single": spec.dim_single,
-        "hbar": spec.hbar,
-        "one_body": encode_raw_matrix(spec.one_body),
-        "potentials": {
-            str(k): encode_raw_matrix(v) for k, v in sorted(spec.potentials.items())
-        },
-    }
 
 
 def decode_system(obj: dict) -> SystemSpec:

@@ -20,10 +20,12 @@ appears exactly once; a component with no term stays absent.
 
 Sequences may carry a cluster prefix of size s: component n then acts on
 (1..s+n) with the first s labels frozen as one unit.  Prefixed sequences
-arise from the shift maps; in star products the prefix always stays with
-its factor while ordinary labels distribute.  The reduction map
-``annihilation_expand`` (the e-to-the-a aggregate of partial traces) only
-ever traces ordinary particles.
+arise in the reduced dynamics and from the shift maps; in star products
+the prefix always stays with its factor while ordinary labels distribute.
+The reduction map ``annihilation_expand`` (the e-to-the-a aggregate of
+partial traces) only ever traces ordinary particles.  The shift maps, the
+cluster-argument reading and the lemma checks are reference routes in
+:mod:`qcorr.verify`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .operators import (
     partial_trace,
     relabel,
     tensor_product,
-    trace_norm,
     zero_operator,
 )
 from .partitions import ParticleSet
@@ -110,37 +111,6 @@ class OperatorSequence:
             f"OperatorSequence(d={self.dim_single}, n_max={self.n_max}, "
             f"support={self.support}{tag})"
         )
-
-
-def unit_sequence(dim_single: int, n_max: int) -> OperatorSequence:
-    """The multiplicative unit (1, 0, 0, ...)."""
-    return OperatorSequence(dim_single, n_max, 1.0)
-
-
-def seq_add(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
-    if f.dim_single != h.dim_single or f.prefix != h.prefix:
-        raise ValueError("sequences are not compatible for addition")
-    n_max = max(f.n_max, h.n_max)
-    comps: dict[int, ManyBodyOperator] = {}
-    for n in sorted(set(f.support) | set(h.support)):
-        if f.has(n) and h.has(n):
-            comps[n] = f.components[n] + h.components[n]
-        elif f.has(n):
-            comps[n] = f.components[n]
-        else:
-            comps[n] = h.components[n]
-    return OperatorSequence(f.dim_single, n_max, f.scalar0 + h.scalar0, comps, f.prefix)
-
-
-def seq_residual(f: OperatorSequence, h: OperatorSequence) -> float:
-    """Largest componentwise trace-norm difference up to the shorter cutoff."""
-    if f.dim_single != h.dim_single or f.prefix != h.prefix:
-        raise ValueError("sequences are not comparable")
-    worst = abs(f.scalar0 - h.scalar0)
-    lo = 0 if f.prefix else 1
-    for n in range(lo, min(f.n_max, h.n_max) + 1):
-        worst = max(worst, trace_norm(f.component(n) - h.component(n)))
-    return float(worst)
 
 
 def seq_block_product(
@@ -283,39 +253,6 @@ def star_ln(g: OperatorSequence, out_n_max: int | None = None) -> OperatorSequen
     return OperatorSequence(g.dim_single, out, 0.0, comps)
 
 
-def shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
-    """Drop the first s particles into a frozen prefix.
-
-    Component n of the result is component s+n of f on unchanged labels;
-    component 0 is f_s itself, now an operator rather than a scalar.
-    """
-    if f.prefix:
-        raise ValueError("sequence already carries a prefix")
-    if s < 1:
-        raise ValueError(f"shift size must be >= 1, got {s}")
-    if s > f.n_max:
-        raise ValueError(f"shift by {s} exceeds the cutoff {f.n_max}")
-    comps = {n - s: op for n, op in f.components.items() if n >= s}
-    return OperatorSequence(f.dim_single, f.n_max - s, 0.0, comps, s)
-
-
-def cluster_argument_sequence(
-    f: OperatorSequence, s: int, n_max: int
-) -> OperatorSequence:
-    """Correlations of the plain sequence f whose first argument is the s-cluster.
-
-    Component n (n = 0..n_max) of the s-prefixed result is the Mobius-signed
-    partition sum over the units {the cluster (1..s), particle s+1, ...,
-    particle s+n} of products of f's components; component 0 is f_s.  Read
-    off the recursion of the module docstring; a component with no term is
-    the zero operator.
-    """
-    kappa = _cluster_arguments(f, s, n_max)
-    for n in range(n_max + 1):
-        kappa.setdefault(n, zero_operator(ParticleSet.range1(s + n), f.dim_single))
-    return OperatorSequence(f.dim_single, n_max, 0.0, kappa, s)
-
-
 def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:
     """Component s of :func:`annihilation_expand`, computed on its own.
 
@@ -372,69 +309,3 @@ def require_normalizable(z: complex) -> complex:
     if abs(z) < _NORM_FLOOR:
         raise NormalizationError(f"normalization scalar {z} vanishes")
     return z
-
-
-def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> float:
-    """Defect of the reduction scalar factorizing over a star product.
-
-    The product is taken out to the full joint support so the identity is
-    exact up to round-off.
-    """
-    full = star_product(f, h, out_n_max=f.n_max + h.n_max)
-    lhs = annihilation_scalar(full)
-    rhs = annihilation_scalar(f) * annihilation_scalar(h)
-    return abs(lhs - rhs)
-
-
-def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
-    """Residual of the normalized-reduction identity for an s-cluster.
-
-    The left side reduces the exponential of f with its first s particles
-    frozen as one unit, normalized by the reduction scalar of the
-    exponential.  The right side reduces the cluster-argument components
-    of the exponential (:func:`cluster_argument_sequence`); for s = 1 they
-    collapse back to f itself.  The exponential is evaluated out to
-    ``depth`` components so the neglected tail sits far below the
-    comparison floor for small-amplitude inputs.
-    """
-    if f.prefix or f.scalar0 != 0:
-        raise ValueError("expects a plain sequence with zero scalar component")
-    if s < 1 or s > f.n_max:
-        raise ValueError(f"cluster size {s} outside [1, {f.n_max}]")
-    big = star_exp(f, out_n_max=max(depth, f.n_max))
-    denom = require_normalizable(annihilation_scalar(big))
-    num = annihilation_component(shift_map(big, s), 0)
-    # the plain shift of f is NOT its cluster reading once s >= 2: shifted
-    # products would split the cluster across factors.  Build the cluster
-    # components from the exponential instead.  Nonzero ones stop at
-    # n = s*(f.n_max - 1): every block linking a singleton to the cluster
-    # holds a cluster particle, and past that the Mobius sums cancel.
-    n_hi = min(big.n_max - s, s * (f.n_max - 1))
-    rhs = annihilation_component(cluster_argument_sequence(big, s, n_hi), 0)
-    return trace_norm(num / denom - rhs)
-
-
-def verify_lemma3(f: OperatorSequence, depth: int = 8) -> float:
-    """Residual of the exponential-reduction exchange identity.
-
-    The normalized reduction of the exponential of f is compared against
-    the exponential of the reduction of f (scalar part dropped; it is the
-    normalization).  Componentwise up to f.n_max.
-    """
-    if f.prefix or f.scalar0 != 0:
-        raise ValueError("expects a plain sequence with zero scalar component")
-    big = star_exp(f, out_n_max=max(depth, f.n_max))
-    lhs_all = annihilation_expand(big)
-    denom = require_normalizable(lhs_all.scalar0)
-    red = annihilation_expand(f)
-    red_centered = OperatorSequence(
-        f.dim_single, f.n_max, 0.0,
-        {n: op for n, op in red.components.items() if n <= f.n_max},
-    )
-    rhs = star_exp(red_centered, out_n_max=f.n_max)
-    worst = 0.0
-    for n in range(1, f.n_max + 1):
-        worst = max(
-            worst, trace_norm(lhs_all.component(n) / denom - rhs.component(n))
-        )
-    return worst

@@ -1,11 +1,18 @@
-"""Self-verification suites: each check measures one law and its residual.
+"""Self-verification suites, and the reference layer they run on.
 
-A report lists, per check, the law being exercised, the measured residual,
-the tolerance, the verdict, and the headroom residual / tolerance (above 1
-fails; null for exact checks, whose tolerance is 0), plus the report's
-largest headroom, so a check drifting towards failure shows before it fails.
-All inputs are seeded, and each suite runs its checks one after another in
-declaration order, so reports are identical run to run.
+Each check measures one law and its residual.  A report lists, per check,
+the law being exercised, the measured residual, the tolerance, the
+verdict, and the headroom residual / tolerance (above 1 fails; null for
+exact checks, whose tolerance is 0), plus the report's largest headroom,
+so a check drifting towards failure shows before it fails.  All inputs are
+seeded, and each suite runs its checks one after another in declaration
+order, so reports are identical run to run.
+
+The reference layer holds what only the checks, the tests and the demos
+call: the paper's literal formulas (cumulant sums, the chaos solution and
+its scattering form, the third route to the marginals, the correlation
+operators), the generators of the dynamics, and the check helpers.
+`qcorr run` never imports this module.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from math import exp, factorial
 from typing import Callable
 
 import numpy as np
@@ -23,63 +32,51 @@ from .bbgky import (
     additive_dispersion,
     additive_observable_moment,
     average_particle_number,
-    correlation_chaos_expansion,
-    correlation_from_g,
-    correlation_from_marginals,
     marginal_state_from_density,
-    reduce_from_correlations,
     reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
-from .cumulants import (
-    cumulant_apply,
-    cumulant_generator_fd,
-    cumulant_vanishes_free,
-    recover_group_from_cumulants,
-    scattering_generator_expected,
-    scattering_operator_apply,
-)
+from .cumulants import cumulant_apply
+from .errors import CapacityError
 from .evolution import (
     evolve_density_sequence,
     group_apply,
+    group_apply_on_subsets,
     make_unitary_group,
     unitary_matrix,
 )
 from .hamiltonian import (
+    SystemSpec,
+    _commutator_generator,
+    _potential_terms,
     build_hamiltonian,
-    cluster_interaction_apply,
-    liouvillian_apply,
 )
 from .hierarchy import (
     _componentwise,
     CorrelationState,
-    chaos_data,
     cluster_expand,
     DensityState,
     literal_cluster_transform,
-    nonlinear_generator,
-    solve_chaos,
-    solve_chaos_scattering_form,
     solve_hierarchy,
     solve_via_density_oracle,
-    verify_group_property,
-    verify_growth_bound,
-    weak_solution_check,
 )
 from .operators import (
     ManyBodyOperator,
+    embed_sum,
     min_eigenvalue,
+    relabel,
+    tensor_product,
     trace_norm,
+    zero_operator,
 )
 from .partitions import (
+    MAX_PARTITION_GROUND,
     ClusterSet,
     ParticleSet,
-    bell_number,
     enumerate_partitions,
     mobius_coefficient,
-    partition_alternating_sum,
-    stirling2,
+    partition_sum,
 )
 from .presets import (
     chaos_one_particle,
@@ -94,18 +91,15 @@ from .presets import (
 )
 from .star_algebra import (
     OperatorSequence,
+    _cluster_arguments,
     annihilation_component,
-    product_reduction_residual,
-    seq_add,
+    annihilation_expand,
+    annihilation_scalar,
+    require_normalizable,
     seq_block_product,
-    seq_residual,
-    shift_map,
     star_exp,
     star_ln,
     star_product,
-    unit_sequence,
-    verify_lemma2,
-    verify_lemma3,
 )
 
 
@@ -125,6 +119,539 @@ def _fd_sequence(solve, h: float):
     for n in sorted(set(plus.support) | set(minus.support)):
         comps[n] = (plus.component(n) - minus.component(n)) * (1.0 / (2 * h))
     return OperatorSequence(plus.dim_single, plus.n_max, 0.0, comps)
+
+
+# ---------------------------------------------------------------------------
+# reference layer: subsets, cluster families and partition counts
+
+
+MAX_SUBSET_GROUND = 16
+MAX_STIRLING_N = 20
+
+
+def enumerate_nonempty_subsets(ground: ParticleSet) -> list[ParticleSet]:
+    """All nonempty subsets, ordered by size then lexicographically."""
+    if len(ground) > MAX_SUBSET_GROUND:
+        raise CapacityError(
+            f"subset enumeration capped at {MAX_SUBSET_GROUND} elements, "
+            f"got {len(ground)}"
+        )
+    out = []
+    for size in range(1, len(ground) + 1):
+        for combo in itertools.combinations(ground.labels, size):
+            out.append(ParticleSet(combo))
+    return out
+
+
+def cluster_and_singletons(s: int, n: int) -> ClusterSet:
+    """The s-cluster (1..s) as one unit, then particles s+1..s+n."""
+    return ClusterSet.of([range(1, s + 1)] + [[s + j] for j in range(1, n + 1)])
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind s(n, k), exact integer.
+
+    Counts partitions of an n-element set into exactly k blocks; zero when
+    k exceeds n.  Guards: n, k >= 0 and n <= 20.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"stirling2 requires n, k >= 0, got n={n}, k={k}")
+    if n > MAX_STIRLING_N:
+        raise CapacityError(f"stirling2 capped at n={MAX_STIRLING_N}, got {n}")
+    if k > n:
+        return 0
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-element set."""
+    return sum(stirling2(n, k) for k in range(n + 1)) if n else 1
+
+
+def partition_alternating_sum(n: int) -> int:
+    """Sum of (-1)^(|P|-1) (|P|-1)! over all set partitions of {1..n}.
+
+    The coefficient depends only on the block count, so the sum runs over
+    block counts k, each taken s(n, k) times.  Returns an exact integer,
+    which equals 1 for n = 1 and 0 otherwise.
+    """
+    if not 1 <= n <= MAX_PARTITION_GROUND:
+        raise CapacityError(
+            f"alternating sum supported for 1 <= n <= {MAX_PARTITION_GROUND}, got {n}"
+        )
+    return sum(stirling2(n, k) * mobius_coefficient(k) for k in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# reference layer: generators of the dynamics
+
+
+def liouvillian_apply(
+    h: ManyBodyOperator, f: ManyBodyOperator, hbar: float = 1.0
+) -> ManyBodyOperator:
+    """RHS generator of the full evolution: -(i/hbar)(H f - f H)."""
+    if h.labels != f.labels or h.dim_single != f.dim_single:
+        raise ValueError(f"H on {h.labels} cannot act on f over {f.labels}")
+    return _commutator_generator(h.matrix, f, hbar)
+
+
+def cluster_interaction_apply(
+    blocks: ClusterSet, f: ManyBodyOperator, spec: SystemSpec
+) -> ManyBodyOperator:
+    """Interaction generator coupling the blocks of a cluster set.
+
+    Sums, over every choice of one nonempty subset Z_r from each block, the
+    interaction generator with the potential of order sum_r |Z_r| embedded
+    on the union of the chosen subsets.  Choices whose total order has no
+    declared potential contribute zero.  All chosen potentials are
+    accumulated first so only a single commutator is formed.
+    """
+    if len(blocks) < 2:
+        raise ValueError("cluster interaction needs at least two blocks")
+    if blocks.union != f.labels:
+        raise ValueError(
+            f"blocks cover {blocks.union} but the operand lives on {f.labels}"
+        )
+    terms = []
+    for combo in itertools.product(*(enumerate_nonempty_subsets(b) for b in blocks)):
+        phi = spec.potentials.get(sum(len(z) for z in combo))
+        if phi is not None:
+            terms.append((sorted(itertools.chain(*combo)), phi))
+    return _commutator_generator(embed_sum(terms, f.labels, f.dim_single), f, spec.hbar)
+
+
+def interaction_hamiltonian(spec: SystemSpec, labels: ParticleSet) -> ManyBodyOperator:
+    """The interaction part of H alone: sum of all embedded potentials."""
+    d = spec.dim_single
+    return ManyBodyOperator(labels, d, embed_sum(_potential_terms(spec, labels), labels, d))
+
+
+# ---------------------------------------------------------------------------
+# reference layer: cumulant checks
+
+
+# step of the central differences taken at zero time (error O(FD_STEP^2))
+FD_STEP = 1e-4
+
+
+def cumulant_vanishes_free(
+    spec: SystemSpec, n: int, f: ManyBodyOperator, t: float
+) -> float:
+    """Trace norm of the nth-order cumulant on f for a noninteracting system.
+
+    Must come out at numerical zero: without interactions the propagators
+    factorize over particles and the signed partition coefficients cancel.
+    """
+    if spec.potentials:
+        raise ValueError("this check is defined for interaction-free systems")
+    if n < 2:
+        raise ValueError("vanishing concerns orders n >= 2")
+    if len(f.labels) != n:
+        raise ValueError(f"operand must live on {n} particles, got {f.labels}")
+    return trace_norm(cumulant_apply(spec, t, ClusterSet.singletons(f.labels), f))
+
+
+def cumulant_generator_fd(
+    spec: SystemSpec, clusters: ClusterSet, f: ManyBodyOperator
+) -> ManyBodyOperator:
+    """Central-difference time derivative of the cumulant at zero.
+
+    For two or more clusters this approximates the cluster-interaction
+    generator (:func:`cluster_interaction_apply`) with O(FD_STEP^2) error.
+    """
+    if len(clusters) < 2:
+        raise ValueError("the generator check needs at least two clusters")
+    plus = cumulant_apply(spec, FD_STEP, clusters, f)
+    minus = cumulant_apply(spec, -FD_STEP, clusters, f)
+    diff = (plus.matrix - minus.matrix) / (2 * FD_STEP)
+    return ManyBodyOperator(f.labels, f.dim_single, diff)
+
+
+def scattering_operator_apply(
+    spec: SystemSpec, t: float, labels: ParticleSet, f: ManyBodyOperator
+) -> ManyBodyOperator:
+    """Conjugate f with the scattering unitary U_L(t) (x)_{k in L} U_k(-t)."""
+    free_back = group_apply_on_subsets(spec, -t, ClusterSet.singletons(labels), f)
+    return group_apply_on_subsets(spec, t, ClusterSet((labels,)), free_back)
+
+
+def scattering_cumulant_apply(
+    spec: SystemSpec, t: float, clusters: ClusterSet, f: ManyBodyOperator
+) -> ManyBodyOperator:
+    """Cumulant built from scattering operators instead of propagators.
+
+    The scattering unitary of a block B is W_B(t) = U_B(t) (x)_{k in B}
+    U_k(-t).  Its free factors multiply, for every partition of the
+    operand's labels, to the same F(-t) = (x)_k U_k(-t), so the scattering
+    cumulant is the propagator cumulant of the freely back-evolved operand
+    F(-t) f F(-t)^*.
+    """
+    free_back = group_apply_on_subsets(spec, -t, ClusterSet.singletons(f.labels), f)
+    return cumulant_apply(spec, t, clusters, free_back)
+
+
+def scattering_generator_expected(
+    spec: SystemSpec, f: ManyBodyOperator
+) -> ManyBodyOperator:
+    """The t-derivative the scattering conjugation must have at zero.
+
+    Equals the sum of interaction generators over every potential-carrying
+    particle subset, i.e. the full generator minus its free part.
+    """
+    v = interaction_hamiltonian(spec, f.labels)
+    return liouvillian_apply(v, f, spec.hbar)
+
+
+def recover_group_from_cumulants(
+    spec: SystemSpec, t: float, labels: ParticleSet, f: ManyBodyOperator
+) -> ManyBodyOperator:
+    """Rebuild the full propagator conjugation from cumulants.
+
+    Sums over partitions the products of per-block cumulants; each block's
+    cumulant expands into its own signed partition sum, so the whole is a
+    double partition sum of blockwise conjugations.  Must reproduce
+    group_apply on the same labels.
+    """
+    if len(labels) > 4:
+        raise CapacityError("group recovery supported for up to 4 particles")
+    acc = np.zeros_like(f.matrix)
+    for p in enumerate_partitions(labels):
+        per_block = [enumerate_partitions(block) for block in p]
+        for combo in itertools.product(*per_block):
+            coeff = 1
+            sub_blocks = []
+            for q in combo:
+                coeff *= mobius_coefficient(len(q))
+                sub_blocks.extend(q)
+            blocks = ClusterSet(tuple(sub_blocks))
+            term = group_apply_on_subsets(spec, t, blocks, f).matrix * coeff
+            acc = acc + term
+    return ManyBodyOperator(f.labels, f.dim_single, acc)
+
+
+# ---------------------------------------------------------------------------
+# reference layer: sequence algebra
+
+
+def seq_add(f: OperatorSequence, h: OperatorSequence) -> OperatorSequence:
+    if f.dim_single != h.dim_single or f.prefix != h.prefix:
+        raise ValueError("sequences are not compatible for addition")
+    n_max = max(f.n_max, h.n_max)
+    comps: dict[int, ManyBodyOperator] = {}
+    for n in sorted(set(f.support) | set(h.support)):
+        if f.has(n) and h.has(n):
+            comps[n] = f.components[n] + h.components[n]
+        elif f.has(n):
+            comps[n] = f.components[n]
+        else:
+            comps[n] = h.components[n]
+    return OperatorSequence(f.dim_single, n_max, f.scalar0 + h.scalar0, comps, f.prefix)
+
+
+def seq_residual(f: OperatorSequence, h: OperatorSequence) -> float:
+    """Largest componentwise trace-norm difference up to the shorter cutoff."""
+    if f.dim_single != h.dim_single or f.prefix != h.prefix:
+        raise ValueError("sequences are not comparable")
+    worst = abs(f.scalar0 - h.scalar0)
+    lo = 0 if f.prefix else 1
+    for n in range(lo, min(f.n_max, h.n_max) + 1):
+        worst = max(worst, trace_norm(f.component(n) - h.component(n)))
+    return float(worst)
+
+
+def shift_map(f: OperatorSequence, s: int) -> OperatorSequence:
+    """Drop the first s particles into a frozen prefix.
+
+    Component n of the result is component s+n of f on unchanged labels;
+    component 0 is f_s itself, now an operator rather than a scalar.
+    """
+    if f.prefix:
+        raise ValueError("sequence already carries a prefix")
+    if s < 1:
+        raise ValueError(f"shift size must be >= 1, got {s}")
+    if s > f.n_max:
+        raise ValueError(f"shift by {s} exceeds the cutoff {f.n_max}")
+    comps = {n - s: op for n, op in f.components.items() if n >= s}
+    return OperatorSequence(f.dim_single, f.n_max - s, 0.0, comps, s)
+
+
+def cluster_argument_sequence(
+    f: OperatorSequence, s: int, n_max: int
+) -> OperatorSequence:
+    """Correlations of the plain sequence f whose first argument is the s-cluster.
+
+    Component n (n = 0..n_max) of the s-prefixed result is the Mobius-signed
+    partition sum over the units {the cluster (1..s), particle s+1, ...,
+    particle s+n} of products of f's components; component 0 is f_s.  Read
+    off the recursion in :mod:`qcorr.star_algebra`; a component with no
+    term is the zero operator.
+    """
+    kappa = _cluster_arguments(f, s, n_max)
+    for n in range(n_max + 1):
+        kappa.setdefault(n, zero_operator(ParticleSet.range1(s + n), f.dim_single))
+    return OperatorSequence(f.dim_single, n_max, 0.0, kappa, s)
+
+
+def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> float:
+    """Defect of the reduction scalar factorizing over a star product.
+
+    The product is taken out to the full joint support so the identity is
+    exact up to round-off.
+    """
+    full = star_product(f, h, out_n_max=f.n_max + h.n_max)
+    lhs = annihilation_scalar(full)
+    rhs = annihilation_scalar(f) * annihilation_scalar(h)
+    return abs(lhs - rhs)
+
+
+def verify_lemma2(f: OperatorSequence, s: int, depth: int = 8) -> float:
+    """Residual of the normalized-reduction identity for an s-cluster.
+
+    The left side reduces the exponential of f with its first s particles
+    frozen as one unit, normalized by the reduction scalar of the
+    exponential.  The right side reduces the cluster-argument components
+    of the exponential (:func:`cluster_argument_sequence`); for s = 1 they
+    collapse back to f itself.  The exponential is evaluated out to
+    ``depth`` components so the neglected tail sits far below the
+    comparison floor for small-amplitude inputs.
+    """
+    if f.prefix or f.scalar0 != 0:
+        raise ValueError("expects a plain sequence with zero scalar component")
+    if s < 1 or s > f.n_max:
+        raise ValueError(f"cluster size {s} outside [1, {f.n_max}]")
+    big = star_exp(f, out_n_max=max(depth, f.n_max))
+    denom = require_normalizable(annihilation_scalar(big))
+    num = annihilation_component(shift_map(big, s), 0)
+    # the plain shift of f is NOT its cluster reading once s >= 2: shifted
+    # products would split the cluster across factors.  Build the cluster
+    # components from the exponential instead.  Nonzero ones stop at
+    # n = s*(f.n_max - 1): every block linking a singleton to the cluster
+    # holds a cluster particle, and past that the Mobius sums cancel.
+    n_hi = min(big.n_max - s, s * (f.n_max - 1))
+    rhs = annihilation_component(cluster_argument_sequence(big, s, n_hi), 0)
+    return trace_norm(num / denom - rhs)
+
+
+def verify_lemma3(f: OperatorSequence, depth: int = 8) -> float:
+    """Residual of the exponential-reduction exchange identity.
+
+    The normalized reduction of the exponential of f is compared against
+    the exponential of the reduction of f (scalar part dropped; it is the
+    normalization).  Componentwise up to f.n_max.
+    """
+    if f.prefix or f.scalar0 != 0:
+        raise ValueError("expects a plain sequence with zero scalar component")
+    big = star_exp(f, out_n_max=max(depth, f.n_max))
+    lhs_all = annihilation_expand(big)
+    denom = require_normalizable(lhs_all.scalar0)
+    red = annihilation_expand(f)
+    red_centered = OperatorSequence(
+        f.dim_single, f.n_max, 0.0,
+        {n: op for n, op in red.components.items() if n <= f.n_max},
+    )
+    rhs = star_exp(red_centered, out_n_max=f.n_max)
+    worst = 0.0
+    for n in range(1, f.n_max + 1):
+        worst = max(
+            worst, trace_norm(lhs_all.component(n) / denom - rhs.component(n))
+        )
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# reference layer: the correlation hierarchy
+
+
+def chaos_data(g1_0: ManyBodyOperator, n_max: int) -> CorrelationState:
+    """Initial correlations (g1_0, 0, 0, ...) of independent particles."""
+    if len(g1_0.labels) != 1:
+        raise ValueError("chaos data is a one-particle operator")
+    g1 = relabel(g1_0, ParticleSet.range1(1))
+    return CorrelationState(OperatorSequence(g1.dim_single, n_max, 0.0, {1: g1}))
+
+
+def solve_chaos(
+    spec: SystemSpec, g1_0: ManyBodyOperator, n: int, t: float
+) -> ManyBodyOperator:
+    """Correlation component n for initial data with independent particles.
+
+    The nth-order cumulant applied to the n-fold product of the one-particle
+    component: component n of the solution on :func:`chaos_data`.
+    """
+    return solve_hierarchy(spec, chaos_data(g1_0, n), t).seq.component(n)
+
+
+def solve_chaos_scattering_form(
+    spec: SystemSpec, g1_0: ManyBodyOperator, n: int, t: float
+) -> ManyBodyOperator:
+    """Chaos solution written through scattering-operator cumulants.
+
+    The operand carries freely evolved one-particle components at time t;
+    the scattering cumulant supplies the rest.  Agrees with solve_chaos.
+    """
+    if n < 2:
+        raise ValueError("the scattering form is stated for n >= 2")
+    g1 = chaos_data(g1_0, n).seq.components[1]
+    g1_t = group_apply(make_unitary_group(spec, g1.labels), t, g1)
+    ground = ParticleSet.range1(n)
+    operand = tensor_product([relabel(g1_t, ParticleSet((i,))) for i in ground])
+    return scattering_cumulant_apply(
+        spec, t, ClusterSet.singletons(ground), operand
+    )
+
+
+def nonlinear_generator(spec: SystemSpec, g: CorrelationState) -> CorrelationState:
+    """Right-hand side of the evolution equations for the correlation sequence.
+
+    Component n: the full commutator generator on g_n plus, for every
+    partition with at least two blocks, the cluster-interaction generator
+    applied to the product of g-blocks.
+    """
+    seq = g.seq
+
+    def term(blocks: ClusterSet) -> ManyBodyOperator | None:
+        operand = seq_block_product(seq, blocks)
+        if operand is None:
+            return None
+        if len(blocks) == 1:
+            h = build_hamiltonian(spec, operand.labels)
+            return liouvillian_apply(h, operand, spec.hbar)
+        return cluster_interaction_apply(blocks, operand, spec)
+
+    comps = _componentwise(seq, term, signed=False)
+    return CorrelationState(OperatorSequence(seq.dim_single, seq.n_max, 0.0, comps))
+
+
+def verify_group_property(
+    spec: SystemSpec, g: CorrelationState, t1: float, t2: float
+) -> float:
+    """Largest componentwise defect of composing solutions versus one step."""
+    if abs(t1) > 2 or abs(t2) > 2:
+        raise ValueError("group-property check wants |t| <= 2")
+    one_shot = solve_hierarchy(spec, g, t1 + t2)
+    via_t2 = solve_hierarchy(spec, solve_hierarchy(spec, g, t2), t1)
+    via_t1 = solve_hierarchy(spec, solve_hierarchy(spec, g, t1), t2)
+    return max(
+        seq_residual(via_t2.seq, one_shot.seq),
+        seq_residual(via_t1.seq, one_shot.seq),
+    )
+
+
+def verify_growth_bound(
+    spec: SystemSpec, g: CorrelationState, t: float, n: int
+) -> tuple[float, float]:
+    """Trace norm of solution component n against n! e^(2n+1) c^n.
+
+    c is the largest trace norm among the initial components that can occur
+    as a block, i.e. orders 1..n.
+    """
+    if n > 4:
+        raise ValueError("bound check supported for n <= 4")
+    sol = solve_hierarchy(spec, g, t)
+    lhs = trace_norm(sol.seq.component(n))
+    c = max(trace_norm(g.seq.component(k)) for k in range(1, n + 1))
+    rhs = factorial(n) * exp(2 * n + 1) * c**n
+    return lhs, rhs
+
+
+def _pair_trace(a: ManyBodyOperator, b: ManyBodyOperator) -> complex:
+    return complex(np.trace(a.matrix @ b.matrix))
+
+
+def weak_solution_check(
+    spec: SystemSpec,
+    phi_n: ManyBodyOperator,
+    g0: CorrelationState,
+    t: float,
+) -> float:
+    """Defect of the weak form of the evolution equation on a test operator.
+
+    The time derivative of Tr(phi g_n(t)) by central differences (step
+    ``FD_STEP``) is compared with the adjoint-generator expression
+    evaluated at t: the generators move onto phi with a sign flip under
+    the trace pairing.
+    """
+    n = len(phi_n.labels)
+    if n > 3:
+        raise ValueError("weak-form check supported for up to 3 particles")
+    ground = ParticleSet.range1(n)
+    if phi_n.labels != ground:
+        raise ValueError(f"test operator must live on {ground}")
+
+    plus = solve_hierarchy(spec, g0, t + FD_STEP).seq.component(n)
+    minus = solve_hierarchy(spec, g0, t - FD_STEP).seq.component(n)
+    lhs = (_pair_trace(phi_n, plus) - _pair_trace(phi_n, minus)) / (2 * FD_STEP)
+
+    gt = solve_hierarchy(spec, g0, t)
+
+    def term(blocks: ClusterSet) -> complex | None:
+        if len(blocks) == 1:
+            hmat = build_hamiltonian(spec, ground)
+            moved = -liouvillian_apply(hmat, phi_n, spec.hbar)
+            return _pair_trace(moved, gt.seq.component(n))
+        operand = seq_block_product(gt.seq, blocks)
+        if operand is None:
+            return None
+        moved = -cluster_interaction_apply(blocks, phi_n, spec)
+        return _pair_trace(moved, operand)
+
+    rhs = partition_sum(ClusterSet.singletons(ground), term, signed=False)
+    return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# reference layer: reduced operators
+
+
+def reduce_from_correlations(g: CorrelationState, s: int) -> ManyBodyOperator:
+    """F_s from the correlation side: traced cluster-argument correlations.
+
+    No normalization scalar appears; it is built into this representation.
+    """
+    seq = g.seq
+    if not 1 <= s <= seq.n_max:
+        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    args = cluster_argument_sequence(cluster_expand(g).seq, s, seq.n_max - s)
+    return annihilation_component(args, 0)
+
+
+def correlation_from_marginals(f: MarginalState, s: int) -> ManyBodyOperator:
+    """G_s as the signed partition combination of marginal products.
+
+    That is component s of the star logarithm of the marginal sequence.
+    """
+    seq = f.seq
+    if not 1 <= s <= seq.n_max:
+        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    return star_ln(seq, out_n_max=s).component(s)
+
+
+def correlation_from_g(g: CorrelationState, s: int) -> ManyBodyOperator:
+    """G_s as the reduction of the correlation sequence itself."""
+    if not 1 <= s <= g.seq.n_max:
+        raise ValueError(f"s must be in [1, {g.seq.n_max}], got {s}")
+    return annihilation_component(g.seq, s)
+
+
+def correlation_chaos_expansion(
+    spec: SystemSpec,
+    g1_0: ManyBodyOperator,
+    s: int,
+    t: float,
+    n_max: int,
+) -> ManyBodyOperator:
+    """G_s(t) for independent initial particles: the reduced chaos solution.
+
+    Term n of the paper's cumulant expansion is chaos component s+n traced
+    with weight 1/n!.
+    """
+    sol = solve_hierarchy(spec, chaos_data(g1_0, n_max), t)
+    return correlation_from_g(sol, s)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +1145,7 @@ def _suite_star_lemmas() -> list[Check]:
     f = random_sequence(111, 2, 3, norms=0.5)
     h2 = random_sequence(222, 2, 3, norms=0.5)
     small = random_sequence(333, 2, 3, norms=1e-3)
-    u = seq_add(unit_sequence(2, 3), f)
+    u = seq_add(OperatorSequence(2, 3, 1.0), f)
 
     def exp_partition_sum():
         return seq_residual(star_exp(f), literal_cluster_transform(f, signed=False))
@@ -734,7 +1261,7 @@ def literal_bbgky_cumulant(spec, f0: MarginalState, s: int, t: float) -> ManyBod
     moved = {}
     for n in range(seq.n_max - s + 1):
         if seq.has(s + n):
-            clusters = ClusterSet.cluster_and_singletons(s, n)
+            clusters = cluster_and_singletons(s, n)
             moved[n] = cumulant_apply(spec, t, clusters, seq.components[s + n])
     cumulant_images = OperatorSequence(seq.dim_single, seq.n_max - s, 0.0, moved, s)
     return annihilation_component(cumulant_images, 0)

@@ -95,6 +95,23 @@ def naive_embed(mat, positions, n, d):
     return out
 
 
+def naive_permute(mat, perm, d):
+    """mat with output slot j reading input slot perm[j], rows and columns alike.
+
+    perm is a rearrangement of range(n) over the n tensor slots of local
+    dimension d; each entry is gathered from its source index by digits.
+    """
+    n = len(perm)
+    src = []
+    for out in range(d**n):
+        digs = _digits(out, d, n)
+        x = [0] * n
+        for j, p in enumerate(perm):
+            x[p] = digs[j]
+        src.append(_undigits(x, d))
+    return np.asarray(mat)[np.ix_(src, src)]
+
+
 def naive_partial_trace(mat, n, d, traced_positions):
     """Trace out the 0-based slots in traced_positions by index loops."""
     kept = [p for p in range(n) if p not in traced_positions]

@@ -16,50 +16,26 @@ from qcorr.bbgky import (
     QuadratureSpec,
     additive_dispersion,
     additive_observable_moment,
-    correlation_chaos_expansion,
-    correlation_from_g,
-    correlation_from_marginals,
     marginal_state_from_density,
     average_particle_number,
-    reduce_from_correlations,
     reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
-)
-from qcorr.cumulants import (
-    cumulant_generator_fd,
-    cumulant_vanishes_free,
-    recover_group_from_cumulants,
-    scattering_generator_expected,
-    scattering_operator_apply,
 )
 from qcorr.evolution import (
     evolve_density_sequence,
     group_apply,
     make_unitary_group,
 )
-from qcorr.hamiltonian import (
-    build_hamiltonian,
-    cluster_interaction_apply,
-    liouvillian_apply,
-)
+from qcorr.hamiltonian import build_hamiltonian
 from qcorr.hierarchy import (
     DensityState,
-    chaos_data,
     cluster_expand,
-    solve_chaos,
-    solve_chaos_scattering_form,
     solve_hierarchy,
     solve_via_density_oracle,
-    verify_group_property,
-    verify_growth_bound,
 )
 from qcorr.operators import ManyBodyOperator, trace_norm
-from qcorr.partitions import (
-    ClusterSet,
-    ParticleSet,
-    partition_alternating_sum,
-)
+from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.presets import (
     chaos_one_particle,
     free_system,
@@ -70,19 +46,33 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import (
-    OperatorSequence,
+from qcorr.star_algebra import OperatorSequence, star_exp, star_ln, star_product
+from qcorr.verify import (
+    chaos_data,
+    cluster_interaction_apply,
+    correlation_chaos_expansion,
+    correlation_from_g,
+    correlation_from_marginals,
+    cumulant_generator_fd,
+    cumulant_vanishes_free,
+    liouvillian_apply,
+    literal_cumulant_solution,
+    partition_alternating_sum,
     product_reduction_residual,
+    recover_group_from_cumulants,
+    reduce_from_correlations,
+    scattering_generator_expected,
+    scattering_operator_apply,
     seq_add,
     seq_residual,
     shift_map,
-    star_exp,
-    star_ln,
-    star_product,
+    solve_chaos,
+    solve_chaos_scattering_form,
+    verify_group_property,
+    verify_growth_bound,
     verify_lemma2,
     verify_lemma3,
 )
-from qcorr.verify import literal_cumulant_solution
 
 
 def _report(number: int, name: str, worst, tol) -> None:
@@ -177,7 +167,7 @@ def test_criterion_06_generators():
     )
 
     # (b) hierarchy right-hand side against a finite difference of the solver
-    from qcorr.hierarchy import nonlinear_generator
+    from qcorr.verify import nonlinear_generator
 
     g = random_correlation_state(2032, 2, 3, norms=0.5)
     gen = nonlinear_generator(spec, g)

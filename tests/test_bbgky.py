@@ -24,11 +24,7 @@ from qcorr.bbgky import (
     additive_dispersion,
     additive_observable_moment,
     average_particle_number,
-    correlation_chaos_expansion,
-    correlation_from_g,
-    correlation_from_marginals,
     marginal_state_from_density,
-    reduce_from_correlations,
     reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
@@ -36,13 +32,7 @@ from qcorr.bbgky import (
 from qcorr.bbgky import _embedded_group_conj, _traced_commutator
 from qcorr.errors import NormalizationError
 from qcorr.evolution import evolve_density_sequence
-from qcorr.hierarchy import (
-    DensityState,
-    chaos_data,
-    cluster_expand,
-    solve_hierarchy,
-)
-from qcorr.hamiltonian import liouvillian_apply
+from qcorr.hierarchy import DensityState, cluster_expand, solve_hierarchy
 from qcorr.operators import ManyBodyOperator, partial_trace, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import (
@@ -54,13 +44,19 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import (
-    OperatorSequence,
-    annihilation_component,
+from qcorr.star_algebra import OperatorSequence, annihilation_component
+from qcorr.verify import (
+    chaos_data,
     cluster_argument_sequence,
+    correlation_chaos_expansion,
+    correlation_from_g,
+    correlation_from_marginals,
+    liouvillian_apply,
+    literal_bbgky_cumulant,
+    literal_cumulant_solution,
+    reduce_from_correlations,
     shift_map,
 )
-from qcorr.verify import literal_bbgky_cumulant, literal_cumulant_solution
 
 TOL_TIGHT = 1e-10
 TOL_SOLVE = 1e-9

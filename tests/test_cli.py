@@ -22,7 +22,7 @@ from qcorr.bbgky import (
 from qcorr.cli import load_scenario, main
 from qcorr.evolution import evolve_density_sequence
 from qcorr import verify
-from qcorr.hierarchy import DensityState, cluster_expand, solve_chaos
+from qcorr.hierarchy import DensityState, cluster_expand
 from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import chaos_one_particle, random_hermitian, rng_from_seed
@@ -33,7 +33,7 @@ from qcorr.serialize import (
     encode_raw_matrix,
     validate,
 )
-from qcorr.verify import SUITE_NAMES
+from qcorr.verify import SUITE_NAMES, solve_chaos
 
 # small scenario: every value chosen so a full run stays under a second
 BASE_SCENARIO = {
@@ -343,6 +343,7 @@ _PROBE = (
     "import sys\n"
     "from qcorr.cli import main\n"
     "code = main(sys.argv[1:])\n"
+    "print('verify imported:', 'qcorr.verify' in sys.modules, file=sys.stderr)\n"
     "print('jsonschema imported:', 'jsonschema' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -376,8 +377,24 @@ def test_accepting_input_never_imports_jsonschema(tmp_path):
     assert proc.stderr == (
         "schema violation: scenario at 'tasks/0': 'simulate' does not match "
         "'^(evolve|hierarchy|bbgky|iterate|observables)$'\n"
+        "verify imported: False\n"
         "jsonschema imported: True\n"
     )
+
+
+def test_a_five_task_run_never_imports_verify(tmp_path):
+    # the checks and the reference routes live in qcorr.verify, which only
+    # `qcorr verify` loads
+    sc = dict(BASE_SCENARIO, tasks=list(cli._TASK_FNS))
+    path = _write_scenario(tmp_path, sc)
+    proc = _probe("run", "--scenario", path, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("verify imported: False\njsonschema imported: False\n")
+
+    # the probe does see the module when it is loaded
+    proc = _probe("verify", "--suite", "combinatorics")
+    assert proc.returncode == 0, proc.stderr
+    assert "verify imported: True\n" in proc.stderr
 
 
 def test_non_hermitian_observable_exits_2(tmp_path, capsys):
@@ -429,6 +446,30 @@ def test_observables_refuse_non_hermitian_density(tmp_path, capsys):
     assert _run(tmp_path, sc, "evolve")[0] == 0
     assert _run(tmp_path, _one_particle_density([0.3, 0]), "hermitian")[0] == 0
     capsys.readouterr()
+
+
+def test_min_eig_is_null_for_a_non_hermitian_marginal(tmp_path):
+    # at t = 0, F_1 = D_1 / (1 + tr D_1) with D_1 = diag(0.3 + 0.1i, 0.2) has
+    # the eigenvalues 0.20354 + 0.05310i and 0.13274 - 0.00885i, so the
+    # lowest eigenvalue of (F + F^dagger) / 2, 0.13274, is neither
+    for d11, hermitian in (([0.3, 0.1], False), ([0.3, 0], True)):
+        sc = _one_particle_density(d11, tasks=["bbgky", "iterate"])
+        sc["times"] = [0.0]
+        code, out = _run(tmp_path, sc, f"min-eig-{hermitian}")
+        assert code == 0
+        for task in ("bbgky", "iterate"):
+            (rec,) = json.loads((out / f"{task}.json").read_text())["records"]
+            f = decode_raw_matrix(rec["matrix"])
+            rows = (out / f"{task}.csv").read_text().splitlines()
+            assert rows[0].endswith(",min_eig")
+            if hermitian:
+                assert rec["min_eig"] == np.linalg.eigvalsh(f)[0]
+                assert rows[1].endswith("," + repr(rec["min_eig"]))
+            else:
+                z = 1.5 + 0.1j
+                assert np.allclose(f, np.diag([(0.3 + 0.1j) / z, 0.2 / z]), atol=1e-15)
+                assert rec["min_eig"] is None
+                assert rows[1].endswith(",")
 
 
 def test_overflow_is_a_numeric_failure(tmp_path, capsys):

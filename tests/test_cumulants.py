@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from bruteforce import complex_gaussian, naive_scattering_cumulant
-from qcorr.cumulants import (
-    cumulant_apply,
+from qcorr.cumulants import cumulant_apply
+from qcorr.evolution import group_apply, group_apply_on_subsets, make_unitary_group
+from qcorr.operators import ManyBodyOperator, max_abs, trace_norm
+from qcorr.partitions import ClusterSet, ParticleSet
+from qcorr.presets import random_operator, random_system, rng_from_seed
+from qcorr.verify import (
+    cluster_interaction_apply,
     cumulant_generator_fd,
     cumulant_vanishes_free,
     recover_group_from_cumulants,
@@ -11,11 +16,6 @@ from qcorr.cumulants import (
     scattering_generator_expected,
     scattering_operator_apply,
 )
-from qcorr.evolution import group_apply, group_apply_on_subsets, make_unitary_group
-from qcorr.hamiltonian import cluster_interaction_apply
-from qcorr.operators import ManyBodyOperator, max_abs, trace_norm
-from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, random_system, rng_from_seed
 
 TOL_EXACT = 1e-12
 TOL_SUM = 1e-11

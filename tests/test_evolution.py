@@ -12,7 +12,7 @@ from qcorr.evolution import (
     make_unitary_group,
     unitary_matrix,
 )
-from qcorr.hamiltonian import build_hamiltonian, liouvillian_apply
+from qcorr.hamiltonian import build_hamiltonian
 from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.presets import (
@@ -22,6 +22,7 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
+from qcorr.verify import liouvillian_apply
 
 TOL = 1e-11
 
@@ -220,7 +221,7 @@ def test_evolve_density_sequence_componentwise(spec2):
 
 
 def test_evolve_density_sequence_rejects_prefixed(spec2):
-    from qcorr.star_algebra import shift_map
+    from qcorr.verify import shift_map
 
     seq = random_sequence(seed=50, dim_single=2, n_max=2)
     with pytest.raises(ValueError):

@@ -5,14 +5,16 @@ from bruteforce import complex_gaussian, naive_embed
 from qcorr.hamiltonian import (
     SystemSpec,
     build_hamiltonian,
-    cluster_interaction_apply,
-    interaction_hamiltonian,
     interaction_liouvillian_apply,
-    liouvillian_apply,
 )
 from qcorr.operators import ManyBodyOperator, scaled_hermitian_defect, tensor_embed
 from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.presets import random_operator, random_system, rng_from_seed
+from qcorr.verify import (
+    cluster_interaction_apply,
+    interaction_hamiltonian,
+    liouvillian_apply,
+)
 
 TOL = 1e-12
 

@@ -9,18 +9,11 @@ from qcorr.evolution import group_apply, make_unitary_group
 from qcorr.hierarchy import (
     CorrelationState,
     DensityState,
-    chaos_data,
     cluster_expand,
     cluster_invert,
     literal_cluster_transform,
-    nonlinear_generator,
-    solve_chaos,
-    solve_chaos_scattering_form,
     solve_hierarchy,
     solve_via_density_oracle,
-    verify_group_property,
-    verify_growth_bound,
-    weak_solution_check,
 )
 from qcorr.operators import (
     ManyBodyOperator,
@@ -36,8 +29,18 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import OperatorSequence, seq_residual
-from qcorr.verify import literal_cumulant_solution
+from qcorr.star_algebra import OperatorSequence
+from qcorr.verify import (
+    chaos_data,
+    literal_cumulant_solution,
+    nonlinear_generator,
+    seq_residual,
+    solve_chaos,
+    solve_chaos_scattering_form,
+    verify_group_property,
+    verify_growth_bound,
+    weak_solution_check,
+)
 
 TOL = 1e-12
 
@@ -253,7 +256,8 @@ def test_nonlinear_generator_matches_finite_difference(spec2):
 
 def test_nonlinear_generator_linear_part_only_for_chaos_free(spec_free):
     # no interactions: generator reduces to the commutator on each component
-    from qcorr.hamiltonian import build_hamiltonian, liouvillian_apply
+    from qcorr.hamiltonian import build_hamiltonian
+    from qcorr.verify import liouvillian_apply
 
     g = gstate(138)
     gen = nonlinear_generator(spec_free, g)

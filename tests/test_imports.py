@@ -1,5 +1,6 @@
 """Each module imports on its own: the package binds only `__version__`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -53,3 +54,18 @@ def test_library_modules_load_no_front_end(module):
     loaded = _loaded(module)
     assert module in loaded
     assert not loaded & {"qcorr.verify", "qcorr.cli", "jsonschema"}
+
+
+def test_cli_loads_every_module_the_benchmark_traces():
+    # bench/layers.py looks each SPANNED module up in sys.modules once
+    # `from qcorr import cli` has run
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    (spanned,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["SPANNED"]
+    ]
+    loaded = _loaded("qcorr.cli")
+    assert {f"qcorr.{module}" for module, _ in spanned} <= loaded
+    assert "qcorr.verify" not in loaded

@@ -10,13 +10,16 @@ from qcorr.errors import CapacityError
 from qcorr.partitions import (
     ClusterSet,
     ParticleSet,
-    bell_number,
-    enumerate_nonempty_subsets,
     enumerate_partitions,
     iter_set_partitions,
     mobius_coefficient,
-    partition_alternating_sum,
     partition_sum,
+)
+from qcorr.verify import (
+    bell_number,
+    cluster_and_singletons,
+    enumerate_nonempty_subsets,
+    partition_alternating_sum,
     stirling2,
 )
 
@@ -46,9 +49,9 @@ def test_cluster_set_orders_and_rejects_overlap():
     with pytest.raises(ValueError):
         ClusterSet.of([[1, 2], [2, 3]])
     assert len(ClusterSet.singletons([7, 3])) == 2
-    mixed = ClusterSet.cluster_and_singletons(2, 2)
+    mixed = cluster_and_singletons(2, 2)
     assert tuple(c.labels for c in mixed) == ((1, 2), (3,), (4,))
-    assert tuple(c.labels for c in ClusterSet.cluster_and_singletons(3, 0)) == ((1, 2, 3),)
+    assert tuple(c.labels for c in cluster_and_singletons(3, 0)) == ((1, 2, 3),)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -28,7 +28,6 @@ from qcorr.serialize import (
     encode_complex,
     encode_raw_matrix,
     encode_sequence,
-    encode_system,
     validate,
 )
 from qcorr.serialize import _conforms
@@ -74,6 +73,7 @@ def test_sequence_roundtrip_with_gap():
     obj = encode_sequence(gapped, kind="correlation")
     assert obj["components"][1] is None
     assert obj["kind"] == "correlation"
+    validate(obj, SEQUENCE_SCHEMA, "sequence")
     back = decode_sequence(obj)
     assert back.n_max == 3
     assert back.support == (1, 3)
@@ -84,7 +84,9 @@ def test_sequence_roundtrip_with_gap():
 def test_sequence_scalar_preserved():
     op = ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
-    back = decode_sequence(encode_sequence(seq))
+    obj = encode_sequence(seq)
+    validate(obj, SEQUENCE_SCHEMA, "sequence")
+    back = decode_sequence(obj)
     assert back.scalar0 == 0.5 - 0.25j
 
 
@@ -98,6 +100,7 @@ def test_prefixed_sequence_not_serialized():
 def test_sequence_component_count_capped():
     obj = encode_sequence(random_correlation_state(13, 2, 2).seq)
     obj["n_max"] = 1
+    validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
         decode_sequence(obj)
 
@@ -105,12 +108,25 @@ def test_sequence_component_count_capped():
 def test_sequence_component_size_checked():
     obj = encode_sequence(random_correlation_state(14, 2, 2).seq)
     obj["components"][1] = obj["components"][0]
+    validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
         decode_sequence(obj)
 
 
 # ---------------------------------------------------------------------------
 # systems
+
+
+def encode_system(spec):
+    """The explicit system document of spec, which decode_system reads."""
+    return {
+        "dim_single": spec.dim_single,
+        "hbar": spec.hbar,
+        "one_body": encode_raw_matrix(spec.one_body),
+        "potentials": {
+            str(k): encode_raw_matrix(v) for k, v in sorted(spec.potentials.items())
+        },
+    }
 
 
 def test_system_roundtrip_explicit():

@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bruteforce import complex_gaussian, naive_partitions
-from qcorr.bbgky import MarginalState, correlation_from_marginals
+from qcorr.bbgky import MarginalState
 from qcorr.errors import NormalizationError
 from qcorr.hierarchy import (
     CorrelationState,
     DensityState,
     cluster_expand,
     cluster_invert,
+    literal_cluster_transform,
 )
 from qcorr.operators import (
     ManyBodyOperator,
@@ -21,26 +22,28 @@ from qcorr.operators import (
     tensor_product,
     trace_norm,
 )
-from qcorr.partitions import ClusterSet, ParticleSet, partition_sum
+from qcorr.partitions import ParticleSet, partition_sum
 from qcorr.presets import random_sequence, rng_from_seed
 from qcorr.serialize import encode_sequence
 from qcorr.star_algebra import (
     OperatorSequence,
     annihilation_expand,
-    cluster_argument_sequence,
-    product_reduction_residual,
-    seq_add,
     seq_block_product,
-    seq_residual,
-    shift_map,
     star_exp,
     star_ln,
     star_product,
-    unit_sequence,
+)
+from qcorr.verify import (
+    cluster_and_singletons,
+    cluster_argument_sequence,
+    correlation_from_marginals,
+    product_reduction_residual,
+    seq_add,
+    seq_residual,
+    shift_map,
     verify_lemma2,
     verify_lemma3,
 )
-from qcorr.verify import literal_cluster_transform
 
 TOL = 1e-12
 
@@ -80,7 +83,7 @@ def test_seq_arithmetic_and_residual():
 
 def test_unit_is_neutral():
     f = seq(93)
-    one = unit_sequence(2, 3)
+    one = OperatorSequence(2, 3, 1.0)
     assert seq_residual(star_product(one, f, out_n_max=3), f) <= TOL
     assert seq_residual(star_product(f, one, out_n_max=3), f) <= TOL
 
@@ -154,7 +157,7 @@ def test_exp_ln_roundtrip(seed):
 
 
 def test_ln_exp_roundtrip_from_unit_side():
-    g = seq_add(unit_sequence(2, 3), seq(103))
+    g = seq_add(OperatorSequence(2, 3, 1.0), seq(103))
     back = star_exp(star_ln(g, out_n_max=3), out_n_max=3)
     assert seq_residual(back, g) <= 1e-11
 
@@ -336,7 +339,7 @@ def test_cluster_arguments_equal_literal_partition_sum(d, n_max, hermitian):
     for s in (1, 2, 3):
         got = cluster_argument_sequence(u, s, n_max - s)
         for n in range(n_max - s + 1):
-            units = ClusterSet.cluster_and_singletons(s, n)
+            units = cluster_and_singletons(s, n)
             want = partition_sum(units, lambda b: seq_block_product(u, b), signed=True)
             assert trace_norm(got.components[n] - want) <= TOL
 
