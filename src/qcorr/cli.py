@@ -12,8 +12,9 @@ or produced an invalid floating-point result), 2 malformed or
 schema-violating input, 3 a capacity guard tripped.  An output path that
 is, or lies below, an existing non-directory is refused before any task
 runs.  Outputs are written only after every task has computed, so a failing
-run leaves no partial files, and all serialization is canonical: rerunning
-an identical scenario reproduces identical bytes.
+run leaves no partial files, and every file is canonical compact JSON (or
+CSV): rerunning an identical scenario reproduces identical bytes.  `verify`
+and `schema` print indented JSON for people to read.
 """
 
 from __future__ import annotations
@@ -531,6 +532,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _print_readable(obj) -> None:
+    """Write obj to stdout as indented JSON, for the small outputs people read."""
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
 def _cmd_verify(args) -> int:
     from .verify import SUITE_NAMES, run_suite
 
@@ -541,12 +547,12 @@ def _cmd_verify(args) -> int:
         )
         return 2
     report = run_suite(args.suite)
-    sys.stdout.write(dumps_canonical(report))
+    _print_readable(report)
     return 0 if report["passed"] else 1
 
 
 def _cmd_schema(args) -> int:
-    sys.stdout.write(dumps_canonical(ALL_SCHEMAS))
+    _print_readable(ALL_SCHEMAS)
     return 0
 
 

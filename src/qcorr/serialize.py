@@ -8,12 +8,14 @@ Conventions
 * A system is either explicit {dim_single, hbar, one_body, potentials}
   or a preset {"preset": "random_hermitian", "seed": ..., "orders": [...]}.
 
-All dumps go through dumps_canonical so that reruns produce identical bytes.
+Every file `qcorr run` writes goes through dumps_canonical: sorted keys, no
+whitespace, a final newline, written by the C encoder of one json.dumps
+call, so reruns produce identical bytes.
 
-Fast paths
-----------
-Documents are large only in their raw-matrix leaves, so both directions
-treat those leaves apart from the rest.
+Fast path of validate
+---------------------
+Documents are large only in their raw-matrix leaves, so validate treats
+those leaves apart from the rest.
 
 * validate first checks, in one pass, which lists are raw matrices: non-empty
   lists of non-empty rows of two-element lists whose entries are exactly
@@ -36,22 +38,13 @@ treat those leaves apart from the rest.
   and words it, while accepting a document costs no jsonschema import and
   no meta-schema check.  Tests check that _conforms agrees with jsonschema
   and that every schema passes jsonschema's meta-schema.
-* dumps_canonical writes the text itself instead of going through json's
-  pure-Python indenting encoder.  Its output is defined as, and tested equal
-  to, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n":
-  rows of [re, im] pairs are formatted with one format string per row,
-  dicts and lists are framed by hand, and every other leaf (str, bool,
-  None, numpy scalars, dicts with non-str keys, non-finite floats) is
-  handed to json itself.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
 from itertools import chain
-from math import isfinite
 from numbers import Number
 from typing import Any
 
@@ -266,22 +259,19 @@ _KEYWORDS = frozenset({
 })
 
 
-def _pair_row(row) -> tuple | None:
-    """The entries of a row of [re, im] pairs of exact ints and floats,
-    flattened; None when row is anything else (an empty row included)."""
+def _is_pair_row(row) -> bool:
+    """True when row is a non-empty list of [re, im] pairs of exact ints
+    and floats."""
     if type(row) is not list or set(map(type, row)) != {list}:
-        return None
+        return False
     if set(map(len, row)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(row))
-    return flat if set(map(type, flat)) <= _NUMBER_TYPES else None
+        return False
+    return set(map(type, chain.from_iterable(row))) <= _NUMBER_TYPES
 
 
 def _is_raw_matrix(x) -> bool:
     """True when x is a raw-matrix leaf that every raw-matrix schema accepts."""
-    if type(x) is not list or not x:
-        return False
-    return all(_pair_row(row) is not None for row in x)
+    return type(x) is list and bool(x) and all(map(_is_pair_row, x))
 
 
 def _skeleton(x):
@@ -398,81 +388,14 @@ def validate(obj: Any, schema: dict, what: str = "document") -> None:
         raise SchemaViolation(f"{what} at '{path}': {exc.message}") from exc
 
 
-def _json_text(value, level: int) -> str:
-    """json's own text for value, indented as if written at depth level."""
-    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-    return text.replace("\n", "\n" + "  " * level) if level else text
-
-
-@lru_cache(maxsize=64)
-def _row_format(level: int, n_pairs: int) -> str:
-    """%-format of a row of n_pairs [re, im] pairs whose "[" sits at level."""
-    row_in = "\n" + "  " * level
-    pair_in = row_in + "  "
-    num_in = pair_in + "  "
-    pair = "[" + num_in + "%r," + num_in + "%r" + pair_in + "]"
-    return "[" + pair_in + ("," + pair_in).join([pair] * n_pairs) + row_in + "]"
-
-
-def _pair_row_text(row, level: int) -> str | None:
-    """json's text for a row of [re, im] pairs of exact ints and floats
-    written at depth level; None for any other value, or a non-finite entry."""
-    flat = _pair_row(row)
-    if flat is None:
-        return None
-    text = _row_format(level, len(row)) % flat
-    # finite reprs are made of digits, ".", "-", "+" and "e": an "n" can only
-    # come from nan or inf, which json refuses
-    return None if "n" in text else text
-
-
-def _write(value, level: int, out: list) -> None:
-    """Append json's text for value, written at depth level, to out."""
-    kind = type(value)
-    if kind is float and isfinite(value):
-        out.append(float.__repr__(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            sep = "," + inner
-            text = _pair_row_text(item, level + 1)
-            if text is None:
-                _write(item, level + 1, out)
-            else:
-                out.append(text)
-        out.append("\n" + "  " * level + "]")
-    elif kind is dict and all(type(k) is str for k in value):
-        if not value:
-            out.append("{}")
-            return
-        inner = "\n" + "  " * (level + 1)
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(sep + json.dumps(key) + ": ")
-            sep = "," + inner
-            _write(item, level + 1, out)
-        out.append("\n" + "  " * level + "}")
-    else:
-        out.append(_json_text(value, level))
-
-
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed indentation, newline end.
+    """Deterministic JSON text: sorted keys, no whitespace, newline end.
 
-    Equal to json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    plus a newline, written without json's pure-Python indenting encoder.
+    A one-shot compact json.dumps runs CPython's C encoder, which writes
+    floats with float.__repr__, so every value decodes back unchanged.
     """
-    out: list[str] = []
-    _write(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return text + "\n"
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -490,6 +413,13 @@ def encode_raw_matrix(m: np.ndarray) -> list:
 
 
 def decode_raw_matrix(rows) -> np.ndarray:
+    """The matrix of a raw-matrix leaf; SchemaViolation unless it is square."""
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise SchemaViolation(
+                f"ragged matrix of {len(rows)} rows: row {i + 1} has "
+                f"{len(row)} entries, row 1 has {len(rows[0])}"
+            )
     a = np.array(
         [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
     )
@@ -543,7 +473,7 @@ def decode_sequence(obj: dict) -> OperatorSequence:
 
 
 def decode_system(obj: dict) -> SystemSpec:
-    validate(obj, SYSTEM_SCHEMA, "system")
+    """The system of an obj already validated against SYSTEM_SCHEMA."""
     if "preset" in obj:
         from .presets import random_system
 

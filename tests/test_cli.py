@@ -12,7 +12,7 @@ import pytest
 
 import qcorr
 from bruteforce import naive_embed
-from qcorr import cli
+from qcorr import cli, serialize
 from qcorr.bbgky import (
     additive_dispersion,
     marginal_state_from_density,
@@ -30,6 +30,7 @@ from qcorr.serialize import (
     ALL_SCHEMAS,
     REPORT_SCHEMA,
     decode_raw_matrix,
+    dumps_canonical,
     encode_raw_matrix,
     validate,
 )
@@ -298,6 +299,64 @@ def test_unread_initial_field_exits_2(tmp_path, capsys, initial, message):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"schema violation: {message}\n"
+
+
+# schema-valid, but the second row is shorter than the first
+_RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("observable", _RAGGED),
+        ("system", {"dim_single": 2, "one_body": _RAGGED}),
+        ("initial", {"correlation": {
+            "dim_single": 2, "n_max": 1, "scalar0": [0, 0], "components": [_RAGGED],
+        }}),
+    ],
+    ids=["observable", "one_body", "sequence-component"],
+)
+def test_ragged_matrix_exits_2_with_a_clear_message(tmp_path, capsys, field, value):
+    sc = dict(BASE_SCENARIO, **{field: value})
+    code, out = _run(tmp_path, sc, "ragged")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "schema violation: ragged matrix of 2 rows: row 2 has 1 entries, row 1 has 2\n"
+    )
+
+
+def test_a_plain_run_validates_the_document_once(tmp_path, monkeypatch):
+    real = serialize.validate
+    calls = []
+
+    def counting(obj, schema, what="document"):
+        calls.append(what)
+        return real(obj, schema, what)
+
+    monkeypatch.setattr(serialize, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    sc = dict(BASE_SCENARIO, system={
+        "dim_single": 2, "one_body": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+    })
+    for name, doc in [("preset", BASE_SCENARIO), ("explicit", sc)]:
+        calls.clear()
+        code, _ = _run(tmp_path, doc, name)
+        assert code == 0
+        assert calls == ["scenario"]
+
+
+def test_run_files_are_one_line_of_canonical_json(tmp_path):
+    sc = dict(BASE_SCENARIO, tasks=list(cli._TASK_FNS))
+    code, out = _run(tmp_path, sc, "compact")
+    assert code == 0
+    names = sorted(name for name in os.listdir(out) if name.endswith(".json"))
+    assert len(names) == len(cli._TASK_FNS) + 1
+    for name in names:
+        text = (out / name).read_text()
+        assert text.endswith("\n")
+        assert text.count("\n") == 1
+        assert dumps_canonical(json.loads(text)) == text
 
 
 def test_capacity_guards_exit_3(tmp_path, capsys):
@@ -816,6 +875,17 @@ def test_verify_has_no_tolerance_scale_or_threads(capsys, flag):
         main(["verify", "--suite", "combinatorics", *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_verify_and_schema_print_indented_json(capsys):
+    # the small outputs people read keep the indented form
+    assert main(["schema", "--print"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(ALL_SCHEMAS, sort_keys=True, indent=2) + "\n"
+    assert main(["verify", "--suite", "combinatorics"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{\n  "checks": [\n')
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_schema_command_prints_registry(capsys):
