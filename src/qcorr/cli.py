@@ -57,18 +57,18 @@ from .hierarchy import (
 )
 from .operators import (
     MAX_OPERATOR_DIM,
-    TAU_HERM,
     ManyBodyOperator,
     check_mb_symmetry,
     mb_symmetry_defect,
     min_eigenvalue,
-    scaled_hermitian_defect,
+    require_hermitian,
     trace_norm,
 )
 from .presets import random_correlation_state, random_density_state
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
+    SYSTEM_PRESET_DEFAULTS,
     decode_raw_matrix,
     decode_sequence,
     decode_system,
@@ -115,6 +115,17 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
     return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
 
 
+# each initial preset's builder, and the fields it reads besides "preset"
+# and "seed" with their defaults
+_INITIAL_PRESETS = {
+    "random_correlation": (
+        random_correlation_state,
+        {"norms": 0.5, "traceless": False, "symmetric": False},
+    ),
+    "random_density": (random_density_state, {"trace_scale": 0.8}),
+}
+
+
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
     """Decode the tagged initial-data union into a correlation or density state.
 
@@ -127,40 +138,15 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
             raise SchemaViolation(
                 f"initial {tag} sequence is marked kind '{body['kind']}'"
             )
-        seq = _fit_sequence(decode_sequence(body), n_max)
+        seq = _fit_sequence(decode_sequence(body, f"initial {tag}"), n_max)
         return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
-    # the fields each preset reads besides "preset" and "seed"
-    reads = {
-        "random_correlation": ("norms", "traceless", "symmetric"),
-        "random_density": ("trace_scale",),
-    }
     name = body["preset"]
+    build, defaults = _INITIAL_PRESETS[name]
     for key in body:
-        if key not in ("preset", "seed", *reads[name]):
+        if key not in ("preset", "seed", *defaults):
             raise SchemaViolation(f"initial preset {name} does not read '{key}'")
-    seed = int(body["seed"])
-    if name == "random_correlation":
-        return random_correlation_state(
-            seed,
-            spec.dim_single,
-            n_max,
-            norms=body.get("norms", 0.5),
-            traceless=bool(body.get("traceless", False)),
-            symmetric=bool(body.get("symmetric", False)),
-        )
-    return random_density_state(
-        seed, spec.dim_single, n_max, trace_scale=body.get("trace_scale", 0.8)
-    )
-
-
-def _require_hermitian(m: np.ndarray, what: str) -> None:
-    """Refuse m unless ||m - m^dagger||_F <= TAU_HERM ||m||_F."""
-    dev, norm, c = scaled_hermitian_defect(m)
-    if dev > TAU_HERM * norm:
-        raise SchemaViolation(
-            f"{what} must be Hermitian, deviation {dev * c} exceeds "
-            f"{TAU_HERM} times its norm"
-        )
+    fields = {key: body.get(key, value) for key, value in defaults.items()}
+    return build(int(body["seed"]), spec.dim_single, n_max, **fields)
 
 
 def load_scenario(obj: dict) -> Scenario:
@@ -170,21 +156,22 @@ def load_scenario(obj: dict) -> Scenario:
     # the dimensions are checked on the document, before decode_system draws
     # a preset's random matrices
     system_obj = obj["system"]
+    if "preset" in system_obj:
+        system_obj = {**SYSTEM_PRESET_DEFAULTS, **system_obj}
     n_max = int(obj["n_max"])
     if n_max > MAX_N_MAX:
         raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
-    d = int(system_obj.get("dim_single", 2))
+    d = int(system_obj["dim_single"])
     if d**n_max > MAX_TOTAL_DIM:
         raise CapacityError(f"total dimension {d}^{n_max} exceeds {MAX_TOTAL_DIM}")
-    if "preset" in system_obj:
-        for k in map(int, system_obj.get("orders", [2])):
-            # d >= 2 exceeds the cap by the power MAX_OPERATOR_DIM.bit_length()
-            # already; capping k there keeps the power small to compute
-            if d ** min(k, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
-                raise CapacityError(
-                    f"potential of order {k} has dimension {d}^{k}, "
-                    f"above the cap {MAX_OPERATOR_DIM}"
-                )
+    for k in map(int, system_obj.get("orders", ())):
+        # d >= 2 exceeds the cap by the power MAX_OPERATOR_DIM.bit_length()
+        # already; capping k there keeps the power small to compute
+        if d ** min(k, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
+            raise CapacityError(
+                f"potential of order {k} has dimension {d}^{k}, "
+                f"above the cap {MAX_OPERATOR_DIM}"
+            )
     spec = decode_system(system_obj)
 
     times = [float(t) for t in obj["times"]]
@@ -218,7 +205,7 @@ def load_scenario(obj: dict) -> Scenario:
         # sequence; the scalar components are 1 and 0 by construction
         kind = "density" if isinstance(initial, DensityState) else "correlation"
         for n, op in sorted(initial.seq.components.items()):
-            _require_hermitian(op.matrix, f"initial {kind} component {n}")
+            require_hermitian(op.matrix, f"initial {kind} component {n}")
 
     s_values = [int(s) for s in obj.get("s_values", range(1, max(n_max, 2)))]
     for s in s_values:
@@ -240,7 +227,7 @@ def load_scenario(obj: dict) -> Scenario:
             )
         # the dispersion is real only for Hermitian A, and would silently
         # drop an imaginary part otherwise
-        _require_hermitian(a, "observable")
+        require_hermitian(a, "observable")
     else:
         a = np.eye(spec.dim_single, dtype=complex)
 
@@ -291,14 +278,19 @@ def _pmap(fn, items, threads: int) -> list:
 def _marginal_record(s: int, t: float, op: ManyBodyOperator) -> dict:
     # the eigenvalues of a non-Hermitian F_s are complex, and the lowest one
     # of its Hermitian part is none of them, so min_eig is null there
-    dev, norm, _ = scaled_hermitian_defect(op.matrix)
+    try:
+        require_hermitian(op.matrix, f"F_{s}")
+    except ValueError:
+        min_eig = None
+    else:
+        min_eig = min_eigenvalue(op)
     return {
         "s": s,
         "t": t,
         "matrix": encode_raw_matrix(op.matrix),
         "trace": encode_complex(op.trace),
         "trace_norm": trace_norm(op),
-        "min_eig": min_eigenvalue(op) if dev <= TAU_HERM * norm else None,
+        "min_eig": min_eig,
     }
 
 

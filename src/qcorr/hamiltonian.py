@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    TAU_HERM,
-    ManyBodyOperator,
-    check_mb_symmetry,
-    embed_sum,
-    scaled_hermitian_defect,
-)
+from .operators import ManyBodyOperator, check_mb_symmetry, embed_sum, require_hermitian
 from .partitions import ParticleSet
 
 
@@ -58,7 +52,7 @@ class SystemSpec:
         ob = np.array(self.one_body, dtype=complex)
         if ob.shape != (d, d):
             raise ValueError(f"one_body must be {d}x{d}, got {ob.shape}")
-        _require_hermitian(ob, "one_body")
+        require_hermitian(ob, "one_body")
         ob.setflags(write=False)
         self.one_body = ob
         pots: dict[int, np.ndarray] = {}
@@ -72,7 +66,7 @@ class SystemSpec:
                 raise ValueError(
                     f"potential of order {k} must be {dim}x{dim}, got {m.shape}"
                 )
-            _require_hermitian(m, f"potential[{k}]")
+            require_hermitian(m, f"potential[{k}]")
             as_op = ManyBodyOperator(ParticleSet.range1(k), d, m)
             if not check_mb_symmetry(as_op):
                 raise ValueError(
@@ -81,13 +75,6 @@ class SystemSpec:
             m.setflags(write=False)
             pots[k] = m
         self.potentials = pots
-
-
-def _require_hermitian(m: np.ndarray, name: str) -> None:
-    # ||m - m^dagger||_F <= TAU_HERM max(1, ||m||_F), divided through by c
-    dev, norm, c = scaled_hermitian_defect(m)
-    if dev > TAU_HERM * max(1.0 / c, norm):
-        raise ValueError(f"{name} must be Hermitian, deviation {dev * c}")
 
 
 def _potential_terms(spec: SystemSpec, labels: ParticleSet) -> list:
@@ -121,14 +108,9 @@ def interaction_liouvillian_apply(
     f: ManyBodyOperator,
     hbar: float = 1.0,
 ) -> ManyBodyOperator:
-    """RHS interaction generator: +(i/hbar)[f, Phi embedded on cluster]."""
-    if not cluster.issubset(f.labels):
-        raise ValueError(f"cluster {cluster} not within {f.labels}")
+    """RHS interaction generator: +(i/hbar)[f, Phi embedded on cluster].
+
+    phi_k is a SystemSpec's potential of order |cluster|, checked there.
+    """
     d = f.dim_single
-    phi = np.asarray(phi_k, dtype=complex)
-    dim = d ** len(cluster)
-    if phi.shape != (dim, dim):
-        raise ValueError(
-            f"potential shape {phi.shape} does not fit cluster {cluster} (need {dim})"
-        )
-    return _commutator_generator(embed_sum([(cluster, phi)], f.labels, d), f, hbar)
+    return _commutator_generator(embed_sum([(cluster, phi_k)], f.labels, d), f, hbar)

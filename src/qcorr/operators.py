@@ -20,6 +20,10 @@ the symmetry checks use the helper too.
 :func:`partial_trace` stays on ``np.einsum`` with integer sublists, where a
 traced slot's column axis is its row axis: routing it through the helper
 would make a transposed copy first, several times slower than the einsum.
+
+Each rule about input matrices has one owner: the constructor that receives
+a matrix checks its shape and entries, and :func:`require_hermitian` is the
+one Hermiticity test, for input data and the ``min_eig`` gate alike.
 """
 
 from __future__ import annotations
@@ -119,12 +123,9 @@ def identity_operator(labels: ParticleSet, dim_single: int) -> ManyBodyOperator:
 def relabel(op: ManyBodyOperator, new_labels: ParticleSet) -> ManyBodyOperator:
     """Transport op onto a new label set by the order-preserving bijection.
 
-    The matrix is unchanged; only the names of the tensor factors move.
+    The matrix is unchanged; only the names of the tensor factors move, and
+    the constructor refuses a label set whose size the matrix does not fit.
     """
-    if len(new_labels) != len(op.labels):
-        raise ValueError(
-            f"relabel needs equal sizes, got {op.labels} -> {new_labels}"
-        )
     return ManyBodyOperator(new_labels, op.dim_single, op.matrix)
 
 
@@ -297,14 +298,25 @@ def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
     c is the largest |Re| or |Im| of an entry (1 for the zero matrix), so
     neither norm can overflow however large the entries are.  The real and
     imaginary parts are scaled apart: complex division by a subnormal c
-    would overflow in its reciprocal.
+    would overflow in its reciprocal.  The entries of m must be finite.
     """
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
     scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max())) or 1.0
     re, im = m.real / scale, m.imag / scale
     dev = np.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T))
     return float(dev), float(np.hypot(np.linalg.norm(re), np.linalg.norm(im))), scale
+
+
+def require_hermitian(m: np.ndarray, what: str) -> None:
+    """Refuse m, by a ValueError naming what, unless its entries are finite
+    and ||m - m^dagger||_F <= TAU_HERM ||m||_F."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what}: matrix entries must be finite")
+    dev, norm, c = scaled_hermitian_defect(m)
+    if dev > TAU_HERM * norm:
+        raise ValueError(
+            f"{what} must be Hermitian, deviation {dev * c} exceeds "
+            f"{TAU_HERM} times its norm"
+        )
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

@@ -7,6 +7,9 @@ Conventions
 * A sequence stores components as an array indexed by n-1 (null = absent).
 * A system is either explicit {dim_single, hbar, one_body, potentials}
   or a preset {"preset": "random_hermitian", "seed": ..., "orders": [...]}.
+* The decoders compare no shapes: the constructor that receives a matrix
+  (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
+  SchemaViolation.
 
 Every file `qcorr run` writes goes through dumps_canonical: sorted keys, no
 whitespace, a final newline, written by the C encoder of one json.dumps
@@ -120,6 +123,9 @@ _SYSTEM_PRESET = {
 }
 
 SYSTEM_SCHEMA = {"oneOf": [_SYSTEM_EXPLICIT, _SYSTEM_PRESET]}
+
+# the value of each field of the system preset that a document leaves out
+SYSTEM_PRESET_DEFAULTS = {"dim_single": 2, "orders": [2], "hbar": 1.0, "scale": 1.0}
 
 _INITIAL_PRESET = {
     "type": "object",
@@ -447,8 +453,9 @@ def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
     return out
 
 
-def decode_sequence(obj: dict) -> OperatorSequence:
-    """The sequence of an obj already validated against SEQUENCE_SCHEMA."""
+def decode_sequence(obj: dict, what: str) -> OperatorSequence:
+    """The sequence of an obj already validated against SEQUENCE_SCHEMA,
+    named ``what`` in the error that refuses one of its components."""
     d = int(obj["dim_single"])
     n_max = int(obj["n_max"])
     rows = obj["components"]
@@ -457,18 +464,14 @@ def decode_sequence(obj: dict) -> OperatorSequence:
             f"sequence lists {len(rows)} components but n_max is {n_max}"
         )
     comps = {}
-    for i, entry in enumerate(rows):
+    for n, entry in enumerate(rows, 1):
         if entry is None:
             continue
-        n = i + 1
         m = decode_raw_matrix(entry)
-        want = d**n
-        if m.shape != (want, want):
-            raise SchemaViolation(
-                f"component {n} is {m.shape[0]}x{m.shape[1]}, "
-                f"expected {want}x{want}"
-            )
-        comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, m)
+        try:
+            comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, m)
+        except ValueError as exc:
+            raise SchemaViolation(f"{what} component {n}: {exc}") from exc
     return OperatorSequence(d, n_max, decode_complex(obj["scalar0"]), comps)
 
 
@@ -477,31 +480,17 @@ def decode_system(obj: dict) -> SystemSpec:
     if "preset" in obj:
         from .presets import random_system
 
+        p = {**SYSTEM_PRESET_DEFAULTS, **obj}
         return random_system(
-            int(obj["seed"]),
-            dim_single=int(obj.get("dim_single", 2)),
-            orders=tuple(obj.get("orders", [2])),
-            hbar=float(obj.get("hbar", 1.0)),
-            scale=float(obj.get("scale", 1.0)),
+            int(p["seed"]),
+            dim_single=int(p["dim_single"]),
+            orders=tuple(p["orders"]),
+            hbar=float(p["hbar"]),
+            scale=float(p["scale"]),
         )
-    d = int(obj["dim_single"])
     one = decode_raw_matrix(obj["one_body"])
-    if one.shape != (d, d):
-        raise SchemaViolation(
-            f"one_body is {one.shape[0]}x{one.shape[1]}, expected {d}x{d}"
-        )
-    pots = {}
-    for key, rows in obj.get("potentials", {}).items():
-        k = int(key)
-        m = decode_raw_matrix(rows)
-        want = d**k
-        if m.shape != (want, want):
-            raise SchemaViolation(
-                f"potential of order {k} is {m.shape[0]}x{m.shape[1]}, "
-                f"expected {want}x{want}"
-            )
-        pots[k] = m
+    pots = {int(k): decode_raw_matrix(m) for k, m in obj.get("potentials", {}).items()}
     try:
-        return SystemSpec(d, one, pots, float(obj.get("hbar", 1.0)))
+        return SystemSpec(int(obj["dim_single"]), one, pots, float(obj.get("hbar", 1.0)))
     except ValueError as exc:
         raise SchemaViolation(str(exc)) from exc

@@ -16,7 +16,10 @@ holding the first unit:
 
 where kappa_n, the Mobius sum over the units (1..s), s+1, ..., s+n, is the
 S = all term, and Ln(D)_n = kappa_{n-1} at s = 1.  Each partition term
-appears exactly once; a component with no term stays absent.
+appears exactly once; a component with no term stays absent.  The
+recursion runs on the matrices of already-checked components, one kron and
+one slot permutation per subset term, and each output component is wrapped
+in a ManyBodyOperator once.
 
 Sequences may carry a cluster prefix of size s: component n then acts on
 (1..s+n) with the first s labels frozen as one unit.  Prefixed sequences
@@ -40,6 +43,7 @@ import numpy as np
 from .errors import NormalizationError
 from .operators import (
     ManyBodyOperator,
+    _permute_slots,
     partial_trace,
     relabel,
     tensor_product,
@@ -133,18 +137,13 @@ def _ordinary_labels(prefix: int, n: int) -> tuple[int, ...]:
     return tuple(range(prefix + 1, prefix + n + 1))
 
 
-def _scalar_operator(c: complex, dim_single: int) -> ManyBodyOperator:
-    """The scalar c as an operator on no particles."""
-    return ManyBodyOperator(ParticleSet(()), dim_single, np.array([[c]]))
-
-
-def _first_block_sum(a: dict, b: dict, s: int, n: int) -> np.ndarray | None:
+def _first_block_sum(a: dict, b: dict, s: int, n: int, d: int) -> np.ndarray | None:
     """Sum over S subset of (s+1..s+n) of a_|S| on (1..s) u S times b_{n-|S|}.
 
-    a_k acts on (1..s+k) and b_m on (1..m); each is moved in order onto its
-    labels, (1..s) u S and the rest.  A missing key is a zero factor, so
-    S = all counts only when b holds b_0, a scalar on no particles.  The
-    matrix on (1..s+n), or None when no S finds both of its factors.
+    a_k is a matrix on (1..s+k) and b_m one on (1..m); each is moved in
+    order onto its labels, (1..s) u S and the rest.  A missing key is a
+    zero factor, so S = all counts only when b holds b_0, a 1x1 scalar.
+    The matrix on (1..s+n), or None when no S finds both of its factors.
     """
     head = tuple(range(1, s + 1))
     ordinary = _ordinary_labels(s, n)
@@ -154,10 +153,8 @@ def _first_block_sum(a: dict, b: dict, s: int, n: int) -> np.ndarray | None:
             continue
         for z in itertools.combinations(ordinary, k):
             rest = tuple(x for x in ordinary if x not in z)
-            term = tensor_product([
-                relabel(a[k], ParticleSet(head + z)),
-                relabel(b[n - k], ParticleSet(rest)),
-            ]).matrix
+            big = np.kron(a[k], b[n - k])
+            term = _permute_slots(big, np.argsort(head + z + rest), d)
             acc = term if acc is None else acc + term
     return acc
 
@@ -181,14 +178,14 @@ def star_product(
         return star_product(h, f, out_n_max)
     d, s = f.dim_single, f.prefix
     out = min(f.n_max, h.n_max) if out_n_max is None else out_n_max
-    a, b = dict(f.components), dict(h.components)
+    a, b = ({n: op.matrix for n, op in x.components.items()} for x in (f, h))
     if f.scalar0 != 0:
-        a[0] = _scalar_operator(f.scalar0, d)
+        a[0] = np.array([[f.scalar0]])
     if h.scalar0 != 0:
-        b[0] = _scalar_operator(h.scalar0, d)
+        b[0] = np.array([[h.scalar0]])
     comps: dict[int, ManyBodyOperator] = {}
     for n in range(0 if s else 1, out + 1):
-        m = _first_block_sum(a, b, s, n)
+        m = _first_block_sum(a, b, s, n, d)
         if m is not None and np.any(m):
             comps[n] = ManyBodyOperator(ParticleSet.range1(s + n), d, m)
     scalar = 0.0 if s else f.scalar0 * h.scalar0
@@ -206,32 +203,31 @@ def star_exp(f: OperatorSequence, out_n_max: int | None = None) -> OperatorSeque
         raise ValueError("star_exp is defined for plain sequences")
     if f.scalar0 != 0:
         raise ValueError("star_exp requires a vanishing scalar component")
+    d = f.dim_single
     out = f.n_max if out_n_max is None else out_n_max
-    first = {n - 1: op for n, op in f.components.items()}
-    e = {0: _scalar_operator(1.0, f.dim_single)}
+    first = {n - 1: op.matrix for n, op in f.components.items()}
+    e = {0: np.array([[1.0 + 0j]])}
     for n in range(1, out + 1):
-        m = _first_block_sum(first, e, 1, n - 1)
+        m = _first_block_sum(first, e, 1, n - 1, d)
         if m is not None:
-            e[n] = ManyBodyOperator(ParticleSet.range1(n), f.dim_single, m)
-    del e[0]
-    return OperatorSequence(f.dim_single, out, 1.0, e)
+            e[n] = m
+    comps = {n: ManyBodyOperator(ParticleSet.range1(n), d, m) for n, m in e.items() if n}
+    return OperatorSequence(d, out, 1.0, comps)
 
 
-def _cluster_arguments(
-    f: OperatorSequence, s: int, n_max: int
-) -> dict[int, ManyBodyOperator]:
+def _cluster_arguments(f: OperatorSequence, s: int, n_max: int) -> dict[int, np.ndarray]:
     """The present components kappa_0..kappa_{n_max} of the s-cluster reading.
 
     kappa_n = f_{s+n} minus the first-block sum of the earlier kappa against
-    f's components; f's scalar is never read, so S = all drops out.
+    f's components, a matrix; f's scalar is never read, so S = all drops out.
     """
-    kappa: dict[int, ManyBodyOperator] = {}
+    fm = {n: op.matrix for n, op in f.components.items()}
+    kappa: dict[int, np.ndarray] = {}
     for n in range(n_max + 1):
-        top = f.components.get(s + n)
-        lower = _first_block_sum(kappa, f.components, s, n)
+        top = fm.get(s + n)
+        lower = _first_block_sum(kappa, fm, s, n, f.dim_single)
         if lower is not None:
-            m = -lower if top is None else top.matrix - lower
-            top = ManyBodyOperator(ParticleSet.range1(s + n), f.dim_single, m)
+            top = -lower if top is None else top - lower
         if top is not None:
             kappa[n] = top
     return kappa
@@ -247,10 +243,11 @@ def star_ln(g: OperatorSequence, out_n_max: int | None = None) -> OperatorSequen
         raise ValueError("star_ln is defined for plain sequences")
     if abs(g.scalar0 - 1.0) > 1e-12:
         raise ValueError("star_ln requires scalar component 1")
+    d = g.dim_single
     out = g.n_max if out_n_max is None else out_n_max
     kappa = _cluster_arguments(g, 1, out - 1)
-    comps = {n + 1: op for n, op in kappa.items()}
-    return OperatorSequence(g.dim_single, out, 0.0, comps)
+    comps = {n + 1: ManyBodyOperator(ParticleSet.range1(n + 1), d, m) for n, m in kappa.items()}
+    return OperatorSequence(d, out, 0.0, comps)
 
 
 def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:

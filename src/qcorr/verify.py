@@ -391,10 +391,12 @@ def cluster_argument_sequence(
     off the recursion in :mod:`qcorr.star_algebra`; a component with no
     term is the zero operator.
     """
+    d = f.dim_single
     kappa = _cluster_arguments(f, s, n_max)
     for n in range(n_max + 1):
-        kappa.setdefault(n, zero_operator(ParticleSet.range1(s + n), f.dim_single))
-    return OperatorSequence(f.dim_single, n_max, 0.0, kappa, s)
+        kappa.setdefault(n, np.zeros((d ** (s + n),) * 2, dtype=complex))
+    comps = {n: ManyBodyOperator(ParticleSet.range1(s + n), d, m) for n, m in kappa.items()}
+    return OperatorSequence(d, n_max, 0.0, comps, s)
 
 
 def product_reduction_residual(f: OperatorSequence, h: OperatorSequence) -> float:

@@ -471,6 +471,65 @@ def test_non_hermitian_observable_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_hermitian_rule_for_system_matrices_and_observable(tmp_path, capsys):
+    # 1e-3 [[0, 1], [1 + 1e-8, 0]]: ||m - m^dagger||_F = 1.4e-11 at a norm of
+    # 1.4e-3, far above 1e-10 times the norm, so both fields refuse it
+    m = [[[0, 0], [1e-3, 0]], [[1.00000001e-3, 0], [0, 0]]]
+    explicit = dict(BASE_SCENARIO, system={"dim_single": 2, "one_body": m})
+    code, out = _run(tmp_path, explicit, "one-body")
+    assert code == 2
+    assert not out.exists()
+    assert "one_body must be Hermitian" in capsys.readouterr().err
+
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, observable=m), "observable")
+    assert code == 2
+    assert not out.exists()
+    assert "observable must be Hermitian" in capsys.readouterr().err
+
+
+# a placeholder entry that the scenario text turns into 1e999, which json
+# reads as inf
+_INF_MARK = 7.0000123
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("one_body", "one_body"),
+        ("potential", "potential[2]"),
+        ("observable", "observable"),
+        ("correlation", "initial correlation component 1"),
+        ("density", "initial density component 2"),
+    ],
+)
+def test_non_finite_entry_exits_2_naming_the_field(tmp_path, capsys, field, name):
+    bad2 = [[[_INF_MARK, 0], [0, 0]], [[0, 0], [1, 0]]]
+    bad4 = [[[_INF_MARK if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    if field == "one_body":
+        sc["system"] = {"dim_single": 2, "one_body": bad2}
+    elif field == "potential":
+        one_body = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+        sc["system"] = {"dim_single": 2, "one_body": one_body, "potentials": {"2": bad4}}
+    elif field == "observable":
+        sc["observable"] = bad2
+    else:
+        eye = [[[float(i == j), 0] for j in range(2)] for i in range(2)]
+        components = [eye, bad4] if field == "density" else [bad2, None]
+        scalar0 = [1, 0] if field == "density" else [0, 0]
+        sc["initial"] = {field: {
+            "dim_single": 2, "n_max": 2, "scalar0": scalar0, "components": components,
+        }}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(sc).replace(repr(_INF_MARK), "1e999"))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{name}: matrix entries must be finite" in err
+
+
 def _one_particle_density(d11, tasks=("observables",)):
     """One particle at t = 0.5 with D_1 = diag(d11, 0.2)."""
     return {

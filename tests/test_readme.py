@@ -1,6 +1,7 @@
 """The README's library quick start, minimal scenario and command lines run
 as written."""
 
+import json
 import os
 import re
 import subprocess
@@ -94,3 +95,30 @@ def test_one_task_list_and_no_dead_flag_in_the_readme():
             cli._build_parser().parse_args(argv)
         except SystemExit:
             raise AssertionError(f"the README shows qcorr {' '.join(argv)}") from None
+
+
+def _table(first_header: str) -> list[list[str]]:
+    """The body rows of the README table whose first header cell is given,
+    each cell stripped of its backticks."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    header = f"| {first_header} |"
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_preset_defaults_are_the_code_defaults():
+    # the initial presets: one row per field, in the table cli reads them from
+    readme = {}
+    for preset, field, default, _ in _table("preset"):
+        readme.setdefault(preset, {})[field] = json.loads(default)
+    code = {name: defaults for name, (_, defaults) in cli._INITIAL_PRESETS.items()}
+    assert readme == code
+
+    # the system preset
+    readme = {field: json.loads(default) for field, default in _table("system field")}
+    assert readme == serialize.SYSTEM_PRESET_DEFAULTS

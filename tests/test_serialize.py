@@ -74,7 +74,7 @@ def test_sequence_roundtrip_with_gap():
     assert obj["components"][1] is None
     assert obj["kind"] == "correlation"
     validate(obj, SEQUENCE_SCHEMA, "sequence")
-    back = decode_sequence(obj)
+    back = decode_sequence(obj, "sequence")
     assert back.n_max == 3
     assert back.support == (1, 3)
     for n in (1, 3):
@@ -86,7 +86,7 @@ def test_sequence_scalar_preserved():
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
     obj = encode_sequence(seq)
     validate(obj, SEQUENCE_SCHEMA, "sequence")
-    back = decode_sequence(obj)
+    back = decode_sequence(obj, "sequence")
     assert back.scalar0 == 0.5 - 0.25j
 
 
@@ -102,7 +102,7 @@ def test_sequence_component_count_capped():
     obj["n_max"] = 1
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
-        decode_sequence(obj)
+        decode_sequence(obj, "sequence")
 
 
 def test_sequence_component_size_checked():
@@ -110,7 +110,7 @@ def test_sequence_component_size_checked():
     obj["components"][1] = obj["components"][0]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
-        decode_sequence(obj)
+        decode_sequence(obj, "sequence")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from qcorr.operators import (
     trace_norm,
 )
 from qcorr.partitions import ParticleSet, partition_sum
-from qcorr.presets import random_sequence, rng_from_seed
+from qcorr.presets import random_correlation_state, random_sequence, rng_from_seed
 from qcorr.serialize import encode_sequence
 from qcorr.star_algebra import (
     OperatorSequence,
@@ -160,6 +160,26 @@ def test_ln_exp_roundtrip_from_unit_side():
     g = seq_add(OperatorSequence(2, 3, 1.0), seq(103))
     back = star_exp(star_ln(g, out_n_max=3), out_n_max=3)
     assert seq_residual(back, g) <= 1e-11
+
+
+def test_exp_and_ln_build_one_operator_per_output_component(monkeypatch):
+    # counted the way bench/layers.py counts ManyBodyOperator constructions:
+    # the recursion computes on matrices and wraps each result once
+    g = random_correlation_state(1, 2, 4).seq
+    e = star_exp(g)
+    built = []
+    post_init = ManyBodyOperator.__post_init__
+
+    def counted(self):
+        built.append(len(self.labels))
+        post_init(self)
+
+    monkeypatch.setattr(ManyBodyOperator, "__post_init__", counted)
+    for fn, arg in ((star_exp, g), (star_ln, e)):
+        built.clear()
+        out = fn(arg)
+        assert out.support == (1, 2, 3, 4)
+        assert built == [1, 2, 3, 4]
 
 
 def test_shift_map_moves_components():
