@@ -28,7 +28,7 @@ import numpy as np
 from .evolution import _conjugate, group_apply, make_unitary_group
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
-from .operators import ManyBodyOperator, embed_sum, partial_trace
+from .operators import ManyBodyOperator, embed_sum, partial_trace_matrix
 from .partitions import ParticleSet
 from .star_algebra import (
     OperatorSequence,
@@ -108,16 +108,18 @@ def solve_bbgky_cumulant(
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
     if t == 0.0:
         return seq.component(s)
+    d = seq.dim_single
     unreduced: dict[int, np.ndarray] = {}
     for n in range(seq.n_max - s + 1):
         if not seq.has(s + n):
             continue
+        f_sn = seq.components[s + n].matrix
         for r in range(n + 1):
             weight = (-1) ** r * factorial(n - r) / factorial(n)
-            for traced in itertools.combinations(range(s + 1, s + n + 1), r):
-                term = partial_trace(seq.components[s + n], ParticleSet(traced))
-                unreduced[n - r] = unreduced.get(n - r, 0) + term.matrix * weight
-    d = seq.dim_single
+            # the slots of the labels (s+1..s+n) of F_{s+n}
+            for traced in itertools.combinations(range(s, s + n), r):
+                term = partial_trace_matrix(f_sn, d, s + n, traced)
+                unreduced[n - r] = unreduced.get(n - r, 0) + term * weight
     moved = {}
     for k, m in unreduced.items():
         e_k = ManyBodyOperator(ParticleSet.range1(s + k), d, m)

@@ -11,10 +11,11 @@ failed, a normalization degenerated, or a preset draw or a task overflowed
 or produced an invalid floating-point result), 2 malformed or
 schema-violating input, 3 a capacity guard tripped.  An output path that
 is, or lies below, an existing non-directory is refused before any task
-runs.  Outputs are written only after every task has computed, so a failing
-run leaves no partial files, and every file is canonical compact JSON (or
-CSV): rerunning an identical scenario reproduces identical bytes.  `verify`
-and `schema` print indented JSON for people to read.
+runs.  Tasks run one at a time, in one thread.  Outputs are written only
+after every task has computed, so a failing task leaves no files, but an
+I/O error in the middle of writing can leave some.  Every file is canonical
+compact JSON (or CSV): rerunning an identical scenario reproduces identical
+bytes.  `verify` and `schema` print indented JSON for people to read.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, isfinite
 
 import numpy as np
@@ -262,19 +262,6 @@ def _strict_fp():
     return np.errstate(over="raise", invalid="raise")
 
 
-def _pmap(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-
-    def strict(x):
-        # numpy's error state is per thread, so each worker sets its own
-        with _strict_fp():
-            return fn(x)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(strict, items))
-
-
 def _marginal_record(s: int, t: float, op: ManyBodyOperator) -> dict:
     # the eigenvalues of a non-Hermitian F_s are complex, and the lowest one
     # of its Hermitian part is none of them, so min_eig is null there
@@ -327,31 +314,22 @@ def _records_csv(records: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-def _task_evolve(sc: Scenario, threads: int) -> dict:
+def _task_evolve(sc: Scenario) -> dict:
     d0 = _as_density(sc)
-
-    def one(t: float) -> dict:
-        seq = evolve_density_sequence(sc.spec, d0.seq, t)
-        return encode_sequence(seq, kind="density")
-
-    return {
-        "task": "evolve",
-        "times": sc.times,
-        "states": _pmap(one, sc.times, threads),
-    }
+    states = [
+        encode_sequence(evolve_density_sequence(sc.spec, d0.seq, t), kind="density")
+        for t in sc.times
+    ]
+    return {"task": "evolve", "times": sc.times, "states": states}
 
 
-def _task_hierarchy(sc: Scenario, threads: int) -> dict:
+def _task_hierarchy(sc: Scenario) -> dict:
     g0 = _as_correlation(sc)
-
-    def one(t: float) -> dict:
-        return encode_sequence(solve_hierarchy(sc.spec, g0, t).seq, kind="correlation")
-
-    return {
-        "task": "hierarchy",
-        "times": sc.times,
-        "states": _pmap(one, sc.times, threads),
-    }
+    states = [
+        encode_sequence(solve_hierarchy(sc.spec, g0, t).seq, kind="correlation")
+        for t in sc.times
+    ]
+    return {"task": "hierarchy", "times": sc.times, "states": states}
 
 
 def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
@@ -371,59 +349,43 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
             )
 
 
-def _marginal_records(sc: Scenario, threads: int, solve) -> list[dict]:
-    """A record of solve(spec, f0, s, t) for every s, then t, of the scenario."""
+def _marginal_records(sc: Scenario, solve, *args) -> list[dict]:
+    """A record of solve(spec, f0, s, t, *args) for every s, then t, of the scenario."""
     d0 = _as_density(sc)
     _require_exchange_symmetric(d0, sc.s_values)
     f0 = marginal_state_from_density(d0)
-    grid = [(s, t) for s in sc.s_values for t in sc.times]
-
-    def one(st) -> dict:
-        s, t = st
-        return _marginal_record(s, t, solve(sc.spec, f0, s, t))
-
-    return _pmap(one, grid, threads)
+    return [
+        _marginal_record(s, t, solve(sc.spec, f0, s, t, *args))
+        for s in sc.s_values
+        for t in sc.times
+    ]
 
 
-def _task_bbgky(sc: Scenario, threads: int) -> dict:
-    records = _marginal_records(sc, threads, solve_bbgky_cumulant)
-    return {"task": "bbgky", "records": records}
+def _task_bbgky(sc: Scenario) -> dict:
+    return {"task": "bbgky", "records": _marginal_records(sc, solve_bbgky_cumulant)}
 
 
-def _task_iterate(sc: Scenario, threads: int) -> dict:
-    q = sc.quadrature
-
-    def solve(spec, f0, s, t):
-        return solve_bbgky_iteration(spec, f0, s, t, q)
-
+def _task_iterate(sc: Scenario) -> dict:
     return {
         "task": "iterate",
-        "quadrature": {
-            "order": q.order,
-            "nodes_per_dim": q.nodes_per_dim,
-            "rule": q.rule,
-        },
-        "records": _marginal_records(sc, threads, solve),
+        "quadrature": asdict(sc.quadrature),
+        "records": _marginal_records(sc, solve_bbgky_iteration, sc.quadrature),
     }
 
 
-def _task_observables(sc: Scenario, threads: int) -> dict:
+def _task_observables(sc: Scenario) -> dict:
     d0 = _as_density(sc)
-
-    def one(t: float) -> dict:
+    records = []
+    for t in sc.times:
         dt = DensityState(evolve_density_sequence(sc.spec, d0.seq, t))
         mean, second = additive_observable_moments(dt, sc.observable)
-        return {
+        records.append({
             "t": t,
             "mean_particle_number": float(reduce_from_density(dt, 1).trace.real),
             "observable_mean": mean,
             "observable_dispersion": second - mean * mean,
-        }
-
-    return {
-        "task": "observables",
-        "records": _pmap(one, sc.times, threads),
-    }
+        })
+    return {"task": "observables", "records": records}
 
 
 _TASK_FNS = {
@@ -435,7 +397,7 @@ _TASK_FNS = {
 }
 
 
-def run_scenario(sc: Scenario, threads: int = 1) -> dict[str, str]:
+def run_scenario(sc: Scenario) -> dict[str, str]:
     """Execute every task; return {filename: text}."""
     want_json = sc.output.get("format", "both") != "csv"
     want_csv = sc.output.get("format", "both") != "json"
@@ -444,7 +406,7 @@ def run_scenario(sc: Scenario, threads: int = 1) -> dict[str, str]:
     for task in sc.tasks:
         try:
             with _strict_fp():
-                result = _TASK_FNS[task](sc, threads)
+                result = _TASK_FNS[task](sc)
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
         if want_json:
@@ -452,8 +414,6 @@ def run_scenario(sc: Scenario, threads: int = 1) -> dict[str, str]:
         if want_csv and task in _CSV_COLUMNS:
             files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
 
-    # thread count must not appear here: outputs are byte-identical for a
-    # given scenario regardless of how the work was scheduled
     manifest = {
         "scenario": sc.raw,
         "package": {"name": "qcorr", "version": __version__},
@@ -466,6 +426,22 @@ def run_scenario(sc: Scenario, threads: int = 1) -> dict[str, str]:
 def _reject_constant(name: str):
     """json hook for NaN, Infinity and -Infinity, which JSON itself lacks."""
     raise ValueError(f"non-standard JSON literal {name} is not allowed")
+
+
+def _parse_float(text: str) -> float:
+    """json hook for float literals: one that overflows a double is refused."""
+    x = float(text)
+    if isfinite(x):
+        return x
+    raise ValueError(f"number literal {text} is outside the range of a double")
+
+
+def _parse_int(text: str) -> int:
+    """json hook for integer literals: one beyond the largest double is refused."""
+    n = int(text)
+    if abs(n) <= sys.float_info.max:
+        return n
+    raise ValueError(f"number literal {text} is outside the range of a double")
 
 
 def _path_error(what: str, path: str, exc: OSError) -> int:
@@ -498,7 +474,12 @@ def _with_seed(obj: dict, seed: int) -> dict:
 def _cmd_run(args) -> int:
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_constant=_reject_constant)
+            obj = json.load(
+                fh,
+                parse_constant=_reject_constant,
+                parse_float=_parse_float,
+                parse_int=_parse_int,
+            )
     except OSError as exc:
         return _path_error("cannot read scenario", args.scenario, exc)
     if args.seed is not None:
@@ -511,7 +492,7 @@ def _cmd_run(args) -> int:
     blocked = _non_directory(out_dir)
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
-    files = run_scenario(sc, threads=args.threads)
+    files = run_scenario(sc)
 
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -561,7 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--threads", type=int, default=1, help="parallelism bound")
+    # runs are sequential; the flag stays only because the benchmark passes 1
+    p_run.add_argument(
+        "--threads", type=int, choices=[1], default=1, help="runs are sequential"
+    )
     p_run.add_argument(
         "--seed", type=int, default=None, help="override preset seeds in the scenario"
     )

@@ -20,7 +20,6 @@ generator -(i/hbar)[H, f] (``verify.liouvillian_apply``).
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from functools import reduce
@@ -51,7 +50,6 @@ class UnitaryGroup:
 
 
 _CACHE: "weakref.WeakKeyDictionary[SystemSpec, dict]" = weakref.WeakKeyDictionary()
-_CACHE_LOCK = threading.Lock()
 
 
 def make_unitary_group(spec: SystemSpec, labels: ParticleSet) -> UnitaryGroup:
@@ -66,10 +64,9 @@ def _family_group(spec: SystemSpec, blocks: tuple) -> UnitaryGroup:
     eigenvalues and the Kronecker product of their eigenvectors, rows in label order.
     """
     key = tuple(b.labels for b in blocks)
-    with _CACHE_LOCK:
-        cached = _CACHE.setdefault(spec, {}).get(key)
-    if cached is not None:
-        return cached
+    cache = _CACHE.setdefault(spec, {})
+    if key in cache:
+        return cache[key]
     slots = sum(key, ())
     if len(key) == 1:
         try:
@@ -83,8 +80,8 @@ def _family_group(spec: SystemSpec, blocks: tuple) -> UnitaryGroup:
         v = v.reshape((spec.dim_single,) * len(slots) + (lam.size,))
         v = v.transpose((*np.argsort(slots), len(slots))).reshape(lam.size, lam.size)
     ug = UnitaryGroup(ParticleSet.of(slots), spec.dim_single, spec.hbar, lam, v)
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(spec, {}).setdefault(key, ug)
+    cache[key] = ug
+    return ug
 
 
 def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:

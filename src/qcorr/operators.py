@@ -17,9 +17,10 @@ moves it into label order with that helper; every embedding and every sum
 of local terms (Hamiltonians, interaction generators, additive observables)
 goes through it.  :func:`tensor_product`, :func:`symmetrize` and
 the symmetry checks use the helper too.
-:func:`partial_trace` stays on ``np.einsum`` with integer sublists, where a
-traced slot's column axis is its row axis: routing it through the helper
-would make a transposed copy first, several times slower than the einsum.
+:func:`partial_trace_matrix` stays on ``np.einsum`` with integer sublists,
+where a traced slot's column axis is its row axis: routing it through the
+helper would make a transposed copy first, several times slower than the
+einsum; :func:`partial_trace` is its labelled form.
 
 Each rule about input matrices has one owner: the constructor that receives
 a matrix checks its shape and entries, and :func:`require_hermitian` is the
@@ -192,21 +193,30 @@ def tensor_embed(op: ManyBodyOperator, target: ParticleSet) -> ManyBodyOperator:
     return ManyBodyOperator(target, d, embed_sum([(op.labels, op.matrix)], target, d))
 
 
+def partial_trace_matrix(
+    m: np.ndarray, d: int, n: int, traced: Iterable[int]
+) -> np.ndarray:
+    """Trace the 0-based slots ``traced`` out of an n-slot matrix (none: m itself)."""
+    traced = set(traced)
+    if not traced:
+        return m
+    # row axis i, column axis n + i; a traced slot's column axis is its row axis
+    cols = [i if i in traced else n + i for i in range(n)]
+    kept = [i for i in range(n) if i not in traced]
+    t = m.reshape((d,) * (2 * n))
+    res = np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept])
+    k = d ** len(kept)
+    return res.reshape(k, k)
+
+
 def partial_trace(op: ManyBodyOperator, traced: ParticleSet) -> ManyBodyOperator:
     """Trace out the named particles; the result keeps the remaining labels."""
     if not traced.issubset(op.labels):
         raise ValueError(f"traced set {traced} not within {op.labels}")
-    if len(traced) == 0:
-        return op
+    slots = [i for i, l in enumerate(op.labels) if l in traced]
     d = op.dim_single
-    n = len(op.labels)
-    # row axis i, column axis n + i; a traced slot's column axis is its row axis
-    cols = [i if l in traced else n + i for i, l in enumerate(op.labels)]
-    kept = [i for i, l in enumerate(op.labels) if l not in traced]
-    t = op.matrix.reshape((d,) * (2 * n))
-    res = np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept])
-    m = d ** len(kept)
-    return ManyBodyOperator(op.labels.difference(traced), d, res.reshape(m, m))
+    m = partial_trace_matrix(op.matrix, d, len(op.labels), slots)
+    return ManyBodyOperator(op.labels.difference(traced), d, m)
 
 
 def trace_norm(op: ManyBodyOperator) -> float:

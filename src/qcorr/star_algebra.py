@@ -44,7 +44,7 @@ from .errors import NormalizationError
 from .operators import (
     ManyBodyOperator,
     _permute_slots,
-    partial_trace,
+    partial_trace_matrix,
     relabel,
     tensor_product,
     zero_operator,
@@ -258,16 +258,19 @@ def annihilation_component(f: OperatorSequence, s: int) -> ManyBodyOperator:
     when f has no component at or above s.
     """
     p = f.prefix
+    d = f.dim_single
     acc = None
     for n in range(0, f.n_max - s + 1):
         if not f.has(s + n):
             continue
-        traced = ParticleSet(_ordinary_labels(p, s + n)[s:])
-        term = partial_trace(f.components[s + n], traced).matrix / factorial(n)
+        # the last n ordinary slots of (1..p+s+n)
+        traced = range(p + s, p + s + n)
+        m = f.components[s + n].matrix
+        term = partial_trace_matrix(m, d, p + s + n, traced) / factorial(n)
         acc = term if acc is None else acc + term
     if acc is None:
-        return zero_operator(ParticleSet.range1(p + s), f.dim_single)
-    return ManyBodyOperator(ParticleSet.range1(p + s), f.dim_single, acc)
+        return zero_operator(ParticleSet.range1(p + s), d)
+    return ManyBodyOperator(ParticleSet.range1(p + s), d, acc)
 
 
 def annihilation_scalar(f: OperatorSequence) -> complex:

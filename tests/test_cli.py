@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -118,10 +119,32 @@ def test_rerun_is_byte_identical(tmp_path):
     assert _read_dir(first) == _read_dir(second)
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    _, serial = _run(tmp_path, BASE_SCENARIO, "serial")
-    _, parallel = _run(tmp_path, BASE_SCENARIO, "parallel", ("--threads", "4"))
-    assert _read_dir(serial) == _read_dir(parallel)
+@pytest.fixture
+def no_task_runs(monkeypatch):
+    """Make every task fail the test if it runs."""
+
+    def refuse(sc):
+        raise AssertionError("a task ran before the run was refused")
+
+    for task in cli._TASK_FNS:
+        monkeypatch.setitem(cli._TASK_FNS, task, refuse)
+
+
+def test_runs_are_sequential_and_threads_takes_only_1(tmp_path, capsys):
+    # --threads 1 is the benchmark's command line and changes nothing
+    _, plain = _run(tmp_path, BASE_SCENARIO, "plain")
+    _, one = _run(tmp_path, BASE_SCENARIO, "one", ("--threads", "1"))
+    assert _read_dir(plain) == _read_dir(one)
+    capsys.readouterr()
+    # argparse refuses any other count before the scenario is read
+    for count in ("0", "2", "4"):
+        with pytest.raises(SystemExit) as exc:
+            _run(tmp_path, BASE_SCENARIO, f"threads-{count}", ("--threads", count))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: invalid choice: {count} " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"threads-{count}").exists()
 
 
 def test_seed_override(tmp_path):
@@ -200,13 +223,8 @@ def test_directory_as_scenario_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, monkeypatch):
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, no_task_runs):
     # the output path is refused before any task runs, and nothing is written
-    def refuse(sc, threads):
-        raise AssertionError("a task ran before the output path was checked")
-
-    for task in cli._TASK_FNS:
-        monkeypatch.setitem(cli._TASK_FNS, task, refuse)
     taken = tmp_path / "taken"
     taken.write_text("keep")
     path = _write_scenario(tmp_path, BASE_SCENARIO)
@@ -487,11 +505,6 @@ def test_one_hermitian_rule_for_system_matrices_and_observable(tmp_path, capsys)
     assert "observable must be Hermitian" in capsys.readouterr().err
 
 
-# a placeholder entry that the scenario text turns into 1e999, which json
-# reads as inf
-_INF_MARK = 7.0000123
-
-
 @pytest.mark.parametrize(
     "field, name",
     [
@@ -502,9 +515,13 @@ _INF_MARK = 7.0000123
         ("density", "initial density component 2"),
     ],
 )
-def test_non_finite_entry_exits_2_naming_the_field(tmp_path, capsys, field, name):
-    bad2 = [[[_INF_MARK, 0], [0, 0]], [[0, 0], [1, 0]]]
-    bad4 = [[[_INF_MARK if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]
+def test_non_finite_entry_exits_2_naming_the_field(field, name):
+    # reading a scenario file refuses an overflowing literal before any
+    # decoder sees it, but a document built in process can hold inf; the
+    # decoders refuse it with the ValueError that `qcorr run` maps to exit 2
+    inf = float("inf")
+    bad2 = [[[inf, 0], [0, 0]], [[0, 0], [1, 0]]]
+    bad4 = [[[inf if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]
     sc = json.loads(json.dumps(BASE_SCENARIO))
     if field == "one_body":
         sc["system"] = {"dim_single": 2, "one_body": bad2}
@@ -520,14 +537,9 @@ def test_non_finite_entry_exits_2_naming_the_field(tmp_path, capsys, field, name
         sc["initial"] = {field: {
             "dim_single": 2, "n_max": 2, "scalar0": scalar0, "components": components,
         }}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(sc).replace(repr(_INF_MARK), "1e999"))
-    out = tmp_path / "out"
-    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"{name}: matrix entries must be finite" in err
+    want = rf"^{re.escape(name)}: matrix entries must be finite"
+    with pytest.raises(ValueError, match=want):
+        load_scenario(sc)
 
 
 def _one_particle_density(d11, tasks=("observables",)):
@@ -593,14 +605,13 @@ def test_min_eig_is_null_for_a_non_hermitian_marginal(tmp_path):
 def test_overflow_is_a_numeric_failure(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["initial"]["preset"]["norms"] = 1e200
-    for name, extra in [("overflow", ()), ("overflow-threads", ("--threads", "2"))]:
-        code, out = _run(tmp_path, sc, name, extra)
-        assert code == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure: ")
-        assert "overflow" in err
-        assert "Warning" not in err
+    code, out = _run(tmp_path, sc, "overflow")
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "overflow" in err
+    assert "Warning" not in err
 
 
 def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
@@ -615,9 +626,9 @@ def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
 
 
 def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
-    # entries of 1e200 overflow a plain Frobenius norm, subnormal ones the
-    # reciprocal of a scale, and 1e400 parses as inf; the Hermiticity checks
-    # must still decide without a numpy warning
+    # entries of 1e200 overflow a plain Frobenius norm and subnormal ones the
+    # reciprocal of a scale; the Hermiticity checks must still decide without
+    # a numpy warning
     huge = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
     sc = {
         "system": {"dim_single": 2, "one_body": huge},
@@ -647,20 +658,6 @@ def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
     assert code == 0
     assert "Warning" not in capsys.readouterr().err
 
-    # json reads 1e400 as inf; both checks refuse it as bad input
-    cases = {
-        "inf-one-body": dict(sc, system={"dim_single": 2, "one_body": huge}),
-        "inf-observable": dict(sc, observable=huge),
-    }
-    for name, obj in cases.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj).replace("1e+200", "1e400", 1))
-        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / name)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "matrix entries must be finite" in err
-        assert "Warning" not in err
-
 
 @pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")])
 def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
@@ -682,6 +679,55 @@ def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
     assert err.startswith("invalid request: non-standard JSON literal")
     assert json.dumps(literal) in err
     assert "RuntimeWarning" not in err
+
+
+_HUGE_INT = "9" * 401
+_HUGE_MATRIX = "[[[{}, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+# each case replaces a piece of the written scenario text with one that holds
+# a number no double holds: json reads 1e400 as inf, and the integer as a
+# Python int that float() cannot convert
+_BEYOND_A_DOUBLE = {
+    "times-int": ('"times": [0.1, 0.3]', f'"times": [{_HUGE_INT}]'),
+    "times-float": ('"times": [0.1, 0.3]', '"times": [1e400]'),
+    "hbar-int": ('"dim_single": 2}', f'"dim_single": 2, "hbar": {_HUGE_INT}}}'),
+    "hbar-float": ('"dim_single": 2}', '"dim_single": 2, "hbar": 1e400}'),
+    "hbar-negative-float": ('"dim_single": 2}', '"dim_single": 2, "hbar": -1e400}'),
+    "norms-int": ('"norms": 0.3', f'"norms": {_HUGE_INT}'),
+    "norms-float": ('"norms": 0.3', '"norms": 1e400'),
+    "orders-int": ('"orders": [2]', f'"orders": [-{_HUGE_INT}]'),
+    "observable-int": (
+        '"tasks"',
+        f'"observable": {_HUGE_MATRIX.format(_HUGE_INT)}, "tasks"',
+    ),
+    "observable-float": (
+        '"tasks"',
+        f'"observable": {_HUGE_MATRIX.format("1e400")}, "tasks"',
+    ),
+    "one-body-float": (
+        '"preset": "random_hermitian", "seed": 11, "orders": [2], ',
+        f'"one_body": {_HUGE_MATRIX.format("1e400")}, ',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, literal", _BEYOND_A_DOUBLE.values(), ids=list(_BEYOND_A_DOUBLE)
+)
+def test_number_beyond_a_double_exits_2(tmp_path, capsys, no_task_runs, text, literal):
+    doc = json.dumps(BASE_SCENARIO)
+    assert text in doc
+    path = tmp_path / "scenario.json"
+    path.write_text(doc.replace(text, literal))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    number = next(w for w in ("1e400", _HUGE_INT) if w in literal)
+    assert err.startswith("invalid request: number literal ")
+    assert f"{number} is outside the range of a double" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_tiny_hbar_exceeds_phase_bound(tmp_path, capsys):
@@ -715,9 +761,6 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
         matrix = decode_raw_matrix(rec["matrix"])
         got = ManyBodyOperator(ParticleSet.range1(s), 2, matrix)
         assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-5
-
-    _, parallel = _run(tmp_path, ITERATE_SCENARIO, "iterate-2", ("--threads", "2"))
-    assert _read_dir(out) == _read_dir(parallel)
     capsys.readouterr()
 
 

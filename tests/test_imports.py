@@ -69,3 +69,5 @@ def test_cli_loads_every_module_the_benchmark_traces():
     loaded = _loaded("qcorr.cli")
     assert {f"qcorr.{module}" for module, _ in spanned} <= loaded
     assert "qcorr.verify" not in loaded
+    # runs are sequential: no thread pool is imported
+    assert "concurrent.futures" not in loaded
