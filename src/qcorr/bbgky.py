@@ -140,9 +140,7 @@ def _embedded_group_conj(
     return _conjugate(make_unitary_group(spec, full), tau, x)
 
 
-def _pair_potential_sums(
-    spec: SystemSpec, s: int, depth: int
-) -> dict[int, np.ndarray]:
+def _pair_potential_sums(spec: SystemSpec, s: int, depth: int) -> dict[int, np.ndarray]:
     """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for m = s+1..s+depth."""
     d, phi2 = spec.dim_single, spec.potentials[2]
     return {
@@ -151,67 +149,52 @@ def _pair_potential_sums(
     }
 
 
-def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.ndarray:
-    """Tr_m of -(i/hbar)[V, X], particle m being the last tensor factor.
+def _trace_last(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """Tr_m(a b), m the last tensor factor: only the blocks of a b diagonal
+    in m (rows and columns k, k+d, ... for each k < d) count, D^3/d flops."""
+    return sum(a[k::d] @ b[:, k::d] for k in range(d))
 
-    Only the blocks of V X and X V diagonal in m (rows and columns k, k+d,
-    ... for each k < d) survive the trace: D^3/d flops per side, not D^3.
+
+def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.ndarray:
+    """Tr_m of -(i/hbar)[V, X], particle m being the last tensor factor."""
+    return (-1j / hbar) * (_trace_last(v, x, d) - _trace_last(x, v, d))
+
+
+def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
+    """Tr_m of -(i/hbar)[V_m, G_m(t_n) F_m] at an outer node t_n, m = s + n.
+
+    ``top`` = (lambda, W^*, C, parts) holds H_m's spectrum, C = V_m W, and
+    the nonzero parts (1, W^* H W) and (i, W^* K W) of F_m = H + iK, H and K
+    Hermitian.  With p = exp(-i t_n lambda/hbar) each part evolves to the
+    Hermitian X = W p P p^* W^*, so Tr_m(X V_m) = T^* for T = Tr_m(V_m X) =
+    Tr_m((C p)(P p^*) W^*): one D^3 product and D^3/d per part.
     """
-    acc = sum(v[k::d] @ x[:, k::d] - x[k::d] @ v[:, k::d] for k in range(d))
+    lam, wh, c, parts = top
+    p = np.exp(-1j * tn / hbar * lam)
+    acc = np.zeros((lam.size // d,) * 2, dtype=complex)
+    for coef, part in parts:
+        tr = _trace_last((c * p) @ (part * p.conj()), wh, d)
+        acc = acc + coef * (tr - tr.conj().T)
     return (-1j / hbar) * acc
 
 
-def _iteration_integrand(
-    spec: SystemSpec, top: tuple, s: int, n: int, t: float, ts: tuple, coupling: dict
-) -> np.ndarray:
-    """One time-ordered chain at the node times ts = (t_1..t_n), t_0 = t.
+def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float, float]]:
+    """(node, weight) pairs of the rule on the oriented interval [lo, hi].
 
-    Collision-operator form on arrays.  ``top`` = (lambda, V, V^*, V^* F V)
-    is H_{s+n}'s spectrum with F = F_{s+n} in its eigenbasis, so with p =
-    exp(-i t_n lambda/hbar) the top level G_{s+n}(t_n) F_{s+n} is the two
-    matmuls (V p)(V^* F V p^*) V^*.  Level j = n..1 with m = s + j then
-    takes Tr_m of -(i/hbar)[V_m, .] (:func:`_traced_commutator`) and
-    conjugates with U_{m-1}(t_{j-1} - t_j) on particles 1..m-1.  Tracing
-    each level out at once is exact: every later step acts on particles
-    1..m-1 only, so Tr_m commutes with it.
+    Gauss-Legendre with ``nodes_per_dim`` nodes, or the closed uniform
+    trapezoid; weights are negative for hi < lo, and zero weights (an
+    empty interval) are dropped.
     """
-    lam, v, vh, f_eig = top
-    p = np.exp(-1j * ts[n - 1] / spec.hbar * lam)
-    x = (v * p) @ (f_eig * p.conj()) @ vh
-    for j in range(n, 0, -1):
-        m = s + j
-        x = _traced_commutator(coupling[m], x, spec.dim_single, spec.hbar)
-        upper = ts[j - 2] if j >= 2 else t
-        rest = ParticleSet.range1(m - 1)
-        x = ManyBodyOperator(rest, spec.dim_single, x)
-        x = _embedded_group_conj(spec, rest, m - 1, upper - ts[j - 1], x).matrix
-    return x
-
-
-def _nested_nodes(rule: str, nodes: int, upper: float) -> list[tuple[float, float]]:
-    """One level of (node, weight) pairs for the interval [0, upper]."""
-    if rule == "gauss-legendre-simplex":
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        pts = (x + 1.0) * (upper / 2.0)
-        wts = w * (upper / 2.0)
-        return list(zip(pts.tolist(), wts.tolist()))
-    # nested-trapezoid: closed uniform rule, degenerate interval gives zero
-    if upper == 0.0:
-        return [(0.0, 0.0)]
-    step = upper / (nodes - 1)
-    ends = (0, nodes - 1)
-    return [(i * step, step * (0.5 if i in ends else 1.0)) for i in range(nodes)]
-
-
-def _simplex_nodes(q: QuadratureSpec, n: int, upper: float, weight=1.0, ts=()):
-    """(t_1..t_n, weight) over 0 <= t_n <= ... <= t_1 <= upper, nonzero weights."""
-    for node, w in _nested_nodes(q.rule, q.nodes_per_dim, upper):
-        if weight * w == 0.0:
-            continue
-        if len(ts) + 1 == n:
-            yield ts + (node,), weight * w
-        else:
-            yield from _simplex_nodes(q, n, node, weight * w, ts + (node,))
+    k = q.nodes_per_dim
+    if q.rule == "gauss-legendre-simplex":
+        x, w = np.polynomial.legendre.leggauss(k)
+        half = (hi - lo) / 2.0
+        pairs = zip((lo + (x + 1.0) * half).tolist(), (w * half).tolist())
+    else:  # nested-trapezoid
+        step = (hi - lo) / (k - 1)
+        weights = [step / 2] + [step] * (k - 2) + [step / 2]
+        pairs = zip(np.linspace(lo, hi, k).tolist(), weights)
+    return [(node, w) for node, w in pairs if w != 0.0]
 
 
 def solve_bbgky_iteration(
@@ -228,12 +211,12 @@ def solve_bbgky_iteration(
 
     with V_m = sum_{i<m} Phi(i, m) built once per solve, each G_m the
     conjugation on particles 1..m, and the commutator taken as the
-    generator -(i/hbar)[V_m, .].  F_{s+n} is moved into the eigenbasis of
-    H_{s+n} once per term, so the top propagator is a phase there; each
-    Tr_m uses only the m-diagonal blocks of the commutator and follows it
-    at once (see :func:`_iteration_integrand`).  Only this top level
-    conjugates outside evolution's kernel: V^* F V serves every node for
-    two D^3 products each, against the kernel's three.
+    generator -(i/hbar)[V_m, .].  The rule nests t_n outermost, on [0, t],
+    and each t_{j-1} on [t_j, t] (:func:`_interval_nodes`), so a term is a
+    tree: the top level (:func:`_top_commutator`) runs once per t_n node,
+    and each lower level once per node prefix (t_n, ..., t_j).  Tracing
+    each level out at once is exact: every later step acts on particles
+    1..m-1 only, so Tr_m commutes with it.
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")
@@ -242,24 +225,41 @@ def solve_bbgky_iteration(
     seq = f0.seq
     if not 1 <= s <= seq.n_max:
         raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    d, hbar = spec.dim_single, spec.hbar
 
-    total = group_apply(
-        make_unitary_group(spec, ParticleSet.range1(s)), t, seq.component(s)
-    ).matrix
+    def descend(m: int, tau: float, x: np.ndarray) -> np.ndarray:
+        """The chain from x on particles 1..m at time tau on to time t.
 
+        Each node t' of [tau, t] conjugates x with G_m(t' - tau); above
+        m = s the weighted descent goes on from Tr_m[V_m, .] of that at t',
+        and at m = s the one node is t itself, with weight 1.
+        """
+        rest = ParticleSet.range1(m)
+        acc = 0
+        for node, w in [(t, 1.0)] if m == s else _interval_nodes(q, tau, t):
+            x_node = ManyBodyOperator(rest, d, x)
+            y = _embedded_group_conj(spec, rest, m, node - tau, x_node).matrix
+            if m > s:
+                y = descend(m - 1, node, _traced_commutator(coupling[m], y, d, hbar))
+            acc = acc + w * y
+        return acc
+
+    ug = make_unitary_group(spec, ParticleSet.range1(s))
+    total = group_apply(ug, t, seq.component(s)).matrix
     depth = min(q.order, seq.n_max - s)
     coupling = _pair_potential_sums(spec, s, depth)
-    for n in range(1, depth + 1):
-        if not seq.has(s + n):
+    for m in range(s + 1, s + depth + 1):
+        if not seq.has(m):
             continue
-        ug = make_unitary_group(spec, ParticleSet.range1(s + n))
-        v, vh = ug.eigenvectors, ug.eigenvectors.conj().T
-        top = (ug.eigenvalues, v, vh, vh @ seq.components[s + n].matrix @ v)
-        acc = np.zeros((spec.dim_single**s,) * 2, dtype=complex)
-        for ts, wt in _simplex_nodes(q, n, t):
-            acc = acc + wt * _iteration_integrand(spec, top, s, n, t, ts, coupling)
-        total = total + acc
-    return ManyBodyOperator(ParticleSet.range1(s), spec.dim_single, total)
+        ug = make_unitary_group(spec, ParticleSet.range1(m))
+        w, wh = ug.eigenvectors, ug.eigenvectors.conj().T
+        f = seq.components[m].matrix
+        halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))
+        parts = [(c, wh @ h @ w) for c, h in halves if np.any(h)]
+        top = (ug.eigenvalues, wh, coupling[m] @ w, parts)
+        for tn, wt in _interval_nodes(q, 0.0, t):
+            total = total + wt * descend(m - 1, tn, _top_commutator(top, tn, d, hbar))
+    return ManyBodyOperator(ParticleSet.range1(s), d, total)
 
 
 def average_particle_number(f: MarginalState) -> float:

@@ -12,10 +12,13 @@ or produced an invalid floating-point result), 2 malformed or
 schema-violating input, 3 a capacity guard tripped.  An output path that
 is, or lies below, an existing non-directory is refused before any task
 runs.  Tasks run one at a time, in one thread.  Outputs are written only
-after every task has computed, so a failing task leaves no files, but an
-I/O error in the middle of writing can leave some.  Every file is canonical
-compact JSON (or CSV): rerunning an identical scenario reproduces identical
-bytes.  `verify` and `schema` print indented JSON for people to read.
+after every task has computed, into a staging directory beside the output
+directory, so a failing task or an I/O error while writing leaves the
+output directory as it was; the files then move into it, `manifest.json`
+last.
+Every file is canonical compact JSON (or CSV): rerunning an identical
+scenario reproduces identical bytes.  `verify` and `schema` print indented
+JSON for people to read.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ import errno
 import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, field
 from math import comb, isfinite
 
@@ -493,16 +498,33 @@ def _cmd_run(args) -> int:
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
     files = run_scenario(sc)
-
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, text in sorted(files.items()):
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_outputs(out_dir, files)
     except OSError as exc:
-        return _path_error("cannot write output", exc.filename or out_dir, exc)
+        return _path_error("cannot write output", out_dir, exc)
     print(f"wrote {len(files)} files to {out_dir}")
     return 0
+
+
+def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
+    """Write every file into a staging directory beside out_dir, then move
+    each into out_dir by os.replace, manifest.json last.
+
+    The staging directory is on out_dir's filesystem and is removed
+    whatever happens, so an error while writing leaves out_dir as it was.
+    """
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".qcorr-staging-", dir=parent)
+    try:
+        for name, text in files.items():
+            with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(files, key=lambda name: name == "manifest.json"):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _print_readable(obj) -> None:

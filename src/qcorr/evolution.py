@@ -9,8 +9,9 @@ pay for repeated eigendecompositions.
 
 Every conjugation of a fresh operand is the kernel :func:`_conjugate`, U m U^*
 with U = ``unitary_matrix(ug, t)``: three D^3 products.  Only the iteration
-series' top level differs: it keeps V^* F V for all quadrature nodes, two
-products per node, where the eigenbasis form would take four on a fresh operand.
+series' top level differs: it keeps V_m W and W^* F W for all quadrature
+nodes and needs only the traced product Tr_m(V_m X), one D^3 product and
+D^3/d per node for Hermitian F.
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
 ``group_apply(ug, t, f)`` conjugates f with it.  The t-derivative of

@@ -193,14 +193,16 @@ def naive_scattering_cumulant(h1, potentials, hbar, d, f, t, clusters):
     return total
 
 
-def naive_nested_nodes(rule, nodes, upper):
-    """(node, weight) pairs of one level of the simplex quadrature on [0, upper]."""
+def naive_nested_nodes(rule, nodes, lower, upper):
+    """(node, weight) pairs of one level of the simplex quadrature on [lower, upper]."""
+    half = (upper - lower) / 2.0
     if rule == "gauss-legendre-simplex":
         x, w = np.polynomial.legendre.leggauss(nodes)
-        return [((xi + 1.0) * upper / 2.0, wi * upper / 2.0) for xi, wi in zip(x, w)]
-    step = upper / (nodes - 1)
+        return [(lower + (xi + 1.0) * half, wi * half) for xi, wi in zip(x, w)]
+    step = (upper - lower) / (nodes - 1)
     return [
-        (i * step, step * (0.5 if i in (0, nodes - 1) else 1.0)) for i in range(nodes)
+        (lower + i * step, step * (0.5 if i in (0, nodes - 1) else 1.0))
+        for i in range(nodes)
     ]
 
 
@@ -208,7 +210,8 @@ def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
     """F_s(t) from the time-ordered series, every chain on all s+n slots.
 
     comps maps n to the matrix of F_n on slots 0..n-1.  Term n integrates,
-    over 0 <= t_n <= ... <= t_1 <= t, the chain that conjugates F_{s+n}
+    over 0 <= t_n <= ... <= t_1 <= t with t_n outermost on [0, t] and each
+    t_{j-1} on [t_j, t], the chain that conjugates F_{s+n}
     with the (s+n)-slot propagator at t_n, then for j = n..1 applies
     -(i/hbar)[phi2(i, s+j), .] for every slot i < s+j, each pair embedded
     into all s+n slots, and conjugates with the propagator of the first
@@ -242,15 +245,16 @@ def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
                 x = conj(naive_embed(u, list(range(m - 1)), full, d), x)
             return naive_partial_trace(x, full, d, list(range(s, full)))
 
-        def integrate(level, upper, ts):
+        def integrate(level, lower, ts):
+            # t_level on [lower, t]; ts holds t_{level+1}..t_n
             acc = 0
-            for node, w in naive_nested_nodes(rule, nodes, upper):
-                here = ts + (node,)
-                inner = chain(here) if level == n else integrate(level + 1, node, here)
+            for node, w in naive_nested_nodes(rule, nodes, lower, t):
+                here = (node,) + ts
+                inner = chain(here) if level == 1 else integrate(level - 1, node, here)
                 acc = acc + w * inner
             return acc
 
-        total = total + integrate(1, t, ())
+        total = total + integrate(n, 0.0, ())
     return total
 
 

@@ -6,6 +6,8 @@ and the observables against moments computed straight from the density
 sequence.
 """
 
+import itertools
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -29,7 +31,8 @@ from qcorr.bbgky import (
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
-from qcorr.bbgky import _embedded_group_conj, _traced_commutator
+from qcorr import bbgky
+from qcorr.bbgky import _embedded_group_conj, _interval_nodes, _traced_commutator
 from qcorr.errors import NormalizationError
 from qcorr.evolution import evolve_density_sequence
 from qcorr.hierarchy import DensityState, cluster_expand, solve_hierarchy
@@ -294,6 +297,16 @@ def test_iteration_zero_time_exact():
     assert trace_norm(got - f0.seq.components[1]) == 0.0
 
 
+def test_iteration_backwards_in_time_matches_cumulant_solution():
+    # t < 0: every interval [t_j, t] runs backwards, with negative weights
+    spec = random_system(310, dim_single=2, orders=(2,))
+    f0 = marginal_state_from_density(random_density_state(311, 2, 3))
+    t = -0.4
+    reference = solve_bbgky_cumulant(spec, f0, 1, t)
+    got = solve_bbgky_iteration(spec, f0, 1, t, QuadratureSpec(2, 16))
+    assert trace_norm(got - reference) <= 1e-12 * trace_norm(reference)
+
+
 def test_trapezoid_error_decreases_with_nodes():
     spec = random_system(314, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(315, 2, 3))
@@ -307,23 +320,42 @@ def test_trapezoid_error_decreases_with_nodes():
     assert errs[2] < errs[1]
 
 
-# (s, order, nodes, d, n_max); d = 2 alone cannot tell a stride of d from 2
-CHAINS = [(1, 2, 5, 2, 4), (2, 2, 5, 2, 4), (3, 2, 5, 2, 4), (1, 3, 4, 2, 4),
-          (1, 2, 4, 3, 3)]
+# (s, order, nodes, d, n_max, t, hermitian); d = 2 alone cannot tell a
+# stride of d from 2, complex Gaussian components run the anti-Hermitian
+# part of the top level, and t < 0 runs every interval [t_j, t] backwards
+CHAINS = [(1, 2, 5, 2, 4, 0.4, True), (2, 2, 5, 2, 4, 0.4, True),
+          (3, 2, 5, 2, 4, 0.4, True), (1, 3, 4, 2, 4, 0.4, True),
+          (1, 2, 4, 3, 3, 0.4, True), (1, 2, 5, 2, 4, -0.4, True),
+          (1, 3, 4, 2, 4, 0.4, False), (1, 2, 4, 3, 3, 0.4, False)]
+
+
+def _chain_id(s, order, nodes, d, n_max, t, hermitian):
+    return (f"{s}-{order}-{nodes}" + (f"-d{d}" if d != 2 else "")
+            + (f"-t{t}" if t != 0.4 else "") + ("" if hermitian else "-complex"))
+
+
+def _complex_marginals(seed, d, n_max):
+    """A marginal sequence of complex Gaussian components, not Hermitian."""
+    rng = rng_from_seed(seed)
+    comps = {n: ManyBodyOperator(ParticleSet.range1(n), d, complex_gaussian(rng, d**n))
+             for n in range(1, n_max + 1)}
+    return MarginalState(OperatorSequence(d, n_max, 1.0, comps))
 
 
 @pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
 @pytest.mark.parametrize(
-    "s,order,nodes,d,n_max",
-    CHAINS,
-    ids=[f"{s}-{o}-{k}" + (f"-d{d}" if d != 2 else "") for s, o, k, d, _ in CHAINS],
+    "s,order,nodes,d,n_max,t,hermitian", CHAINS, ids=[_chain_id(*c) for c in CHAINS]
 )
-def test_iteration_matches_full_embedding_chain(rule, s, order, nodes, d, n_max):
+def test_iteration_matches_full_embedding_chain(
+    rule, s, order, nodes, d, n_max, t, hermitian
+):
     # the literal chain keeps every operator on all s+n particles and traces
     # them out at the end; the series traces each level out right away
     spec = random_system(318, dim_single=d, orders=(2,), hbar=0.7)
-    f0 = marginal_state_from_density(random_density_state(319, d, n_max))
-    t = 0.4
+    if hermitian:
+        f0 = marginal_state_from_density(random_density_state(319, d, n_max))
+    else:
+        f0 = _complex_marginals(320, d, n_max)
     comps = {n: op.matrix for n, op in f0.seq.components.items()}
     ref = naive_iteration_series(
         spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, rule, nodes
@@ -331,6 +363,76 @@ def test_iteration_matches_full_embedding_chain(rule, s, order, nodes, d, n_max)
     got = solve_bbgky_iteration(spec, f0, s, t, QuadratureSpec(order, nodes, rule))
     ref_op = ManyBodyOperator(ParticleSet.range1(s), d, ref)
     assert trace_norm(got - ref_op) <= 1e-13 * trace_norm(ref_op)
+
+
+def _exact_simplex_moment(a, t):
+    """Integral of prod_j t_j^a_j over 0 <= t_n <= ... <= t_1 <= t, exactly.
+
+    Iterated in Fractions in the rule's order: t_1 innermost on [t_2, t],
+    each t_j on [t_{j+1}, t], t_n outermost on [0, t].  ``poly`` maps the
+    powers of the current variable to their coefficients.
+    """
+    poly = {a[0]: Fraction(1)}
+    for j in range(1, len(a) + 1):
+        # integrate over u on [v, t]: c u^p -> c (t^(p+1) - v^(p+1)) / (p+1)
+        out = {0: sum(c * t ** (p + 1) / (p + 1) for p, c in poly.items())}
+        for p, c in poly.items():
+            out[p + 1] = -c / (p + 1)
+        if j == len(a):
+            return out[0]  # the outermost lower limit is 0
+        poly = {p + a[j]: c for p, c in out.items()}
+
+
+def _nested_rule(q, n, t):
+    """Nodes (t_1..t_n) and weights of _interval_nodes nested, t_n outermost."""
+    rows = [((), 1.0)]
+    for _ in range(n):
+        rows = [((node,) + ts, w * wn) for ts, w in rows
+                for node, wn in _interval_nodes(q, ts[0] if ts else 0.0, t)]
+    return np.array([ts for ts, _ in rows]), np.array([w for _, w in rows])
+
+
+@pytest.mark.parametrize("t", [Fraction(3, 4), Fraction(-3, 4)], ids=["t0.75", "t-0.75"])
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nested_gauss_rule_is_exact_to_degree_2k_minus_n(n, k, t):
+    # each level is exact to degree 2k - 1 in its variable, and every inner
+    # integration raises the degree in the next variable by one
+    nodes, weights = _nested_rule(QuadratureSpec(n, k), n, float(t))
+    worst_beyond = 0.0
+    for total in range(2 * k - n + 2):
+        for a in itertools.product(range(total + 1), repeat=n):
+            if sum(a) != total:
+                continue
+            want = float(_exact_simplex_moment(a, t))
+            got = float(np.sum(weights * np.prod(nodes ** np.array(a), axis=1)))
+            err = abs(got - want) / abs(want)
+            if total <= 2 * k - n:
+                assert err <= 1e-13, (a, err)
+            else:
+                worst_beyond = max(worst_beyond, err)
+    # one degree more is not integrated exactly: the bound is sharp
+    assert worst_beyond > 1e-7
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_top_level_runs_once_per_outer_node(monkeypatch, rule, order):
+    # term n evaluates G_{s+n}(t_n) F_{s+n} and its traced commutator at the
+    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves
+    counts = {}
+    original = bbgky._top_commutator
+
+    def counting(top, tn, d, hbar):
+        dim = top[0].size
+        counts[dim] = counts.get(dim, 0) + 1
+        return original(top, tn, d, hbar)
+
+    monkeypatch.setattr(bbgky, "_top_commutator", counting)
+    spec = random_system(332, dim_single=2, orders=(2,))
+    f0 = marginal_state_from_density(random_density_state(333, 2, 4))
+    solve_bbgky_iteration(spec, f0, 1, 0.3, QuadratureSpec(order, 5, rule))
+    assert counts == {2 ** (1 + n): 5 for n in range(1, order + 1)}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

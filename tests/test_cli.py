@@ -236,6 +236,46 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, no_task_runs):
         assert sorted(os.listdir(tmp_path)) == ["scenario.json", "taken"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_write_error_leaves_the_output_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    # an OSError on the second file written: exit 2, the target as before
+    # (absent, or with its earlier files), and no staging directory left
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    out = tmp_path / "out"
+    before = {}
+    if existing:
+        out.mkdir()
+        before = {"manifest.json": b"old", "evolve.json": b"old", "keep.txt": b"keep"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+    opened = []
+
+    def failing_open(file, mode="r", *a, **kw):
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == 2:
+                raise OSError(28, "No space left on device", file)
+        return open(file, mode, *a, **kw)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code = main(["run", "--scenario", path, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"cannot write output {out}: No space left on device\n"
+    assert len(opened) == 2
+    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"][not existing:]
+    assert (_read_dir(out) if existing else {}) == before
+
+    # the same run without the fault: every file moves in, the others stay
+    monkeypatch.undo()
+    assert main(["run", "--scenario", path, "--out", str(out)]) == 0
+    _, fresh = _run(tmp_path, BASE_SCENARIO, "fresh")
+    written = _read_dir(out)
+    assert written == {**_read_dir(fresh), **({"keep.txt": b"keep"} if existing else {})}
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "fresh.json", "out", "scenario.json"]
+
+
 # suites run through `qcorr verify` only: a scenario has no route to them.
 # Chaos data are a correlation sequence that holds only g_1, so there is no
 # chaos task, preset or initial form
