@@ -49,10 +49,10 @@ ref = solve_bbgky_cumulant(spec2, fphys, 1, 0.2)
 print("\niteration series at t=0.2 vs cumulant solution:")
 for nodes in (8, 16, 32):
     q = QuadratureSpec(2, nodes, "nested-trapezoid")
-    err = trace_norm(solve_bbgky_iteration(spec2, fphys, 1, 0.2, q) - ref)
+    err = trace_norm(solve_bbgky_iteration(spec2, fphys, [1], 0.2, q)[1] - ref)
     print(f"  trapezoid {nodes:2d} nodes: {err:.3e}")
 q = QuadratureSpec(2, 32, "gauss-legendre-simplex")
-print(f"  gauss     32 nodes: {trace_norm(solve_bbgky_iteration(spec2, fphys, 1, 0.2, q) - ref):.3e}")
+print(f"  gauss     32 nodes: {trace_norm(solve_bbgky_iteration(spec2, fphys, [1], 0.2, q)[1] - ref):.3e}")
 
 # observables: mean particle number is conserved, dispersion matches the
 # second central moment computed directly from the density sequence

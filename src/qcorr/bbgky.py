@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -140,12 +141,12 @@ def _embedded_group_conj(
     return _conjugate(make_unitary_group(spec, full), tau, x)
 
 
-def _pair_potential_sums(spec: SystemSpec, s: int, depth: int) -> dict[int, np.ndarray]:
-    """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for m = s+1..s+depth."""
+def _pair_potential_sums(spec: SystemSpec, ms: set[int]) -> dict[int, np.ndarray]:
+    """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for each m in ``ms``, ascending."""
     d, phi2 = spec.dim_single, spec.potentials[2]
     return {
         m: embed_sum([((i, m), phi2) for i in range(1, m)], ParticleSet.range1(m), d)
-        for m in range(s + 1, s + depth + 1)
+        for m in sorted(ms)
     }
 
 
@@ -161,12 +162,15 @@ def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.
 
 
 def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
-    """Tr_m of -(i/hbar)[V_m, G_m(t_n) F_m] at an outer node t_n, m = s + n.
+    """T_m(t_n) = Tr_m of -(i/hbar)[V_m, G_m(t_n) F_m] at an outer node t_n.
 
-    ``top`` = (lambda, W^*, C, parts) holds H_m's spectrum, C = V_m W, and
-    the nonzero parts (1, W^* H W) and (i, W^* K W) of F_m = H + iK, H and K
-    Hermitian.  With p = exp(-i t_n lambda/hbar) each part evolves to the
-    Hermitian X = W p P p^* W^*, so Tr_m(X V_m) = T^* for T = Tr_m(V_m X) =
+    The top level of every series term on m particles: it depends on m and
+    t_n alone, so one solve evaluates it once per (m, t_n) for all s with
+    s < m <= s + order.  ``top`` = (lambda, W^*, C, parts) holds H_m's
+    spectrum, C = V_m W, and the nonzero parts (1, W^* H W) and
+    (i, W^* K W) of F_m = H + iK, H and K Hermitian.  With
+    p = exp(-i t_n lambda/hbar) each part evolves to the Hermitian
+    X = W p P p^* W^*, so Tr_m(X V_m) = T^* for T = Tr_m(V_m X) =
     Tr_m((C p)(P p^*) W^*): one D^3 product and D^3/d per part.
     """
     lam, wh, c, parts = top
@@ -178,6 +182,16 @@ def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
     return (-1j / hbar) * acc
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k Gauss-Legendre nodes and weights on [-1, 1], read-only: every
+    interval of every solve shares them."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float, float]]:
     """(node, weight) pairs of the rule on the oriented interval [lo, hi].
 
@@ -187,7 +201,7 @@ def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float
     """
     k = q.nodes_per_dim
     if q.rule == "gauss-legendre-simplex":
-        x, w = np.polynomial.legendre.leggauss(k)
+        x, w = _legendre_rule(k)
         half = (hi - lo) / 2.0
         pairs = zip((lo + (x + 1.0) * half).tolist(), (w * half).tolist())
     else:  # nested-trapezoid
@@ -198,37 +212,50 @@ def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float
 
 
 def solve_bbgky_iteration(
-    spec: SystemSpec, f0: MarginalState, s: int, t: float, q: QuadratureSpec
-) -> ManyBodyOperator:
-    """F_s(t) by the truncated time-ordered series with numerical quadrature.
+    spec: SystemSpec, f0: MarginalState, s_values: list[int], t: float, q: QuadratureSpec
+) -> dict[int, ManyBodyOperator]:
+    """{s: F_s(t)} for every s in ``s_values``, by the truncated time-ordered
+    series with numerical quadrature.
 
-    Defined for systems with a two-body potential only.  Term n integrates,
-    over the ordered simplex 0 <= t_n <= ... <= t_1 <= t, the chain in
-    collision-operator form
+    Defined for systems with a two-body potential only.  Term n of F_s
+    integrates, over the ordered simplex 0 <= t_n <= ... <= t_1 <= t, the
+    chain in collision-operator form
 
         G_s(t - t_1) Tr_{s+1} [V_{s+1}, .] G_{s+1}(t_1 - t_2) ...
             Tr_{s+n} [V_{s+n}, .] G_{s+n}(t_n) F_{s+n}
 
-    with V_m = sum_{i<m} Phi(i, m) built once per solve, each G_m the
-    conjugation on particles 1..m, and the commutator taken as the
-    generator -(i/hbar)[V_m, .].  The rule nests t_n outermost, on [0, t],
-    and each t_{j-1} on [t_j, t] (:func:`_interval_nodes`), so a term is a
-    tree: the top level (:func:`_top_commutator`) runs once per t_n node,
-    and each lower level once per node prefix (t_n, ..., t_j).  Tracing
-    each level out at once is exact: every later step acts on particles
-    1..m-1 only, so Tr_m commutes with it.
+    with V_m = sum_{i<m} Phi(i, m), each G_m the conjugation on particles
+    1..m, and the commutator taken as the generator -(i/hbar)[V_m, .].
+    The rule nests t_n outermost, on [0, t], and each t_{j-1} on [t_j, t]
+    (:func:`_interval_nodes`), so a term is a tree.  Its top level
+    T_m(t_n), m = s + n (:func:`_top_commutator`), does not depend on s:
+    V_m, the spectral parts of F_m and T_m at each t_n node are built once
+    per call, and every s whose series reaches m descends from them.  Each
+    lower level runs once per s and node prefix (t_n, ..., t_j).  Every s
+    sums its terms in the order of a solve for it alone, so F_s does not
+    depend on the other s requested, to the bit.  Tracing each level out
+    at once is exact: every later step acts on particles 1..m-1 only, so
+    Tr_m commutes with it.  A node t_j = t above level s + 1 (the
+    trapezoid's endpoint) is skipped: the interval [t, t] below it is
+    empty, so its subtree adds nothing.
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")
     if 2 not in spec.potentials:
         raise ValueError("the iteration series needs a two-body potential")
     seq = f0.seq
-    if not 1 <= s <= seq.n_max:
-        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    for s in s_values:
+        if not 1 <= s <= seq.n_max:
+            raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
     d, hbar = spec.dim_single, spec.hbar
 
-    def descend(m: int, tau: float, x: np.ndarray) -> np.ndarray:
-        """The chain from x on particles 1..m at time tau on to time t.
+    def empty_below(s: int, m: int, node: float) -> bool:
+        """Whether node t' of level m has no node below it in the chain of
+        F_s: level m - 1 > s integrates over [t', t], empty at t' = t."""
+        return m > s + 1 and node == t
+
+    def descend(s: int, m: int, tau: float, x: np.ndarray) -> np.ndarray:
+        """The chain of F_s from x on particles 1..m at time tau on to time t.
 
         Each node t' of [tau, t] conjugates x with G_m(t' - tau); above
         m = s the weighted descent goes on from Tr_m[V_m, .] of that at t',
@@ -237,20 +264,27 @@ def solve_bbgky_iteration(
         rest = ParticleSet.range1(m)
         acc = 0
         for node, w in [(t, 1.0)] if m == s else _interval_nodes(q, tau, t):
+            if empty_below(s, m, node):
+                continue
             x_node = ManyBodyOperator(rest, d, x)
             y = _embedded_group_conj(spec, rest, m, node - tau, x_node).matrix
             if m > s:
-                y = descend(m - 1, node, _traced_commutator(coupling[m], y, d, hbar))
+                y = descend(s, m - 1, node, _traced_commutator(coupling[m], y, d, hbar))
             acc = acc + w * y
         return acc
 
-    ug = make_unitary_group(spec, ParticleSet.range1(s))
-    total = group_apply(ug, t, seq.component(s)).matrix
-    depth = min(q.order, seq.n_max - s)
-    coupling = _pair_potential_sums(spec, s, depth)
-    for m in range(s + 1, s + depth + 1):
+    totals = {}
+    for s in s_values:
+        ug = make_unitary_group(spec, ParticleSet.range1(s))
+        totals[s] = group_apply(ug, t, seq.component(s)).matrix
+    top_end = {s: min(s + q.order, seq.n_max) for s in totals}
+    coupling = _pair_potential_sums(
+        spec, {m for s in totals for m in range(s + 1, top_end[s] + 1)}
+    )
+    for m in coupling:
         if not seq.has(m):
             continue
+        chains = [s for s in totals if s < m <= top_end[s]]
         ug = make_unitary_group(spec, ParticleSet.range1(m))
         w, wh = ug.eigenvectors, ug.eigenvectors.conj().T
         f = seq.components[m].matrix
@@ -258,8 +292,13 @@ def solve_bbgky_iteration(
         parts = [(c, wh @ h @ w) for c, h in halves if np.any(h)]
         top = (ug.eigenvalues, wh, coupling[m] @ w, parts)
         for tn, wt in _interval_nodes(q, 0.0, t):
-            total = total + wt * descend(m - 1, tn, _top_commutator(top, tn, d, hbar))
-    return ManyBodyOperator(ParticleSet.range1(s), d, total)
+            ends = [s for s in chains if not empty_below(s, m, tn)]
+            if not ends:
+                continue
+            x = _top_commutator(top, tn, d, hbar)
+            for s in ends:
+                totals[s] = totals[s] + wt * descend(s, m - 1, tn, x)
+    return {s: ManyBodyOperator(ParticleSet.range1(s), d, m) for s, m in totals.items()}
 
 
 def average_particle_number(f: MarginalState) -> float:

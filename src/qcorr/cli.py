@@ -43,6 +43,7 @@ from . import __version__
 # sys.modules["qcorr.cumulants"]; drop this once the tracer loads it itself
 from . import cumulants  # noqa: F401
 from .bbgky import (
+    MarginalState,
     QuadratureSpec,
     additive_observable_moments,
     marginal_state_from_density,
@@ -354,27 +355,36 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
             )
 
 
-def _marginal_records(sc: Scenario, solve, *args) -> list[dict]:
-    """A record of solve(spec, f0, s, t, *args) for every s, then t, of the scenario."""
+def _marginal_records(sc: Scenario, solve_at) -> list[dict]:
+    """A record for every s, then t, of the scenario, where solve_at(f0, t)
+    returns {s: F_s(t)} for every s."""
     d0 = _as_density(sc)
     _require_exchange_symmetric(d0, sc.s_values)
     f0 = marginal_state_from_density(d0)
+    by_time = [solve_at(f0, t) for t in sc.times]
     return [
-        _marginal_record(s, t, solve(sc.spec, f0, s, t, *args))
+        _marginal_record(s, t, ops[s])
         for s in sc.s_values
-        for t in sc.times
+        for t, ops in zip(sc.times, by_time)
     ]
 
 
 def _task_bbgky(sc: Scenario) -> dict:
-    return {"task": "bbgky", "records": _marginal_records(sc, solve_bbgky_cumulant)}
+    def solve_at(f0: MarginalState, t: float) -> dict[int, ManyBodyOperator]:
+        return {s: solve_bbgky_cumulant(sc.spec, f0, s, t) for s in sc.s_values}
+
+    return {"task": "bbgky", "records": _marginal_records(sc, solve_at)}
 
 
 def _task_iterate(sc: Scenario) -> dict:
+    # one solve per time serves every s
+    def solve_at(f0: MarginalState, t: float) -> dict[int, ManyBodyOperator]:
+        return solve_bbgky_iteration(sc.spec, f0, sc.s_values, t, sc.quadrature)
+
     return {
         "task": "iterate",
         "quadrature": asdict(sc.quadrature),
-        "records": _marginal_records(sc, solve_bbgky_iteration, sc.quadrature),
+        "records": _marginal_records(sc, solve_at),
     }
 
 

@@ -1359,20 +1359,20 @@ def _suite_iteration() -> list[Check]:
 
     def gauss_order2():
         q = QuadratureSpec(2, 32, "gauss-legendre-simplex")
-        return trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference)
+        return trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference)
 
     def trapezoid_refinement():
         errs = []
         for nodes in (8, 16, 32):
             q = QuadratureSpec(2, nodes, "nested-trapezoid")
             errs.append(
-                trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference)
+                trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference)
             )
         return float(max(errs[1] - errs[0], errs[2] - errs[1]))
 
     def zero_time():
         q = QuadratureSpec(2, 8, "gauss-legendre-simplex")
-        got = solve_bbgky_iteration(spec, f0, 1, 0.0, q)
+        got = solve_bbgky_iteration(spec, f0, [1], 0.0, q)[1]
         return trace_norm(got - f0.seq.component(1))
 
     return [

@@ -286,13 +286,13 @@ def test_criterion_10_iteration_series():
     reference = solve_bbgky_cumulant(spec, f0, 1, t)
 
     q = QuadratureSpec(2, 32, "gauss-legendre-simplex")
-    gauss = trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference)
+    gauss = trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference)
     _report(10, "iteration-order-2", gauss, 1e-5)
 
     errs = []
     for nodes in (8, 16, 32):
         q = QuadratureSpec(2, nodes, "nested-trapezoid")
-        errs.append(trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference))
+        errs.append(trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference))
     increase = max(errs[1] - errs[0], errs[2] - errs[1])
     print(
         "criterion 10 iteration-refinement: "

@@ -285,7 +285,7 @@ def test_iteration_matches_cumulant_solution():
     t = 0.2
     reference = solve_bbgky_cumulant(spec, f0, 1, t)
     q = QuadratureSpec(2, 32, "gauss-legendre-simplex")
-    got = solve_bbgky_iteration(spec, f0, 1, t, q)
+    got = solve_bbgky_iteration(spec, f0, [1], t, q)[1]
     assert trace_norm(got - reference) < TOL_SERIES
 
 
@@ -293,7 +293,7 @@ def test_iteration_zero_time_exact():
     spec = random_system(312, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(313, 2, 3))
     q = QuadratureSpec(2, 8, "gauss-legendre-simplex")
-    got = solve_bbgky_iteration(spec, f0, 1, 0.0, q)
+    got = solve_bbgky_iteration(spec, f0, [1], 0.0, q)[1]
     assert trace_norm(got - f0.seq.components[1]) == 0.0
 
 
@@ -303,7 +303,7 @@ def test_iteration_backwards_in_time_matches_cumulant_solution():
     f0 = marginal_state_from_density(random_density_state(311, 2, 3))
     t = -0.4
     reference = solve_bbgky_cumulant(spec, f0, 1, t)
-    got = solve_bbgky_iteration(spec, f0, 1, t, QuadratureSpec(2, 16))
+    got = solve_bbgky_iteration(spec, f0, [1], t, QuadratureSpec(2, 16))[1]
     assert trace_norm(got - reference) <= 1e-12 * trace_norm(reference)
 
 
@@ -315,7 +315,7 @@ def test_trapezoid_error_decreases_with_nodes():
     errs = []
     for nodes in (8, 16, 32):
         q = QuadratureSpec(2, nodes, "nested-trapezoid")
-        errs.append(trace_norm(solve_bbgky_iteration(spec, f0, 1, t, q) - reference))
+        errs.append(trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference))
     assert errs[1] < errs[0]
     assert errs[2] < errs[1]
 
@@ -360,7 +360,7 @@ def test_iteration_matches_full_embedding_chain(
     ref = naive_iteration_series(
         spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, rule, nodes
     )
-    got = solve_bbgky_iteration(spec, f0, s, t, QuadratureSpec(order, nodes, rule))
+    got = solve_bbgky_iteration(spec, f0, [s], t, QuadratureSpec(order, nodes, rule))[s]
     ref_op = ManyBodyOperator(ParticleSet.range1(s), d, ref)
     assert trace_norm(got - ref_op) <= 1e-13 * trace_norm(ref_op)
 
@@ -415,11 +415,8 @@ def test_nested_gauss_rule_is_exact_to_degree_2k_minus_n(n, k, t):
     assert worst_beyond > 1e-7
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
-@pytest.mark.parametrize("order", [2, 3])
-def test_top_level_runs_once_per_outer_node(monkeypatch, rule, order):
-    # term n evaluates G_{s+n}(t_n) F_{s+n} and its traced commutator at the
-    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves
+def _count_top_levels(monkeypatch):
+    """Count _top_commutator calls by the dimension of their top level."""
     counts = {}
     original = bbgky._top_commutator
 
@@ -429,10 +426,50 @@ def test_top_level_runs_once_per_outer_node(monkeypatch, rule, order):
         return original(top, tn, d, hbar)
 
     monkeypatch.setattr(bbgky, "_top_commutator", counting)
+    return counts
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_top_level_runs_once_per_outer_node(monkeypatch, rule, order):
+    # term n evaluates G_{s+n}(t_n) F_{s+n} and its traced commutator at the
+    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves; the
+    # trapezoid's last node t_n = t leaves an empty interval below it when
+    # n >= 2, so it is skipped there
+    counts = _count_top_levels(monkeypatch)
     spec = random_system(332, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(333, 2, 4))
-    solve_bbgky_iteration(spec, f0, 1, 0.3, QuadratureSpec(order, 5, rule))
-    assert counts == {2 ** (1 + n): 5 for n in range(1, order + 1)}
+    solve_bbgky_iteration(spec, f0, [1], 0.3, QuadratureSpec(order, 5, rule))
+    skipped = {n: int(rule == "nested-trapezoid" and n >= 2) for n in range(1, order + 1)}
+    assert counts == {2 ** (1 + n): 5 - skipped[n] for n in range(1, order + 1)}
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
+def test_top_level_is_shared_by_every_s(monkeypatch, rule):
+    # s = 1, 2, 3 all reach m = 4 at order 3, and s = 1, 2 reach m = 3; each
+    # top level still runs once per outer node, not once per s, and at the
+    # trapezoid's endpoint t_n = t it runs for the s = m - 1 alone
+    counts = _count_top_levels(monkeypatch)
+    spec = random_system(332, dim_single=2, orders=(2,))
+    f0 = marginal_state_from_density(random_density_state(333, 2, 4))
+    solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.3, QuadratureSpec(3, 5, rule))
+    assert counts == {4: 5, 8: 5, 16: 5}
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_joint_solve_equals_solve_per_s_bit_for_bit(rule, order):
+    # the shared top levels feed every s, and each s keeps the order of
+    # summation of a solve for it alone
+    spec = random_system(334, dim_single=2, orders=(2,), hbar=0.7)
+    f0 = marginal_state_from_density(random_density_state(335, 2, 4))
+    q = QuadratureSpec(order, 5, rule)
+    joint = solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.4, q)
+    assert sorted(joint) == [1, 2, 3]
+    for s in (1, 2, 3):
+        alone = solve_bbgky_iteration(spec, f0, [s], 0.4, q)[s]
+        assert joint[s].labels == alone.labels
+        assert np.array_equal(joint[s].matrix.view(np.uint64), alone.matrix.view(np.uint64))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -455,11 +492,11 @@ def test_iteration_requires_pair_potential_only():
     q = QuadratureSpec(1, 8)
     with pytest.raises(ValueError):
         solve_bbgky_iteration(
-            random_system(317, dim_single=2, orders=(2, 3)), f0, 1, 0.1, q
+            random_system(317, dim_single=2, orders=(2, 3)), f0, [1], 0.1, q
         )
     with pytest.raises(ValueError):
         solve_bbgky_iteration(
-            random_system(317, dim_single=2, orders=(3,)), f0, 1, 0.1, q
+            random_system(317, dim_single=2, orders=(3,)), f0, [1], 0.1, q
         )
 
 

@@ -53,7 +53,7 @@ def test_embedded_group_conj_receives_operators_on_full(monkeypatch):
     monkeypatch.setattr(bbgky, "_embedded_group_conj", recording)
     spec = random_system(330, dim_single=2, orders=(2,))
     f0 = bbgky.marginal_state_from_density(random_density_state(331, 2, 4))
-    bbgky.solve_bbgky_iteration(spec, f0, 1, 0.3, bbgky.QuadratureSpec(3, 4))
+    bbgky.solve_bbgky_iteration(spec, f0, [1], 0.3, bbgky.QuadratureSpec(3, 4))
     assert calls
     for full, x in calls:
         assert isinstance(x, ManyBodyOperator)

@@ -19,6 +19,7 @@ from qcorr.bbgky import (
     marginal_state_from_density,
     reduce_from_density,
     solve_bbgky_cumulant,
+    solve_bbgky_iteration,
 )
 from qcorr.cli import load_scenario, main
 from qcorr.evolution import evolve_density_sequence
@@ -801,6 +802,23 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
         matrix = decode_raw_matrix(rec["matrix"])
         got = ManyBodyOperator(ParticleSet.range1(s), 2, matrix)
         assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-5
+    capsys.readouterr()
+
+
+def test_iterate_records_are_ordered_by_s_then_t(tmp_path, capsys):
+    # one solve per time serves every s; the records still list s first, in
+    # the scenario's order, then t, each equal to a solve for that s alone
+    sc_obj = dict(ITERATE_SCENARIO, times=[0.5, 0.2], s_values=[3, 2])
+    code, out = _run(tmp_path, sc_obj, "iterate-order")
+    assert code == 0
+    records = json.loads((out / "iterate.json").read_text())["records"]
+    assert [(r["s"], r["t"]) for r in records] == [(3, 0.5), (3, 0.2), (2, 0.5), (2, 0.2)]
+    sc = load_scenario(sc_obj)
+    f0 = marginal_state_from_density(sc.initial)
+    for rec in records:
+        s, t = rec["s"], rec["t"]
+        alone = solve_bbgky_iteration(sc.spec, f0, [s], t, sc.quadrature)[s]
+        assert np.array_equal(decode_raw_matrix(rec["matrix"]), alone.matrix)
     capsys.readouterr()
 
 

@@ -205,7 +205,7 @@ def test_blockwise_and_iteration_conjugate_through_the_kernel(monkeypatch, spec_
     group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 2, 3]]), f)
     assert seen == []
     f0 = bbgky.marginal_state_from_density(random_density_state(56, 2, 3))
-    bbgky.solve_bbgky_iteration(spec_pair, f0, 1, 0.3, bbgky.QuadratureSpec(2, 4))
+    bbgky.solve_bbgky_iteration(spec_pair, f0, [1], 0.3, bbgky.QuadratureSpec(2, 4))
     assert seen == [ParticleSet.range1(1)]
 
 
