@@ -12,8 +12,34 @@ Conventions
   SchemaViolation.
 
 Every file `qcorr run` writes goes through dumps_canonical: sorted keys, no
-whitespace, a final newline, written by the C encoder of one json.dumps
-call, so reruns produce identical bytes.
+whitespace, a final newline, so reruns produce identical bytes.
+
+Fast path of dumps_canonical
+----------------------------
+The text of dumps_canonical is exactly that of json.dumps(obj,
+sort_keys=True, separators=(",", ":"), allow_nan=False) plus a newline, but
+json writes each float with float.__repr__, about 1.4 us a float.  So a
+small recursive writer walks dicts with string keys and lists, and hands
+everything else but the raw-matrix leaves to json.dumps: keys, strings,
+scalars and short lists are json's own text, escapes and refusals.
+
+* A raw-matrix leaf is a float64 array of shape (rows, cols, 2), as
+  encode_raw_matrix returns, or a list that _is_raw_matrix accepts, such as
+  a scenario's matrices in the manifest.  One orjson.dumps call writes it.
+  orjson picks the same shortest round-trip digits as float.__repr__ and
+  lays out three ranges differently, which _repr_layout rewrites in one
+  numpy pass:
+
+      |x|              orjson       float.__repr__
+      >= 1e16          1.5e16       1.5e+16
+      [1e-9, 1e-5)     1.5e-7       1.5e-07
+      [1e-5, 1e-4)     0.000015     1.5e-05
+
+* A leaf that orjson refuses (an int of 64 bits or more, a non-contiguous
+  array) or writes with a null (NaN or an infinity) goes to json.dumps,
+  which writes it or raises as it would for the whole document.
+* orjson is imported at the first leaf written, so importing qcorr.cli
+  does not load it.
 
 Fast path of validate
 ---------------------
@@ -394,14 +420,131 @@ def validate(obj: Any, schema: dict, what: str = "document") -> None:
         raise SchemaViolation(f"{what} at '{path}': {exc.message}") from exc
 
 
+_JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+
+# the bytes of orjson's number text that _repr_layout reads
+_DOT, _E, _MINUS, _ZERO, _NINE, _COMMA = b".e-09,"
+
+
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, no whitespace, newline end.
 
-    A one-shot compact json.dumps runs CPython's C encoder, which writes
-    floats with float.__repr__, so every value decodes back unchanged.
+    The text is json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    allow_nan=False) + "\n", each float64 array of shape (rows, cols, 2)
+    standing for its tolist(), and what that call refuses raises its error
+    (a cyclic obj aside).  Floats are float.__repr__'s text, so every value
+    decodes back unchanged.  The raw-matrix leaves, which hold nearly all
+    of them, are written by orjson (see the module docstring).
     """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return text + "\n"
+    parts: list[str] = []
+    _write(obj, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(x, parts: list[str]) -> None:
+    """Append the canonical text of x to parts."""
+    if _is_matrix_array(x) or _is_raw_matrix(x):
+        parts.append(_dumps_leaf(x))
+    elif type(x) is dict and all(type(k) is str for k in x):
+        parts.append("{")
+        for i, k in enumerate(sorted(x)):
+            parts.append(("," if i else "") + json.dumps(k) + ":")
+            _write(x[k], parts)
+        parts.append("}")
+    elif type(x) is list:
+        parts.append("[")
+        for i, v in enumerate(x):
+            if i:
+                parts.append(",")
+            _write(v, parts)
+        parts.append("]")
+    else:
+        parts.append(json.dumps(x, **_JSON_OPTIONS))
+
+
+def _is_matrix_array(x) -> bool:
+    return (
+        type(x) is np.ndarray
+        and x.dtype == np.float64
+        and x.ndim == 3
+        and x.shape[2] == 2
+    )
+
+
+def _dumps_leaf(leaf) -> str:
+    """json.dumps's text of a raw-matrix leaf, written by orjson."""
+    import orjson
+
+    try:
+        raw = orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError:
+        raw = None
+    if raw is None or b"null" in raw:
+        # json writes what orjson refuses, and refuses NaN and infinities
+        rows = leaf.tolist() if type(leaf) is np.ndarray else leaf
+        return json.dumps(rows, **_JSON_OPTIONS)
+    return _repr_layout(raw).decode()
+
+
+def _repr_layout(raw: bytes) -> bytes:
+    """orjson's text of a raw-matrix leaf, its numbers laid out as
+    float.__repr__ lays them out.
+
+    Every number of the leaf is followed by ',' or ']', and holds at most
+    one '.' and one 'e'.  The edits go into a copy as marker bytes, which
+    one translate and four replaces expand:
+
+    * 'e' before a digit (1.5e16) becomes 1, expanded to 'e+';
+    * the '-' of a one-digit exponent (1.5e-7) becomes 2, expanded to '-0';
+    * in 0.0000DR (|x| in [1e-5, 1e-4), D a digit 1-9, R digits or none)
+      the first '0' becomes D, '0000D' and, when R is empty, the '.' are
+      dropped (marker 0), and the ',' or ']' that ends the number becomes
+      3 or 4, expanded to 'e-05,' or 'e-05]'.
+    """
+    b = np.frombuffer(raw, np.uint8)
+    stops = np.flatnonzero((b == _DOT) | (b == _E))
+    is_e = b[stops] == _E
+    w = b.copy()
+
+    e = stops[is_e]
+    sign = b[e + 1]
+    w[e[sign != _MINUS]] = 1
+    e = e[sign == _MINUS]
+    # a one-digit exponent ends two bytes after its '-'
+    w[e[~_is_digit(b[e + 3])] + 1] = 2
+
+    # a '.' with '0' before it, no digit before that, and '0000' after it
+    p = stops[~is_e]
+    p = p[b[p + 4] == _ZERO]
+    tiny = ~_is_digit(b[p - 2])
+    for k in (-1, 1, 2, 3):
+        tiny &= b[p + k] == _ZERO
+    p = p[tiny]
+    # j: the ',' or ']' after the digits from p + 6 on, at most 16 of them
+    j = p + 6
+    steps = np.flatnonzero(_is_digit(b[j]))
+    while len(steps):
+        j[steps] += 1
+        steps = steps[_is_digit(b[j[steps]])]
+    w[p - 1] = b[p + 5]
+    for k in range(1, 6):
+        w[p + k] = 0
+    w[p[j == p + 6]] = 0
+    w[j] = np.where(b[j] == _COMMA, 3, 4)
+
+    return (
+        w.tobytes()
+        .translate(None, b"\0")
+        .replace(b"\1", b"e+")
+        .replace(b"\2", b"-0")
+        .replace(b"\3", b"e-05,")
+        .replace(b"\4", b"e-05]")
+    )
+
+
+def _is_digit(c: np.ndarray) -> np.ndarray:
+    return (c >= _ZERO) & (c <= _NINE)
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -413,9 +556,11 @@ def decode_complex(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def encode_raw_matrix(m: np.ndarray) -> list:
+def encode_raw_matrix(m: np.ndarray) -> np.ndarray:
+    """The raw-matrix leaf of m: a C-contiguous float64 array of shape
+    (rows, cols, 2), which dumps_canonical writes as [[re, im]] rows."""
     a = np.asarray(m, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
 
 
 def decode_raw_matrix(rows) -> np.ndarray:

@@ -76,6 +76,16 @@ ITERATE_SCENARIO = {
 }
 
 
+def _wire(x):
+    """x as a scenario document carries it: dumps_canonical's text, decoded."""
+    return json.loads(dumps_canonical(x))
+
+
+def _stdlib_text(obj) -> str:
+    """The canonical text of obj by the standard library alone."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def _write_scenario(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -292,8 +302,8 @@ def test_write_error_leaves_the_output_directory_as_it_was(
         ),
         (
             "initial",
-            {"chaos": {"labels": [1], "dim_single": 2, "matrix": encode_raw_matrix(
-                chaos_one_particle(31, 2, norm=0.8).matrix)}},
+            {"chaos": {"labels": [1], "dim_single": 2, "matrix": _wire(encode_raw_matrix(
+                chaos_one_particle(31, 2, norm=0.8).matrix))}},
             "('chaos' was unexpected)",
         ),
         ("tasks", ["chaos"], "'chaos' does not match"),
@@ -406,16 +416,28 @@ def test_a_plain_run_validates_the_document_once(tmp_path, monkeypatch):
 
 
 def test_run_files_are_one_line_of_canonical_json(tmp_path):
-    sc = dict(BASE_SCENARIO, tasks=list(cli._TASK_FNS))
+    # every file is the standard library's text of its own decoded value, so
+    # the matrices orjson wrote read as json.dumps writes them
+    initial = {"preset": {"preset": "random_correlation", "seed": 12, "norms": 0.3,
+                          "symmetric": True}}
+    sc = dict(BASE_SCENARIO, initial=initial, n_max=3, tasks=list(cli._TASK_FNS))
     code, out = _run(tmp_path, sc, "compact")
     assert code == 0
-    names = sorted(name for name in os.listdir(out) if name.endswith(".json"))
-    assert len(names) == len(cli._TASK_FNS) + 1
-    for name in names:
-        text = (out / name).read_text()
-        assert text.endswith("\n")
-        assert text.count("\n") == 1
-        assert dumps_canonical(json.loads(text)) == text
+    # explicit density data: the manifest holds the scenario's matrices as
+    # parsed lists
+    density = json.loads((out / "evolve.json").read_text())["states"][1]
+    explicit = dict(sc, initial={"density": density})
+    code, out_explicit = _run(tmp_path, explicit, "compact-explicit")
+    assert code == 0
+    manifest = json.loads((out_explicit / "manifest.json").read_text())
+    assert manifest["scenario"]["initial"]["density"] == density
+    for directory in (out, out_explicit):
+        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+        assert len(names) == len(cli._TASK_FNS) + 1
+        for name in names:
+            text = (directory / name).read_text()
+            assert text.count("\n") == 1
+            assert text == _stdlib_text(json.loads(text)), (directory.name, name)
 
 
 def test_capacity_guards_exit_3(tmp_path, capsys):
@@ -884,7 +906,7 @@ def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
             "dim_single": 2,
             "n_max": 3,
             "scalar0": [0.0, 0.0],
-            "components": [encode_raw_matrix(g1.matrix), None, None],
+            "components": [_wire(encode_raw_matrix(g1.matrix)), None, None],
         }
     }
     sc = dict(BASE_SCENARIO, initial=initial, times=[0.0, 0.3], n_max=3)
@@ -917,7 +939,7 @@ def _direct_moments(dt, a):
 def test_observables_are_density_moments_on_non_symmetric_data(tmp_path, capsys):
     a = random_hermitian(rng_from_seed(41), 2)
     sc = dict(ASYMMETRIC_SCENARIO, times=[0.0, 0.3], tasks=["observables"])
-    sc["observable"] = encode_raw_matrix(a)
+    sc["observable"] = _wire(encode_raw_matrix(a))
     code, out = _run(tmp_path, sc, "asym-observables")
     assert code == 0
     records = json.loads((out / "observables.json").read_text())["records"]

@@ -53,7 +53,7 @@ def test_partitions_loads_only_itself_and_errors():
 def test_library_modules_load_no_front_end(module):
     loaded = _loaded(module)
     assert module in loaded
-    assert not loaded & {"qcorr.verify", "qcorr.cli", "jsonschema"}
+    assert not loaded & {"qcorr.verify", "qcorr.cli", "jsonschema", "orjson"}
 
 
 def test_cli_loads_every_module_the_benchmark_traces():
@@ -69,5 +69,7 @@ def test_cli_loads_every_module_the_benchmark_traces():
     loaded = _loaded("qcorr.cli")
     assert {f"qcorr.{module}" for module, _ in spanned} <= loaded
     assert "qcorr.verify" not in loaded
+    # orjson is imported when the first matrix is written, after setup
+    assert "orjson" not in loaded
     # runs are sequential: no thread pool is imported
     assert "concurrent.futures" not in loaded

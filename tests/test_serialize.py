@@ -3,9 +3,11 @@
 import copy
 import json
 import math
+import struct
 
 import jsonschema
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,16 @@ from qcorr.verify import run_suite
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
+def _wire(x):
+    """x as a document carries it: dumps_canonical's text, decoded."""
+    return json.loads(dumps_canonical(x))
+
+
+def _stdlib_text(obj) -> str:
+    """The canonical text of obj by the standard library alone."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
 def test_complex_encoding_shape():
     assert encode_complex(1.5 - 2j) == [1.5, -2.0]
     assert decode_complex([0.25, 3.0]) == 0.25 + 3j
@@ -51,7 +63,7 @@ def test_complex_roundtrip(re, im):
 def test_raw_matrix_roundtrip():
     rng = rng_from_seed(10)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    back = decode_raw_matrix(encode_raw_matrix(m))
+    back = decode_raw_matrix(_wire(encode_raw_matrix(m)))
     assert np.array_equal(back, m)
 
 
@@ -70,7 +82,7 @@ def test_sequence_roundtrip_with_gap():
     gapped = OperatorSequence(
         2, 3, g.scalar0, {n: g.components[n] for n in (1, 3)}
     )
-    obj = encode_sequence(gapped, kind="correlation")
+    obj = _wire(encode_sequence(gapped, kind="correlation"))
     assert obj["components"][1] is None
     assert obj["kind"] == "correlation"
     validate(obj, SEQUENCE_SCHEMA, "sequence")
@@ -84,7 +96,7 @@ def test_sequence_roundtrip_with_gap():
 def test_sequence_scalar_preserved():
     op = ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
-    obj = encode_sequence(seq)
+    obj = _wire(encode_sequence(seq))
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     back = decode_sequence(obj, "sequence")
     assert back.scalar0 == 0.5 - 0.25j
@@ -98,7 +110,7 @@ def test_prefixed_sequence_not_serialized():
 
 
 def test_sequence_component_count_capped():
-    obj = encode_sequence(random_correlation_state(13, 2, 2).seq)
+    obj = _wire(encode_sequence(random_correlation_state(13, 2, 2).seq))
     obj["n_max"] = 1
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
@@ -106,7 +118,7 @@ def test_sequence_component_count_capped():
 
 
 def test_sequence_component_size_checked():
-    obj = encode_sequence(random_correlation_state(14, 2, 2).seq)
+    obj = _wire(encode_sequence(random_correlation_state(14, 2, 2).seq))
     obj["components"][1] = obj["components"][0]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
@@ -119,14 +131,14 @@ def test_sequence_component_size_checked():
 
 def encode_system(spec):
     """The explicit system document of spec, which decode_system reads."""
-    return {
+    return _wire({
         "dim_single": spec.dim_single,
         "hbar": spec.hbar,
         "one_body": encode_raw_matrix(spec.one_body),
         "potentials": {
             str(k): encode_raw_matrix(v) for k, v in sorted(spec.potentials.items())
         },
-    }
+    })
 
 
 def test_system_roundtrip_explicit():
@@ -149,17 +161,17 @@ def test_system_preset_path():
 
 
 def test_system_one_body_size_checked():
-    obj = {"dim_single": 2, "one_body": encode_raw_matrix(np.eye(3))}
+    obj = _wire({"dim_single": 2, "one_body": encode_raw_matrix(np.eye(3))})
     with pytest.raises(SchemaViolation, match="one_body"):
         decode_system(obj)
 
 
 def test_system_potential_size_checked():
-    obj = {
+    obj = _wire({
         "dim_single": 2,
         "one_body": encode_raw_matrix(np.eye(2)),
         "potentials": {"2": encode_raw_matrix(np.eye(2))},
-    }
+    })
     with pytest.raises(SchemaViolation, match="order 2"):
         decode_system(obj)
 
@@ -167,7 +179,7 @@ def test_system_potential_size_checked():
 def test_system_constructor_errors_become_schema_violations():
     # valid JSON shape, but the one-body matrix is not Hermitian
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    obj = {"dim_single": 2, "one_body": encode_raw_matrix(bad)}
+    obj = _wire({"dim_single": 2, "one_body": encode_raw_matrix(bad)})
     with pytest.raises(SchemaViolation):
         decode_system(obj)
 
@@ -184,12 +196,15 @@ def test_dumps_canonical_is_order_insensitive():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("where", ["top", "matrix"])
+@pytest.mark.parametrize("where", ["top", "matrix", "array"])
 def test_dumps_canonical_rejects_nan(bad, where):
+    rows = [[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, bad]]]
     if where == "top":
         doc = {"x": bad}
+    elif where == "matrix":
+        doc = {"m": rows}
     else:
-        doc = {"m": [[[0.0, 1.0], [2.0, 3.0]], [[4.0, 5.0], [6.0, bad]]]}
+        doc = {"m": np.array(rows)}
     with pytest.raises(ValueError, match="Out of range float values"):
         dumps_canonical(doc)
 
@@ -215,10 +230,137 @@ def test_dumps_canonical_keeps_every_float(values):
 
 def test_raw_matrix_encoding_is_plain_floats():
     m = np.array([[1 - 0j, complex(-0.0, 2.5)], [5e-324j, 1e16 + 0j]])
-    rows = encode_raw_matrix(m)
+    leaf = encode_raw_matrix(m)
+    assert type(leaf) is np.ndarray
+    assert leaf.dtype == np.float64
+    assert leaf.shape == (2, 2, 2)
+    assert leaf.flags.c_contiguous
+    rows = leaf.tolist()
     assert rows == [[[1.0, 0.0], [-0.0, 2.5]], [[0.0, 5e-324], [1e16, 0.0]]]
     assert all(type(x) is float for row in rows for pair in row for x in pair)
-    assert math.copysign(1.0, rows[0][1][0]) == -1.0
+    assert math.copysign(1.0, leaf[0, 1, 0]) == -1.0
+    # the array is written as its list form, which encode_raw_matrix
+    # returned before it returned arrays
+    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": rows})
+    assert dumps_canonical({"m": leaf}) == (
+        '{"m":[[[1.0,0.0],[-0.0,2.5]],[[0.0,5e-324],[1e+16,0.0]]]}\n'
+    )
+
+
+# ---------------------------------------------------------------------------
+# raw-matrix leaves: the text orjson writes is the text json writes
+
+
+def _bits_to_double(u: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", u))[0]
+
+
+# every finite double: hypothesis's own choice, and uniform bit patterns
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_bits_to_double).filter(math.isfinite),
+)
+
+
+def _assert_leaf_text(rows):
+    """A list leaf of rows, and the float64 array of rows, are written as
+    json writes their lists."""
+    assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+    leaf = np.array(rows, dtype=np.float64)
+    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": leaf.tolist()})
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_leaves_are_written_as_json_writes_them(n_rows, n_cols, data):
+    size = 2 * n_rows * n_cols
+    values = data.draw(st.lists(_doubles, min_size=size, max_size=size))
+    leaf = np.array(values).reshape(n_rows, n_cols, 2)
+    _assert_leaf_text(leaf.tolist())
+
+
+def test_many_random_doubles_are_written_as_json_writes_them():
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2**64, size=(400, 250, 2), dtype=np.uint64).view(np.float64)
+    spread = 10.0 ** rng.uniform(-25, 25, size=(400, 250, 2))
+    spread *= rng.choice([-1.0, 1.0], size=spread.shape)
+    for leaf in (np.where(np.isfinite(bits), bits, -0.0), spread):
+        assert dumps_canonical(leaf) == _stdlib_text(leaf.tolist())
+
+
+# where orjson's layout differs from float.__repr__'s, and the doubles on
+# either side of each border
+_GRID = [
+    -0.0, 0.0, 5e-324, 1e-5, 1.0000000000000001e-05, 9.999999999999999e-05,
+    1e-4, 1e16, 9999999999999998.0, 1.7976931348623157e308,
+    1e-9, 1.5e-7, 1.2345678901234567e-6, 1e-10, 2.5e-320, 1e22, 0.1,
+    # '0.0000' inside a number of another range
+    10.00001, 100.000015, 0.00010000000000000002, 1.00001e-10,
+]
+_GRID += [math.nextafter(x, y) for x in (1e-9, 1e-5, 1e-4, 1e16) for y in (0, math.inf)]
+_GRID += [-x for x in _GRID]
+
+
+@pytest.mark.parametrize("x", _GRID, ids=repr)
+def test_grid_values_are_written_as_json_writes_them(x):
+    for rows in ([[[x, x]]], [[[x, 0.5], [1, x]], [[x, -x], [x, 1e-7]]]):
+        _assert_leaf_text(rows)
+
+
+def test_one_leaf_of_every_grid_value():
+    _assert_leaf_text([[[x, y] for x, y in zip(_GRID, reversed(_GRID))]])
+
+
+def test_list_leaves_with_ints_are_written_as_json_writes_them():
+    rows = [[[1, 0], [-3, 2**63]], [[-(2**63), 7], [2**64 - 1, 1.5e-05]]]
+    assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+    # orjson refuses an int of 2^64 or more; json writes the leaf
+    for huge in (2**64, -(2**63) - 1, 10**30):
+        rows = [[[1, 1e-05], [huge, 0.5]], [[2.0, 3], [4, 1e16]]]
+        with pytest.raises(TypeError):
+            orjson.dumps(rows)
+        assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+
+
+def test_d2_leaves_whose_rows_look_like_pairs():
+    # a row of a 2 x 2 matrix is itself two pairs; only the matrix is a leaf
+    m = [[[1e-05, -2.5e-05], [1e16, 0.0]], [[1e-7, 3.0], [-0.0, 1]]]
+    doc = {"components": [m, None, [m[0]]], "pair": m[0], "scalar0": [1e-05, 0.0]}
+    assert dumps_canonical(doc) == _stdlib_text(doc)
+    leaf = np.array(m, dtype=np.float64)
+    assert dumps_canonical({"components": [leaf, None], "pair": m[0]}) == _stdlib_text(
+        {"components": [leaf.tolist(), None], "pair": m[0]}
+    )
+
+
+def test_non_contiguous_array_leaves_are_written_by_json():
+    leaf = (np.arange(48.0).reshape(3, 8, 2) * 1e-5)[:, ::2]
+    assert not leaf.flags.c_contiguous
+    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": leaf.tolist()})
+
+
+def test_strings_are_written_as_json_writes_them():
+    leaf = [[[1e-05, 0.5]]]
+    doc = {
+        "é": "x0.00001",
+        "e5": ["é", "e5", "x0.00001", "\u2028", 'q"\\'],
+        "x0.00001": {"e5": "1e16", "": [], "b": {}, "a": (1, "e-7")},
+        "m": leaf,
+        "0.0000": [leaf, "0.00001e5", True, None, 2**70, -1.5e-05],
+    }
+    assert dumps_canonical(doc) == _stdlib_text(doc)
+
+
+def test_other_documents_go_to_json_whole():
+    # int keys, which json sorts as ints and writes as strings
+    doc = {"k": {2: "b", 10: [[[1e-05, 0.0]]]}}
+    assert dumps_canonical(doc) == _stdlib_text(doc)
+    # keys json cannot sort, and values it cannot write, raise its errors
+    with pytest.raises(TypeError, match="not supported between"):
+        dumps_canonical({2: "b", "k": None})
+    for other in (np.zeros((2, 2)), np.zeros((2, 2, 2), dtype=np.float32), {1, 2}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps_canonical({"x": other})
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +395,11 @@ def test_scenario_requires_exactly_one_initial():
         validate(sc, SCENARIO_SCHEMA, "scenario")
     sc["initial"] = {
         "preset": {"preset": "random_correlation", "seed": 2},
-        "correlation": encode_sequence(
+        "correlation": _wire(encode_sequence(
             OperatorSequence(
                 2, 1, 0.0, {1: ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2))}
             )
-        ),
+        )),
     }
     with pytest.raises(SchemaViolation, match="has too many properties"):
         validate(sc, SCENARIO_SCHEMA, "scenario")
