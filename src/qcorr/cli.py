@@ -4,6 +4,9 @@
 explicitly or drawn by a preset; chaos data are a correlation sequence that
 holds only g_1.  `run --seed` writes the seed into both presets of a copy of
 the document before loading it, so the manifest records the seeds that ran.
+`run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
+`Infinity`, `-Infinity` and a number literal that no double holds; orjson
+is imported there, so importing this module does not load it.
 `verify` runs one suite at its fixed tolerances.
 
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
@@ -29,6 +32,7 @@ import errno
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -75,6 +79,7 @@ from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
     SYSTEM_PRESET_DEFAULTS,
+    check_nesting,
     decode_raw_matrix,
     decode_sequence,
     decode_system,
@@ -438,25 +443,8 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
     return files
 
 
-def _reject_constant(name: str):
-    """json hook for NaN, Infinity and -Infinity, which JSON itself lacks."""
-    raise ValueError(f"non-standard JSON literal {name} is not allowed")
-
-
-def _parse_float(text: str) -> float:
-    """json hook for float literals: one that overflows a double is refused."""
-    x = float(text)
-    if isfinite(x):
-        return x
-    raise ValueError(f"number literal {text} is outside the range of a double")
-
-
-def _parse_int(text: str) -> int:
-    """json hook for integer literals: one beyond the largest double is refused."""
-    n = int(text)
-    if abs(n) <= sys.float_info.max:
-        return n
-    raise ValueError(f"number literal {text} is outside the range of a double")
+# a literal, at most 40 characters of it, or else one character
+_NEAR = re.compile(r"[^\s,:\[\]{}]{1,40}|.?", re.DOTALL)
 
 
 def _path_error(what: str, path: str, exc: OSError) -> int:
@@ -487,16 +475,16 @@ def _with_seed(obj: dict, seed: int) -> dict:
 
 
 def _cmd_run(args) -> int:
+    import orjson
+
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            obj = json.load(
-                fh,
-                parse_constant=_reject_constant,
-                parse_float=_parse_float,
-                parse_int=_parse_int,
-            )
+        with open(args.scenario, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         return _path_error("cannot read scenario", args.scenario, exc)
+    check_nesting(text, "scenario")
+    # decoding first names a byte that is not UTF-8, which orjson does not
+    obj = orjson.loads(text.decode("utf-8"))
     if args.seed is not None:
         # the seeds go into the document, which the manifest records; a
         # malformed document is refused as written
@@ -604,7 +592,10 @@ def main(argv=None) -> int:
         print(f"schema violation: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
-        print(f"malformed JSON: {exc}", file=sys.stderr)
+        # quote the literal the parser stopped at, or the character there
+        near = _NEAR.match(exc.doc, exc.pos).group()
+        where = f" at {near!r}" if near else ""
+        print(f"malformed JSON: {exc}{where}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

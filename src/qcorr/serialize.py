@@ -38,8 +38,8 @@ scalars and short lists are json's own text, escapes and refusals.
 * A leaf that orjson refuses (an int of 64 bits or more, a non-contiguous
   array) or writes with a null (NaN or an infinity) goes to json.dumps,
   which writes it or raises as it would for the whole document.
-* orjson is imported at the first leaf written, so importing qcorr.cli
-  does not load it.
+* orjson is imported at the first leaf written, so importing
+  qcorr.serialize does not load it.
 
 Fast path of validate
 ---------------------
@@ -53,6 +53,10 @@ those leaves apart from the rest.
   constrains a matrix-level array beyond "minItems": 1 (tests pin this), so
   no schema can tell a valid leaf from the stand-in: the skeleton is valid
   exactly when the document is.
+* The skeleton copy stops where the document nests more than MAX_NESTING
+  (100) arrays and objects, and validate refuses it there, before its own
+  recursion, jsonschema's or the repr in jsonschema's message exhausts the
+  stack.  check_nesting refuses such JSON text before orjson parses it.
 * The skeleton is accepted by _conforms, a checker written here for the
   keywords these schemas use and nothing else: type, properties, required,
   additionalProperties, patternProperties, items, minItems, maxItems,
@@ -114,6 +118,10 @@ SEQUENCE_SCHEMA = {
     },
 }
 
+# a seed is a non-negative integer of at most 64 bits: orjson reads a larger
+# integer literal as a float, which would round the seed
+_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+
 _SYSTEM_EXPLICIT = {
     "type": "object",
     "required": ["dim_single", "one_body"],
@@ -136,7 +144,7 @@ _SYSTEM_PRESET = {
     "additionalProperties": False,
     "properties": {
         "preset": {"type": "string", "enum": ["random_hermitian"]},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _SEED,
         "orders": {
             "type": "array",
             "items": {"type": "integer", "minimum": 2},
@@ -162,7 +170,7 @@ _INITIAL_PRESET = {
             "type": "string",
             "enum": ["random_correlation", "random_density"],
         },
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": _SEED,
         "norms": {
             "oneOf": [
                 {"type": "number", "exclusiveMinimum": 0},
@@ -306,14 +314,32 @@ def _is_raw_matrix(x) -> bool:
     return type(x) is list and bool(x) and all(map(_is_pair_row, x))
 
 
-def _skeleton(x):
-    """x with every raw-matrix leaf replaced by the stand-in."""
-    if type(x) is dict:
-        return {k: _skeleton(v) for k, v in x.items()}
-    if type(x) is list:
+# how deep validate and check_nesting let arrays and objects nest: far
+# above the 7 levels of a scenario, so that jsonschema words the refusal of
+# a document a few levels too deep, and far below the depth that exhausts a
+# stack: about 500 levels for jsonschema, 50,000 for orjson's parser
+MAX_NESTING = 100
+_TOO_DEEP = f"{{}} nests arrays and objects more than {MAX_NESTING} levels deep"
+
+
+class _TooDeep(Exception):
+    """The document nests more than MAX_NESTING arrays and objects."""
+
+
+def _skeleton(x, room: int = MAX_NESTING):
+    """x with every raw-matrix leaf replaced by the stand-in; raises
+    _TooDeep, without descending further, where x nests more than room
+    arrays and objects."""
+    if type(x) is dict or type(x) is list:
+        if room < 1:
+            raise _TooDeep
+        if type(x) is dict:
+            return {k: _skeleton(v, room - 1) for k, v in x.items()}
         if _is_raw_matrix(x):
+            if room < 3:
+                raise _TooDeep
             return _MATRIX_STAND_IN
-        return [_skeleton(v) for v in x]
+        return [_skeleton(v, room - 1) for v in x]
     return x
 
 
@@ -409,7 +435,11 @@ def _conforms(instance, schema) -> bool:
 
 def validate(obj: Any, schema: dict, what: str = "document") -> None:
     """Validate obj against schema, raising SchemaViolation on failure."""
-    if _conforms(_skeleton(obj), schema):
+    try:
+        skeleton = _skeleton(obj)
+    except _TooDeep:
+        raise SchemaViolation(_TOO_DEEP.format(what)) from None
+    if _conforms(skeleton, schema):
         return
     import jsonschema
 
@@ -418,6 +448,31 @@ def validate(obj: Any, schema: dict, what: str = "document") -> None:
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise SchemaViolation(f"{what} at '{path}': {exc.message}") from exc
+
+
+# the bytes of JSON text that check_nesting reads
+_QUOTE, _OPEN, _CLOSE = b'"[]'
+
+
+def check_nesting(text: bytes, what: str = "document") -> None:
+    """Refuse JSON text that nests more than MAX_NESTING arrays and objects,
+    before a parser recurses into it.
+
+    Brackets inside strings do not count.  Text past the first JSON error
+    may be misread, but no parser reads past that error.
+    """
+    # drop escaped backslashes, then escaped quotes: what quotes are left
+    # open and close strings
+    if b"\\" in text:
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    b = np.frombuffer(text, np.uint8)
+    # '{' and '}' differ from '[' and ']' only in bit 0x20
+    c = b & 0xDF
+    at = np.flatnonzero((c == _OPEN) | (c == _CLOSE))
+    step = np.where(c[at] == _OPEN, 1, -1)
+    step[np.searchsorted(np.flatnonzero(b == _QUOTE), at) % 2 == 1] = 0
+    if len(step) and np.cumsum(step).max() > MAX_NESTING:
+        raise SchemaViolation(_TOO_DEEP.format(what))
 
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
@@ -571,9 +626,9 @@ def decode_raw_matrix(rows) -> np.ndarray:
                 f"ragged matrix of {len(rows)} rows: row {i + 1} has "
                 f"{len(row)} entries, row 1 has {len(rows[0])}"
             )
-    a = np.array(
-        [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-    )
+    # the [re, im] pairs are the complex entries' memory layout; a view
+    # keeps the sign of each zero, as re + 1j * im would not
+    a = np.asarray(rows, dtype=float).view(complex)[..., 0]
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SchemaViolation(f"matrix must be square, got shape {a.shape}")
     return a

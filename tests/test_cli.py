@@ -739,17 +739,18 @@ def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("invalid request: non-standard JSON literal")
+    assert err.startswith("malformed JSON: ")
     assert json.dumps(literal) in err
     assert "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 1
 
 
 _HUGE_INT = "9" * 401
 _HUGE_MATRIX = "[[[{}, 0], [0, 0]], [[0, 0], [1, 0]]]"
 
 # each case replaces a piece of the written scenario text with one that holds
-# a number no double holds: json reads 1e400 as inf, and the integer as a
-# Python int that float() cannot convert
+# a number no double holds: a float literal that overflows, or an integer
+# literal beyond the largest double
 _BEYOND_A_DOUBLE = {
     "times-int": ('"times": [0.1, 0.3]', f'"times": [{_HUGE_INT}]'),
     "times-float": ('"times": [0.1, 0.3]', '"times": [1e400]'),
@@ -787,10 +788,78 @@ def test_number_beyond_a_double_exits_2(tmp_path, capsys, no_task_runs, text, li
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    number = next(w for w in ("1e400", _HUGE_INT) if w in literal)
-    assert err.startswith("invalid request: number literal ")
-    assert f"{number} is outside the range of a double" in err
+    # the message quotes the literal, sign included, or its first 40 characters
+    number = re.search(f"-?(1e400|{_HUGE_INT})", literal).group()[:40]
+    assert err.startswith("malformed JSON: number is infinity when parsed as double")
+    assert number in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("where", ["system", "initial"])
+def test_seed_is_at_most_64_bits(tmp_path, capsys, where):
+    for seed, expected in [(2**64 - 1, 0), (2**64, 2), (2**70, 2)]:
+        sc = json.loads(json.dumps(BASE_SCENARIO))
+        (sc["system"] if where == "system" else sc["initial"]["preset"])["seed"] = seed
+        code, out = _run(tmp_path, sc, f"seed-{where}-{seed}")
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected:
+            # orjson reads 2**64 and above as a float, so no seed is rounded
+            assert not out.exists()
+            path = "system/seed" if where == "system" else "initial/preset/seed"
+            assert err.startswith(f"schema violation: scenario at '{path}': ")
+            assert "is greater than the maximum of 18446744073709551615" in err
+            assert len(err.splitlines()) == 1
+
+
+def test_seed_option_is_at_most_64_bits(tmp_path, capsys):
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    for seed, expected in [(2**64 - 1, 0), (2**64, 2)]:
+        out = tmp_path / f"out-{seed}"
+        code = main(["run", "--scenario", path, "--out", str(out), "--seed", str(seed)])
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected:
+            assert not out.exists()
+            assert err.startswith("schema violation: scenario at 'system/seed': ")
+
+
+def test_a_scenario_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(BASE_SCENARIO).encode().replace(b"0.3", b"0.\xff"))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+def _nested_text(depth: int, kind: str) -> str:
+    """A scenario text whose system is a chain of depth arrays or objects."""
+    if kind == "list":
+        chain = "[" * depth + "]" * depth
+    else:
+        chain = '{"a": ' * depth + "1" + "}" * depth
+    return '{"system": ' + chain + ', "tasks": ["evolve"]}'
+
+
+@pytest.mark.parametrize("kind", ["list", "dict"])
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deep_nesting_exits_2(tmp_path, capsys, no_task_runs, depth, kind):
+    path = tmp_path / "scenario.json"
+    path.write_text(_nested_text(depth, kind))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == (
+        "schema violation: scenario nests arrays and objects more than "
+        f"{serialize.MAX_NESTING} levels deep\n"
+    )
+    assert "Traceback" not in err
 
 
 def test_tiny_hbar_exceeds_phase_bound(tmp_path, capsys):

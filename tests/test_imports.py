@@ -1,6 +1,7 @@
 """Each module imports on its own: the package binds only `__version__`."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -18,10 +19,11 @@ _PROBE = (
 )
 
 
-def _loaded(module: str) -> set[str]:
+def _probe_modules(probe: str, *args: str) -> set[str]:
+    """The modules loaded when probe has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, module],
+        [sys.executable, "-c", probe, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -29,6 +31,10 @@ def _loaded(module: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def _loaded(module: str) -> set[str]:
+    return _probe_modules(_PROBE, module)
 
 
 def test_package_imports_nothing():
@@ -69,7 +75,31 @@ def test_cli_loads_every_module_the_benchmark_traces():
     loaded = _loaded("qcorr.cli")
     assert {f"qcorr.{module}" for module, _ in spanned} <= loaded
     assert "qcorr.verify" not in loaded
-    # orjson is imported when the first matrix is written, after setup
+    # orjson is imported when `qcorr run` reads a scenario
     assert "orjson" not in loaded
     # runs are sequential: no thread pool is imported
     assert "concurrent.futures" not in loaded
+
+
+# runs one scenario in a fresh interpreter, then prints every loaded module
+_RUN_PROBE = (
+    "import sys\n"
+    "from qcorr.cli import main\n"
+    "assert main(['run', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+    "print(' '.join(sorted(sys.modules)))\n"
+)
+
+
+def test_a_valid_run_loads_orjson_but_not_jsonschema(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "system": {"preset": "random_hermitian", "seed": 11},
+        "initial": {"preset": {"preset": "random_density", "seed": 12}},
+        "times": [0.1],
+        "n_max": 2,
+        "tasks": ["evolve"],
+    }))
+    loaded = _probe_modules(_RUN_PROBE, str(scenario), str(tmp_path / "out"))
+    assert "orjson" in loaded
+    assert "jsonschema" not in loaded
+    assert "qcorr.verify" not in loaded

@@ -3,7 +3,11 @@
 import copy
 import json
 import math
+import os
 import struct
+import sys
+import tempfile
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr.cli import load_scenario
+from qcorr import cli
+from qcorr.cli import load_scenario, main
 from qcorr.errors import SchemaViolation
 from qcorr.operators import ManyBodyOperator
 from qcorr.partitions import ParticleSet
@@ -21,7 +26,9 @@ from qcorr.serialize import (
     _KEYWORDS,
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
+    MAX_NESTING,
     SEQUENCE_SCHEMA,
+    check_nesting,
     decode_complex,
     decode_raw_matrix,
     decode_sequence,
@@ -65,6 +72,14 @@ def test_raw_matrix_roundtrip():
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     back = decode_raw_matrix(_wire(encode_raw_matrix(m)))
     assert np.array_equal(back, m)
+
+
+def test_raw_matrix_decodes_bit_for_bit():
+    rows = [[[-0.0, 5e-324], [1, -(2**63)]], [[2**64 - 1, -0.0], [1.5e-300, 0]]]
+    a = decode_raw_matrix(rows)
+    want = np.array([[complex(re, im) for re, im in row] for row in rows])
+    assert a.dtype == np.complex128 and a.shape == (2, 2)
+    assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
 
 
 def test_raw_matrix_must_be_square():
@@ -364,6 +379,71 @@ def test_other_documents_go_to_json_whole():
 
 
 # ---------------------------------------------------------------------------
+# reading: `qcorr run` reads each number literal as float() reads it
+
+
+def _read_by_cli(text: str) -> tuple[int, list]:
+    """The exit code of `qcorr run` on a scenario file holding text, and the
+    documents it handed to load_scenario (which here refuses each one)."""
+    seen = []
+
+    def capture(obj):
+        seen.append(obj)
+        raise SchemaViolation("captured")
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        cli, "load_scenario", capture
+    ):
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = main(["run", "--scenario", path, "--out", os.path.join(tmp, "out")])
+    return code, seen
+
+
+def _assert_read_as_float_reads(texts: list[str]) -> None:
+    code, seen = _read_by_cli('{"v": [' + ", ".join(texts) + "]}")
+    assert code == 2
+    (obj,) = seen
+    assert [type(x) for x in obj["v"]] == [float] * len(texts)
+    assert [x.hex() for x in obj["v"]] == [float(t).hex() for t in texts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_doubles, min_size=1, max_size=20))
+def test_reader_reads_each_literal_to_the_bits_of_float(values):
+    _assert_read_as_float_reads([t for x in values for t in (repr(x), "%.25e" % x)])
+
+
+# the literals at the ends of the range of a double, and what float() reads
+_READ_GRID = {
+    "-0.0": -0.0,
+    "5e-324": 5e-324,
+    "2.4703282292062327e-324": 0.0,
+    "2.4703282292062328e-324": 5e-324,
+    "1.7976931348623157e308": sys.float_info.max,
+    "1.7976931348623158e308": sys.float_info.max,
+    "1e-400": 0.0,
+}
+
+
+def test_reader_reads_the_grid_as_float_does():
+    for text, value in _READ_GRID.items():
+        assert float(text).hex() == value.hex()
+    _assert_read_as_float_reads(list(_READ_GRID))
+
+
+def test_reader_refuses_the_first_literal_beyond_a_double(capsys):
+    literal = "1.7976931348623159e308"
+    code, seen = _read_by_cli('{"v": [' + literal + "]}")
+    assert (code, seen) == (2, [])
+    err = capsys.readouterr().err
+    assert err.startswith("malformed JSON: number is infinity when parsed as double")
+    assert f"'{literal}'" in err
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
 # scenario schema
 
 
@@ -417,6 +497,80 @@ def test_violation_message_carries_path():
     sc["times"] = []
     with pytest.raises(SchemaViolation, match="'times'"):
         validate(sc, SCENARIO_SCHEMA, "scenario")
+
+
+def _chain(depth, kind, leaf=1):
+    """leaf inside depth nested lists, or objects with the one key "a"."""
+    for _ in range(depth):
+        leaf = [leaf] if kind == "list" else {"a": leaf}
+    return leaf
+
+
+def _refused_as_too_deep(doc) -> tuple[bool, bool]:
+    """Whether validate, and check_nesting on doc's JSON text, refuse doc
+    for its nesting."""
+    verdicts = []
+    for check in (
+        lambda: validate(doc, SCENARIO_SCHEMA, "scenario"),
+        lambda: check_nesting(json.dumps(doc).encode(), "scenario"),
+    ):
+        try:
+            check()
+        except SchemaViolation as exc:
+            verdicts.append("levels deep" in str(exc))
+        else:
+            verdicts.append(False)
+    return tuple(verdicts)
+
+
+@pytest.mark.parametrize("kind", ["list", "dict"])
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_validate_refuses_deep_nesting_without_recursing(kind, depth):
+    sc = _minimal_scenario()
+    sc["system"] = _chain(depth, kind)
+    with pytest.raises(SchemaViolation) as info:
+        validate(sc, SCENARIO_SCHEMA, "scenario")
+    assert str(info.value) == (
+        f"scenario nests arrays and objects more than {MAX_NESTING} levels deep"
+    )
+
+
+@pytest.mark.parametrize("kind", ["list", "dict", "matrix"])
+def test_the_nesting_bound_is_one_for_documents_and_text(kind):
+    # the scenario object is the first level, a raw matrix three more
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        if kind == "matrix":
+            doc = {"m": _chain(depth - 4, "list", [[[0.5, -1]]])}
+        else:
+            doc = {"m": _chain(depth - 1, kind)}
+        too_deep = depth > MAX_NESTING
+        assert _refused_as_too_deep(doc) == (too_deep, too_deep)
+
+
+_DEEP = "[" * (MAX_NESTING + 1) + "]" * (MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ('{"path": "' + "[" * 200 + '"}', False),
+        ('{"a": "' + "]" * 200 + '", "b": ' + _DEEP + "}", True),
+        # an escaped quote does not end the string
+        ('{"a": "\\"' + "[" * 200 + '"}', False),
+        # an escaped backslash does not escape the quote after it
+        ('{"a": "\\\\", "b": ' + _DEEP + "}", True),
+        ('{"a": "\\\\\\"' + "{" * 200 + '"}', False),
+        ('"\\', False),
+        ("", False),
+    ],
+)
+def test_brackets_in_strings_do_not_nest(text, refused):
+    try:
+        check_nesting(text.encode())
+    except SchemaViolation:
+        assert refused
+    else:
+        assert not refused
 
 
 def _explicit_scenario(values):
