@@ -41,42 +41,31 @@ scalars and short lists are json's own text, escapes and refusals.
 * orjson is imported at the first leaf written, so importing
   qcorr.serialize does not load it.
 
-Fast path of validate
----------------------
-Documents are large only in their raw-matrix leaves, so validate treats
-those leaves apart from the rest.
+The checker
+-----------
+validate is one recursive checker, _check, written for the keywords these
+schemas use: type, properties, required, additionalProperties, items,
+minItems, maxItems, minProperties, maxProperties, enum (of strings),
+minimum, maximum, exclusiveMinimum and oneOf, with Draft 2020-12 meaning and
+jsonschema's default type checks (bool is no number, 1.0 is an integer).  A
+tier-1 test keeps every schema within that subset, and tests hold its
+verdicts equal to jsonschema's, which only the tests import.
 
-* validate first checks, in one pass, which lists are raw matrices: non-empty
-  lists of non-empty rows of two-element lists whose entries are exactly
-  int or float.  Each such leaf is replaced by the stand-in [[[0.0, 0.0]]]
-  in a skeleton copy.  This is sound because no schema in ALL_SCHEMAS
-  constrains a matrix-level array beyond "minItems": 1 (tests pin this), so
-  no schema can tell a valid leaf from the stand-in: the skeleton is valid
-  exactly when the document is.
-* The skeleton copy stops where the document nests more than MAX_NESTING
-  (100) arrays and objects, and validate refuses it there, before its own
-  recursion, jsonschema's or the repr in jsonschema's message exhausts the
-  stack.  check_nesting refuses such JSON text before orjson parses it.
-* The skeleton is accepted by _conforms, a checker written here for the
-  keywords these schemas use and nothing else: type, properties, required,
-  additionalProperties, patternProperties, items, minItems, maxItems,
-  minProperties, maxProperties, enum (of strings), pattern, minimum, maximum,
-  exclusiveMinimum and oneOf, with Draft 2020-12 meaning and jsonschema's
-  default type checks (bool is no number, 1.0 is an integer).  Every
-  subschema must name a type or be a lone oneOf.  A schema outside that
-  subset makes _conforms give up, which it reports as "not accepted".
-* Only a document _conforms does not accept reaches jsonschema, imported at
-  that point: jsonschema validates the original document and its best_match
-  error is the one reported.  So jsonschema still decides every rejection
-  and words it, while accepting a document costs no jsonschema import and
-  no meta-schema check.  Tests check that _conforms agrees with jsonschema
-  and that every schema passes jsonschema's meta-schema.
+* It returns the first failure as a path and a reason, quoting scalars only,
+  never a container's repr.  A oneOf is judged inside the one branch whose
+  type the instance has and, for an object, whose required keys it holds, so
+  a system with "preset" is judged as a preset.  When none or several fit,
+  the oneOf is judged, and refused, as a whole.
+* It recurses along the schema, never deeper than the schema nests, so a
+  document nested however deep cannot exhaust the stack.
+* Documents are large only in their raw-matrix leaves: where the schema is
+  _RAW_MATRIX, a leaf that _is_raw_matrix accepts in one pass is valid, and
+  only another is walked entry by entry to the one at fault.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from numbers import Number
 from typing import Any
@@ -133,7 +122,7 @@ _SYSTEM_EXPLICIT = {
         "potentials": {
             "type": "object",
             "additionalProperties": False,
-            "patternProperties": {"^[2-9]$": _RAW_MATRIX},
+            "properties": {str(k): _RAW_MATRIX for k in range(2, 10)},
         },
     },
 }
@@ -213,8 +202,6 @@ QUADRATURE_SCHEMA = {
     },
 }
 
-_TASK_PATTERN = "^(evolve|hierarchy|bbgky|iterate|observables)$"
-
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["system", "initial", "times", "tasks", "n_max"],
@@ -229,7 +216,10 @@ SCENARIO_SCHEMA = {
         },
         "tasks": {
             "type": "array",
-            "items": {"type": "string", "pattern": _TASK_PATTERN},
+            "items": {
+                "type": "string",
+                "enum": ["evolve", "hierarchy", "bbgky", "iterate", "observables"],
+            },
             "minItems": 1,
         },
         "n_max": {"type": "integer", "minimum": 1},
@@ -285,17 +275,15 @@ ALL_SCHEMAS = {
 
 
 # exact types only: bool, numpy scalars and other number-likes take the slow
-# routes, where jsonschema and json decide about them as they always have
+# routes, where _check's type checks and json decide about them
 _NUMBER_TYPES = {int, float}
 
-_MATRIX_STAND_IN = [[[0.0, 0.0]]]
-
-# the schema keywords _conforms knows; any other makes it give up
+# the schema keywords _check knows; a tier-1 test keeps every schema in
+# ALL_SCHEMAS within them
 _KEYWORDS = frozenset({
-    "type", "properties", "required", "additionalProperties",
-    "patternProperties", "items", "minItems", "maxItems", "minProperties",
-    "maxProperties", "enum", "pattern", "minimum", "maximum",
-    "exclusiveMinimum", "oneOf",
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minProperties", "maxProperties", "enum",
+    "minimum", "maximum", "exclusiveMinimum", "oneOf",
 })
 
 
@@ -314,140 +302,130 @@ def _is_raw_matrix(x) -> bool:
     return type(x) is list and bool(x) and all(map(_is_pair_row, x))
 
 
-# how deep validate and check_nesting let arrays and objects nest: far
-# above the 7 levels of a scenario, so that jsonschema words the refusal of
-# a document a few levels too deep, and far below the depth that exhausts a
-# stack: about 500 levels for jsonschema, 50,000 for orjson's parser
+# how deep check_nesting lets arrays and objects nest: far above the 7
+# levels of a scenario, and far below the depth that exhausts orjson's
+# parser, about 50,000 levels
 MAX_NESTING = 100
 _TOO_DEEP = f"{{}} nests arrays and objects more than {MAX_NESTING} levels deep"
 
+# jsonschema's Draft 2020-12 default type checks
+_TYPE_CHECKS = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, Number) and not isinstance(x, bool),
+    "integer": lambda x: (
+        x.is_integer()
+        if isinstance(x, float)
+        else isinstance(x, int) and not isinstance(x, bool)
+    ),
+}
 
-class _TooDeep(Exception):
-    """The document nests more than MAX_NESTING arrays and objects."""
-
-
-def _skeleton(x, room: int = MAX_NESTING):
-    """x with every raw-matrix leaf replaced by the stand-in; raises
-    _TooDeep, without descending further, where x nests more than room
-    arrays and objects."""
-    if type(x) is dict or type(x) is list:
-        if room < 1:
-            raise _TooDeep
-        if type(x) is dict:
-            return {k: _skeleton(v, room - 1) for k, v in x.items()}
-        if _is_raw_matrix(x):
-            if room < 3:
-                raise _TooDeep
-            return _MATRIX_STAND_IN
-        return [_skeleton(v, room - 1) for v in x]
-    return x
+_Failure = tuple[tuple, str]
 
 
-class _Undecided(Exception):
-    """The schema uses something _conforms does not know."""
+def _show(x) -> str:
+    """x as a reason quotes it: a scalar's repr, a container's kind."""
+    if isinstance(x, dict):
+        return "an object"
+    if isinstance(x, list):
+        return "an array"
+    return repr(x)
 
 
-def _is_type(x, kind: str) -> bool:
-    """jsonschema's Draft 2020-12 default type check."""
-    if kind == "object":
-        return isinstance(x, dict)
-    if kind == "array":
-        return isinstance(x, list)
-    if kind == "string":
-        return isinstance(x, str)
-    if kind == "boolean":
-        return isinstance(x, bool)
-    if kind == "null":
-        return x is None
-    if kind == "number":
-        return isinstance(x, Number) and not isinstance(x, bool)
-    if kind == "integer":
-        if isinstance(x, float):
-            return x.is_integer()
-        return isinstance(x, int) and not isinstance(x, bool)
-    raise _Undecided
-
-
-def _check(x, schema) -> bool:
-    """Whether x is valid under schema; raises _Undecided for a schema
-    outside the known subset, so that False always means "invalid"."""
-    if schema is True or schema is False:
-        return schema
-    if type(schema) is not dict or not schema.keys() <= _KEYWORDS:
-        raise _Undecided
-    if "type" in schema:
-        if not _is_type(x, schema["type"]):
-            return False
-    elif schema.keys() != {"oneOf"}:
-        raise _Undecided
-    if "oneOf" in schema and sum(_check(x, s) for s in schema["oneOf"]) != 1:
-        return False
-    if "enum" in schema:
-        if not all(type(v) is str for v in schema["enum"]):
-            raise _Undecided
-        if x not in schema["enum"]:
-            return False
+def _check(x, schema: dict) -> _Failure | None:
+    """None when x is valid under schema, else the first failure: the path
+    from x to the value at fault, and the reason."""
+    if schema is _RAW_MATRIX and _is_raw_matrix(x):
+        return None
+    if "type" in schema and not _TYPE_CHECKS[schema["type"]](x):
+        return (), f"{_show(x)} is not of type {schema['type']!r}"
+    if "oneOf" in schema:
+        failure = _check_one_of(x, schema["oneOf"])
+        if failure is not None:
+            return failure
+    if "enum" in schema and x not in schema["enum"]:
+        return (), f"{_show(x)} is not one of {schema['enum']!r}"
     # each keyword below applies only to its own instance type
     if isinstance(x, dict):
-        if not (
-            schema.get("minProperties", 0)
-            <= len(x)
-            <= schema.get("maxProperties", len(x))
-        ):
-            return False
-        if any(k not in x for k in schema.get("required", ())):
-            return False
-        props = schema.get("properties", {})
-        patterns = schema.get("patternProperties", {})
-        rest = schema.get("additionalProperties", True)
-        for k, v in x.items():
-            subs = [sub for p, sub in patterns.items() if re.search(p, k)]
-            if k in props:
-                subs.append(props[k])
-            if not all(_check(v, sub) for sub in subs or [rest]):
-                return False
-    elif isinstance(x, list):
-        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
-            return False
-        items = schema.get("items", True)
-        return all(_check(v, items) for v in x)
-    elif isinstance(x, str):
-        if "pattern" in schema and not re.search(schema["pattern"], x):
-            return False
-    elif _is_type(x, "number"):
+        return _check_object(x, schema)
+    if isinstance(x, list):
+        return _check_array(x, schema)
+    if _TYPE_CHECKS["number"](x):
         if "minimum" in schema and x < schema["minimum"]:
-            return False
+            return (), f"{x!r} is less than the minimum of {schema['minimum']!r}"
         if "maximum" in schema and x > schema["maximum"]:
-            return False
+            return (), f"{x!r} is greater than the maximum of {schema['maximum']!r}"
         if "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]:
-            return False
-    return True
+            return (), (
+                f"{x!r} is less than or equal to the minimum of "
+                f"{schema['exclusiveMinimum']!r}"
+            )
+    return None
 
 
-def _conforms(instance, schema) -> bool:
-    """True when instance is valid under schema.  False when it is not, or
-    when schema uses a keyword or a form outside the subset _check knows."""
-    try:
-        return _check(instance, schema)
-    except _Undecided:
-        return False
+def _check_one_of(x, branches: list[dict]) -> _Failure | None:
+    """_check under a oneOf: inside the one branch that x fits by type and,
+    as an object, by required keys, or else at the oneOf itself."""
+    fits = [
+        b for b in branches
+        if ("type" not in b or _TYPE_CHECKS[b["type"]](x))
+        and not (isinstance(x, dict) and any(k not in x for k in b.get("required", ())))
+    ]
+    if len(fits) == 1:
+        return _check(x, fits[0])
+    valid = sum(_check(x, b) is None for b in fits)
+    if valid == 0:
+        return (), f"{_show(x)} matches none of the allowed forms"
+    if valid > 1:
+        return (), f"{_show(x)} matches more than one of the allowed forms"
+    return None
+
+
+def _check_object(x: dict, schema: dict) -> _Failure | None:
+    n = len(x)
+    if n < schema.get("minProperties", 0):
+        return (), f"has too few properties: {n}, at least {schema['minProperties']}"
+    if n > schema.get("maxProperties", n):
+        return (), f"has too many properties: {n}, at most {schema['maxProperties']}"
+    for k in schema.get("required", ()):
+        if k not in x:
+            return (), f"{k!r} is a required property"
+    props = schema.get("properties", {})
+    rest = schema.get("additionalProperties", True)
+    for k, v in x.items():
+        sub = props.get(k, rest)
+        if sub is False:
+            return (), f"property {k!r} is not allowed"
+        failure = None if sub is True else _check(v, sub)
+        if failure is not None:
+            return (k, *failure[0]), failure[1]
+    return None
+
+
+def _check_array(x: list, schema: dict) -> _Failure | None:
+    n = len(x)
+    if n < schema.get("minItems", 0):
+        return (), f"has too few items: {n}, at least {schema['minItems']}"
+    if n > schema.get("maxItems", n):
+        return (), f"has too many items: {n}, at most {schema['maxItems']}"
+    items = schema.get("items")
+    if items is not None:
+        for i, v in enumerate(x):
+            failure = _check(v, items)
+            if failure is not None:
+                return (i, *failure[0]), failure[1]
+    return None
 
 
 def validate(obj: Any, schema: dict, what: str = "document") -> None:
     """Validate obj against schema, raising SchemaViolation on failure."""
-    try:
-        skeleton = _skeleton(obj)
-    except _TooDeep:
-        raise SchemaViolation(_TOO_DEEP.format(what)) from None
-    if _conforms(skeleton, schema):
-        return
-    import jsonschema
-
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise SchemaViolation(f"{what} at '{path}': {exc.message}") from exc
+    failure = _check(obj, schema)
+    if failure is not None:
+        path, reason = failure
+        raise SchemaViolation(f"{what} at '{'/'.join(map(str, path))}': {reason}")
 
 
 # the bytes of JSON text that check_nesting reads

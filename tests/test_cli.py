@@ -178,7 +178,7 @@ def test_seed_override(tmp_path):
     "field, value, message",
     [
         ("system", dict(BASE_SCENARIO["system"], seed=-1), "'system/seed': -1 is less"),
-        ("initial", [], "'initial': [] is not of type 'object'"),
+        ("initial", [], "'initial': an array is not of type 'object'"),
     ],
     ids=["negative-seed", "initial-not-an-object"],
 )
@@ -293,20 +293,20 @@ def test_write_error_leaves_the_output_directory_as_it_was(
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("tasks", ["verify:group-law"], "'verify:group-law' does not match"),
-        ("tolerances", {"tol_scale": 1.0}, "('tolerances' was unexpected)"),
+        ("tasks", ["verify:group-law"], "'tasks/0': 'verify:group-law' is not one of"),
+        ("tolerances", {"tol_scale": 1.0}, "'': property 'tolerances' is not allowed"),
         (
             "initial",
             {"preset": {"preset": "chaos", "seed": 12}},
-            "'chaos' is not one of",
+            "'initial/preset/preset': 'chaos' is not one of",
         ),
         (
             "initial",
             {"chaos": {"labels": [1], "dim_single": 2, "matrix": _wire(encode_raw_matrix(
                 chaos_one_particle(31, 2, norm=0.8).matrix))}},
-            "('chaos' was unexpected)",
+            "'initial': property 'chaos' is not allowed",
         ),
-        ("tasks", ["chaos"], "'chaos' does not match"),
+        ("tasks", ["chaos"], "'tasks/0': 'chaos' is not one of"),
     ],
     ids=["verify-task", "tolerances", "chaos-preset", "chaos-initial", "chaos-task"],
 )
@@ -316,8 +316,40 @@ def test_suite_route_and_chaos_preset_exit_2(tmp_path, capsys, field, value, mes
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("schema violation: ")
-    assert message in err
+    assert err.startswith(f"schema violation: scenario at {message}")
+    assert len(err.splitlines()) == 1
+
+
+# a task name and a potential order match only as whole strings: with a
+# trailing newline accepted, "evolve\n" would run no task, and "2\n" would
+# replace the potential that "2" names
+def test_a_task_name_with_a_trailing_newline_exits_2(tmp_path, capsys):
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=["evolve\n"]), "task")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "schema violation: scenario at 'tasks/0': 'evolve\\n' is not one of "
+        "['evolve', 'hierarchy', 'bbgky', 'iterate', 'observables']\n"
+    )
+
+
+def test_a_potential_order_with_a_trailing_newline_exits_2(tmp_path, capsys):
+    rng = rng_from_seed(5)
+    system = {
+        "dim_single": 2,
+        "one_body": _wire(encode_raw_matrix(random_hermitian(rng, 2))),
+        "potentials": {
+            "2": _wire(encode_raw_matrix(random_hermitian(rng, 4))),
+            "2\n": _wire(encode_raw_matrix(np.zeros((4, 4)))),
+        },
+    }
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, system=system), "potentials")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "schema violation: scenario at 'system/potentials': "
+        "property '2\\n' is not allowed\n"
+    )
 
 
 _CORRELATION_AS_DENSITY = {
@@ -515,10 +547,10 @@ def test_accepting_input_never_imports_jsonschema(tmp_path):
     proc = _probe("run", "--scenario", path, "--out", str(tmp_path / "bad-out"))
     assert proc.returncode == 2
     assert proc.stderr == (
-        "schema violation: scenario at 'tasks/0': 'simulate' does not match "
-        "'^(evolve|hierarchy|bbgky|iterate|observables)$'\n"
+        "schema violation: scenario at 'tasks/0': 'simulate' is not one of "
+        "['evolve', 'hierarchy', 'bbgky', 'iterate', 'observables']\n"
         "verify imported: False\n"
-        "jsonschema imported: True\n"
+        "jsonschema imported: False\n"
     )
 
 

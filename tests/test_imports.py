@@ -3,8 +3,10 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
@@ -90,16 +92,68 @@ _RUN_PROBE = (
 )
 
 
+_SCENARIO = {
+    "system": {"preset": "random_hermitian", "seed": 11},
+    "initial": {"preset": {"preset": "random_density", "seed": 12}},
+    "times": [0.1],
+    "n_max": 2,
+    "tasks": ["evolve"],
+}
+
+
 def test_a_valid_run_loads_orjson_but_not_jsonschema(tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({
-        "system": {"preset": "random_hermitian", "seed": 11},
-        "initial": {"preset": {"preset": "random_density", "seed": 12}},
-        "times": [0.1],
-        "n_max": 2,
-        "tasks": ["evolve"],
-    }))
+    scenario.write_text(json.dumps(_SCENARIO))
     loaded = _probe_modules(_RUN_PROBE, str(scenario), str(tmp_path / "out"))
     assert "orjson" in loaded
     assert "jsonschema" not in loaded
     assert "qcorr.verify" not in loaded
+
+
+# runs the CLI on argv in a fresh interpreter, then prints every loaded
+# module on stderr's last line and exits with the CLI's code
+_MAIN_PROBE = (
+    "import sys\n"
+    "from qcorr.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _distributions(modules) -> set[str]:
+    """The installed distributions that provide modules."""
+    provided = packages_distributions()
+    return {d for m in modules for d in provided.get(m.split(".")[0], ())}
+
+
+def test_every_command_loads_only_the_runtime_dependencies(tmp_path):
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    runtime = set(re.findall(r'"([A-Za-z0-9_]+)', block))
+    assert runtime == {"numpy", "orjson"}
+
+    valid = tmp_path / "valid.json"
+    valid.write_text(json.dumps(_SCENARIO))
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps(dict(_SCENARIO, tasks=["simulate"])))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = set()
+    for argv, code in [
+        (["run", "--scenario", str(valid), "--out", str(tmp_path / "a")], 0),
+        (["run", "--scenario", str(refused), "--out", str(tmp_path / "b")], 2),
+        (["schema", "--print"], 0),
+        (["verify", "--suite", "combinatorics"], 0),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_PROBE, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        loaded |= _distributions(proc.stderr.splitlines()[-1].split())
+    # site hooks may load packages before any qcorr code runs
+    bare = _distributions(_probe_modules("import sys; print(*sys.modules)"))
+    assert loaded - bare - {"qcorr"} == runtime

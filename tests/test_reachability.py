@@ -141,7 +141,7 @@ def test_the_walk_sees_through_modules_and_classes():
         ("hierarchy", "solve_hierarchy"),
         ("evolution", "evolve_density_sequence"),
         ("star_algebra", "OperatorSequence"),
-        ("serialize", "_conforms"),
+        ("serialize", "_check"),
     } <= reached
     assert ("hierarchy", "solve_via_density_oracle") not in reached
 

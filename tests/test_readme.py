@@ -77,9 +77,9 @@ def test_minimal_scenario_never_imports_verify(tmp_path):
 
 
 def test_one_task_list_and_no_dead_flag_in_the_readme():
-    # the schema's task pattern and the runner's task table name the same tasks
-    alternatives = re.fullmatch(r"\^\((.*)\)\$", serialize._TASK_PATTERN).group(1)
-    assert alternatives.split("|") == list(cli._TASK_FNS)
+    # the schema's task enum and the runner's task table name the same tasks
+    tasks = serialize.SCENARIO_SCHEMA["properties"]["tasks"]["items"]["enum"]
+    assert tasks == list(cli._TASK_FNS)
 
     # every qcorr command line the README shows parses, optional flags included
     lines = [
