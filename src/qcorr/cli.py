@@ -68,9 +68,8 @@ from .hierarchy import (
 from .operators import (
     MAX_OPERATOR_DIM,
     ManyBodyOperator,
-    check_mb_symmetry,
-    mb_symmetry_defect,
     min_eigenvalue,
+    require_exchange_symmetric,
     require_hermitian,
     trace_norm,
 )
@@ -207,7 +206,9 @@ def load_scenario(obj: dict) -> Scenario:
         with _strict_fp():
             initial = _build_initial(obj["initial"], spec, n_max)
     except (FloatingPointError, OverflowError) as exc:
-        raise NumericError(f"initial data: {exc}") from exc
+        # float ** int raises OverflowError((errno, message)), whose text is
+        # the tuple: quote the message alone
+        raise NumericError(f"initial data: {exc.args[-1]}") from exc
     if initial.seq.dim_single != spec.dim_single:
         raise SchemaViolation("initial data does not match the system dimension")
     if "observables" in obj["tasks"]:
@@ -352,12 +353,8 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
     n >= s + 2 are checked.  The check is sufficient, not necessary.
     """
     for n, op in sorted(d0.seq.components.items()):
-        if n >= min(s_values) + 2 and not check_mb_symmetry(op):
-            raise ValueError(
-                f"density component {n} is not exchange-symmetric (defect "
-                f"{mb_symmetry_defect(op):.3e}), so reduced operators for "
-                f"s <= {n - 2} would not match the evolved density"
-            )
+        if n >= min(s_values) + 2:
+            require_exchange_symmetric(op.matrix, op.dim_single, f"density component {n}")
 
 
 def _marginal_records(sc: Scenario, solve_at) -> list[dict]:

@@ -2,8 +2,9 @@
 
 A :class:`SystemSpec` holds a one-body Hermitian matrix (the finite
 stand-in for a kinetic term) and a family of k-body interaction potentials,
-one Hermitian matrix on d^k per declared order k.  From it the module
-builds n-particle Hamiltonians
+one Hermitian, exchange-symmetric matrix on d^k per declared order k; it
+checks both rules on the matrices, by the one test of each in
+:mod:`qcorr.operators`.  From it the module builds n-particle Hamiltonians
 
     H_n = sum_i h(i) + sum_k sum_{i_1<...<i_k} Phi^(k)(i_1,...,i_k)
 
@@ -26,7 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import ManyBodyOperator, check_mb_symmetry, embed_sum, require_hermitian
+from .operators import (
+    ManyBodyOperator,
+    embed_sum,
+    require_exchange_symmetric,
+    require_hermitian,
+)
 from .partitions import ParticleSet
 
 
@@ -67,11 +73,7 @@ class SystemSpec:
                     f"potential of order {k} must be {dim}x{dim}, got {m.shape}"
                 )
             require_hermitian(m, f"potential[{k}]")
-            as_op = ManyBodyOperator(ParticleSet.range1(k), d, m)
-            if not check_mb_symmetry(as_op):
-                raise ValueError(
-                    f"potential[{k}] must be invariant under particle permutations"
-                )
+            require_exchange_symmetric(m, d, f"potential[{k}]")
             m.setflags(write=False)
             pots[k] = m
         self.potentials = pots

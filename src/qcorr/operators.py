@@ -7,7 +7,7 @@ label order: the smallest label is the most significant digit.
 
 The module provides the plumbing every formula downstream is built from:
 embedding into larger label sets, products over disjoint supports, partial
-traces, trace norms, and permutation-symmetry checks.
+traces, trace norms, and the Hermiticity and exchange-symmetry tests.
 
 The slot convention lives in one place.  :func:`_permute_slots` moves the
 row and column slots of a matrix alike, by an axis permutation of the
@@ -15,23 +15,25 @@ reshaped tensor, so no d^{2n} x d^{2n} permutation matrix is ever
 materialized.  :func:`embed_sum` krons each local term with an identity and
 moves it into label order with that helper; every embedding and every sum
 of local terms (Hamiltonians, interaction generators, additive observables)
-goes through it.  :func:`tensor_product`, :func:`symmetrize` and
-the symmetry checks use the helper too.
+goes through it.  :func:`tensor_product` uses the helper too, and so does
+the one permutation sum behind :func:`symmetrize` and the symmetry test.
 :func:`partial_trace_matrix` stays on ``np.einsum`` with integer sublists,
 where a traced slot's column axis is its row axis: routing it through the
 helper would make a transposed copy first, several times slower than the
 einsum; :func:`partial_trace` is its labelled form.
 
 Each rule about input matrices has one owner: the constructor that receives
-a matrix checks its shape and entries, and :func:`require_hermitian` is the
-one Hermiticity test, for input data and the ``min_eig`` gate alike.
+a matrix checks its shape and entries, :func:`require_hermitian` is the
+one Hermiticity test, for input data and the ``min_eig`` gate alike, and
+:func:`require_exchange_symmetric` is the one exchange-symmetry test, for
+the potentials and the density data of the reduced-operator tasks.  It
+compares a matrix with its own symmetrization, in n(n-1)/2 slot swaps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, frexp, log
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -228,10 +230,6 @@ def trace_norm(op: ManyBodyOperator) -> float:
     return float(np.sum(s))
 
 
-def max_abs(op: ManyBodyOperator) -> float:
-    return float(np.max(np.abs(op.matrix))) if op.matrix.size else 0.0
-
-
 def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     """The permutation of range(n) that swaps i and j."""
     perm = list(range(n))
@@ -239,66 +237,28 @@ def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _conjugate_defect(op: ManyBodyOperator, perm: tuple[int, ...]) -> float:
-    """Largest entry of |P op P^dagger - op| for the particle permutation perm."""
-    moved = _permute_slots(op.matrix, perm, op.dim_single)
-    return float(np.max(np.abs(moved - op.matrix)))
+def _permutation_sum(m: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Sum of m conjugated by every permutation of its n slots.
 
-
-def mb_symmetry_defect(op: ManyBodyOperator) -> float:
-    """Largest deviation of op from any particle-permutation conjugate."""
-    n = len(op.labels)
-    if n <= 1:
-        return 0.0
-    worst = 0.0
-    for perm in itertools.permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        worst = max(worst, _conjugate_defect(op, perm))
-    return worst
-
-
-def check_mb_symmetry(op: ManyBodyOperator) -> bool:
-    """True iff op commutes with every particle-permutation conjugation.
-
-    Decides mb_symmetry_defect(op) <= TAU_HERM * max(1, max_abs(op)) from
-    the largest transposition defect T where it can: a transposition is a
-    permutation, so T above the bound refuses, and every permutation is a
-    product of at most n - 1 transpositions, each of which only moves
-    entries, so T within bound / (n - 1) accepts.  Only a T between the two
-    scans all n! permutations.
+    The sum over S_n is the product over k = 2..n of the coset sums
+    e + sum_{j<k} (j k) of S_k over S_{k-1}, applied in turn: n(n-1)/2
+    transposition conjugations in place of n! permutations.
     """
-    n = len(op.labels)
-    if n <= 1:
-        return True
-    bound = TAU_HERM * max(1.0, max_abs(op))
-    worst = max(
-        _conjugate_defect(op, _transposition(n, i, j))
-        for i, j in itertools.combinations(range(n), 2)
-    )
-    if worst > bound:
-        return False
-    if worst <= bound / (n - 1):
-        return True
-    return mb_symmetry_defect(op) <= bound
+    acc = m
+    for k in range(1, n):
+        total = acc
+        for j in range(k):
+            total = total + _permute_slots(acc, _transposition(n, j, k), d)
+        acc = total
+    return acc
 
 
 def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:
-    """Average of op over all particle-permutation conjugations.
-
-    The sum over S_n is the product over m = 2..n of the coset sums
-    e + sum_{j<m} (j m) of S_m over S_{m-1}, applied in turn: n(n-1)/2
-    transposition conjugations in place of n! permutations.
-    """
+    """Average of op over all particle-permutation conjugations."""
     n = len(op.labels)
     if n <= 1:
         return op
-    acc = op.matrix
-    for m in range(1, n):
-        total = acc
-        for j in range(m):
-            total = total + _permute_slots(acc, _transposition(n, j, m), op.dim_single)
-        acc = total
+    acc = _permutation_sum(op.matrix, n, op.dim_single)
     return ManyBodyOperator(op.labels, op.dim_single, acc / factorial(n))
 
 
@@ -326,6 +286,32 @@ def require_hermitian(m: np.ndarray, what: str) -> None:
         raise ValueError(
             f"{what} must be Hermitian, deviation {dev * c} exceeds "
             f"{TAU_HERM} times its norm"
+        )
+
+
+def require_exchange_symmetric(m: np.ndarray, d: int, what: str) -> None:
+    """Refuse m, a matrix on slots of dimension d, by a ValueError naming
+    what, unless max|m - Sym m| <= (TAU_HERM / 2) max|m|, where Sym m is the
+    average of m over particle-permutation conjugations.
+
+    With A = m - Sym m, each m - P m P^dagger is P A P^dagger - A and A is
+    their average, so the largest permutation defect W lies between max|A|
+    and 2 max|A|: every m accepted has W <= TAU_HERM max|m|, and every m
+    with W <= (TAU_HERM / 2) max|m| is accepted.  m is first scaled by a
+    power of two, which is exact, so that the n! growth of the permutation
+    sum cannot overflow and the verdict does not change when m is rescaled.
+    The entries of m must be finite.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    x = np.ldexp(m.view(float), -frexp(peak)[1]).view(complex)
+    n = round(log(len(x), d))
+    dev = float(np.abs(x - _permutation_sum(x, n, d) / factorial(n)).max())
+    top = float(np.abs(x).max())
+    if dev > TAU_HERM / 2 * top:
+        raise ValueError(
+            f"{what} is not exchange-symmetric: max|m - Sym m| = "
+            f"{dev / top:.3e} max|m| exceeds {TAU_HERM / 2:g} max|m|"
         )
 
 

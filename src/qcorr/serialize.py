@@ -96,7 +96,7 @@ SEQUENCE_SCHEMA = {
     "required": ["dim_single", "n_max", "scalar0", "components"],
     "additionalProperties": False,
     "properties": {
-        "kind": {"type": "string", "enum": ["correlation", "density", "marginal"]},
+        "kind": {"type": "string", "enum": ["correlation", "density"]},
         "dim_single": {"type": "integer", "minimum": 2},
         "n_max": {"type": "integer", "minimum": 1},
         "scalar0": _COMPLEX,

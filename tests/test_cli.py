@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
+import errno
 import json
 import os
 import re
@@ -385,6 +386,12 @@ _CORRELATION_AS_DENSITY = {
             {"correlation": _CORRELATION_AS_DENSITY},
             "initial correlation sequence is marked kind 'density'",
         ),
+        (
+            # no output writes a marginal sequence, and no tag reads one
+            {"density": dict(_CORRELATION_AS_DENSITY, kind="marginal")},
+            "scenario at 'initial/density/kind': "
+            "'marginal' is not one of ['correlation', 'density']",
+        ),
     ],
     ids=[
         "random_correlation-trace_scale",
@@ -392,6 +399,7 @@ _CORRELATION_AS_DENSITY = {
         "random_density-traceless",
         "random_density-symmetric",
         "correlation-kind-density",
+        "density-kind-marginal",
     ],
 )
 def test_unread_initial_field_exits_2(tmp_path, capsys, initial, message):
@@ -710,14 +718,20 @@ def test_overflow_is_a_numeric_failure(tmp_path, capsys):
 
 
 def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
-    # trace_scale**2 overflows while the preset is drawn, before any task
-    initial = {"preset": {"preset": "random_density", "seed": 12, "trace_scale": 1e200}}
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, initial=initial), "overflow-preset")
-    assert code == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: initial data: ")
-    assert len(err.splitlines()) == 1
+    # trace_scale**2 overflows while the preset is drawn, before any task.
+    # Python's OverflowError carries (errno, message): only the message is
+    # quoted
+    for seed, n_max in [(12, 2), (2, 3)]:
+        initial = {
+            "preset": {"preset": "random_density", "seed": seed, "trace_scale": 1e200}
+        }
+        sc = dict(BASE_SCENARIO, initial=initial, n_max=n_max)
+        code, out = _run(tmp_path, sc, f"overflow-preset-{seed}")
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"numeric failure: initial data: {os.strerror(errno.ERANGE)}\n"
+        )
 
 
 def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
@@ -956,9 +970,10 @@ def test_non_symmetric_density_exits_2_without_output(tmp_path, capsys, task):
     code, out = _run(tmp_path, sc, f"asym-{task}")
     assert code == 2
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "density component 3 is not exchange-symmetric" in err
-    assert "defect 5.674e-02" in err
+    assert capsys.readouterr().err == (
+        "invalid request: density component 3 is not exchange-symmetric: "
+        "max|m - Sym m| = 7.960e-01 max|m| exceeds 5e-11 max|m|\n"
+    )
 
 
 def test_non_symmetric_density_passes_when_every_checked_s_is_exact(tmp_path, capsys):

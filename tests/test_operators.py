@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import numpy as np
@@ -11,18 +12,18 @@ from bruteforce import (
     naive_partial_trace,
     naive_permute,
 )
+from qcorr import operators
 from qcorr.errors import CapacityError
+from qcorr.hamiltonian import SystemSpec
 from qcorr.operators import (
     TAU_HERM,
     ManyBodyOperator,
-    check_mb_symmetry,
     embed_sum,
     identity_operator,
-    max_abs,
-    mb_symmetry_defect,
     min_eigenvalue,
     partial_trace,
     relabel,
+    require_exchange_symmetric,
     scaled_hermitian_defect,
     symmetrize,
     tensor_embed,
@@ -218,16 +219,29 @@ def test_trace_norm_is_singular_value_sum():
     assert abs(trace_norm(herm) - np.abs(eigs).sum()) <= 1e-10
 
 
-def test_norm_helpers_agree_with_numpy():
-    op = rand_op(24, [1, 2])
-    assert abs(max_abs(op) - np.abs(op.matrix).max()) <= TOL
+def _worst_defect(m, d):
+    """W, the largest entry of |P m P^dagger - m| over every slot permutation
+    P, by the brute-force permutation."""
+    n = round(math.log(len(m), d))
+    return max(
+        np.abs(naive_permute(m, perm, d) - m).max()
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _accepts(m, d):
+    try:
+        require_exchange_symmetric(m, d, "m")
+    except ValueError:
+        return False
+    return True
 
 
 def test_symmetrize_projects_onto_symmetric_operators():
     op = rand_op(25, [1, 2, 3])
     sym = symmetrize(op)
-    assert check_mb_symmetry(sym)
-    assert mb_symmetry_defect(sym) <= 1e-12
+    assert _accepts(sym.matrix, 2)
+    assert _worst_defect(sym.matrix, 2) <= 1e-12
     again = symmetrize(sym)
     assert np.allclose(sym.matrix, again.matrix, atol=TOL)
 
@@ -246,30 +260,33 @@ def test_high_order_preset_potential_is_quick():
     start = time.process_time()
     spec = random_system(1, dim_single=2, orders=(8,))
     assert time.process_time() - start < 5.0
-    assert check_mb_symmetry(ManyBodyOperator(ParticleSet.range1(8), 2, spec.potentials[8]))
+    require_exchange_symmetric(spec.potentials[8], 2, "potential[8]")
 
 
 def test_symmetry_defect_detects_asymmetry():
     a = rand_op(26, [1])
     b = rand_op(27, [2])
     prod = tensor_product([a, b])
-    assert mb_symmetry_defect(prod) > 1e-3
-    assert not check_mb_symmetry(prod)
+    assert _worst_defect(prod.matrix, 2) > 1e-3
+    with pytest.raises(ValueError, match="^m is not exchange-symmetric: "):
+        require_exchange_symmetric(prod.matrix, 2, "m")
 
 
-def _slot_pair_operator(values):
-    """An n-qubit operator whose entry at slot pairs (p1, ..., pn) is
-    values[(p1, ..., pn)], a slot pair being a (row bit, column bit)."""
+def _slot_pairs(d):
+    """Every (row digit, column digit) of one slot."""
+    return [(r, c) for r in range(d) for c in range(d)]
+
+
+def _slot_pair_operator(values, d):
+    """An n-slot operator whose entry at slot pairs (p1, ..., pn) is
+    values[(p1, ..., pn)], a slot pair being a (row digit, column digit)."""
     n = len(next(iter(values)))
-    m = np.zeros((2**n, 2**n), dtype=complex)
+    m = np.zeros((d**n, d**n), dtype=complex)
     for pairs, v in values.items():
-        row = sum(r << (n - 1 - i) for i, (r, _) in enumerate(pairs))
-        col = sum(c << (n - 1 - i) for i, (_, c) in enumerate(pairs))
+        row = sum(r * d ** (n - 1 - i) for i, (r, _) in enumerate(pairs))
+        col = sum(c * d ** (n - 1 - i) for i, (_, c) in enumerate(pairs))
         m[row, col] = v
-    return ManyBodyOperator(ParticleSet.range1(n), 2, m)
-
-
-_SLOT_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return m
 
 
 def _cycle_count(perm):
@@ -282,48 +299,69 @@ def _cycle_count(perm):
     return count
 
 
-def _cayley_operator(n, t):
+def _cayley_operator(n, t, d):
     """On the orbit of n distinct slot pairs, the arrangement perm holds t
     times n minus its number of cycles, its distance from the identity in
     transpositions: every transposition defect is t, an n-cycle's (n - 1) t."""
+    pairs = _slot_pairs(d)
     return _slot_pair_operator({
-        tuple(_SLOT_PAIRS[p] for p in perm): t * (n - _cycle_count(perm))
+        tuple(pairs[p] for p in perm): t * (n - _cycle_count(perm))
         for perm in itertools.permutations(range(n))
-    })
+    }, d)
 
 
-def test_symmetry_check_keeps_the_exact_decision():
-    # entries below 1, so the bound is TAU_HERM.  A largest transposition
-    # defect t above it refuses, one within TAU_HERM / (n - 1) accepts, and
-    # one in between leaves the decision to the full scan: there the n-cycle
-    # defect (n - 1) t refuses, and a lone entry, which every permutation
-    # moves alike, accepts
-    for n in (3, 4):
-        lone = tuple(_SLOT_PAIRS[:n])
-        scanned = set()
+@pytest.mark.parametrize("d", [2, 3])
+def test_symmetry_check_is_bracketed_by_the_worst_permutation_defect(d):
+    # with A = m - Sym m, max|A| <= W <= 2 max|A|, so an accepted m has
+    # W <= TAU_HERM max|m|, and W <= TAU_HERM / 2 max|m| is accepted.  The
+    # test entries are off the diagonal, and the identity under them, which
+    # every permutation fixes, makes max|m| = 1: t runs across both bounds
+    verdicts = set()
+    for n in (2, 3, 4):
+        lone = tuple(_slot_pairs(d)[:n])
         for t in TAU_HERM * np.array([0.2, 0.3, 0.45, 0.6, 0.8, 0.95, 1.1, 2.0]):
-            cayley = _cayley_operator(n, t)
-            assert mb_symmetry_defect(cayley) == (n - 1) * t
-            for op in (cayley, _slot_pair_operator({lone: t})):
-                want = mb_symmetry_defect(op) <= TAU_HERM
-                assert check_mb_symmetry(op) is want
-                if TAU_HERM / (n - 1) < t < TAU_HERM:
-                    scanned.add(want)
-        assert scanned == {True, False}
-    sym = symmetrize(rand_op(29, [1, 2, 3, 4]))
-    assert check_mb_symmetry(sym)
-    assert not check_mb_symmetry(rand_op(30, [1, 2, 3, 4]))
+            for m in (_cayley_operator(n, t, d), _slot_pair_operator({lone: t}, d)):
+                m = m + np.eye(d**n)
+                w, top = _worst_defect(m, d), np.abs(m).max()
+                assert top == 1.0
+                ok = _accepts(m, d)
+                if ok:
+                    assert w <= TAU_HERM * top
+                if w <= TAU_HERM / 2 * top:
+                    assert ok
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
-def test_symmetry_check_refuses_without_the_full_scan(monkeypatch):
-    # order 8 at d = 2: 28 transpositions, against 8! = 40320 permutations
-    def full_scan(op):
-        raise AssertionError("scanned every permutation")
+def test_symmetry_check_makes_one_slot_swap_per_transposition(monkeypatch):
+    # an order-7 potential at d = 2 whose largest transposition defect lies
+    # between TAU_HERM / 6 and TAU_HERM: a decision by the worst permutation
+    # would scan 7! = 5040 of them, the permutation sum takes 7 * 6 / 2 swaps
+    calls = []
+    permute = operators._permute_slots
 
-    monkeypatch.setattr("qcorr.operators.mb_symmetry_defect", full_scan)
-    a = rng_from_seed(32).standard_normal((256, 256))
-    op = ManyBodyOperator(ParticleSet.range1(8), 2, (a + a.T) / 2)
-    assert not check_mb_symmetry(op)
+    def counted(m, perm, d):
+        calls.append(perm)
+        return permute(m, perm, d)
+
+    monkeypatch.setattr(operators, "_permute_slots", counted)
+    phi = np.eye(2**7, dtype=complex)
+    phi[0, 1] = phi[1, 0] = 0.5 * TAU_HERM
+    assert _worst_defect(phi, 2) == 0.5 * TAU_HERM
+    SystemSpec(2, np.eye(2), {7: phi})
+    assert len(calls) <= 21
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-12, 1.0, 1e300])
+def test_symmetry_verdict_does_not_change_when_the_matrix_is_rescaled(c):
+    asym = rand_op(30, [1, 2, 3, 4]).matrix
+    sym = symmetrize(rand_op(29, [1, 2, 3, 4])).matrix
+    # the test neither overflows nor underflows, and pyproject turns a
+    # RuntimeWarning into a failure
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="not exchange-symmetric"):
+            require_exchange_symmetric(c * asym, 2, "m")
+        require_exchange_symmetric(c * sym, 2, "m")
 
 
 def test_hermiticity_and_spectrum_helpers():

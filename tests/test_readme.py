@@ -10,6 +10,7 @@ from pathlib import Path
 
 from qcorr import cli, serialize
 from qcorr.cli import main
+from qcorr.operators import TAU_HERM
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,3 +123,14 @@ def test_readme_preset_defaults_are_the_code_defaults():
     # the system preset
     readme = {field: json.loads(default) for field, default in _table("system field")}
     assert readme == serialize.SYSTEM_PRESET_DEFAULTS
+
+
+def test_readme_rule_tolerances_are_the_code_tolerances():
+    # the Hermiticity rule, ||m - m^dagger||_F <= TAU_HERM ||m||_F, and the
+    # exchange-symmetry rule, max|m - Sym m| <= (TAU_HERM / 2) max|m|
+    text = (ROOT / "README.md").read_text()
+    herm = re.findall(r"‖(\w) − \1†‖_F\s+[≤>]\s+(\S+)\s+‖\1‖_F", text)
+    sym = re.findall(r"max\|(\w+) − Sym \1\|\s+≤\s+(\S+)\s+·\s+max\|\1\|", text)
+    assert len(herm) >= 3 and sym
+    assert {float(tol) for _, tol in herm} == {TAU_HERM}
+    assert {float(tol) for _, tol in sym} == {TAU_HERM / 2}
