@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .evolution import _conjugate, group_apply, make_unitary_group
+from .evolution import DensityFlow, _conjugate, group_apply, make_unitary_group, phases
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
 from .operators import ManyBodyOperator, embed_sum, partial_trace_matrix
@@ -327,33 +327,46 @@ def additive_dispersion(a1: np.ndarray, f: MarginalState) -> float:
     return float((one + two).real)
 
 
-def additive_observable_moments(d: DensityState, a1: np.ndarray) -> tuple[float, float]:
-    """First and second moments of the additive observable, from the density.
+def _additive(a1: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """A_n = sum_i a(i) on particles 1..n."""
+    ground = ParticleSet.range1(n)
+    return embed_sum([((i,), np.asarray(a1, dtype=complex)) for i in ground], ground, dim)
 
-    The observable on n particles is A_n = sum_i a(i); each moment is the
-    normalized 1/n!-weighted sum of Tr(A_n^power D_n).  Both come from the
-    one product A_n D_n: its trace, and its pairing with A_n.
+
+def flow_observable_moments(
+    flow: DensityFlow, a1: np.ndarray, times: list[float]
+) -> list[tuple[float, float, float]]:
+    """(mean particle number, first, second moment) of flow.at(t) for each t.
+
+    The moments of :func:`additive_observable_moment`, in the eigenbasis of
+    each H_n: with A~_n = V^* A_n V formed once, Tr(A_n^k D_n(t)) =
+    Tr(A~_n^k (P o D~_n)) = p^T ((A~_n^k)^T o D~_n) p^*, O(D^2) per time.
+    The particle number, sum_n n tr D~_n / n! over z, does not move.
     """
-    seq = d.seq
-    dim = seq.dim_single
-    a = np.asarray(a1, dtype=complex)
-    z = require_normalizable(annihilation_scalar(seq))
-    first = second = 0.0 + 0.0j
-    for n in range(1, seq.n_max + 1):
-        if not seq.has(n):
-            continue
-        ground = ParticleSet.range1(n)
-        a_n = embed_sum([((i,), a) for i in ground], ground, dim)
-        ad = a_n @ seq.components[n].matrix
-        first += np.trace(ad) / factorial(n)
-        second += np.sum(a_n.T * ad) / factorial(n)
-    return float((first / z).real), float((second / z).real)
+    z = require_normalizable(annihilation_scalar(flow.d0))
+    number, moments = 0.0, np.zeros((2, len(times)), dtype=complex)
+    for n, (ug, dt) in flow.parts.items():
+        v = ug.eigenvectors
+        a_n = v.conj().T @ _additive(a1, n, flow.d0.dim_single) @ v
+        p = phases(ug, np.array(times)[:, None])  # a row per time
+        number += n * np.trace(dt) / factorial(n)
+        for k, x in enumerate((a_n, a_n @ a_n)):
+            moments[k] += ((p @ (x.T * dt)) * p.conj()).sum(axis=1) / factorial(n)
+    return [tuple(float((x / z).real) for x in (number, *m)) for m in moments.T]
 
 
 def additive_observable_moment(
     d: DensityState, a1: np.ndarray, power: int
 ) -> float:
-    """Moment ``power`` (1 or 2) of :func:`additive_observable_moments`."""
+    """Moment ``power`` (1 or 2) of the additive observable A_n = sum_i a(i),
+    from the density: the normalized 1/n!-weighted sum of Tr(A_n^power D_n)."""
     if power not in (1, 2):
         raise ValueError("only first and second moments are supported")
-    return additive_observable_moments(d, a1)[power - 1]
+    seq = d.seq
+    z = require_normalizable(annihilation_scalar(seq))
+    total = 0.0 + 0.0j
+    for n, op in seq.components.items():
+        a_n = _additive(a1, n, seq.dim_single)
+        a_n = a_n if power == 1 else a_n @ a_n
+        total += np.sum(a_n.T * op.matrix) / factorial(n)
+    return float((total / z).real)

@@ -37,6 +37,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from math import comb, isfinite
 
 import numpy as np
@@ -49,14 +50,13 @@ from . import cumulants  # noqa: F401
 from .bbgky import (
     MarginalState,
     QuadratureSpec,
-    additive_observable_moments,
+    flow_observable_moments,
     marginal_state_from_density,
-    reduce_from_density,
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
 from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
-from .evolution import evolve_density_sequence
+from .evolution import DensityFlow, release_propagators
 from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
@@ -112,6 +112,18 @@ class Scenario:
     observable: np.ndarray
     output: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+
+    @cached_property
+    def density(self) -> DensityState:
+        """The initial data as a density sequence, expanded once per run."""
+        if isinstance(self.initial, DensityState):
+            return self.initial
+        return cluster_expand(self.initial)
+
+    @cached_property
+    def flow(self) -> DensityFlow:
+        """The density's evolution, shared by evolve, hierarchy and observables."""
+        return DensityFlow(self.spec, self.density.seq)
 
 
 def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
@@ -257,18 +269,6 @@ def load_scenario(obj: dict) -> Scenario:
     )
 
 
-def _as_correlation(sc: Scenario) -> CorrelationState:
-    if isinstance(sc.initial, DensityState):
-        return cluster_invert(sc.initial)
-    return sc.initial
-
-
-def _as_density(sc: Scenario) -> DensityState:
-    if isinstance(sc.initial, DensityState):
-        return sc.initial
-    return cluster_expand(sc.initial)
-
-
 def _strict_fp():
     """Floating-point state for tasks: overflow and invalid results raise."""
     return np.errstate(over="raise", invalid="raise")
@@ -327,18 +327,17 @@ def _records_csv(records: list[dict], columns: list[str]) -> str:
 
 
 def _task_evolve(sc: Scenario) -> dict:
-    d0 = _as_density(sc)
-    states = [
-        encode_sequence(evolve_density_sequence(sc.spec, d0.seq, t), kind="density")
-        for t in sc.times
-    ]
+    states = [encode_sequence(sc.flow.at(t), kind="density") for t in sc.times]
     return {"task": "evolve", "times": sc.times, "states": states}
 
 
 def _task_hierarchy(sc: Scenario) -> dict:
-    g0 = _as_correlation(sc)
+    # the run's flow evolves Exp(g0), or for density data the density whose Ln is g0
+    g0 = sc.initial
+    if isinstance(g0, DensityState):
+        g0 = cluster_invert(g0)
     states = [
-        encode_sequence(solve_hierarchy(sc.spec, g0, t).seq, kind="correlation")
+        encode_sequence(solve_hierarchy(sc.spec, g0, t, sc.flow).seq, kind="correlation")
         for t in sc.times
     ]
     return {"task": "hierarchy", "times": sc.times, "states": states}
@@ -360,9 +359,8 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
 def _marginal_records(sc: Scenario, solve_at) -> list[dict]:
     """A record for every s, then t, of the scenario, where solve_at(f0, t)
     returns {s: F_s(t)} for every s."""
-    d0 = _as_density(sc)
-    _require_exchange_symmetric(d0, sc.s_values)
-    f0 = marginal_state_from_density(d0)
+    _require_exchange_symmetric(sc.density, sc.s_values)
+    f0 = marginal_state_from_density(sc.density)
     by_time = [solve_at(f0, t) for t in sc.times]
     return [
         _marginal_record(s, t, ops[s])
@@ -391,17 +389,16 @@ def _task_iterate(sc: Scenario) -> dict:
 
 
 def _task_observables(sc: Scenario) -> dict:
-    d0 = _as_density(sc)
-    records = []
-    for t in sc.times:
-        dt = DensityState(evolve_density_sequence(sc.spec, d0.seq, t))
-        mean, second = additive_observable_moments(dt, sc.observable)
-        records.append({
+    moments = flow_observable_moments(sc.flow, sc.observable, sc.times)
+    records = [
+        {
             "t": t,
-            "mean_particle_number": float(reduce_from_density(dt, 1).trace.real),
+            "mean_particle_number": number,
             "observable_mean": mean,
             "observable_dispersion": second - mean * mean,
-        })
+        }
+        for t, (number, mean, second) in zip(sc.times, moments)
+    ]
     return {"task": "observables", "records": records}
 
 
@@ -420,12 +417,16 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
     want_csv = sc.output.get("format", "both") != "json"
 
     files: dict[str, str] = {}
-    for task in sc.tasks:
+    for i, task in enumerate(sc.tasks):
         try:
             with _strict_fp():
                 result = _TASK_FNS[task](sc)
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
+        # what no later task reads goes before the result is encoded
+        release_propagators()
+        if not {"evolve", "hierarchy", "observables"} & set(sc.tasks[i + 1:]):
+            sc.__dict__.pop("flow", None)
         if want_json:
             files[f"{task}.json"] = dumps_canonical(result)
         if want_csv and task in _CSV_COLUMNS:

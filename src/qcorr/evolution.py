@@ -5,13 +5,17 @@ is exact up to round-off and any time is reachable in one shot.  The
 spectral data is cached per system, for label sets and for block families
 (whose H_P = sum_B H_B takes its spectral data from the blocks' own):
 cumulant sums revisit the same groups across many partitions, and must not
-pay for repeated eigendecompositions.
+pay for repeated eigendecompositions.  Propagators and density flows take
+their time dependence from one place, the phases p = exp(-(i/hbar) t lambda)
+of :func:`phases`.
 
-Every conjugation of a fresh operand is the kernel :func:`_conjugate`, U m U^*
-with U = ``unitary_matrix(ug, t)``: three D^3 products.  Only the iteration
-series' top level differs: it keeps V_m W and W^* F W for all quadrature
-nodes and needs only the traced product Tr_m(V_m X), one D^3 product and
-D^3/d per node for Hermitian F.
+A density sequence evolves in the eigenbasis (:class:`DensityFlow`): each
+component moves there once, as D~ = V^* D V, and D(t) = V (P o D~) V^*
+with P = p p^*, two D^3 products per time and no unitary build.  Any
+other operand goes through the kernel :func:`_conjugate`, U f U^* with
+U = ``unitary_matrix(ug, t)``: three D^3 products, or two when U is the
+last one built for its group.  The iteration series' top level needs only
+a traced product (:func:`qcorr.bbgky._top_commutator`).
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
 ``group_apply(ug, t, f)`` conjugates f with it.  The t-derivative of
@@ -85,10 +89,25 @@ def _family_group(spec: SystemSpec, blocks: tuple) -> UnitaryGroup:
     return ug
 
 
+def phases(ug: UnitaryGroup, t) -> np.ndarray:
+    """exp(-(i/hbar) t lambda): the propagator's eigenvalues at time t, or a
+    row of them per time for a column t of times."""
+    return np.exp(-1j * t / ug.hbar * ug.eigenvalues)
+
+
 def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
     """exp(-(i/hbar) t H) from the cached spectral data."""
-    phases = np.exp(-1j * t / ug.hbar * ug.eigenvalues)
-    return (ug.eigenvectors * phases) @ ug.eigenvectors.conj().T
+    return (ug.eigenvectors * phases(ug, t)) @ ug.eigenvectors.conj().T
+
+
+# the last propagator built per group, (t, U): the bbgky solves of one time
+# share each U_m(t), and a series of times replaces the one entry
+_LAST: "weakref.WeakKeyDictionary[UnitaryGroup, tuple]" = weakref.WeakKeyDictionary()
+
+
+def release_propagators() -> None:
+    """Drop the propagators kept for reuse."""
+    _LAST.clear()
 
 
 def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:
@@ -100,7 +119,10 @@ def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOpera
         )
     if t == 0.0:
         return f
-    u = unitary_matrix(ug, t)
+    last = _LAST.get(ug)
+    if last is None or last[0] != t:
+        last = _LAST[ug] = (t, unitary_matrix(ug, t))
+    u = last[1]
     return ManyBodyOperator(f.labels, f.dim_single, u @ f.matrix @ u.conj().T)
 
 
@@ -116,18 +138,36 @@ def group_apply_on_subsets(
     return _conjugate(_family_group(spec, blocks.elements), t, f)
 
 
-def evolve_density_sequence(spec: SystemSpec, d0, t: float):
-    """Componentwise conjugation of a plain operator sequence.
+class DensityFlow:
+    """D_n(t) = U_n(t) D_n U_n(t)^* for every component of a plain sequence
+    d0; ``parts`` maps n to (the group of H_n, D~_n = V^* D_n V)."""
 
-    Component n evolves under the n-particle propagator; the scalar
-    component is unchanged.  Accepts and returns an OperatorSequence.
-    """
-    if not isinstance(d0, OperatorSequence):
-        raise TypeError("evolve_density_sequence expects an OperatorSequence")
-    if d0.prefix != 0:
-        raise ValueError("cannot evolve a prefixed sequence")
-    comps = {
-        n: group_apply(make_unitary_group(spec, op.labels), t, op)
-        for n, op in d0.components.items()
-    }
-    return OperatorSequence(d0.dim_single, d0.n_max, d0.scalar0, comps)
+    def __init__(self, spec: SystemSpec, d0: OperatorSequence):
+        if not isinstance(d0, OperatorSequence):
+            raise TypeError("a density flow needs an OperatorSequence")
+        if d0.prefix != 0:
+            raise ValueError("cannot evolve a prefixed sequence")
+        self.d0 = d0
+        self.parts = {}
+        for n, op in d0.components.items():
+            ug = make_unitary_group(spec, op.labels)
+            v = ug.eigenvectors
+            self.parts[n] = (ug, v.conj().T @ op.matrix @ v)
+
+    def at(self, t: float) -> OperatorSequence:
+        """V (P o D~) V^* per component, P = p p^* with p = phases(ug, t);
+        d0 itself at t = 0."""
+        if t == 0.0:
+            return self.d0
+        comps = {}
+        for n, (ug, dt) in self.parts.items():
+            vp = ug.eigenvectors * phases(ug, t)
+            comps[n] = ManyBodyOperator(ug.labels, ug.dim_single, vp @ dt @ vp.conj().T)
+        d0 = self.d0
+        return OperatorSequence(d0.dim_single, d0.n_max, d0.scalar0, comps)
+
+
+def evolve_density_sequence(spec: SystemSpec, d0, t: float):
+    """Componentwise evolution of a plain operator sequence, D_n(t) =
+    U_n(t) D_n U_n(t)^*: the :class:`DensityFlow` of d0 at t alone."""
+    return DensityFlow(spec, d0).at(t)

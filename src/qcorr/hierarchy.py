@@ -10,8 +10,8 @@ solution formula,
     g_n(t) = sum over partitions P of (1..n) of
              (cumulant over the blocks of P at time t)(product of g_|B|),
 
-is computed as g(t) = Ln(U(t) Exp(g) U(t)^*), one conjugation per particle
-number (:func:`solve_hierarchy`).  At t = 0 the solver returns g itself,
+is computed as g(t) = Ln(U(t) Exp(g) U(t)^*), one eigenbasis evolution per
+particle number (:func:`solve_hierarchy`).  At t = 0 the solver returns g itself,
 not the round-off image Ln(Exp(g)).  The literal per-partition cumulant sum
 is kept as a reference route in :mod:`qcorr.verify`.
 
@@ -84,17 +84,19 @@ def cluster_invert(d: DensityState) -> CorrelationState:
 
 
 def solve_hierarchy(
-    spec: SystemSpec, g0: CorrelationState, t: float
+    spec: SystemSpec, g0: CorrelationState, t: float, flow=None
 ) -> CorrelationState:
     """Correlation sequence at time t from initial data g0.
 
-    Expand to the density sequence, conjugate each component with its
-    propagator, invert: Ln(U(t) Exp(g0) U(t)^*), n_max conjugations.  At
-    t = 0 this returns g0 itself, exactly.
+    Expand to the density sequence, evolve each component in the eigenbasis
+    of its Hamiltonian, invert: Ln(U(t) Exp(g0) U(t)^*).  A caller that
+    solves at several times passes the :class:`qcorr.evolution.DensityFlow`
+    of Exp(g0), so the expansion runs once.  At t = 0 this returns g0
+    itself, exactly.
     """
     if t == 0.0:
         return g0
-    dt = evolve_density_sequence(spec, cluster_expand(g0).seq, t)
+    dt = evolve_density_sequence(spec, cluster_expand(g0).seq, t) if flow is None else flow.at(t)
     return cluster_invert(DensityState(dt))
 
 

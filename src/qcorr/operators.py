@@ -281,11 +281,12 @@ def require_hermitian(m: np.ndarray, what: str) -> None:
     and ||m - m^dagger||_F <= TAU_HERM ||m||_F."""
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what}: matrix entries must be finite")
-    dev, norm, c = scaled_hermitian_defect(m)
+    # the scale cancels in the quoted ratio, which cannot overflow
+    dev, norm, _ = scaled_hermitian_defect(m)
     if dev > TAU_HERM * norm:
         raise ValueError(
-            f"{what} must be Hermitian, deviation {dev * c} exceeds "
-            f"{TAU_HERM} times its norm"
+            f"{what} must be Hermitian: ||m - m^dagger||_F = {dev / norm:.3e} "
+            f"||m||_F exceeds {TAU_HERM:g} ||m||_F"
         )
 
 

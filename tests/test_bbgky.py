@@ -26,6 +26,7 @@ from qcorr.bbgky import (
     additive_dispersion,
     additive_observable_moment,
     average_particle_number,
+    flow_observable_moments,
     marginal_state_from_density,
     reduce_from_density,
     solve_bbgky_cumulant,
@@ -34,7 +35,12 @@ from qcorr.bbgky import (
 from qcorr import bbgky
 from qcorr.bbgky import _embedded_group_conj, _interval_nodes, _traced_commutator
 from qcorr.errors import NormalizationError
-from qcorr.evolution import evolve_density_sequence
+from qcorr.evolution import (
+    DensityFlow,
+    evolve_density_sequence,
+    make_unitary_group,
+    unitary_matrix,
+)
 from qcorr.hierarchy import DensityState, cluster_expand, solve_hierarchy
 from qcorr.operators import ManyBodyOperator, partial_trace, trace_norm
 from qcorr.partitions import ParticleSet
@@ -623,6 +629,25 @@ def test_moment_matches_naive_embedding():
     for power in (1, 2):
         got = additive_observable_moment(d, a1, power)
         assert abs(got - _naive_moment(d, a1, power)) < 1e-11
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_eigenbasis_moments_equal_the_moments_of_the_evolved_density(d):
+    spec = random_system(355 + d, dim_single=d, orders=(2, 3))
+    d0 = random_density_state(357 + d, d, 3, trace_scale=0.7)
+    a1 = random_hermitian(rng_from_seed(359 + d), d, 1.0)
+    times = [-0.7, 0.0, 0.3, 1.1]
+    got = flow_observable_moments(DensityFlow(spec, d0.seq), a1, times)
+    for t, row in zip(times, got, strict=True):
+        comps = {}
+        for n, op in d0.seq.components.items():
+            u = unitary_matrix(make_unitary_group(spec, op.labels), t)
+            comps[n] = ManyBodyOperator(op.labels, d, u @ op.matrix @ u.conj().T)
+        dt = DensityState(OperatorSequence(d, 3, 1.0, comps))
+        number = float(reduce_from_density(dt, 1).trace.real)
+        moments = [additive_observable_moment(dt, a1, k) for k in (1, 2)]
+        for g, w in zip(row, (number, *moments), strict=True):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (t, g, w)
 
 
 def test_dispersion_matches_central_moment():

@@ -608,6 +608,22 @@ def test_one_hermitian_rule_for_system_matrices_and_observable(tmp_path, capsys)
     assert "observable must be Hermitian" in capsys.readouterr().err
 
 
+def test_hermitian_refusal_quotes_a_finite_ratio_at_the_edge_of_the_range(
+    tmp_path, capsys
+):
+    # ||m - m^dagger||_F is about 4.8e308 here, above the largest double;
+    # the message quotes it relative to ||m||_F, which stays finite
+    m = [[[1e308, 0], [1.7e308, 0]], [[-1.7e308, 0], [1e308, 0]]]
+    sc = dict(BASE_SCENARIO, system={"dim_single": 2, "one_body": m})
+    code, out = _run(tmp_path, sc, "huge")
+    assert code == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "one_body must be Hermitian: ||m - m^dagger||_F = 1.724e+00 ||m||_F" in lines[0]
+    assert "inf" not in lines[0]
+
+
 @pytest.mark.parametrize(
     "field, name",
     [
@@ -667,7 +683,8 @@ def test_observables_refuse_non_hermitian_density(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "initial density component 1 must be Hermitian" in err
-    assert "deviation 0.2" in err
+    # ||D_1 - D_1^dagger||_F = 0.2 against ||D_1||_F = sqrt(0.14)
+    assert "||m - m^dagger||_F = 5.345e-01 ||m||_F exceeds 1e-10 ||m||_F" in err
     # correlation data expand to a density that is Hermitian exactly when they are
     sc = _one_particle_density([0.3, 0.1])
     sc["initial"] = {"correlation": dict(sc["initial"]["density"], scalar0=[0, 0])}

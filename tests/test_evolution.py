@@ -5,6 +5,7 @@ from bruteforce import complex_gaussian, expm_series, naive_hamiltonian, naive_k
 from qcorr import bbgky, evolution
 from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import (
+    DensityFlow,
     _family_group,
     evolve_density_sequence,
     group_apply,
@@ -228,3 +229,25 @@ def test_evolve_density_sequence_rejects_prefixed(spec2):
         evolve_density_sequence(spec2, shift_map(seq, 1), 0.1)
     with pytest.raises(TypeError):
         evolve_density_sequence(spec2, object(), 0.1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_density_flow_equals_the_conjugation_route(d):
+    spec = random_system(seed=60 + d, dim_single=d, orders=(2, 3))
+    d0 = random_density_state(61 + d, d, 3).seq
+    flow = DensityFlow(spec, d0)
+    for t in (-0.7, 0.3, 1.1):
+        got = flow.at(t)
+        assert got.scalar0 == d0.scalar0 and got.n_max == d0.n_max
+        for n, op in d0.components.items():
+            u = unitary_matrix(make_unitary_group(spec, op.labels), t)
+            want = u @ op.matrix @ u.conj().T
+            err = np.linalg.norm(got.components[n].matrix - want) / np.linalg.norm(want)
+            assert err <= 1e-13, (d, t, n, err)
+
+
+def test_density_flow_at_zero_is_the_initial_sequence(spec2):
+    d0 = random_density_state(62, 2, 3).seq
+    at0 = DensityFlow(spec2, d0).at(0.0)
+    assert at0 is d0
+    assert evolve_density_sequence(spec2, d0, 0.0) is d0

@@ -94,6 +94,7 @@ def test_cluster_roundtrip():
 def test_solution_at_zero_time_is_initial_data(spec2):
     g = gstate(125)
     out = solve_hierarchy(spec2, g, 0.0)
+    assert out is g
     assert seq_residual(out.seq, g.seq) == 0.0
 
 
@@ -160,8 +161,10 @@ def test_oracle_shares_no_star_recursion_with_the_solver(spec2, monkeypatch):
 
 
 def test_one_conjugation_per_particle_number(spec2, monkeypatch):
+    # the density flow evolves each component once, in its eigenbasis: one
+    # set of phases per particle number, and no propagator or kernel call
     g = gstate(157, n_max=4)
-    calls = {"group_apply": 0, "group_apply_on_subsets": 0}
+    calls = {"phases": 0, "unitary_matrix": 0, "group_apply": 0, "group_apply_on_subsets": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -177,7 +180,9 @@ def test_one_conjugation_per_particle_number(spec2, monkeypatch):
             if name in vars(module):
                 monkeypatch.setattr(module, name, counting(name, vars(module)[name]))
     solve_hierarchy(spec2, g, 0.7)
-    assert calls == {"group_apply": 4, "group_apply_on_subsets": 0}
+    assert calls == {
+        "phases": 4, "unitary_matrix": 0, "group_apply": 0, "group_apply_on_subsets": 0
+    }
 
 
 def test_cluster_transforms_equal_star_series():

@@ -1,0 +1,144 @@
+"""Spectral reuse in `qcorr run`: what one run builds, and for whom.
+
+The density tasks (`evolve`, `observables`, `hierarchy`) share one
+`DensityFlow`, which evolves each component in the eigenbasis of its
+Hamiltonian, and `bbgky` builds each propagator once per time.  These tests
+count the work of a run and probe that every density task still takes its
+time dependence from `evolution.phases`.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qcorr import evolution
+from qcorr.cli import main
+from qcorr.presets import random_density_state, random_hermitian, rng_from_seed
+from qcorr.serialize import dumps_canonical, encode_raw_matrix, encode_sequence
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every product of two D x D matrices that an eigenvector matrix enters, by D
+PRODUCTS: Counter = Counter()
+
+
+class _Counted(np.ndarray):
+    """An array that counts, in PRODUCTS, the matrix products it enters;
+    every array computed from it counts too."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
+        dim = len(plain[0])
+        if ufunc is np.matmul and all(np.shape(x) == (dim, dim) for x in plain):
+            PRODUCTS[dim] += 1
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(_Counted) if isinstance(out, np.ndarray) else out
+
+
+def _run(tmp_path, doc, name="out"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps_canonical(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
+    return tmp_path / name
+
+
+def _io_scenario(d=2):
+    """The io-d4 workload's shape at single-particle dimension d."""
+    density = random_density_state(21, d, 4, trace_scale=0.8)
+    return {
+        "system": {"preset": "random_hermitian", "seed": 20, "orders": [2, 3],
+                   "dim_single": d},
+        "initial": {"density": encode_sequence(density.seq, kind="density")},
+        "times": [0.25, 0.5, 0.75, 1.0],
+        "n_max": 4,
+        "observable": encode_raw_matrix(random_hermitian(rng_from_seed(22), d)),
+        "tasks": ["evolve", "observables"],
+    }
+
+
+def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeypatch):
+    # per component and run: V^* D V once (2), V (P o D~) V^* per time (2 x 4),
+    # A~ = V^* A V and A~^2 once (3); the conjugation route took 28 at n = 4
+    eighs, builds = [], []
+    eigh, group, build = np.linalg.eigh, evolution.UnitaryGroup, evolution.unitary_matrix
+
+    def counted_group(*args):
+        ug = group(*args)
+        object.__setattr__(ug, "eigenvectors", ug.eigenvectors.view(_Counted))
+        return ug
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(len(h)) or eigh(h))
+    monkeypatch.setattr(evolution, "UnitaryGroup", counted_group)
+    monkeypatch.setattr(evolution, "unitary_matrix", lambda ug, t: builds.append(t) or build(ug, t))
+    PRODUCTS.clear()
+    _run(tmp_path, _io_scenario(d=3))
+    assert builds == []
+    assert sorted(eighs) == [3, 9, 27, 81]  # each H_n diagonalized once
+    assert PRODUCTS == {3**n: 13 for n in range(1, 5)}
+
+
+def test_bbgky_builds_each_propagator_once_per_time(tmp_path, monkeypatch):
+    built = Counter()
+    build = evolution.unitary_matrix
+
+    def counting(ug, t):
+        built[len(ug.labels), t] += 1
+        return build(ug, t)
+
+    monkeypatch.setattr(evolution, "unitary_matrix", counting)
+    doc = {
+        "system": {"preset": "random_hermitian", "seed": 23, "orders": [2, 3]},
+        "initial": {"preset": {"preset": "random_correlation", "seed": 24,
+                               "symmetric": True}},
+        "times": [0.3, 0.7],
+        "n_max": 4,
+        "s_values": [1, 2, 3],
+        "tasks": ["bbgky"],
+    }
+    _run(tmp_path, doc)
+    # one solve per s used to build U_m(t) once per s that reaches m: 1 + 2 + 3 + 3
+    assert built == {(m, t): 1 for m in range(1, 5) for t in doc["times"]}
+    assert not evolution._LAST  # released once the task is done
+
+
+def _numbers(path: Path) -> np.ndarray:
+    def walk(x):
+        if isinstance(x, dict):
+            return [v for k in sorted(x) for v in walk(x[k])]
+        if isinstance(x, list):
+            return [v for item in x for v in walk(item)]
+        return [x] if isinstance(x, float) else []
+
+    return np.array(walk(json.loads(path.read_text())))
+
+
+@pytest.mark.parametrize("task", ["evolve", "observables", "hierarchy"])
+def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
+    # probe M1: t scaled by 1 + 1e-6 in the phase helper, the text that the
+    # benchmark's smoke test perturbs, moves each task's output
+    copy = tmp_path / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    evolution_py = copy / "qcorr" / "evolution.py"
+    text = evolution_py.read_text()
+    assert text.count("-1j * t / ug.hbar") == 1
+    evolution_py.write_text(text.replace("-1j * t / ug.hbar", "-1j * t * (1 + 1e-6) / ug.hbar"))
+    doc = dict(_io_scenario(), n_max=3, times=[0.4, 0.9], tasks=[task])
+    doc["initial"] = {"preset": {"preset": "random_correlation", "seed": 25}}
+    exact = _run(tmp_path, doc, "exact") / f"{task}.json"
+    (tmp_path / "probe.json").write_text(dumps_canonical(doc))
+    env = dict(os.environ, PYTHONPATH=str(copy))
+    got = subprocess.run(
+        [sys.executable, "-m", "qcorr.cli", "run", "--scenario", str(tmp_path / "probe.json"),
+         "--out", str(tmp_path / "probe")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert got.returncode == 0, got.stderr
+    want, moved = _numbers(exact), _numbers(tmp_path / "probe" / f"{task}.json")
+    assert np.linalg.norm(moved - want) > 1e-8 * np.linalg.norm(want)
