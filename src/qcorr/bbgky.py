@@ -8,13 +8,14 @@ all series are exact finite sums.
 The module carries two independent routes to F_s(t):
 
 * reduce the evolved density sequence            (:func:`reduce_from_density`)
-* the cumulant formula, un-reduce/evolve/reduce  (:func:`solve_bbgky_cumulant`)
+* the cumulant formula, un-reduce/evolve/reduce  (:func:`solve_bbgky_cumulant_all`)
 
 plus a time-ordered iteration series with numerical quadrature as a
-cross-check, and the particle-number / dispersion observables.  The third
-route (reduce the evolved correlation sequence), the literal cumulant sum
-and the correlation operators G_s are reference routes in
-:mod:`qcorr.verify`.
+cross-check, and the particle-number / dispersion observables.  The
+cumulant formula and the series each solve every s of one time in one
+call.  The third route (reduce the evolved correlation sequence), the
+literal cumulant sum and the correlation operators G_s are reference
+routes in :mod:`qcorr.verify`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from math import factorial
 
 import numpy as np
 
-from .evolution import DensityFlow, _conjugate, group_apply, make_unitary_group, phases
+from .evolution import (
+    DensityFlow, _conjugate, conjugations, group_apply, make_unitary_group, phases
+)
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
 from .operators import ManyBodyOperator, embed_sum, partial_trace_matrix
@@ -88,10 +91,11 @@ def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
     return annihilation_component(d.seq, s) / z
 
 
-def solve_bbgky_cumulant(
-    spec: SystemSpec, f0: MarginalState, s: int, t: float
-) -> ManyBodyOperator:
-    """F_s(t) by the cumulant solution formula, through its factorization.
+def solve_bbgky_cumulant_all(
+    spec: SystemSpec, f0: MarginalState, s_values: list[int], t: float
+) -> dict[int, ManyBodyOperator]:
+    """{s: F_s(t)} for every s in ``s_values``, by the cumulant solution
+    formula, through its factorization.
 
     Term n of the formula traces n particles, with weight 1/n!, out of the
     (1+n)-cluster cumulant ((1..s) fused) applied to F_{s+n}.  A block of
@@ -102,30 +106,48 @@ def solve_bbgky_cumulant(
         E_k = sum over n >= k and the (n-k)-subsets R of (s+1..s+n) of
               (-1)^(n-k) (k!/n!) Tr_R F_{s+n}, relabelled onto (1..s+k).
 
-    Exact without exchange symmetry; at t = 0 this returns F_s itself.
+    U_m(t) is built once and conjugates the E_{m-s} of every s; each s sums
+    in the order of a solve for it alone, so F_s does not depend on the
+    other s, to the bit.  Exact without exchange symmetry; F_s itself at t = 0.
     """
     seq = f0.seq
-    if not 1 <= s <= seq.n_max:
-        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    for s in s_values:
+        if not 1 <= s <= seq.n_max:
+            raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
     if t == 0.0:
-        return seq.component(s)
+        return {s: seq.component(s) for s in s_values}
     d = seq.dim_single
-    unreduced: dict[int, np.ndarray] = {}
-    for n in range(seq.n_max - s + 1):
-        if not seq.has(s + n):
-            continue
-        f_sn = seq.components[s + n].matrix
-        for r in range(n + 1):
-            weight = (-1) ** r * factorial(n - r) / factorial(n)
-            # the slots of the labels (s+1..s+n) of F_{s+n}
-            for traced in itertools.combinations(range(s, s + n), r):
-                term = partial_trace_matrix(f_sn, d, s + n, traced)
-                unreduced[n - r] = unreduced.get(n - r, 0) + term * weight
-    moved = {}
-    for k, m in unreduced.items():
-        e_k = ManyBodyOperator(ParticleSet.range1(s + k), d, m)
-        moved[k] = group_apply(make_unitary_group(spec, e_k.labels), t, e_k)
-    return annihilation_component(OperatorSequence(d, seq.n_max - s, 0.0, moved, s), 0)
+    unreduced: dict[int, dict[int, np.ndarray]] = {s: {} for s in s_values}
+    for s, e in unreduced.items():
+        for n in range(seq.n_max - s + 1):
+            if not seq.has(s + n):
+                continue
+            f_sn = seq.components[s + n].matrix
+            for r in range(n + 1):
+                weight = (-1) ** r * factorial(n - r) / factorial(n)
+                # the slots of the labels (s+1..s+n) of F_{s+n}
+                for traced in itertools.combinations(range(s, s + n), r):
+                    term = partial_trace_matrix(f_sn, d, s + n, traced)
+                    e[n - r] = e.get(n - r, 0) + term * weight
+    moved: dict[int, dict[int, ManyBodyOperator]] = {s: {} for s in unreduced}
+    for m in sorted({s + k for s, e in unreduced.items() for k in e}):
+        ends = [s for s in unreduced if m - s in unreduced[s]]
+        # C-ordered operands: a product rounds by the layout of its inputs
+        xs = [np.ascontiguousarray(unreduced[s].pop(m - s)) for s in ends]
+        ug = make_unitary_group(spec, ParticleSet.range1(m))
+        for s, x in zip(ends, conjugations(ug, t, xs)):
+            moved[s][m - s] = ManyBodyOperator(ug.labels, d, x)
+    return {
+        s: annihilation_component(OperatorSequence(d, seq.n_max - s, 0.0, ops, s), 0)
+        for s, ops in moved.items()
+    }
+
+
+def solve_bbgky_cumulant(
+    spec: SystemSpec, f0: MarginalState, s: int, t: float
+) -> ManyBodyOperator:
+    """F_s(t) by :func:`solve_bbgky_cumulant_all` for s alone."""
+    return solve_bbgky_cumulant_all(spec, f0, [s], t)[s]
 
 
 def _embedded_group_conj(
@@ -166,16 +188,16 @@ def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
 
     The top level of every series term on m particles: it depends on m and
     t_n alone, so one solve evaluates it once per (m, t_n) for all s with
-    s < m <= s + order.  ``top`` = (lambda, W^*, C, parts) holds H_m's
-    spectrum, C = V_m W, and the nonzero parts (1, W^* H W) and
+    s < m <= s + order.  ``top`` = (group, W^*, C, parts) holds H_m's
+    group, C = V_m W, and the nonzero parts (1, W^* H W) and
     (i, W^* K W) of F_m = H + iK, H and K Hermitian.  With
-    p = exp(-i t_n lambda/hbar) each part evolves to the Hermitian
+    p = ``phases(group, t_n)`` each part evolves to the Hermitian
     X = W p P p^* W^*, so Tr_m(X V_m) = T^* for T = Tr_m(V_m X) =
     Tr_m((C p)(P p^*) W^*): one D^3 product and D^3/d per part.
     """
-    lam, wh, c, parts = top
-    p = np.exp(-1j * tn / hbar * lam)
-    acc = np.zeros((lam.size // d,) * 2, dtype=complex)
+    ug, wh, c, parts = top
+    p = phases(ug, tn)
+    acc = np.zeros((p.size // d,) * 2, dtype=complex)
     for coef, part in parts:
         tr = _trace_last((c * p) @ (part * p.conj()), wh, d)
         acc = acc + coef * (tr - tr.conj().T)
@@ -290,7 +312,7 @@ def solve_bbgky_iteration(
         f = seq.components[m].matrix
         halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))
         parts = [(c, wh @ h @ w) for c, h in halves if np.any(h)]
-        top = (ug.eigenvalues, wh, coupling[m] @ w, parts)
+        top = (ug, wh, coupling[m] @ w, parts)
         for tn, wt in _interval_nodes(q, 0.0, t):
             ends = [s for s in chains if not empty_below(s, m, tn)]
             if not ends:

@@ -10,8 +10,9 @@ is imported there, so importing this module does not load it.
 `verify` runs one suite at its fixed tolerances.
 
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
-failed, a normalization degenerated, or a preset draw or a task overflowed
-or produced an invalid floating-point result), 2 malformed or
+failed, a normalization degenerated, a linear-algebra routine did not
+converge, or a preset draw or a task overflowed or produced an invalid
+floating-point result), 2 malformed or
 schema-violating input, 3 a capacity guard tripped.  An output path that
 is, or lies below, an existing non-directory is refused before any task
 runs.  Tasks run one at a time, in one thread.  Outputs are written only
@@ -48,15 +49,14 @@ from . import __version__
 # sys.modules["qcorr.cumulants"]; drop this once the tracer loads it itself
 from . import cumulants  # noqa: F401
 from .bbgky import (
-    MarginalState,
     QuadratureSpec,
     flow_observable_moments,
     marginal_state_from_density,
-    solve_bbgky_cumulant,
+    solve_bbgky_cumulant_all,
     solve_bbgky_iteration,
 )
 from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
-from .evolution import DensityFlow, release_propagators
+from .evolution import DensityFlow
 from .hamiltonian import SystemSpec
 from .hierarchy import (
     CorrelationState,
@@ -356,12 +356,12 @@ def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
             require_exchange_symmetric(op.matrix, op.dim_single, f"density component {n}")
 
 
-def _marginal_records(sc: Scenario, solve_at) -> list[dict]:
-    """A record for every s, then t, of the scenario, where solve_at(f0, t)
-    returns {s: F_s(t)} for every s."""
+def _marginal_records(sc: Scenario, solve, *args) -> list[dict]:
+    """A record for every s, then t, of the scenario; one call
+    solve(spec, f0, s_values, t, *args) per time returns {s: F_s(t)}."""
     _require_exchange_symmetric(sc.density, sc.s_values)
     f0 = marginal_state_from_density(sc.density)
-    by_time = [solve_at(f0, t) for t in sc.times]
+    by_time = [solve(sc.spec, f0, sc.s_values, t, *args) for t in sc.times]
     return [
         _marginal_record(s, t, ops[s])
         for s in sc.s_values
@@ -370,21 +370,14 @@ def _marginal_records(sc: Scenario, solve_at) -> list[dict]:
 
 
 def _task_bbgky(sc: Scenario) -> dict:
-    def solve_at(f0: MarginalState, t: float) -> dict[int, ManyBodyOperator]:
-        return {s: solve_bbgky_cumulant(sc.spec, f0, s, t) for s in sc.s_values}
-
-    return {"task": "bbgky", "records": _marginal_records(sc, solve_at)}
+    return {"task": "bbgky", "records": _marginal_records(sc, solve_bbgky_cumulant_all)}
 
 
 def _task_iterate(sc: Scenario) -> dict:
-    # one solve per time serves every s
-    def solve_at(f0: MarginalState, t: float) -> dict[int, ManyBodyOperator]:
-        return solve_bbgky_iteration(sc.spec, f0, sc.s_values, t, sc.quadrature)
-
     return {
         "task": "iterate",
         "quadrature": asdict(sc.quadrature),
-        "records": _marginal_records(sc, solve_at),
+        "records": _marginal_records(sc, solve_bbgky_iteration, sc.quadrature),
     }
 
 
@@ -424,7 +417,6 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
         # what no later task reads goes before the result is encoded
-        release_propagators()
         if not {"evolve", "hierarchy", "observables"} & set(sc.tasks[i + 1:]):
             sc.__dict__.pop("flow", None)
         if want_json:
@@ -595,6 +587,10 @@ def main(argv=None) -> int:
         where = f" at {near!r}" if near else ""
         print(f"malformed JSON: {exc}{where}", file=sys.stderr)
         return 2
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        # a LinAlgError is a ValueError, but the input is not at fault
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
@@ -603,9 +599,6 @@ def main(argv=None) -> int:
         return 3
     except NormalizationError as exc:
         print(f"normalization failure: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,10 +12,12 @@ of :func:`phases`.
 A density sequence evolves in the eigenbasis (:class:`DensityFlow`): each
 component moves there once, as D~ = V^* D V, and D(t) = V (P o D~) V^*
 with P = p p^*, two D^3 products per time and no unitary build.  Any
-other operand goes through the kernel :func:`_conjugate`, U f U^* with
-U = ``unitary_matrix(ug, t)``: three D^3 products, or two when U is the
-last one built for its group.  The iteration series' top level needs only
-a traced product (:func:`qcorr.bbgky._top_commutator`).
+other operand is conjugated by :func:`conjugations`, U x U^* with
+U = ``unitary_matrix(ug, t)`` built on every call: three D^3 products for
+one operand, two more for each further operand of the same group and
+time.  Nothing but the spectral cache is kept from one call to the next.
+The iteration series' top level needs only a traced product
+(:func:`qcorr.bbgky._top_commutator`).
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
 ``group_apply(ug, t, f)`` conjugates f with it.  The t-derivative of
@@ -47,12 +49,6 @@ class UnitaryGroup:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __post_init__(self):
-        v = self.eigenvectors
-        dev = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[0]))
-        if dev > 1e-10 * max(1.0, v.shape[0]):
-            raise ArithmeticError(f"eigenvector matrix not unitary, deviation {dev}")
-
 
 _CACHE: "weakref.WeakKeyDictionary[SystemSpec, dict]" = weakref.WeakKeyDictionary()
 
@@ -74,10 +70,7 @@ def _family_group(spec: SystemSpec, blocks: tuple) -> UnitaryGroup:
         return cache[key]
     slots = sum(key, ())
     if len(key) == 1:
-        try:
-            lam, v = np.linalg.eigh(build_hamiltonian(spec, blocks[0]).matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numeric corner
-            raise ArithmeticError(f"eigendecomposition failed: {exc}") from exc
+        lam, v = np.linalg.eigh(build_hamiltonian(spec, blocks[0]).matrix)
     else:
         groups = [make_unitary_group(spec, b) for b in blocks]
         lam = reduce(np.add.outer, (g.eigenvalues for g in groups)).ravel()
@@ -100,14 +93,10 @@ def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
     return (ug.eigenvectors * phases(ug, t)) @ ug.eigenvectors.conj().T
 
 
-# the last propagator built per group, (t, U): the bbgky solves of one time
-# share each U_m(t), and a series of times replaces the one entry
-_LAST: "weakref.WeakKeyDictionary[UnitaryGroup, tuple]" = weakref.WeakKeyDictionary()
-
-
-def release_propagators() -> None:
-    """Drop the propagators kept for reuse."""
-    _LAST.clear()
+def conjugations(ug: UnitaryGroup, t: float, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """U x U^* for each matrix x, with one U = unitary_matrix(ug, t) for all."""
+    u = unitary_matrix(ug, t)
+    return [u @ x @ u.conj().T for x in xs]
 
 
 def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:
@@ -119,11 +108,8 @@ def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOpera
         )
     if t == 0.0:
         return f
-    last = _LAST.get(ug)
-    if last is None or last[0] != t:
-        last = _LAST[ug] = (t, unitary_matrix(ug, t))
-    u = last[1]
-    return ManyBodyOperator(f.labels, f.dim_single, u @ f.matrix @ u.conj().T)
+    (m,) = conjugations(ug, t, [f.matrix])
+    return ManyBodyOperator(f.labels, f.dim_single, m)
 
 
 def group_apply(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:

@@ -223,11 +223,7 @@ def partial_trace(op: ManyBodyOperator, traced: ParticleSet) -> ManyBodyOperator
 
 def trace_norm(op: ManyBodyOperator) -> float:
     """Sum of singular values."""
-    try:
-        s = np.linalg.svd(op.matrix, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numeric corner
-        raise ArithmeticError(f"singular value computation failed: {exc}") from exc
-    return float(np.sum(s))
+    return float(np.sum(np.linalg.svd(op.matrix, compute_uv=False)))
 
 
 def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:

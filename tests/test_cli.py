@@ -199,6 +199,23 @@ def test_seed_override_on_a_malformed_document_exits_2(
     assert len(errors[0].splitlines()) == 1
 
 
+@pytest.mark.parametrize("routine", ["eigh", "svd", "eigvalsh"])
+def test_linear_algebra_failure_exits_1_in_one_line(tmp_path, capsys, monkeypatch, routine):
+    # LinAlgError is a ValueError, but the input is not at fault
+    reached = []
+
+    def fail(*args, **kwargs):
+        reached.append(routine)
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=["bbgky"]), "out")
+    assert reached
+    assert code == 1
+    assert capsys.readouterr().err == f"numeric failure: {routine} did not converge\n"
+    assert not out.exists()
+
+
 def test_malformed_json_exits_2_without_output(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -3,8 +3,8 @@
 The density tasks (`evolve`, `observables`, `hierarchy`) share one
 `DensityFlow`, which evolves each component in the eigenbasis of its
 Hamiltonian, and `bbgky` builds each propagator once per time.  These tests
-count the work of a run and probe that every density task still takes its
-time dependence from `evolution.phases`.
+count the work of a run and probe that every task still takes its time
+dependence from `evolution.phases`.
 """
 
 import json
@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcorr import evolution
+from qcorr import bbgky, evolution
 from qcorr.cli import main
-from qcorr.presets import random_density_state, random_hermitian, rng_from_seed
+from qcorr.presets import random_density_state, random_hermitian, random_system, rng_from_seed
 from qcorr.serialize import dumps_canonical, encode_raw_matrix, encode_sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,7 +105,6 @@ def test_bbgky_builds_each_propagator_once_per_time(tmp_path, monkeypatch):
     _run(tmp_path, doc)
     # one solve per s used to build U_m(t) once per s that reaches m: 1 + 2 + 3 + 3
     assert built == {(m, t): 1 for m in range(1, 5) for t in doc["times"]}
-    assert not evolution._LAST  # released once the task is done
 
 
 def _numbers(path: Path) -> np.ndarray:
@@ -119,7 +118,7 @@ def _numbers(path: Path) -> np.ndarray:
     return np.array(walk(json.loads(path.read_text())))
 
 
-@pytest.mark.parametrize("task", ["evolve", "observables", "hierarchy"])
+@pytest.mark.parametrize("task", ["evolve", "observables", "hierarchy", "bbgky", "iterate"])
 def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
     # probe M1: t scaled by 1 + 1e-6 in the phase helper, the text that the
     # benchmark's smoke test perturbs, moves each task's output
@@ -131,6 +130,12 @@ def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
     evolution_py.write_text(text.replace("-1j * t / ug.hbar", "-1j * t * (1 + 1e-6) / ug.hbar"))
     doc = dict(_io_scenario(), n_max=3, times=[0.4, 0.9], tasks=[task])
     doc["initial"] = {"preset": {"preset": "random_correlation", "seed": 25}}
+    if task in ("bbgky", "iterate"):
+        # both formulas are checked for exchange-symmetric data only
+        doc["initial"]["preset"]["symmetric"] = True
+    if task == "iterate":
+        # the series is defined for two-body systems
+        doc["system"] = dict(doc["system"], orders=[2])
     exact = _run(tmp_path, doc, "exact") / f"{task}.json"
     (tmp_path / "probe.json").write_text(dumps_canonical(doc))
     env = dict(os.environ, PYTHONPATH=str(copy))
@@ -142,3 +147,16 @@ def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
     assert got.returncode == 0, got.stderr
     want, moved = _numbers(exact), _numbers(tmp_path / "probe" / f"{task}.json")
     assert np.linalg.norm(moved - want) > 1e-8 * np.linalg.norm(want)
+
+
+def test_the_iteration_top_level_takes_its_phases_from_evolution(monkeypatch):
+    # probe M1 reaches the series' top level too: every top-level node
+    # evaluates its phases through evolution.phases
+    calls = []
+    monkeypatch.setattr(bbgky, "phases", lambda ug, t: calls.append(t) or evolution.phases(ug, t))
+    spec = random_system(26, dim_single=2, orders=(2,))
+    f0 = bbgky.marginal_state_from_density(random_density_state(27, 2, 4))
+    bbgky.solve_bbgky_iteration(spec, f0, [1, 2], 0.3, bbgky.QuadratureSpec(2, 4))
+    # m = 2, 3, 4, each at the 4 Gauss nodes t_n in [0, 0.3]
+    assert len(calls) == 3 * 4
+    assert all(0.0 < t < 0.3 for t in calls)
