@@ -20,26 +20,39 @@ The text of dumps_canonical is exactly that of json.dumps(obj,
 sort_keys=True, separators=(",", ":"), allow_nan=False) plus a newline, but
 json writes each float with float.__repr__, about 1.4 us a float.  So a
 small recursive writer walks dicts with string keys and lists, and hands
-everything else but the raw-matrix leaves to json.dumps: keys, strings,
+everything else but the number leaves to json.dumps: keys, strings,
 scalars and short lists are json's own text, escapes and refusals.
 
-* A raw-matrix leaf is a float64 array of shape (rows, cols, 2), as
-  encode_raw_matrix returns, or a list that _is_raw_matrix accepts, such as
-  a scenario's matrices in the manifest.  One orjson.dumps call writes it.
-  orjson picks the same shortest round-trip digits as float.__repr__ and
-  lays out three ranges differently, which _repr_layout rewrites in one
-  numpy pass:
+* A float64 array of shape (rows, cols, 2), as encode_raw_matrix returns,
+  and a non-empty list whose items are all lists, such as a scenario's
+  matrices in the manifest, each go to one orjson.dumps call.  The shape
+  alone decides, so no leaf is written twice: a sequence's components,
+  which may hold a null, are walked, and each matrix goes to orjson.
+* orjson's text is kept when bytes.translate, deleting the bytes
+  0123456789.e-[], leaves nothing.  The test is exact: true, false, null,
+  strings and objects all leave bytes behind.  orjson picks the same
+  shortest round-trip digits as float.__repr__ and lays out three ranges
+  differently, which _repr_layout rewrites with numpy, in pieces of about
+  128 KiB, each cut at a '],[', so that a piece's work arrays stay in
+  cache:
 
       |x|              orjson       float.__repr__
       >= 1e16          1.5e16       1.5e+16
       [1e-9, 1e-5)     1.5e-7       1.5e-07
       [1e-5, 1e-4)     0.000015     1.5e-05
 
-* A leaf that orjson refuses (an int of 64 bits or more, a non-contiguous
-  array) or writes with a null (NaN or an infinity) goes to json.dumps,
-  which writes it or raises as it would for the whole document.
+* A list whose text leaves other bytes (a bool, a null, which orjson also
+  writes for NaN and the infinities, a string or an object) goes to
+  json.dumps whole, which writes it or raises as it would for the whole
+  document.  An array that holds a NaN or an infinity, which np.isfinite
+  finds, and what orjson refuses (an int of 64 bits or more, a numpy
+  scalar in a list, a non-contiguous array) are walked as above, an array
+  as its tolist().
 * orjson is imported at the first leaf written, so importing
   qcorr.serialize does not load it.
+* The reader's guard, check_nesting, drops every byte but brackets and
+  quotes with one bytes.translate (they are about 4 % of io-d4's scenario)
+  and counts depth on what is left.
 
 The checker
 -----------
@@ -428,8 +441,10 @@ def validate(obj: Any, schema: dict, what: str = "document") -> None:
         raise SchemaViolation(f"{what} at '{'/'.join(map(str, path))}': {reason}")
 
 
-# the bytes of JSON text that check_nesting reads
+# the bytes of JSON text that check_nesting reads, and every other byte,
+# which it drops before it scans
 _QUOTE, _OPEN, _CLOSE = b'"[]'
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 
 def check_nesting(text: bytes, what: str = "document") -> None:
@@ -443,20 +458,27 @@ def check_nesting(text: bytes, what: str = "document") -> None:
     # open and close strings
     if b"\\" in text:
         text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
-    b = np.frombuffer(text, np.uint8)
+    b = np.frombuffer(text.translate(None, _NOT_BRACKETS), np.uint8)
     # '{' and '}' differ from '[' and ']' only in bit 0x20
     c = b & 0xDF
-    at = np.flatnonzero((c == _OPEN) | (c == _CLOSE))
-    step = np.where(c[at] == _OPEN, 1, -1)
-    step[np.searchsorted(np.flatnonzero(b == _QUOTE), at) % 2 == 1] = 0
+    step = (c == _OPEN).astype(np.int32) - (c == _CLOSE)
+    # a bracket after an odd number of quotes is inside a string
+    step[np.cumsum(b == _QUOTE) % 2 == 1] = 0
     if len(step) and np.cumsum(step).max() > MAX_NESTING:
         raise SchemaViolation(_TOO_DEEP.format(what))
 
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
 
+# every byte of orjson's text of a list or array that holds only numbers
+_NUMBER_BYTES = b"0123456789.e-[],"
 # the bytes of orjson's number text that _repr_layout reads
 _DOT, _E, _MINUS, _ZERO, _NINE, _COMMA = b".e-09,"
+# _repr_layout rewrites a leaf in pieces of about _PIECE bytes, so that its
+# work arrays stay in cache; the 8-byte words it reads after a '.' run up to
+# 6 bytes past a piece's end, into _PAD zero bytes
+_PIECE = 1 << 17
+_PAD = 8
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -477,9 +499,15 @@ def dumps_canonical(obj: Any) -> str:
 
 def _write(x, parts: list[str]) -> None:
     """Append the canonical text of x to parts."""
-    if _is_matrix_array(x) or _is_raw_matrix(x):
-        parts.append(_dumps_leaf(x))
-    elif type(x) is dict and all(type(k) is str for k in x):
+    if _is_matrix_array(x) or _is_list_of_lists(x):
+        text = _dumps_numbers(x)
+        if text is not None:
+            parts.append(text)
+            return
+        if type(x) is np.ndarray:
+            # a non-finite or non-contiguous array is written as its list
+            x = x.tolist()
+    if type(x) is dict and all(type(k) is str for k in x):
         parts.append("{")
         for i, k in enumerate(sorted(x)):
             parts.append(("," if i else "") + json.dumps(k) + ":")
@@ -505,28 +533,57 @@ def _is_matrix_array(x) -> bool:
     )
 
 
-def _dumps_leaf(leaf) -> str:
-    """json.dumps's text of a raw-matrix leaf, written by orjson."""
+def _is_list_of_lists(x) -> bool:
+    return type(x) is list and bool(x) and all(type(v) is list for v in x)
+
+
+def _dumps_numbers(x) -> str | None:
+    """json.dumps's text of a float64 array leaf or a list of lists, or its
+    error, when orjson writes x; None when orjson refuses it, or x is an
+    array that holds a NaN or an infinity."""
     import orjson
 
+    array = type(x) is np.ndarray
+    # orjson writes NaN and the infinities of a float64 array as null, and
+    # nothing else but numbers
+    if array and not np.isfinite(x).all():
+        return None
     try:
-        raw = orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)
+        raw = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY if array else None)
     except orjson.JSONEncodeError:
-        raw = None
-    if raw is None or b"null" in raw:
-        # json writes what orjson refuses, and refuses NaN and infinities
-        rows = leaf.tolist() if type(leaf) is np.ndarray else leaf
-        return json.dumps(rows, **_JSON_OPTIONS)
+        return None
+    if not array and raw.translate(None, _NUMBER_BYTES):
+        # a null, bool, string or object: json writes the list whole, or
+        # refuses it
+        return json.dumps(x, **_JSON_OPTIONS)
     return _repr_layout(raw).decode()
 
 
 def _repr_layout(raw: bytes) -> bytes:
-    """orjson's text of a raw-matrix leaf, its numbers laid out as
+    """orjson's text of numbers nested in arrays, laid out as
     float.__repr__ lays them out.
 
-    Every number of the leaf is followed by ',' or ']', and holds at most
-    one '.' and one 'e'.  The edits go into a copy as marker bytes, which
-    one translate and four replaces expand:
+    The text is rewritten in pieces of about _PIECE bytes, each cut before
+    the '[' of a '],[', so that no number spans two pieces.
+    """
+    text = np.frombuffer(raw, np.uint8)
+    out = []
+    start = 0
+    while start < len(raw):
+        cut = raw.find(b"],[", start + _PIECE)
+        end = len(raw) if cut < 0 else cut + 2
+        out.append(_repr_layout_piece(text[start:end]))
+        start = end
+    return b"".join(out)
+
+
+def _repr_layout_piece(piece: np.ndarray) -> bytes:
+    """_repr_layout of a piece that starts with '['.
+
+    Every number of the piece is followed by ',' or ']', and holds at most
+    one '.' and one 'e'.  Every test reads a copy of the piece, and the
+    edits then go into that copy as marker bytes, which one translate and
+    four replaces expand:
 
     * 'e' before a digit (1.5e16) becomes 1, expanded to 'e+';
     * the '-' of a one-digit exponent (1.5e-7) becomes 2, expanded to '-0';
@@ -535,39 +592,35 @@ def _repr_layout(raw: bytes) -> bytes:
       dropped (marker 0), and the ',' or ']' that ends the number becomes
       3 or 4, expanded to 'e-05,' or 'e-05]'.
     """
-    b = np.frombuffer(raw, np.uint8)
-    stops = np.flatnonzero((b == _DOT) | (b == _E))
-    is_e = b[stops] == _E
-    w = b.copy()
+    b = np.zeros(len(piece) + _PAD, np.uint8)
+    b[:len(piece)] = piece
 
-    e = stops[is_e]
+    e = np.flatnonzero(b == _E)
     sign = b[e + 1]
-    w[e[sign != _MINUS]] = 1
+    plus = e[sign != _MINUS]
     e = e[sign == _MINUS]
     # a one-digit exponent ends two bytes after its '-'
-    w[e[~_is_digit(b[e + 3])] + 1] = 2
+    short = e[~_is_digit(b[e + 3])] + 1
 
     # a '.' with '0' before it, no digit before that, and '0000' after it
-    p = stops[~is_e]
-    p = p[b[p + 4] == _ZERO]
-    tiny = ~_is_digit(b[p - 2])
-    for k in (-1, 1, 2, 3):
-        tiny &= b[p + k] == _ZERO
-    p = p[tiny]
+    p = np.flatnonzero(b == _DOT)
+    p = p[_words(b, "<u4")[p + 1] == 0x30303030]
+    p = p[(b[p - 1] == _ZERO) & ~_is_digit(b[p - 2])]
+    first = b[p + 5]
     # j: the ',' or ']' after the digits from p + 6 on, at most 16 of them
-    j = p + 6
-    steps = np.flatnonzero(_is_digit(b[j]))
-    while len(steps):
-        j[steps] += 1
-        steps = steps[_is_digit(b[j[steps]])]
-    w[p - 1] = b[p + 5]
+    j = _digit_run_end(b, p + 6)
+    ends = np.where(b[j] == _COMMA, 3, 4)
+
+    b[plus] = 1
+    b[short] = 2
+    b[p - 1] = first
     for k in range(1, 6):
-        w[p + k] = 0
-    w[p[j == p + 6]] = 0
-    w[j] = np.where(b[j] == _COMMA, 3, 4)
+        b[p + k] = 0
+    b[p[j == p + 6]] = 0
+    b[j] = ends
 
     return (
-        w.tobytes()
+        b.tobytes()
         .translate(None, b"\0")
         .replace(b"\1", b"e+")
         .replace(b"\2", b"-0")
@@ -578,6 +631,34 @@ def _repr_layout(raw: bytes) -> bytes:
 
 def _is_digit(c: np.ndarray) -> np.ndarray:
     return (c >= _ZERO) & (c <= _NINE)
+
+
+def _words(b: np.ndarray, dtype: str) -> np.ndarray:
+    """The unaligned words of b: element i is the word that starts at b[i]."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((len(b) - size + 1,), dtype, b, strides=(1,))
+
+
+def _digit_run_end(b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The index of the first byte from each of at on that is no digit, where
+    at most 16 digits follow each; b holds ASCII bytes."""
+    words = _words(b, "<u8")
+
+    def skip(at):
+        # the count of digits that lead the 8 bytes from each of at: xor
+        # 0x30 maps the digits, and only them, to bytes below 10, and adding
+        # 0x76 sets the top bit of every other byte, with no carry
+        x = words[at] ^ 0x3030303030303030
+        stop = (x + 0x7676767676767676) & 0x8080808080808080
+        # the lowest top bit set, in byte k, times the multiplier leaves k
+        # in the top byte
+        low = (stop & (~stop + 1)) >> 7
+        return np.where(stop == 0, 8, (low * 0x0001020304050607) >> 56)
+
+    n = skip(at).astype(np.intp)
+    long = n == 8
+    n[long] += skip(at[long] + 8).astype(np.intp)
+    return at + n
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -592,24 +673,27 @@ def decode_complex(pair) -> complex:
 def encode_raw_matrix(m: np.ndarray) -> np.ndarray:
     """The raw-matrix leaf of m: a C-contiguous float64 array of shape
     (rows, cols, 2), which dumps_canonical writes as [[re, im]] rows."""
-    a = np.asarray(m, dtype=complex)
-    return np.stack([a.real, a.imag], -1)
+    # the float view of complex entries is their [re, im] pairs
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2)
 
 
 def decode_raw_matrix(rows) -> np.ndarray:
-    """The matrix of a raw-matrix leaf; SchemaViolation unless it is square."""
+    """The matrix of a raw-matrix leaf that _RAW_MATRIX accepts;
+    SchemaViolation unless it is square."""
+    n, cols = len(rows), len(rows[0])
     for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
+        if len(row) != cols:
             raise SchemaViolation(
-                f"ragged matrix of {len(rows)} rows: row {i + 1} has "
-                f"{len(row)} entries, row 1 has {len(rows[0])}"
+                f"ragged matrix of {n} rows: row {i + 1} has "
+                f"{len(row)} entries, row 1 has {cols}"
             )
+    if cols != n:
+        raise SchemaViolation(f"matrix must be square, got shape {(n, cols)}")
     # the [re, im] pairs are the complex entries' memory layout; a view
     # keeps the sign of each zero, as re + 1j * im would not
-    a = np.asarray(rows, dtype=float).view(complex)[..., 0]
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SchemaViolation(f"matrix must be square, got shape {a.shape}")
-    return a
+    pairs = chain.from_iterable(chain.from_iterable(rows))
+    return np.fromiter(pairs, float, 2 * n * n).view(complex).reshape(n, n)
 
 
 def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:

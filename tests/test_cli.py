@@ -483,11 +483,17 @@ def test_run_files_are_one_line_of_canonical_json(tmp_path):
     # explicit density data: the manifest holds the scenario's matrices as
     # parsed lists
     density = json.loads((out / "evolve.json").read_text())["states"][1]
-    explicit = dict(sc, initial={"density": density})
+    # int entries stay ints in the manifest
+    density["components"][0][0][0][1] = 0
+    observable = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    explicit = dict(sc, initial={"density": density}, observable=observable)
     code, out_explicit = _run(tmp_path, explicit, "compact-explicit")
     assert code == 0
-    manifest = json.loads((out_explicit / "manifest.json").read_text())
+    text = (out_explicit / "manifest.json").read_text()
+    assert '"observable":[[[1,0],[0,0]],[[0,0],[-1,0]]]' in text
+    manifest = json.loads(text)
     assert manifest["scenario"]["initial"]["density"] == density
+    assert type(manifest["scenario"]["initial"]["density"]["components"][0][0][0][1]) is int
     for directory in (out, out_explicit):
         names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
         assert len(names) == len(cli._TASK_FNS) + 1

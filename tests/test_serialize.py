@@ -41,7 +41,7 @@ from qcorr.serialize import (
     encode_sequence,
     validate,
 )
-from qcorr.serialize import _check, _is_raw_matrix
+from qcorr.serialize import _PIECE, _check, _is_raw_matrix
 from qcorr.star_algebra import OperatorSequence
 from qcorr.verify import run_suite
 
@@ -84,10 +84,52 @@ def test_raw_matrix_decodes_bit_for_bit():
     assert np.array_equal(a.view(np.uint64), want.view(np.uint64))
 
 
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.225073858507201e-308]),
+    st.integers(-(2**63), 2**64 - 1),
+    st.integers(2**53 + 1, 2**70),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_raw_matrix_decodes_as_numpy_reads_its_pairs(n, data):
+    rows = [[[data.draw(_ENTRIES), data.draw(_ENTRIES)] for _ in range(n)]
+            for _ in range(n)]
+    want = np.asarray(rows, dtype=float).view(complex)[..., 0]
+    got = decode_raw_matrix(rows)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_raw_matrix_must_be_square():
-    rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]] * 3]
-    with pytest.raises(SchemaViolation):
-        decode_raw_matrix(rows)
+    for rows, message in [
+        ([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]] * 3],
+         "matrix must be square, got shape (2, 3)"),
+        ([[[1, 0], [2, 0]]], "matrix must be square, got shape (1, 2)"),
+        ([[[1, 0]], [[1, 0]]], "matrix must be square, got shape (2, 1)"),
+        ([[[1, 0], [2, 0]], [[1, 0]]],
+         "ragged matrix of 2 rows: row 2 has 1 entries, row 1 has 2"),
+    ]:
+        with pytest.raises(SchemaViolation) as info:
+            decode_raw_matrix(rows)
+        assert str(info.value) == message
+
+
+def test_raw_matrix_leaf_is_the_stacked_pairs():
+    rng = rng_from_seed(3)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m[0, 1] = complex(-0.0, 5e-324)
+    for x in (m, m.T, m.real, [[1, 2], [3, 4]]):
+        a = np.asarray(x, dtype=complex)
+        want = np.stack([a.real, a.imag], -1)
+        leaf = encode_raw_matrix(x)
+        assert leaf.shape == want.shape and leaf.dtype == np.float64
+        assert leaf.flags.c_contiguous
+        assert leaf.tobytes() == want.tobytes()
+    # a C-contiguous complex matrix is not copied
+    assert np.shares_memory(encode_raw_matrix(m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +422,65 @@ def test_other_documents_go_to_json_whole():
             dumps_canonical({"x": other})
 
 
+def _json_outcome(write, doc) -> str:
+    """The text write gives doc, or the type and message of its error."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "other",
+    [True, False, None, "1e-05", "", 2**64, -(2**63) - 1, np.float32(0.5),
+     np.float64(1.5e-05), {"b": 1e-05, "a": [1e16]}, math.nan],
+    ids=repr,
+)
+def test_lists_holding_other_than_numbers_are_written_by_json(other):
+    for doc in ([other, 1e-05], [[1e-05, other], [2.0, 3]], [[[1e16, 0], [other, 1e-7]]],
+                {"m": [[1.5e-05], [other]], "n": [[[2.5e-05, 1]]]}):
+        assert _json_outcome(dumps_canonical, doc) == _json_outcome(_stdlib_text, doc)
+
+
+def test_ragged_nested_numbers_are_written_as_json_writes_them():
+    for doc in ([[1e-05, [2.5e-7, [1e16, []]]], [0.0], []],
+                [[[1.5e-05]], [[-0.0, 3], [1e-9, 2**63]]],
+                [[0.00012], [1.2345678901234567e-05, -1e-05]]):
+        assert dumps_canonical(doc) == _stdlib_text(doc)
+
+
+def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
+    # 160 x 160 pairs, with numbers of every layout class spread over every
+    # piece that _repr_layout cuts
+    rng = np.random.default_rng(7)
+    scale = rng.choice([1e17, 1e-7, 3e-5, 0.0, -0.0, 1.0], size=(160, 160, 2))
+    leaf = scale * rng.uniform(1, 9.99, size=scale.shape)
+    leaf *= rng.choice([-1.0, 1.0], size=leaf.shape)
+    assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
+    assert dumps_canonical(leaf) == _stdlib_text(leaf.tolist())
+    assert dumps_canonical(leaf.tolist()) == _stdlib_text(leaf.tolist())
+
+
+def test_each_leaf_goes_to_orjson_once(monkeypatch):
+    g = random_correlation_state(12, 2, 3).seq
+    gapped = OperatorSequence(2, 3, g.scalar0, {n: g.components[n] for n in (1, 3)})
+    calls = []
+    dumps = orjson.dumps
+
+    def counting(obj, *args, **kwargs):
+        calls.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(orjson, "dumps", counting)
+    encoded = encode_sequence(gapped)
+    parsed = _wire(encoded)
+    for doc in (encoded, parsed):
+        calls.clear()
+        assert dumps_canonical(doc) == _stdlib_text(parsed)
+        assert len(calls) == 2
+        assert all(leaf is comp for leaf, comp in zip(calls, doc["components"][::2]))
+
+
 # ---------------------------------------------------------------------------
 # reading: `qcorr run` reads each number literal as float() reads it
 
@@ -584,6 +685,67 @@ def test_brackets_in_strings_do_not_nest(text, refused):
         assert refused
     else:
         assert not refused
+
+
+def _deepest_by_scan(text: str) -> int:
+    """The deepest nesting of text, read one character at a time: a string
+    runs to the next quote that no backslash escapes, and brackets inside it
+    do not count."""
+    depth = deepest = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch in "]}":
+            depth -= 1
+    return deepest
+
+
+# what a string may hold: brackets, an escaped quote, an escaped backslash
+# (which leaves a quote after it unescaped), and other text
+_STRING_BODY = st.lists(
+    st.sampled_from(["[", "]", "{", "}", '\\"', "\\\\", "a", "\\n"]), max_size=4
+).map("".join)
+_NESTING_TOKENS = st.one_of(
+    st.sampled_from(["[", "{", "]", "}", ",", "1"]),
+    _STRING_BODY.map(lambda body: f'"{body}"'),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(99, 102), st.data())
+def test_check_nesting_agrees_with_a_plain_scan(depth, data):
+    opens = data.draw(st.lists(st.sampled_from("[{"), min_size=depth, max_size=depth))
+    inserts = data.draw(st.lists(st.tuples(st.integers(0, depth), _NESTING_TOKENS),
+                                 max_size=8))
+    tokens = list(opens)
+    for at, token in sorted(inserts, reverse=True):
+        tokens.insert(at, token)
+    tokens += data.draw(st.lists(st.sampled_from("]}"), max_size=depth))
+    # an unterminated final string, maybe ending in a lone backslash
+    tokens.append(data.draw(st.one_of(
+        st.just(""),
+        _STRING_BODY.map(lambda body: '"' + body),
+        _STRING_BODY.map(lambda body: '"' + body + "\\"),
+    )))
+    text = "".join(tokens)
+    try:
+        check_nesting(text.encode())
+    except SchemaViolation:
+        refused = True
+    else:
+        refused = False
+    assert refused == (_deepest_by_scan(text) > MAX_NESTING)
 
 
 def _explicit_scenario(values):
