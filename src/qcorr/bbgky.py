@@ -58,11 +58,11 @@ class MarginalState:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate the time-ordered iteration terms."""
+    """How to integrate the time-ordered iteration terms: the series order
+    and the Gauss-Legendre nodes on each level of the simplex."""
 
     order: int
     nodes_per_dim: int
-    rule: str = "gauss-legendre-simplex"
 
     def __post_init__(self):
         if not 0 <= self.order <= 3:
@@ -71,8 +71,6 @@ class QuadratureSpec:
             raise ValueError(
                 f"nodes_per_dim must be in [4, 64], got {self.nodes_per_dim}"
             )
-        if self.rule not in ("gauss-legendre-simplex", "nested-trapezoid"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
 
 def marginal_state_from_density(d: DensityState) -> MarginalState:
@@ -215,21 +213,13 @@ def _legendre_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float, float]]:
-    """(node, weight) pairs of the rule on the oriented interval [lo, hi].
-
-    Gauss-Legendre with ``nodes_per_dim`` nodes, or the closed uniform
-    trapezoid; weights are negative for hi < lo, and zero weights (an
-    empty interval) are dropped.
+    """(node, weight) pairs of the ``nodes_per_dim``-node Gauss-Legendre rule
+    on the oriented interval [lo, hi]; weights are negative for hi < lo, and
+    zero weights (an empty interval) are dropped.
     """
-    k = q.nodes_per_dim
-    if q.rule == "gauss-legendre-simplex":
-        x, w = _legendre_rule(k)
-        half = (hi - lo) / 2.0
-        pairs = zip((lo + (x + 1.0) * half).tolist(), (w * half).tolist())
-    else:  # nested-trapezoid
-        step = (hi - lo) / (k - 1)
-        weights = [step / 2] + [step] * (k - 2) + [step / 2]
-        pairs = zip(np.linspace(lo, hi, k).tolist(), weights)
+    x, w = _legendre_rule(q.nodes_per_dim)
+    half = (hi - lo) / 2.0
+    pairs = zip((lo + (x + 1.0) * half).tolist(), (w * half).tolist())
     return [(node, w) for node, w in pairs if w != 0.0]
 
 
@@ -237,7 +227,7 @@ def solve_bbgky_iteration(
     spec: SystemSpec, f0: MarginalState, s_values: list[int], t: float, q: QuadratureSpec
 ) -> dict[int, ManyBodyOperator]:
     """{s: F_s(t)} for every s in ``s_values``, by the truncated time-ordered
-    series with numerical quadrature.
+    series with Gauss-Legendre quadrature.
 
     Defined for systems with a two-body potential only.  Term n of F_s
     integrates, over the ordered simplex 0 <= t_n <= ... <= t_1 <= t, the
@@ -249,17 +239,15 @@ def solve_bbgky_iteration(
     with V_m = sum_{i<m} Phi(i, m), each G_m the conjugation on particles
     1..m, and the commutator taken as the generator -(i/hbar)[V_m, .].
     The rule nests t_n outermost, on [0, t], and each t_{j-1} on [t_j, t]
-    (:func:`_interval_nodes`), so a term is a tree.  Its top level
-    T_m(t_n), m = s + n (:func:`_top_commutator`), does not depend on s:
-    V_m, the spectral parts of F_m and T_m at each t_n node are built once
-    per call, and every s whose series reaches m descends from them.  Each
-    lower level runs once per s and node prefix (t_n, ..., t_j).  Every s
-    sums its terms in the order of a solve for it alone, so F_s does not
-    depend on the other s requested, to the bit.  Tracing each level out
-    at once is exact: every later step acts on particles 1..m-1 only, so
-    Tr_m commutes with it.  A node t_j = t above level s + 1 (the
-    trapezoid's endpoint) is skipped: the interval [t, t] below it is
-    empty, so its subtree adds nothing.
+    (:func:`_interval_nodes`), so a term is a tree.  No level depends on
+    s: a chain from level m passes level j at the same nodes for every s
+    below j.  So V_m, the spectral parts of F_m and the top level T_m(t_n)
+    (:func:`_top_commutator`) are built once per call, and one descent from
+    each T_m(t_n) serves every s whose series reaches m, ending the chain
+    of F_s at level s.  Every s sums its terms in the order of a solve for
+    it alone, so F_s does not depend on the other s requested, to the bit.
+    Tracing each level out at once is exact: every later step acts on
+    particles 1..m-1 only, so Tr_m commutes with it.
     """
     if set(spec.potentials) - {2}:
         raise ValueError("the iteration series is defined for two-body systems")
@@ -271,28 +259,28 @@ def solve_bbgky_iteration(
             raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
     d, hbar = spec.dim_single, spec.hbar
 
-    def empty_below(s: int, m: int, node: float) -> bool:
-        """Whether node t' of level m has no node below it in the chain of
-        F_s: level m - 1 > s integrates over [t', t], empty at t' = t."""
-        return m > s + 1 and node == t
+    def descend(ends: list[int], m: int, tau: float, x: np.ndarray) -> dict:
+        """{s: the chain of F_s} for each s <= m in ``ends``, from x on
+        particles 1..m at time tau on to time t.
 
-    def descend(s: int, m: int, tau: float, x: np.ndarray) -> np.ndarray:
-        """The chain of F_s from x on particles 1..m at time tau on to time t.
-
-        Each node t' of [tau, t] conjugates x with G_m(t' - tau); above
-        m = s the weighted descent goes on from Tr_m[V_m, .] of that at t',
-        and at m = s the one node is t itself, with weight 1.
+        The chain of s = m conjugates x with G_m(t - tau).  Each node t' of
+        [tau, t] conjugates x with G_m(t' - tau), and the chains of the
+        s < m descend together from Tr_m[V_m, .] of that at t'.
         """
         rest = ParticleSet.range1(m)
-        acc = 0
-        for node, w in [(t, 1.0)] if m == s else _interval_nodes(q, tau, t):
-            if empty_below(s, m, node):
-                continue
+
+        def at(node: float) -> np.ndarray:
             x_node = ManyBodyOperator(rest, d, x)
-            y = _embedded_group_conj(spec, rest, m, node - tau, x_node).matrix
-            if m > s:
-                y = descend(s, m - 1, node, _traced_commutator(coupling[m], y, d, hbar))
-            acc = acc + w * y
+            return _embedded_group_conj(spec, rest, m, node - tau, x_node).matrix
+
+        below = [s for s in ends if s < m]
+        acc = {s: 0 for s in below}
+        for node, w in _interval_nodes(q, tau, t) if below else []:
+            y = _traced_commutator(coupling[m], at(node), d, hbar)
+            for s, chain in descend(below, m - 1, node, y).items():
+                acc[s] = acc[s] + w * chain
+        if m in ends:  # from 0, as every sum here, so -0.0 ends as +0.0
+            acc[m] = 0 + at(t)
         return acc
 
     totals = {}
@@ -306,7 +294,7 @@ def solve_bbgky_iteration(
     for m in coupling:
         if not seq.has(m):
             continue
-        chains = [s for s in totals if s < m <= top_end[s]]
+        ends = [s for s in totals if s < m <= top_end[s]]
         ug = make_unitary_group(spec, ParticleSet.range1(m))
         w, wh = ug.eigenvectors, ug.eigenvectors.conj().T
         f = seq.components[m].matrix
@@ -314,12 +302,9 @@ def solve_bbgky_iteration(
         parts = [(c, wh @ h @ w) for c, h in halves if np.any(h)]
         top = (ug, wh, coupling[m] @ w, parts)
         for tn, wt in _interval_nodes(q, 0.0, t):
-            ends = [s for s in chains if not empty_below(s, m, tn)]
-            if not ends:
-                continue
             x = _top_commutator(top, tn, d, hbar)
-            for s in ends:
-                totals[s] = totals[s] + wt * descend(s, m - 1, tn, x)
+            for s, chain in descend(ends, m - 1, tn, x).items():
+                totals[s] = totals[s] + wt * chain
     return {s: ManyBodyOperator(ParticleSet.range1(s), d, m) for s, m in totals.items()}
 
 

@@ -238,9 +238,7 @@ def load_scenario(obj: dict) -> Scenario:
 
     q = obj.get("quadrature")
     quadrature = (
-        QuadratureSpec(int(q["order"]), int(q["nodes_per_dim"]), q["rule"])
-        if q
-        else QuadratureSpec(2, 16, "gauss-legendre-simplex")
+        QuadratureSpec(int(q["order"]), int(q["nodes_per_dim"])) if q else QuadratureSpec(2, 16)
     )
 
     if "observable" in obj:

@@ -203,15 +203,13 @@ INITIAL_SCHEMA = {
 
 QUADRATURE_SCHEMA = {
     "type": "object",
-    "required": ["order", "nodes_per_dim", "rule"],
+    "required": ["order", "nodes_per_dim"],
     "additionalProperties": False,
     "properties": {
         "order": {"type": "integer", "minimum": 0, "maximum": 3},
         "nodes_per_dim": {"type": "integer", "minimum": 4, "maximum": 64},
-        "rule": {
-            "type": "string",
-            "enum": ["gauss-legendre-simplex", "nested-trapezoid"],
-        },
+        # the one rule's name, still accepted so that older scenarios load
+        "rule": {"type": "string", "enum": ["gauss-legendre-simplex"]},
     },
 }
 
@@ -300,19 +298,16 @@ _KEYWORDS = frozenset({
 })
 
 
-def _is_pair_row(row) -> bool:
-    """True when row is a non-empty list of [re, im] pairs of exact ints
-    and floats."""
-    if type(row) is not list or set(map(type, row)) != {list}:
-        return False
-    if set(map(len, row)) != {2}:
-        return False
-    return set(map(type, chain.from_iterable(row))) <= _NUMBER_TYPES
-
-
 def _is_raw_matrix(x) -> bool:
-    """True when x is a raw-matrix leaf that every raw-matrix schema accepts."""
-    return type(x) is list and bool(x) and all(map(_is_pair_row, x))
+    """True when x is a raw-matrix leaf that every raw-matrix schema accepts:
+    a non-empty list of non-empty rows of [re, im] pairs of exact ints and
+    floats.  Past the rows, three sets over all pairs at once decide."""
+    if type(x) is not list or not x or set(map(type, x)) != {list} or not all(x):
+        return False
+    pairs = list(chain.from_iterable(x))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return False
+    return set(map(type, chain.from_iterable(pairs))) <= _NUMBER_TYPES
 
 
 # how deep check_nesting lets arrays and objects nest: far above the 7

@@ -193,20 +193,15 @@ def naive_scattering_cumulant(h1, potentials, hbar, d, f, t, clusters):
     return total
 
 
-def naive_nested_nodes(rule, nodes, lower, upper):
-    """(node, weight) pairs of one level of the simplex quadrature on [lower, upper]."""
+def naive_nested_nodes(nodes, lower, upper):
+    """(node, weight) pairs of one Gauss-Legendre level of the simplex
+    quadrature on [lower, upper]."""
     half = (upper - lower) / 2.0
-    if rule == "gauss-legendre-simplex":
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        return [(lower + (xi + 1.0) * half, wi * half) for xi, wi in zip(x, w)]
-    step = (upper - lower) / (nodes - 1)
-    return [
-        (lower + i * step, step * (0.5 if i in (0, nodes - 1) else 1.0))
-        for i in range(nodes)
-    ]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return [(lower + (xi + 1.0) * half, wi * half) for xi, wi in zip(x, w)]
 
 
-def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
+def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, nodes):
     """F_s(t) from the time-ordered series, every chain on all s+n slots.
 
     comps maps n to the matrix of F_n on slots 0..n-1.  Term n integrates,
@@ -248,7 +243,7 @@ def naive_iteration_series(h1, phi2, hbar, d, comps, s, t, order, rule, nodes):
         def integrate(level, lower, ts):
             # t_level on [lower, t]; ts holds t_{level+1}..t_n
             acc = 0
-            for node, w in naive_nested_nodes(rule, nodes, lower, t):
+            for node, w in naive_nested_nodes(nodes, lower, t):
                 here = (node,) + ts
                 inner = chain(here) if level == 1 else integrate(level - 1, node, here)
                 acc = acc + w * inner

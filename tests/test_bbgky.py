@@ -70,7 +70,7 @@ from qcorr.verify import (
 
 TOL_TIGHT = 1e-10
 TOL_SOLVE = 1e-9
-TOL_SERIES = 1e-5
+TOL_SERIES = 1e-12
 
 
 def _naive_marginals(d: DensityState):
@@ -306,7 +306,7 @@ def test_all_s_solve_does_not_depend_on_the_order_of_s():
 
 def test_quadrature_spec_validation():
     QuadratureSpec(2, 32)
-    QuadratureSpec(0, 4, "nested-trapezoid")
+    QuadratureSpec(0, 4)
     with pytest.raises(ValueError):
         QuadratureSpec(-1, 16)
     with pytest.raises(ValueError):
@@ -315,8 +315,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(2, 3)
     with pytest.raises(ValueError):
         QuadratureSpec(2, 65)
-    with pytest.raises(ValueError):
-        QuadratureSpec(2, 16, "monte-carlo")
 
 
 def test_iteration_matches_cumulant_solution():
@@ -324,7 +322,7 @@ def test_iteration_matches_cumulant_solution():
     f0 = marginal_state_from_density(random_density_state(311, 2, 3))
     t = 0.2
     reference = solve_bbgky_cumulant(spec, f0, 1, t)
-    q = QuadratureSpec(2, 32, "gauss-legendre-simplex")
+    q = QuadratureSpec(2, 32)
     got = solve_bbgky_iteration(spec, f0, [1], t, q)[1]
     assert trace_norm(got - reference) < TOL_SERIES
 
@@ -332,7 +330,7 @@ def test_iteration_matches_cumulant_solution():
 def test_iteration_zero_time_exact():
     spec = random_system(312, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(313, 2, 3))
-    q = QuadratureSpec(2, 8, "gauss-legendre-simplex")
+    q = QuadratureSpec(2, 8)
     got = solve_bbgky_iteration(spec, f0, [1], 0.0, q)[1]
     assert trace_norm(got - f0.seq.components[1]) == 0.0
 
@@ -347,18 +345,22 @@ def test_iteration_backwards_in_time_matches_cumulant_solution():
     assert trace_norm(got - reference) <= 1e-12 * trace_norm(reference)
 
 
-def test_trapezoid_error_decreases_with_nodes():
+def test_gauss_error_decreases_with_nodes():
+    # at t = 0.2 the error reaches round-off by 6 nodes; t = 2 leaves the
+    # quadrature error in view at every count
     spec = random_system(314, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(315, 2, 3))
-    t = 0.2
+    t = 2.0
     reference = solve_bbgky_cumulant(spec, f0, 1, t)
     errs = []
-    for nodes in (8, 16, 32):
-        q = QuadratureSpec(2, nodes, "nested-trapezoid")
+    for nodes in (4, 5, 6, 8):
+        q = QuadratureSpec(2, nodes)
         errs.append(trace_norm(solve_bbgky_iteration(spec, f0, [1], t, q)[1] - reference))
-    assert errs[1] < errs[0]
-    assert errs[2] < errs[1]
+    assert all(b < a for a, b in zip(errs, errs[1:]))
 
+
+# the ids of the iteration tests name the quadrature rule they run
+GAUSS = "gauss-legendre-simplex"
 
 # (s, order, nodes, d, n_max, t, hermitian); d = 2 alone cannot tell a
 # stride of d from 2, complex Gaussian components run the anti-Hermitian
@@ -371,7 +373,8 @@ CHAINS = [(1, 2, 5, 2, 4, 0.4, True), (2, 2, 5, 2, 4, 0.4, True),
 
 def _chain_id(s, order, nodes, d, n_max, t, hermitian):
     return (f"{s}-{order}-{nodes}" + (f"-d{d}" if d != 2 else "")
-            + (f"-t{t}" if t != 0.4 else "") + ("" if hermitian else "-complex"))
+            + (f"-t{t}" if t != 0.4 else "") + ("" if hermitian else "-complex")
+            + f"-{GAUSS}")
 
 
 def _complex_marginals(seed, d, n_max):
@@ -382,13 +385,10 @@ def _complex_marginals(seed, d, n_max):
     return MarginalState(OperatorSequence(d, n_max, 1.0, comps))
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
 @pytest.mark.parametrize(
     "s,order,nodes,d,n_max,t,hermitian", CHAINS, ids=[_chain_id(*c) for c in CHAINS]
 )
-def test_iteration_matches_full_embedding_chain(
-    rule, s, order, nodes, d, n_max, t, hermitian
-):
+def test_iteration_matches_full_embedding_chain(s, order, nodes, d, n_max, t, hermitian):
     # the literal chain keeps every operator on all s+n particles and traces
     # them out at the end; the series traces each level out right away
     spec = random_system(318, dim_single=d, orders=(2,), hbar=0.7)
@@ -398,9 +398,9 @@ def test_iteration_matches_full_embedding_chain(
         f0 = _complex_marginals(320, d, n_max)
     comps = {n: op.matrix for n, op in f0.seq.components.items()}
     ref = naive_iteration_series(
-        spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, rule, nodes
+        spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, nodes
     )
-    got = solve_bbgky_iteration(spec, f0, [s], t, QuadratureSpec(order, nodes, rule))[s]
+    got = solve_bbgky_iteration(spec, f0, [s], t, QuadratureSpec(order, nodes))[s]
     ref_op = ManyBodyOperator(ParticleSet.range1(s), d, ref)
     assert trace_norm(got - ref_op) <= 1e-13 * trace_norm(ref_op)
 
@@ -469,47 +469,75 @@ def _count_top_levels(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
-@pytest.mark.parametrize("order", [2, 3])
-def test_top_level_runs_once_per_outer_node(monkeypatch, rule, order):
+@pytest.mark.parametrize("order", [2, 3], ids=lambda order: f"{order}-{GAUSS}")
+def test_top_level_runs_once_per_outer_node(monkeypatch, order):
     # term n evaluates G_{s+n}(t_n) F_{s+n} and its traced commutator at the
-    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves; the
-    # trapezoid's last node t_n = t leaves an empty interval below it when
-    # n >= 2, so it is skipped there
+    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves
     counts = _count_top_levels(monkeypatch)
     spec = random_system(332, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(333, 2, 4))
-    solve_bbgky_iteration(spec, f0, [1], 0.3, QuadratureSpec(order, 5, rule))
-    skipped = {n: int(rule == "nested-trapezoid" and n >= 2) for n in range(1, order + 1)}
-    assert counts == {2 ** (1 + n): 5 - skipped[n] for n in range(1, order + 1)}
+    solve_bbgky_iteration(spec, f0, [1], 0.3, QuadratureSpec(order, 5))
+    assert counts == {2 ** (1 + n): 5 for n in range(1, order + 1)}
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
-def test_top_level_is_shared_by_every_s(monkeypatch, rule):
+def test_top_level_is_shared_by_every_s(monkeypatch):
     # s = 1, 2, 3 all reach m = 4 at order 3, and s = 1, 2 reach m = 3; each
-    # top level still runs once per outer node, not once per s, and at the
-    # trapezoid's endpoint t_n = t it runs for the s = m - 1 alone
+    # top level still runs once per outer node, not once per s
     counts = _count_top_levels(monkeypatch)
     spec = random_system(332, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(333, 2, 4))
-    solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.3, QuadratureSpec(3, 5, rule))
+    solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.3, QuadratureSpec(3, 5))
     assert counts == {4: 5, 8: 5, 16: 5}
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre-simplex", "nested-trapezoid"])
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_joint_solve_equals_solve_per_s_bit_for_bit(rule, order):
-    # the shared top levels feed every s, and each s keeps the order of
-    # summation of a solve for it alone
+@pytest.mark.parametrize("d,nodes,calls", [(3, 6, 594), (2, 16, 9264)])
+def test_lower_levels_run_once_for_every_s(monkeypatch, d, nodes, calls):
+    # s = 1, 2, 3 at order 3 and n_max = 4: per outer node the descent from
+    # m = 2, 3, 4 conjugates 1, 1 + 2k and 1 + 2k + 2k^2 times (k nodes), as
+    # every s below a level shares its conjugations; 3k + 4k^2 + 2k^3 in all
+    count = [0]
+    original = bbgky._embedded_group_conj
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(bbgky, "_embedded_group_conj", counting)
+    spec = random_system(318, dim_single=d, orders=(2,))
+    f0 = marginal_state_from_density(random_density_state(319, d, 4))
+    solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.4, QuadratureSpec(3, nodes))
+    assert count[0] == calls == 3 * nodes + 4 * nodes**2 + 2 * nodes**3
+
+
+@pytest.mark.parametrize("order", [1, 2, 3], ids=lambda order: f"{order}-{GAUSS}")
+def test_joint_solve_equals_solve_per_s_bit_for_bit(order):
+    # one descent from each top level feeds every s, and each s keeps the
+    # order of summation of a solve for it alone
     spec = random_system(334, dim_single=2, orders=(2,), hbar=0.7)
     f0 = marginal_state_from_density(random_density_state(335, 2, 4))
-    q = QuadratureSpec(order, 5, rule)
+    q = QuadratureSpec(order, 5)
     joint = solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.4, q)
     assert sorted(joint) == [1, 2, 3]
     for s in (1, 2, 3):
         alone = solve_bbgky_iteration(spec, f0, [s], 0.4, q)[s]
         assert joint[s].labels == alone.labels
         assert np.array_equal(joint[s].matrix.view(np.uint64), alone.matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("t", [0.7, -0.4, 0.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_each_s_is_solved_alike_whatever_else_is_asked(d, t):
+    # each s ends its chains at its own level of the shared descent; forward,
+    # backward and at t = 0 (no node at all), and in either order of s
+    spec = random_system(318, dim_single=d, orders=(2,), hbar=0.7)
+    f0 = marginal_state_from_density(random_density_state(319, d, 4))
+    q = QuadratureSpec(3, 4)
+    up = solve_bbgky_iteration(spec, f0, [1, 2, 3], t, q)
+    down = solve_bbgky_iteration(spec, f0, [3, 2, 1], t, q)
+    for s in (1, 2, 3):
+        alone = solve_bbgky_iteration(spec, f0, [s], t, q)[s].matrix.view(np.uint64)
+        assert np.array_equal(up[s].matrix.view(np.uint64), alone)
+        assert np.array_equal(down[s].matrix.view(np.uint64), alone)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

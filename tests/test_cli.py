@@ -968,7 +968,7 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
     assert code == 0
     assert set(os.listdir(out)) == {"manifest.json", "iterate.json", "iterate.csv"}
     result = json.loads((out / "iterate.json").read_text())
-    assert result["quadrature"] == ITERATE_SCENARIO["quadrature"]
+    assert result["quadrature"] == {"order": 2, "nodes_per_dim": 6}
 
     sc = load_scenario(ITERATE_SCENARIO)
     f0 = marginal_state_from_density(sc.initial)
@@ -980,6 +980,27 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
         got = ManyBodyOperator(ParticleSet.range1(s), 2, matrix)
         assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-5
     capsys.readouterr()
+
+
+def test_quadrature_rule_may_be_left_out_and_names_gauss_alone(tmp_path, capsys):
+    # Gauss-Legendre is the one rule: a scenario may name it or leave the
+    # field out, with the same results, and any other name is refused
+    quadrature = {"order": 2, "nodes_per_dim": 6}
+    code, plain = _run(tmp_path, dict(ITERATE_SCENARIO, quadrature=quadrature), "plain")
+    assert code == 0
+    code, named = _run(tmp_path, ITERATE_SCENARIO, "named")
+    assert code == 0
+    for name in ("iterate.json", "iterate.csv"):
+        assert (plain / name).read_bytes() == (named / name).read_bytes()
+    capsys.readouterr()
+
+    trapezoid = dict(quadrature, rule="nested-trapezoid")
+    code, out = _run(tmp_path, dict(ITERATE_SCENARIO, quadrature=trapezoid), "trapezoid")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("schema violation: ") and err.count("\n") == 1
+    assert "quadrature/rule" in err
 
 
 def test_iterate_records_are_ordered_by_s_then_t(tmp_path, capsys):

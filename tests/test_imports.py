@@ -6,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
+
+import qcorr
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +40,12 @@ def _probe_modules(probe: str, *args: str) -> set[str]:
 
 def _loaded(module: str) -> set[str]:
     return _probe_modules(_PROBE, module)
+
+
+def test_pyproject_states_the_package_version():
+    # a release bumps both, and the manifest of every run records the second
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == qcorr.__version__
 
 
 def test_package_imports_nothing():

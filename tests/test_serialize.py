@@ -873,6 +873,18 @@ def test_the_one_pass_matrix_test_agrees_with_the_walk(x):
     assert (_check(x, _RAW_MATRIX) is None) == walked
 
 
+@pytest.mark.parametrize("x", [
+    [[[1, 0]], []], [[]], [], [[[1, 0]], [[0, 1, 2]]], [[[1, 0]], [1]],
+    [[[1, 0]], "ab"], [[[1, 0], [0.5, True]]], [[[1, 0]], [[None, 0]]],
+], ids=["empty-row", "only-empty-row", "no-row", "triple", "number-row",
+        "text-row", "bool", "null"])
+def test_the_one_pass_matrix_test_refuses_each_bad_leaf(x):
+    # the test looks at all pairs of a leaf at once, so a fault in any row,
+    # not only the first, must still refuse the whole leaf
+    assert not _is_raw_matrix(x)
+    assert _check(x, _RAW_MATRIX) is not None
+
+
 def test_schema_registry_names():
     assert set(ALL_SCHEMAS) == {
         "sequence",
