@@ -978,7 +978,7 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
         s, t = rec["s"], rec["t"]
         matrix = decode_raw_matrix(rec["matrix"])
         got = ManyBodyOperator(ParticleSet.range1(s), 2, matrix)
-        assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-5
+        assert trace_norm(got - solve_bbgky_cumulant(sc.spec, f0, s, t)) < 1e-10
     capsys.readouterr()
 
 

@@ -32,6 +32,7 @@ from qcorr.presets import (
 from qcorr.star_algebra import OperatorSequence
 from qcorr.verify import (
     chaos_data,
+    derivative,
     literal_cumulant_solution,
     nonlinear_generator,
     seq_residual,
@@ -249,14 +250,9 @@ def test_chaos_input_validation(spec2):
 def test_nonlinear_generator_matches_finite_difference(spec2):
     g = gstate(137)
     gen = nonlinear_generator(spec2, g)
-    h = 1e-4
-    plus = solve_hierarchy(spec2, g, h)
-    minus = solve_hierarchy(spec2, g, -h)
     for n in (1, 2, 3):
-        fd = (plus.seq.components[n].matrix - minus.seq.components[n].matrix) / (
-            2 * h
-        )
-        assert np.abs(fd - gen.seq.components[n].matrix).max() <= 5e-7
+        fd = derivative(lambda t: solve_hierarchy(spec2, g, t).seq.components[n].matrix)
+        assert np.abs(fd - gen.seq.components[n].matrix).max() <= 1e-12
 
 
 def test_nonlinear_generator_linear_part_only_for_chaos_free(spec_free):
@@ -298,9 +294,9 @@ def test_growth_bound_on_seeded_states(spec2):
 def test_weak_form_of_the_equations(spec2):
     g = gstate(151)
     phi = random_operator(rng_from_seed(152), ParticleSet.range1(2), 2)
-    assert weak_solution_check(spec2, phi, g, 0.4) <= 5e-6
+    assert weak_solution_check(spec2, phi, g, 0.4) <= 1e-13
     phi3 = random_operator(rng_from_seed(153), ParticleSet.range1(3), 2)
-    assert weak_solution_check(spec2, phi3, g, 0.4) <= 5e-6
+    assert weak_solution_check(spec2, phi3, g, 0.4) <= 1e-13
     bad = random_operator(rng_from_seed(154), ParticleSet.of([2, 3]), 2)
     with pytest.raises(ValueError):
         weak_solution_check(spec2, bad, g, 0.4)
