@@ -3,7 +3,10 @@
 `run` executes a scenario's tasks on correlation or density data, given
 explicitly or drawn by a preset; chaos data are a correlation sequence that
 holds only g_1.  `run --seed` writes the seed into both presets of a copy of
-the document before loading it, so the manifest records the seeds that ran.
+the document before loading it, so the manifest records the seeds that ran;
+a document with no preset is refused.  `run` writes into the directory that
+`--out` names (default `qcorr-out`): `<task>.json` for every task, the CSV
+twin of `bbgky`, `iterate` and `observables`, and `manifest.json`.
 `run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
 `Infinity`, `-Infinity` and a number literal that no double holds; orjson
 is imported there, so importing this module does not load it.
@@ -37,7 +40,7 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb, isfinite
 
@@ -110,8 +113,7 @@ class Scenario:
     s_values: list[int]
     quadrature: QuadratureSpec
     observable: np.ndarray
-    output: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    raw: dict  # the document as read, which the manifest records
 
     @cached_property
     def density(self) -> DensityState:
@@ -262,7 +264,6 @@ def load_scenario(obj: dict) -> Scenario:
         s_values=s_values,
         quadrature=quadrature,
         observable=a,
-        output=obj.get("output", {}),
         raw=obj,
     )
 
@@ -404,9 +405,6 @@ _TASK_FNS = {
 
 def run_scenario(sc: Scenario) -> dict[str, str]:
     """Execute every task; return {filename: text}."""
-    want_json = sc.output.get("format", "both") != "csv"
-    want_csv = sc.output.get("format", "both") != "json"
-
     files: dict[str, str] = {}
     for i, task in enumerate(sc.tasks):
         try:
@@ -417,9 +415,8 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
         # what no later task reads goes before the result is encoded
         if not {"evolve", "hierarchy", "observables"} & set(sc.tasks[i + 1:]):
             sc.__dict__.pop("flow", None)
-        if want_json:
-            files[f"{task}.json"] = dumps_canonical(result)
-        if want_csv and task in _CSV_COLUMNS:
+        files[f"{task}.json"] = dumps_canonical(result)
+        if task in _CSV_COLUMNS:
             files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
 
     manifest = {
@@ -453,7 +450,12 @@ def _non_directory(path: str) -> OSError | None:
 
 
 def _with_seed(obj: dict, seed: int) -> dict:
-    """A copy of a valid scenario whose system and initial presets draw from seed."""
+    """A copy of a valid scenario whose system and initial presets draw from
+    seed; a seed that no preset reads would leave no trace, so it is refused."""
+    if "preset" not in obj["system"] and "preset" not in obj["initial"]:
+        raise ValueError(
+            "--seed is read by no preset: the system and the initial data are explicit"
+        )
     obj = dict(obj)
     if "preset" in obj["system"]:
         obj["system"] = dict(obj["system"], seed=seed)
@@ -479,7 +481,7 @@ def _cmd_run(args) -> int:
         validate(obj, SCENARIO_SCHEMA, "scenario")
         obj = _with_seed(obj, args.seed)
     sc = load_scenario(obj)
-    out_dir = args.out or sc.output.get("path") or "qcorr-out"
+    out_dir = args.out or "qcorr-out"
     blocked = _non_directory(out_dir)
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
@@ -549,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=None, help="output directory (default qcorr-out)")
     # runs are sequential; the flag stays only because the benchmark passes 1
     p_run.add_argument(
         "--threads", type=int, choices=[1], default=1, help="runs are sequential"

@@ -241,14 +241,6 @@ SCENARIO_SCHEMA = {
         },
         "quadrature": QUADRATURE_SCHEMA,
         "observable": _RAW_MATRIX,
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"type": "string", "enum": ["json", "csv", "both"]},
-            },
-        },
     },
 }
 

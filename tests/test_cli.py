@@ -175,6 +175,37 @@ def test_seed_override(tmp_path):
     assert _read_dir(direct) == _read_dir(overridden)
 
 
+def test_seed_override_needs_a_preset(tmp_path, capsys):
+    # a seed that nothing draws from would leave no trace in the run
+    base = load_scenario(BASE_SCENARIO)
+    system = {"dim_single": 2, "one_body": encode_raw_matrix(base.spec.one_body),
+              "potentials": {"2": encode_raw_matrix(base.spec.potentials[2])}}
+    explicit = dict(
+        BASE_SCENARIO,
+        system=_wire(system),
+        initial=_wire({"correlation": serialize.encode_sequence(base.initial.seq)}),
+    )
+    code, out = _run(tmp_path, explicit, "explicit", ("--seed", "99"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "invalid request: --seed is read by no preset: "
+        "the system and the initial data are explicit\n"
+    )
+    assert not out.exists()
+
+    # one preset takes the seed, and the manifest records it
+    for field in ("system", "initial"):
+        sc = dict(explicit, **{field: BASE_SCENARIO[field]})
+        _, plain = _run(tmp_path, sc, f"{field}-plain")
+        code, seeded = _run(tmp_path, sc, f"{field}-seeded", ("--seed", "99"))
+        assert code == 0
+        ran = json.loads((seeded / "manifest.json").read_text())["scenario"]
+        preset = ran[field] if field == "system" else ran[field]["preset"]
+        assert preset["seed"] == 99
+        assert _read_dir(seeded)["evolve.json"] != _read_dir(plain)["evolve.json"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -1147,22 +1178,40 @@ def test_one_particle_cutoff_still_has_a_dispersion(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_json_only_output_format(tmp_path):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["output"] = {"format": "json"}
-    code, out = _run(tmp_path, sc, "json-only")
-    assert code == 0
-    assert not [n for n in os.listdir(out) if n.endswith(".csv")]
-
-
-def test_scenario_output_path_used_without_flag(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("out", [None, ""], ids=["no-flag", "empty"])
+def test_run_writes_into_qcorr_out_without_a_directory(tmp_path, monkeypatch, capsys, out):
     monkeypatch.chdir(tmp_path)
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["output"] = {"path": "from-scenario", "format": "json"}
-    path = _write_scenario(tmp_path, sc)
-    assert main(["run", "--scenario", path]) == 0
-    assert (tmp_path / "from-scenario" / "manifest.json").exists()
-    capsys.readouterr()
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    argv = ["run", "--scenario", path] + ([] if out is None else ["--out", out])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "wrote 6 files to qcorr-out\n"
+    assert (tmp_path / "qcorr-out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("task", list(cli._TASK_FNS))
+def test_every_task_writes_its_json_and_tables_their_csv(tmp_path, task):
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=[task]), task)
+    assert code == 0
+    twin = [f"{task}.csv"] if task in ("bbgky", "iterate", "observables") else []
+    files = sorted([f"{task}.json", *twin])
+    assert json.loads((out / "manifest.json").read_text())["files"] == files
+    assert sorted(os.listdir(out)) == sorted([*files, "manifest.json"])
+
+
+@pytest.mark.parametrize(
+    "output", [{}, {"path": "elsewhere"}, {"format": "csv"}, {"format": "both"}]
+)
+def test_a_scenario_output_object_exits_2_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, output
+):
+    # --out alone names the directory, and every run writes every file
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(tmp_path, dict(BASE_SCENARIO, output=output), "out")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "schema violation: scenario at '': property 'output' is not allowed\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -134,3 +134,13 @@ def test_readme_rule_tolerances_are_the_code_tolerances():
     assert len(herm) >= 3 and sym
     assert {float(tol) for _, tol in herm} == {TAU_HERM}
     assert {float(tol) for _, tol in sym} == {TAU_HERM / 2}
+
+
+def test_readme_names_every_optional_scenario_key():
+    # "..., and optionally `a`, `b` and `c`." names every optional key, and
+    # only those, so a key the schema drops or adds shows here
+    text = " ".join((ROOT / "README.md").read_text().split())
+    (sentence,) = re.findall(r"and optionally ((?:`\w+`(?:, | and )?)+)", text)
+    named = re.findall(r"`(\w+)`", sentence)
+    schema = serialize.SCENARIO_SCHEMA
+    assert sorted(named) == sorted(set(schema["properties"]) - set(schema["required"]))

@@ -952,7 +952,6 @@ def _full_scenario(explicit):
         "quadrature": {"order": 2, "nodes_per_dim": 6,
                        "rule": "gauss-legendre-simplex"},
         "observable": _M2,
-        "output": {"path": "out", "format": "json"},
     }
 
 
@@ -975,7 +974,7 @@ _SCENARIO_PATHS = [
     ("n_max",), ("s_values",), ("s_values", 0), ("quadrature",),
     ("quadrature", "order"), ("quadrature", "nodes_per_dim"),
     ("quadrature", "rule"), ("quadrature", "extra"), ("tolerances",),
-    ("output",), ("output", "path"), ("output", "format"), ("output", "extra"),
+    ("output",),
     ("system",), ("system", "seed"), ("system", "orders"),
     ("system", "orders", 0), ("system", "dim_single"), ("system", "hbar"),
     ("system", "scale"), ("system", "preset"), ("system", "extra"),
