@@ -2,9 +2,9 @@
 
 `run` executes a scenario's tasks on correlation or density data, given
 explicitly or drawn by a preset; chaos data are a correlation sequence that
-holds only g_1.  `run --seed` writes the seed into both presets of a copy of
-the document before loading it, so the manifest records the seeds that ran;
-a document with no preset is refused.  `run` writes into the directory that
+holds only g_1.  `run --seed N` writes the seeds N (system preset) and
+N + 1 (initial preset) into the document, which the manifest records; a
+document with no preset is refused.  `run` writes into the directory that
 `--out` names (default `qcorr-out`): `<task>.json` for every task, the CSV
 twin of `bbgky`, `iterate` and `observables`, and `manifest.json`.
 `run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
@@ -76,11 +76,10 @@ from .operators import (
     require_hermitian,
     trace_norm,
 )
-from .presets import random_correlation_state, random_density_state
+from .presets import random_correlation_state, random_density_state, random_system
 from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
-    SYSTEM_PRESET_DEFAULTS,
     check_nesting,
     decode_raw_matrix,
     decode_sequence,
@@ -139,15 +138,30 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
     return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
 
 
-# each initial preset's builder, and the fields it reads besides "preset"
-# and "seed" with their defaults
-_INITIAL_PRESETS = {
+# each preset's builder, and the fields it reads besides "preset" and "seed"
+# with their defaults; random_hermitian is the system preset
+_PRESETS = {
+    "random_hermitian": (
+        random_system,
+        {"dim_single": 2, "orders": [2], "hbar": 1.0, "scale": 1.0},
+    ),
     "random_correlation": (
         random_correlation_state,
-        {"norms": 0.5, "traceless": False, "symmetric": False},
+        {"norms": 0.5, "traceless": False, "symmetric": True},
     ),
     "random_density": (random_density_state, {"trace_scale": 0.8}),
 }
+
+
+def _preset(body: dict, what: str):
+    """The builder of a validated preset body and its keyword arguments: the
+    seed and each field it reads, given or default; refuses any other field."""
+    build, defaults = _PRESETS[body["preset"]]
+    for key in body:
+        if key not in ("preset", "seed", *defaults):
+            raise SchemaViolation(f"{what} preset {body['preset']} does not read '{key}'")
+    fields = {key: body.get(key, value) for key, value in defaults.items()}
+    return build, {"seed": int(body["seed"]), **fields}
 
 
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
@@ -164,24 +178,19 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
             )
         seq = _fit_sequence(decode_sequence(body, f"initial {tag}"), n_max)
         return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
-    name = body["preset"]
-    build, defaults = _INITIAL_PRESETS[name]
-    for key in body:
-        if key not in ("preset", "seed", *defaults):
-            raise SchemaViolation(f"initial preset {name} does not read '{key}'")
-    fields = {key: body.get(key, value) for key, value in defaults.items()}
-    return build(int(body["seed"]), spec.dim_single, n_max, **fields)
+    build, kwargs = _preset(body, "initial")
+    return build(dim_single=spec.dim_single, n_max=n_max, **kwargs)
 
 
 def load_scenario(obj: dict) -> Scenario:
     """Validate, decode, and capacity-check a scenario document."""
     validate(obj, SCENARIO_SCHEMA, "scenario")
 
-    # the dimensions are checked on the document, before decode_system draws
-    # a preset's random matrices
-    system_obj = obj["system"]
+    # the dimensions are checked on the document, with the preset's defaults
+    # filled in, before the preset draws its random matrices
+    system_obj, draw = obj["system"], None
     if "preset" in system_obj:
-        system_obj = {**SYSTEM_PRESET_DEFAULTS, **system_obj}
+        draw, system_obj = _preset(system_obj, "system")
     n_max = int(obj["n_max"])
     if n_max > MAX_N_MAX:
         raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
@@ -196,7 +205,7 @@ def load_scenario(obj: dict) -> Scenario:
                 f"potential of order {k} has dimension {d}^{k}, "
                 f"above the cap {MAX_OPERATOR_DIM}"
             )
-    spec = decode_system(system_obj)
+    spec = decode_system(system_obj) if draw is None else draw(**system_obj)
 
     times = [float(t) for t in obj["times"]]
     for t in times:
@@ -451,7 +460,8 @@ def _non_directory(path: str) -> OSError | None:
 
 def _with_seed(obj: dict, seed: int) -> dict:
     """A copy of a valid scenario whose system and initial presets draw from
-    seed; a seed that no preset reads would leave no trace, so it is refused."""
+    seed and (seed + 1) mod 2^64, or both from a seed the schema refuses; a
+    seed that no preset reads would leave no trace, so it is refused."""
     if "preset" not in obj["system"] and "preset" not in obj["initial"]:
         raise ValueError(
             "--seed is read by no preset: the system and the initial data are explicit"
@@ -460,6 +470,7 @@ def _with_seed(obj: dict, seed: int) -> dict:
     if "preset" in obj["system"]:
         obj["system"] = dict(obj["system"], seed=seed)
     if "preset" in obj["initial"]:
+        seed = (seed + 1) % 2**64 if 0 <= seed < 2**64 else seed
         obj["initial"] = {"preset": dict(obj["initial"]["preset"], seed=seed)}
     return obj
 

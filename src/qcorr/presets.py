@@ -60,7 +60,7 @@ def random_system(
         raw = random_hermitian(rng, d**k, scale)
         sym = symmetrize(ManyBodyOperator(ParticleSet.range1(k), d, raw))
         pots[k] = np.array(sym.matrix)
-    return SystemSpec(d, one, pots, hbar)
+    return SystemSpec(d, one, pots, float(hbar))
 
 
 def free_system(seed: int, dim_single: int = 2) -> SystemSpec:

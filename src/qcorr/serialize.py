@@ -5,8 +5,8 @@ Conventions
 * A complex number is a two-element array [re, im].
 * A raw matrix is an array of rows, each row an array of [re, im] pairs.
 * A sequence stores components as an array indexed by n-1 (null = absent).
-* A system is either explicit {dim_single, hbar, one_body, potentials}
-  or a preset {"preset": "random_hermitian", "seed": ..., "orders": [...]}.
+* A system is explicit {dim_single, hbar, one_body, potentials}, read by
+  decode_system, or a preset {"preset": "random_hermitian", ...}, drawn by cli.
 * The decoders compare no shapes: the constructor that receives a matrix
   (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
   SchemaViolation.
@@ -159,9 +159,6 @@ _SYSTEM_PRESET = {
 }
 
 SYSTEM_SCHEMA = {"oneOf": [_SYSTEM_EXPLICIT, _SYSTEM_PRESET]}
-
-# the value of each field of the system preset that a document leaves out
-SYSTEM_PRESET_DEFAULTS = {"dim_single": 2, "orders": [2], "hbar": 1.0, "scale": 1.0}
 
 _INITIAL_PRESET = {
     "type": "object",
@@ -725,18 +722,7 @@ def decode_sequence(obj: dict, what: str) -> OperatorSequence:
 
 
 def decode_system(obj: dict) -> SystemSpec:
-    """The system of an obj already validated against SYSTEM_SCHEMA."""
-    if "preset" in obj:
-        from .presets import random_system
-
-        p = {**SYSTEM_PRESET_DEFAULTS, **obj}
-        return random_system(
-            int(p["seed"]),
-            dim_single=int(p["dim_single"]),
-            orders=tuple(p["orders"]),
-            hbar=float(p["hbar"]),
-            scale=float(p["scale"]),
-        )
+    """The explicit system of an obj already validated against SYSTEM_SCHEMA."""
     one = decode_raw_matrix(obj["one_body"])
     pots = {int(k): decode_raw_matrix(m) for k, m in obj.get("potentials", {}).items()}
     try:

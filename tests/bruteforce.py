@@ -2,10 +2,12 @@
 
 Everything here is written the slow, obvious way (index loops, recursive
 enumeration, Taylor series) and deliberately imports nothing from the
-package under test.
+package under test.  Two helpers that only build test inputs, wire and
+rand_op, import the package inside their bodies.
 """
 
 import itertools
+import json
 from math import factorial
 
 import numpy as np
@@ -59,6 +61,31 @@ def complex_gaussian(rng, dim, norm=1.0):
     Hermitian or permutation structure that could hide an error."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return m * (norm / float(np.sum(np.linalg.svd(m, compute_uv=False))))
+
+
+def stdlib_text(obj) -> str:
+    """The canonical text of obj by the standard library alone."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def wire(x):
+    """x as a document carries it: dumps_canonical's text, decoded."""
+    from qcorr.serialize import dumps_canonical
+
+    return json.loads(dumps_canonical(x))
+
+
+def rand_op(seed, labels, d=2, herm=True):
+    """A seeded operand on the given particle labels: a Hermitian draw of
+    presets.random_operator, or for herm=False a complex_gaussian matrix."""
+    from qcorr.operators import ManyBodyOperator
+    from qcorr.partitions import ParticleSet
+    from qcorr.presets import random_operator, rng_from_seed
+
+    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
+    if herm:
+        return random_operator(rng, labels, d)
+    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def naive_kron(a, b):

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
 import errno
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import qcorr
-from bruteforce import naive_embed
+from bruteforce import naive_embed, stdlib_text, wire
 from qcorr import cli, serialize
 from qcorr.bbgky import (
     additive_dispersion,
@@ -28,12 +29,11 @@ from qcorr import verify
 from qcorr.hierarchy import DensityState, cluster_expand
 from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ParticleSet
-from qcorr.presets import chaos_one_particle, random_hermitian, rng_from_seed
+from qcorr.presets import chaos_one_particle, random_hermitian, random_system, rng_from_seed
 from qcorr.serialize import (
     ALL_SCHEMAS,
     REPORT_SCHEMA,
     decode_raw_matrix,
-    dumps_canonical,
     encode_raw_matrix,
     validate,
 )
@@ -75,16 +75,6 @@ ITERATE_SCENARIO = {
     "quadrature": {"order": 2, "nodes_per_dim": 6, "rule": "gauss-legendre-simplex"},
     "tasks": ["iterate"],
 }
-
-
-def _wire(x):
-    """x as a scenario document carries it: dumps_canonical's text, decoded."""
-    return json.loads(dumps_canonical(x))
-
-
-def _stdlib_text(obj) -> str:
-    """The canonical text of obj by the standard library alone."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _write_scenario(tmp_path, obj, name="scenario.json"):
@@ -170,7 +160,7 @@ def test_seed_override(tmp_path):
     # the document with both seeds written in
     pinned = json.loads(json.dumps(BASE_SCENARIO))
     pinned["system"]["seed"] = 99
-    pinned["initial"]["preset"]["seed"] = 99
+    pinned["initial"]["preset"]["seed"] = 100
     _, direct = _run(tmp_path, pinned, "pinned")
     assert _read_dir(direct) == _read_dir(overridden)
 
@@ -182,8 +172,8 @@ def test_seed_override_needs_a_preset(tmp_path, capsys):
               "potentials": {"2": encode_raw_matrix(base.spec.potentials[2])}}
     explicit = dict(
         BASE_SCENARIO,
-        system=_wire(system),
-        initial=_wire({"correlation": serialize.encode_sequence(base.initial.seq)}),
+        system=wire(system),
+        initial=wire({"correlation": serialize.encode_sequence(base.initial.seq)}),
     )
     code, out = _run(tmp_path, explicit, "explicit", ("--seed", "99"))
     assert code == 2
@@ -193,17 +183,66 @@ def test_seed_override_needs_a_preset(tmp_path, capsys):
     )
     assert not out.exists()
 
-    # one preset takes the seed, and the manifest records it
-    for field in ("system", "initial"):
+    # one preset takes its seed, N for the system and N + 1 for the initial
+    # data, and the manifest records it
+    for field, seed in (("system", 99), ("initial", 100)):
         sc = dict(explicit, **{field: BASE_SCENARIO[field]})
         _, plain = _run(tmp_path, sc, f"{field}-plain")
         code, seeded = _run(tmp_path, sc, f"{field}-seeded", ("--seed", "99"))
         assert code == 0
         ran = json.loads((seeded / "manifest.json").read_text())["scenario"]
         preset = ran[field] if field == "system" else ran[field]["preset"]
-        assert preset["seed"] == 99
+        assert preset["seed"] == seed
         assert _read_dir(seeded)["evolve.json"] != _read_dir(plain)["evolve.json"]
     capsys.readouterr()
+
+
+def test_seed_override_draws_the_initial_data_apart_from_the_system(tmp_path, capsys):
+    # with one seed in both presets the two draws shared one random stream,
+    # and g_1(0) came out a multiple of h to round-off
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    sc["initial"]["preset"]["symmetric"] = True
+    sc.update(times=[0.0], tasks=["hierarchy"])
+    code, out = _run(tmp_path, sc, "seeded", ("--seed", "99"))
+    assert code == 0
+    (state,) = json.loads((out / "hierarchy.json").read_text())["states"]
+    g1 = decode_raw_matrix(state["components"][0])
+    h = random_system(99, dim_single=2, orders=(2,)).one_body
+    c = np.vdot(h, g1) / np.vdot(h, h)
+    assert np.linalg.norm(g1 - c * h) > 1e-2 * np.linalg.norm(g1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "system, hbar, scale",
+    [
+        ({"preset": "random_hermitian", "seed": 7, "orders": [2, 3]}, 1.0, 1.0),
+        ({"preset": "random_hermitian", "seed": 7, "orders": [2, 3], "hbar": 2,
+          "scale": 3}, 2.0, 3.0),
+    ],
+    ids=["defaults", "integer-hbar-and-scale"],
+)
+def test_system_preset_path(system, hbar, scale):
+    got = load_scenario(dict(BASE_SCENARIO, system=system)).spec
+    want = random_system(7, dim_single=2, orders=(2, 3), hbar=hbar, scale=scale)
+    assert np.array_equal(got.one_body, want.one_body)
+    assert np.array_equal(got.potentials[3], want.potentials[3])
+    assert type(got.hbar) is float and got.hbar == hbar
+
+
+def test_preset_schemas_are_the_preset_table():
+    # the schema admits exactly the fields the table reads, and each builder
+    # takes every one of them
+    fields = {name: {"preset", "seed", *defaults} for name, (_, defaults) in cli._PRESETS.items()}
+    for schema, names in [
+        (serialize._SYSTEM_PRESET, ["random_hermitian"]),
+        (serialize._INITIAL_PRESET, ["random_correlation", "random_density"]),
+    ]:
+        assert schema["properties"]["preset"]["enum"] == names
+        assert set(schema["properties"]) == set().union(*(fields[n] for n in names))
+    assert set(cli._PRESETS) == {"random_hermitian", "random_correlation", "random_density"}
+    for name, (build, defaults) in cli._PRESETS.items():
+        assert {"seed", *defaults} <= set(inspect.signature(build).parameters)
 
 
 @pytest.mark.parametrize(
@@ -351,7 +390,7 @@ def test_write_error_leaves_the_output_directory_as_it_was(
         ),
         (
             "initial",
-            {"chaos": {"labels": [1], "dim_single": 2, "matrix": _wire(encode_raw_matrix(
+            {"chaos": {"labels": [1], "dim_single": 2, "matrix": wire(encode_raw_matrix(
                 chaos_one_particle(31, 2, norm=0.8).matrix))}},
             "'initial': property 'chaos' is not allowed",
         ),
@@ -386,10 +425,10 @@ def test_a_potential_order_with_a_trailing_newline_exits_2(tmp_path, capsys):
     rng = rng_from_seed(5)
     system = {
         "dim_single": 2,
-        "one_body": _wire(encode_raw_matrix(random_hermitian(rng, 2))),
+        "one_body": wire(encode_raw_matrix(random_hermitian(rng, 2))),
         "potentials": {
-            "2": _wire(encode_raw_matrix(random_hermitian(rng, 4))),
-            "2\n": _wire(encode_raw_matrix(np.zeros((4, 4)))),
+            "2": wire(encode_raw_matrix(random_hermitian(rng, 4))),
+            "2\n": wire(encode_raw_matrix(np.zeros((4, 4)))),
         },
     }
     code, out = _run(tmp_path, dict(BASE_SCENARIO, system=system), "potentials")
@@ -531,7 +570,7 @@ def test_run_files_are_one_line_of_canonical_json(tmp_path):
         for name in names:
             text = (directory / name).read_text()
             assert text.count("\n") == 1
-            assert text == _stdlib_text(json.loads(text)), (directory.name, name)
+            assert text == stdlib_text(json.loads(text)), (directory.name, name)
 
 
 def test_capacity_guards_exit_3(tmp_path, capsys):
@@ -939,6 +978,11 @@ def test_seed_option_is_at_most_64_bits(tmp_path, capsys):
         if expected:
             assert not out.exists()
             assert err.startswith("schema violation: scenario at 'system/seed': ")
+        else:
+            # the initial preset's seed N + 1 wraps to 0
+            ran = json.loads((out / "manifest.json").read_text())["scenario"]
+            assert ran["system"]["seed"] == seed
+            assert ran["initial"]["preset"]["seed"] == 0
 
 
 def test_a_scenario_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
@@ -1053,7 +1097,24 @@ def test_iterate_records_are_ordered_by_s_then_t(tmp_path, capsys):
 
 # the non-symmetric preset at n_max = 3: the s = 1 cumulant solution misses
 # the reduced evolved density by about 1.2e-2, the s = 2 one by round-off
-ASYMMETRIC_SCENARIO = dict(BASE_SCENARIO, times=[0.3], n_max=3)
+ASYMMETRIC_SCENARIO = dict(
+    BASE_SCENARIO,
+    initial={"preset": dict(BASE_SCENARIO["initial"]["preset"], symmetric=False)},
+    times=[0.3],
+    n_max=3,
+)
+
+
+def test_default_correlation_preset_runs_bbgky_and_iterate(tmp_path, capsys):
+    # the preset draws exchange-symmetric data unless told otherwise
+    sc = dict(BASE_SCENARIO, times=[0.3], n_max=3, s_values=[1], tasks=["bbgky", "iterate"])
+    assert "symmetric" not in sc["initial"]["preset"]
+    code, out = _run(tmp_path, sc, "default-preset")
+    assert code == 0
+    assert sorted(os.listdir(out)) == [
+        "bbgky.csv", "bbgky.json", "iterate.csv", "iterate.json", "manifest.json"
+    ]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("task", ["bbgky", "iterate"])
@@ -1114,7 +1175,7 @@ def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
             "dim_single": 2,
             "n_max": 3,
             "scalar0": [0.0, 0.0],
-            "components": [_wire(encode_raw_matrix(g1.matrix)), None, None],
+            "components": [wire(encode_raw_matrix(g1.matrix)), None, None],
         }
     }
     sc = dict(BASE_SCENARIO, initial=initial, times=[0.0, 0.3], n_max=3)
@@ -1147,7 +1208,7 @@ def _direct_moments(dt, a):
 def test_observables_are_density_moments_on_non_symmetric_data(tmp_path, capsys):
     a = random_hermitian(rng_from_seed(41), 2)
     sc = dict(ASYMMETRIC_SCENARIO, times=[0.0, 0.3], tasks=["observables"])
-    sc["observable"] = _wire(encode_raw_matrix(a))
+    sc["observable"] = wire(encode_raw_matrix(a))
     code, out = _run(tmp_path, sc, "asym-observables")
     assert code == 0
     records = json.loads((out / "observables.json").read_text())["records"]

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bruteforce import complex_gaussian, naive_scattering_cumulant
+from bruteforce import naive_scattering_cumulant, rand_op
 from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import group_apply, group_apply_on_subsets, make_unitary_group
 from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, random_system, rng_from_seed
+from qcorr.presets import random_system
 from qcorr.verify import (
     cluster_interaction_apply,
     cumulant_vanishes_free,
@@ -19,13 +19,6 @@ from qcorr.verify import (
 
 TOL_EXACT = 1e-12
 TOL_SUM = 1e-11
-
-
-def rand_op(seed, labels, d=2, herm=True):
-    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
-    if herm:
-        return random_operator(rng, labels, d)
-    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_single_cluster_cumulant_is_the_group(spec2):

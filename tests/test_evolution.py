@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import complex_gaussian, expm_series, naive_hamiltonian, naive_kron
+from bruteforce import complex_gaussian, expm_series, naive_hamiltonian, naive_kron, rand_op
 from qcorr import bbgky, evolution
 from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import (
@@ -26,13 +26,6 @@ from qcorr.presets import (
 from qcorr.verify import derivative, liouvillian_apply
 
 TOL = 1e-11
-
-
-def rand_op(seed, labels, d=2, herm=True):
-    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
-    if herm:
-        return random_operator(rng, labels, d)
-    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_propagator_matches_series_exponential(spec2):

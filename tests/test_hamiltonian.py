@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bruteforce import complex_gaussian, naive_embed
+from bruteforce import naive_embed, rand_op
 from qcorr.hamiltonian import (
     SystemSpec,
     build_hamiltonian,
@@ -9,7 +9,7 @@ from qcorr.hamiltonian import (
 )
 from qcorr.operators import ManyBodyOperator, scaled_hermitian_defect, tensor_embed
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.presets import random_operator, random_system, rng_from_seed
+from qcorr.presets import random_system
 from qcorr.verify import (
     cluster_interaction_apply,
     interaction_hamiltonian,
@@ -17,13 +17,6 @@ from qcorr.verify import (
 )
 
 TOL = 1e-12
-
-
-def rand_op(seed, labels, d=2, herm=True):
-    rng, labels = rng_from_seed(seed), ParticleSet.of(labels)
-    if herm:
-        return random_operator(rng, labels, d)
-    return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_spec_validation():

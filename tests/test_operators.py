@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bruteforce import (
-    complex_gaussian,
     naive_embed,
     naive_kron,
     naive_partial_trace,
     naive_permute,
+    rand_op,
 )
 from qcorr import operators
 from qcorr.errors import CapacityError
@@ -32,14 +32,9 @@ from qcorr.operators import (
     zero_operator,
 )
 from qcorr.partitions import ParticleSet
-from qcorr.presets import random_system, rng_from_seed
+from qcorr.presets import random_system
 
 TOL = 1e-12
-
-
-def rand_op(seed, labels, d=2):
-    rng = rng_from_seed(seed)
-    return ManyBodyOperator(ParticleSet.of(labels), d, complex_gaussian(rng, d ** len(labels)))
 
 
 def test_constructor_validates_shape_and_finiteness():
@@ -58,14 +53,14 @@ def test_matrix_is_read_only():
 
 
 def test_algebra_requires_matching_space():
-    a = rand_op(1, [1, 2])
-    b = rand_op(2, [1, 3])
+    a = rand_op(1, [1, 2], herm=False)
+    b = rand_op(2, [1, 3], herm=False)
     with pytest.raises(ValueError):
         _ = a + b
 
 
 def test_relabel_moves_names_only():
-    a = rand_op(3, [1, 2])
+    a = rand_op(3, [1, 2], herm=False)
     b = relabel(a, ParticleSet((4, 7)))
     assert b.labels.labels == (4, 7)
     assert np.array_equal(a.matrix, b.matrix)
@@ -74,16 +69,16 @@ def test_relabel_moves_names_only():
 
 
 def test_tensor_product_matches_naive_kron():
-    a = rand_op(4, [1])
-    b = rand_op(5, [2])
+    a = rand_op(4, [1], herm=False)
+    b = rand_op(5, [2], herm=False)
     got = tensor_product([a, b]).matrix
     assert np.allclose(got, naive_kron(a.matrix, b.matrix), atol=TOL)
 
 
 def test_tensor_product_is_order_independent():
-    a = rand_op(6, [2])
-    b = rand_op(7, [1, 4])
-    c = rand_op(8, [3])
+    a = rand_op(6, [2], herm=False)
+    b = rand_op(7, [1, 4], herm=False)
+    c = rand_op(8, [3], herm=False)
     one = tensor_product([a, b, c])
     two = tensor_product([c, a, b])
     assert one.labels.labels == (1, 2, 3, 4)
@@ -92,8 +87,8 @@ def test_tensor_product_is_order_independent():
 
 def test_tensor_product_interleaved_labels():
     # factor on {1,3} times factor on {2}: axes must land in label order
-    a = rand_op(9, [1, 3])
-    b = rand_op(10, [2])
+    a = rand_op(9, [1, 3], herm=False)
+    b = rand_op(10, [2], herm=False)
     got = tensor_product([a, b])
     # oracle: embed each on {1,2,3} and multiply
     ea = naive_embed(a.matrix, [0, 2], 3, 2)
@@ -103,11 +98,11 @@ def test_tensor_product_interleaved_labels():
 
 def test_tensor_product_rejects_overlap():
     with pytest.raises(ValueError):
-        tensor_product([rand_op(11, [1, 2]), rand_op(12, [2])])
+        tensor_product([rand_op(11, [1, 2], herm=False), rand_op(12, [2], herm=False)])
 
 
 def test_tensor_embed_matches_naive():
-    op = rand_op(13, [2, 4])
+    op = rand_op(13, [2, 4], herm=False)
     target = ParticleSet.of([1, 2, 3, 4])
     got = tensor_embed(op, target).matrix
     want = naive_embed(op.matrix, [1, 3], 4, 2)
@@ -116,9 +111,9 @@ def test_tensor_embed_matches_naive():
 
 def test_embed_sum_of_scattered_terms_matches_naive():
     # d = 3, terms on {1,3}, {2} and {4} of (1..4), one of them twice
-    a = rand_op(40, [1, 3], d=3).matrix
-    b = rand_op(41, [2], d=3).matrix
-    c = rand_op(42, [4], d=3).matrix
+    a = rand_op(40, [1, 3], d=3, herm=False).matrix
+    b = rand_op(41, [2], d=3, herm=False).matrix
+    c = rand_op(42, [4], d=3, herm=False).matrix
     terms = [((1, 3), a), ((2,), b), ((4,), c), ((2,), c)]
     got = embed_sum(terms, ParticleSet.range1(4), 3)
     want = sum(naive_embed(m, [l - 1 for l in labels], 4, 3) for labels, m in terms)
@@ -126,7 +121,7 @@ def test_embed_sum_of_scattered_terms_matches_naive():
 
 
 def test_embed_sum_reads_slots_in_the_order_given():
-    op = rand_op(43, [1, 3], d=3)
+    op = rand_op(43, [1, 3], d=3, herm=False)
     got = embed_sum([((3, 1), op.matrix)], ParticleSet.range1(3), 3)
     swapped = naive_permute(op.matrix, (1, 0), 3)
     assert np.allclose(got, naive_embed(swapped, [0, 2], 3, 3), atol=TOL)
@@ -140,9 +135,9 @@ def test_embed_sum_rejects_labels_outside_the_target(labels):
 
 
 def test_tensor_product_of_factors_out_of_label_order_at_d3():
-    a = rand_op(44, [3], d=3)
-    b = rand_op(45, [1, 4], d=3)
-    c = rand_op(46, [2], d=3)
+    a = rand_op(44, [3], d=3, herm=False)
+    b = rand_op(45, [1, 4], d=3, herm=False)
+    c = rand_op(46, [2], d=3, herm=False)
     got = tensor_product([a, b, c])
     assert got.labels.labels == (1, 2, 3, 4)
     want = (
@@ -163,21 +158,21 @@ def test_tensor_product_of_factors_out_of_label_order_at_d3():
 
 
 def test_partial_trace_of_non_contiguous_sets_at_d3():
-    op = rand_op(47, [1, 2, 3, 4], d=3)
+    op = rand_op(47, [1, 2, 3, 4], d=3, herm=False)
     for traced in [(1, 3), (2, 4), (1, 2, 4)]:
         got = partial_trace(op, ParticleSet(traced))
         assert got.labels == op.labels.difference(traced)
         want = naive_partial_trace(op.matrix, 4, 3, [t - 1 for t in traced])
         assert np.allclose(got.matrix, want, atol=TOL)
     # labels that do not start at 1
-    op = rand_op(48, [2, 5, 7], d=3)
+    op = rand_op(48, [2, 5, 7], d=3, herm=False)
     got = partial_trace(op, ParticleSet((2, 7)))
     assert got.labels.labels == (5,)
     assert np.allclose(got.matrix, naive_partial_trace(op.matrix, 3, 3, [0, 2]), atol=TOL)
 
 
 def test_partial_trace_matches_naive():
-    op = rand_op(14, [1, 2, 3])
+    op = rand_op(14, [1, 2, 3], herm=False)
     for traced, kept_pos in [((2,), [0, 2]), ((1, 3), [1]), ((1, 2, 3), [])]:
         got = partial_trace(op, ParticleSet.of(traced)).matrix
         want = naive_partial_trace(
@@ -187,22 +182,22 @@ def test_partial_trace_matches_naive():
 
 
 def test_partial_trace_of_product_factorizes():
-    a = rand_op(15, [1])
-    b = rand_op(16, [2])
+    a = rand_op(15, [1], herm=False)
+    b = rand_op(16, [2], herm=False)
     joint = tensor_product([a, b])
     red = partial_trace(joint, ParticleSet((2,)))
     assert np.allclose(red.matrix, a.matrix * b.trace, atol=TOL)
 
 
 def test_partial_trace_empty_set_is_identity_map():
-    op = rand_op(17, [1, 2])
+    op = rand_op(17, [1, 2], herm=False)
     same = partial_trace(op, ParticleSet(()))
     assert np.array_equal(same.matrix, op.matrix)
 
 
 def test_tensor_product_swap_is_a_slot_permutation():
-    a = rand_op(18, [1])
-    b = rand_op(19, [2])
+    a = rand_op(18, [1], herm=False)
+    b = rand_op(19, [2], herm=False)
     ab = tensor_product([a, relabel(b, ParticleSet((2,)))])
     swapped = naive_permute(ab.matrix, (1, 0), 2)
     ba = tensor_product([relabel(b, ParticleSet((1,))), relabel(a, ParticleSet((2,)))])
@@ -213,7 +208,7 @@ def test_trace_norm_is_singular_value_sum():
     m = np.array([[0.0, 3.0], [4.0, 0.0]], dtype=complex)
     op = ManyBodyOperator(ParticleSet((1,)), 2, m)
     assert abs(trace_norm(op) - 7.0) <= TOL
-    m = rand_op(23, [1, 2]).matrix
+    m = rand_op(23, [1, 2], herm=False).matrix
     herm = ManyBodyOperator(ParticleSet.of([1, 2]), 2, (m + m.conj().T) * 0.5)
     eigs = np.linalg.eigvalsh(herm.matrix)
     assert abs(trace_norm(herm) - np.abs(eigs).sum()) <= 1e-10
@@ -238,7 +233,7 @@ def _accepts(m, d):
 
 
 def test_symmetrize_projects_onto_symmetric_operators():
-    op = rand_op(25, [1, 2, 3])
+    op = rand_op(25, [1, 2, 3], herm=False)
     sym = symmetrize(op)
     assert _accepts(sym.matrix, 2)
     assert _worst_defect(sym.matrix, 2) <= 1e-12
@@ -248,7 +243,7 @@ def test_symmetrize_projects_onto_symmetric_operators():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_symmetrize_equals_the_explicit_permutation_sum(d):
-    op = rand_op(31, [1, 2, 3, 4], d=d)
+    op = rand_op(31, [1, 2, 3, 4], d=d, herm=False)
     perms = list(itertools.permutations(range(4)))
     want = sum(naive_permute(op.matrix, p, d) for p in perms) / len(perms)
     got = symmetrize(op).matrix
@@ -264,8 +259,8 @@ def test_high_order_preset_potential_is_quick():
 
 
 def test_symmetry_defect_detects_asymmetry():
-    a = rand_op(26, [1])
-    b = rand_op(27, [2])
+    a = rand_op(26, [1], herm=False)
+    b = rand_op(27, [2], herm=False)
     prod = tensor_product([a, b])
     assert _worst_defect(prod.matrix, 2) > 1e-3
     with pytest.raises(ValueError, match="^m is not exchange-symmetric: "):
@@ -354,8 +349,8 @@ def test_symmetry_check_makes_one_slot_swap_per_transposition(monkeypatch):
 
 @pytest.mark.parametrize("c", [2.0**-1000, 1e-12, 1.0, 1e300])
 def test_symmetry_verdict_does_not_change_when_the_matrix_is_rescaled(c):
-    asym = rand_op(30, [1, 2, 3, 4]).matrix
-    sym = symmetrize(rand_op(29, [1, 2, 3, 4])).matrix
+    asym = rand_op(30, [1, 2, 3, 4], herm=False).matrix
+    sym = symmetrize(rand_op(29, [1, 2, 3, 4], herm=False)).matrix
     # the test neither overflows nor underflows, and pyproject turns a
     # RuntimeWarning into a failure
     with np.errstate(all="raise"):
@@ -365,7 +360,7 @@ def test_symmetry_verdict_does_not_change_when_the_matrix_is_rescaled(c):
 
 
 def test_hermiticity_and_spectrum_helpers():
-    m = rand_op(28, [1, 2]).matrix
+    m = rand_op(28, [1, 2], herm=False).matrix
     h = ManyBodyOperator(ParticleSet.of([1, 2]), 2, (m + m.conj().T) * 0.5)
     assert scaled_hermitian_defect(h.matrix)[0] <= 1e-15
     shifted = h + 1j * identity_operator(h.labels, 2)

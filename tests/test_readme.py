@@ -113,16 +113,11 @@ def _table(first_header: str) -> list[list[str]]:
 
 
 def test_readme_preset_defaults_are_the_code_defaults():
-    # the initial presets: one row per field, in the table cli reads them from
+    # one row per field of every preset, in the table cli reads them from
     readme = {}
     for preset, field, default, _ in _table("preset"):
         readme.setdefault(preset, {})[field] = json.loads(default)
-    code = {name: defaults for name, (_, defaults) in cli._INITIAL_PRESETS.items()}
-    assert readme == code
-
-    # the system preset
-    readme = {field: json.loads(default) for field, default in _table("system field")}
-    assert readme == serialize.SYSTEM_PRESET_DEFAULTS
+    assert readme == {name: defaults for name, (_, defaults) in cli._PRESETS.items()}
 
 
 def test_readme_rule_tolerances_are_the_code_tolerances():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import stdlib_text, wire
 from qcorr import cli
 from qcorr.cli import load_scenario, main
 from qcorr.errors import SchemaViolation
@@ -48,16 +49,6 @@ from qcorr.verify import run_suite
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
-def _wire(x):
-    """x as a document carries it: dumps_canonical's text, decoded."""
-    return json.loads(dumps_canonical(x))
-
-
-def _stdlib_text(obj) -> str:
-    """The canonical text of obj by the standard library alone."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
 def test_complex_encoding_shape():
     assert encode_complex(1.5 - 2j) == [1.5, -2.0]
     assert decode_complex([0.25, 3.0]) == 0.25 + 3j
@@ -72,7 +63,7 @@ def test_complex_roundtrip(re, im):
 def test_raw_matrix_roundtrip():
     rng = rng_from_seed(10)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    back = decode_raw_matrix(_wire(encode_raw_matrix(m)))
+    back = decode_raw_matrix(wire(encode_raw_matrix(m)))
     assert np.array_equal(back, m)
 
 
@@ -141,7 +132,7 @@ def test_sequence_roundtrip_with_gap():
     gapped = OperatorSequence(
         2, 3, g.scalar0, {n: g.components[n] for n in (1, 3)}
     )
-    obj = _wire(encode_sequence(gapped, kind="correlation"))
+    obj = wire(encode_sequence(gapped, kind="correlation"))
     assert obj["components"][1] is None
     assert obj["kind"] == "correlation"
     validate(obj, SEQUENCE_SCHEMA, "sequence")
@@ -155,7 +146,7 @@ def test_sequence_roundtrip_with_gap():
 def test_sequence_scalar_preserved():
     op = ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
-    obj = _wire(encode_sequence(seq))
+    obj = wire(encode_sequence(seq))
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     back = decode_sequence(obj, "sequence")
     assert back.scalar0 == 0.5 - 0.25j
@@ -169,7 +160,7 @@ def test_prefixed_sequence_not_serialized():
 
 
 def test_sequence_component_count_capped():
-    obj = _wire(encode_sequence(random_correlation_state(13, 2, 2).seq))
+    obj = wire(encode_sequence(random_correlation_state(13, 2, 2).seq))
     obj["n_max"] = 1
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
@@ -177,7 +168,7 @@ def test_sequence_component_count_capped():
 
 
 def test_sequence_component_size_checked():
-    obj = _wire(encode_sequence(random_correlation_state(14, 2, 2).seq))
+    obj = wire(encode_sequence(random_correlation_state(14, 2, 2).seq))
     obj["components"][1] = obj["components"][0]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
@@ -190,7 +181,7 @@ def test_sequence_component_size_checked():
 
 def encode_system(spec):
     """The explicit system document of spec, which decode_system reads."""
-    return _wire({
+    return wire({
         "dim_single": spec.dim_single,
         "hbar": spec.hbar,
         "one_body": encode_raw_matrix(spec.one_body),
@@ -211,22 +202,14 @@ def test_system_roundtrip_explicit():
         assert np.array_equal(back.potentials[k], spec.potentials[k])
 
 
-def test_system_preset_path():
-    obj = {"preset": "random_hermitian", "seed": 7, "orders": [2, 3]}
-    got = decode_system(obj)
-    want = random_system(7, dim_single=2, orders=(2, 3))
-    assert np.array_equal(got.one_body, want.one_body)
-    assert np.array_equal(got.potentials[3], want.potentials[3])
-
-
 def test_system_one_body_size_checked():
-    obj = _wire({"dim_single": 2, "one_body": encode_raw_matrix(np.eye(3))})
+    obj = wire({"dim_single": 2, "one_body": encode_raw_matrix(np.eye(3))})
     with pytest.raises(SchemaViolation, match="one_body"):
         decode_system(obj)
 
 
 def test_system_potential_size_checked():
-    obj = _wire({
+    obj = wire({
         "dim_single": 2,
         "one_body": encode_raw_matrix(np.eye(2)),
         "potentials": {"2": encode_raw_matrix(np.eye(2))},
@@ -238,7 +221,7 @@ def test_system_potential_size_checked():
 def test_system_constructor_errors_become_schema_violations():
     # valid JSON shape, but the one-body matrix is not Hermitian
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    obj = _wire({"dim_single": 2, "one_body": encode_raw_matrix(bad)})
+    obj = wire({"dim_single": 2, "one_body": encode_raw_matrix(bad)})
     with pytest.raises(SchemaViolation):
         decode_system(obj)
 
@@ -300,7 +283,7 @@ def test_raw_matrix_encoding_is_plain_floats():
     assert math.copysign(1.0, leaf[0, 1, 0]) == -1.0
     # the array is written as its list form, which encode_raw_matrix
     # returned before it returned arrays
-    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": rows})
+    assert dumps_canonical({"m": leaf}) == stdlib_text({"m": rows})
     assert dumps_canonical({"m": leaf}) == (
         '{"m":[[[1.0,0.0],[-0.0,2.5]],[[0.0,5e-324],[1e+16,0.0]]]}\n'
     )
@@ -324,9 +307,9 @@ _doubles = st.one_of(
 def _assert_leaf_text(rows):
     """A list leaf of rows, and the float64 array of rows, are written as
     json writes their lists."""
-    assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+    assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
     leaf = np.array(rows, dtype=np.float64)
-    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": leaf.tolist()})
+    assert dumps_canonical({"m": leaf}) == stdlib_text({"m": leaf.tolist()})
 
 
 @settings(max_examples=300)
@@ -344,7 +327,7 @@ def test_many_random_doubles_are_written_as_json_writes_them():
     spread = 10.0 ** rng.uniform(-25, 25, size=(400, 250, 2))
     spread *= rng.choice([-1.0, 1.0], size=spread.shape)
     for leaf in (np.where(np.isfinite(bits), bits, -0.0), spread):
-        assert dumps_canonical(leaf) == _stdlib_text(leaf.tolist())
+        assert dumps_canonical(leaf) == stdlib_text(leaf.tolist())
 
 
 # where orjson's layout differs from float.__repr__'s, and the doubles on
@@ -372,22 +355,22 @@ def test_one_leaf_of_every_grid_value():
 
 def test_list_leaves_with_ints_are_written_as_json_writes_them():
     rows = [[[1, 0], [-3, 2**63]], [[-(2**63), 7], [2**64 - 1, 1.5e-05]]]
-    assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+    assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
     # orjson refuses an int of 2^64 or more; json writes the leaf
     for huge in (2**64, -(2**63) - 1, 10**30):
         rows = [[[1, 1e-05], [huge, 0.5]], [[2.0, 3], [4, 1e16]]]
         with pytest.raises(TypeError):
             orjson.dumps(rows)
-        assert dumps_canonical({"m": rows}) == _stdlib_text({"m": rows})
+        assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
 
 
 def test_d2_leaves_whose_rows_look_like_pairs():
     # a row of a 2 x 2 matrix is itself two pairs; only the matrix is a leaf
     m = [[[1e-05, -2.5e-05], [1e16, 0.0]], [[1e-7, 3.0], [-0.0, 1]]]
     doc = {"components": [m, None, [m[0]]], "pair": m[0], "scalar0": [1e-05, 0.0]}
-    assert dumps_canonical(doc) == _stdlib_text(doc)
+    assert dumps_canonical(doc) == stdlib_text(doc)
     leaf = np.array(m, dtype=np.float64)
-    assert dumps_canonical({"components": [leaf, None], "pair": m[0]}) == _stdlib_text(
+    assert dumps_canonical({"components": [leaf, None], "pair": m[0]}) == stdlib_text(
         {"components": [leaf.tolist(), None], "pair": m[0]}
     )
 
@@ -395,7 +378,7 @@ def test_d2_leaves_whose_rows_look_like_pairs():
 def test_non_contiguous_array_leaves_are_written_by_json():
     leaf = (np.arange(48.0).reshape(3, 8, 2) * 1e-5)[:, ::2]
     assert not leaf.flags.c_contiguous
-    assert dumps_canonical({"m": leaf}) == _stdlib_text({"m": leaf.tolist()})
+    assert dumps_canonical({"m": leaf}) == stdlib_text({"m": leaf.tolist()})
 
 
 def test_strings_are_written_as_json_writes_them():
@@ -407,13 +390,13 @@ def test_strings_are_written_as_json_writes_them():
         "m": leaf,
         "0.0000": [leaf, "0.00001e5", True, None, 2**70, -1.5e-05],
     }
-    assert dumps_canonical(doc) == _stdlib_text(doc)
+    assert dumps_canonical(doc) == stdlib_text(doc)
 
 
 def test_other_documents_go_to_json_whole():
     # int keys, which json sorts as ints and writes as strings
     doc = {"k": {2: "b", 10: [[[1e-05, 0.0]]]}}
-    assert dumps_canonical(doc) == _stdlib_text(doc)
+    assert dumps_canonical(doc) == stdlib_text(doc)
     # keys json cannot sort, and values it cannot write, raise its errors
     with pytest.raises(TypeError, match="not supported between"):
         dumps_canonical({2: "b", "k": None})
@@ -439,14 +422,14 @@ def _json_outcome(write, doc) -> str:
 def test_lists_holding_other_than_numbers_are_written_by_json(other):
     for doc in ([other, 1e-05], [[1e-05, other], [2.0, 3]], [[[1e16, 0], [other, 1e-7]]],
                 {"m": [[1.5e-05], [other]], "n": [[[2.5e-05, 1]]]}):
-        assert _json_outcome(dumps_canonical, doc) == _json_outcome(_stdlib_text, doc)
+        assert _json_outcome(dumps_canonical, doc) == _json_outcome(stdlib_text, doc)
 
 
 def test_ragged_nested_numbers_are_written_as_json_writes_them():
     for doc in ([[1e-05, [2.5e-7, [1e16, []]]], [0.0], []],
                 [[[1.5e-05]], [[-0.0, 3], [1e-9, 2**63]]],
                 [[0.00012], [1.2345678901234567e-05, -1e-05]]):
-        assert dumps_canonical(doc) == _stdlib_text(doc)
+        assert dumps_canonical(doc) == stdlib_text(doc)
 
 
 def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
@@ -457,8 +440,8 @@ def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
     leaf = scale * rng.uniform(1, 9.99, size=scale.shape)
     leaf *= rng.choice([-1.0, 1.0], size=leaf.shape)
     assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
-    assert dumps_canonical(leaf) == _stdlib_text(leaf.tolist())
-    assert dumps_canonical(leaf.tolist()) == _stdlib_text(leaf.tolist())
+    assert dumps_canonical(leaf) == stdlib_text(leaf.tolist())
+    assert dumps_canonical(leaf.tolist()) == stdlib_text(leaf.tolist())
 
 
 def test_each_leaf_goes_to_orjson_once(monkeypatch):
@@ -473,10 +456,10 @@ def test_each_leaf_goes_to_orjson_once(monkeypatch):
 
     monkeypatch.setattr(orjson, "dumps", counting)
     encoded = encode_sequence(gapped)
-    parsed = _wire(encoded)
+    parsed = wire(encoded)
     for doc in (encoded, parsed):
         calls.clear()
-        assert dumps_canonical(doc) == _stdlib_text(parsed)
+        assert dumps_canonical(doc) == stdlib_text(parsed)
         assert len(calls) == 2
         assert all(leaf is comp for leaf, comp in zip(calls, doc["components"][::2]))
 
@@ -578,7 +561,7 @@ def test_scenario_requires_exactly_one_initial():
         validate(sc, SCENARIO_SCHEMA, "scenario")
     sc["initial"] = {
         "preset": {"preset": "random_correlation", "seed": 2},
-        "correlation": _wire(encode_sequence(
+        "correlation": wire(encode_sequence(
             OperatorSequence(
                 2, 1, 0.0, {1: ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2))}
             )

@@ -1,15 +1,12 @@
-"""The derivative rule of the generator checks, the checks' power, and the
-suites that CI runs."""
+"""The derivative rule of the generator checks and the checks' power.
 
-import re
-from pathlib import Path
+Every suite runs through `qcorr verify` in
+test_cli.py::test_every_verify_suite_passes."""
 
 import pytest
 
 from qcorr import evolution
-from qcorr.verify import SUITE_NAMES, derivative, run_suite
-
-ROOT = Path(__file__).resolve().parent.parent
+from qcorr.verify import derivative, run_suite
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -24,9 +21,3 @@ def test_generator_checks_see_a_phase_fault_of_one_part_in_a_billion(monkeypatch
     monkeypatch.setattr(evolution, "phases", lambda ug, t: orig(ug, t * (1 + 1e-9)))
     report = run_suite("generators")
     assert [c["pass"] for c in report["checks"]] == [False] * 5
-
-
-def test_the_ci_workflow_runs_every_suite():
-    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    (names,) = re.findall(r"for suite in ([^;]*); do", text)
-    assert names.replace("\\", " ").split() == list(SUITE_NAMES)
