@@ -602,7 +602,9 @@ def test_capacity_checked_before_the_system_is_built(
     def refuse(*args, **kwargs):
         raise AssertionError("random_system called before the capacity check")
 
-    monkeypatch.setattr("qcorr.presets.random_system", refuse)
+    # load_scenario draws through the builder in the preset table
+    _, defaults = cli._PRESETS["random_hermitian"]
+    monkeypatch.setitem(cli._PRESETS, "random_hermitian", (refuse, defaults))
     sc = dict(BASE_SCENARIO, system=system, n_max=n_max, s_values=[1])
     code, out = _run(tmp_path, sc, "too-wide")
     assert code == 3
