@@ -1,7 +1,5 @@
 """Reduced s-particle operators: three solution routes and observables."""
 
-import numpy as np
-
 from qcorr.bbgky import (
     QuadratureSpec,
     additive_dispersion,

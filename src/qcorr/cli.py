@@ -2,11 +2,14 @@
 
 `run` executes a scenario's tasks on correlation or density data, given
 explicitly or drawn by a preset; chaos data are a correlation sequence that
-holds only g_1.  `run --seed N` writes the seeds N (system preset) and
-N + 1 (initial preset) into the document, which the manifest records; a
-document with no preset is refused.  `run` writes into the directory that
-`--out` names (default `qcorr-out`): `<task>.json` for every task, the CSV
-twin of `bbgky`, `iterate` and `observables`, and `manifest.json`.
+holds only g_1.  `run --seed N` draws the system preset from the seed N and
+the initial preset from N + 1 (mod 2^64); a document with no preset is
+refused.  `run` writes into the directory that `--out` names (default
+`qcorr-out`): `<task>.json` for every task, the CSV twin of `bbgky`,
+`iterate` and `observables`, and the run's record: `scenario.json`, the
+bytes it read, and `manifest.json`, which lists the result files and
+records the package and the `--seed` value, or null.  So `run --scenario
+OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 `run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
 `Infinity`, `-Infinity` and a number literal that no double holds; orjson
 is imported there, so importing this module does not load it.
@@ -23,9 +26,9 @@ after every task has computed, into a staging directory beside the output
 directory, so a failing task or an I/O error while writing leaves the
 output directory as it was; the files then move into it, `manifest.json`
 last.
-Every file is canonical compact JSON (or CSV): rerunning an identical
-scenario reproduces identical bytes.  `verify` and `schema` print indented
-JSON for people to read.
+Every file but scenario.json is canonical compact JSON (or CSV): rerunning
+an identical scenario reproduces identical bytes.  `verify` and `schema`
+print indented JSON for people to read.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from .serialize import (
     ALL_SCHEMAS,
     SCENARIO_SCHEMA,
     check_nesting,
-    decode_raw_matrix,
+    decode_named_matrix,
     decode_sequence,
     decode_system,
     dumps_canonical,
@@ -112,7 +115,6 @@ class Scenario:
     s_values: list[int]
     quadrature: QuadratureSpec
     observable: np.ndarray
-    raw: dict  # the document as read, which the manifest records
 
     @cached_property
     def density(self) -> DensityState:
@@ -243,9 +245,11 @@ def load_scenario(obj: dict) -> Scenario:
             require_hermitian(op.matrix, f"initial {kind} component {n}")
 
     s_values = [int(s) for s in obj.get("s_values", range(1, max(n_max, 2)))]
-    for s in s_values:
+    for i, s in enumerate(s_values):
         if not 1 <= s <= n_max:
             raise SchemaViolation(f"s={s} outside [1, n_max={n_max}]")
+        if s in s_values[:i]:
+            raise SchemaViolation(f"s_values repeats s={s}")
 
     q = obj.get("quadrature")
     quadrature = (
@@ -253,7 +257,7 @@ def load_scenario(obj: dict) -> Scenario:
     )
 
     if "observable" in obj:
-        a = decode_raw_matrix(obj["observable"])
+        a = decode_named_matrix(obj["observable"], "observable")
         if a.shape != (spec.dim_single, spec.dim_single):
             raise SchemaViolation(
                 f"observable must be {spec.dim_single}x{spec.dim_single}"
@@ -273,7 +277,6 @@ def load_scenario(obj: dict) -> Scenario:
         s_values=s_values,
         quadrature=quadrature,
         observable=a,
-        raw=obj,
     )
 
 
@@ -413,7 +416,7 @@ _TASK_FNS = {
 
 
 def run_scenario(sc: Scenario) -> dict[str, str]:
-    """Execute every task; return {filename: text}."""
+    """Execute every task; return {filename: text} of the result files."""
     files: dict[str, str] = {}
     for i, task in enumerate(sc.tasks):
         try:
@@ -427,13 +430,6 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
         files[f"{task}.json"] = dumps_canonical(result)
         if task in _CSV_COLUMNS:
             files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
-
-    manifest = {
-        "scenario": sc.raw,
-        "package": {"name": "qcorr", "version": __version__},
-        "files": sorted(files),
-    }
-    files["manifest.json"] = dumps_canonical(manifest)
     return files
 
 
@@ -460,8 +456,10 @@ def _non_directory(path: str) -> OSError | None:
 
 def _with_seed(obj: dict, seed: int) -> dict:
     """A copy of a valid scenario whose system and initial presets draw from
-    seed and (seed + 1) mod 2^64, or both from a seed the schema refuses; a
-    seed that no preset reads would leave no trace, so it is refused."""
+    seed and (seed + 1) mod 2^64, or both from a seed the schema refuses.
+    The run records the seed beside the scenario as read, from which a rerun
+    draws the same data; a seed that no preset reads would change nothing,
+    so it is refused."""
     if "preset" not in obj["system"] and "preset" not in obj["initial"]:
         raise ValueError(
             "--seed is read by no preset: the system and the initial data are explicit"
@@ -487,16 +485,25 @@ def _cmd_run(args) -> int:
     # decoding first names a byte that is not UTF-8, which orjson does not
     obj = orjson.loads(text.decode("utf-8"))
     if args.seed is not None:
-        # the seeds go into the document, which the manifest records; a
-        # malformed document is refused as written
+        # a malformed document is refused as written
         validate(obj, SCENARIO_SCHEMA, "scenario")
         obj = _with_seed(obj, args.seed)
     sc = load_scenario(obj)
+    # the run records the bytes it read, so the parsed document, the lists
+    # behind an explicit density among it, goes before any task runs
+    del obj
     out_dir = args.out or "qcorr-out"
     blocked = _non_directory(out_dir)
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
     files = run_scenario(sc)
+    manifest = {
+        "files": sorted(files),
+        "package": {"name": "qcorr", "version": __version__},
+        "seed": args.seed,
+    }
+    files["manifest.json"] = dumps_canonical(manifest)
+    files["scenario.json"] = text
     try:
         _write_outputs(out_dir, files)
     except OSError as exc:
@@ -505,7 +512,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
+def _write_outputs(out_dir: str, files: dict[str, str | bytes]) -> None:
     """Write every file into a staging directory beside out_dir, then move
     each into out_dir by os.replace, manifest.json last.
 
@@ -517,8 +524,8 @@ def _write_outputs(out_dir: str, files: dict[str, str]) -> None:
     staging = tempfile.mkdtemp(prefix=".qcorr-staging-", dir=parent)
     try:
         for name, text in files.items():
-            with open(os.path.join(staging, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(os.path.join(staging, name), "wb") as fh:
+                fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(files, key=lambda name: name == "manifest.json"):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))

@@ -11,8 +11,9 @@ Conventions
   (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
   SchemaViolation.
 
-Every file `qcorr run` writes goes through dumps_canonical: sorted keys, no
-whitespace, a final newline, so reruns produce identical bytes.
+Every JSON file `qcorr run` writes goes through dumps_canonical, but
+scenario.json, the bytes it read: sorted keys, no whitespace, a final
+newline, so reruns produce identical bytes.
 
 Fast path of dumps_canonical
 ----------------------------
@@ -20,34 +21,25 @@ The text of dumps_canonical is exactly that of json.dumps(obj,
 sort_keys=True, separators=(",", ":"), allow_nan=False) plus a newline, but
 json writes each float with float.__repr__, about 1.4 us a float.  So a
 small recursive writer walks dicts with string keys and lists, and hands
-everything else but the number leaves to json.dumps: keys, strings,
-scalars and short lists are json's own text, escapes and refusals.
+everything else but the matrix leaves to json.dumps: keys, strings and
+scalars are json's own text, escapes and refusals.
 
 * A float64 array of shape (rows, cols, 2), as encode_raw_matrix returns,
-  and a non-empty list whose items are all lists, such as a scenario's
-  matrices in the manifest, each go to one orjson.dumps call.  The shape
-  alone decides, so no leaf is written twice: a sequence's components,
-  which may hold a null, are walked, and each matrix goes to orjson.
-* orjson's text is kept when bytes.translate, deleting the bytes
-  0123456789.e-[], leaves nothing.  The test is exact: true, false, null,
-  strings and objects all leave bytes behind.  orjson picks the same
-  shortest round-trip digits as float.__repr__ and lays out three ranges
-  differently, which _repr_layout rewrites with numpy, in pieces of about
-  128 KiB, each cut at a '],[', so that a piece's work arrays stay in
-  cache:
+  goes to one orjson.dumps call.  Every leaf a run writes is such an array;
+  a list, a list of lists among them, is walked like any other.  orjson
+  picks the same shortest round-trip digits as float.__repr__ and lays out
+  three ranges differently, which _repr_layout rewrites with numpy, in
+  pieces of about 128 KiB, each cut at a '],[', so that a piece's work
+  arrays stay in cache:
 
       |x|              orjson       float.__repr__
       >= 1e16          1.5e16       1.5e+16
       [1e-9, 1e-5)     1.5e-7       1.5e-07
       [1e-5, 1e-4)     0.000015     1.5e-05
 
-* A list whose text leaves other bytes (a bool, a null, which orjson also
-  writes for NaN and the infinities, a string or an object) goes to
-  json.dumps whole, which writes it or raises as it would for the whole
-  document.  An array that holds a NaN or an infinity, which np.isfinite
-  finds, and what orjson refuses (an int of 64 bits or more, a numpy
-  scalar in a list, a non-contiguous array) are walked as above, an array
-  as its tolist().
+* An array that holds a NaN or an infinity, which np.isfinite finds (orjson
+  writes them as null), and one that orjson refuses (a non-contiguous
+  array) are walked as above, as their tolist().
 * orjson is imported at the first leaf written, so importing
   qcorr.serialize does not load it.
 * The reader's guard, check_nesting, drops every byte but brackets and
@@ -454,8 +446,6 @@ def check_nesting(text: bytes, what: str = "document") -> None:
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
 
-# every byte of orjson's text of a list or array that holds only numbers
-_NUMBER_BYTES = b"0123456789.e-[],"
 # the bytes of orjson's number text that _repr_layout reads
 _DOT, _E, _MINUS, _ZERO, _NINE, _COMMA = b".e-09,"
 # _repr_layout rewrites a leaf in pieces of about _PIECE bytes, so that its
@@ -483,14 +473,13 @@ def dumps_canonical(obj: Any) -> str:
 
 def _write(x, parts: list[str]) -> None:
     """Append the canonical text of x to parts."""
-    if _is_matrix_array(x) or _is_list_of_lists(x):
+    if _is_matrix_array(x):
         text = _dumps_numbers(x)
         if text is not None:
             parts.append(text)
             return
-        if type(x) is np.ndarray:
-            # a non-finite or non-contiguous array is written as its list
-            x = x.tolist()
+        # a non-finite or non-contiguous array is written as its list
+        x = x.tolist()
     if type(x) is dict and all(type(k) is str for k in x):
         parts.append("{")
         for i, k in enumerate(sorted(x)):
@@ -517,29 +506,18 @@ def _is_matrix_array(x) -> bool:
     )
 
 
-def _is_list_of_lists(x) -> bool:
-    return type(x) is list and bool(x) and all(type(v) is list for v in x)
-
-
-def _dumps_numbers(x) -> str | None:
-    """json.dumps's text of a float64 array leaf or a list of lists, or its
-    error, when orjson writes x; None when orjson refuses it, or x is an
-    array that holds a NaN or an infinity."""
+def _dumps_numbers(x: np.ndarray) -> str | None:
+    """json.dumps's text of a float64 array leaf when orjson writes it; None
+    when orjson refuses it, or it holds a NaN or an infinity."""
     import orjson
 
-    array = type(x) is np.ndarray
-    # orjson writes NaN and the infinities of a float64 array as null, and
-    # nothing else but numbers
-    if array and not np.isfinite(x).all():
+    # orjson writes NaN and the infinities of a float64 array as null
+    if not np.isfinite(x).all():
         return None
     try:
-        raw = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY if array else None)
+        raw = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
         return None
-    if not array and raw.translate(None, _NUMBER_BYTES):
-        # a null, bool, string or object: json writes the list whole, or
-        # refuses it
-        return json.dumps(x, **_JSON_OPTIONS)
     return _repr_layout(raw).decode()
 
 
@@ -680,6 +658,14 @@ def decode_raw_matrix(rows) -> np.ndarray:
     return np.fromiter(pairs, float, 2 * n * n).view(complex).reshape(n, n)
 
 
+def decode_named_matrix(rows, what: str) -> np.ndarray:
+    """decode_raw_matrix(rows), whose refusal names the matrix what."""
+    try:
+        return decode_raw_matrix(rows)
+    except SchemaViolation as exc:
+        raise SchemaViolation(f"{what}: {exc}") from exc
+
+
 def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
     if seq.prefix:
         raise ValueError("only plain sequences are serialized")
@@ -713,8 +699,8 @@ def decode_sequence(obj: dict, what: str) -> OperatorSequence:
     for n, entry in enumerate(rows, 1):
         if entry is None:
             continue
-        m = decode_raw_matrix(entry)
         try:
+            m = decode_raw_matrix(entry)
             comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, m)
         except ValueError as exc:
             raise SchemaViolation(f"{what} component {n}: {exc}") from exc
@@ -723,8 +709,11 @@ def decode_sequence(obj: dict, what: str) -> OperatorSequence:
 
 def decode_system(obj: dict) -> SystemSpec:
     """The explicit system of an obj already validated against SYSTEM_SCHEMA."""
-    one = decode_raw_matrix(obj["one_body"])
-    pots = {int(k): decode_raw_matrix(m) for k, m in obj.get("potentials", {}).items()}
+    one = decode_named_matrix(obj["one_body"], "one_body")
+    pots = {
+        int(k): decode_named_matrix(m, f"potential[{k}]")
+        for k, m in obj.get("potentials", {}).items()
+    }
     try:
         return SystemSpec(int(obj["dim_single"]), one, pots, float(obj.get("hbar", 1.0)))
     except ValueError as exc:

@@ -68,7 +68,6 @@ from .operators import (
     relabel,
     tensor_product,
     trace_norm,
-    zero_operator,
 )
 from .partitions import (
     MAX_PARTITION_GROUND,

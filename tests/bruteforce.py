@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way (index loops, recursive
 enumeration, Taylor series) and deliberately imports nothing from the
-package under test.  Two helpers that only build test inputs, wire and
-rand_op, import the package inside their bodies.
+package under test.  The helpers that only build test inputs, wire and
+rand_op, and qcorr_run, which runs the command line, import the package
+inside their bodies.
 """
 
 import itertools
@@ -86,6 +87,40 @@ def rand_op(seed, labels, d=2, herm=True):
     if herm:
         return random_operator(rng, labels, d)
     return ManyBodyOperator(labels, d, complex_gaussian(rng, d ** len(labels)))
+
+
+def qcorr_run(tmp_path, doc, name, extra=()):
+    """`qcorr run` of doc, written by json.dumps (an array as its list) to
+    tmp_path/<name>.json, into tmp_path/<name>: its exit code and that path."""
+    from qcorr.cli import main
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc, default=np.ndarray.tolist))
+    out = tmp_path / name
+    return main(["run", "--scenario", str(path), "--out", str(out), *extra]), out
+
+
+def result_files(out):
+    """{name: bytes} of every file in the directory out but the run's record,
+    manifest.json and scenario.json."""
+    return {
+        path.name: path.read_bytes()
+        for path in out.iterdir()
+        if path.name not in ("manifest.json", "scenario.json")
+    }
+
+
+def naive_moments(seq, a):
+    """Normalized first and second moments of sum_i a(i) on the density
+    sequence seq, each component's a(i) embedded by index loops."""
+    z = 1.0 + 0.0j
+    m1 = m2 = 0.0 + 0.0j
+    for n, op in sorted(seq.components.items()):
+        a_n = sum(naive_embed(a, [i], n, seq.dim_single) for i in range(n))
+        z += np.trace(op.matrix) / factorial(n)
+        m1 += np.trace(a_n @ op.matrix) / factorial(n)
+        m2 += np.trace(a_n @ a_n @ op.matrix) / factorial(n)
+    return float((m1 / z).real), float((m2 / z).real)
 
 
 def naive_kron(a, b):

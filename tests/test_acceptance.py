@@ -7,7 +7,6 @@ tolerances here are the published contract; do not loosen them.
 """
 
 import time
-from math import factorial
 
 import numpy as np
 

@@ -17,6 +17,7 @@ from bruteforce import (
     complex_gaussian,
     naive_embed,
     naive_iteration_series,
+    naive_moments,
     naive_partial_trace,
     naive_partitions,
 )
@@ -666,31 +667,13 @@ def test_average_number_one_component():
     assert abs(got - tr / (1.0 + tr)) < 1e-12
 
 
-def _naive_moment(d: DensityState, a1: np.ndarray, power: int) -> float:
-    """Moment oracle: embed the one-body matrix by explicit index loops."""
-    seq = d.seq
-    dim = seq.dim_single
-    z = 1.0 + 0.0j
-    for n in range(1, seq.n_max + 1):
-        if seq.has(n):
-            z += np.trace(seq.components[n].matrix) / factorial(n)
-    total = 0.0 + 0.0j
-    for n in range(1, seq.n_max + 1):
-        if not seq.has(n):
-            continue
-        a_n = sum(naive_embed(a1, [i], n, dim) for i in range(n))
-        obs = a_n if power == 1 else a_n @ a_n
-        total += np.trace(obs @ seq.components[n].matrix) / factorial(n)
-    return float((total / z).real)
-
-
 def test_moment_matches_naive_embedding():
     d = random_density_state(350, 2, 3, trace_scale=0.7)
     rng = rng_from_seed(351)
     a1 = random_hermitian(rng, 2, 1.0)
     for power in (1, 2):
         got = additive_observable_moment(d, a1, power)
-        assert abs(got - _naive_moment(d, a1, power)) < 1e-11
+        assert abs(got - naive_moments(d.seq, a1)[power - 1]) < 1e-11
 
 
 @pytest.mark.parametrize("d", [2, 3])

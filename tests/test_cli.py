@@ -8,13 +8,12 @@ import re
 import shutil
 import subprocess
 import sys
-from math import factorial
 
 import numpy as np
 import pytest
 
 import qcorr
-from bruteforce import naive_embed, stdlib_text, wire
+from bruteforce import naive_moments, qcorr_run, result_files, stdlib_text, wire
 from qcorr import cli, serialize
 from qcorr.bbgky import (
     additive_dispersion,
@@ -89,19 +88,13 @@ def _read_dir(out_dir):
     }
 
 
-def _run(tmp_path, obj, out_name, extra=()):
-    path = _write_scenario(tmp_path, obj, f"{out_name}.json")
-    out = tmp_path / out_name
-    code = main(["run", "--scenario", path, "--out", str(out), *extra])
-    return code, out
-
-
 def test_run_writes_expected_files(tmp_path):
-    code, out = _run(tmp_path, BASE_SCENARIO, "base")
+    code, out = qcorr_run(tmp_path, BASE_SCENARIO, "base")
     assert code == 0
     names = set(os.listdir(out))
     assert names == {
         "manifest.json",
+        "scenario.json",
         "evolve.json",
         "bbgky.json",
         "bbgky.csv",
@@ -109,15 +102,16 @@ def test_run_writes_expected_files(tmp_path):
         "observables.csv",
     }
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest.keys() == {"scenario", "package", "files"}
+    assert manifest.keys() == {"files", "package", "seed"}
     assert manifest["package"] == {"name": "qcorr", "version": qcorr.__version__}
-    assert manifest["files"] == sorted(names - {"manifest.json"})
-    assert manifest["scenario"] == BASE_SCENARIO
+    assert manifest["files"] == sorted(names - {"manifest.json", "scenario.json"})
+    assert manifest["seed"] is None
+    assert (out / "scenario.json").read_bytes() == (tmp_path / "base.json").read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    _, first = _run(tmp_path, BASE_SCENARIO, "a")
-    _, second = _run(tmp_path, BASE_SCENARIO, "b")
+    _, first = qcorr_run(tmp_path, BASE_SCENARIO, "a")
+    _, second = qcorr_run(tmp_path, BASE_SCENARIO, "b")
     assert _read_dir(first) == _read_dir(second)
 
 
@@ -134,14 +128,14 @@ def no_task_runs(monkeypatch):
 
 def test_runs_are_sequential_and_threads_takes_only_1(tmp_path, capsys):
     # --threads 1 is the benchmark's command line and changes nothing
-    _, plain = _run(tmp_path, BASE_SCENARIO, "plain")
-    _, one = _run(tmp_path, BASE_SCENARIO, "one", ("--threads", "1"))
+    _, plain = qcorr_run(tmp_path, BASE_SCENARIO, "plain")
+    _, one = qcorr_run(tmp_path, BASE_SCENARIO, "one", ("--threads", "1"))
     assert _read_dir(plain) == _read_dir(one)
     capsys.readouterr()
     # argparse refuses any other count before the scenario is read
     for count in ("0", "2", "4"):
         with pytest.raises(SystemExit) as exc:
-            _run(tmp_path, BASE_SCENARIO, f"threads-{count}", ("--threads", count))
+            qcorr_run(tmp_path, BASE_SCENARIO, f"threads-{count}", ("--threads", count))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --threads: invalid choice: {count} " in err
@@ -150,19 +144,20 @@ def test_runs_are_sequential_and_threads_takes_only_1(tmp_path, capsys):
 
 
 def test_seed_override(tmp_path):
-    _, base = _run(tmp_path, BASE_SCENARIO, "noseed")
-    _, overridden = _run(tmp_path, BASE_SCENARIO, "seed99", ("--seed", "99"))
+    _, base = qcorr_run(tmp_path, BASE_SCENARIO, "noseed")
+    _, overridden = qcorr_run(tmp_path, BASE_SCENARIO, "seed99", ("--seed", "99"))
     assert (base / "evolve.json").read_bytes() != (
         overridden / "evolve.json"
     ).read_bytes()
 
-    # the manifest records the seeds that ran, so every byte matches a run of
+    # the manifest records the seed, and every result file matches a run of
     # the document with both seeds written in
+    assert json.loads((overridden / "manifest.json").read_text())["seed"] == 99
     pinned = json.loads(json.dumps(BASE_SCENARIO))
     pinned["system"]["seed"] = 99
     pinned["initial"]["preset"]["seed"] = 100
-    _, direct = _run(tmp_path, pinned, "pinned")
-    assert _read_dir(direct) == _read_dir(overridden)
+    _, direct = qcorr_run(tmp_path, pinned, "pinned")
+    assert result_files(direct) == result_files(overridden)
 
 
 def test_seed_override_needs_a_preset(tmp_path, capsys):
@@ -175,7 +170,7 @@ def test_seed_override_needs_a_preset(tmp_path, capsys):
         system=wire(system),
         initial=wire({"correlation": serialize.encode_sequence(base.initial.seq)}),
     )
-    code, out = _run(tmp_path, explicit, "explicit", ("--seed", "99"))
+    code, out = qcorr_run(tmp_path, explicit, "explicit", ("--seed", "99"))
     assert code == 2
     assert capsys.readouterr().err == (
         "invalid request: --seed is read by no preset: "
@@ -184,15 +179,18 @@ def test_seed_override_needs_a_preset(tmp_path, capsys):
     assert not out.exists()
 
     # one preset takes its seed, N for the system and N + 1 for the initial
-    # data, and the manifest records it
+    # data, and the manifest records N
     for field, seed in (("system", 99), ("initial", 100)):
         sc = dict(explicit, **{field: BASE_SCENARIO[field]})
-        _, plain = _run(tmp_path, sc, f"{field}-plain")
-        code, seeded = _run(tmp_path, sc, f"{field}-seeded", ("--seed", "99"))
+        _, plain = qcorr_run(tmp_path, sc, f"{field}-plain")
+        code, seeded = qcorr_run(tmp_path, sc, f"{field}-seeded", ("--seed", "99"))
         assert code == 0
-        ran = json.loads((seeded / "manifest.json").read_text())["scenario"]
-        preset = ran[field] if field == "system" else ran[field]["preset"]
-        assert preset["seed"] == seed
+        assert json.loads((seeded / "manifest.json").read_text())["seed"] == 99
+        pinned = json.loads(json.dumps(sc))
+        preset = pinned[field] if field == "system" else pinned[field]["preset"]
+        preset["seed"] = seed
+        _, direct = qcorr_run(tmp_path, pinned, f"{field}-pinned")
+        assert result_files(direct) == result_files(seeded)
         assert _read_dir(seeded)["evolve.json"] != _read_dir(plain)["evolve.json"]
     capsys.readouterr()
 
@@ -203,7 +201,7 @@ def test_seed_override_draws_the_initial_data_apart_from_the_system(tmp_path, ca
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["initial"]["preset"]["symmetric"] = True
     sc.update(times=[0.0], tasks=["hierarchy"])
-    code, out = _run(tmp_path, sc, "seeded", ("--seed", "99"))
+    code, out = qcorr_run(tmp_path, sc, "seeded", ("--seed", "99"))
     assert code == 0
     (state,) = json.loads((out / "hierarchy.json").read_text())["states"]
     g1 = decode_raw_matrix(state["components"][0])
@@ -260,7 +258,7 @@ def test_seed_override_on_a_malformed_document_exits_2(
     sc = dict(BASE_SCENARIO, **{field: value})
     errors = []
     for name, extra in [("plain", ()), ("seeded", ("--seed", "99"))]:
-        code, out = _run(tmp_path, sc, name, extra)
+        code, out = qcorr_run(tmp_path, sc, name, extra)
         assert code == 2
         assert not out.exists()
         errors.append(capsys.readouterr().err)
@@ -279,7 +277,7 @@ def test_linear_algebra_failure_exits_1_in_one_line(tmp_path, capsys, monkeypatc
         raise np.linalg.LinAlgError(f"{routine} did not converge")
 
     monkeypatch.setattr(np.linalg, routine, fail)
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=["bbgky"]), "out")
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, tasks=["bbgky"]), "out")
     assert reached
     assert code == 1
     assert capsys.readouterr().err == f"numeric failure: {routine} did not converge\n"
@@ -369,7 +367,7 @@ def test_write_error_leaves_the_output_directory_as_it_was(
     # the same run without the fault: every file moves in, the others stay
     monkeypatch.undo()
     assert main(["run", "--scenario", path, "--out", str(out)]) == 0
-    _, fresh = _run(tmp_path, BASE_SCENARIO, "fresh")
+    _, fresh = qcorr_run(tmp_path, BASE_SCENARIO, "fresh")
     written = _read_dir(out)
     assert written == {**_read_dir(fresh), **({"keep.txt": b"keep"} if existing else {})}
     assert sorted(os.listdir(tmp_path)) == ["fresh", "fresh.json", "out", "scenario.json"]
@@ -400,7 +398,7 @@ def test_write_error_leaves_the_output_directory_as_it_was(
 )
 def test_suite_route_and_chaos_preset_exit_2(tmp_path, capsys, field, value, message):
     sc = dict(BASE_SCENARIO, **{field: value})
-    code, out = _run(tmp_path, sc, "no-route")
+    code, out = qcorr_run(tmp_path, sc, "no-route")
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
@@ -412,7 +410,7 @@ def test_suite_route_and_chaos_preset_exit_2(tmp_path, capsys, field, value, mes
 # trailing newline accepted, "evolve\n" would run no task, and "2\n" would
 # replace the potential that "2" names
 def test_a_task_name_with_a_trailing_newline_exits_2(tmp_path, capsys):
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=["evolve\n"]), "task")
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, tasks=["evolve\n"]), "task")
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
@@ -431,7 +429,7 @@ def test_a_potential_order_with_a_trailing_newline_exits_2(tmp_path, capsys):
             "2\n": wire(encode_raw_matrix(np.zeros((4, 4)))),
         },
     }
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, system=system), "potentials")
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, system=system), "potentials")
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
@@ -491,7 +489,7 @@ _CORRELATION_AS_DENSITY = {
 )
 def test_unread_initial_field_exits_2(tmp_path, capsys, initial, message):
     sc = dict(BASE_SCENARIO, initial=initial)
-    code, out = _run(tmp_path, sc, "unread")
+    code, out = qcorr_run(tmp_path, sc, "unread")
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"schema violation: {message}\n"
@@ -502,23 +500,52 @@ _RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, name",
     [
-        ("observable", _RAGGED),
-        ("system", {"dim_single": 2, "one_body": _RAGGED}),
+        ("observable", _RAGGED, "observable"),
+        ("system", {"dim_single": 2, "one_body": _RAGGED}, "one_body"),
         ("initial", {"correlation": {
             "dim_single": 2, "n_max": 1, "scalar0": [0, 0], "components": [_RAGGED],
-        }}),
+        }}, "initial correlation component 1"),
     ],
     ids=["observable", "one_body", "sequence-component"],
 )
-def test_ragged_matrix_exits_2_with_a_clear_message(tmp_path, capsys, field, value):
+def test_ragged_matrix_exits_2_with_a_clear_message(tmp_path, capsys, field, value, name):
     sc = dict(BASE_SCENARIO, **{field: value})
-    code, out = _run(tmp_path, sc, "ragged")
+    code, out = qcorr_run(tmp_path, sc, "ragged")
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
-        "schema violation: ragged matrix of 2 rows: row 2 has 1 entries, row 1 has 2\n"
+        f"schema violation: {name}: "
+        "ragged matrix of 2 rows: row 2 has 1 entries, row 1 has 2\n"
+    )
+
+
+# schema-valid, but two rows of three entries
+_NON_SQUARE = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]
+_EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("observable", _NON_SQUARE, "observable"),
+        ("system", {"dim_single": 2, "one_body": _NON_SQUARE}, "one_body"),
+        ("system", {"dim_single": 2, "one_body": _EYE2, "potentials": {"2": _NON_SQUARE}},
+         "potential[2]"),
+        ("initial", {"density": {
+            "dim_single": 2, "n_max": 2, "scalar0": [1, 0], "components": [_EYE2, _NON_SQUARE],
+        }}, "initial density component 2"),
+    ],
+    ids=["observable", "one_body", "potential", "density-component"],
+)
+def test_non_square_matrix_exits_2_naming_it(tmp_path, capsys, field, value, name):
+    sc = dict(BASE_SCENARIO, **{field: value})
+    code, out = qcorr_run(tmp_path, sc, "non-square")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"schema violation: {name}: matrix must be square, got shape (2, 3)\n"
     )
 
 
@@ -537,35 +564,35 @@ def test_a_plain_run_validates_the_document_once(tmp_path, monkeypatch):
     })
     for name, doc in [("preset", BASE_SCENARIO), ("explicit", sc)]:
         calls.clear()
-        code, _ = _run(tmp_path, doc, name)
+        code, _ = qcorr_run(tmp_path, doc, name)
         assert code == 0
         assert calls == ["scenario"]
 
 
 def test_run_files_are_one_line_of_canonical_json(tmp_path):
-    # every file is the standard library's text of its own decoded value, so
-    # the matrices orjson wrote read as json.dumps writes them
+    # every file the run encodes is the standard library's text of its own
+    # decoded value, so the matrices orjson wrote read as json.dumps writes them
     initial = {"preset": {"preset": "random_correlation", "seed": 12, "norms": 0.3,
                           "symmetric": True}}
     sc = dict(BASE_SCENARIO, initial=initial, n_max=3, tasks=list(cli._TASK_FNS))
-    code, out = _run(tmp_path, sc, "compact")
+    code, out = qcorr_run(tmp_path, sc, "compact")
     assert code == 0
-    # explicit density data: the manifest holds the scenario's matrices as
-    # parsed lists
+    # explicit density data, with int entries: scenario.json is the file as
+    # read, not encoded again
     density = json.loads((out / "evolve.json").read_text())["states"][1]
-    # int entries stay ints in the manifest
     density["components"][0][0][0][1] = 0
     observable = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
     explicit = dict(sc, initial={"density": density}, observable=observable)
-    code, out_explicit = _run(tmp_path, explicit, "compact-explicit")
+    code, out_explicit = qcorr_run(tmp_path, explicit, "compact-explicit")
     assert code == 0
-    text = (out_explicit / "manifest.json").read_text()
-    assert '"observable":[[[1,0],[0,0]],[[0,0],[-1,0]]]' in text
-    manifest = json.loads(text)
-    assert manifest["scenario"]["initial"]["density"] == density
-    assert type(manifest["scenario"]["initial"]["density"]["components"][0][0][0][1]) is int
+    assert (out_explicit / "scenario.json").read_bytes() == (
+        tmp_path / "compact-explicit.json"
+    ).read_bytes()
     for directory in (out, out_explicit):
-        names = sorted(name for name in os.listdir(directory) if name.endswith(".json"))
+        names = sorted(
+            name for name in os.listdir(directory)
+            if name.endswith(".json") and name != "scenario.json"
+        )
         assert len(names) == len(cli._TASK_FNS) + 1
         for name in names:
             text = (directory / name).read_text()
@@ -576,13 +603,13 @@ def test_run_files_are_one_line_of_canonical_json(tmp_path):
 def test_capacity_guards_exit_3(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["n_max"] = 5
-    code, out = _run(tmp_path, sc, "too-deep")
+    code, out = qcorr_run(tmp_path, sc, "too-deep")
     assert code == 3
     assert not out.exists()
 
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["times"] = [100.0]
-    code, _ = _run(tmp_path, sc, "too-long")
+    code, _ = qcorr_run(tmp_path, sc, "too-long")
     assert code == 3
     capsys.readouterr()
 
@@ -606,7 +633,7 @@ def test_capacity_checked_before_the_system_is_built(
     _, defaults = cli._PRESETS["random_hermitian"]
     monkeypatch.setitem(cli._PRESETS, "random_hermitian", (refuse, defaults))
     sc = dict(BASE_SCENARIO, system=system, n_max=n_max, s_values=[1])
-    code, out = _run(tmp_path, sc, "too-wide")
+    code, out = qcorr_run(tmp_path, sc, "too-wide")
     assert code == 3
     assert not out.exists()
     assert "capacity guard" in capsys.readouterr().err
@@ -675,14 +702,14 @@ def test_a_five_task_run_never_imports_verify(tmp_path):
 def test_non_hermitian_observable_exits_2(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["observable"] = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
-    code, out = _run(tmp_path, sc, "non-hermitian")
+    code, out = qcorr_run(tmp_path, sc, "non-hermitian")
     assert code == 2
     assert not out.exists()
     assert "observable must be Hermitian" in capsys.readouterr().err
 
     # a Hermitian observable with complex entries is accepted
     sc["observable"] = [[[1, 0], [0, -2]], [[0, 2], [-1, 0]]]
-    code, _ = _run(tmp_path, sc, "hermitian")
+    code, _ = qcorr_run(tmp_path, sc, "hermitian")
     assert code == 0
     capsys.readouterr()
 
@@ -692,12 +719,12 @@ def test_one_hermitian_rule_for_system_matrices_and_observable(tmp_path, capsys)
     # 1.4e-3, far above 1e-10 times the norm, so both fields refuse it
     m = [[[0, 0], [1e-3, 0]], [[1.00000001e-3, 0], [0, 0]]]
     explicit = dict(BASE_SCENARIO, system={"dim_single": 2, "one_body": m})
-    code, out = _run(tmp_path, explicit, "one-body")
+    code, out = qcorr_run(tmp_path, explicit, "one-body")
     assert code == 2
     assert not out.exists()
     assert "one_body must be Hermitian" in capsys.readouterr().err
 
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, observable=m), "observable")
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, observable=m), "observable")
     assert code == 2
     assert not out.exists()
     assert "observable must be Hermitian" in capsys.readouterr().err
@@ -710,7 +737,7 @@ def test_hermitian_refusal_quotes_a_finite_ratio_at_the_edge_of_the_range(
     # the message quotes it relative to ||m||_F, which stays finite
     m = [[[1e308, 0], [1.7e308, 0]], [[-1.7e308, 0], [1e308, 0]]]
     sc = dict(BASE_SCENARIO, system={"dim_single": 2, "one_body": m})
-    code, out = _run(tmp_path, sc, "huge")
+    code, out = qcorr_run(tmp_path, sc, "huge")
     assert code == 2
     assert not out.exists()
     lines = capsys.readouterr().err.splitlines()
@@ -773,7 +800,7 @@ def _one_particle_density(d11, tasks=("observables",)):
 def test_observables_refuse_non_hermitian_density(tmp_path, capsys):
     # with D_1 = diag(0.3 + 0.1i, 0.2) the exact mean particle number is
     # 0.33628 + 0.04425i, and its real part alone would be no answer
-    code, out = _run(tmp_path, _one_particle_density([0.3, 0.1]), "non-hermitian")
+    code, out = qcorr_run(tmp_path, _one_particle_density([0.3, 0.1]), "non-hermitian")
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
@@ -783,13 +810,13 @@ def test_observables_refuse_non_hermitian_density(tmp_path, capsys):
     # correlation data expand to a density that is Hermitian exactly when they are
     sc = _one_particle_density([0.3, 0.1])
     sc["initial"] = {"correlation": dict(sc["initial"]["density"], scalar0=[0, 0])}
-    assert _run(tmp_path, sc, "correlation")[0] == 2
+    assert qcorr_run(tmp_path, sc, "correlation")[0] == 2
     assert "initial correlation component 1 must be Hermitian" in capsys.readouterr().err
 
     # evolve writes complex numbers, so it runs on the same data
     sc = _one_particle_density([0.3, 0.1], tasks=["evolve"])
-    assert _run(tmp_path, sc, "evolve")[0] == 0
-    assert _run(tmp_path, _one_particle_density([0.3, 0]), "hermitian")[0] == 0
+    assert qcorr_run(tmp_path, sc, "evolve")[0] == 0
+    assert qcorr_run(tmp_path, _one_particle_density([0.3, 0]), "hermitian")[0] == 0
     capsys.readouterr()
 
 
@@ -800,7 +827,7 @@ def test_min_eig_is_null_for_a_non_hermitian_marginal(tmp_path):
     for d11, hermitian in (([0.3, 0.1], False), ([0.3, 0], True)):
         sc = _one_particle_density(d11, tasks=["bbgky", "iterate"])
         sc["times"] = [0.0]
-        code, out = _run(tmp_path, sc, f"min-eig-{hermitian}")
+        code, out = qcorr_run(tmp_path, sc, f"min-eig-{hermitian}")
         assert code == 0
         for task in ("bbgky", "iterate"):
             (rec,) = json.loads((out / f"{task}.json").read_text())["records"]
@@ -820,7 +847,7 @@ def test_min_eig_is_null_for_a_non_hermitian_marginal(tmp_path):
 def test_overflow_is_a_numeric_failure(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["initial"]["preset"]["norms"] = 1e200
-    code, out = _run(tmp_path, sc, "overflow")
+    code, out = qcorr_run(tmp_path, sc, "overflow")
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
@@ -838,7 +865,7 @@ def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
             "preset": {"preset": "random_density", "seed": seed, "trace_scale": 1e200}
         }
         sc = dict(BASE_SCENARIO, initial=initial, n_max=n_max)
-        code, out = _run(tmp_path, sc, f"overflow-preset-{seed}")
+        code, out = qcorr_run(tmp_path, sc, f"overflow-preset-{seed}")
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err == (
@@ -858,7 +885,7 @@ def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
         "n_max": 2,
         "tasks": ["evolve"],
     }
-    code, out = _run(tmp_path, sc, "huge-one-body")
+    code, out = qcorr_run(tmp_path, sc, "huge-one-body")
     assert code == 3
     assert not out.exists()
     err = capsys.readouterr().err
@@ -867,7 +894,7 @@ def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
 
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["observable"] = huge
-    code, out = _run(tmp_path, sc, "huge-observable")
+    code, out = qcorr_run(tmp_path, sc, "huge-observable")
     assert code == 1
     assert not out.exists()
     err = capsys.readouterr().err
@@ -875,7 +902,7 @@ def test_extreme_matrix_entries_leak_no_warning(tmp_path, capsys):
     assert "Warning" not in err
 
     sc["observable"] = [[[1e-320, 0], [0, 0]], [[0, 0], [5e-324, 0]]]
-    code, _ = _run(tmp_path, sc, "tiny-observable")
+    code, _ = qcorr_run(tmp_path, sc, "tiny-observable")
     assert code == 0
     assert "Warning" not in capsys.readouterr().err
 
@@ -893,7 +920,7 @@ def test_non_standard_json_literals_exit_2(tmp_path, capsys, literal):
         "tasks": ["evolve"],
     }
     # json.dumps writes NaN, Infinity and -Infinity, which JSON itself lacks
-    code, out = _run(tmp_path, sc, "literal")
+    code, out = qcorr_run(tmp_path, sc, "literal")
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
@@ -958,7 +985,7 @@ def test_seed_is_at_most_64_bits(tmp_path, capsys, where):
     for seed, expected in [(2**64 - 1, 0), (2**64, 2), (2**70, 2)]:
         sc = json.loads(json.dumps(BASE_SCENARIO))
         (sc["system"] if where == "system" else sc["initial"]["preset"])["seed"] = seed
-        code, out = _run(tmp_path, sc, f"seed-{where}-{seed}")
+        code, out = qcorr_run(tmp_path, sc, f"seed-{where}-{seed}")
         assert code == expected
         err = capsys.readouterr().err
         if expected:
@@ -982,9 +1009,12 @@ def test_seed_option_is_at_most_64_bits(tmp_path, capsys):
             assert err.startswith("schema violation: scenario at 'system/seed': ")
         else:
             # the initial preset's seed N + 1 wraps to 0
-            ran = json.loads((out / "manifest.json").read_text())["scenario"]
-            assert ran["system"]["seed"] == seed
-            assert ran["initial"]["preset"]["seed"] == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+            pinned = json.loads(json.dumps(BASE_SCENARIO))
+            pinned["system"]["seed"] = seed
+            pinned["initial"]["preset"]["seed"] = 0
+            _, direct = qcorr_run(tmp_path, pinned, "pinned")
+            assert result_files(direct) == result_files(out)
 
 
 def test_a_scenario_that_is_not_utf8_exits_2_naming_the_byte(tmp_path, capsys):
@@ -1028,22 +1058,24 @@ def test_deep_nesting_exits_2(tmp_path, capsys, no_task_runs, depth, kind):
 def test_tiny_hbar_exceeds_phase_bound(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["system"]["hbar"] = 1e-300
-    code, out = _run(tmp_path, sc, "tiny-hbar")
+    code, out = qcorr_run(tmp_path, sc, "tiny-hbar")
     assert code == 3
     assert not out.exists()
     assert "phase bound" in capsys.readouterr().err
 
     # a small but workable hbar keeps its phases below the bound
     sc["system"]["hbar"] = 1e-3
-    code, _ = _run(tmp_path, sc, "small-hbar")
+    code, _ = qcorr_run(tmp_path, sc, "small-hbar")
     assert code == 0
     capsys.readouterr()
 
 
 def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
-    code, out = _run(tmp_path, ITERATE_SCENARIO, "iterate")
+    code, out = qcorr_run(tmp_path, ITERATE_SCENARIO, "iterate")
     assert code == 0
-    assert set(os.listdir(out)) == {"manifest.json", "iterate.json", "iterate.csv"}
+    assert set(os.listdir(out)) == {
+        "manifest.json", "scenario.json", "iterate.json", "iterate.csv"
+    }
     result = json.loads((out / "iterate.json").read_text())
     assert result["quadrature"] == {"order": 2, "nodes_per_dim": 6}
 
@@ -1063,16 +1095,16 @@ def test_quadrature_rule_may_be_left_out_and_names_gauss_alone(tmp_path, capsys)
     # Gauss-Legendre is the one rule: a scenario may name it or leave the
     # field out, with the same results, and any other name is refused
     quadrature = {"order": 2, "nodes_per_dim": 6}
-    code, plain = _run(tmp_path, dict(ITERATE_SCENARIO, quadrature=quadrature), "plain")
+    code, plain = qcorr_run(tmp_path, dict(ITERATE_SCENARIO, quadrature=quadrature), "plain")
     assert code == 0
-    code, named = _run(tmp_path, ITERATE_SCENARIO, "named")
+    code, named = qcorr_run(tmp_path, ITERATE_SCENARIO, "named")
     assert code == 0
     for name in ("iterate.json", "iterate.csv"):
         assert (plain / name).read_bytes() == (named / name).read_bytes()
     capsys.readouterr()
 
     trapezoid = dict(quadrature, rule="nested-trapezoid")
-    code, out = _run(tmp_path, dict(ITERATE_SCENARIO, quadrature=trapezoid), "trapezoid")
+    code, out = qcorr_run(tmp_path, dict(ITERATE_SCENARIO, quadrature=trapezoid), "trapezoid")
     assert code == 2
     assert not out.exists()
     err = capsys.readouterr().err
@@ -1084,7 +1116,7 @@ def test_iterate_records_are_ordered_by_s_then_t(tmp_path, capsys):
     # one solve per time serves every s; the records still list s first, in
     # the scenario's order, then t, each equal to a solve for that s alone
     sc_obj = dict(ITERATE_SCENARIO, times=[0.5, 0.2], s_values=[3, 2])
-    code, out = _run(tmp_path, sc_obj, "iterate-order")
+    code, out = qcorr_run(tmp_path, sc_obj, "iterate-order")
     assert code == 0
     records = json.loads((out / "iterate.json").read_text())["records"]
     assert [(r["s"], r["t"]) for r in records] == [(3, 0.5), (3, 0.2), (2, 0.5), (2, 0.2)]
@@ -1111,10 +1143,11 @@ def test_default_correlation_preset_runs_bbgky_and_iterate(tmp_path, capsys):
     # the preset draws exchange-symmetric data unless told otherwise
     sc = dict(BASE_SCENARIO, times=[0.3], n_max=3, s_values=[1], tasks=["bbgky", "iterate"])
     assert "symmetric" not in sc["initial"]["preset"]
-    code, out = _run(tmp_path, sc, "default-preset")
+    code, out = qcorr_run(tmp_path, sc, "default-preset")
     assert code == 0
     assert sorted(os.listdir(out)) == [
-        "bbgky.csv", "bbgky.json", "iterate.csv", "iterate.json", "manifest.json"
+        "bbgky.csv", "bbgky.json", "iterate.csv", "iterate.json", "manifest.json",
+        "scenario.json",
     ]
     capsys.readouterr()
 
@@ -1122,7 +1155,7 @@ def test_default_correlation_preset_runs_bbgky_and_iterate(tmp_path, capsys):
 @pytest.mark.parametrize("task", ["bbgky", "iterate"])
 def test_non_symmetric_density_exits_2_without_output(tmp_path, capsys, task):
     sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=[task])
-    code, out = _run(tmp_path, sc, f"asym-{task}")
+    code, out = qcorr_run(tmp_path, sc, f"asym-{task}")
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == (
@@ -1133,7 +1166,7 @@ def test_non_symmetric_density_exits_2_without_output(tmp_path, capsys, task):
 
 def test_non_symmetric_density_passes_when_every_checked_s_is_exact(tmp_path, capsys):
     sc = dict(ASYMMETRIC_SCENARIO, s_values=[2], tasks=["bbgky"])
-    code, out = _run(tmp_path, sc, "asym-s2")
+    code, out = qcorr_run(tmp_path, sc, "asym-s2")
     assert code == 0
     loaded = load_scenario(sc)
     d0 = cluster_expand(loaded.initial)
@@ -1148,7 +1181,7 @@ def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
     # evolve succeeds, then bbgky refuses the non-symmetric data: nothing is
     # written, not even the evolve result
     sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=["evolve", "bbgky"])
-    code, out = _run(tmp_path, sc, "mismatched")
+    code, out = qcorr_run(tmp_path, sc, "mismatched")
     assert code == 2
     assert not out.exists()
     assert "not exchange-symmetric" in capsys.readouterr().err
@@ -1182,7 +1215,7 @@ def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
     }
     sc = dict(BASE_SCENARIO, initial=initial, times=[0.0, 0.3], n_max=3)
     sc["tasks"] = ["hierarchy"]
-    code, out = _run(tmp_path, sc, "chaos-data")
+    code, out = qcorr_run(tmp_path, sc, "chaos-data")
     assert code == 0
     states = json.loads((out / "hierarchy.json").read_text())["states"]
     spec = load_scenario(sc).spec
@@ -1195,30 +1228,18 @@ def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _direct_moments(dt, a):
-    """Normalized first and second moments of sum_i a(i), by index loops."""
-    z = 1.0 + 0.0j
-    m1 = m2 = 0.0 + 0.0j
-    for n, op in dt.seq.components.items():
-        a_n = sum(naive_embed(a, [i], n, 2) for i in range(n))
-        z += np.trace(op.matrix) / factorial(n)
-        m1 += np.trace(a_n @ op.matrix) / factorial(n)
-        m2 += np.trace(a_n @ a_n @ op.matrix) / factorial(n)
-    return (m1 / z).real, (m2 / z).real
-
-
 def test_observables_are_density_moments_on_non_symmetric_data(tmp_path, capsys):
     a = random_hermitian(rng_from_seed(41), 2)
     sc = dict(ASYMMETRIC_SCENARIO, times=[0.0, 0.3], tasks=["observables"])
     sc["observable"] = wire(encode_raw_matrix(a))
-    code, out = _run(tmp_path, sc, "asym-observables")
+    code, out = qcorr_run(tmp_path, sc, "asym-observables")
     assert code == 0
     records = json.loads((out / "observables.json").read_text())["records"]
     loaded = load_scenario(sc)
     d0 = cluster_expand(loaded.initial)
     for t, rec in zip(sc["times"], records, strict=True):
         dt = DensityState(evolve_density_sequence(loaded.spec, d0.seq, t))
-        m1, m2 = _direct_moments(dt, a)
+        m1, m2 = naive_moments(dt.seq, a)
         assert abs(rec["observable_mean"] - m1) < 1e-12
         assert abs(rec["observable_dispersion"] - (m2 - m1 * m1)) < 1e-12
         # F_1 and F_2 do not stand for every particle and pair on these data
@@ -1233,11 +1254,49 @@ def test_one_particle_cutoff_still_has_a_dispersion(tmp_path, capsys):
     initial = {"preset": {"preset": "random_density", "seed": 12, "trace_scale": 0.5}}
     sc = dict(BASE_SCENARIO, initial=initial, n_max=1, tasks=["observables"])
     del sc["s_values"]
-    code, out = _run(tmp_path, sc, "one-particle-observables")
+    code, out = qcorr_run(tmp_path, sc, "one-particle-observables")
     assert code == 0
     for rec in json.loads((out / "observables.json").read_text())["records"]:
         p = rec["observable_mean"]
         assert abs(rec["observable_dispersion"] - p * (1 - p)) < 1e-15
+    capsys.readouterr()
+
+
+def test_a_repeated_s_value_exits_2(tmp_path, capsys):
+    # each s would be computed and written twice, as records of one time
+    sc = dict(BASE_SCENARIO, s_values=[1, 2, 1], tasks=["bbgky"])
+    code, out = qcorr_run(tmp_path, sc, "repeated-s")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "schema violation: s_values repeats s=1\n"
+
+
+# BASE_SCENARIO by hand: CRLF line ends, tabs, and keys out of order
+_HANDWRITTEN = (
+    b'{\r\n\t"tasks": ["observables", "evolve",\t"bbgky"],\r\n'
+    b'\t"times": [0.1, 0.3], "s_values": [2, 1],\r\n'
+    b'\t"initial": {"preset": {"norms": 0.3, "seed": 12, "preset": "random_correlation"}},\r\n'
+    b'\t"n_max": 2,\r\n'
+    b'\t"system": {"dim_single": 2, "seed": 11, "orders": [2], "preset": "random_hermitian"}\r\n'
+    b'}\r\n'
+)
+
+
+@pytest.mark.parametrize("seed", [None, 99], ids=["no-seed", "seed-99"])
+def test_scenario_json_is_the_file_as_read_and_reruns_the_run(tmp_path, capsys, seed):
+    path = tmp_path / "handwritten.json"
+    path.write_bytes(_HANDWRITTEN)
+    extra = [] if seed is None else ["--seed", str(seed)]
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main(["run", "--scenario", str(path), "--out", str(out), *extra]) == 0
+    assert (out / "scenario.json").read_bytes() == _HANDWRITTEN
+    # the record reruns the run: the bytes it read, and the seed it took
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == seed
+    rerun = [] if manifest["seed"] is None else ["--seed", str(manifest["seed"])]
+    argv = ["run", "--scenario", str(out / "scenario.json"), "--out", str(again), *rerun]
+    assert main(argv) == 0
+    assert _read_dir(again) == _read_dir(out)
     capsys.readouterr()
 
 
@@ -1247,18 +1306,18 @@ def test_run_writes_into_qcorr_out_without_a_directory(tmp_path, monkeypatch, ca
     path = _write_scenario(tmp_path, BASE_SCENARIO)
     argv = ["run", "--scenario", path] + ([] if out is None else ["--out", out])
     assert main(argv) == 0
-    assert capsys.readouterr().out == "wrote 6 files to qcorr-out\n"
+    assert capsys.readouterr().out == "wrote 7 files to qcorr-out\n"
     assert (tmp_path / "qcorr-out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("task", list(cli._TASK_FNS))
 def test_every_task_writes_its_json_and_tables_their_csv(tmp_path, task):
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, tasks=[task]), task)
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, tasks=[task]), task)
     assert code == 0
     twin = [f"{task}.csv"] if task in ("bbgky", "iterate", "observables") else []
     files = sorted([f"{task}.json", *twin])
     assert json.loads((out / "manifest.json").read_text())["files"] == files
-    assert sorted(os.listdir(out)) == sorted([*files, "manifest.json"])
+    assert sorted(os.listdir(out)) == sorted([*files, "manifest.json", "scenario.json"])
 
 
 @pytest.mark.parametrize(
@@ -1269,7 +1328,7 @@ def test_a_scenario_output_object_exits_2_and_writes_nothing(
 ):
     # --out alone names the directory, and every run writes every file
     monkeypatch.chdir(tmp_path)
-    code, out = _run(tmp_path, dict(BASE_SCENARIO, output=output), "out")
+    code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, output=output), "out")
     assert code == 2
     assert capsys.readouterr().err == (
         "schema violation: scenario at '': property 'output' is not allowed\n"
@@ -1278,7 +1337,7 @@ def test_a_scenario_output_object_exits_2_and_writes_nothing(
 
 
 def test_csv_floats_roundtrip(tmp_path):
-    _, out = _run(tmp_path, BASE_SCENARIO, "csv-check")
+    _, out = qcorr_run(tmp_path, BASE_SCENARIO, "csv-check")
     lines = (out / "bbgky.csv").read_text().splitlines()
     assert lines[0] == "s,t,trace_re,trace_im,trace_norm,min_eig"
     records = json.loads((out / "bbgky.json").read_text())["records"]

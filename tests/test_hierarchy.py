@@ -16,7 +16,6 @@ from qcorr.hierarchy import (
     solve_via_density_oracle,
 )
 from qcorr.operators import (
-    ManyBodyOperator,
     relabel,
     tensor_product,
     trace_norm,

@@ -166,3 +166,28 @@ def test_every_command_loads_only_the_runtime_dependencies(tmp_path):
     # site hooks may load packages before any qcorr code runs
     bare = _distributions(_probe_modules("import sys; print(*sys.modules)"))
     assert loaded - bare - {"qcorr"} == runtime
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names that path's module-level imports bind and no name in it
+    reads; an import whose line holds `# noqa` binds none."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("directory", ["src/qcorr", "tests", "demos"])
+def test_no_module_level_import_goes_unused(directory):
+    paths = sorted((ROOT / directory).rglob("*.py"))
+    assert paths
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

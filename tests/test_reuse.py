@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bruteforce import qcorr_run
 from qcorr import bbgky, evolution
-from qcorr.cli import main
 from qcorr.presets import random_density_state, random_hermitian, random_system, rng_from_seed
 from qcorr.serialize import dumps_canonical, encode_raw_matrix, encode_sequence
 
@@ -40,13 +40,6 @@ class _Counted(np.ndarray):
             PRODUCTS[dim] += 1
         out = getattr(ufunc, method)(*plain, **kwargs)
         return out.view(_Counted) if isinstance(out, np.ndarray) else out
-
-
-def _run(tmp_path, doc, name="out"):
-    path = tmp_path / f"{name}.json"
-    path.write_text(dumps_canonical(doc))
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
-    return tmp_path / name
 
 
 def _io_scenario(d=2):
@@ -78,7 +71,7 @@ def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeyp
     monkeypatch.setattr(evolution, "UnitaryGroup", counted_group)
     monkeypatch.setattr(evolution, "unitary_matrix", lambda ug, t: builds.append(t) or build(ug, t))
     PRODUCTS.clear()
-    _run(tmp_path, _io_scenario(d=3))
+    assert qcorr_run(tmp_path, _io_scenario(d=3), "out")[0] == 0
     assert builds == []
     assert sorted(eighs) == [3, 9, 27, 81]  # each H_n diagonalized once
     assert PRODUCTS == {3**n: 13 for n in range(1, 5)}
@@ -102,7 +95,7 @@ def test_bbgky_builds_each_propagator_once_per_time(tmp_path, monkeypatch):
         "s_values": [1, 2, 3],
         "tasks": ["bbgky"],
     }
-    _run(tmp_path, doc)
+    assert qcorr_run(tmp_path, doc, "out")[0] == 0
     # one solve per s used to build U_m(t) once per s that reaches m: 1 + 2 + 3 + 3
     assert built == {(m, t): 1 for m in range(1, 5) for t in doc["times"]}
 
@@ -136,7 +129,8 @@ def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
     if task == "iterate":
         # the series is defined for two-body systems
         doc["system"] = dict(doc["system"], orders=[2])
-    exact = _run(tmp_path, doc, "exact") / f"{task}.json"
+    code, exact = qcorr_run(tmp_path, doc, "exact")
+    assert code == 0
     (tmp_path / "probe.json").write_text(dumps_canonical(doc))
     env = dict(os.environ, PYTHONPATH=str(copy))
     got = subprocess.run(
@@ -145,7 +139,7 @@ def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert got.returncode == 0, got.stderr
-    want, moved = _numbers(exact), _numbers(tmp_path / "probe" / f"{task}.json")
+    want, moved = _numbers(exact / f"{task}.json"), _numbers(tmp_path / "probe" / f"{task}.json")
     assert np.linalg.norm(moved - want) > 1e-8 * np.linalg.norm(want)
 
 

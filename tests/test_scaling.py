@@ -15,12 +15,11 @@ shows at hbar != 1, or one that two routes share, breaks these relations.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from qcorr.cli import main
+from bruteforce import qcorr_run, result_files
 from qcorr.presets import random_system
 from qcorr.serialize import decode_raw_matrix, dumps_canonical, encode_raw_matrix
 
@@ -49,19 +48,6 @@ def _scenario(factor: float, hbar: float, time_factor: float) -> dict:
     }))
 
 
-def _run(tmp_path, name: str, doc: dict) -> dict[str, bytes]:
-    """Every file but the manifest that `qcorr run` writes for doc."""
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / name
-    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
-    return {
-        name: (out / name).read_bytes()
-        for name in os.listdir(out)
-        if name != "manifest.json"
-    }
-
-
 def _bits(m) -> np.ndarray:
     return decode_raw_matrix(m).view(np.uint64)
 
@@ -80,18 +66,24 @@ def _matrices(task: str, result: dict) -> list[np.ndarray]:
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    return _run(tmp_path_factory.mktemp("base"), "base", _scenario(1.0, HBAR, 1.0))
+    code, out = qcorr_run(tmp_path_factory.mktemp("base"), _scenario(1.0, HBAR, 1.0), "base")
+    assert code == 0
+    return result_files(out)
 
 
 def test_hamiltonian_and_hbar_times_4_write_the_same_bytes(tmp_path, base, capsys):
-    scaled = _run(tmp_path, "scaled", _scenario(4.0, 4 * HBAR, 1.0))
+    code, out = qcorr_run(tmp_path, _scenario(4.0, 4 * HBAR, 1.0), "scaled")
+    assert code == 0
+    scaled = result_files(out)
     assert sorted(scaled) == sorted(base)
     assert [n for n in sorted(base) if scaled[n] != base[n]] == []
     capsys.readouterr()
 
 
 def test_hamiltonian_over_4_and_times_4_give_the_same_values(tmp_path, base, capsys):
-    scaled = _run(tmp_path, "scaled", _scenario(0.25, HBAR, 4.0))
+    code, out = qcorr_run(tmp_path, _scenario(0.25, HBAR, 4.0), "scaled")
+    assert code == 0
+    scaled = result_files(out)
     assert sorted(scaled) == sorted(base)
     for task in TASKS:
         got = json.loads(scaled[f"{task}.json"])
