@@ -5,16 +5,15 @@ traces of all higher components, divided by the reduction scalar (the
 grand-canonical normalization).  Because every state here is cut at n_max,
 all series are exact finite sums.
 
-The module carries two independent routes to F_s(t):
-
-* reduce the evolved density sequence            (:func:`reduce_from_density`)
-* the cumulant formula, un-reduce/evolve/reduce  (:func:`solve_bbgky_cumulant_all`)
-
-plus a time-ordered iteration series with numerical quadrature as a
-cross-check, and the particle-number / dispersion observables.  The
-cumulant formula and the series each solve every s of one time in one
-call.  The third route (reduce the evolved correlation sequence), the
-literal cumulant sum and the correlation operators G_s are reference
+`qcorr run` reduces the density it evolves once per run, as
+:func:`reduce_from_density` reduces a density sequence.  The paper's
+cumulant solution formula, un-reduce/evolve/reduce for one s
+(:func:`solve_bbgky_cumulant`), is the reference route that the run's
+F_s(t) must equal on exchange-symmetric data.  The module also holds the
+time-ordered iteration series with numerical quadrature, which solves
+every s of one time in one call, and the particle-number / dispersion
+observables.  The third route (reduce the evolved correlation sequence),
+the literal cumulant sum and the correlation operators G_s are reference
 routes in :mod:`qcorr.verify`.
 """
 
@@ -28,7 +27,7 @@ from math import factorial
 import numpy as np
 
 from .evolution import (
-    DensityFlow, _conjugate, conjugations, group_apply, make_unitary_group, phases
+    DensityFlow, _conjugate, group_apply, make_unitary_group, phases
 )
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
@@ -89,11 +88,10 @@ def reduce_from_density(d: DensityState, s: int) -> ManyBodyOperator:
     return annihilation_component(d.seq, s) / z
 
 
-def solve_bbgky_cumulant_all(
-    spec: SystemSpec, f0: MarginalState, s_values: list[int], t: float
-) -> dict[int, ManyBodyOperator]:
-    """{s: F_s(t)} for every s in ``s_values``, by the cumulant solution
-    formula, through its factorization.
+def solve_bbgky_cumulant(
+    spec: SystemSpec, f0: MarginalState, s: int, t: float
+) -> ManyBodyOperator:
+    """F_s(t) by the cumulant solution formula, through its factorization.
 
     Term n of the formula traces n particles, with weight 1/n!, out of the
     (1+n)-cluster cumulant ((1..s) fused) applied to F_{s+n}.  A block of
@@ -104,48 +102,30 @@ def solve_bbgky_cumulant_all(
         E_k = sum over n >= k and the (n-k)-subsets R of (s+1..s+n) of
               (-1)^(n-k) (k!/n!) Tr_R F_{s+n}, relabelled onto (1..s+k).
 
-    U_m(t) is built once and conjugates the E_{m-s} of every s; each s sums
-    in the order of a solve for it alone, so F_s does not depend on the
-    other s, to the bit.  Exact without exchange symmetry; F_s itself at t = 0.
+    Exact without exchange symmetry; F_s itself at t = 0.
     """
     seq = f0.seq
-    for s in s_values:
-        if not 1 <= s <= seq.n_max:
-            raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
+    if not 1 <= s <= seq.n_max:
+        raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
     if t == 0.0:
-        return {s: seq.component(s) for s in s_values}
+        return seq.component(s)
     d = seq.dim_single
-    unreduced: dict[int, dict[int, np.ndarray]] = {s: {} for s in s_values}
-    for s, e in unreduced.items():
-        for n in range(seq.n_max - s + 1):
-            if not seq.has(s + n):
-                continue
-            f_sn = seq.components[s + n].matrix
-            for r in range(n + 1):
-                weight = (-1) ** r * factorial(n - r) / factorial(n)
-                # the slots of the labels (s+1..s+n) of F_{s+n}
-                for traced in itertools.combinations(range(s, s + n), r):
-                    term = partial_trace_matrix(f_sn, d, s + n, traced)
-                    e[n - r] = e.get(n - r, 0) + term * weight
-    moved: dict[int, dict[int, ManyBodyOperator]] = {s: {} for s in unreduced}
-    for m in sorted({s + k for s, e in unreduced.items() for k in e}):
-        ends = [s for s in unreduced if m - s in unreduced[s]]
-        # C-ordered operands: a product rounds by the layout of its inputs
-        xs = [np.ascontiguousarray(unreduced[s].pop(m - s)) for s in ends]
-        ug = make_unitary_group(spec, ParticleSet.range1(m))
-        for s, x in zip(ends, conjugations(ug, t, xs)):
-            moved[s][m - s] = ManyBodyOperator(ug.labels, d, x)
-    return {
-        s: annihilation_component(OperatorSequence(d, seq.n_max - s, 0.0, ops, s), 0)
-        for s, ops in moved.items()
-    }
-
-
-def solve_bbgky_cumulant(
-    spec: SystemSpec, f0: MarginalState, s: int, t: float
-) -> ManyBodyOperator:
-    """F_s(t) by :func:`solve_bbgky_cumulant_all` for s alone."""
-    return solve_bbgky_cumulant_all(spec, f0, [s], t)[s]
+    unreduced: dict[int, np.ndarray] = {}
+    for n in range(seq.n_max - s + 1):
+        if not seq.has(s + n):
+            continue
+        f_sn = seq.components[s + n].matrix
+        for r in range(n + 1):
+            weight = (-1) ** r * factorial(n - r) / factorial(n)
+            # the slots of the labels (s+1..s+n) of F_{s+n}
+            for traced in itertools.combinations(range(s, s + n), r):
+                term = partial_trace_matrix(f_sn, d, s + n, traced)
+                unreduced[n - r] = unreduced.get(n - r, 0) + term * weight
+    moved = {}
+    for k, e in sorted(unreduced.items()):
+        ug = make_unitary_group(spec, ParticleSet.range1(s + k))
+        moved[k] = group_apply(ug, t, ManyBodyOperator(ug.labels, d, e))
+    return annihilation_component(OperatorSequence(d, seq.n_max - s, 0.0, moved, s), 0)
 
 
 def _embedded_group_conj(

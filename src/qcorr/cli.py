@@ -58,7 +58,6 @@ from .bbgky import (
     QuadratureSpec,
     flow_observable_moments,
     marginal_state_from_density,
-    solve_bbgky_cumulant_all,
     solve_bbgky_iteration,
 )
 from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
@@ -93,7 +92,12 @@ from .serialize import (
     encode_sequence,
     validate,
 )
-from .star_algebra import OperatorSequence
+from .star_algebra import (
+    OperatorSequence,
+    annihilation_component,
+    annihilation_scalar,
+    require_normalizable,
+)
 
 MAX_N_MAX = 4
 MAX_TOTAL_DIM = 256
@@ -125,7 +129,8 @@ class Scenario:
 
     @cached_property
     def flow(self) -> DensityFlow:
-        """The density's evolution, shared by evolve, hierarchy and observables."""
+        """The density's evolution, shared by evolve, hierarchy, bbgky and
+        observables."""
         return DensityFlow(self.spec, self.density.seq)
 
 
@@ -355,24 +360,23 @@ def _task_hierarchy(sc: Scenario) -> dict:
 
 
 def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
-    """Refuse density data on which the bbgky and iterate formulas fail.
+    """Refuse density data on which bbgky and iterate could disagree.
 
-    Both formulas are linear in the density components and equal the
-    reduced evolved density for exchange-symmetric data; a component D_n
-    with n <= s + 1 gives the same answer either way, so only D_n with
-    n >= s + 2 are checked.  The check is sufficient, not necessary.
+    `bbgky` is the reduced evolved density.  `iterate` approximates the
+    BBGKY cumulant solution, which is linear in the density components and
+    equals the reduced evolved density for exchange-symmetric data, so on
+    data this check passes both tasks solve the same hierarchy.  A
+    component D_n with n <= s + 1 gives the same answer either way, so only
+    D_n with n >= s + 2 are checked.  The check is sufficient, not necessary.
     """
     for n, op in sorted(d0.seq.components.items()):
         if n >= min(s_values) + 2:
             require_exchange_symmetric(op.matrix, op.dim_single, f"density component {n}")
 
 
-def _marginal_records(sc: Scenario, solve, *args) -> list[dict]:
-    """A record for every s, then t, of the scenario; one call
-    solve(spec, f0, s_values, t, *args) per time returns {s: F_s(t)}."""
-    _require_exchange_symmetric(sc.density, sc.s_values)
-    f0 = marginal_state_from_density(sc.density)
-    by_time = [solve(sc.spec, f0, sc.s_values, t, *args) for t in sc.times]
+def _marginal_records(sc: Scenario, by_time: list[dict]) -> list[dict]:
+    """A record for every s, then t, of the scenario, from {s: F_s(t)} for
+    each time."""
     return [
         _marginal_record(s, t, ops[s])
         for s in sc.s_values
@@ -381,14 +385,27 @@ def _marginal_records(sc: Scenario, solve, *args) -> list[dict]:
 
 
 def _task_bbgky(sc: Scenario) -> dict:
-    return {"task": "bbgky", "records": _marginal_records(sc, solve_bbgky_cumulant_all)}
+    # F_s(t) reduces the run's evolved density; the reduction scalar is a
+    # sum of traces, which the flow keeps, so it is taken once, at t = 0
+    _require_exchange_symmetric(sc.density, sc.s_values)
+    z = require_normalizable(annihilation_scalar(sc.density.seq))
+    by_time = []
+    for t in sc.times:
+        dt = sc.flow.at(t)
+        by_time.append({s: annihilation_component(dt, s) / z for s in sc.s_values})
+    return {"task": "bbgky", "records": _marginal_records(sc, by_time)}
 
 
 def _task_iterate(sc: Scenario) -> dict:
+    _require_exchange_symmetric(sc.density, sc.s_values)
+    f0 = marginal_state_from_density(sc.density)
+    by_time = [
+        solve_bbgky_iteration(sc.spec, f0, sc.s_values, t, sc.quadrature) for t in sc.times
+    ]
     return {
         "task": "iterate",
         "quadrature": asdict(sc.quadrature),
-        "records": _marginal_records(sc, solve_bbgky_iteration, sc.quadrature),
+        "records": _marginal_records(sc, by_time),
     }
 
 
@@ -425,7 +442,7 @@ def run_scenario(sc: Scenario) -> dict[str, str]:
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
         # what no later task reads goes before the result is encoded
-        if not {"evolve", "hierarchy", "observables"} & set(sc.tasks[i + 1:]):
+        if not {"evolve", "hierarchy", "bbgky", "observables"} & set(sc.tasks[i + 1:]):
             sc.__dict__.pop("flow", None)
         files[f"{task}.json"] = dumps_canonical(result)
         if task in _CSV_COLUMNS:

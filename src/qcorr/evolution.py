@@ -12,11 +12,10 @@ of :func:`phases`.
 A density sequence evolves in the eigenbasis (:class:`DensityFlow`): each
 component moves there once, as D~ = V^* D V, and D(t) = V (P o D~) V^*
 with P = p p^*, two D^3 products per time and no unitary build.  Any
-other operand is conjugated by :func:`conjugations`, U x U^* with
-U = ``unitary_matrix(ug, t)`` built on every call: three D^3 products for
-one operand, two more for each further operand of the same group and
-time.  Nothing but the spectral cache is kept from one call to the next.
-The iteration series' top level needs only a traced product
+other operand is conjugated by :func:`_conjugate`, the one place U x U^*
+is written, with U = ``unitary_matrix(ug, t)`` built on every call: three
+D^3 products.  Nothing but the spectral cache is kept from one call to the
+next.  The iteration series' top level needs only a traced product
 (:func:`qcorr.bbgky._top_commutator`).
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
@@ -93,12 +92,6 @@ def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
     return (ug.eigenvectors * phases(ug, t)) @ ug.eigenvectors.conj().T
 
 
-def conjugations(ug: UnitaryGroup, t: float, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """U x U^* for each matrix x, with one U = unitary_matrix(ug, t) for all."""
-    u = unitary_matrix(ug, t)
-    return [u @ x @ u.conj().T for x in xs]
-
-
 def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:
     """The conjugation kernel: U f U^* with U = unitary_matrix(ug, t), or f at t = 0."""
     if f.labels != ug.labels or f.dim_single != ug.dim_single:
@@ -108,8 +101,8 @@ def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOpera
         )
     if t == 0.0:
         return f
-    (m,) = conjugations(ug, t, [f.matrix])
-    return ManyBodyOperator(f.labels, f.dim_single, m)
+    u = unitary_matrix(ug, t)
+    return ManyBodyOperator(f.labels, f.dim_single, u @ f.matrix @ u.conj().T)
 
 
 def group_apply(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:

@@ -98,10 +98,11 @@ def random_correlation_state(
     traceless: bool = False,
     symmetric: bool = False,
 ) -> CorrelationState:
-    """Seeded correlation sequence; component n gets trace norm norms[n-1]."""
+    """Seeded correlation sequence; component n gets trace norm norms[n-1],
+    from one norm for every component or a list of exactly n_max."""
     if isinstance(norms, (int, float)):
         norms = [norms] * n_max
-    if len(norms) < n_max:
+    if len(norms) != n_max:
         raise ValueError(f"norms has {len(norms)} entries but n_max is {n_max}")
     rng = rng_from_seed(seed)
     comps = {}

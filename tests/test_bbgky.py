@@ -31,7 +31,6 @@ from qcorr.bbgky import (
     marginal_state_from_density,
     reduce_from_density,
     solve_bbgky_cumulant,
-    solve_bbgky_cumulant_all,
     solve_bbgky_iteration,
 )
 from qcorr import bbgky
@@ -266,39 +265,6 @@ def test_cumulant_solution_input_validation():
         solve_bbgky_cumulant(spec, f0, 0, 0.1)
     with pytest.raises(ValueError):
         solve_bbgky_cumulant(spec, f0, 3, 0.1)
-    for s_values in ([0, 1], [1, 3]):
-        with pytest.raises(ValueError):
-            solve_bbgky_cumulant_all(spec, f0, s_values, 0.1)
-
-
-def _same_bits(a: ManyBodyOperator, b: ManyBodyOperator) -> bool:
-    return a.labels == b.labels and np.array_equal(
-        a.matrix.view(np.uint64), b.matrix.view(np.uint64)
-    )
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_all_s_solve_equals_solve_per_s_bit_for_bit(d):
-    # one propagator per particle number feeds every s, and each s keeps
-    # the order of summation of a solve for it alone
-    spec = random_system(364 + d, dim_single=d, orders=(2, 3))
-    g0 = random_correlation_state(374 + d, d, 4, norms=0.4)
-    f0 = marginal_state_from_density(cluster_expand(g0))
-    for t in (0.3, -0.4, 0.0):
-        joint = solve_bbgky_cumulant_all(spec, f0, [1, 2, 3], t)
-        assert sorted(joint) == [1, 2, 3]
-        for s in (1, 2, 3):
-            assert _same_bits(joint[s], solve_bbgky_cumulant(spec, f0, s, t))
-
-
-def test_all_s_solve_does_not_depend_on_the_order_of_s():
-    spec = random_system(367, dim_single=2, orders=(2,))
-    f0 = marginal_state_from_density(random_density_state(368, 2, 4))
-    up = solve_bbgky_cumulant_all(spec, f0, [1, 3], 0.3)
-    down = solve_bbgky_cumulant_all(spec, f0, [3, 1], 0.3)
-    assert sorted(up) == sorted(down) == [1, 3]
-    for s in (1, 3):
-        assert _same_bits(up[s], down[s])
 
 
 # ---------------------------------------------------------------------------

@@ -1091,6 +1091,41 @@ def test_iterate_task_matches_cumulant_solution(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_bbgky_task_matches_cumulant_solution(tmp_path, capsys, d):
+    # the task reduces the run's evolved density; on exchange-symmetric data
+    # the cumulant solution formula is a second route to the same F_s(t)
+    doc = {
+        "system": {"preset": "random_hermitian", "seed": 40 + d, "orders": [2, 3],
+                   "dim_single": d},
+        "initial": {"preset": {"preset": "random_correlation", "seed": 50 + d,
+                               "symmetric": True}},
+        "times": [0.4, -0.3, 0.0],
+        "n_max": 4,
+        "s_values": [3, 1, 2],
+        "tasks": ["bbgky"],
+    }
+    code, out = qcorr_run(tmp_path, doc, "bbgky")
+    assert code == 0
+    capsys.readouterr()
+    records = json.loads((out / "bbgky.json").read_text())["records"]
+    assert [(r["s"], r["t"]) for r in records] == [
+        (s, t) for s in doc["s_values"] for t in doc["times"]
+    ]
+    sc = load_scenario(doc)
+    f0 = marginal_state_from_density(sc.density)
+    for rec in records:
+        s, t = rec["s"], rec["t"]
+        got = decode_raw_matrix(rec["matrix"])
+        want = solve_bbgky_cumulant(sc.spec, f0, s, t)
+        err = trace_norm(ManyBodyOperator(ParticleSet.range1(s), d, got) - want)
+        assert err <= 1e-12 * trace_norm(want)
+        if t == 0.0:
+            # F_s(0) is the reduced initial density, to the bit
+            want_bits = f0.seq.components[s].matrix.view(np.uint64)
+            assert np.array_equal(got.view(np.uint64), want_bits)
+
+
 def test_quadrature_rule_may_be_left_out_and_names_gauss_alone(tmp_path, capsys):
     # Gauss-Legendre is the one rule: a scenario may name it or leave the
     # field out, with the same results, and any other name is refused
@@ -1188,17 +1223,20 @@ def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
 
 
 def test_short_norms_list_exits_2_without_traceback(tmp_path):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["n_max"] = 3
-    sc["initial"]["preset"]["norms"] = [0.5]
-    path = _write_scenario(tmp_path, sc)
-    out = tmp_path / "short-norms"
-    cmd = [sys.executable, "-m", "qcorr.cli", "run", "--scenario", path]
-    proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "norms has 1 entries but n_max is 3" in proc.stderr
-    assert not out.exists()
+    # a list of one norm per component, n_max of them: a short list and a
+    # long one are both refused, and no entry is dropped in silence
+    for norms in ([0.5], [0.5] * 6):
+        sc = json.loads(json.dumps(BASE_SCENARIO))
+        sc["n_max"] = 3
+        sc["initial"]["preset"]["norms"] = norms
+        path = _write_scenario(tmp_path, sc)
+        out = tmp_path / f"norms-{len(norms)}"
+        cmd = [sys.executable, "-m", "qcorr.cli", "run", "--scenario", path]
+        proc = subprocess.run(cmd + ["--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"norms has {len(norms)} entries but n_max is 3" in proc.stderr
+        assert not out.exists()
 
 
 def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Spectral reuse in `qcorr run`: what one run builds, and for whom.
 
-The density tasks (`evolve`, `observables`, `hierarchy`) share one
+Four tasks (`evolve`, `hierarchy`, `bbgky`, `observables`) share one
 `DensityFlow`, which evolves each component in the eigenbasis of its
-Hamiltonian, and `bbgky` builds each propagator once per time.  These tests
-count the work of a run and probe that every task still takes its time
-dependence from `evolution.phases`.
+Hamiltonian; `bbgky` reduces it.  These tests count the work of a run and
+probe that every task still takes its time dependence from
+`evolution.phases`.
 """
 
 import json
@@ -77,15 +77,11 @@ def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeyp
     assert PRODUCTS == {3**n: 13 for n in range(1, 5)}
 
 
-def test_bbgky_builds_each_propagator_once_per_time(tmp_path, monkeypatch):
-    built = Counter()
-    build = evolution.unitary_matrix
-
-    def counting(ug, t):
-        built[len(ug.labels), t] += 1
-        return build(ug, t)
-
-    monkeypatch.setattr(evolution, "unitary_matrix", counting)
+def test_hierarchy_and_bbgky_share_one_flow_and_build_no_propagator(tmp_path, monkeypatch):
+    eighs, builds = [], []
+    eigh, build = np.linalg.eigh, evolution.unitary_matrix
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(len(h)) or eigh(h))
+    monkeypatch.setattr(evolution, "unitary_matrix", lambda ug, t: builds.append(t) or build(ug, t))
     doc = {
         "system": {"preset": "random_hermitian", "seed": 23, "orders": [2, 3]},
         "initial": {"preset": {"preset": "random_correlation", "seed": 24,
@@ -93,11 +89,12 @@ def test_bbgky_builds_each_propagator_once_per_time(tmp_path, monkeypatch):
         "times": [0.3, 0.7],
         "n_max": 4,
         "s_values": [1, 2, 3],
-        "tasks": ["bbgky"],
+        "tasks": ["hierarchy", "bbgky"],
     }
     assert qcorr_run(tmp_path, doc, "out")[0] == 0
-    # one solve per s used to build U_m(t) once per s that reaches m: 1 + 2 + 3 + 3
-    assert built == {(m, t): 1 for m in range(1, 5) for t in doc["times"]}
+    # bbgky reduces the flow that hierarchy evolved, and builds no U_m(t)
+    assert builds == []
+    assert sorted(eighs) == [2, 4, 8, 16]  # each H_n diagonalized once
 
 
 def _numbers(path: Path) -> np.ndarray:

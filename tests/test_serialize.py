@@ -304,11 +304,10 @@ _doubles = st.one_of(
 )
 
 
-def _assert_leaf_text(rows):
-    """A list leaf of rows, and the float64 array of rows, are written as
-    json writes their lists."""
-    assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
-    leaf = np.array(rows, dtype=np.float64)
+def _assert_leaf_text(leaf):
+    """A float64 array leaf, which orjson writes, is written as json writes
+    its list."""
+    assert leaf.dtype == np.float64
     assert dumps_canonical({"m": leaf}) == stdlib_text({"m": leaf.tolist()})
 
 
@@ -318,7 +317,9 @@ def test_matrix_leaves_are_written_as_json_writes_them(n_rows, n_cols, data):
     size = 2 * n_rows * n_cols
     values = data.draw(st.lists(_doubles, min_size=size, max_size=size))
     leaf = np.array(values).reshape(n_rows, n_cols, 2)
-    _assert_leaf_text(leaf.tolist())
+    _assert_leaf_text(leaf)
+    # the walker: a list of lists goes to json a number at a time
+    assert dumps_canonical({"m": leaf.tolist()}) == stdlib_text({"m": leaf.tolist()})
 
 
 def test_many_random_doubles_are_written_as_json_writes_them():
@@ -346,17 +347,25 @@ _GRID += [-x for x in _GRID]
 @pytest.mark.parametrize("x", _GRID, ids=repr)
 def test_grid_values_are_written_as_json_writes_them(x):
     for rows in ([[[x, x]]], [[[x, 0.5], [1, x]], [[x, -x], [x, 1e-7]]]):
-        _assert_leaf_text(rows)
+        _assert_leaf_text(np.array(rows, dtype=np.float64))
+        # the walker, on the same rows as lists
+        assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
 
 
 def test_one_leaf_of_every_grid_value():
-    _assert_leaf_text([[[x, y] for x, y in zip(_GRID, reversed(_GRID))]])
+    rows = [[[x, y] for x, y in zip(_GRID, reversed(_GRID))]]
+    _assert_leaf_text(np.array(rows, dtype=np.float64))
+    assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
 
 
-def test_list_leaves_with_ints_are_written_as_json_writes_them():
+# -- the walker: a list is written item by item, each number by json, so
+# lists of lists check brackets, commas and json's own number text
+
+
+def test_lists_with_ints_are_walked_as_json_writes_them():
     rows = [[[1, 0], [-3, 2**63]], [[-(2**63), 7], [2**64 - 1, 1.5e-05]]]
     assert dumps_canonical({"m": rows}) == stdlib_text({"m": rows})
-    # orjson refuses an int of 2^64 or more; json writes the leaf
+    # ints that orjson refuses, 2^64 and up or below -2^63, never reach it
     for huge in (2**64, -(2**63) - 1, 10**30):
         rows = [[[1, 1e-05], [huge, 0.5]], [[2.0, 3], [4, 1e16]]]
         with pytest.raises(TypeError):
@@ -420,6 +429,7 @@ def _json_outcome(write, doc) -> str:
     ids=repr,
 )
 def test_lists_holding_other_than_numbers_are_written_by_json(other):
+    # the walker hands every item that is not a list or a dict to json whole
     for doc in ([other, 1e-05], [[1e-05, other], [2.0, 3]], [[[1e16, 0], [other, 1e-7]]],
                 {"m": [[1.5e-05], [other]], "n": [[[2.5e-05, 1]]]}):
         assert _json_outcome(dumps_canonical, doc) == _json_outcome(stdlib_text, doc)
@@ -432,16 +442,26 @@ def test_ragged_nested_numbers_are_written_as_json_writes_them():
         assert dumps_canonical(doc) == stdlib_text(doc)
 
 
-def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
-    # 160 x 160 pairs, with numbers of every layout class spread over every
-    # piece that _repr_layout cuts
+def _many_piece_leaf() -> np.ndarray:
+    """160 x 160 pairs, with numbers of every layout class spread over every
+    piece that _repr_layout cuts."""
     rng = np.random.default_rng(7)
     scale = rng.choice([1e17, 1e-7, 3e-5, 0.0, -0.0, 1.0], size=(160, 160, 2))
     leaf = scale * rng.uniform(1, 9.99, size=scale.shape)
     leaf *= rng.choice([-1.0, 1.0], size=leaf.shape)
+    return leaf
+
+
+def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
+    leaf = _many_piece_leaf()
     assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
     assert dumps_canonical(leaf) == stdlib_text(leaf.tolist())
-    assert dumps_canonical(leaf.tolist()) == stdlib_text(leaf.tolist())
+
+
+def test_a_long_list_of_lists_is_walked_as_json_writes_it():
+    # the list form of the many-piece leaf; none of it goes to orjson
+    rows = _many_piece_leaf().tolist()
+    assert dumps_canonical(rows) == stdlib_text(rows)
 
 
 def test_each_leaf_goes_to_orjson_once(monkeypatch):
