@@ -23,9 +23,9 @@ schema-violating input, 3 a capacity guard tripped.  An output path that
 is, or lies below, an existing non-directory is refused before any task
 runs.  Tasks run one at a time, in one thread.  Outputs are written only
 after every task has computed, into a staging directory beside the output
-directory, so a failing task or an I/O error while writing leaves the
-output directory as it was; the files then move into it, `manifest.json`
-last.
+directory, each result encoded piece by piece as it is written, so a
+failing task or an error while encoding or writing leaves the output
+directory as it was; the files then move into it, `manifest.json` last.
 Every file but scenario.json is canonical compact JSON (or CSV): rerunning
 an identical scenario reproduces identical bytes.  `verify` and `schema`
 print indented JSON for people to read.
@@ -86,6 +86,7 @@ from .serialize import (
     decode_named_matrix,
     decode_sequence,
     decode_system,
+    dump_canonical,
     dumps_canonical,
     encode_complex,
     encode_raw_matrix,
@@ -432,19 +433,20 @@ _TASK_FNS = {
 }
 
 
-def run_scenario(sc: Scenario) -> dict[str, str]:
-    """Execute every task; return {filename: text} of the result files."""
-    files: dict[str, str] = {}
+def run_scenario(sc: Scenario) -> dict[str, dict | str]:
+    """Execute every task; return {filename: content} of the result files:
+    each task's result, which _write_outputs encodes as it writes, and CSV."""
+    files: dict[str, dict | str] = {}
     for i, task in enumerate(sc.tasks):
         try:
             with _strict_fp():
                 result = _TASK_FNS[task](sc)
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
-        # what no later task reads goes before the result is encoded
+        # what no later task reads goes before the next task runs
         if not {"evolve", "hierarchy", "bbgky", "observables"} & set(sc.tasks[i + 1:]):
             sc.__dict__.pop("flow", None)
-        files[f"{task}.json"] = dumps_canonical(result)
+        files[f"{task}.json"] = result
         if task in _CSV_COLUMNS:
             files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
     return files
@@ -529,20 +531,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _write_outputs(out_dir: str, files: dict[str, str | bytes]) -> None:
-    """Write every file into a staging directory beside out_dir, then move
-    each into out_dir by os.replace, manifest.json last.
+def _write_outputs(out_dir: str, files: dict[str, dict | str | bytes]) -> None:
+    """Write every file, a result through dump_canonical, into a staging
+    directory beside out_dir, then move each into out_dir by os.replace,
+    manifest.json last.
 
     The staging directory is on out_dir's filesystem and is removed
-    whatever happens, so an error while writing leaves out_dir as it was.
+    whatever happens, so an error while encoding or writing leaves out_dir
+    as it was.
     """
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".qcorr-staging-", dir=parent)
     try:
-        for name, text in files.items():
+        for name, content in files.items():
             with open(os.path.join(staging, name), "wb") as fh:
-                fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
+                if isinstance(content, dict):
+                    dump_canonical(content, fh)
+                else:
+                    fh.write(content.encode() if isinstance(content, str) else content)
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(files, key=lambda name: name == "manifest.json"):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))

@@ -11,26 +11,28 @@ Conventions
   (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
   SchemaViolation.
 
-Every JSON file `qcorr run` writes goes through dumps_canonical, but
-scenario.json, the bytes it read: sorted keys, no whitespace, a final
-newline, so reruns produce identical bytes.
+Every JSON file `qcorr run` writes, but scenario.json, the bytes it read,
+is canonical: sorted keys, no whitespace, a final newline, so reruns
+produce identical bytes.  dump_canonical streams it into a binary file, and
+dumps_canonical returns it as a str.
 
-Fast path of dumps_canonical
-----------------------------
-The text of dumps_canonical is exactly that of json.dumps(obj,
-sort_keys=True, separators=(",", ":"), allow_nan=False) plus a newline, but
-json writes each float with float.__repr__, about 1.4 us a float.  So a
-small recursive writer walks dicts with string keys and lists, and hands
-everything else but the matrix leaves to json.dumps: keys, strings and
-scalars are json's own text, escapes and refusals.
+Fast path of the canonical writer
+---------------------------------
+The text is exactly that of json.dumps(obj, sort_keys=True,
+separators=(",", ":"), allow_nan=False) plus a newline, but json writes
+each float with float.__repr__, about 1.4 us a float.  So a small recursive
+writer walks dicts with string keys and lists, hands everything else but
+the matrix leaves to json.dumps (keys, strings and scalars are json's own
+text, escapes and refusals), and hands each piece of text, as bytes, on to
+a file's write or a list's append.
 
 * A float64 array of shape (rows, cols, 2), as encode_raw_matrix returns,
   goes to one orjson.dumps call.  Every leaf a run writes is such an array;
   a list, a list of lists among them, is walked like any other.  orjson
   picks the same shortest round-trip digits as float.__repr__ and lays out
-  three ranges differently, which _repr_layout rewrites with numpy, in
-  pieces of about 128 KiB, each cut at a '],[', so that a piece's work
-  arrays stay in cache:
+  three ranges differently, which _repr_layout_piece rewrites with numpy
+  in pieces of about 128 KiB, each cut at a '],[' and handed on when made,
+  so that its work arrays stay in cache and no file is held whole:
 
       |x|              orjson       float.__repr__
       >= 1e16          1.5e16       1.5e+16
@@ -446,11 +448,11 @@ def check_nesting(text: bytes, what: str = "document") -> None:
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
 
-# the bytes of orjson's number text that _repr_layout reads
+# the bytes of orjson's number text that _repr_layout_piece reads
 _DOT, _E, _MINUS, _ZERO, _NINE, _COMMA = b".e-09,"
-# _repr_layout rewrites a leaf in pieces of about _PIECE bytes, so that its
-# work arrays stay in cache; the 8-byte words it reads after a '.' run up to
-# 6 bytes past a piece's end, into _PAD zero bytes
+# a leaf's text is rewritten in pieces of about _PIECE bytes, so that the
+# work arrays stay in cache; the 8-byte words read after a '.' run up to 6
+# bytes past a piece's end, into _PAD zero bytes
 _PIECE = 1 << 17
 _PAD = 8
 
@@ -465,87 +467,75 @@ def dumps_canonical(obj: Any) -> str:
     decodes back unchanged.  The raw-matrix leaves, which hold nearly all
     of them, are written by orjson (see the module docstring).
     """
-    parts: list[str] = []
-    _write(obj, parts)
-    parts.append("\n")
-    return "".join(parts)
+    parts: list[bytes] = []
+    _write(obj, parts.append)
+    return b"".join(parts).decode() + "\n"
 
 
-def _write(x, parts: list[str]) -> None:
-    """Append the canonical text of x to parts."""
-    if _is_matrix_array(x):
-        text = _dumps_numbers(x)
-        if text is not None:
-            parts.append(text)
+def dump_canonical(obj: Any, fh) -> None:
+    """Write dumps_canonical(obj) to the binary file fh, as ASCII bytes in
+    pieces of at most about 2 * _PIECE; what it refuses raises its error."""
+    _write(obj, fh.write)
+    fh.write(b"\n")
+
+
+def _write(x, put) -> None:
+    """Hand the canonical text of x to put, as pieces of bytes."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 3 and x.shape[2] == 2:
+        if _write_numbers(x, put):
             return
         # a non-finite or non-contiguous array is written as its list
         x = x.tolist()
     if type(x) is dict and all(type(k) is str for k in x):
-        parts.append("{")
+        put(b"{")
         for i, k in enumerate(sorted(x)):
-            parts.append(("," if i else "") + json.dumps(k) + ":")
-            _write(x[k], parts)
-        parts.append("}")
+            put((("," if i else "") + json.dumps(k) + ":").encode())
+            _write(x[k], put)
+        put(b"}")
     elif type(x) is list:
-        parts.append("[")
+        put(b"[")
         for i, v in enumerate(x):
             if i:
-                parts.append(",")
-            _write(v, parts)
-        parts.append("]")
+                put(b",")
+            _write(v, put)
+        put(b"]")
     else:
-        parts.append(json.dumps(x, **_JSON_OPTIONS))
+        put(json.dumps(x, **_JSON_OPTIONS).encode())
 
 
-def _is_matrix_array(x) -> bool:
-    return (
-        type(x) is np.ndarray
-        and x.dtype == np.float64
-        and x.ndim == 3
-        and x.shape[2] == 2
-    )
-
-
-def _dumps_numbers(x: np.ndarray) -> str | None:
-    """json.dumps's text of a float64 array leaf when orjson writes it; None
-    when orjson refuses it, or it holds a NaN or an infinity."""
+def _write_numbers(x: np.ndarray, put) -> bool:
+    """Hand json.dumps's text of a float64 array leaf to put, piece by
+    piece; False, with nothing handed, when orjson refuses the leaf or it
+    holds a NaN or an infinity."""
     import orjson
 
     # orjson writes NaN and the infinities of a float64 array as null
     if not np.isfinite(x).all():
-        return None
+        return False
     try:
         raw = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
     except orjson.JSONEncodeError:
-        return None
-    return _repr_layout(raw).decode()
-
-
-def _repr_layout(raw: bytes) -> bytes:
-    """orjson's text of numbers nested in arrays, laid out as
-    float.__repr__ lays them out.
-
-    The text is rewritten in pieces of about _PIECE bytes, each cut before
-    the '[' of a '],[', so that no number spans two pieces.
-    """
-    text = np.frombuffer(raw, np.uint8)
-    out = []
+        return False
+    view = memoryview(raw)
     start = 0
+    # each piece ends before the '[' of a '],[', so no number spans two
     while start < len(raw):
         cut = raw.find(b"],[", start + _PIECE)
         end = len(raw) if cut < 0 else cut + 2
-        out.append(_repr_layout_piece(text[start:end]))
+        put(_repr_layout_piece(view[start:end]))
         start = end
-    return b"".join(out)
+    return True
 
 
-def _repr_layout_piece(piece: np.ndarray) -> bytes:
-    """_repr_layout of a piece that starts with '['.
+def _repr_layout_piece(piece) -> bytes:
+    """orjson's text of a piece of numbers nested in arrays, which starts
+    with '[', laid out as float.__repr__ lays them out.
 
     Every number of the piece is followed by ',' or ']', and holds at most
-    one '.' and one 'e'.  Every test reads a copy of the piece, and the
-    edits then go into that copy as marker bytes, which one translate and
-    four replaces expand:
+    one '.' and one 'e'.  The tests read a bytearray copy of the piece, the
+    edits then go into that copy as marker bytes, and one translate, which
+    also drops the _PAD zero bytes, and a replace for each other marker the
+    piece holds expand them:
 
     * 'e' before a digit (1.5e16) becomes 1, expanded to 'e+';
     * the '-' of a one-digit exponent (1.5e-7) becomes 2, expanded to '-0';
@@ -554,8 +544,9 @@ def _repr_layout_piece(piece: np.ndarray) -> bytes:
       dropped (marker 0), and the ',' or ']' that ends the number becomes
       3 or 4, expanded to 'e-05,' or 'e-05]'.
     """
-    b = np.zeros(len(piece) + _PAD, np.uint8)
-    b[:len(piece)] = piece
+    buf = bytearray(piece)
+    buf += bytes(_PAD)
+    b = np.frombuffer(buf, np.uint8)
 
     e = np.flatnonzero(b == _E)
     sign = b[e + 1]
@@ -571,24 +562,24 @@ def _repr_layout_piece(piece: np.ndarray) -> bytes:
     first = b[p + 5]
     # j: the ',' or ']' after the digits from p + 6 on, at most 16 of them
     j = _digit_run_end(b, p + 6)
-    ends = np.where(b[j] == _COMMA, 3, 4)
+    comma = b[j] == _COMMA
+    commas = int(np.count_nonzero(comma))
 
     b[plus] = 1
     b[short] = 2
     b[p - 1] = first
-    for k in range(1, 6):
-        b[p + k] = 0
+    _words(b, "<u4")[p + 1] = 0
+    b[p + 5] = 0
     b[p[j == p + 6]] = 0
-    b[j] = ends
+    b[j] = 4 - comma
 
-    return (
-        b.tobytes()
-        .translate(None, b"\0")
-        .replace(b"\1", b"e+")
-        .replace(b"\2", b"-0")
-        .replace(b"\3", b"e-05,")
-        .replace(b"\4", b"e-05]")
-    )
+    kinds = [(b"\1", b"e+", len(plus)), (b"\2", b"-0", len(short)),
+             (b"\3", b"e-05,", commas), (b"\4", b"e-05]", len(j) - commas)]
+    out = buf.translate(None, b"\0")
+    for marker, text, count in kinds:
+        if count:
+            out = out.replace(marker, text)
+    return bytes(out)
 
 
 def _is_digit(c: np.ndarray) -> np.ndarray:

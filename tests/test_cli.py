@@ -373,6 +373,86 @@ def test_write_error_leaves_the_output_directory_as_it_was(
     assert sorted(os.listdir(tmp_path)) == ["fresh", "fresh.json", "out", "scenario.json"]
 
 
+class _FullAfterOnePiece:
+    """A staging file whose first write goes through and whose next write
+    fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.pieces = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.pieces:
+            raise OSError(28, "No space left on device")
+        self.pieces.append(data)
+        return self.fh.write(data)
+
+
+def _out_dir_as_before(tmp_path, existing):
+    """The output directory of a failing run: absent, or holding old files."""
+    out = tmp_path / "out"
+    before = {}
+    if existing:
+        out.mkdir()
+        before = {"manifest.json": b"old", "evolve.json": b"old", "keep.txt": b"keep"}
+        for name, data in before.items():
+            (out / name).write_bytes(data)
+    return out, before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_a_write_error_mid_stream_leaves_the_output_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    # evolve.json's staging file takes the first piece of the stream, then
+    # the disk is full: exit 2, the target as before, no staging directory
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    out, before = _out_dir_as_before(tmp_path, existing)
+    staged = []
+
+    def failing_open(file, mode="r", *a, **kw):
+        fh = open(file, mode, *a, **kw)
+        if "w" in mode and os.path.basename(file) == "evolve.json":
+            staged.append(_FullAfterOnePiece(fh))
+            return staged[-1]
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code = main(["run", "--scenario", path, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"cannot write output {out}: No space left on device\n"
+    assert [s.pieces for s in staged] == [[b"{"]]
+    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"][not existing:]
+    assert (_read_dir(out) if existing else {}) == before
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_a_result_that_cannot_be_encoded_leaves_the_output_directory_as_it_was(
+    tmp_path, capsys, monkeypatch, existing
+):
+    # a result is encoded while it is written, so json's refusal of a NaN
+    # comes from the staging directory, which goes with it
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    out, before = _out_dir_as_before(tmp_path, existing)
+    evolve = cli._TASK_FNS["evolve"]
+    monkeypatch.setitem(
+        cli._TASK_FNS, "evolve", lambda sc: dict(evolve(sc), times=[float("nan")])
+    )
+    code = main(["run", "--scenario", path, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid request: Out of range float values are not JSON compliant")
+    assert len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"][not existing:]
+    assert (_read_dir(out) if existing else {}) == before
+
+
 # suites run through `qcorr verify` only: a scenario has no route to them.
 # Chaos data are a correlation sequence that holds only g_1, so there is no
 # chaos task, preset or initial form

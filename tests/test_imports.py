@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
@@ -43,9 +42,11 @@ def _loaded(module: str) -> set[str]:
 
 
 def test_pyproject_states_the_package_version():
-    # a release bumps both, and the manifest of every run records the second
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        assert tomllib.load(f)["project"]["version"] == qcorr.__version__
+    # a release bumps both, and the manifest of every run records the second;
+    # the [project] table is read without tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.findall(r'^version = "(.*)"$', project, re.M) == [qcorr.__version__]
 
 
 def test_package_imports_nothing():

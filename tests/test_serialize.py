@@ -1,6 +1,7 @@
 """JSON codec roundtrips and schema rejection paths."""
 
 import copy
+import io
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from qcorr.serialize import (
     decode_raw_matrix,
     decode_sequence,
     decode_system,
+    dump_canonical,
     dumps_canonical,
     encode_complex,
     encode_raw_matrix,
@@ -444,7 +446,7 @@ def test_ragged_nested_numbers_are_written_as_json_writes_them():
 
 def _many_piece_leaf() -> np.ndarray:
     """160 x 160 pairs, with numbers of every layout class spread over every
-    piece that _repr_layout cuts."""
+    piece that the writer cuts the leaf's orjson text into."""
     rng = np.random.default_rng(7)
     scale = rng.choice([1e17, 1e-7, 3e-5, 0.0, -0.0, 1.0], size=(160, 160, 2))
     leaf = scale * rng.uniform(1, 9.99, size=scale.shape)
@@ -480,6 +482,71 @@ def test_each_leaf_goes_to_orjson_once(monkeypatch):
     assert dumps_canonical(encoded) == want
     assert len(calls) == 2
     assert all(leaf is comp for leaf, comp in zip(calls, encoded["components"][::2]))
+
+
+class _Recording(io.BytesIO):
+    """A binary file in memory that keeps the data of every write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, data):
+        self.pieces.append(data)
+        return super().write(data)
+
+
+def _streamed(doc):
+    """dump_canonical's bytes of doc, or the type and message of its error."""
+    fh = _Recording()
+    try:
+        dump_canonical(doc, fh)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return fh.getvalue()
+
+
+def _encoded(doc):
+    """dumps_canonical's text of doc as bytes, or its error as _streamed has it."""
+    text = _json_outcome(dumps_canonical, doc)
+    return text.encode() if text.endswith("\n") else text
+
+
+_LEAF = np.array([[[1e-05, -2.5e-7], [1e16, 0.5]], [[-0.0, 3.0], [1.5e-05, 2e-05]]])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _many_piece_leaf(),
+        {"m": _many_piece_leaf(), "n": [None, _LEAF]},
+        {"m": np.where(_LEAF == 0.5, math.inf, _LEAF), "n": _LEAF * math.nan},
+        {"m": (np.arange(48.0).reshape(3, 8, 2) * 1e-5)[:, ::2]},
+        {"é": {"b": [_LEAF, {"c": [1e-05, "x0.00001", True]}], "a": []}, "": [[_LEAF]]},
+        encode_sequence(random_correlation_state(12, 2, 3).seq, kind="correlation"),
+        {"x": math.nan},
+        {"m": [[[0.0, 1.0]], [[2.0, -math.inf]]]},
+        {"k": {2: "b"}, "m": _LEAF},
+        {2: "b", "k": None},
+    ],
+    ids=["many-piece-leaf", "many-piece-nested", "non-finite", "non-contiguous",
+         "nested", "sequence", "nan-scalar", "nan-matrix", "int-keys", "unsortable"],
+)
+def test_the_stream_is_the_string_encoded(doc):
+    # the file gets dumps_canonical's text, or the same refusal
+    assert _streamed(doc) == _encoded(doc)
+
+
+def test_a_long_leaf_reaches_its_file_as_bytes_in_pieces():
+    leaf = _many_piece_leaf()
+    assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
+    result = {"task": "evolve", "times": [0.5], "states": [{"components": [leaf, None]}]}
+    fh = _Recording()
+    dump_canonical(result, fh)
+    assert fh.getvalue() == dumps_canonical(result).encode()
+    assert {type(piece) for piece in fh.pieces} == {bytes}
+    assert max(map(len, fh.pieces)) <= 2 * _PIECE
+    assert sum(len(piece) > _PIECE // 2 for piece in fh.pieces) >= 4
 
 
 # ---------------------------------------------------------------------------
