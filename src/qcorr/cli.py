@@ -3,11 +3,11 @@
 `run` executes a scenario's tasks on correlation or density data, given
 explicitly or drawn by a preset; chaos data are a correlation sequence that
 holds only g_1.  `run --seed N` draws the system preset from the seed N and
-the initial preset from N + 1 (mod 2^64); a document with no preset is
-refused.  `run` writes into the directory that `--out` names (default
-`qcorr-out`): `<task>.json` for every task, the CSV twin of `bbgky`,
-`iterate` and `observables`, and the run's record: `scenario.json`, the
-bytes it read, and `manifest.json`, which lists the result files and
+the initial preset from N + 1 (mod 2^64), in load_scenario; a document with
+no preset is refused.  `run` writes into the directory that `--out` names
+(default `qcorr-out`): `<task>.json` for every task, the CSV twin of
+`bbgky`, `iterate` and `observables`, and the run's record: `scenario.json`,
+the bytes it read, and `manifest.json`, which lists the result files and
 records the package and the `--seed` value, or null.  So `run --scenario
 OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 `run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
@@ -81,6 +81,7 @@ from .operators import (
 from .presets import random_correlation_state, random_density_state, random_system
 from .serialize import (
     ALL_SCHEMAS,
+    MAX_SEED,
     SCENARIO_SCHEMA,
     check_nesting,
     decode_named_matrix,
@@ -161,22 +162,23 @@ _PRESETS = {
 }
 
 
-def _preset(body: dict, what: str):
-    """The builder of a validated preset body and its keyword arguments: the
-    seed and each field it reads, given or default; refuses any other field."""
+def _preset(body: dict, what: str, seed: int | None):
+    """A validated preset body's builder and keyword arguments: the seed given,
+    else the body's, and each field it reads, given or default; refuses others."""
     build, defaults = _PRESETS[body["preset"]]
     for key in body:
         if key not in ("preset", "seed", *defaults):
             raise SchemaViolation(f"{what} preset {body['preset']} does not read '{key}'")
     fields = {key: body.get(key, value) for key, value in defaults.items()}
-    return build, {"seed": int(body["seed"]), **fields}
+    return build, {"seed": int(body["seed"]) if seed is None else seed, **fields}
 
 
-def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
+def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed: int | None):
     """Decode the tagged initial-data union into a correlation or density state.
 
     obj is part of a scenario that load_scenario has validated, as
-    decode_sequence requires.
+    decode_sequence requires; a preset draws from (seed + 1) mod 2^64, or
+    from its own seed when seed is None.
     """
     (tag, body), = obj.items()
     if tag in ("correlation", "density"):
@@ -186,19 +188,30 @@ def _build_initial(obj: dict, spec: SystemSpec, n_max: int):
             )
         seq = _fit_sequence(decode_sequence(body, f"initial {tag}"), n_max)
         return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
-    build, kwargs = _preset(body, "initial")
+    if seed is not None:
+        seed = (seed + 1) % (MAX_SEED + 1)
+    build, kwargs = _preset(body, "initial", seed)
     return build(dim_single=spec.dim_single, n_max=n_max, **kwargs)
 
 
-def load_scenario(obj: dict) -> Scenario:
-    """Validate, decode, and capacity-check a scenario document."""
+def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
+    """Validate, decode, and capacity-check a scenario document, as written;
+    a seed N then replaces the system preset's seed, and (N + 1) mod 2^64 the
+    initial preset's, so the two never draw from one random stream."""
     validate(obj, SCENARIO_SCHEMA, "scenario")
+    if seed is not None:
+        if "preset" not in obj["system"] and "preset" not in obj["initial"]:
+            raise ValueError(
+                "--seed is read by no preset: the system and the initial data are explicit"
+            )
+        if not 0 <= seed <= MAX_SEED:
+            raise SchemaViolation(f"--seed {seed} is outside [0, {MAX_SEED}]")
 
     # the dimensions are checked on the document, with the preset's defaults
     # filled in, before the preset draws its random matrices
     system_obj, draw = obj["system"], None
     if "preset" in system_obj:
-        draw, system_obj = _preset(system_obj, "system")
+        draw, system_obj = _preset(system_obj, "system", seed)
     n_max = int(obj["n_max"])
     if n_max > MAX_N_MAX:
         raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
@@ -235,7 +248,7 @@ def load_scenario(obj: dict) -> Scenario:
     try:
         # a preset draw can overflow, as a task can
         with _strict_fp():
-            initial = _build_initial(obj["initial"], spec, n_max)
+            initial = _build_initial(obj["initial"], spec, n_max, seed)
     except (FloatingPointError, OverflowError) as exc:
         # float ** int raises OverflowError((errno, message)), whose text is
         # the tuple: quote the message alone
@@ -437,15 +450,12 @@ def run_scenario(sc: Scenario) -> dict[str, dict | str]:
     """Execute every task; return {filename: content} of the result files:
     each task's result, which _write_outputs encodes as it writes, and CSV."""
     files: dict[str, dict | str] = {}
-    for i, task in enumerate(sc.tasks):
+    for task in sc.tasks:
         try:
             with _strict_fp():
                 result = _TASK_FNS[task](sc)
         except FloatingPointError as exc:
             raise NumericError(f"task {task}: {exc}") from exc
-        # what no later task reads goes before the next task runs
-        if not {"evolve", "hierarchy", "bbgky", "observables"} & set(sc.tasks[i + 1:]):
-            sc.__dict__.pop("flow", None)
         files[f"{task}.json"] = result
         if task in _CSV_COLUMNS:
             files[f"{task}.csv"] = _records_csv(result["records"], _CSV_COLUMNS[task])
@@ -461,35 +471,22 @@ def _path_error(what: str, path: str, exc: OSError) -> int:
     return 2
 
 
-def _non_directory(path: str) -> OSError | None:
-    """The error os.makedirs(path) would raise because path, or its nearest
-    existing ancestor, is not a directory; None otherwise.  Creates nothing."""
+def _nearest_existing(path: str) -> str:
+    """The absolute path, or its nearest ancestor, that exists."""
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
+    return probe
+
+
+def _non_directory(path: str) -> OSError | None:
+    """The error os.makedirs(path) would raise because path, or its nearest
+    existing ancestor, is not a directory; None otherwise.  Creates nothing."""
+    probe = _nearest_existing(path)
     if os.path.isdir(probe):
         return None
     code = errno.EEXIST if probe == os.path.abspath(path) else errno.ENOTDIR
     return OSError(code, os.strerror(code), path)
-
-
-def _with_seed(obj: dict, seed: int) -> dict:
-    """A copy of a valid scenario whose system and initial presets draw from
-    seed and (seed + 1) mod 2^64, or both from a seed the schema refuses.
-    The run records the seed beside the scenario as read, from which a rerun
-    draws the same data; a seed that no preset reads would change nothing,
-    so it is refused."""
-    if "preset" not in obj["system"] and "preset" not in obj["initial"]:
-        raise ValueError(
-            "--seed is read by no preset: the system and the initial data are explicit"
-        )
-    obj = dict(obj)
-    if "preset" in obj["system"]:
-        obj["system"] = dict(obj["system"], seed=seed)
-    if "preset" in obj["initial"]:
-        seed = (seed + 1) % 2**64 if 0 <= seed < 2**64 else seed
-        obj["initial"] = {"preset": dict(obj["initial"]["preset"], seed=seed)}
-    return obj
 
 
 def _cmd_run(args) -> int:
@@ -503,19 +500,17 @@ def _cmd_run(args) -> int:
     check_nesting(text, "scenario")
     # decoding first names a byte that is not UTF-8, which orjson does not
     obj = orjson.loads(text.decode("utf-8"))
-    if args.seed is not None:
-        # a malformed document is refused as written
-        validate(obj, SCENARIO_SCHEMA, "scenario")
-        obj = _with_seed(obj, args.seed)
-    sc = load_scenario(obj)
-    # the run records the bytes it read, so the parsed document, the lists
-    # behind an explicit density among it, goes before any task runs
+    # the run records the bytes it read and the seed, so the parsed document,
+    # the lists behind an explicit density among it, goes before any task runs
+    sc = load_scenario(obj, args.seed)
     del obj
     out_dir = args.out or "qcorr-out"
     blocked = _non_directory(out_dir)
     if blocked is not None:
         return _path_error("cannot write output", out_dir, blocked)
     files = run_scenario(sc)
+    # the density, its flow and the initial data go before the writer runs
+    del sc
     manifest = {
         "files": sorted(files),
         "package": {"name": "qcorr", "version": __version__},
@@ -533,15 +528,15 @@ def _cmd_run(args) -> int:
 
 def _write_outputs(out_dir: str, files: dict[str, dict | str | bytes]) -> None:
     """Write every file, a result through dump_canonical, into a staging
-    directory beside out_dir, then move each into out_dir by os.replace,
+    directory in out_dir's nearest existing ancestor, then create out_dir
+    and its missing ancestors and move each file into it by os.replace,
     manifest.json last.
 
     The staging directory is on out_dir's filesystem and is removed
-    whatever happens, so an error while encoding or writing leaves out_dir
-    as it was.
+    whatever happens, so an error while encoding or writing leaves out_dir,
+    and every ancestor of it, as it was.
     """
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
+    parent = _nearest_existing(os.path.dirname(os.path.abspath(out_dir)))
     staging = tempfile.mkdtemp(prefix=".qcorr-staging-", dir=parent)
     try:
         for name, content in files.items():

@@ -58,11 +58,12 @@ jsonschema's default type checks (bool is no number, 1.0 is an integer).  A
 tier-1 test keeps every schema within that subset, and tests hold its
 verdicts equal to jsonschema's, which only the tests import.
 
-* It returns the first failure as a path and a reason, quoting scalars only,
-  never a container's repr.  A oneOf is judged inside the one branch whose
-  type the instance has and, for an object, whose required keys it holds, so
-  a system with "preset" is judged as a preset.  When none or several fit,
-  the oneOf is judged, and refused, as a whole.
+* It returns the first failure as a path and a reason, quoting a JSON
+  scalar's repr and only the kind of any other value.  A oneOf is judged
+  inside the one branch whose type the instance has and, for an object,
+  whose required keys it holds, so a system with "preset" is judged as a
+  preset.  When none or several fit, the oneOf is judged, and refused, as a
+  whole.
 * It recurses along the schema, never deeper than the schema nests, so a
   document nested however deep cannot exhaust the stack.
 * Documents are large only in their raw-matrix leaves: where the schema is
@@ -116,7 +117,8 @@ SEQUENCE_SCHEMA = {
 
 # a seed is a non-negative integer of at most 64 bits: orjson reads a larger
 # integer literal as a float, which would round the seed
-_SEED = {"type": "integer", "minimum": 0, "maximum": 2**64 - 1}
+MAX_SEED = 2**64 - 1
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 
 _SYSTEM_EXPLICIT = {
     "type": "object",
@@ -318,12 +320,14 @@ _Failure = tuple[tuple, str]
 
 
 def _show(x) -> str:
-    """x as a reason quotes it: a scalar's repr, a container's kind."""
+    """x as a reason quotes it: a JSON scalar's repr, any other value's kind."""
+    if x is None or isinstance(x, (str, int, float, bool)):
+        return repr(x)
     if isinstance(x, dict):
         return "an object"
     if isinstance(x, list):
         return "an array"
-    return repr(x)
+    return f"a value of type {type(x).__name__}"
 
 
 def _check(x, schema: dict) -> _Failure | None:

@@ -211,6 +211,42 @@ def test_seed_override_draws_the_initial_data_apart_from_the_system(tmp_path, ca
     capsys.readouterr()
 
 
+def test_a_seeded_run_validates_its_scenario_once(tmp_path, monkeypatch, capsys):
+    # --seed reaches the presets inside load_scenario, which judges the
+    # document once, as written
+    calls = []
+
+    def counted(obj, schema, what="document"):
+        calls.append(what)
+        return validate(obj, schema, what)
+
+    monkeypatch.setattr(cli, "validate", counted)
+    code, _ = qcorr_run(tmp_path, BASE_SCENARIO, "seeded", ("--seed", "99"))
+    assert code == 0
+    assert calls == ["scenario"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "seed, initial_seed", [(0, 1), (99, 100), (2**64 - 1, 0)], ids=["0", "99", "max"]
+)
+def test_a_seed_draws_what_the_document_with_both_seeds_written_in_draws(seed, initial_seed):
+    pinned = json.loads(json.dumps(BASE_SCENARIO))
+    pinned["system"]["seed"] = seed
+    pinned["initial"]["preset"]["seed"] = initial_seed
+    got, want = load_scenario(BASE_SCENARIO, seed=seed), load_scenario(pinned)
+    assert got.spec.hbar == want.spec.hbar
+    assert got.spec.one_body.tobytes() == want.spec.one_body.tobytes()
+    assert got.spec.potentials.keys() == want.spec.potentials.keys()
+    for k, phi in got.spec.potentials.items():
+        assert phi.tobytes() == want.spec.potentials[k].tobytes()
+    assert type(got.initial) is type(want.initial)
+    assert got.initial.seq.scalar0 == want.initial.seq.scalar0
+    assert got.initial.seq.components.keys() == want.initial.seq.components.keys()
+    for n, op in got.initial.seq.components.items():
+        assert op.matrix.tobytes() == want.initial.seq.components[n].matrix.tobytes()
+
+
 @pytest.mark.parametrize(
     "system, hbar, scale",
     [
@@ -333,14 +369,20 @@ def test_out_naming_an_existing_file_exits_2(tmp_path, capsys, no_task_runs):
         assert sorted(os.listdir(tmp_path)) == ["scenario.json", "taken"]
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+@pytest.mark.parametrize(
+    "out_name, existing",
+    [("out", False), ("out", True), ("a/b/out", False)],
+    ids=["absent", "existing", "absent-with-its-parents"],
+)
 def test_write_error_leaves_the_output_directory_as_it_was(
-    tmp_path, capsys, monkeypatch, existing
+    tmp_path, capsys, monkeypatch, out_name, existing
 ):
     # an OSError on the second file written: exit 2, the target as before
-    # (absent, or with its earlier files), and no staging directory left
+    # (absent, or with its earlier files), no missing parent of it created,
+    # and no staging directory left
     path = _write_scenario(tmp_path, BASE_SCENARIO)
-    out = tmp_path / "out"
+    out = tmp_path / out_name
+    top = out_name.split("/")[0]
     before = {}
     if existing:
         out.mkdir()
@@ -361,7 +403,7 @@ def test_write_error_leaves_the_output_directory_as_it_was(
     assert code == 2
     assert capsys.readouterr().err == f"cannot write output {out}: No space left on device\n"
     assert len(opened) == 2
-    assert sorted(os.listdir(tmp_path)) == ["out", "scenario.json"][not existing:]
+    assert sorted(os.listdir(tmp_path)) == [top, "scenario.json"][not existing:]
     assert (_read_dir(out) if existing else {}) == before
 
     # the same run without the fault: every file moves in, the others stay
@@ -370,7 +412,7 @@ def test_write_error_leaves_the_output_directory_as_it_was(
     _, fresh = qcorr_run(tmp_path, BASE_SCENARIO, "fresh")
     written = _read_dir(out)
     assert written == {**_read_dir(fresh), **({"keep.txt": b"keep"} if existing else {})}
-    assert sorted(os.listdir(tmp_path)) == ["fresh", "fresh.json", "out", "scenario.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(["fresh", "fresh.json", top, "scenario.json"])
 
 
 class _FullAfterOnePiece:
@@ -1086,7 +1128,7 @@ def test_seed_option_is_at_most_64_bits(tmp_path, capsys):
         err = capsys.readouterr().err
         if expected:
             assert not out.exists()
-            assert err.startswith("schema violation: scenario at 'system/seed': ")
+            assert err == f"schema violation: --seed {seed} is outside [0, {2**64 - 1}]\n"
         else:
             # the initial preset's seed N + 1 wraps to 0
             assert json.loads((out / "manifest.json").read_text())["seed"] == seed

@@ -558,7 +558,7 @@ def _read_by_cli(text: str) -> tuple[int, list]:
     documents it handed to load_scenario (which here refuses each one)."""
     seen = []
 
-    def capture(obj):
+    def capture(obj, seed):
         seen.append(obj)
         raise SchemaViolation("captured")
 
@@ -713,6 +713,23 @@ def test_validate_refuses_deep_nesting_without_recursing(kind, depth):
         validate(sc, SCENARIO_SCHEMA, "scenario")
     assert str(info.value) == (
         f"scenario at 'system/orders/0': {shown} is not of type 'integer'"
+    )
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(np.zeros((3, 3, 2)), "ndarray"), ((1, 2), "tuple"), ({1, 2}, "set")],
+    ids=["ndarray", "tuple", "set"],
+)
+def test_validate_names_a_value_json_does_not_hold_by_its_kind(value, kind):
+    # a library caller's document may hold values no JSON text parses to;
+    # the reason names their kind in one line and quotes none of them
+    sc = _minimal_scenario()
+    sc["observable"] = value
+    with pytest.raises(SchemaViolation) as info:
+        validate(sc, SCENARIO_SCHEMA, "scenario")
+    assert str(info.value) == (
+        f"scenario at 'observable': a value of type {kind} is not of type 'array'"
     )
 
 
