@@ -15,6 +15,12 @@ OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 is imported there, so importing this module does not load it.
 `verify` runs one suite at its fixed tolerances.
 
+The scenario document is this module's: SCENARIO_SCHEMA takes its task
+names from _TASK_FNS and each preset's fields, with their schemas, from
+_PRESETS, which also gives each field's default and each preset's builder.
+`schema --print` prints ALL_SCHEMAS: the scenario, its system and
+quadrature parts, and the sequence and report formats of qcorr.serialize.
+
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
 failed, a normalization degenerated, a linear-algebra routine did not
 converge, or a preset draw or a task overflowed or produced an invalid
@@ -80,9 +86,10 @@ from .operators import (
 )
 from .presets import random_correlation_state, random_density_state, random_system
 from .serialize import (
-    ALL_SCHEMAS,
-    MAX_SEED,
-    SCENARIO_SCHEMA,
+    EXPLICIT_SYSTEM_SCHEMA,
+    RAW_MATRIX_SCHEMA,
+    REPORT_SCHEMA,
+    SEQUENCE_SCHEMA,
     check_nesting,
     decode_named_matrix,
     decode_sequence,
@@ -107,6 +114,10 @@ MAX_TIME = 10.0
 # bound on max|t| ||H||_2 / hbar: a phase of 1e6 carries about 1e-10 of
 # absolute round-off, so the propagator keeps its digits
 MAX_PHASE = 1e6
+# a seed is a non-negative integer of at most 64 bits: orjson reads a larger
+# integer literal as a float, which would round the seed
+MAX_SEED = 2**64 - 1
+_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
 
 
 @dataclass
@@ -147,30 +158,48 @@ def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
     return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
 
 
-# each preset's builder, and the fields it reads besides "preset" and "seed"
-# with their defaults; random_hermitian is the system preset
+# each preset's builder, and the fields it reads besides "preset" and "seed",
+# each with its default and its schema; random_hermitian is the system preset
 _PRESETS = {
-    "random_hermitian": (
-        random_system,
-        {"dim_single": 2, "orders": [2], "hbar": 1.0, "scale": 1.0},
-    ),
-    "random_correlation": (
-        random_correlation_state,
-        {"norms": 0.5, "traceless": False, "symmetric": True},
-    ),
-    "random_density": (random_density_state, {"trace_scale": 0.8}),
+    "random_hermitian": (random_system, {
+        "dim_single": (2, {"type": "integer", "minimum": 2}),
+        "orders": ([2], {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 2},
+            "minItems": 1,
+        }),
+        "hbar": (1.0, {"type": "number", "exclusiveMinimum": 0}),
+        "scale": (1.0, {"type": "number", "exclusiveMinimum": 0}),
+    }),
+    "random_correlation": (random_correlation_state, {
+        "norms": (0.5, {
+            "oneOf": [
+                {"type": "number", "exclusiveMinimum": 0},
+                {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1,
+                },
+            ]
+        }),
+        "traceless": (False, {"type": "boolean"}),
+        "symmetric": (True, {"type": "boolean"}),
+    }),
+    "random_density": (random_density_state, {
+        "trace_scale": (0.8, {"type": "number", "exclusiveMinimum": 0}),
+    }),
 }
 
 
 def _preset(body: dict, what: str, seed: int | None):
     """A validated preset body's builder and keyword arguments: the seed given,
     else the body's, and each field it reads, given or default; refuses others."""
-    build, defaults = _PRESETS[body["preset"]]
+    build, fields = _PRESETS[body["preset"]]
     for key in body:
-        if key not in ("preset", "seed", *defaults):
+        if key not in ("preset", "seed", *fields):
             raise SchemaViolation(f"{what} preset {body['preset']} does not read '{key}'")
-    fields = {key: body.get(key, value) for key, value in defaults.items()}
-    return build, {"seed": int(body["seed"]) if seed is None else seed, **fields}
+    values = {key: body.get(key, default) for key, (default, _) in fields.items()}
+    return build, {"seed": int(body["seed"]) if seed is None else seed, **values}
 
 
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed: int | None):
@@ -443,6 +472,89 @@ _TASK_FNS = {
     "bbgky": _task_bbgky,
     "iterate": _task_iterate,
     "observables": _task_observables,
+}
+
+
+def _preset_schema(names: list[str]) -> dict:
+    """The schema of a body of one of the named presets: each field that any
+    of them reads, under its _PRESETS schema.  _preset refuses a field that
+    the body's own preset does not read."""
+    fields = {key: schema for name in names for key, (_, schema) in _PRESETS[name][1].items()}
+    return {
+        "type": "object",
+        "required": ["preset", "seed"],
+        "additionalProperties": False,
+        "properties": {
+            "preset": {"type": "string", "enum": names},
+            "seed": _SEED,
+            **fields,
+        },
+    }
+
+
+SYSTEM_SCHEMA = {"oneOf": [EXPLICIT_SYSTEM_SCHEMA, _preset_schema(["random_hermitian"])]}
+
+QUADRATURE_SCHEMA = {
+    "type": "object",
+    "required": ["order", "nodes_per_dim"],
+    "additionalProperties": False,
+    "properties": {
+        "order": {"type": "integer", "minimum": 0, "maximum": 3},
+        "nodes_per_dim": {"type": "integer", "minimum": 4, "maximum": 64},
+        # the one rule's name, still accepted so that older scenarios load
+        "rule": {"type": "string", "enum": ["gauss-legendre-simplex"]},
+    },
+}
+
+# the document `qcorr run` reads; its task names are the keys of _TASK_FNS
+SCENARIO_SCHEMA = {
+    "type": "object",
+    "required": ["system", "initial", "times", "tasks", "n_max"],
+    "additionalProperties": False,
+    "properties": {
+        "system": SYSTEM_SCHEMA,
+        "initial": {
+            "type": "object",
+            "minProperties": 1,
+            "maxProperties": 1,
+            "additionalProperties": False,
+            "properties": {
+                "correlation": SEQUENCE_SCHEMA,
+                "density": SEQUENCE_SCHEMA,
+                "preset": _preset_schema(["random_correlation", "random_density"]),
+            },
+        },
+        "times": {
+            "type": "array",
+            "items": {"type": "number"},
+            "minItems": 1,
+        },
+        "tasks": {
+            "type": "array",
+            "items": {
+                "type": "string",
+                "enum": list(_TASK_FNS),
+            },
+            "minItems": 1,
+        },
+        "n_max": {"type": "integer", "minimum": 1},
+        "s_values": {
+            "type": "array",
+            "items": {"type": "integer", "minimum": 1},
+            "minItems": 1,
+        },
+        "quadrature": QUADRATURE_SCHEMA,
+        "observable": RAW_MATRIX_SCHEMA,
+    },
+}
+
+# what `qcorr schema --print` publishes
+ALL_SCHEMAS = {
+    "sequence": SEQUENCE_SCHEMA,
+    "system": SYSTEM_SCHEMA,
+    "scenario": SCENARIO_SCHEMA,
+    "quadrature": QUADRATURE_SCHEMA,
+    "report": REPORT_SCHEMA,
 }
 
 

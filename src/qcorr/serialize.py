@@ -1,12 +1,14 @@
-"""JSON codecs and schemas for sequences, systems, and scenarios.
+"""JSON value formats, their codecs, the schema checker and the writer.
 
 Conventions
 -----------
 * A complex number is a two-element array [re, im].
 * A raw matrix is an array of rows, each row an array of [re, im] pairs.
 * A sequence stores components as an array indexed by n-1 (null = absent).
-* A system is explicit {dim_single, hbar, one_body, potentials}, read by
-  decode_system, or a preset {"preset": "random_hermitian", ...}, drawn by cli.
+* An explicit system is {dim_single, hbar, one_body, potentials}, read by
+  decode_system.
+* The scenario document, its tasks and its presets are cli's: it builds
+  the scenario schema from these formats and its own task and preset tables.
 * The decoders compare no shapes: the constructor that receives a matrix
   (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
   SchemaViolation.
@@ -40,8 +42,9 @@ a file's write or a list's append.
       [1e-5, 1e-4)     0.000015     1.5e-05
 
 * An array that holds a NaN or an infinity, which np.isfinite finds (orjson
-  writes them as null), and one that orjson refuses (a non-contiguous
-  array) are walked as above, as their tolist().
+  writes them as null), is refused by json.dumps of its first such value,
+  in json's own words; a non-contiguous array is written as its C-ordered
+  copy.
 * orjson is imported at the first leaf written, so importing
   qcorr.serialize does not load it.
 * The reader's guard, check_nesting, drops every byte but brackets and
@@ -67,8 +70,8 @@ verdicts equal to jsonschema's, which only the tests import.
 * It recurses along the schema, never deeper than the schema nests, so a
   document nested however deep cannot exhaust the stack.
 * Documents are large only in their raw-matrix leaves: where the schema is
-  _RAW_MATRIX, a leaf that _is_raw_matrix accepts in one pass is valid, and
-  only another is walked entry by entry to the one at fault.
+  RAW_MATRIX_SCHEMA, a leaf that _is_raw_matrix accepts in one pass is
+  valid, and only another is walked entry by entry to the one at fault.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ _COMPLEX = {
     "maxItems": 2,
 }
 
-_RAW_MATRIX = {
+RAW_MATRIX_SCHEMA = {
     "type": "array",
     "minItems": 1,
     "items": {"type": "array", "minItems": 1, "items": _COMPLEX},
@@ -110,130 +113,24 @@ SEQUENCE_SCHEMA = {
         "scalar0": _COMPLEX,
         "components": {
             "type": "array",
-            "items": {"oneOf": [{"type": "null"}, _RAW_MATRIX]},
+            "items": {"oneOf": [{"type": "null"}, RAW_MATRIX_SCHEMA]},
         },
     },
 }
 
-# a seed is a non-negative integer of at most 64 bits: orjson reads a larger
-# integer literal as a float, which would round the seed
-MAX_SEED = 2**64 - 1
-_SEED = {"type": "integer", "minimum": 0, "maximum": MAX_SEED}
-
-_SYSTEM_EXPLICIT = {
+EXPLICIT_SYSTEM_SCHEMA = {
     "type": "object",
     "required": ["dim_single", "one_body"],
     "additionalProperties": False,
     "properties": {
         "dim_single": {"type": "integer", "minimum": 2},
         "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "one_body": _RAW_MATRIX,
+        "one_body": RAW_MATRIX_SCHEMA,
         "potentials": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {str(k): _RAW_MATRIX for k in range(2, 10)},
+            "properties": {str(k): RAW_MATRIX_SCHEMA for k in range(2, 10)},
         },
-    },
-}
-
-_SYSTEM_PRESET = {
-    "type": "object",
-    "required": ["preset", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "preset": {"type": "string", "enum": ["random_hermitian"]},
-        "seed": _SEED,
-        "orders": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 2},
-            "minItems": 1,
-        },
-        "dim_single": {"type": "integer", "minimum": 2},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "scale": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-SYSTEM_SCHEMA = {"oneOf": [_SYSTEM_EXPLICIT, _SYSTEM_PRESET]}
-
-_INITIAL_PRESET = {
-    "type": "object",
-    "required": ["preset", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "preset": {
-            "type": "string",
-            "enum": ["random_correlation", "random_density"],
-        },
-        "seed": _SEED,
-        "norms": {
-            "oneOf": [
-                {"type": "number", "exclusiveMinimum": 0},
-                {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            ]
-        },
-        "trace_scale": {"type": "number", "exclusiveMinimum": 0},
-        "traceless": {"type": "boolean"},
-        "symmetric": {"type": "boolean"},
-    },
-}
-
-INITIAL_SCHEMA = {
-    "type": "object",
-    "minProperties": 1,
-    "maxProperties": 1,
-    "additionalProperties": False,
-    "properties": {
-        "correlation": SEQUENCE_SCHEMA,
-        "density": SEQUENCE_SCHEMA,
-        "preset": _INITIAL_PRESET,
-    },
-}
-
-QUADRATURE_SCHEMA = {
-    "type": "object",
-    "required": ["order", "nodes_per_dim"],
-    "additionalProperties": False,
-    "properties": {
-        "order": {"type": "integer", "minimum": 0, "maximum": 3},
-        "nodes_per_dim": {"type": "integer", "minimum": 4, "maximum": 64},
-        # the one rule's name, still accepted so that older scenarios load
-        "rule": {"type": "string", "enum": ["gauss-legendre-simplex"]},
-    },
-}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "required": ["system", "initial", "times", "tasks", "n_max"],
-    "additionalProperties": False,
-    "properties": {
-        "system": SYSTEM_SCHEMA,
-        "initial": INITIAL_SCHEMA,
-        "times": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 1,
-        },
-        "tasks": {
-            "type": "array",
-            "items": {
-                "type": "string",
-                "enum": ["evolve", "hierarchy", "bbgky", "iterate", "observables"],
-            },
-            "minItems": 1,
-        },
-        "n_max": {"type": "integer", "minimum": 1},
-        "s_values": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 1},
-            "minItems": 1,
-        },
-        "quadrature": QUADRATURE_SCHEMA,
-        "observable": _RAW_MATRIX,
     },
 }
 
@@ -261,21 +158,13 @@ REPORT_SCHEMA = {
     },
 }
 
-ALL_SCHEMAS = {
-    "sequence": SEQUENCE_SCHEMA,
-    "system": SYSTEM_SCHEMA,
-    "scenario": SCENARIO_SCHEMA,
-    "quadrature": QUADRATURE_SCHEMA,
-    "report": REPORT_SCHEMA,
-}
-
 
 # exact types only: bool, numpy scalars and other number-likes take the slow
 # routes, where _check's type checks and json decide about them
 _NUMBER_TYPES = {int, float}
 
-# the schema keywords _check knows; a tier-1 test keeps every schema in
-# ALL_SCHEMAS within them
+# the schema keywords _check knows; a tier-1 test keeps every schema that
+# cli.ALL_SCHEMAS publishes within them
 _KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items",
     "minItems", "maxItems", "minProperties", "maxProperties", "enum",
@@ -333,7 +222,7 @@ def _show(x) -> str:
 def _check(x, schema: dict) -> _Failure | None:
     """None when x is valid under schema, else the first failure: the path
     from x to the value at fault, and the reason."""
-    if schema is _RAW_MATRIX and _is_raw_matrix(x):
+    if schema is RAW_MATRIX_SCHEMA and _is_raw_matrix(x):
         return None
     if "type" in schema and not _TYPE_CHECKS[schema["type"]](x):
         return (), f"{_show(x)} is not of type {schema['type']!r}"
@@ -486,11 +375,8 @@ def dump_canonical(obj: Any, fh) -> None:
 def _write(x, put) -> None:
     """Hand the canonical text of x to put, as pieces of bytes."""
     if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 3 and x.shape[2] == 2:
-        if _write_numbers(x, put):
-            return
-        # a non-finite or non-contiguous array is written as its list
-        x = x.tolist()
-    if type(x) is dict and all(type(k) is str for k in x):
+        _write_numbers(x, put)
+    elif type(x) is dict and all(type(k) is str for k in x):
         put(b"{")
         for i, k in enumerate(sorted(x)):
             put((("," if i else "") + json.dumps(k) + ":").encode())
@@ -507,19 +393,17 @@ def _write(x, put) -> None:
         put(json.dumps(x, **_JSON_OPTIONS).encode())
 
 
-def _write_numbers(x: np.ndarray, put) -> bool:
+def _write_numbers(x: np.ndarray, put) -> None:
     """Hand json.dumps's text of a float64 array leaf to put, piece by
-    piece; False, with nothing handed, when orjson refuses the leaf or it
-    holds a NaN or an infinity."""
+    piece; a NaN or an infinity raises json's error, with nothing handed."""
     import orjson
 
-    # orjson writes NaN and the infinities of a float64 array as null
-    if not np.isfinite(x).all():
-        return False
-    try:
-        raw = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)
-    except orjson.JSONEncodeError:
-        return False
+    # orjson writes NaN and the infinities of a float64 array as null, so
+    # json.dumps of the first of them raises the refusal instead
+    finite = np.isfinite(x)
+    if not finite.all():
+        json.dumps(float(x[~finite][0]), **_JSON_OPTIONS)
+    raw = orjson.dumps(np.ascontiguousarray(x), option=orjson.OPT_SERIALIZE_NUMPY)
     view = memoryview(raw)
     start = 0
     # each piece ends before the '[' of a '],[', so no number spans two
@@ -528,7 +412,6 @@ def _write_numbers(x: np.ndarray, put) -> bool:
         end = len(raw) if cut < 0 else cut + 2
         put(_repr_layout_piece(view[start:end]))
         start = end
-    return True
 
 
 def _repr_layout_piece(piece) -> bytes:
@@ -636,7 +519,7 @@ def encode_raw_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def decode_raw_matrix(rows) -> np.ndarray:
-    """The matrix of a raw-matrix leaf that _RAW_MATRIX accepts;
+    """The matrix of a raw-matrix leaf that RAW_MATRIX_SCHEMA accepts;
     SchemaViolation unless it is square."""
     n, cols = len(rows), len(rows[0])
     for i, row in enumerate(rows):
@@ -703,7 +586,8 @@ def decode_sequence(obj: dict, what: str) -> OperatorSequence:
 
 
 def decode_system(obj: dict) -> SystemSpec:
-    """The explicit system of an obj already validated against SYSTEM_SCHEMA."""
+    """The explicit system of an obj already validated against
+    EXPLICIT_SYSTEM_SCHEMA."""
     one = decode_named_matrix(obj["one_body"], "one_body")
     pots = {
         int(k): decode_named_matrix(m, f"potential[{k}]")

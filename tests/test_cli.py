@@ -22,7 +22,7 @@ from qcorr.bbgky import (
     solve_bbgky_cumulant,
     solve_bbgky_iteration,
 )
-from qcorr.cli import load_scenario, main
+from qcorr.cli import ALL_SCHEMAS, load_scenario, main
 from qcorr.evolution import evolve_density_sequence
 from qcorr import verify
 from qcorr.hierarchy import DensityState, cluster_expand
@@ -30,7 +30,6 @@ from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import chaos_one_particle, random_hermitian, random_system, rng_from_seed
 from qcorr.serialize import (
-    ALL_SCHEMAS,
     REPORT_SCHEMA,
     decode_raw_matrix,
     encode_raw_matrix,
@@ -265,18 +264,33 @@ def test_system_preset_path(system, hbar, scale):
 
 
 def test_preset_schemas_are_the_preset_table():
-    # the schema admits exactly the fields the table reads, and each builder
-    # takes every one of them
-    fields = {name: {"preset", "seed", *defaults} for name, (_, defaults) in cli._PRESETS.items()}
-    for schema, names in [
-        (serialize._SYSTEM_PRESET, ["random_hermitian"]),
-        (serialize._INITIAL_PRESET, ["random_correlation", "random_density"]),
-    ]:
-        assert schema["properties"]["preset"]["enum"] == names
-        assert set(schema["properties"]) == set().union(*(fields[n] for n in names))
+    # the schema's preset branches are built from the table, so only the
+    # builders remain to check: each takes every field its entry lists
     assert set(cli._PRESETS) == {"random_hermitian", "random_correlation", "random_density"}
-    for name, (build, defaults) in cli._PRESETS.items():
-        assert {"seed", *defaults} <= set(inspect.signature(build).parameters)
+    for name, (build, fields) in cli._PRESETS.items():
+        assert {"seed", *fields} <= set(inspect.signature(build).parameters)
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, field) for name, (_, fields) in cli._PRESETS.items() for field in fields],
+)
+def test_every_preset_default_passes_its_own_field_schema(name, field):
+    # a default never passes through validate when a run fills it in
+    default, schema = cli._PRESETS[name][1][field]
+    validate(default, schema, f"{name} default {field}")
+
+
+@pytest.mark.parametrize("name", list(cli._PRESETS))
+def test_a_preset_body_of_all_its_defaults_is_a_valid_scenario(name):
+    _, fields = cli._PRESETS[name]
+    body = {"preset": name, "seed": 5, **{key: default for key, (default, _) in fields.items()}}
+    if name == "random_hermitian":
+        doc = dict(BASE_SCENARIO, system=body)
+    else:
+        doc = dict(BASE_SCENARIO, initial={"preset": body})
+    validate(doc, ALL_SCHEMAS["scenario"], "scenario")
+    load_scenario(doc)
 
 
 @pytest.mark.parametrize(

@@ -19,18 +19,16 @@ from hypothesis import strategies as st
 
 from bruteforce import stdlib_text, wire
 from qcorr import cli
-from qcorr.cli import load_scenario, main
+from qcorr.cli import ALL_SCHEMAS, SCENARIO_SCHEMA, load_scenario, main
 from qcorr.errors import SchemaViolation
 from qcorr.operators import ManyBodyOperator
 from qcorr.partitions import ParticleSet
 from qcorr.presets import random_correlation_state, random_system, rng_from_seed
 from qcorr.serialize import (
     _KEYWORDS,
-    _RAW_MATRIX,
     _TYPE_CHECKS,
-    ALL_SCHEMAS,
-    SCENARIO_SCHEMA,
     MAX_NESTING,
+    RAW_MATRIX_SCHEMA,
     SEQUENCE_SCHEMA,
     check_nesting,
     decode_complex,
@@ -951,11 +949,11 @@ _SCALARS = st.one_of(
                 max_size=3))
 def test_the_one_pass_matrix_test_agrees_with_the_walk(x):
     # validate accepts a leaf that _is_raw_matrix accepts without walking it
-    # under _RAW_MATRIX; on JSON values the two accept the same leaves.  A
-    # copy of the schema is not _RAW_MATRIX, so _check walks it
-    walked = _check(x, dict(_RAW_MATRIX)) is None
+    # under RAW_MATRIX_SCHEMA; on JSON values the two accept the same leaves.
+    # A copy of the schema is not RAW_MATRIX_SCHEMA, so _check walks it
+    walked = _check(x, dict(RAW_MATRIX_SCHEMA)) is None
     assert _is_raw_matrix(x) == walked
-    assert (_check(x, _RAW_MATRIX) is None) == walked
+    assert (_check(x, RAW_MATRIX_SCHEMA) is None) == walked
 
 
 @pytest.mark.parametrize("x", [
@@ -967,7 +965,7 @@ def test_the_one_pass_matrix_test_refuses_each_bad_leaf(x):
     # the test looks at all pairs of a leaf at once, so a fault in any row,
     # not only the first, must still refuse the whole leaf
     assert not _is_raw_matrix(x)
-    assert _check(x, _RAW_MATRIX) is not None
+    assert _check(x, RAW_MATRIX_SCHEMA) is not None
 
 
 def test_schema_registry_names():
