@@ -203,6 +203,14 @@ def _interval_nodes(q: QuadratureSpec, lo: float, hi: float) -> list[tuple[float
     return [(node, w) for node, w in pairs if w != 0.0]
 
 
+def require_two_body(spec: SystemSpec) -> None:
+    """Refuse a system on which the iteration series is not defined."""
+    if set(spec.potentials) - {2}:
+        raise ValueError("the iteration series is defined for two-body systems")
+    if 2 not in spec.potentials:
+        raise ValueError("the iteration series needs a two-body potential")
+
+
 def solve_bbgky_iteration(
     spec: SystemSpec, f0: MarginalState, s_values: list[int], t: float, q: QuadratureSpec
 ) -> dict[int, ManyBodyOperator]:
@@ -229,10 +237,7 @@ def solve_bbgky_iteration(
     Tracing each level out at once is exact: every later step acts on
     particles 1..m-1 only, so Tr_m commutes with it.
     """
-    if set(spec.potentials) - {2}:
-        raise ValueError("the iteration series is defined for two-body systems")
-    if 2 not in spec.potentials:
-        raise ValueError("the iteration series needs a two-body potential")
+    require_two_body(spec)
     seq = f0.seq
     for s in s_values:
         if not 1 <= s <= seq.n_max:

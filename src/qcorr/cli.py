@@ -18,6 +18,8 @@ is imported there, so importing this module does not load it.
 The scenario document is this module's: SCENARIO_SCHEMA takes its task
 names from _TASK_FNS and each preset's fields, with their schemas, from
 _PRESETS, which also gives each field's default and each preset's builder.
+The explicit system is this module's too, and an explicit initial sequence
+is decoded once, at the scenario's shape, its header checked first.
 `schema --print` prints ALL_SCHEMAS: the scenario, its system and
 quadrature parts, and the sequence and report formats of qcorr.serialize.
 
@@ -64,6 +66,7 @@ from .bbgky import (
     QuadratureSpec,
     flow_observable_moments,
     marginal_state_from_density,
+    require_two_body,
     solve_bbgky_iteration,
 )
 from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
@@ -84,16 +87,15 @@ from .operators import (
     require_hermitian,
     trace_norm,
 )
+from .partitions import ParticleSet
 from .presets import random_correlation_state, random_density_state, random_system
 from .serialize import (
-    EXPLICIT_SYSTEM_SCHEMA,
     RAW_MATRIX_SCHEMA,
     REPORT_SCHEMA,
     SEQUENCE_SCHEMA,
     check_nesting,
-    decode_named_matrix,
-    decode_sequence,
-    decode_system,
+    decode_complex,
+    decode_raw_matrix,
     dump_canonical,
     dumps_canonical,
     encode_complex,
@@ -147,17 +149,6 @@ class Scenario:
         return DensityFlow(self.spec, self.density.seq)
 
 
-def _fit_sequence(seq: OperatorSequence, n_max: int) -> OperatorSequence:
-    """Reconcile a decoded sequence with the scenario's n_max."""
-    if seq.n_max == n_max:
-        return seq
-    if seq.support and max(seq.support) > n_max:
-        raise SchemaViolation(
-            f"initial data has components beyond n_max={n_max}"
-        )
-    return OperatorSequence(seq.dim_single, n_max, seq.scalar0, dict(seq.components))
-
-
 # each preset's builder, and the fields it reads besides "preset" and "seed",
 # each with its default and its schema; random_hermitian is the system preset
 _PRESETS = {
@@ -202,25 +193,61 @@ def _preset(body: dict, what: str, seed: int | None):
     return build, {"seed": int(body["seed"]) if seed is None else seed, **values}
 
 
+def _decode_sequence(tag: str, body: dict, d: int, n_max: int) -> OperatorSequence:
+    """The initial sequence tagged tag, at the scenario's single-particle
+    dimension d and n_max, from a body already validated against
+    SEQUENCE_SCHEMA.  Its header is checked against the tag and the scenario
+    before any matrix is decoded."""
+    if body.get("kind", tag) != tag:
+        raise SchemaViolation(f"initial {tag} sequence is marked kind '{body['kind']}'")
+    rows, own_n_max = body["components"], int(body["n_max"])
+    if len(rows) > own_n_max:
+        raise SchemaViolation(
+            f"sequence lists {len(rows)} components but n_max is {own_n_max}"
+        )
+    if any(entry is not None for entry in rows[n_max:]):
+        raise SchemaViolation(f"initial data has components beyond n_max={n_max}")
+    if int(body["dim_single"]) != d:
+        raise SchemaViolation("initial data does not match the system dimension")
+    comps = {}
+    for n, entry in enumerate(rows, 1):
+        if entry is None:
+            continue
+        try:
+            comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, decode_raw_matrix(entry))
+        except ValueError as exc:
+            raise SchemaViolation(f"initial {tag} component {n}: {exc}") from exc
+    return OperatorSequence(d, n_max, decode_complex(body["scalar0"]), comps)
+
+
 def _build_initial(obj: dict, spec: SystemSpec, n_max: int, seed: int | None):
     """Decode the tagged initial-data union into a correlation or density state.
 
-    obj is part of a scenario that load_scenario has validated, as
-    decode_sequence requires; a preset draws from (seed + 1) mod 2^64, or
-    from its own seed when seed is None.
+    obj is part of a scenario that load_scenario has validated; a preset
+    draws from (seed + 1) mod 2^64, or from its own seed when seed is None.
     """
     (tag, body), = obj.items()
     if tag in ("correlation", "density"):
-        if body.get("kind", tag) != tag:
-            raise SchemaViolation(
-                f"initial {tag} sequence is marked kind '{body['kind']}'"
-            )
-        seq = _fit_sequence(decode_sequence(body, f"initial {tag}"), n_max)
+        seq = _decode_sequence(tag, body, spec.dim_single, n_max)
         return CorrelationState(seq) if tag == "correlation" else DensityState(seq)
     if seed is not None:
         seed = (seed + 1) % (MAX_SEED + 1)
     build, kwargs = _preset(body, "initial", seed)
     return build(dim_single=spec.dim_single, n_max=n_max, **kwargs)
+
+
+def _decode_system(obj: dict) -> SystemSpec:
+    """The explicit system of an obj already validated against
+    EXPLICIT_SYSTEM_SCHEMA."""
+    one = decode_raw_matrix(obj["one_body"], "one_body")
+    pots = {
+        int(k): decode_raw_matrix(m, f"potential[{k}]")
+        for k, m in obj.get("potentials", {}).items()
+    }
+    try:
+        return SystemSpec(int(obj["dim_single"]), one, pots, float(obj.get("hbar", 1.0)))
+    except ValueError as exc:
+        raise SchemaViolation(str(exc)) from exc
 
 
 def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
@@ -255,7 +282,7 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
                 f"potential of order {k} has dimension {d}^{k}, "
                 f"above the cap {MAX_OPERATOR_DIM}"
             )
-    spec = decode_system(system_obj) if draw is None else draw(**system_obj)
+    spec = _decode_system(system_obj) if draw is None else draw(**system_obj)
 
     times = [float(t) for t in obj["times"]]
     for t in times:
@@ -282,8 +309,6 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
         # float ** int raises OverflowError((errno, message)), whose text is
         # the tuple: quote the message alone
         raise NumericError(f"initial data: {exc.args[-1]}") from exc
-    if initial.seq.dim_single != spec.dim_single:
-        raise SchemaViolation("initial data does not match the system dimension")
     if "observables" in obj["tasks"]:
         # the task writes real numbers, exact only on a Hermitian density
         # sequence, which is the cluster expansion of a Hermitian correlation
@@ -305,7 +330,7 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
     )
 
     if "observable" in obj:
-        a = decode_named_matrix(obj["observable"], "observable")
+        a = decode_raw_matrix(obj["observable"], "observable")
         if a.shape != (spec.dim_single, spec.dim_single):
             raise SchemaViolation(
                 f"observable must be {spec.dim_single}x{spec.dim_single}"
@@ -315,6 +340,10 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
         require_hermitian(a, "observable")
     else:
         a = np.eye(spec.dim_single, dtype=complex)
+
+    if "iterate" in obj["tasks"]:
+        # refused here, not after the tasks before it have computed
+        require_two_body(spec)
 
     return Scenario(
         spec=spec,
@@ -371,17 +400,9 @@ def _records_csv(records: list[dict], columns: list[str]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for rec in records:
-        row = []
-        for col in columns:
-            if col == "trace_re":
-                row.append(repr(rec["trace"][0]))
-            elif col == "trace_im":
-                row.append(repr(rec["trace"][1]))
-            elif isinstance(rec[col], float):
-                row.append(repr(rec[col]))
-            else:
-                row.append(rec[col])
-        writer.writerow(row)
+        if "trace" in rec:
+            rec = dict(rec, trace_re=rec["trace"][0], trace_im=rec["trace"][1])
+        writer.writerow([rec[c] for c in columns])
     return buf.getvalue()
 
 
@@ -491,6 +512,22 @@ def _preset_schema(names: list[str]) -> dict:
         },
     }
 
+
+EXPLICIT_SYSTEM_SCHEMA = {
+    "type": "object",
+    "required": ["dim_single", "one_body"],
+    "additionalProperties": False,
+    "properties": {
+        "dim_single": {"type": "integer", "minimum": 2},
+        "hbar": {"type": "number", "exclusiveMinimum": 0},
+        "one_body": RAW_MATRIX_SCHEMA,
+        "potentials": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {str(k): RAW_MATRIX_SCHEMA for k in range(2, 10)},
+        },
+    },
+}
 
 SYSTEM_SCHEMA = {"oneOf": [EXPLICIT_SYSTEM_SCHEMA, _preset_schema(["random_hermitian"])]}
 

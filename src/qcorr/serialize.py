@@ -5,13 +5,13 @@ Conventions
 * A complex number is a two-element array [re, im].
 * A raw matrix is an array of rows, each row an array of [re, im] pairs.
 * A sequence stores components as an array indexed by n-1 (null = absent).
-* An explicit system is {dim_single, hbar, one_body, potentials}, read by
-  decode_system.
-* The scenario document, its tasks and its presets are cli's: it builds
-  the scenario schema from these formats and its own task and preset tables.
-* The decoders compare no shapes: the constructor that receives a matrix
-  (ManyBodyOperator, SystemSpec) checks it, and its refusal becomes a
-  SchemaViolation.
+* These are the formats that the scenario reader and the result writer
+  share.  The scenario document, its explicit system, its tasks and its
+  presets are cli's: it builds the scenario schema from these formats and
+  its own tables, and decodes the scenario's sequences and systems itself.
+* decode_raw_matrix checks only that a matrix is square: the constructor
+  that receives it (ManyBodyOperator, SystemSpec) checks its size.
+* The module imports no other qcorr module but qcorr.errors.
 
 Every JSON file `qcorr run` writes, but scenario.json, the bytes it read,
 is canonical: sorted keys, no whitespace, a final newline, so reruns
@@ -84,10 +84,6 @@ from typing import Any
 import numpy as np
 
 from .errors import SchemaViolation
-from .hamiltonian import SystemSpec
-from .operators import ManyBodyOperator
-from .partitions import ParticleSet
-from .star_algebra import OperatorSequence
 
 _COMPLEX = {
     "type": "array",
@@ -114,22 +110,6 @@ SEQUENCE_SCHEMA = {
         "components": {
             "type": "array",
             "items": {"oneOf": [{"type": "null"}, RAW_MATRIX_SCHEMA]},
-        },
-    },
-}
-
-EXPLICIT_SYSTEM_SCHEMA = {
-    "type": "object",
-    "required": ["dim_single", "one_body"],
-    "additionalProperties": False,
-    "properties": {
-        "dim_single": {"type": "integer", "minimum": 2},
-        "hbar": {"type": "number", "exclusiveMinimum": 0},
-        "one_body": RAW_MATRIX_SCHEMA,
-        "potentials": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {str(k): RAW_MATRIX_SCHEMA for k in range(2, 10)},
         },
     },
 }
@@ -518,33 +498,28 @@ def encode_raw_matrix(m: np.ndarray) -> np.ndarray:
     return a.view(float).reshape(*a.shape, 2)
 
 
-def decode_raw_matrix(rows) -> np.ndarray:
+def decode_raw_matrix(rows, what: str | None = None) -> np.ndarray:
     """The matrix of a raw-matrix leaf that RAW_MATRIX_SCHEMA accepts;
-    SchemaViolation unless it is square."""
+    SchemaViolation unless it is square, naming the matrix what if given."""
+    name = "" if what is None else f"{what}: "
     n, cols = len(rows), len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != cols:
             raise SchemaViolation(
-                f"ragged matrix of {n} rows: row {i + 1} has "
+                f"{name}ragged matrix of {n} rows: row {i + 1} has "
                 f"{len(row)} entries, row 1 has {cols}"
             )
     if cols != n:
-        raise SchemaViolation(f"matrix must be square, got shape {(n, cols)}")
+        raise SchemaViolation(f"{name}matrix must be square, got shape {(n, cols)}")
     # the [re, im] pairs are the complex entries' memory layout; a view
     # keeps the sign of each zero, as re + 1j * im would not
     pairs = chain.from_iterable(chain.from_iterable(rows))
     return np.fromiter(pairs, float, 2 * n * n).view(complex).reshape(n, n)
 
 
-def decode_named_matrix(rows, what: str) -> np.ndarray:
-    """decode_raw_matrix(rows), whose refusal names the matrix what."""
-    try:
-        return decode_raw_matrix(rows)
-    except SchemaViolation as exc:
-        raise SchemaViolation(f"{what}: {exc}") from exc
-
-
-def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
+def encode_sequence(seq, kind: str | None = None) -> dict:
+    """The sequence document of a plain OperatorSequence seq, or of anything
+    with its dim_single, n_max, scalar0, prefix and components."""
     if seq.prefix:
         raise ValueError("only plain sequences are serialized")
     out = {
@@ -561,39 +536,3 @@ def encode_sequence(seq: OperatorSequence, kind: str | None = None) -> dict:
     if kind is not None:
         out["kind"] = kind
     return out
-
-
-def decode_sequence(obj: dict, what: str) -> OperatorSequence:
-    """The sequence of an obj already validated against SEQUENCE_SCHEMA,
-    named ``what`` in the error that refuses one of its components."""
-    d = int(obj["dim_single"])
-    n_max = int(obj["n_max"])
-    rows = obj["components"]
-    if len(rows) > n_max:
-        raise SchemaViolation(
-            f"sequence lists {len(rows)} components but n_max is {n_max}"
-        )
-    comps = {}
-    for n, entry in enumerate(rows, 1):
-        if entry is None:
-            continue
-        try:
-            m = decode_raw_matrix(entry)
-            comps[n] = ManyBodyOperator(ParticleSet.range1(n), d, m)
-        except ValueError as exc:
-            raise SchemaViolation(f"{what} component {n}: {exc}") from exc
-    return OperatorSequence(d, n_max, decode_complex(obj["scalar0"]), comps)
-
-
-def decode_system(obj: dict) -> SystemSpec:
-    """The explicit system of an obj already validated against
-    EXPLICIT_SYSTEM_SCHEMA."""
-    one = decode_named_matrix(obj["one_body"], "one_body")
-    pots = {
-        int(k): decode_named_matrix(m, f"potential[{k}]")
-        for k, m in obj.get("potentials", {}).items()
-    }
-    try:
-        return SystemSpec(int(obj["dim_single"]), one, pots, float(obj.get("hbar", 1.0)))
-    except ValueError as exc:
-        raise SchemaViolation(str(exc)) from exc

@@ -685,6 +685,83 @@ def test_non_square_matrix_exits_2_naming_it(tmp_path, capsys, field, value, nam
     )
 
 
+def _count_decoded_matrices(monkeypatch) -> list:
+    """A list that grows by one for each matrix that decode_raw_matrix
+    decodes, wrapped in every qcorr module that binds it."""
+    real = serialize.decode_raw_matrix
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcorr") and getattr(module, "decode_raw_matrix", None) is real:
+            monkeypatch.setattr(module, "decode_raw_matrix", counting)
+    return calls
+
+
+# an explicit d = 2 density sequence whose own n_max is 3
+_DENSITY_D2 = {"dim_single": 2, "n_max": 3, "scalar0": [1, 0]}
+_EYE4 = wire(encode_raw_matrix(np.eye(4)))
+
+
+@pytest.mark.parametrize(
+    "d, components, message",
+    [
+        (3, [_EYE2], "initial data does not match the system dimension"),
+        (2, [_EYE2, _EYE4], "initial data has components beyond n_max=1"),
+        (2, [_EYE2, None, _RAGGED], "initial data has components beyond n_max=1"),
+    ],
+    ids=["dim_single", "past-n_max", "past-n_max-after-a-gap"],
+)
+def test_the_sequence_header_is_judged_before_any_matrix_is_decoded(
+    tmp_path, capsys, monkeypatch, d, components, message
+):
+    calls = _count_decoded_matrices(monkeypatch)
+    sc = dict(
+        BASE_SCENARIO,
+        system=dict(BASE_SCENARIO["system"], dim_single=d),
+        initial={"density": dict(_DENSITY_D2, components=components)},
+        n_max=1,
+        s_values=[1],
+        tasks=["evolve"],
+    )
+    code, out = qcorr_run(tmp_path, sc, "header")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"schema violation: {message}\n"
+    assert calls == []
+
+
+def test_a_null_tail_past_n_max_decodes_each_matrix_once(tmp_path, monkeypatch):
+    calls = _count_decoded_matrices(monkeypatch)
+    initial = {"density": dict(_DENSITY_D2, components=[_EYE2, None, None])}
+    sc = load_scenario(dict(BASE_SCENARIO, initial=initial, n_max=1, s_values=[1]))
+    assert len(calls) == 1
+    seq = sc.initial.seq
+    assert (seq.dim_single, seq.n_max, seq.support) == (2, 1, (1,))
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (dict(BASE_SCENARIO["system"], orders=[2, 3]),
+         "the iteration series is defined for two-body systems"),
+        ({"dim_single": 2, "one_body": _EYE2}, "the iteration series needs a two-body potential"),
+    ],
+    ids=["orders-2-3", "no-potential"],
+)
+def test_iterate_off_a_two_body_system_exits_2_before_any_task_runs(
+    tmp_path, capsys, no_task_runs, system, message
+):
+    sc = dict(BASE_SCENARIO, system=system, tasks=["evolve", "iterate"])
+    code, out = qcorr_run(tmp_path, sc, "not-two-body")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"invalid request: {message}\n"
+
+
 def test_a_plain_run_validates_the_document_once(tmp_path, monkeypatch):
     real = serialize.validate
     calls = []

@@ -65,6 +65,16 @@ def test_partitions_loads_only_itself_and_errors():
     assert "numpy" not in loaded
 
 
+def test_serialize_loads_only_itself_and_errors():
+    # the JSON layer knows no operator, sequence or system: cli decodes those
+    loaded = _loaded("qcorr.serialize")
+    assert {m for m in loaded if m.startswith("qcorr")} == {
+        "qcorr",
+        "qcorr.errors",
+        "qcorr.serialize",
+    }
+
+
 @pytest.mark.parametrize(
     "module", ["qcorr.operators", "qcorr.serialize", "qcorr.presets"]
 )

@@ -33,8 +33,6 @@ from qcorr.serialize import (
     check_nesting,
     decode_complex,
     decode_raw_matrix,
-    decode_sequence,
-    decode_system,
     dump_canonical,
     dumps_canonical,
     encode_complex,
@@ -124,7 +122,7 @@ def test_raw_matrix_leaf_is_the_stacked_pairs():
 
 
 # ---------------------------------------------------------------------------
-# sequences
+# sequences; cli decodes the scenario's initial sequence
 
 
 def test_sequence_roundtrip_with_gap():
@@ -136,7 +134,7 @@ def test_sequence_roundtrip_with_gap():
     assert obj["components"][1] is None
     assert obj["kind"] == "correlation"
     validate(obj, SEQUENCE_SCHEMA, "sequence")
-    back = decode_sequence(obj, "sequence")
+    back = cli._decode_sequence("correlation", obj, 2, obj["n_max"])
     assert back.n_max == 3
     assert back.support == (1, 3)
     for n in (1, 3):
@@ -148,7 +146,7 @@ def test_sequence_scalar_preserved():
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
     obj = wire(encode_sequence(seq))
     validate(obj, SEQUENCE_SCHEMA, "sequence")
-    back = decode_sequence(obj, "sequence")
+    back = cli._decode_sequence("correlation", obj, 2, obj["n_max"])
     assert back.scalar0 == 0.5 - 0.25j
 
 
@@ -164,7 +162,7 @@ def test_sequence_component_count_capped():
     obj["n_max"] = 1
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
-        decode_sequence(obj, "sequence")
+        cli._decode_sequence("correlation", obj, 2, 2)
 
 
 def test_sequence_component_size_checked():
@@ -172,15 +170,15 @@ def test_sequence_component_size_checked():
     obj["components"][1] = obj["components"][0]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
-        decode_sequence(obj, "sequence")
+        cli._decode_sequence("correlation", obj, 2, 2)
 
 
 # ---------------------------------------------------------------------------
-# systems
+# systems, which only the scenario holds, so cli decodes them
 
 
 def encode_system(spec):
-    """The explicit system document of spec, which decode_system reads."""
+    """The explicit system document of spec, which cli._decode_system reads."""
     return wire({
         "dim_single": spec.dim_single,
         "hbar": spec.hbar,
@@ -193,7 +191,7 @@ def encode_system(spec):
 
 def test_system_roundtrip_explicit():
     spec = random_system(15, dim_single=2, orders=(2, 3), hbar=0.5)
-    back = decode_system(encode_system(spec))
+    back = cli._decode_system(encode_system(spec))
     assert back.dim_single == 2
     assert back.hbar == 0.5
     assert np.array_equal(back.one_body, spec.one_body)
@@ -205,7 +203,7 @@ def test_system_roundtrip_explicit():
 def test_system_one_body_size_checked():
     obj = wire({"dim_single": 2, "one_body": encode_raw_matrix(np.eye(3))})
     with pytest.raises(SchemaViolation, match="one_body"):
-        decode_system(obj)
+        cli._decode_system(obj)
 
 
 def test_system_potential_size_checked():
@@ -215,7 +213,7 @@ def test_system_potential_size_checked():
         "potentials": {"2": encode_raw_matrix(np.eye(2))},
     })
     with pytest.raises(SchemaViolation, match="order 2"):
-        decode_system(obj)
+        cli._decode_system(obj)
 
 
 def test_system_constructor_errors_become_schema_violations():
@@ -223,7 +221,7 @@ def test_system_constructor_errors_become_schema_violations():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     obj = wire({"dim_single": 2, "one_body": encode_raw_matrix(bad)})
     with pytest.raises(SchemaViolation):
-        decode_system(obj)
+        cli._decode_system(obj)
 
 
 # ---------------------------------------------------------------------------
