@@ -25,18 +25,20 @@ quadrature parts, and the sequence and report formats of qcorr.serialize.
 
 Exit codes: 0 success, 1 contract or numeric failure (a verification check
 failed, a normalization degenerated, a linear-algebra routine did not
-converge, or a preset draw or a task overflowed or produced an invalid
-floating-point result), 2 malformed or
-schema-violating input, 3 a capacity guard tripped.  An output path that
-is, or lies below, an existing non-directory is refused before any task
-runs.  Tasks run one at a time, in one thread.  Outputs are written only
-after every task has computed, into a staging directory beside the output
-directory, each result encoded piece by piece as it is written, so a
-failing task or an error while encoding or writing leaves the output
+converge, or drawing or expanding the initial data or a task overflowed or
+produced an invalid floating-point result), 2 malformed or schema-violating
+input, 3 a capacity guard tripped.  load_scenario makes every refusal of
+the input alone, exchange symmetry and normalization included, and an
+output path that is, or lies below, an existing non-directory is refused,
+before any task runs.  Tasks run one at a time, in one thread.  Outputs are
+written only after every task has computed, into a staging directory beside
+the output directory, each result encoded piece by piece as it is written,
+so a failing task or an error while encoding or writing leaves the output
 directory as it was; the files then move into it, `manifest.json` last.
 Every file but scenario.json is canonical compact JSON (or CSV): rerunning
-an identical scenario reproduces identical bytes.  `verify` and `schema`
-print indented JSON for people to read.
+an identical scenario reproduces identical bytes on one CPU family, since
+importing this module before numpy sets BLAS to one thread unless a count
+is set.  `verify` and `schema` print indented JSON for people to read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,12 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb, isfinite
 
-import numpy as np
+# one BLAS thread unless a count is set: the module docstring says why
+_BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS):
+    os.environ.update(dict.fromkeys(_BLAS, "1"))
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 
@@ -128,19 +135,13 @@ class Scenario:
 
     spec: SystemSpec
     initial: CorrelationState | DensityState
+    density: DensityState  # the initial data as a density sequence
     times: list[float]
     tasks: list[str]  # in the order of _TASK_FNS, each once
     n_max: int
     s_values: list[int]
     quadrature: QuadratureSpec
     observable: np.ndarray
-
-    @cached_property
-    def density(self) -> DensityState:
-        """The initial data as a density sequence, expanded once per run."""
-        if isinstance(self.initial, DensityState):
-            return self.initial
-        return cluster_expand(self.initial)
 
     @cached_property
     def flow(self) -> DensityFlow:
@@ -301,15 +302,19 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
             f"/ hbar = {phase:.3g} exceeds {MAX_PHASE:g}"
         )
 
+    tasks = [t for t in _TASK_FNS if t in obj["tasks"]]
+    normalized = {"bbgky", "iterate", "observables"} & set(tasks)
     try:
-        # a preset draw can overflow, as a task can
+        # a preset draw, the cluster expansion or a trace can overflow, as a task can
         with _strict_fp():
             initial = _build_initial(obj["initial"], spec, n_max, seed)
+            density = initial if isinstance(initial, DensityState) else cluster_expand(initial)
+            z = annihilation_scalar(density.seq) if normalized else None
     except (FloatingPointError, OverflowError) as exc:
         # float ** int raises OverflowError((errno, message)), whose text is
         # the tuple: quote the message alone
         raise NumericError(f"initial data: {exc.args[-1]}") from exc
-    if "observables" in obj["tasks"]:
+    if "observables" in tasks:
         # the task writes real numbers, exact only on a Hermitian density
         # sequence, which is the cluster expansion of a Hermitian correlation
         # sequence; the scalar components are 1 and 0 by construction
@@ -341,15 +346,25 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
     else:
         a = np.eye(spec.dim_single, dtype=complex)
 
-    if "iterate" in obj["tasks"]:
-        # refused here, not after the tasks before it have computed
+    if "iterate" in tasks:
         require_two_body(spec)
+    if "bbgky" in tasks or "iterate" in tasks:
+        # bbgky reduces the evolved density and iterate approximates the BBGKY
+        # cumulant solution, which is linear in the D_n and equals that reduction
+        # on exchange-symmetric data.  A D_n with n <= s + 1 gives the same
+        # answer either way, so only n >= s + 2 is checked: sufficient, not necessary
+        for n, op in sorted(density.seq.components.items()):
+            if n >= min(s_values) + 2:
+                require_exchange_symmetric(op.matrix, d, f"density component {n}")
+    if normalized:
+        require_normalizable(z)
 
     return Scenario(
         spec=spec,
         initial=initial,
+        density=density,
         times=times,
-        tasks=[t for t in _TASK_FNS if t in obj["tasks"]],
+        tasks=tasks,
         n_max=n_max,
         s_values=s_values,
         quadrature=quadrature,
@@ -423,21 +438,6 @@ def _task_hierarchy(sc: Scenario) -> dict:
     return {"task": "hierarchy", "times": sc.times, "states": states}
 
 
-def _require_exchange_symmetric(d0: DensityState, s_values: list[int]) -> None:
-    """Refuse density data on which bbgky and iterate could disagree.
-
-    `bbgky` is the reduced evolved density.  `iterate` approximates the
-    BBGKY cumulant solution, which is linear in the density components and
-    equals the reduced evolved density for exchange-symmetric data, so on
-    data this check passes both tasks solve the same hierarchy.  A
-    component D_n with n <= s + 1 gives the same answer either way, so only
-    D_n with n >= s + 2 are checked.  The check is sufficient, not necessary.
-    """
-    for n, op in sorted(d0.seq.components.items()):
-        if n >= min(s_values) + 2:
-            require_exchange_symmetric(op.matrix, op.dim_single, f"density component {n}")
-
-
 def _marginal_records(sc: Scenario, by_time: list[dict]) -> list[dict]:
     """A record for every s, then t, of the scenario, from {s: F_s(t)} for
     each time."""
@@ -450,9 +450,9 @@ def _marginal_records(sc: Scenario, by_time: list[dict]) -> list[dict]:
 
 def _task_bbgky(sc: Scenario) -> dict:
     # F_s(t) reduces the run's evolved density; the reduction scalar is a
-    # sum of traces, which the flow keeps, so it is taken once, at t = 0
-    _require_exchange_symmetric(sc.density, sc.s_values)
-    z = require_normalizable(annihilation_scalar(sc.density.seq))
+    # sum of traces, which the flow keeps, so it is taken once, at t = 0;
+    # load_scenario has refused a vanishing one
+    z = annihilation_scalar(sc.density.seq)
     by_time = []
     for t in sc.times:
         dt = sc.flow.at(t)
@@ -461,7 +461,6 @@ def _task_bbgky(sc: Scenario) -> dict:
 
 
 def _task_iterate(sc: Scenario) -> dict:
-    _require_exchange_symmetric(sc.density, sc.s_values)
     f0 = marginal_state_from_density(sc.density)
     by_time = [
         solve_bbgky_iteration(sc.spec, f0, sc.s_values, t, sc.quadrature) for t in sc.times

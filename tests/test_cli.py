@@ -1,16 +1,21 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
+import contextlib
 import errno
 import inspect
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcorr
 from bruteforce import naive_moments, qcorr_run, result_files, stdlib_text, wire
@@ -112,6 +117,50 @@ def test_rerun_is_byte_identical(tmp_path):
     _, first = qcorr_run(tmp_path, BASE_SCENARIO, "a")
     _, second = qcorr_run(tmp_path, BASE_SCENARIO, "b")
     assert _read_dir(first) == _read_dir(second)
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _env_without_blas(**blas):
+    """os.environ with none of the BLAS thread variables but those given."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    return {**env, **blas}
+
+
+def test_output_bytes_do_not_depend_on_the_blas_setting(tmp_path):
+    # at d = 4, n_max = 4 OpenBLAS threads the propagator's products, and on
+    # a multi-core host its default thread count changes evolve.json's bytes
+    sc = {
+        "system": {"preset": "random_hermitian", "seed": 0, "dim_single": 4, "orders": [2]},
+        "initial": {"preset": {"preset": "random_density", "seed": 1}},
+        "times": [0.5],
+        "n_max": 4,
+        "tasks": ["evolve"],
+    }
+    path = _write_scenario(tmp_path, sc)
+    outs = []
+    for name, env in [("unset", _env_without_blas()),
+                      ("one", _env_without_blas(**dict.fromkeys(_BLAS_VARS, "1")))]:
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "qcorr.cli", "run", "--scenario", path, "--out", str(out)]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        outs.append(_read_dir(out))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("before, blas, expected", [
+    ("", {}, dict.fromkeys(_BLAS_VARS, "1")),
+    ("", {"OMP_NUM_THREADS": ""}, dict.fromkeys(_BLAS_VARS, "1")),
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+    ("import numpy; ", {}, {}),
+], ids=["unset", "empty", "chosen", "numpy-first"])
+def test_cli_pins_one_blas_thread_unless_a_count_is_chosen(before, blas, expected):
+    code = f"{before}import json, os, qcorr.cli; print(json.dumps(dict(os.environ)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_without_blas(**blas),
+                          check=True, capture_output=True, text=True)
+    env = json.loads(proc.stdout)
+    assert {k: env[k] for k in _BLAS_VARS if env.get(k)} == expected
 
 
 @pytest.fixture
@@ -1057,16 +1106,21 @@ def test_min_eig_is_null_for_a_non_hermitian_marginal(tmp_path):
                 assert rows[1].endswith(",")
 
 
-def test_overflow_is_a_numeric_failure(tmp_path, capsys):
-    sc = json.loads(json.dumps(BASE_SCENARIO))
-    sc["initial"]["preset"]["norms"] = 1e200
-    code, out = qcorr_run(tmp_path, sc, "overflow")
-    assert code == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ")
-    assert "overflow" in err
-    assert "Warning" not in err
+def test_overflow_is_a_numeric_failure(tmp_path, capsys, no_task_runs):
+    # the cluster expansion overflows, of drawn correlation data or of an
+    # explicit g_1 = 1e200 * 1 (its square in D_2 = g_2 + g_1 g_1), and is
+    # refused as the initial data's before any task runs
+    drawn = {"preset": dict(BASE_SCENARIO["initial"]["preset"], norms=1e200)}
+    g1 = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
+    explicit = {"correlation": {"dim_single": 2, "n_max": 1, "scalar0": [0, 0],
+                                "components": [g1]}}
+    for name, initial in [("drawn", drawn), ("explicit", explicit)]:
+        code, out = qcorr_run(tmp_path, dict(BASE_SCENARIO, initial=initial), name)
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric failure: initial data: overflow encountered in multiply\n"
+        )
 
 
 def test_overflowing_preset_is_a_numeric_failure(tmp_path, capsys):
@@ -1385,6 +1439,11 @@ ASYMMETRIC_SCENARIO = dict(
     times=[0.3],
     n_max=3,
 )
+# its refusal for bbgky and iterate at s = 1
+_ASYMMETRIC_ERR = (
+    "invalid request: density component 3 is not exchange-symmetric: "
+    "max|m - Sym m| = 7.960e-01 max|m| exceeds 5e-11 max|m|\n"
+)
 
 
 def test_default_correlation_preset_runs_bbgky_and_iterate(tmp_path, capsys):
@@ -1401,15 +1460,12 @@ def test_default_correlation_preset_runs_bbgky_and_iterate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("task", ["bbgky", "iterate"])
-def test_non_symmetric_density_exits_2_without_output(tmp_path, capsys, task):
+def test_non_symmetric_density_exits_2_without_output(tmp_path, capsys, no_task_runs, task):
     sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=[task])
     code, out = qcorr_run(tmp_path, sc, f"asym-{task}")
     assert code == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (
-        "invalid request: density component 3 is not exchange-symmetric: "
-        "max|m - Sym m| = 7.960e-01 max|m| exceeds 5e-11 max|m|\n"
-    )
+    assert capsys.readouterr().err == _ASYMMETRIC_ERR
 
 
 def test_non_symmetric_density_passes_when_every_checked_s_is_exact(tmp_path, capsys):
@@ -1417,22 +1473,117 @@ def test_non_symmetric_density_passes_when_every_checked_s_is_exact(tmp_path, ca
     code, out = qcorr_run(tmp_path, sc, "asym-s2")
     assert code == 0
     loaded = load_scenario(sc)
-    d0 = cluster_expand(loaded.initial)
-    dt = DensityState(evolve_density_sequence(loaded.spec, d0.seq, 0.3))
+    dt = DensityState(evolve_density_sequence(loaded.spec, loaded.density.seq, 0.3))
     rec = json.loads((out / "bbgky.json").read_text())["records"][0]
     got = ManyBodyOperator(ParticleSet.range1(2), 2, decode_raw_matrix(rec["matrix"]))
     assert trace_norm(got - reduce_from_density(dt, 2)) < 1e-12
     capsys.readouterr()
 
 
-def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys):
-    # evolve succeeds, then bbgky refuses the non-symmetric data: nothing is
-    # written, not even the evolve result
-    sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=["evolve", "bbgky"])
-    code, out = qcorr_run(tmp_path, sc, "mismatched")
-    assert code == 2
+def test_wrong_task_for_initial_data_leaves_no_output(tmp_path, capsys, no_task_runs):
+    # the refusal of the non-symmetric data for bbgky or iterate comes
+    # before any task runs, so the tasks listed first compute nothing either
+    for tasks in (["evolve", "bbgky"], ["evolve", "hierarchy", "bbgky"], ["evolve", "iterate"]):
+        sc = dict(ASYMMETRIC_SCENARIO, s_values=[1], tasks=tasks)
+        code, out = qcorr_run(tmp_path, sc, "-".join(tasks))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == _ASYMMETRIC_ERR
+
+
+# D_1 = -1/2 on d = 2 and D_2 = 0: the reduction scalar 1 + tr D_1 is 0
+_ZERO = [0, 0]
+VANISHING_DENSITY = {"density": {
+    "dim_single": 2,
+    "n_max": 2,
+    "scalar0": [1, 0],
+    "components": [[[[-0.5, 0], _ZERO], [_ZERO, [-0.5, 0]]], [[_ZERO] * 4] * 4],
+}}
+
+
+@pytest.mark.parametrize(
+    "tasks",
+    [["evolve", "observables"], ["evolve", "bbgky"], ["hierarchy", "iterate"]],
+    ids="-".join,
+)
+def test_vanishing_normalization_is_refused_before_any_task(
+    tmp_path, capsys, no_task_runs, tasks
+):
+    sc = dict(BASE_SCENARIO, initial=VANISHING_DENSITY, s_values=[1], tasks=tasks)
+    code, out = qcorr_run(tmp_path, sc, "vanishing")
+    assert code == 1
     assert not out.exists()
-    assert "not exchange-symmetric" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "normalization failure: normalization scalar 0j vanishes\n"
+    )
+
+
+@st.composite
+def _scenario_documents(draw):
+    """Schema-valid scenarios at d <= 3, n_max <= 3: any tasks, times and
+    s_values, each preset, and explicit density data whose reduction scalar
+    1 + tr D_1 is 0."""
+    d, n_max = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    seed = st.integers(0, 2**32)
+    system = {"preset": "random_hermitian", "seed": draw(seed), "dim_single": d,
+              "orders": draw(st.sampled_from([[2], [2, 3]]))}
+    kind = draw(st.sampled_from(["random_correlation", "random_density", "explicit"]))
+    if kind == "random_correlation":
+        initial = {"preset": {"preset": kind, "seed": draw(seed),
+                              "norms": draw(st.floats(0.05, 0.6)),
+                              "traceless": draw(st.booleans()),
+                              "symmetric": draw(st.booleans())}}
+    elif kind == "random_density":
+        initial = {"preset": {"preset": kind, "seed": draw(seed),
+                              "trace_scale": draw(st.floats(0.1, 1.0))}}
+    else:
+        head = draw(st.lists(st.floats(-2, 2), min_size=d - 1, max_size=d - 1))
+        diag = [*head, -1 - sum(head)]
+        d1 = [[[x if i == j else 0, 0] for j in range(d)] for i, x in enumerate(diag)]
+        initial = {"density": {"dim_single": d, "n_max": 1, "scalar0": [1, 0],
+                               "components": [d1]}}
+    doc = {
+        "system": system,
+        "initial": initial,
+        "times": draw(st.lists(st.floats(-1, 1), min_size=1, max_size=2)),
+        "tasks": draw(st.lists(st.sampled_from(list(cli._TASK_FNS)), min_size=1)),
+        "n_max": n_max,
+        "quadrature": {"order": draw(st.integers(0, 2)), "nodes_per_dim": 4},
+    }
+    if draw(st.booleans()):
+        doc["s_values"] = draw(st.lists(st.integers(1, n_max + 1), min_size=1, unique=True))
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_scenario_documents())
+def test_every_input_only_refusal_comes_before_the_first_task(doc):
+    ran = []
+
+    def recorded(task, fn):
+        return lambda sc: ran.append(task) or fn(sc)
+
+    tasks = {task: recorded(task, fn) for task, fn in cli._TASK_FNS.items()}
+    err = io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+    ):
+        mp.setattr(cli, "_TASK_FNS", tasks)
+        path, out = os.path.join(tmp, "doc.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["run", "--scenario", path, "--out", out])
+        if code == 0:
+            with open(os.path.join(out, "manifest.json")) as fh:
+                listed = json.load(fh)["files"]
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3) or err.getvalue().startswith("normalization failure:"):
+        assert ran == []
+    if code == 0:
+        assert {f"{task}.json" for task in doc["tasks"]} <= set(listed)
 
 
 def test_short_norms_list_exits_2_without_traceback(tmp_path):
