@@ -14,6 +14,9 @@ OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 `Infinity`, `-Infinity` and a number literal that no double holds; orjson
 is imported there, so importing this module does not load it.
 `verify` runs one suite at its fixed tolerances.
+`main` freezes what the process has loaded when the command starts, once
+per process (gc.freeze): it lives until exit, so no later collection walks
+it again, those at interpreter exit included.
 
 The scenario document is this module's: SCENARIO_SCHEMA takes its task
 names from _TASK_FNS and each preset's fields, with their schemas, from
@@ -29,12 +32,13 @@ converge, or drawing or expanding the initial data or a task overflowed or
 produced an invalid floating-point result), 2 malformed or schema-violating
 input, 3 a capacity guard tripped.  load_scenario makes every refusal of
 the input alone, exchange symmetry and normalization included, and an
-output path that is, or lies below, an existing non-directory is refused,
-before any task runs.  Tasks run one at a time, in one thread.  Outputs are
-written only after every task has computed, into a staging directory beside
-the output directory, each result encoded piece by piece as it is written,
-so a failing task or an error while encoding or writing leaves the output
-directory as it was; the files then move into it, `manifest.json` last.
+output path that is empty, or is, or lies below, an existing non-directory
+is refused, before any task runs.  Tasks run one at a time, in one
+thread.  Outputs are written only after every task has computed, into a
+staging directory beside the output directory, each result encoded piece
+by piece as it is written, so a failing task or an error while encoding
+or writing leaves the output directory as it was; the files then move into
+it, `manifest.json` last.
 Every file but scenario.json is canonical compact JSON (or CSV): rerunning
 an identical scenario reproduces identical bytes on one CPU family, since
 importing this module before numpy sets BLAS to one thread unless a count
@@ -46,6 +50,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -269,18 +274,20 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
     system_obj, draw = obj["system"], None
     if "preset" in system_obj:
         draw, system_obj = _preset(system_obj, "system", seed)
-    n_max = int(obj["n_max"])
+    # an integer field written as a float, such as 1e300, is quoted as
+    # written, not as the hundreds of digits of its int()
+    n_max, dim = int(obj["n_max"]), system_obj["dim_single"]
     if n_max > MAX_N_MAX:
-        raise CapacityError(f"n_max={n_max} exceeds the supported {MAX_N_MAX}")
-    d = int(system_obj["dim_single"])
+        raise CapacityError(f"n_max={obj['n_max']} exceeds the supported {MAX_N_MAX}")
+    d = int(dim)
     if d**n_max > MAX_TOTAL_DIM:
-        raise CapacityError(f"total dimension {d}^{n_max} exceeds {MAX_TOTAL_DIM}")
-    for k in map(int, system_obj.get("orders", ())):
+        raise CapacityError(f"total dimension {dim}^{n_max} exceeds {MAX_TOTAL_DIM}")
+    for k in system_obj.get("orders", ()):
         # d >= 2 exceeds the cap by the power MAX_OPERATOR_DIM.bit_length()
         # already; capping k there keeps the power small to compute
-        if d ** min(k, MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
+        if d ** min(int(k), MAX_OPERATOR_DIM.bit_length()) > MAX_OPERATOR_DIM:
             raise CapacityError(
-                f"potential of order {k} has dimension {d}^{k}, "
+                f"potential of order {k} has dimension {dim}^{k}, "
                 f"above the cap {MAX_OPERATOR_DIM}"
             )
     spec = _decode_system(system_obj) if draw is None else draw(**system_obj)
@@ -322,12 +329,13 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
         for n, op in sorted(initial.seq.components.items()):
             require_hermitian(op.matrix, f"initial {kind} component {n}")
 
-    s_values = [int(s) for s in obj.get("s_values", range(1, max(n_max, 2)))]
-    for i, s in enumerate(s_values):
+    written = obj.get("s_values", range(1, max(n_max, 2)))
+    for i, s in enumerate(written):
         if not 1 <= s <= n_max:
             raise SchemaViolation(f"s={s} outside [1, n_max={n_max}]")
-        if s in s_values[:i]:
+        if s in written[:i]:
             raise SchemaViolation(f"s_values repeats s={s}")
+    s_values = [int(s) for s in written]
 
     q = obj.get("quadrature")
     quadrature = (
@@ -629,7 +637,10 @@ def _nearest_existing(path: str) -> str:
 
 def _non_directory(path: str) -> OSError | None:
     """The error os.makedirs(path) would raise because path, or its nearest
-    existing ancestor, is not a directory; None otherwise.  Creates nothing."""
+    existing ancestor, is not a directory, or names no path at all; None
+    otherwise.  Creates nothing."""
+    if not path:
+        return OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     probe = _nearest_existing(path)
     if os.path.isdir(probe):
         return None
@@ -652,10 +663,9 @@ def _cmd_run(args) -> int:
     # the lists behind an explicit density among it, goes before any task runs
     sc = load_scenario(obj, args.seed)
     del obj
-    out_dir = args.out or "qcorr-out"
-    blocked = _non_directory(out_dir)
+    blocked = _non_directory(args.out)
     if blocked is not None:
-        return _path_error("cannot write output", out_dir, blocked)
+        return _path_error("cannot write output", args.out, blocked)
     files = run_scenario(sc)
     # the density, its flow and the initial data go before the writer runs
     del sc
@@ -667,10 +677,10 @@ def _cmd_run(args) -> int:
     files["manifest.json"] = dumps_canonical(manifest)
     files["scenario.json"] = text
     try:
-        _write_outputs(out_dir, files)
+        _write_outputs(args.out, files)
     except OSError as exc:
-        return _path_error("cannot write output", out_dir, exc)
-    print(f"wrote {len(files)} files to {out_dir}")
+        return _path_error("cannot write output", args.out, exc)
+    print(f"wrote {len(files)} files to {args.out}")
     return 0
 
 
@@ -736,7 +746,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--out", default=None, help="output directory (default qcorr-out)")
+    p_run.add_argument("--out", default="qcorr-out", help="output directory (default qcorr-out)")
     # runs are sequential; the flag stays only because the benchmark passes 1
     p_run.add_argument(
         "--threads", type=int, choices=[1], default=1, help="runs are sequential"
@@ -757,6 +767,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # what is loaded by now lives until exit: freezing it spares every later
+    # collection, those at interpreter exit included, a walk that finds nothing
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         if args.command == "run":
             return _cmd_run(args)

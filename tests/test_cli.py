@@ -876,6 +876,40 @@ def test_capacity_guards_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+# an integer field written as a float is quoted as the document holds it,
+# not as the hundreds of digits of its int(); an int literal reads as before
+_GUARD = "capacity guard: "
+_SCHEMA = "schema violation: "
+
+
+@pytest.mark.parametrize("field, value, code, line", [
+    ("n_max", 1e300, 3, _GUARD + "n_max=1e+300 exceeds the supported 4"),
+    ("n_max", 5, 3, _GUARD + "n_max=5 exceeds the supported 4"),
+    ("orders", [1e300], 3,
+     _GUARD + "potential of order 1e+300 has dimension 2^1e+300, above the cap 1024"),
+    ("orders", [11], 3, _GUARD + "potential of order 11 has dimension 2^11, above the cap 1024"),
+    ("s_values", [1e300], 2, _SCHEMA + "s=1e+300 outside [1, n_max=2]"),
+    ("s_values", [3], 2, _SCHEMA + "s=3 outside [1, n_max=2]"),
+    ("dim_single", 1e300, 3, _GUARD + "total dimension 1e+300^2 exceeds 256"),
+    ("dim_single", 40, 3, _GUARD + "total dimension 40^2 exceeds 256"),
+], ids=[f"{field}-{kind}" for field in ("n_max", "orders", "s_values", "dim_single")
+        for kind in ("float", "int")])
+def test_an_integer_field_is_quoted_as_written(
+    tmp_path, capsys, no_task_runs, field, value, code, line
+):
+    sc = json.loads(json.dumps(BASE_SCENARIO))
+    if field in ("orders", "dim_single"):
+        sc["system"][field] = value
+    else:
+        sc[field] = value
+    got, out = qcorr_run(tmp_path, sc, "quoted")
+    assert got == code
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == line + "\n"
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "system, n_max",
     [
@@ -913,13 +947,46 @@ _PROBE = (
 )
 
 
-def _probe(*argv):
+def _probe(*argv, script=_PROBE):
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcorr.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
         env=env,
     )
+
+
+# runs the CLI on argv, then reports the collector's state on stdout
+_GC_PROBE = (
+    "import gc, sys\n"
+    "from qcorr.cli import main\n"
+    "before = gc.get_freeze_count()\n"
+    "code = main(sys.argv[1:])\n"
+    "print(before, gc.get_freeze_count() > 0, gc.isenabled())\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_a_run_freezes_what_it_loaded_and_keeps_collecting(tmp_path):
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    proc = _probe("run", "--scenario", path, "--out", str(tmp_path / "out"), script=_GC_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("0 True True\n")
+
+
+def test_main_freezes_at_most_once_per_process(tmp_path, monkeypatch, capsys):
+    frozen = []
+    monkeypatch.setattr(cli.gc, "get_freeze_count", lambda: len(frozen))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append("freeze"))
+    for name in ("a", "b"):
+        assert qcorr_run(tmp_path, BASE_SCENARIO, name)[0] == 0
+    assert frozen == ["freeze"]
+    # a process that froze its objects already is left alone
+    frozen.clear()
+    monkeypatch.setattr(cli.gc, "get_freeze_count", lambda: 1)
+    assert qcorr_run(tmp_path, BASE_SCENARIO, "c")[0] == 0
+    assert frozen == []
+    capsys.readouterr()
 
 
 def test_accepting_input_never_imports_jsonschema(tmp_path):
@@ -1702,7 +1769,7 @@ def test_scenario_json_is_the_file_as_read_and_reruns_the_run(tmp_path, capsys, 
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("out", [None, ""], ids=["no-flag", "empty"])
+@pytest.mark.parametrize("out", [None], ids=["no-flag"])
 def test_run_writes_into_qcorr_out_without_a_directory(tmp_path, monkeypatch, capsys, out):
     monkeypatch.chdir(tmp_path)
     path = _write_scenario(tmp_path, BASE_SCENARIO)
@@ -1710,6 +1777,16 @@ def test_run_writes_into_qcorr_out_without_a_directory(tmp_path, monkeypatch, ca
     assert main(argv) == 0
     assert capsys.readouterr().out == "wrote 7 files to qcorr-out\n"
     assert (tmp_path / "qcorr-out" / "manifest.json").exists()
+
+
+def test_an_empty_out_exits_2_before_any_task_runs(tmp_path, monkeypatch, capsys, no_task_runs):
+    # an unset shell variable, --out "$DIR", names no directory: the run is
+    # refused rather than written into the default
+    monkeypatch.chdir(tmp_path)
+    path = _write_scenario(tmp_path, BASE_SCENARIO)
+    assert main(["run", "--scenario", path, "--out", ""]) == 2
+    assert capsys.readouterr().err == "cannot write output : No such file or directory\n"
+    assert os.listdir(tmp_path) == ["scenario.json"]
 
 
 @pytest.mark.parametrize("task", list(cli._TASK_FNS))
