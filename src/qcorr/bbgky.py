@@ -326,16 +326,17 @@ def _additive(a1: np.ndarray, n: int, dim: int) -> np.ndarray:
 
 
 def flow_observable_moments(
-    flow: DensityFlow, a1: np.ndarray, times: list[float]
+    flow: DensityFlow, a1: np.ndarray, times: list[float], z: complex
 ) -> list[tuple[float, float, float]]:
     """(mean particle number, first, second moment) of flow.at(t) for each t.
 
     The moments of :func:`additive_observable_moment`, in the eigenbasis of
     each H_n: with A~_n = V^* A_n V formed once, Tr(A_n^k D_n(t)) =
     Tr(A~_n^k (P o D~_n)) = p^T ((A~_n^k)^T o D~_n) p^*, O(D^2) per time.
-    The particle number, sum_n n tr D~_n / n! over z, does not move.
+    The particle number, sum_n n tr D~_n / n! over z, does not move.  z is
+    the reduction scalar of flow.d0, which the caller sums and refuses when
+    it vanishes.
     """
-    z = require_normalizable(annihilation_scalar(flow.d0))
     number, moments = 0.0, np.zeros((2, len(times)), dtype=complex)
     for n, (ug, dt) in flow.parts.items():
         v = ug.eigenvectors

@@ -13,6 +13,10 @@ OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 `run` reads the scenario with one `orjson.loads`, which refuses `NaN`,
 `Infinity`, `-Infinity` and a number literal that no double holds; orjson
 is imported there, so importing this module does not load it.
+`evolve`, `hierarchy`, `bbgky` and `observables` read one evolved density,
+Scenario.flow: `hierarchy` writes its Ln (correlation data as given at
+t = 0), and `bbgky` and `observables` divide by the reduction scalar
+Scenario.z, which load_scenario sums and judges once.
 `verify` runs one suite at its fixed tolerances.
 `main` freezes what the process has loaded when the command starts, once
 per process (gc.freeze): it lives until exit, so no later collection walks
@@ -84,13 +88,7 @@ from .bbgky import (
 from .errors import CapacityError, NormalizationError, NumericError, SchemaViolation
 from .evolution import DensityFlow
 from .hamiltonian import SystemSpec
-from .hierarchy import (
-    CorrelationState,
-    DensityState,
-    cluster_expand,
-    cluster_invert,
-    solve_hierarchy,
-)
+from .hierarchy import CorrelationState, DensityState, cluster_expand, cluster_invert
 from .operators import (
     MAX_OPERATOR_DIM,
     ManyBodyOperator,
@@ -109,7 +107,6 @@ from .serialize import (
     decode_complex,
     decode_raw_matrix,
     dump_canonical,
-    dumps_canonical,
     encode_complex,
     encode_raw_matrix,
     encode_sequence,
@@ -141,9 +138,11 @@ class Scenario:
     spec: SystemSpec
     initial: CorrelationState | DensityState
     density: DensityState  # the initial data as a density sequence
+    # the density's reduction scalar, judged normalizable; None when no task
+    # divides by it
+    z: complex | None
     times: list[float]
     tasks: list[str]  # in the order of _TASK_FNS, each once
-    n_max: int
     s_values: list[int]
     quadrature: QuadratureSpec
     observable: np.ndarray
@@ -371,9 +370,9 @@ def load_scenario(obj: dict, seed: int | None = None) -> Scenario:
         spec=spec,
         initial=initial,
         density=density,
+        z=z,
         times=times,
         tasks=tasks,
-        n_max=n_max,
         s_values=s_values,
         quadrature=quadrature,
         observable=a,
@@ -418,7 +417,7 @@ _CSV_COLUMNS = {
 }
 
 
-def _records_csv(records: list[dict], columns: list[str]) -> str:
+def _records_csv(records: list[dict], columns: list[str]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -426,7 +425,7 @@ def _records_csv(records: list[dict], columns: list[str]) -> str:
         if "trace" in rec:
             rec = dict(rec, trace_re=rec["trace"][0], trace_im=rec["trace"][1])
         writer.writerow([rec[c] for c in columns])
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 def _task_evolve(sc: Scenario) -> dict:
@@ -435,14 +434,14 @@ def _task_evolve(sc: Scenario) -> dict:
 
 
 def _task_hierarchy(sc: Scenario) -> dict:
-    # the run's flow evolves Exp(g0), or for density data the density whose Ln is g0
-    g0 = sc.initial
-    if isinstance(g0, DensityState):
-        g0 = cluster_invert(g0)
-    states = [
-        encode_sequence(solve_hierarchy(sc.spec, g0, t, sc.flow).seq, kind="correlation")
-        for t in sc.times
-    ]
+    # g(t) = Ln of the run's evolved density; correlation data are written
+    # back as given at t = 0, as qcorr.hierarchy.solve_hierarchy returns them
+    def state(t: float) -> CorrelationState:
+        if t == 0.0 and isinstance(sc.initial, CorrelationState):
+            return sc.initial
+        return cluster_invert(DensityState(sc.flow.at(t)))
+
+    states = [encode_sequence(state(t).seq, kind="correlation") for t in sc.times]
     return {"task": "hierarchy", "times": sc.times, "states": states}
 
 
@@ -458,13 +457,11 @@ def _marginal_records(sc: Scenario, by_time: list[dict]) -> list[dict]:
 
 def _task_bbgky(sc: Scenario) -> dict:
     # F_s(t) reduces the run's evolved density; the reduction scalar is a
-    # sum of traces, which the flow keeps, so it is taken once, at t = 0;
-    # load_scenario has refused a vanishing one
-    z = annihilation_scalar(sc.density.seq)
+    # sum of traces, which the flow keeps, so load_scenario's z serves every t
     by_time = []
     for t in sc.times:
         dt = sc.flow.at(t)
-        by_time.append({s: annihilation_component(dt, s) / z for s in sc.s_values})
+        by_time.append({s: annihilation_component(dt, s) / sc.z for s in sc.s_values})
     return {"task": "bbgky", "records": _marginal_records(sc, by_time)}
 
 
@@ -481,7 +478,7 @@ def _task_iterate(sc: Scenario) -> dict:
 
 
 def _task_observables(sc: Scenario) -> dict:
-    moments = flow_observable_moments(sc.flow, sc.observable, sc.times)
+    moments = flow_observable_moments(sc.flow, sc.observable, sc.times, sc.z)
     records = [
         {
             "t": t,
@@ -602,10 +599,11 @@ ALL_SCHEMAS = {
 }
 
 
-def run_scenario(sc: Scenario) -> dict[str, dict | str]:
+def run_scenario(sc: Scenario) -> dict[str, dict | bytes]:
     """Execute every task; return {filename: content} of the result files:
-    each task's result, which _write_outputs encodes as it writes, and CSV."""
-    files: dict[str, dict | str] = {}
+    each task's result, which _write_outputs encodes as it writes, and the
+    bytes of each CSV twin."""
+    files: dict[str, dict | bytes] = {}
     for task in sc.tasks:
         try:
             with _strict_fp():
@@ -674,7 +672,7 @@ def _cmd_run(args) -> int:
         "package": {"name": "qcorr", "version": __version__},
         "seed": args.seed,
     }
-    files["manifest.json"] = dumps_canonical(manifest)
+    files["manifest.json"] = manifest
     files["scenario.json"] = text
     try:
         _write_outputs(args.out, files)
@@ -684,8 +682,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _write_outputs(out_dir: str, files: dict[str, dict | str | bytes]) -> None:
-    """Write every file, a result through dump_canonical, into a staging
+def _write_outputs(out_dir: str, files: dict[str, dict | bytes]) -> None:
+    """Write every file, a dict through dump_canonical, into a staging
     directory in out_dir's nearest existing ancestor, then create out_dir
     and its missing ancestors and move each file into it by os.replace,
     manifest.json last.
@@ -702,7 +700,7 @@ def _write_outputs(out_dir: str, files: dict[str, dict | str | bytes]) -> None:
                 if isinstance(content, dict):
                     dump_canonical(content, fh)
                 else:
-                    fh.write(content.encode() if isinstance(content, str) else content)
+                    fh.write(content)
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(files, key=lambda name: name == "manifest.json"):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))

@@ -12,8 +12,10 @@ solution formula,
 
 is computed as g(t) = Ln(U(t) Exp(g) U(t)^*), one eigenbasis evolution per
 particle number (:func:`solve_hierarchy`).  At t = 0 the solver returns g itself,
-not the round-off image Ln(Exp(g)).  The literal per-partition cumulant sum
-is kept as a reference route in :mod:`qcorr.verify`.
+not the round-off image Ln(Exp(g)).  `qcorr run` writes the same formula as
+:func:`cluster_invert` of the density flow it shares with its other tasks,
+under the same t = 0 rule.  The literal per-partition cumulant sum is kept
+as a reference route in :mod:`qcorr.verify`.
 
 :func:`solve_via_density_oracle` is the literal route to the same answer:
 Exp and Ln as the paper's partition sums (:func:`literal_cluster_transform`)
@@ -83,20 +85,16 @@ def cluster_invert(d: DensityState) -> CorrelationState:
     return CorrelationState(star_ln(d.seq))
 
 
-def solve_hierarchy(
-    spec: SystemSpec, g0: CorrelationState, t: float, flow=None
-) -> CorrelationState:
+def solve_hierarchy(spec: SystemSpec, g0: CorrelationState, t: float) -> CorrelationState:
     """Correlation sequence at time t from initial data g0.
 
     Expand to the density sequence, evolve each component in the eigenbasis
-    of its Hamiltonian, invert: Ln(U(t) Exp(g0) U(t)^*).  A caller that
-    solves at several times passes the :class:`qcorr.evolution.DensityFlow`
-    of Exp(g0), so the expansion runs once.  At t = 0 this returns g0
-    itself, exactly.
+    of its Hamiltonian, invert: Ln(U(t) Exp(g0) U(t)^*).  At t = 0 this
+    returns g0 itself, exactly.
     """
     if t == 0.0:
         return g0
-    dt = evolve_density_sequence(spec, cluster_expand(g0).seq, t) if flow is None else flow.at(t)
+    dt = evolve_density_sequence(spec, cluster_expand(g0).seq, t)
     return cluster_invert(DensityState(dt))
 
 

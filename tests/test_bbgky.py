@@ -54,7 +54,7 @@ from qcorr.presets import (
     random_system,
     rng_from_seed,
 )
-from qcorr.star_algebra import OperatorSequence, annihilation_component
+from qcorr.star_algebra import OperatorSequence, annihilation_component, annihilation_scalar
 from qcorr.verify import (
     chaos_data,
     cluster_argument_sequence,
@@ -648,7 +648,8 @@ def test_eigenbasis_moments_equal_the_moments_of_the_evolved_density(d):
     d0 = random_density_state(357 + d, d, 3, trace_scale=0.7)
     a1 = random_hermitian(rng_from_seed(359 + d), d, 1.0)
     times = [-0.7, 0.0, 0.3, 1.1]
-    got = flow_observable_moments(DensityFlow(spec, d0.seq), a1, times)
+    z = annihilation_scalar(d0.seq)
+    got = flow_observable_moments(DensityFlow(spec, d0.seq), a1, times, z)
     for t, row in zip(times, got, strict=True):
         comps = {}
         for n, op in d0.seq.components.items():

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, file outputs, determinism."""
 
+import ast
 import contextlib
 import errno
 import inspect
@@ -30,14 +31,21 @@ from qcorr.bbgky import (
 from qcorr.cli import ALL_SCHEMAS, load_scenario, main
 from qcorr.evolution import evolve_density_sequence
 from qcorr import verify
-from qcorr.hierarchy import DensityState, cluster_expand
+from qcorr.hierarchy import DensityState, cluster_expand, cluster_invert, solve_hierarchy
 from qcorr.operators import ManyBodyOperator, trace_norm
 from qcorr.partitions import ParticleSet
-from qcorr.presets import chaos_one_particle, random_hermitian, random_system, rng_from_seed
+from qcorr.presets import (
+    chaos_one_particle,
+    random_density_state,
+    random_hermitian,
+    random_system,
+    rng_from_seed,
+)
 from qcorr.serialize import (
     REPORT_SCHEMA,
     decode_raw_matrix,
     encode_raw_matrix,
+    encode_sequence,
     validate,
 )
 from qcorr.verify import SUITE_NAMES, solve_chaos
@@ -1694,6 +1702,79 @@ def test_hierarchy_on_one_particle_data_is_the_chaos_solution(tmp_path, capsys):
             got = np.zeros_like(want) if rows is None else decode_raw_matrix(rows)
             assert (rows is None) == (t == 0.0 and n > 1)
             assert np.array_equal(got, want)
+    capsys.readouterr()
+
+
+def test_hierarchy_on_density_data_inverts_the_run_flow(tmp_path, capsys):
+    # at t = 0 the state is Ln(D0) itself; later ones are the library's
+    # solution from Ln(D0), up to the round-off of Ln(Exp(Ln(D0)))
+    d0 = random_density_state(61, 2, 3, trace_scale=0.8)
+    initial = {"density": wire(encode_sequence(d0.seq, kind="density"))}
+    sc = dict(BASE_SCENARIO, initial=initial, times=[0.0, 0.4], n_max=3, tasks=["hierarchy"])
+    code, out = qcorr_run(tmp_path, sc, "density-hierarchy")
+    assert code == 0
+    first, later = json.loads((out / "hierarchy.json").read_text())["states"]
+    g0 = cluster_invert(d0)
+    assert first == wire(encode_sequence(g0.seq, kind="correlation"))
+    want = solve_hierarchy(load_scenario(sc).spec, g0, 0.4).seq
+    for n, rows in enumerate(later["components"], start=1):
+        w = want.components[n].matrix
+        assert np.linalg.norm(decode_raw_matrix(rows) - w) <= 1e-13 * np.linalg.norm(w)
+    capsys.readouterr()
+
+
+def test_every_scenario_field_is_read():
+    # load_scenario hands a task only what some task, or the flow, reads
+    tree = ast.parse(inspect.getsource(cli))
+    scenario = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scenario"
+    )
+    fields = {n.target.id for n in scenario.body if isinstance(n, ast.AnnAssign)}
+    read = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id in ("sc", "self")
+        and isinstance(n.ctx, ast.Load)
+    }
+    assert "density" in fields
+    assert fields <= read, f"Scenario fields that no one reads: {sorted(fields - read)}"
+
+
+def test_the_reduced_tasks_divide_by_the_pre_flight_scalar(tmp_path, monkeypatch, capsys):
+    # load_scenario sums and judges the reduction scalar; bbgky and
+    # observables divide by Scenario.z and sum it no more
+    from qcorr.star_algebra import annihilation_scalar
+
+    inside, calls = [], []
+
+    def counted(f):
+        calls.append(inside[-1] if inside else None)
+        return annihilation_scalar(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qcorr.") and vars(module).get("annihilation_scalar") is (
+            annihilation_scalar
+        ):
+            monkeypatch.setattr(module, "annihilation_scalar", counted)
+
+    def within(task, fn):
+        def run(sc):
+            inside.append(task)
+            try:
+                return fn(sc)
+            finally:
+                inside.pop()
+
+        return run
+
+    for task in ("bbgky", "observables"):
+        monkeypatch.setitem(cli._TASK_FNS, task, within(task, cli._TASK_FNS[task]))
+    code, _ = qcorr_run(tmp_path, dict(BASE_SCENARIO, tasks=list(cli._TASK_FNS)), "five")
+    assert code == 0
+    assert None in calls  # the pre-flight's sum, so the patch is in place
+    assert [c for c in calls if c is not None] == []
     capsys.readouterr()
 
 

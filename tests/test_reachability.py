@@ -133,13 +133,13 @@ def test_every_production_function_is_reached_by_a_run_or_pinned():
 
 
 def test_the_walk_sees_through_modules_and_classes():
-    # solve_hierarchy -> evolve_density_sequence crosses a module, and the
-    # state classes reach OperatorSequence through their annotations; the
-    # density oracle only the benchmark's checks call
+    # cluster_invert -> star_ln crosses a module, and the state classes
+    # reach OperatorSequence through their annotations; the density oracle
+    # only the benchmark's checks call
     reached = _reached(_run_roots())
     assert {
-        ("hierarchy", "solve_hierarchy"),
-        ("evolution", "evolve_density_sequence"),
+        ("hierarchy", "cluster_invert"),
+        ("star_algebra", "star_ln"),
         ("star_algebra", "OperatorSequence"),
         ("serialize", "_check"),
     } <= reached
