@@ -14,7 +14,8 @@ OUT/scenario.json` with that seed rewrites every file of OUT byte for byte.
 `Infinity`, `-Infinity` and a number literal that no double holds; orjson
 is imported there, so importing this module does not load it.
 `evolve`, `hierarchy`, `bbgky` and `observables` read one evolved density,
-Scenario.flow: `hierarchy` writes its Ln (correlation data as given at
+Scenario.flow, and the first three share each D(t) when two of them run
+(Scenario.state): `hierarchy` writes its Ln (correlation data as given at
 t = 0), and `bbgky` and `observables` divide by the reduction scalar
 Scenario.z, which load_scenario sums and judges once.
 `verify` runs one suite at its fixed tolerances.
@@ -152,6 +153,18 @@ class Scenario:
         """The density's evolution, shared by evolve, hierarchy, bbgky and
         observables."""
         return DensityFlow(self.spec, self.density.seq)
+
+    @cached_property
+    def states(self) -> dict[float, OperatorSequence]:
+        """flow.at(t) for each time, computed once."""
+        return {t: self.flow.at(t) for t in self.times}
+
+    def state(self, t: float) -> OperatorSequence:
+        """D(t): from states when two or more of evolve, hierarchy and bbgky
+        read it, which keeps every D(t) until the run ends; else computed
+        afresh, so a lone reader holds one D(t) at a time."""
+        shared = len({"evolve", "hierarchy", "bbgky"}.intersection(self.tasks)) > 1
+        return self.states[t] if shared else self.flow.at(t)
 
 
 # each preset's builder, and the fields it reads besides "preset" and "seed",
@@ -429,7 +442,7 @@ def _records_csv(records: list[dict], columns: list[str]) -> bytes:
 
 
 def _task_evolve(sc: Scenario) -> dict:
-    states = [encode_sequence(sc.flow.at(t), kind="density") for t in sc.times]
+    states = [encode_sequence(sc.state(t), kind="density") for t in sc.times]
     return {"task": "evolve", "times": sc.times, "states": states}
 
 
@@ -439,7 +452,7 @@ def _task_hierarchy(sc: Scenario) -> dict:
     def state(t: float) -> CorrelationState:
         if t == 0.0 and isinstance(sc.initial, CorrelationState):
             return sc.initial
-        return cluster_invert(DensityState(sc.flow.at(t)))
+        return cluster_invert(DensityState(sc.state(t)))
 
     states = [encode_sequence(state(t).seq, kind="correlation") for t in sc.times]
     return {"task": "hierarchy", "times": sc.times, "states": states}
@@ -460,7 +473,7 @@ def _task_bbgky(sc: Scenario) -> dict:
     # sum of traces, which the flow keeps, so load_scenario's z serves every t
     by_time = []
     for t in sc.times:
-        dt = sc.flow.at(t)
+        dt = sc.state(t)
         by_time.append({s: annihilation_component(dt, s) / sc.z for s in sc.s_values})
     return {"task": "bbgky", "records": _marginal_records(sc, by_time)}
 

@@ -29,22 +29,31 @@ text, escapes and refusals), and hands each piece of text, as bytes, on to
 a file's write or a list's append.
 
 * A float64 array of shape (rows, cols, 2), as encode_raw_matrix returns,
-  goes to one orjson.dumps call.  Every leaf a run writes is such an array;
-  a list, a list of lists among them, is walked like any other.  orjson
-  picks the same shortest round-trip digits as float.__repr__ and lays out
-  three ranges differently, which _repr_layout_piece rewrites with numpy
-  in pieces of about 128 KiB, each cut at a '],[' and handed on when made,
-  so that its work arrays stay in cache and no file is held whole:
+  is written in blocks of whole rows, about _BLOCK numbers each, so that
+  the work arrays stay in cache and no file is held whole.  Every leaf a
+  run writes is such an array; a list, a list of lists among them, is
+  walked like any other.  Each block's flat view goes to one orjson.dumps
+  call, which writes a flat run about twice as fast as the (rows, cols, 2)
+  form, where every [re, im] pair is an inner array.  orjson picks the
+  same shortest round-trip digits as float.__repr__; numpy then gives each
+  number a row of 32 bytes: its separator (',', '],[', ']],[[' or '[[['),
+  its text and zero bytes, which one bytes.translate drops.  orjson lays
+  out three ranges of |x| differently, and each number's value decides its
+  range, whose edit moves bytes within the row:
 
       |x|              orjson       float.__repr__
-      >= 1e16          1.5e16       1.5e+16
+      >= 1e16          1.5e16       1.5e+16      (3 digits from 1e+100)
       [1e-9, 1e-5)     1.5e-7       1.5e-07
       [1e-5, 1e-4)     0.000015     1.5e-05
 
+  Value and text agree: x >= fl(10^k) exactly when the shortest
+  round-trip text of x has a decimal exponent >= k, since that text rounds
+  to x, rounding is monotone, and "1e{k}" is the shortest text of
+  fl(10^k).
 * An array that holds a NaN or an infinity, which np.isfinite finds (orjson
   writes them as null), is refused by json.dumps of its first such value,
   in json's own words; a non-contiguous array is written as its C-ordered
-  copy.
+  copy, and an empty one as its brackets.
 * orjson is imported at the first leaf written, so importing
   qcorr.serialize does not load it.
 * The reader's guard, check_nesting, drops every byte but brackets and
@@ -321,13 +330,13 @@ def check_nesting(text: bytes, what: str = "document") -> None:
 
 _JSON_OPTIONS = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
 
-# the bytes of orjson's number text that _repr_layout_piece reads
-_DOT, _E, _MINUS, _ZERO, _NINE, _COMMA = b".e-09,"
-# a leaf's text is rewritten in pieces of about _PIECE bytes, so that the
-# work arrays stay in cache; the 8-byte words read after a '.' run up to 6
-# bytes past a piece's end, into _PAD zero bytes
-_PIECE = 1 << 17
-_PAD = 8
+# a leaf is written in blocks of whole rows, about _BLOCK numbers each, so
+# that the work arrays stay in cache and no file is held whole
+_BLOCK = 1 << 13
+# a number's row: its separator, then 24 bytes of its text
+_ROW = np.dtype([("sep", "S8"), ("text", "V24")])
+# _KEEP[n] keeps a row's separator and the first n bytes of its text
+_KEEP = np.where(np.arange(32) < np.arange(8, 33)[:, None], 0xFF, 0).astype(np.uint8)
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -347,7 +356,7 @@ def dumps_canonical(obj: Any) -> str:
 
 def dump_canonical(obj: Any, fh) -> None:
     """Write dumps_canonical(obj) to the binary file fh, as ASCII bytes in
-    pieces of at most about 2 * _PIECE; what it refuses raises its error."""
+    pieces of at most one block of a leaf; what it refuses raises its error."""
     _write(obj, fh.write)
     fh.write(b"\n")
 
@@ -374,8 +383,8 @@ def _write(x, put) -> None:
 
 
 def _write_numbers(x: np.ndarray, put) -> None:
-    """Hand json.dumps's text of a float64 array leaf to put, piece by
-    piece; a NaN or an infinity raises json's error, with nothing handed."""
+    """Hand json.dumps's text of a float64 array leaf to put, block by
+    block; a NaN or an infinity raises json's error, with nothing handed."""
     import orjson
 
     # orjson writes NaN and the infinities of a float64 array as null, so
@@ -383,102 +392,78 @@ def _write_numbers(x: np.ndarray, put) -> None:
     finite = np.isfinite(x)
     if not finite.all():
         json.dumps(float(x[~finite][0]), **_JSON_OPTIONS)
-    raw = orjson.dumps(np.ascontiguousarray(x), option=orjson.OPT_SERIALIZE_NUMPY)
-    view = memoryview(raw)
-    start = 0
-    # each piece ends before the '[' of a '],[', so no number spans two
-    while start < len(raw):
-        cut = raw.find(b"],[", start + _PIECE)
-        end = len(raw) if cut < 0 else cut + 2
-        put(_repr_layout_piece(view[start:end]))
-        start = end
+    n_rows, cols, _ = x.shape
+    if not x.size:
+        put(b"[" + b",".join([b"[]"] * n_rows) + b"]")
+        return
+    flat = np.ascontiguousarray(x).reshape(-1)
+    # the separator before each number of a block of whole rows
+    seps = np.full((min(n_rows, max(1, _BLOCK // (2 * cols))), cols, 2), b",", "S8")
+    seps[:, :, 0] = b"],["
+    seps[:, 0, 0] = b"]],[["
+    seps = seps.reshape(-1)
+    seps[0] = b"[[["
+    for start in range(0, flat.size, seps.size):
+        v = flat[start:start + seps.size]
+        raw = orjson.dumps(v, option=orjson.OPT_SERIALIZE_NUMPY)
+        put(_number_rows(raw, v, seps[:v.size]).tobytes().translate(None, b"\0"))
+        seps[0] = b"]],[["
+    put(b"]]]")
 
 
-def _repr_layout_piece(piece) -> bytes:
-    """orjson's text of a piece of numbers nested in arrays, which starts
-    with '[', laid out as float.__repr__ lays them out.
+def _number_rows(raw: bytes, v: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """32 bytes for each number of v, whose orjson text is raw: its separator,
+    then its float.__repr__ text, then zero bytes; the edits of each layout
+    class (the module docstring's table) move bytes within a number's row."""
+    b = np.frombuffer(raw, np.uint8)
+    # every number but the last ends at a ',', the last at the closing ']'
+    ends = np.append(np.flatnonzero(b == ord(",")), b.size - 1)
+    starts = np.append(1, ends[:-1] + 1)
+    rows = np.empty(v.size, _ROW)
+    rows["sep"] = seps
+    # a number is at most 24 bytes, and the 23 zero bytes after raw let the
+    # last number's 24 be read too
+    rows["text"] = _windows(np.frombuffer(raw + bytes(23), np.uint8), "V24")[starts]
 
-    Every number of the piece is followed by ',' or ']', and holds at most
-    one '.' and one 'e'.  The tests read a bytearray copy of the piece, the
-    edits then go into that copy as marker bytes, and one translate, which
-    also drops the _PAD zero bytes, and a replace for each other marker the
-    piece holds expand them:
+    f = rows.view(np.uint8)
+    at = np.arange(8, f.size, 32)
+    end = at + ends - starts
+    a = np.abs(v)
+    # 1.5e-7 -> 1.5e-07: a '0' goes before the exponent digit
+    i = np.flatnonzero((a >= 1e-9) & (a < 1e-5))
+    j = end[i]
+    f[j] = f[j - 1]
+    f[j - 1] = ord("0")
+    end[i] += 1
+    # 1.5e16 -> 1.5e+16, 1e100 -> 1e+100: a '+' goes after the 'e'
+    i = np.flatnonzero(a >= 1e16)
+    e = end[i] - 3 - (a[i] >= 1e100)
+    moved = _windows(f, "V3")
+    moved[e + 2] = moved[e + 1]
+    f[e + 1] = ord("+")
+    end[i] += 1
+    # 0.0000DR -> D.Re-05, or De-05 when R is empty: R, at most 16 digits,
+    # moves 5 bytes left
+    i = np.flatnonzero((a >= 1e-5) & (a < 1e-4))
+    p = at[i] + (v[i] < 0)
+    f[p] = f[p + 6]
+    moved = _windows(f, "V16")
+    moved[p + 2] = moved[p + 7]
+    f[p + 1] = ord(".")
+    j = end[i] - 5
+    j -= j == p + 2
+    _windows(f, "S4")[j] = b"e-05"
+    end[i] = j + 4
 
-    * 'e' before a digit (1.5e16) becomes 1, expanded to 'e+';
-    * the '-' of a one-digit exponent (1.5e-7) becomes 2, expanded to '-0';
-    * in 0.0000DR (|x| in [1e-5, 1e-4), D a digit 1-9, R digits or none)
-      the first '0' becomes D, '0000D' and, when R is empty, the '.' are
-      dropped (marker 0), and the ',' or ']' that ends the number becomes
-      3 or 4, expanded to 'e-05,' or 'e-05]'.
-    """
-    buf = bytearray(piece)
-    buf += bytes(_PAD)
-    b = np.frombuffer(buf, np.uint8)
-
-    e = np.flatnonzero(b == _E)
-    sign = b[e + 1]
-    plus = e[sign != _MINUS]
-    e = e[sign == _MINUS]
-    # a one-digit exponent ends two bytes after its '-'
-    short = e[~_is_digit(b[e + 3])] + 1
-
-    # a '.' with '0' before it, no digit before that, and '0000' after it
-    p = np.flatnonzero(b == _DOT)
-    p = p[_words(b, "<u4")[p + 1] == 0x30303030]
-    p = p[(b[p - 1] == _ZERO) & ~_is_digit(b[p - 2])]
-    first = b[p + 5]
-    # j: the ',' or ']' after the digits from p + 6 on, at most 16 of them
-    j = _digit_run_end(b, p + 6)
-    comma = b[j] == _COMMA
-    commas = int(np.count_nonzero(comma))
-
-    b[plus] = 1
-    b[short] = 2
-    b[p - 1] = first
-    _words(b, "<u4")[p + 1] = 0
-    b[p + 5] = 0
-    b[p[j == p + 6]] = 0
-    b[j] = 4 - comma
-
-    kinds = [(b"\1", b"e+", len(plus)), (b"\2", b"-0", len(short)),
-             (b"\3", b"e-05,", commas), (b"\4", b"e-05]", len(j) - commas)]
-    out = buf.translate(None, b"\0")
-    for marker, text, count in kinds:
-        if count:
-            out = out.replace(marker, text)
-    return bytes(out)
+    rows = f.reshape(-1, 32)
+    rows &= np.take(_KEEP, end - at, axis=0)
+    return rows
 
 
-def _is_digit(c: np.ndarray) -> np.ndarray:
-    return (c >= _ZERO) & (c <= _NINE)
-
-
-def _words(b: np.ndarray, dtype: str) -> np.ndarray:
-    """The unaligned words of b: element i is the word that starts at b[i]."""
+def _windows(b: np.ndarray, dtype: str) -> np.ndarray:
+    """The items of dtype that start at each byte of b, overlapping."""
     size = np.dtype(dtype).itemsize
-    return np.ndarray((len(b) - size + 1,), dtype, b, strides=(1,))
-
-
-def _digit_run_end(b: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The index of the first byte from each of at on that is no digit, where
-    at most 16 digits follow each; b holds ASCII bytes."""
-    words = _words(b, "<u8")
-
-    def skip(at):
-        # the count of digits that lead the 8 bytes from each of at: xor
-        # 0x30 maps the digits, and only them, to bytes below 10, and adding
-        # 0x76 sets the top bit of every other byte, with no carry
-        x = words[at] ^ 0x3030303030303030
-        stop = (x + 0x7676767676767676) & 0x8080808080808080
-        # the lowest top bit set, in byte k, times the multiplier leaves k
-        # in the top byte
-        low = (stop & (~stop + 1)) >> 7
-        return np.where(stop == 0, 8, (low * 0x0001020304050607) >> 56)
-
-    n = skip(at).astype(np.intp)
-    long = n == 8
-    n[long] += skip(at[long] + 8).astype(np.intp)
-    return at + n
+    return np.ndarray((b.size - size + 1,), dtype, b, strides=(1,))
 
 
 def encode_complex(z: complex) -> list[float]:

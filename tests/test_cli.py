@@ -870,6 +870,29 @@ def test_run_files_are_one_line_of_canonical_json(tmp_path):
             assert text == stdlib_text(json.loads(text)), (directory.name, name)
 
 
+def test_d4_run_files_are_canonical_json(tmp_path):
+    # at d = 4 and n_max = 4 nearly every entry lies in [1e-9, 1e-4), where
+    # orjson's layout differs from float.__repr__'s
+    sc = {
+        "system": {"preset": "random_hermitian", "seed": 11, "orders": [2], "dim_single": 4},
+        "initial": {"preset": {"preset": "random_correlation", "seed": 12, "norms": 0.05}},
+        "times": [0.0, 0.3],
+        "n_max": 4,
+        "tasks": ["evolve", "hierarchy"],
+    }
+    code, out = qcorr_run(tmp_path, sc, "d4")
+    assert code == 0
+    names = sorted(os.listdir(out))
+    assert names == ["evolve.json", "hierarchy.json", "manifest.json", "scenario.json"]
+    for name in names[:3]:
+        text = (out / name).read_text()
+        assert text == stdlib_text(json.loads(text)), name
+    for name in names[:2]:
+        states = json.loads((out / name).read_text())["states"]
+        x = np.abs(np.concatenate([np.ravel(c) for s in states for c in s["components"] if c]))
+        assert np.count_nonzero((x >= 1e-9) & (x < 1e-4)) > 0.9 * x.size
+
+
 def test_capacity_guards_exit_3(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["n_max"] = 5
@@ -1776,6 +1799,31 @@ def test_the_reduced_tasks_divide_by_the_pre_flight_scalar(tmp_path, monkeypatch
     assert None in calls  # the pre-flight's sum, so the patch is in place
     assert [c for c in calls if c is not None] == []
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "tasks, kept",
+    [
+        (["hierarchy", "bbgky"], True),
+        (["evolve", "hierarchy", "bbgky"], True),
+        (["evolve", "bbgky"], True),
+        (["hierarchy"], False),
+        (["bbgky", "observables"], False),
+    ],
+)
+def test_each_d_t_is_computed_once_and_kept_only_when_two_tasks_read_it(
+    monkeypatch, tasks, kept
+):
+    # two or more of evolve, hierarchy and bbgky share one flow.at a time;
+    # a lone reader keeps no D(t) for the run
+    from qcorr.evolution import DensityFlow
+
+    at, calls = DensityFlow.at, []
+    monkeypatch.setattr(DensityFlow, "at", lambda flow, t: calls.append(t) or at(flow, t))
+    sc = load_scenario(dict(BASE_SCENARIO, tasks=tasks))
+    cli.run_scenario(sc)
+    assert sorted(calls) == sorted(sc.times)
+    assert ("states" in vars(sc)) is kept
 
 
 def test_observables_are_density_moments_on_non_symmetric_data(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import stdlib_text, wire
-from qcorr import cli
+from qcorr import cli, serialize
 from qcorr.cli import ALL_SCHEMAS, SCENARIO_SCHEMA, load_scenario, main
 from qcorr.errors import SchemaViolation
 from qcorr.operators import ManyBodyOperator
@@ -40,7 +40,7 @@ from qcorr.serialize import (
     encode_sequence,
     validate,
 )
-from qcorr.serialize import _PIECE, _check, _is_raw_matrix
+from qcorr.serialize import _BLOCK, _check, _is_raw_matrix
 from qcorr.star_algebra import OperatorSequence
 from qcorr.verify import run_suite
 
@@ -330,15 +330,15 @@ def test_many_random_doubles_are_written_as_json_writes_them():
 
 
 # where orjson's layout differs from float.__repr__'s, and the doubles on
-# either side of each border
+# either side of each border (from 1e100 on, the exponent has three digits)
 _GRID = [
     -0.0, 0.0, 5e-324, 1e-5, 1.0000000000000001e-05, 9.999999999999999e-05,
-    1e-4, 1e16, 9999999999999998.0, 1.7976931348623157e308,
+    1e-4, 1e16, 9999999999999998.0, 1e100, 1.7976931348623157e308,
     1e-9, 1.5e-7, 1.2345678901234567e-6, 1e-10, 2.5e-320, 1e22, 0.1,
     # '0.0000' inside a number of another range
     10.00001, 100.000015, 0.00010000000000000002, 1.00001e-10,
 ]
-_GRID += [math.nextafter(x, y) for x in (1e-9, 1e-5, 1e-4, 1e16) for y in (0, math.inf)]
+_GRID += [math.nextafter(x, y) for x in (1e-9, 1e-5, 1e-4, 1e16, 1e100) for y in (0, math.inf)]
 _GRID += [-x for x in _GRID]
 
 
@@ -442,7 +442,7 @@ def test_ragged_nested_numbers_are_written_as_json_writes_them():
 
 def _many_piece_leaf() -> np.ndarray:
     """160 x 160 pairs, with numbers of every layout class spread over every
-    piece that the writer cuts the leaf's orjson text into."""
+    block of whole rows that the writer hands orjson."""
     rng = np.random.default_rng(7)
     scale = rng.choice([1e17, 1e-7, 3e-5, 0.0, -0.0, 1.0], size=(160, 160, 2))
     leaf = scale * rng.uniform(1, 9.99, size=scale.shape)
@@ -452,7 +452,7 @@ def _many_piece_leaf() -> np.ndarray:
 
 def test_a_leaf_of_many_pieces_is_written_as_json_writes_it():
     leaf = _many_piece_leaf()
-    assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
+    assert leaf.size > 4 * _BLOCK
     assert dumps_canonical(leaf) == stdlib_text(leaf.tolist())
 
 
@@ -462,22 +462,35 @@ def test_a_long_list_of_lists_is_walked_as_json_writes_it():
     assert dumps_canonical(rows) == stdlib_text(rows)
 
 
-def test_each_leaf_goes_to_orjson_once(monkeypatch):
+def test_each_leaf_goes_to_orjson_as_its_flat_blocks(monkeypatch):
     g = random_correlation_state(12, 2, 3).seq
     gapped = OperatorSequence(2, 3, g.scalar0, {n: g.components[n] for n in (1, 3)})
-    calls = []
-    dumps = orjson.dumps
-
-    def counting(obj, *args, **kwargs):
-        calls.append(obj)
-        return dumps(obj, *args, **kwargs)
-
     encoded = encode_sequence(gapped)
+    leaves = encoded["components"][::2]
     want = stdlib_text(wire(encoded))
-    monkeypatch.setattr(orjson, "dumps", counting)
-    assert dumps_canonical(encoded) == want
-    assert len(calls) == 2
-    assert all(leaf is comp for leaf, comp in zip(calls, encoded["components"][::2]))
+    dumps = orjson.dumps
+    # leaves of 2 x 2 and 8 x 8 pairs: one block each at the default size,
+    # blocks of whole rows at 40 numbers, a row a block at 6
+    for block, counts in ((_BLOCK, [1, 1]), (40, [1, 4]), (6, [2, 8])):
+        calls = []
+
+        def recording(obj, *args, **kwargs):
+            calls.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "_BLOCK", block)
+        monkeypatch.setattr(orjson, "dumps", recording)
+        assert dumps_canonical(encoded) == want
+        # every call gets a 1-D float64 array that shares memory with one
+        # leaf, and a leaf's calls, in order, hold its numbers bit for bit
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1
+                   for a in calls)
+        owner = [[np.shares_memory(a, leaf) for leaf in leaves].index(True) for a in calls]
+        assert owner == sorted(owner)
+        assert [owner.count(k) for k in range(len(leaves))] == counts
+        for k, leaf in enumerate(leaves):
+            joined = np.concatenate([a for a, o in zip(calls, owner) if o == k])
+            assert joined.view(np.uint64).tolist() == leaf.ravel().view(np.uint64).tolist()
 
 
 class _Recording(io.BytesIO):
@@ -535,14 +548,47 @@ def test_the_stream_is_the_string_encoded(doc):
 
 def test_a_long_leaf_reaches_its_file_as_bytes_in_pieces():
     leaf = _many_piece_leaf()
-    assert len(orjson.dumps(leaf, option=orjson.OPT_SERIALIZE_NUMPY)) > 4 * _PIECE
+    assert leaf.size > 4 * _BLOCK
     result = {"task": "evolve", "times": [0.5], "states": [{"components": [leaf, None]}]}
     fh = _Recording()
     dump_canonical(result, fh)
     assert fh.getvalue() == dumps_canonical(result).encode()
     assert {type(piece) for piece in fh.pieces} == {bytes}
-    assert max(map(len, fh.pieces)) <= 2 * _PIECE
-    assert sum(len(piece) > _PIECE // 2 for piece in fh.pieces) >= 4
+    # a piece is a block of at most _BLOCK numbers, each with its separator
+    # at most 32 bytes, and several pieces exceed 64 KiB, 8 bytes for each
+    # number of a full block
+    assert max(map(len, fh.pieces)) <= 32 * _BLOCK
+    assert sum(len(piece) > 8 * _BLOCK for piece in fh.pieces) >= 4
+
+
+def _grid_leaf(rows: int, cols: int) -> np.ndarray:
+    """A leaf of rows x cols pairs that runs through _GRID over and over."""
+    return np.resize(np.array(_GRID), (rows, cols, 2))
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(9, 2), (13, 1), (3, 7), (1, 13), (1, 1), (2, 3)],
+    ids=["several-blocks", "one-column", "rows-longer-than-a-block", "one-long-row",
+         "one-pair", "one-block"],
+)
+def test_blocks_of_whole_rows_are_written_as_json_writes_them(monkeypatch, rows, cols):
+    # at 8 numbers a block: 2 rows of 2 pairs a block, the last block short;
+    # 4 rows of 1; and a row a block where a row holds more than 8 numbers
+    monkeypatch.setattr(serialize, "_BLOCK", 8)
+    leaf = _grid_leaf(rows, cols)
+    assert dumps_canonical({"m": leaf}) == stdlib_text({"m": leaf.tolist()})
+    assert _streamed([leaf, leaf[::-1]]) == _encoded([leaf, leaf[::-1]])
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 8])
+@pytest.mark.parametrize("shape, text", [((0, 0, 2), "[]"), ((2, 0, 2), "[[],[]]"),
+                                         ((0, 3, 2), "[]")])
+def test_empty_leaves_are_written_as_json_writes_them(monkeypatch, block, shape, text):
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    leaf = np.zeros(shape)
+    assert dumps_canonical({"m": leaf}) == stdlib_text({"m": leaf.tolist()})
+    assert dumps_canonical(leaf) == text + "\n"
 
 
 # ---------------------------------------------------------------------------
