@@ -9,18 +9,18 @@ The module provides the plumbing every formula downstream is built from:
 embedding into larger label sets, products over disjoint supports, partial
 traces, trace norms, and the Hermiticity and exchange-symmetry tests.
 
-The slot convention lives in one place.  :func:`_permute_slots` moves the
-row and column slots of a matrix alike, by an axis permutation of the
-reshaped tensor, so no d^{2n} x d^{2n} permutation matrix is ever
-materialized.  :func:`embed_sum` krons each local term with an identity and
-moves it into label order with that helper; every embedding and every sum
-of local terms (Hamiltonians, interaction generators, additive observables)
-goes through it.  :func:`tensor_product` uses the helper too, and so does
-the one permutation sum behind :func:`symmetrize` and the symmetry test.
-:func:`partial_trace_matrix` stays on ``np.einsum`` with integer sublists,
-where a traced slot's column axis is its row axis: routing it through the
-helper would make a transposed copy first, several times slower than the
-einsum; :func:`partial_trace` is its labelled form.
+The slot convention lives in one place.  :func:`_slot_axes` gives the axes
+of a matrix's (d,)*2n tensor that move row and column slots alike, and every
+kernel that moves slots writes or adds through a strided view built from
+them, never through a kron or a permuted copy.  :func:`embed_sum` (every
+embedding and sum of local terms) adds each term onto the einsum view whose
+other slots have equal row and column index; the permutation sum behind
+:func:`symmetrize` and the symmetry test adds transposed views.  The bytes
+are the kron route's: each entry gets the same nonzero addends in the same
+order and the same products a_ij b_kl, and a kron's exact zeros neither
+change a nonzero sum nor leave a -0.0, since every sum starts from +0.0 or
+from its own first term.  :func:`partial_trace_matrix` stays on
+``np.einsum`` with integer sublists; :func:`partial_trace` is its labelled form.
 
 Each rule about input matrices has one owner: the constructor that receives
 a matrix checks its shape and entries, :func:`require_hermitian` is the
@@ -33,6 +33,7 @@ compares a matrix with its own symmetrization, in n(n-1)/2 slot swaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial, frexp, log
 from typing import Iterable, Sequence
 
@@ -132,17 +133,21 @@ def relabel(op: ManyBodyOperator, new_labels: ParticleSet) -> ManyBodyOperator:
     return ManyBodyOperator(new_labels, op.dim_single, op.matrix)
 
 
-def _permute_slots(m: np.ndarray, perm: Sequence[int], d: int) -> np.ndarray:
-    """m with its row and column slots rearranged alike.
+def _slot_axes(slots: Sequence[int], n: int) -> tuple[int, ...]:
+    """The row axes, then the column axes, of the given slots of a (d,)*2n
+    tensor, whose slot i has its row index on axis i and its column on n + i.
 
-    Output slot j takes input slot perm[j]; the identity returns m itself.
+    ``t.transpose(_slot_axes(perm, n))`` moves row and column slots alike,
+    output slot j taking input slot perm[j].
     """
-    perm = tuple(int(p) for p in perm)
-    n = len(perm)
-    if perm == tuple(range(n)):
-        return m
-    t = m.reshape((d,) * (2 * n))
-    return t.transpose(perm + tuple(n + p for p in perm)).reshape(m.shape)
+    return tuple(slots) + tuple(n + s for s in slots)
+
+
+def _kron_view(big: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The outer product of matrices, axes (row, column) per factor, as a
+    (d,)*2n view with the slots of its kron: the kron's entries, not its copy."""
+    rows_then_cols = (*range(0, big.ndim, 2), *range(1, big.ndim, 2))
+    return big.transpose(rows_then_cols).reshape((d,) * (2 * n))
 
 
 def embed_sum(
@@ -150,26 +155,30 @@ def embed_sum(
 ) -> np.ndarray:
     """Sum over (labels, m) terms of m extended by identities onto target.
 
-    m acts on the slots named by labels, in the order given.  Each term is
-    kron(m, 1) moved into the ascending label order of target, and the
-    terms are added in the order given.
+    m acts on the slots named by labels, in the order given, and is added,
+    broadcast, onto the view of the total whose other slots have equal row
+    and column index; the terms are added in the order given.
     """
-    dim = d ** len(target)
-    total = np.zeros((dim, dim), dtype=complex)
+    n = len(target)
+    total = np.zeros((d**n, d**n), dtype=complex)
+    t = total.reshape((d,) * (2 * n))
     for labels, m in terms:
         labels = tuple(labels)
-        rest = tuple(l for l in target if l not in labels)
-        if len(labels) + len(rest) != len(target):
+        rest = [i for i, l in enumerate(target) if l not in labels]
+        if len(labels) + len(rest) != n:
             raise ValueError(f"labels {labels} not contained in target {target}")
-        big = np.kron(m, np.eye(d ** len(rest), dtype=complex))
-        total += _permute_slots(big, np.argsort(labels + rest), d)
+        # a rest slot's column axis is its row axis; a 0-d einsum is a copy
+        cols = [i if i in rest else n + i for i in range(n)]
+        axes = [*rest, *_slot_axes([target.labels.index(l) for l in labels], n)]
+        view = np.einsum(t, [*range(n), *cols], axes) if n else t
+        view += m.reshape((d,) * (2 * len(labels)))
     return total
 
 
 def tensor_product(ops: Iterable[ManyBodyOperator]) -> ManyBodyOperator:
     """Product of operators on pairwise disjoint label sets.
 
-    The factors are kronned in the order given and the result moved once
+    The factors' kron, in the order given, is moved by one transposed copy
     into ascending label order.  A factor on no labels is a scalar.
     """
     ops = list(ops)
@@ -181,12 +190,10 @@ def tensor_product(ops: Iterable[ManyBodyOperator]) -> ManyBodyOperator:
     labels = tuple(l for op in ops for l in op.labels)
     if len(set(labels)) != len(labels):
         raise ValueError("tensor_product factors must have disjoint labels")
-    big = ops[0].matrix
-    for op in ops[1:]:
-        big = np.kron(big, op.matrix)
-    return ManyBodyOperator(
-        ParticleSet.of(labels), d, _permute_slots(big, np.argsort(labels), d)
-    )
+    n = len(labels)
+    t = _kron_view(reduce(np.multiply.outer, [op.matrix for op in ops]), d, n)
+    t = t.transpose(_slot_axes(np.argsort(labels), n))
+    return ManyBodyOperator(ParticleSet.of(labels), d, t.reshape(d**n, d**n))
 
 
 def tensor_embed(op: ManyBodyOperator, target: ParticleSet) -> ManyBodyOperator:
@@ -238,13 +245,17 @@ def _permutation_sum(m: np.ndarray, n: int, d: int) -> np.ndarray:
 
     The sum over S_n is the product over k = 2..n of the coset sums
     e + sum_{j<k} (j k) of S_k over S_{k-1}, applied in turn: n(n-1)/2
-    transposition conjugations in place of n! permutations.
+    transposition conjugations in place of n! permutations.  Each stage
+    copies its input into one of two buffers and adds transposed views.
     """
-    acc = m
+    shape = (d,) * (2 * n)
+    acc, bufs = m, (np.empty(m.shape, m.dtype), np.empty(m.shape, m.dtype))
     for k in range(1, n):
-        total = acc
+        total = bufs[k % 2]
+        np.copyto(total, acc)
+        src, view = acc.reshape(shape), total.reshape(shape)
         for j in range(k):
-            total = total + _permute_slots(acc, _transposition(n, j, k), d)
+            view += src.transpose(_slot_axes(_transposition(n, j, k), n))
         acc = total
     return acc
 

@@ -17,9 +17,9 @@ holding the first unit:
 where kappa_n, the Mobius sum over the units (1..s), s+1, ..., s+n, is the
 S = all term, and Ln(D)_n = kappa_{n-1} at s = 1.  Each partition term
 appears exactly once; a component with no term stays absent.  The
-recursion runs on the matrices of already-checked components, one kron and
-one slot permutation per subset term, and each output component is wrapped
-in a ManyBodyOperator once.
+recursion runs on the matrices of already-checked components: one outer
+product per block size, each subset term a transposed view of it added in
+place, and each output component is wrapped in a ManyBodyOperator once.
 
 Sequences may carry a cluster prefix of size s: component n then acts on
 (1..s+n) with the first s labels frozen as one unit.  Prefixed sequences
@@ -43,7 +43,8 @@ import numpy as np
 from .errors import NormalizationError
 from .operators import (
     ManyBodyOperator,
-    _permute_slots,
+    _kron_view,
+    _slot_axes,
     partial_trace_matrix,
     relabel,
     tensor_product,
@@ -144,19 +145,22 @@ def _first_block_sum(a: dict, b: dict, s: int, n: int, d: int) -> np.ndarray | N
     order onto its labels, (1..s) u S and the rest.  A missing key is a
     zero factor, so S = all counts only when b holds b_0, a 1x1 scalar.
     The matrix on (1..s+n), or None when no S finds both of its factors.
+    Each a_k b_{n-k} has d^{2(s+n)} entries, so one buffer holds each in turn.
     """
     head = tuple(range(1, s + 1))
     ordinary = _ordinary_labels(s, n)
-    acc = None
+    acc, buf = None, np.empty(d ** (2 * (s + n)), dtype=complex)
     for k in range(n + 1):
         if k not in a or n - k not in b:
             continue
+        x, y = a[k], b[n - k]
+        big = np.multiply.outer(x, y, out=buf.reshape(x.shape + y.shape))
+        ab = _kron_view(big, d, s + n)
         for z in itertools.combinations(ordinary, k):
-            rest = tuple(x for x in ordinary if x not in z)
-            big = np.kron(a[k], b[n - k])
-            term = _permute_slots(big, np.argsort(head + z + rest), d)
-            acc = term if acc is None else acc + term
-    return acc
+            rest = tuple(q for q in ordinary if q not in z)
+            term = ab.transpose(_slot_axes(np.argsort(head + z + rest), s + n))
+            acc = term.copy() if acc is None else np.add(acc, term, out=acc)
+    return None if acc is None else acc.reshape(d ** (s + n), d ** (s + n))
 
 
 def star_product(

@@ -329,3 +329,85 @@ def _undigits(digs, d):
     for v in digs:
         x = x * d + v
     return x
+
+
+# ---------------------------------------------------------------------------
+# the kron-and-copy route that the slot-moving kernels of qcorr.operators and
+# qcorr.star_algebra replaced, kept as written there so that the tests can
+# hold the strided kernels to its bytes, signed zeros included
+
+
+def kron_permute_slots(m, perm, d):
+    """m with its row and column slots rearranged alike, by a transposed copy:
+    output slot j takes input slot perm[j]; the identity returns m itself."""
+    perm = tuple(int(p) for p in perm)
+    n = len(perm)
+    if perm == tuple(range(n)):
+        return m
+    t = m.reshape((d,) * (2 * n))
+    return t.transpose(perm + tuple(n + p for p in perm)).reshape(m.shape)
+
+
+def kron_embed_sum(terms, target, d):
+    """Each term kron(m, 1) moved into the label order of target, summed."""
+    dim = d ** len(target)
+    total = np.zeros((dim, dim), dtype=complex)
+    for labels, m in terms:
+        labels = tuple(labels)
+        rest = tuple(l for l in target if l not in labels)
+        if len(labels) + len(rest) != len(target):
+            raise ValueError(f"labels {labels} not contained in target {target}")
+        big = np.kron(m, np.eye(d ** len(rest), dtype=complex))
+        total += kron_permute_slots(big, np.argsort(labels + rest), d)
+    return total
+
+
+def kron_tensor_product(ops):
+    """The matrix of the factors kronned in the order given, moved once into
+    ascending label order."""
+    d = ops[0].dim_single
+    labels = tuple(l for op in ops for l in op.labels)
+    big = ops[0].matrix
+    for op in ops[1:]:
+        big = np.kron(big, op.matrix)
+    return kron_permute_slots(big, np.argsort(labels), d)
+
+
+def kron_permutation_sum(m, n, d):
+    """The coset-product permutation sum, one new array per transposition."""
+    acc = m
+    for k in range(1, n):
+        total = acc
+        for j in range(k):
+            perm = list(range(n))
+            perm[j], perm[k] = k, j
+            total = total + kron_permute_slots(acc, perm, d)
+        acc = total
+    return acc
+
+
+def kron_first_block_sum(a, b, s, n, d):
+    """star_algebra's first-block sum, one kron and one slot permutation per
+    subset term, each added into a new array."""
+    head = tuple(range(1, s + 1))
+    ordinary = tuple(range(s + 1, s + n + 1))
+    acc = None
+    for k in range(n + 1):
+        if k not in a or n - k not in b:
+            continue
+        for z in itertools.combinations(ordinary, k):
+            rest = tuple(x for x in ordinary if x not in z)
+            big = np.kron(a[k], b[n - k])
+            term = kron_permute_slots(big, np.argsort(head + z + rest), d)
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def with_signed_zeros(m, rng):
+    """A copy of the complex matrix m with about a fifth of its real and
+    imaginary parts set to -0.0 and another fifth to +0.0."""
+    parts = np.array(m, dtype=complex).view(float)
+    u = rng.random(parts.shape)
+    parts[u < 0.2] = -0.0
+    parts[(u >= 0.2) & (u < 0.4)] = 0.0
+    return parts.view(complex)

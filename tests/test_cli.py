@@ -1059,6 +1059,30 @@ def test_a_five_task_run_never_imports_verify(tmp_path):
     assert "verify imported: True\n" in proc.stderr
 
 
+def test_a_five_task_run_calls_no_kron(tmp_path, monkeypatch):
+    # embeddings, star products and permutation sums move slots through
+    # strided views: a run that never calls np.kron writes the same bytes
+    sc = {
+        "system": {"preset": "random_hermitian", "seed": 31, "orders": [2], "dim_single": 3},
+        "initial": {"preset": {"preset": "random_correlation", "seed": 32, "norms": 0.2}},
+        "times": [0.0, 0.2],
+        "n_max": 3,
+        "quadrature": {"order": 2, "nodes_per_dim": 4},
+        "tasks": list(cli._TASK_FNS),
+    }
+    code, plain = qcorr_run(tmp_path, sc, "plain")
+    assert code == 0
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called on the run path")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    code, strided = qcorr_run(tmp_path, sc, "strided")
+    assert code == 0
+    assert result_files(strided) == result_files(plain)
+    assert len(result_files(plain)) == 8
+
+
 def test_non_hermitian_observable_exits_2(tmp_path, capsys):
     sc = json.loads(json.dumps(BASE_SCENARIO))
     sc["observable"] = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]

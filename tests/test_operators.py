@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from bruteforce import (
+    complex_gaussian,
+    kron_embed_sum,
+    kron_permutation_sum,
+    kron_tensor_product,
     naive_embed,
     naive_kron,
     naive_partial_trace,
     naive_permute,
     rand_op,
+    with_signed_zeros,
 )
 from qcorr import operators
 from qcorr.errors import CapacityError
@@ -331,20 +336,22 @@ def test_symmetry_check_is_bracketed_by_the_worst_permutation_defect(d):
 def test_symmetry_check_makes_one_slot_swap_per_transposition(monkeypatch):
     # an order-7 potential at d = 2 whose largest transposition defect lies
     # between TAU_HERM / 6 and TAU_HERM: a decision by the worst permutation
-    # would scan 7! = 5040 of them, the permutation sum takes 7 * 6 / 2 swaps
+    # would scan 7! = 5040 of them, the permutation sum takes 7 * 6 / 2 swaps,
+    # each one transposed view whose axes come from _slot_axes
     calls = []
-    permute = operators._permute_slots
+    axes = operators._slot_axes
 
-    def counted(m, perm, d):
-        calls.append(perm)
-        return permute(m, perm, d)
+    def counted(slots, n):
+        calls.append(tuple(slots))
+        return axes(slots, n)
 
-    monkeypatch.setattr(operators, "_permute_slots", counted)
+    monkeypatch.setattr(operators, "_slot_axes", counted)
     phi = np.eye(2**7, dtype=complex)
     phi[0, 1] = phi[1, 0] = 0.5 * TAU_HERM
     assert _worst_defect(phi, 2) == 0.5 * TAU_HERM
     SystemSpec(2, np.eye(2), {7: phi})
-    assert len(calls) <= 21
+    swaps = {operators._transposition(7, j, k) for k in range(7) for j in range(k)}
+    assert len(calls) == 21 and set(calls) == swaps
 
 
 @pytest.mark.parametrize("c", [2.0**-1000, 1e-12, 1.0, 1e300])
@@ -384,3 +391,92 @@ def test_zero_and_identity_builders():
     assert trace_norm(z) == 0.0
     i = identity_operator(ParticleSet.range1(2), 3)
     assert abs(i.trace - 9) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the strided kernels against the kron-and-copy route they replaced, by bytes:
+# every entry must get the same nonzero addends in the same order
+
+
+def _draw(rng, d, k):
+    """A complex Gaussian matrix on k slots with signed zeros among its parts."""
+    return with_signed_zeros(complex_gaussian(rng, d**k), rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_embed_sum_is_bit_identical_to_the_kron_route(d):
+    rng = np.random.default_rng(500 + d)
+    n = 4 if d < 4 else 3
+    target = ParticleSet.of([2, 5, 7, 9][:n])
+    one, two, three = (_draw(rng, d, k) for k in (1, 2, 3))
+    cases = [
+        [((5,), one)],
+        [((7, 2), two), ((2,), one), ((2,), one), ((5, 2), two)],
+        [(tuple(target)[::-1], _draw(rng, d, n)), ((), np.array([[-0.0 + 2.5j]]))],
+        [(l, one) for l in ((2,), (5,), (7,))] + [((7, 2, 5), three)] * 2,
+    ]
+    for terms in cases:
+        got = embed_sum(terms, target, d)
+        assert got.tobytes() == kron_embed_sum(terms, target, d).tobytes()
+    for labels in [(8,), (2, 2), (5, 1)]:
+        with pytest.raises(ValueError, match="not contained"):
+            embed_sum([(labels, np.eye(d ** len(labels)))], target, d)
+    scalar = [((), np.array([[-0.0 - 1.5j]])), ((), np.array([[0.25 - 0.0j]]))]
+    empty = ParticleSet.of([])
+    assert embed_sum(scalar, empty, d).tobytes() == kron_embed_sum(scalar, empty, d).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_tensor_product_and_embed_are_bit_identical_to_the_kron_route(d):
+    # factors out of label order, one of them a scalar with a signed zero
+    rng = np.random.default_rng(510 + d)
+    ops = [
+        ManyBodyOperator(ParticleSet.of([4]), d, _draw(rng, d, 1)),
+        ManyBodyOperator(ParticleSet.of([1, 6]), d, _draw(rng, d, 2)),
+        ManyBodyOperator(ParticleSet.of([]), d, np.array([[-0.0 + 0.5j]])),
+        ManyBodyOperator(ParticleSet.of([3]), d, _draw(rng, d, 1)),
+    ][: 3 if d == 4 else 4]
+    got = tensor_product(ops).matrix
+    assert got.tobytes() == kron_tensor_product(ops).tobytes()
+    target = ParticleSet.of([1, 3, 4, 6][: 3 if d == 4 else 4])
+    got = tensor_embed(ops[0], target).matrix
+    assert got.tobytes() == kron_embed_sum([(ops[0].labels, ops[0].matrix)], target, d).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_permutation_sum_is_bit_identical_to_the_kron_route(d):
+    rng = np.random.default_rng(520 + d)
+    for n in range(1, 5):
+        m = _draw(rng, d, n)
+        got = operators._permutation_sum(m, n, d)
+        assert got.tobytes() == kron_permutation_sum(m, n, d).tobytes()
+        op = ManyBodyOperator(ParticleSet.range1(n), d, m)
+        want = kron_permutation_sum(m, n, d) / math.factorial(n) if n > 1 else m
+        assert symmetrize(op).matrix.tobytes() == want.tobytes()
+
+
+def _guard_outcome(m, d):
+    try:
+        require_exchange_symmetric(m, d, "m")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exchange_guard_keeps_the_verdict_and_ratio_of_the_kron_route(d, monkeypatch):
+    # the cases of the bracketing and the rescaling test above, refused and
+    # accepted alike
+    cases = []
+    for n in (2, 3, 4):
+        lone = tuple(_slot_pairs(d)[:n])
+        for t in TAU_HERM * np.array([0.2, 0.3, 0.45, 0.6, 0.8, 0.95, 1.1, 2.0]):
+            for m in (_cayley_operator(n, t, d), _slot_pair_operator({lone: t}, d)):
+                cases.append(m + np.eye(d**n))
+    asym = rand_op(30, [1, 2, 3, 4], d=d, herm=False).matrix
+    sym = symmetrize(rand_op(29, [1, 2, 3, 4], d=d, herm=False)).matrix
+    cases += [c * m for c in (2.0**-1000, 1e-12, 1.0, 1e300) for m in (asym, sym)]
+    got = [_guard_outcome(m, d) for m in cases]
+    monkeypatch.setattr(operators, "_permutation_sum", kron_permutation_sum)
+    assert got == [_guard_outcome(m, d) for m in cases]
+    assert None in got and any(o and "is not exchange-symmetric" in o for o in got)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bruteforce import complex_gaussian, naive_partitions
+from bruteforce import (
+    complex_gaussian,
+    kron_first_block_sum,
+    naive_partitions,
+    with_signed_zeros,
+)
+from qcorr import star_algebra
 from qcorr.bbgky import MarginalState
 from qcorr.errors import NormalizationError
 from qcorr.hierarchy import (
@@ -379,3 +385,53 @@ def test_sparse_input_keeps_components_absent():
     assert args.support == (0, 1, 2)
     assert trace_norm(args.components[0]) == 0.0
     assert trace_norm(args.components[2]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the strided first-block sum against the kron-and-copy route it replaced,
+# by bytes, signed zeros included
+
+
+def _signed_sequence(rng, d, n_max, scalar=0.0, prefix=0):
+    comps = {
+        n: ManyBodyOperator(
+            ParticleSet.range1(prefix + n),
+            d,
+            with_signed_zeros(complex_gaussian(rng, d ** (prefix + n), 0.5), rng),
+        )
+        for n in range(0 if prefix else 1, n_max + 1)
+    }
+    return OperatorSequence(d, n_max, scalar, comps, prefix)
+
+
+def _bytes(x: OperatorSequence):
+    return (
+        x.n_max,
+        x.prefix,
+        x.scalar0,
+        {n: op.matrix.tobytes() for n, op in x.components.items()},
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_star_kernels_are_bit_identical_to_the_kron_route(d, monkeypatch):
+    rng = np.random.default_rng(1400 + d)
+    n_max = 3 if d < 4 else 2
+    f = _signed_sequence(rng, d, n_max)
+    g = _signed_sequence(rng, d, n_max, scalar=1.0)
+    u = _signed_sequence(rng, d, n_max, scalar=-0.5 + 0.25j)
+    v = _signed_sequence(rng, d, n_max, scalar=2.0 - 0.0j)
+    p1 = _signed_sequence(rng, d, n_max, prefix=1)
+    p2 = _signed_sequence(rng, d, n_max - 1, prefix=2)
+    calls = [
+        (star_exp, (f,)),
+        (star_exp, (f, n_max + 1)),
+        (star_ln, (g,)),
+        (star_product, (u, v, 2 * n_max)),
+        (star_product, (f, u)),
+        (star_product, (p1, v, n_max)),
+        (star_product, (u, p2, n_max)),
+    ]
+    got = [_bytes(fn(*args)) for fn, args in calls]
+    monkeypatch.setattr(star_algebra, "_first_block_sum", kron_first_block_sum)
+    assert got == [_bytes(fn(*args)) for fn, args in calls]
