@@ -8,7 +8,12 @@
 # runs each through both trees at one BLAS thread, and compares every output
 # file but manifest.json with `diff -r`.  A difference fails the check unless
 # qcorr.__version__ differs between the trees: a speedup keeps the bytes of
-# the output or bumps the version.
+# the output or bumps the version.  When the version moved, the differing
+# files are decoded and compared by value, so that a version bump cannot
+# hide a numeric drift: every matrix must lie within 1e-12 of the base's in
+# trace norm, relative to the base's; every other number within 1e-12,
+# relative when it exceeds 1 in size; every key, length, integer and string
+# must be equal.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -51,7 +56,7 @@ for scenario in "$work"/*.json; do
     for side in base head; do
         qcorr "${!side}" run --scenario "$scenario" --out "$work/$side/$name" --threads 1 >/dev/null
     done
-    if diff -r -x manifest.json "$work/base/$name" "$work/head/$name"; then
+    if diff -r -q -x manifest.json "$work/base/$name" "$work/head/$name"; then
         echo "identical: $name ($(ls "$work/head/$name" | wc -l) files)"
     else
         echo "differs: $name"
@@ -61,10 +66,89 @@ done
 
 version() { PYTHONPATH="$1/src" python -c "import qcorr; print(qcorr.__version__)"; }
 if [ "$differ" = 1 ]; then
-    if [ "$(version "$base")" != "$(version "$head")" ]; then
-        echo "outputs differ and the version moved: $(version "$base") -> $(version "$head")"
-    else
+    if [ "$(version "$base")" = "$(version "$head")" ]; then
         echo "outputs differ at the same version $(version "$head")" >&2
         exit 1
     fi
+    echo "outputs differ and the version moved: $(version "$base") -> $(version "$head")"
+    PYTHONPATH="$head/src" python - "$work/base" "$work/head" <<'EOF'
+import csv, json, pathlib, sys
+
+import numpy as np
+
+from qcorr.serialize import decode_raw_matrix
+
+TOL = 1e-12
+base_dir, head_dir = map(pathlib.Path, sys.argv[1:])
+faults, worst = [], {}
+
+
+def is_matrix(x):
+    # a raw-matrix leaf: rows of [re, im] pairs
+    return (isinstance(x, list) and len(x) > 0 and isinstance(x[0], list)
+            and len(x[0]) > 0 and isinstance(x[0][0], list) and len(x[0][0]) == 2
+            and all(isinstance(v, (int, float)) for v in x[0][0]))
+
+
+def trace_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def compare(where, b, h):
+    if is_matrix(b) and is_matrix(h):
+        mb, mh = decode_raw_matrix(b, where), decode_raw_matrix(h, where)
+        if mb.shape != mh.shape:
+            faults.append(f"{where}: shape {mh.shape} against {mb.shape}")
+            return
+        scale = trace_norm(mb)
+        ratio = trace_norm(mh - mb) / scale if scale else float(np.any(mh != mb))
+        file = where.split(":")[0]
+        worst[file] = max(worst.get(file, 0.0), ratio)
+        if ratio > TOL:
+            faults.append(f"{where}: relative trace-norm difference {ratio:.3e}")
+    elif isinstance(b, dict) and isinstance(h, dict):
+        if sorted(b) != sorted(h):
+            faults.append(f"{where}: keys {sorted(h)} against {sorted(b)}")
+        for k in sorted(set(b) & set(h)):
+            compare(f"{where}.{k}", b[k], h[k])
+    elif isinstance(b, list) and isinstance(h, list):
+        if len(b) != len(h):
+            faults.append(f"{where}: length {len(h)} against {len(b)}")
+        for i, (x, y) in enumerate(zip(b, h)):
+            compare(f"{where}[{i}]", x, y)
+    elif type(b) is float and type(h) is float:
+        if abs(h - b) > TOL * max(1.0, abs(b)):
+            faults.append(f"{where}: {h!r} against {b!r}")
+    elif type(b) is not type(h) or b != h:
+        faults.append(f"{where}: {h!r} against {b!r}")
+
+
+def cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+for b in sorted(base_dir.rglob("*")):
+    h = head_dir / b.relative_to(base_dir)
+    if b.is_dir() or b.name == "manifest.json" or b.read_bytes() == h.read_bytes():
+        continue
+    name = str(b.relative_to(base_dir))
+    if b.suffix == ".json":
+        compare(f"{name}:", json.loads(b.read_text()), json.loads(h.read_text()))
+    elif b.suffix == ".csv":
+        b_rows, h_rows = ([[cell(c) for c in row] for row in csv.reader(p.open())] for p in (b, h))
+        compare(f"{name}:", b_rows, h_rows)
+    else:
+        faults.append(f"{name}: differs")
+for file, ratio in sorted(worst.items()):
+    print(f"decoded: {file}: matrices within {ratio:.2e} of the base in trace norm")
+if faults:
+    print("outputs drift beyond the tolerance:", *faults[:20], sep="\n", file=sys.stderr)
+    sys.exit(1)
+print(f"every differing file is within {TOL:g} of the base")
+EOF
 fi

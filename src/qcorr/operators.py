@@ -28,12 +28,20 @@ one Hermiticity test, for input data and the ``min_eig`` gate alike, and
 :func:`require_exchange_symmetric` is the one exchange-symmetry test, for
 the potentials and the density data of the reduced-operator tasks.  It
 compares a matrix with its own symmetrization, in n(n-1)/2 slot swaps.
+
+Exchange symmetry also splits spectra: :func:`swap_block_eigh`
+diagonalizes a symmetric Hermitian matrix in the joint eigenbasis of the
+pair swaps (1 2), (3 4), ..., one block per pattern of signs, with the
+basis change done by index arithmetic; it gives any other matrix to numpy
+whole.  The slot kernels take their dtype from their operands, so they run
+on object arrays of exact numbers too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, frexp, log
 from typing import Iterable, Sequence
 
@@ -157,13 +165,15 @@ def embed_sum(
 
     m acts on the slots named by labels, in the order given, and is added,
     broadcast, onto the view of the total whose other slots have equal row
-    and column index; the terms are added in the order given.
+    and column index; the terms are added in the order given.  The total
+    takes the dtype of the terms (complex when there are none).
     """
+    terms = [(tuple(labels), m) for labels, m in terms]
     n = len(target)
-    total = np.zeros((d**n, d**n), dtype=complex)
+    dtype = np.result_type(*(m for _, m in terms)) if terms else complex
+    total = np.zeros((d**n, d**n), dtype=dtype)
     t = total.reshape((d,) * (2 * n))
     for labels, m in terms:
-        labels = tuple(labels)
         rest = [i for i, l in enumerate(target) if l not in labels]
         if len(labels) + len(rest) != n:
             raise ValueError(f"labels {labels} not contained in target {target}")
@@ -321,6 +331,117 @@ def require_exchange_symmetric(m: np.ndarray, d: int, what: str) -> None:
             f"{what} is not exchange-symmetric: max|m - Sym m| = "
             f"{dev / top:.3e} max|m| exceeds {TAU_HERM / 2:g} max|m|"
         )
+
+
+@lru_cache(maxsize=None)
+def _swap_blocks(d: int, n: int) -> tuple:
+    """The blocks of the joint eigenbasis of the pair swaps (1 2), (3 4), ...
+    of n slots of dimension d, one per pattern of signs, +1 first.
+
+    A pair's swap has the +1 vectors e_ii and (e_ij + e_ji)/sqrt(2) and the
+    -1 vectors (e_ij - e_ji)/sqrt(2), i < j, on the pair's d^2 indices; each
+    is written weight (e_x + sign e_y), e_ii as 0.5 (e_ii + e_ii).  An
+    unpaired last slot keeps e_i.  A block is (idx, signs, weight, back,
+    back_coef), its vectors' terms multiplied out over the pairs: vector r
+    is weight[r] sum_a signs[a] e_{idx[a, r]}, and entry x of the block's
+    vectors is back_coef[x] times their component back[x] (0 when no vector
+    of the block has an entry at x).
+    """
+    s = np.sqrt(0.5)
+    diag, (i, j) = np.arange(d) * (d + 1), np.triu_indices(d, 1)
+    ij, ji, off = i * d + j, j * d + i, np.full(i.size, s)
+    plus = (
+        np.stack([np.r_[diag, ij], np.r_[diag, ji]]),
+        np.array([1.0, 1.0]),
+        np.r_[np.full(d, 0.5), off],
+    )
+    minus = (np.stack([ij, ji]), np.array([1.0, -1.0]), off)
+    factors = [(d * d, (plus, minus))] * (n // 2)
+    if n % 2:
+        factors.append((d, ((np.arange(d)[None], np.ones(1), np.ones(d)),)))
+    blocks = []
+    for parts in itertools.product(*(options for _, options in factors)):
+        idx, signs, weight = np.zeros((1, 1), np.intp), np.ones(1), np.ones(1)
+        for (size, _), (f_idx, f_signs, f_weight) in zip(factors, parts):
+            # the terms and vectors so far, each times those of this factor
+            shape = (idx.shape[0] * f_idx.shape[0], idx.shape[1] * f_idx.shape[1])
+            idx = (idx[:, None, :, None] * size + f_idx[None, :, None, :]).reshape(shape)
+            signs = np.multiply.outer(signs, f_signs).ravel()
+            weight = np.multiply.outer(weight, f_weight).ravel()
+        if not weight.size:
+            continue
+        back, back_coef = np.zeros(d**n, np.intp), np.zeros(d**n)
+        back[idx] = np.arange(weight.size)
+        np.add.at(back_coef, idx, np.multiply.outer(signs, weight))
+        block = (idx, signs, weight, back, back_coef)
+        for a in block:  # cached: every caller reads the same arrays
+            a.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
+
+
+def _pair_swap_symmetric(m: np.ndarray, d: int, n: int) -> bool:
+    """Whether m differs from its conjugate by each pair swap (1 2), (3 4), ...
+    by at most 16 eps max|m|, each read as the largest |Re| or |Im|."""
+
+    def peak(x):
+        v = np.asarray(x, complex).reshape(-1).view(float)
+        return max(float(v.max()), -float(v.min()))
+
+    t, bound = m.reshape((d,) * (2 * n)), 16 * np.finfo(float).eps * peak(m)
+    return all(
+        peak(t - t.transpose(_slot_axes(_transposition(n, k, k + 1), n))) <= bound
+        for k in range(0, n - 1, 2)
+    )
+
+
+def _signed_sum(x: np.ndarray, idx: np.ndarray, signs: np.ndarray, axis: int) -> np.ndarray:
+    """sum_a signs[a] x.take(idx[a], axis), in a fresh array."""
+    acc = np.take(x, idx[0], axis=axis)
+    for i, sign in zip(idx[1:], signs[1:]):
+        (np.add if sign > 0 else np.subtract)(acc, np.take(x, i, axis=axis), out=acc)
+    return acc
+
+
+def swap_block_eigh(m: np.ndarray, d: int, n: int, vectors: bool = True):
+    """``np.linalg.eigh(m)``, or ``eigvalsh`` without vectors, for a Hermitian
+    matrix m on n slots of dimension d, one block of the pair swaps' joint
+    eigenbasis at a time.
+
+    A particle-permutation symmetric m commutes with the swaps (1 2), (3 4),
+    ..., so Q^T m Q is block diagonal in their real orthogonal eigenbasis Q
+    (:func:`_swap_blocks`; blocks of 100, 60, 60 and 36 at d = 4, n = 4).
+    Each block is formed by index arithmetic, at most two terms per entry
+    and pair, with no product by Q, and its eigenvectors are mapped back
+    the same way.  The eigenvalues come in ascending order; the vectors are
+    the columns of a Fortran-ordered array.  When m differs from its
+    conjugate by a pair swap by more than 16 eps max|m|
+    (:func:`_pair_swap_symmetric`), which the round-off of a symmetric sum
+    does not reach, m goes to numpy whole, as it is.
+    """
+    if n < 2 or not _pair_swap_symmetric(m, d, n):
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    blocks, parts = _swap_blocks(d, n), []
+    for idx, signs, weight, _, _ in blocks:
+        rows = _signed_sum(m, idx, signs, 0)
+        rows *= weight[:, None]
+        block = _signed_sum(rows, idx, signs, 1)
+        block *= weight
+        parts.append(np.linalg.eigh(block) if vectors else np.linalg.eigvalsh(block))
+    if not vectors:
+        return np.sort(np.concatenate(parts))
+    lam = np.concatenate([w for w, _ in parts])
+    order = np.argsort(lam, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(lam.size)
+    # rows of v^T: the block's vectors, read at back and scaled by back_coef
+    vt, start = np.empty(m.shape, parts[0][1].dtype), 0
+    for (_, w), (*_, back, back_coef) in zip(parts, blocks):
+        rows = np.take(w.T, back, axis=1)
+        rows *= back_coef
+        vt[column[start : start + len(w)]] = rows
+        start += len(w)
+    return lam[order], vt.T
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

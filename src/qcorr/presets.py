@@ -4,6 +4,9 @@ Everything here is driven by an explicit integer seed through numpy's
 Generator, so verification runs are reproducible bit for bit on the same
 platform.  Hermitian draws follow the usual Gaussian-ensemble recipe
 (B + B*)/2 and are then rescaled, symmetrized, or de-traced as requested.
+A random operator is symmetrized and de-traced first and rescaled once, to
+its trace norm, which one spectrum gives: that of the exchange-symmetric
+draws in the blocks of the pair swaps (:func:`qcorr.operators.swap_block_eigh`).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from .hierarchy import CorrelationState, DensityState
 from .operators import (
     ManyBodyOperator,
     identity_operator,
+    swap_block_eigh,
     symmetrize,
-    trace_norm,
 )
 from .partitions import ParticleSet
 from .star_algebra import OperatorSequence
@@ -28,12 +31,17 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def _gaussian_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """(B + B*)/2 for B of independent standard complex Gaussian entries."""
+    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (b + b.conj().T) / 2
+
+
 def random_hermitian(
     rng: np.random.Generator, dim: int, scale: float = 1.0
 ) -> np.ndarray:
     """Hermitian matrix with spectral radius equal to scale."""
-    b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = (b + b.conj().T) / 2
+    a = _gaussian_hermitian(rng, dim)
     radius = float(np.max(np.abs(np.linalg.eigvalsh(a))))
     if radius == 0.0:  # pragma: no cover - measure-zero draw
         return a
@@ -77,14 +85,21 @@ def random_operator(
     traceless: bool = False,
     symmetric: bool = False,
 ) -> ManyBodyOperator:
-    """Random Hermitian operator with the requested structure and trace norm."""
+    """Random Hermitian operator with the requested structure and trace norm.
+
+    The draw is that of :func:`random_hermitian`, from the same stream, left
+    unscaled: the trace norm, the sum of |eigenvalue|, sets the scale, and
+    one spectrum gives it, in the pair-swap blocks of a symmetric draw
+    (:func:`qcorr.operators.swap_block_eigh`).
+    """
     dim = dim_single ** len(labels)
-    op = ManyBodyOperator(labels, dim_single, random_hermitian(rng, dim, 1.0))
+    op = ManyBodyOperator(labels, dim_single, _gaussian_hermitian(rng, dim))
     if symmetric:
         op = symmetrize(op)
     if traceless:
         op = op - identity_operator(labels, dim_single) * (op.trace / dim)
-    tn = trace_norm(op)
+    lam = swap_block_eigh(op.matrix, dim_single, len(labels), vectors=False)
+    tn = float(np.sum(np.abs(lam)))
     if tn == 0.0:  # pragma: no cover - measure-zero draw
         return op
     return op * (norm / tn)

@@ -145,14 +145,17 @@ def _first_block_sum(a: dict, b: dict, s: int, n: int, d: int) -> np.ndarray | N
     order onto its labels, (1..s) u S and the rest.  A missing key is a
     zero factor, so S = all counts only when b holds b_0, a 1x1 scalar.
     The matrix on (1..s+n), or None when no S finds both of its factors.
-    Each a_k b_{n-k} has d^{2(s+n)} entries, so one buffer holds each in turn.
+    Each a_k b_{n-k} has d^{2(s+n)} entries, so one buffer, of the dtype of
+    the factors, holds each in turn.
     """
+    pairs = [k for k in range(n + 1) if k in a and n - k in b]
+    if not pairs:
+        return None
     head = tuple(range(1, s + 1))
     ordinary = _ordinary_labels(s, n)
-    acc, buf = None, np.empty(d ** (2 * (s + n)), dtype=complex)
-    for k in range(n + 1):
-        if k not in a or n - k not in b:
-            continue
+    dtype = np.result_type(*(a[k] for k in pairs), *(b[n - k] for k in pairs))
+    acc, buf = None, np.empty(d ** (2 * (s + n)), dtype=dtype)
+    for k in pairs:
         x, y = a[k], b[n - k]
         big = np.multiply.outer(x, y, out=buf.reshape(x.shape + y.shape))
         ab = _kron_view(big, d, s + n)
@@ -160,7 +163,7 @@ def _first_block_sum(a: dict, b: dict, s: int, n: int, d: int) -> np.ndarray | N
             rest = tuple(q for q in ordinary if q not in z)
             term = ab.transpose(_slot_axes(np.argsort(head + z + rest), s + n))
             acc = term.copy() if acc is None else np.add(acc, term, out=acc)
-    return None if acc is None else acc.reshape(d ** (s + n), d ** (s + n))
+    return acc.reshape(d ** (s + n), d ** (s + n))
 
 
 def star_product(

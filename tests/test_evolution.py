@@ -13,11 +13,15 @@ from qcorr.evolution import (
     make_unitary_group,
     unitary_matrix,
 )
-from qcorr.hamiltonian import build_hamiltonian
-from qcorr.operators import ManyBodyOperator, trace_norm
+from qcorr import operators, presets
+from qcorr.hamiltonian import SystemSpec, build_hamiltonian
+from qcorr.operators import ManyBodyOperator, swap_block_eigh, symmetrize, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.presets import (
+    free_system,
+    random_correlation_state,
     random_density_state,
+    random_hermitian,
     random_operator,
     random_sequence,
     random_system,
@@ -161,9 +165,10 @@ def test_block_family_group_is_cached_without_its_own_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     blocks = ClusterSet.of([[1, 3], [2]])
     first = _family_group(spec, blocks.elements)
-    assert sorted(calls) == [2, 4]  # the blocks {2} and {1,3}, nothing on {1,2,3}
+    # {2} whole, {1,3} in its swap's blocks [3, 1], nothing on {1,2,3}
+    assert sorted(calls) == [1, 2, 3]
     assert _family_group(spec, blocks.elements) is first
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert first.labels == ParticleSet.range1(3)
 
 
@@ -241,3 +246,101 @@ def test_density_flow_at_zero_is_the_initial_sequence(spec2):
     at0 = DensityFlow(spec2, d0).at(0.0)
     assert at0 is d0
     assert evolve_density_sequence(spec2, d0, 0.0) is d0
+
+
+# ---------------------------------------------------------------------------
+# H_n in the blocks of its pair swaps, against numpy's whole-matrix eigh
+
+
+def _swap_block_sizes(d, n):
+    """The pair swaps' block sizes on n slots: per pair d(d+1)/2 symmetric
+    and d(d-1)/2 antisymmetric vectors, times d for an unpaired slot."""
+    if n < 2:
+        return [d**n]
+    sizes = [1]
+    for _ in range(n // 2):
+        sizes = [x * y for x in sizes for y in (d * (d + 1) // 2, d * (d - 1) // 2)]
+    return sorted(x * d ** (n % 2) for x in sizes if x)
+
+
+def _counting_eigh(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+    return calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("free", [False, True], ids=["interacting", "degenerate"])
+def test_swap_blocks_diagonalize_h_n_as_eigh_does(d, free, monkeypatch):
+    # labels from 3 up; without potentials H_n = sum_i K(i) is degenerate
+    spec = free_system(60 + d, d) if free else random_system(60 + d, d, orders=(2, 3))
+    calls = _counting_eigh(monkeypatch)
+    for n in range(1, 5):
+        labels = ParticleSet.of(range(3, 3 + n))
+        h = build_hamiltonian(spec, labels).matrix
+        calls.clear()
+        ug = make_unitary_group(spec, labels)
+        assert sorted(calls) == _swap_block_sizes(d, n)
+        lam, v = ug.eigenvalues, ug.eigenvectors
+        want_lam, want_v = np.linalg.eigh(h)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.abs(lam - want_lam).max() <= 1e-13
+        assert np.abs((v * lam) @ v.conj().T - h).max() <= 1e-13
+        assert np.abs(v.conj().T @ v - np.eye(d**n)).max() <= 1e-13
+        for t in (0.7, -2.3):
+            want_u = (want_v * np.exp(-1j * t / spec.hbar * want_lam)) @ want_v.conj().T
+            assert np.abs(unitary_matrix(ug, t) - want_u).max() <= 1e-13
+        values = swap_block_eigh(h, d, n, vectors=False)
+        assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-13
+
+
+def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypatch):
+    # the exchange guard accepts a defect of 1e-12 max|phi|, far above the
+    # round-off that the block route allows, so H_n goes to eigh whole
+    d = 2
+    raw = ManyBodyOperator(ParticleSet.range1(2), d, random_hermitian(rng_from_seed(64), 4))
+    phi = np.array(symmetrize(raw).matrix)
+    phi[0, 1] += 1e-12 * np.abs(phi).max()
+    phi[1, 0] = phi[0, 1].conjugate()
+    spec = SystemSpec(d, random_hermitian(rng_from_seed(65), d), {2: phi})
+    calls = _counting_eigh(monkeypatch)
+    for n in (2, 3, 4):
+        labels = ParticleSet.range1(n)
+        h = build_hamiltonian(spec, labels).matrix
+        assert not operators._pair_swap_symmetric(h, d, n)
+        calls.clear()
+        ug = make_unitary_group(spec, labels)
+        assert calls == [d**n]
+        want_lam, want_v = np.linalg.eigh(h)
+        assert ug.eigenvalues.tobytes() == want_lam.tobytes()
+        assert ug.eigenvectors.tobytes() == want_v.tobytes()
+        assert swap_block_eigh(h, d, n, vectors=False).tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("traceless", [False, True])
+def test_random_operator_takes_its_trace_norm_from_one_spectrum(symmetric, traceless, monkeypatch):
+    # the old recipe: radius-scaled draw, symmetrize, de-trace, rescale by svd
+    d, n_max, norms = 3, 4, [0.5, 0.25, 0.125, 2.0]
+    want = []
+    rng = rng_from_seed(66)
+    for n in range(1, n_max + 1):
+        labels = ParticleSet.range1(n)
+        op = ManyBodyOperator(labels, d, random_hermitian(rng, d**n))
+        op = symmetrize(op) if symmetric else op
+        if traceless:
+            op = op - ManyBodyOperator(labels, d, np.eye(d**n)) * (op.trace / d**n)
+        want.append(op * (norms[n - 1] / trace_norm(op)))
+
+    def refused(*args):
+        raise AssertionError("random_operator computes one spectrum only")
+
+    monkeypatch.setattr(presets, "random_hermitian", refused)
+    monkeypatch.setattr(operators, "trace_norm", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    state = random_correlation_state(66, d, n_max, norms, traceless, symmetric)
+    monkeypatch.undo()
+    for n, w in enumerate(want, start=1):
+        got = state.seq.components[n]
+        assert np.abs(got.matrix - w.matrix).max() <= 1e-13 * np.abs(w.matrix).max()
+        assert abs(trace_norm(got) - norms[n - 1]) <= 1e-13 * norms[n - 1]

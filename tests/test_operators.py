@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qcorr.operators import (
     identity_operator,
     min_eigenvalue,
     partial_trace,
+    partial_trace_matrix,
     relabel,
     require_exchange_symmetric,
     scaled_hermitian_defect,
@@ -480,3 +482,56 @@ def test_exchange_guard_keeps_the_verdict_and_ratio_of_the_kron_route(d, monkeyp
     monkeypatch.setattr(operators, "_permutation_sum", kron_permutation_sum)
     assert got == [_guard_outcome(m, d) for m in cases]
     assert None in got and any(o and "is not exchange-symmetric" in o for o in got)
+
+
+# ---------------------------------------------------------------------------
+# the slot kernels take their dtype from the operands: exact on Fractions
+
+_OBJECT_EINSUM = pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "1.25.0",
+    reason="np.einsum takes object arrays from numpy 1.25 on",
+)
+
+
+def _fractions(rng, dim):
+    """A dim x dim object array of the Fractions k/7, k in [-9, 9]."""
+    ks = rng.integers(-9, 10, size=(dim, dim))
+    return np.array([[Fraction(int(k), 7) for k in row] for row in ks], dtype=object)
+
+
+def _exact_kernels(d, rng):
+    """The slot kernels by name, each run on fixed Fraction data passed
+    through the cast it is given (the identity, or to complex)."""
+    two, one, m3 = _fractions(rng, d**2), _fractions(rng, d), _fractions(rng, d**3)
+    target = ParticleSet.of([2, 5, 7])
+    terms = [((7, 2), two), ((5,), one), ((2, 5), two)]
+
+    def embed(cast):
+        return embed_sum([(l, cast(m)) for l, m in terms], target, d)
+
+    def trace(cast):
+        return partial_trace_matrix(cast(m3), d, 3, [0, 2])
+
+    def permute(cast):
+        return operators._permutation_sum(cast(m3), 3, d)
+
+    return {"embed_sum": embed, "partial_trace_matrix": trace, "_permutation_sum": permute}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param("embed_sum", marks=_OBJECT_EINSUM),
+        pytest.param("partial_trace_matrix", marks=_OBJECT_EINSUM),
+        "_permutation_sum",
+    ],
+)
+def test_slot_kernels_on_fraction_arrays_equal_the_float_route(d, kernel):
+    run = _exact_kernels(d, np.random.default_rng(530 + d))[kernel]
+    exact = run(lambda m: m)
+    assert exact.dtype == object
+    assert all(isinstance(x, (int, Fraction)) for x in exact.ravel())
+    floats = run(lambda m: m.astype(complex))
+    assert floats.dtype == complex
+    assert np.abs(exact.astype(complex) - floats).max() <= 1e-14 * np.abs(floats).max()

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -435,3 +436,23 @@ def test_star_kernels_are_bit_identical_to_the_kron_route(d, monkeypatch):
     got = [_bytes(fn(*args)) for fn, args in calls]
     monkeypatch.setattr(star_algebra, "_first_block_sum", kron_first_block_sum)
     assert got == [_bytes(fn(*args)) for fn, args in calls]
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_first_block_sum_on_fraction_arrays_equals_the_float_route(s):
+    # the buffer takes the factors' dtype: object arrays of Fractions stay exact
+    d, n, rng = 2, 2, np.random.default_rng(1410 + s)
+
+    def exact(dim):
+        ks = rng.integers(-9, 10, size=(dim, dim))
+        return np.array([[Fraction(int(k), 5) for k in row] for row in ks], dtype=object)
+
+    a = {k: exact(d ** (s + k)) for k in range(n + 1)}
+    b = {0: np.array([[Fraction(3, 2)]], dtype=object), 1: exact(d), 2: exact(d**2)}
+    got = star_algebra._first_block_sum(a, b, s, n, d)
+    assert got.dtype == object and isinstance(got[0, 0], Fraction)
+    floats = star_algebra._first_block_sum(
+        *({k: m.astype(complex) for k, m in x.items()} for x in (a, b)), s, n, d
+    )
+    assert floats.dtype == complex
+    assert np.abs(got.astype(complex) - floats).max() <= 1e-14 * np.abs(floats).max()
