@@ -4,8 +4,10 @@
 #     .github/byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
 # Builds the seed-0 scenarios of the three benchmark workloads (d = 4, by the
-# head's bench/workloads.py) and the console-script scenario of tests.yml,
-# runs each through both trees at one BLAS thread, and compares every output
+# head's bench/workloads.py), the console-script scenario of tests.yml and a
+# density that is not exchange-symmetric (d = 3), whose propagation keeps
+# every pair of pair-swap blocks, runs each through both trees at one BLAS
+# thread, and compares every output
 # file but manifest.json with `diff -r`.  A difference fails the check unless
 # qcorr.__version__ differs between the trees: a speedup keeps the bytes of
 # the output or bumps the version.  When the version moved, the differing
@@ -40,6 +42,20 @@ cat > "$work/console.json" <<'EOF'
   "n_max": 3,
   "quadrature": {"order": 2, "nodes_per_dim": 6},
   "tasks": ["evolve", "hierarchy", "bbgky", "iterate", "observables"]
+}
+EOF
+
+cat > "$work/asymmetric.json" <<'EOF'
+{
+  "system": {"preset": "random_hermitian", "seed": 13, "dim_single": 3, "orders": [2, 3]},
+  "initial": {"preset": {"preset": "random_correlation", "seed": 14, "norms": 0.3,
+                         "symmetric": false}},
+  "times": [0.0, 0.2, 0.6],
+  "n_max": 4,
+  "observable": [[[1.0, 0.0], [0.5, 0.2], [0.0, 0.0]],
+                 [[0.5, -0.2], [-0.3, 0.0], [0.1, 0.4]],
+                 [[0.0, 0.0], [0.1, -0.4], [0.7, 0.0]]],
+  "tasks": ["evolve", "hierarchy", "observables"]
 }
 EOF
 

@@ -12,4 +12,4 @@ Names are imported from their modules (``qcorr.partitions``,
 so importing one module loads only what that module needs.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"

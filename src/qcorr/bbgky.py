@@ -27,11 +27,24 @@ from math import factorial
 import numpy as np
 
 from .evolution import (
-    DensityFlow, _conjugate, group_apply, make_unitary_group, phases
+    DensityFlow,
+    _conjugate,
+    eigenbasis_parts,
+    evolve_parts,
+    group_apply,
+    make_unitary_group,
+    phases,
+    propagate,
 )
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
-from .operators import ManyBodyOperator, embed_sum, partial_trace_matrix
+from .operators import (
+    ManyBodyOperator,
+    embed_sum,
+    into_swap_basis,
+    out_of_swap_basis,
+    partial_trace_matrix,
+)
 from .partitions import ParticleSet
 from .star_algebra import (
     OperatorSequence,
@@ -133,8 +146,9 @@ def _embedded_group_conj(
 ) -> ManyBodyOperator:
     """Conjugate x by the propagator of its labels ``full`` (= 1..sub_n).
 
-    Kept with five arguments because the benchmark's layer tracer wraps
-    this name to count the iteration series' lower-level conjugations.
+    The dense reference conjugation, which the series' descent no longer
+    calls; kept with five arguments because the benchmark's layer tracer
+    wraps this name.
     """
     if sub_n != len(full):
         raise ValueError(f"the propagator of {sub_n} particles does not act on {full}")
@@ -161,23 +175,41 @@ def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.
     return (-1j / hbar) * (_trace_last(v, x, d) - _trace_last(x, v, d))
 
 
+def _top_level(ug, coupling: np.ndarray, f: np.ndarray) -> tuple:
+    """What :func:`_top_commutator` reads for H_m's group ug, V_m and F_m:
+    (ug, C, R, parts), where per block b of ug C_b = (V_m Q_b) W_b and
+    R_b = (Q_b W_b)^*, the block's eigenvectors as rows, and parts holds the
+    nonzero parts (1, H) and (i, K) of F_m = H + iK, H and K Hermitian, each
+    as its :func:`qcorr.evolution.eigenbasis_parts`."""
+    halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))
+    parts = [(c, eigenbasis_parts(ug, h)) for c, h in halves if np.any(h)]
+    cs = [into_swap_basis(coupling, basis, 1) @ w for _, w, basis in ug.blocks]
+    rs = [out_of_swap_basis(w.conj().T, basis, 1) for _, w, basis in ug.blocks]
+    return ug, cs, rs, parts
+
+
 def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
     """T_m(t_n) = Tr_m of -(i/hbar)[V_m, G_m(t_n) F_m] at an outer node t_n.
 
     The top level of every series term on m particles: it depends on m and
     t_n alone, so one solve evaluates it once per (m, t_n) for all s with
-    s < m <= s + order.  ``top`` = (group, W^*, C, parts) holds H_m's
-    group, C = V_m W, and the nonzero parts (1, W^* H W) and
-    (i, W^* K W) of F_m = H + iK, H and K Hermitian.  With
-    p = ``phases(group, t_n)`` each part evolves to the Hermitian
-    X = W p P p^* W^*, so Tr_m(X V_m) = T^* for T = Tr_m(V_m X) =
-    Tr_m((C p)(P p^*) W^*): one D^3 product and D^3/d per part.
+    s < m <= s + order.  ``top`` is :func:`_top_level`'s.  With
+    p = ``phases(group, t_n)`` each part P evolves to the Hermitian
+    X = sum over its block pairs of Q_b W_b (p_b P_bc p_c^*) W_c^* Q_c^T, so
+    Tr_m(X V_m) = T^* for T = Tr_m(V_m X) = sum over the pairs of
+    Tr_m((C_b p_b)(P_bc p_c^*) R_c): per pair one product of a D x s_b by an
+    s_b x s_c matrix, and D^2 s_c/d flops for the trace, where the dense
+    route took a D^3 product per part.
     """
-    ug, wh, c, parts = top
+    ug, cs, rs, parts = top
     p = phases(ug, tn)
+    ps = [p[cols] for cols, _, _ in ug.blocks]
+    cps = [c * pb for c, pb in zip(cs, ps)]
     acc = np.zeros((p.size // d,) * 2, dtype=complex)
     for coef, part in parts:
-        tr = _trace_last((c * p) @ (part * p.conj()), wh, d)
+        tr = sum(
+            _trace_last(cps[b] @ (x * ps[c].conj()), rs[c], d) for (b, c), x in part.items()
+        )
         acc = acc + coef * (tr - tr.conj().T)
     return (-1j / hbar) * acc
 
@@ -250,28 +282,25 @@ def solve_bbgky_iteration(
 
         The chain of s = m conjugates x with G_m(t - tau).  Each node t' of
         [tau, t] conjugates x with G_m(t' - tau), and the chains of the
-        s < m descend together from Tr_m[V_m, .] of that at t'.
+        s < m descend together from Tr_m[V_m, .] of that at t'.  x moves
+        into the eigenbasis of H_m once, and each node only applies phases.
         """
-        rest = ParticleSet.range1(m)
-
-        def at(node: float) -> np.ndarray:
-            x_node = ManyBodyOperator(rest, d, x)
-            return _embedded_group_conj(spec, rest, m, node - tau, x_node).matrix
-
+        ug = make_unitary_group(spec, ParticleSet.range1(m))
+        parts = eigenbasis_parts(ug, x)
         below = [s for s in ends if s < m]
         acc = {s: 0 for s in below}
         for node, w in _interval_nodes(q, tau, t) if below else []:
-            y = _traced_commutator(coupling[m], at(node), d, hbar)
+            y = _traced_commutator(coupling[m], evolve_parts(ug, parts, node - tau), d, hbar)
             for s, chain in descend(below, m - 1, node, y).items():
                 acc[s] = acc[s] + w * chain
         if m in ends:  # from 0, as every sum here, so -0.0 ends as +0.0
-            acc[m] = 0 + at(t)
+            acc[m] = 0 + evolve_parts(ug, parts, t - tau)
         return acc
 
     totals = {}
     for s in s_values:
         ug = make_unitary_group(spec, ParticleSet.range1(s))
-        totals[s] = group_apply(ug, t, seq.component(s)).matrix
+        totals[s] = propagate(ug, t, seq.component(s).matrix)
     top_end = {s: min(s + q.order, seq.n_max) for s in totals}
     coupling = _pair_potential_sums(
         spec, {m for s in totals for m in range(s + 1, top_end[s] + 1)}
@@ -281,11 +310,7 @@ def solve_bbgky_iteration(
             continue
         ends = [s for s in totals if s < m <= top_end[s]]
         ug = make_unitary_group(spec, ParticleSet.range1(m))
-        w, wh = ug.eigenvectors, ug.eigenvectors.conj().T
-        f = seq.components[m].matrix
-        halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))
-        parts = [(c, wh @ h @ w) for c, h in halves if np.any(h)]
-        top = (ug, wh, coupling[m] @ w, parts)
+        top = _top_level(ug, coupling[m], seq.components[m].matrix)
         for tn, wt in _interval_nodes(q, 0.0, t):
             x = _top_commutator(top, tn, d, hbar)
             for s, chain in descend(ends, m - 1, tn, x).items():
@@ -331,20 +356,24 @@ def flow_observable_moments(
     """(mean particle number, first, second moment) of flow.at(t) for each t.
 
     The moments of :func:`additive_observable_moment`, in the eigenbasis of
-    each H_n: with A~_n = V^* A_n V formed once, Tr(A_n^k D_n(t)) =
-    Tr(A~_n^k (P o D~_n)) = p^T ((A~_n^k)^T o D~_n) p^*, O(D^2) per time.
-    The particle number, sum_n n tr D~_n / n! over z, does not move.  z is
-    the reduction scalar of flow.d0, which the caller sums and refuses when
-    it vanishes.
+    each H_n, one pair of its pair-swap blocks at a time.  A~_n, the
+    :func:`qcorr.evolution.eigenbasis_parts` of A_n, is formed once, and
+    A_n's exchange symmetry makes it block diagonal, so only the diagonal
+    blocks of D~_n count: Tr(A_n^k D_n(t)) = Tr(A~_n^k (P o D~_n)) = sum over
+    the blocks b of p_b^T ((A~_n)_bb^k)^T o (D~_n)_bb) p_b^*, O(D^2) per
+    time.  The particle number, sum_n n tr D_n / n! over z, does not move.
+    z is the reduction scalar of flow.d0, which the caller sums and refuses
+    when it vanishes.
     """
     number, moments = 0.0, np.zeros((2, len(times)), dtype=complex)
     for n, (ug, dt) in flow.parts.items():
-        v = ug.eigenvectors
-        a_n = v.conj().T @ _additive(a1, n, flow.d0.dim_single) @ v
+        a = eigenbasis_parts(ug, _additive(a1, n, flow.d0.dim_single))
         p = phases(ug, np.array(times)[:, None])  # a row per time
-        number += n * np.trace(dt) / factorial(n)
-        for k, x in enumerate((a_n, a_n @ a_n)):
-            moments[k] += ((p @ (x.T * dt)) * p.conj()).sum(axis=1) / factorial(n)
+        number += n * np.trace(flow.d0.components[n].matrix) / factorial(n)
+        for b, (cols, _, _) in enumerate(ug.blocks):
+            pb = p[:, cols]
+            for k, x in enumerate((a[b, b], a[b, b] @ a[b, b])):
+                moments[k] += ((pb @ (x.T * dt[b, b])) * pb.conj()).sum(axis=1) / factorial(n)
     return [tuple(float((x / z).real) for x in (number, *m)) for m in moments.T]
 
 

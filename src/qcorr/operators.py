@@ -29,12 +29,15 @@ one Hermiticity test, for input data and the ``min_eig`` gate alike, and
 the potentials and the density data of the reduced-operator tasks.  It
 compares a matrix with its own symmetrization, in n(n-1)/2 slot swaps.
 
-Exchange symmetry also splits spectra: :func:`swap_block_eigh`
+Exchange symmetry also splits spectra: :func:`swap_block_spectrum`
 diagonalizes a symmetric Hermitian matrix in the joint eigenbasis of the
 pair swaps (1 2), (3 4), ..., one block per pattern of signs, with the
 basis change done by index arithmetic; it gives any other matrix to numpy
-whole.  The slot kernels take their dtype from their operands, so they run
-on object arrays of exact numbers too.
+whole, as one block of the identity basis.  :func:`swap_blocks_of` and
+:func:`from_swap_blocks` move any operand into those blocks and back, by
+the same arithmetic, keeping only the diagonal block pairs of an operand
+that commutes with the swaps.  The slot kernels take their dtype from their
+operands, so they run on object arrays of exact numbers too.
 """
 
 from __future__ import annotations
@@ -337,6 +340,7 @@ def require_exchange_symmetric(m: np.ndarray, d: int, what: str) -> None:
 def _swap_blocks(d: int, n: int) -> tuple:
     """The blocks of the joint eigenbasis of the pair swaps (1 2), (3 4), ...
     of n slots of dimension d, one per pattern of signs, +1 first.
+    ``_swap_blocks(D, 1)`` is one block, the identity basis on D indices.
 
     A pair's swap has the +1 vectors e_ii and (e_ij + e_ji)/sqrt(2) and the
     -1 vectors (e_ij - e_ji)/sqrt(2), i < j, on the pair's d^2 indices; each
@@ -403,45 +407,121 @@ def _signed_sum(x: np.ndarray, idx: np.ndarray, signs: np.ndarray, axis: int) ->
     return acc
 
 
-def swap_block_eigh(m: np.ndarray, d: int, n: int, vectors: bool = True):
-    """``np.linalg.eigh(m)``, or ``eigvalsh`` without vectors, for a Hermitian
-    matrix m on n slots of dimension d, one block of the pair swaps' joint
-    eigenbasis at a time.
+def _scale(x: np.ndarray, coef: np.ndarray, axis: int) -> np.ndarray:
+    """x, a fresh C-ordered matrix, times the real coef[i] at index i of the
+    axis, in place.  A complex x is scaled as its float view, real and
+    imaginary parts apart: a complex product would turn an entry's -0.0
+    into +0.0, so the identity basis would not return x as it is."""
+    flat = x
+    if np.iscomplexobj(x):
+        flat, coef = x.view(float), np.repeat(coef, 2) if axis else coef
+    flat *= coef if axis else coef[:, None]
+    return x
+
+
+def into_swap_basis(x: np.ndarray, basis: tuple, axis: int) -> np.ndarray:
+    """Q^T x (axis 0) or x Q (axis 1), Q the vectors of one block of
+    :func:`_swap_blocks`: a signed sum of at most two takes per pair, weighted."""
+    idx, signs, weight, _, _ = basis
+    return _scale(_signed_sum(x, idx, signs, axis), weight, axis)
+
+
+def out_of_swap_basis(y: np.ndarray, basis: tuple, axis: int) -> np.ndarray:
+    """Q y (axis 0) or y Q^T (axis 1), Q the vectors of one block of
+    :func:`_swap_blocks`: one take, entry x scaled by the block's back_coef[x]."""
+    _, _, _, back, back_coef = basis
+    return _scale(np.take(y, back, axis=axis), back_coef, axis)
+
+
+def swap_blocks_of(x: np.ndarray, d: int, n: int, bases: Sequence[tuple]) -> dict:
+    """{(b, c): Q_b^T x Q_c} for the blocks Q_b of ``bases``, either one
+    block of any basis or the blocks of :func:`_swap_blocks` (d, n).
+
+    A matrix that commutes with the pair swaps is block diagonal in their
+    basis, so when x passes :func:`_pair_swap_symmetric` only the pairs
+    b = c are kept; any other x keeps every pair, exactly.
+    """
+    diagonal = len(bases) == 1 or _pair_swap_symmetric(x, d, n)
+    blocks = {}
+    for b, qb in enumerate(bases):
+        rows = into_swap_basis(x, qb, 0)
+        for c, qc in enumerate(bases):
+            if c == b or not diagonal:
+                blocks[b, c] = into_swap_basis(rows, qc, 1)
+    return blocks
+
+
+def from_swap_blocks(blocks: dict, bases: Sequence[tuple]) -> np.ndarray:
+    """sum over (b, c) of Q_b y_bc Q_c^T, the inverse of :func:`swap_blocks_of`:
+    one take per axis and block."""
+    rows = {}
+    for (b, c), y in blocks.items():
+        y = out_of_swap_basis(y, bases[c], 1)
+        if b in rows:
+            rows[b] += y
+        else:
+            rows[b] = y
+    total = None
+    for b, y in rows.items():
+        y = out_of_swap_basis(y, bases[b], 0)
+        if total is None:
+            total = y
+        else:
+            total += y
+    return total
+
+
+def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True):
+    """The spectrum of a Hermitian matrix m on n slots of dimension d, one
+    block of the pair swaps' joint eigenbasis at a time.
 
     A particle-permutation symmetric m commutes with the swaps (1 2), (3 4),
     ..., so Q^T m Q is block diagonal in their real orthogonal eigenbasis Q
     (:func:`_swap_blocks`; blocks of 100, 60, 60 and 36 at d = 4, n = 4).
     Each block is formed by index arithmetic, at most two terms per entry
-    and pair, with no product by Q, and its eigenvectors are mapped back
-    the same way.  The eigenvalues come in ascending order; the vectors are
-    the columns of a Fortran-ordered array.  When m differs from its
-    conjugate by a pair swap by more than 16 eps max|m|
-    (:func:`_pair_swap_symmetric`), which the round-off of a symmetric sum
-    does not reach, m goes to numpy whole, as it is.
+    and pair, with no product by Q, and goes to ``np.linalg.eigh``, or
+    ``eigvalsh`` without vectors.  When m differs from its conjugate by a
+    pair swap by more than 16 eps max|m| (:func:`_pair_swap_symmetric`),
+    which the round-off of a symmetric sum does not reach, m is one block of
+    the identity basis, and numpy sees it whole, as it is.
+
+    Returns (lam, blocks): every eigenvalue, ascending, and per block
+    (cols, w, basis), where lam[cols] are the block's eigenvalues, the
+    columns of w its eigenvectors in the block's basis (None without
+    vectors), and basis its entry of :func:`_swap_blocks`.
     """
-    if n < 2 or not _pair_swap_symmetric(m, d, n):
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
-    blocks, parts = _swap_blocks(d, n), []
-    for idx, signs, weight, _, _ in blocks:
-        rows = _signed_sum(m, idx, signs, 0)
-        rows *= weight[:, None]
-        block = _signed_sum(rows, idx, signs, 1)
-        block *= weight
-        parts.append(np.linalg.eigh(block) if vectors else np.linalg.eigvalsh(block))
-    if not vectors:
-        return np.sort(np.concatenate(parts))
+    symmetric = _pair_swap_symmetric(m, d, n)
+    bases = _swap_blocks(d, n) if symmetric else _swap_blocks(len(m), 1)
+    parts = []
+    for basis in bases:
+        block = into_swap_basis(into_swap_basis(m, basis, 0), basis, 1)
+        parts.append(np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None))
     lam = np.concatenate([w for w, _ in parts])
     order = np.argsort(lam, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(lam.size)
-    # rows of v^T: the block's vectors, read at back and scaled by back_coef
-    vt, start = np.empty(m.shape, parts[0][1].dtype), 0
-    for (_, w), (*_, back, back_coef) in zip(parts, blocks):
-        rows = np.take(w.T, back, axis=1)
-        rows *= back_coef
-        vt[column[start : start + len(w)]] = rows
+    blocks, start = [], 0
+    for (w, v), basis in zip(parts, bases):
+        blocks.append((column[start : start + len(w)], v, basis))
         start += len(w)
-    return lam[order], vt.T
+    return lam[order], tuple(blocks)
+
+
+def block_vectors(blocks: Sequence[tuple], dim: int) -> np.ndarray:
+    """The eigenvectors of a :func:`swap_block_spectrum` as the columns of
+    one dense matrix: column cols[r] of a block is Q w[:, r]."""
+    v = np.empty((dim, dim), blocks[0][1].dtype)
+    for cols, w, basis in blocks:
+        v[:, cols] = out_of_swap_basis(w, basis, 0)
+    return v
+
+
+def swap_block_eigh(m: np.ndarray, d: int, n: int, vectors: bool = True):
+    """``np.linalg.eigh(m)``, or ``eigvalsh`` without vectors, for a Hermitian
+    matrix m on n slots of dimension d, by :func:`swap_block_spectrum`: the
+    eigenvalues ascending, and the vectors as the columns of one matrix."""
+    lam, blocks = swap_block_spectrum(m, d, n, vectors)
+    return (lam, block_vectors(blocks, len(m))) if vectors else lam
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

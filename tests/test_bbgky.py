@@ -20,6 +20,7 @@ from bruteforce import (
     naive_moments,
     naive_partial_trace,
     naive_partitions,
+    rand_op,
 )
 from qcorr.bbgky import (
     MarginalState,
@@ -461,15 +462,16 @@ def test_top_level_is_shared_by_every_s(monkeypatch):
 def test_lower_levels_run_once_for_every_s(monkeypatch, d, nodes, calls):
     # s = 1, 2, 3 at order 3 and n_max = 4: per outer node the descent from
     # m = 2, 3, 4 conjugates 1, 1 + 2k and 1 + 2k + 2k^2 times (k nodes), as
-    # every s below a level shares its conjugations; 3k + 4k^2 + 2k^3 in all
+    # every s below a level shares its conjugations; 3k + 4k^2 + 2k^3 in all.
+    # Each conjugation applies phases to an operand already in the blocks.
     count = [0]
-    original = bbgky._embedded_group_conj
+    original = bbgky.evolve_parts
 
     def counting(*args):
         count[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(bbgky, "_embedded_group_conj", counting)
+    monkeypatch.setattr(bbgky, "evolve_parts", counting)
     spec = random_system(318, dim_single=d, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(319, d, 4))
     solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.4, QuadratureSpec(3, nodes))
@@ -648,18 +650,26 @@ def test_eigenbasis_moments_equal_the_moments_of_the_evolved_density(d):
     d0 = random_density_state(357 + d, d, 3, trace_scale=0.7)
     a1 = random_hermitian(rng_from_seed(359 + d), d, 1.0)
     times = [-0.7, 0.0, 0.3, 1.1]
-    z = annihilation_scalar(d0.seq)
-    got = flow_observable_moments(DensityFlow(spec, d0.seq), a1, times, z)
-    for t, row in zip(times, got, strict=True):
-        comps = {}
-        for n, op in d0.seq.components.items():
-            u = unitary_matrix(make_unitary_group(spec, op.labels), t)
-            comps[n] = ManyBodyOperator(op.labels, d, u @ op.matrix @ u.conj().T)
-        dt = DensityState(OperatorSequence(d, 3, 1.0, comps))
-        number = float(reduce_from_density(dt, 1).trace.real)
-        moments = [additive_observable_moment(dt, a1, k) for k in (1, 2)]
-        for g, w in zip(row, (number, *moments), strict=True):
-            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (t, g, w)
+    # a density that is not exchange-symmetric keeps every pair of pair-swap
+    # blocks in the flow, of which the block-diagonal observable reads the
+    # diagonal pairs alone
+    comps = {
+        n: op + 0.1 * rand_op(361 + n, op.labels, d) for n, op in d0.seq.components.items()
+    }
+    asymmetric = DensityState(OperatorSequence(d, 3, d0.seq.scalar0, comps))
+    for d0 in (d0, asymmetric):
+        z = annihilation_scalar(d0.seq)
+        got = flow_observable_moments(DensityFlow(spec, d0.seq), a1, times, z)
+        for t, row in zip(times, got, strict=True):
+            comps = {}
+            for n, op in d0.seq.components.items():
+                u = unitary_matrix(make_unitary_group(spec, op.labels), t)
+                comps[n] = ManyBodyOperator(op.labels, d, u @ op.matrix @ u.conj().T)
+            dt = DensityState(OperatorSequence(d, 3, 1.0, comps))
+            number = float(reduce_from_density(dt, 1).trace.real)
+            moments = [additive_observable_moment(dt, a1, k) for k in (1, 2)]
+            for g, w in zip(row, (number, *moments), strict=True):
+                assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (t, g, w)
 
 
 def test_dispersion_matches_central_moment():

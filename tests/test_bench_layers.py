@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from qcorr import bbgky, cli
-from qcorr.operators import ManyBodyOperator
 from qcorr.presets import random_density_state, random_system
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -40,9 +39,9 @@ def test_embedded_group_conj_exists():
     assert callable(getattr(bbgky, "_embedded_group_conj", None))
 
 
-def test_embedded_group_conj_receives_operators_on_full(monkeypatch):
-    # the tracer's hook reads x.dim_single from the fifth argument, so the
-    # series must hand it a ManyBodyOperator on the labels it names
+def test_embedded_group_conj_is_off_the_series_path(monkeypatch):
+    # the series' descent propagates in the blocks of each H_m, so the dense
+    # conjugation that the tracer wraps sees no call: its traced counts read 0
     calls = []
     original = bbgky._embedded_group_conj
 
@@ -54,10 +53,7 @@ def test_embedded_group_conj_receives_operators_on_full(monkeypatch):
     spec = random_system(330, dim_single=2, orders=(2,))
     f0 = bbgky.marginal_state_from_density(random_density_state(331, 2, 4))
     bbgky.solve_bbgky_iteration(spec, f0, [1], 0.3, bbgky.QuadratureSpec(3, 4))
-    assert calls
-    for full, x in calls:
-        assert isinstance(x, ManyBodyOperator)
-        assert x.labels == full
+    assert calls == []
 
 
 def test_traced_tasks_are_cli_tasks():

@@ -17,6 +17,7 @@ from qcorr import operators, presets
 from qcorr.hamiltonian import SystemSpec, build_hamiltonian
 from qcorr.operators import ManyBodyOperator, swap_block_eigh, symmetrize, trace_norm
 from qcorr.partitions import ClusterSet, ParticleSet
+from qcorr.star_algebra import OperatorSequence
 from qcorr.presets import (
     free_system,
     random_correlation_state,
@@ -187,22 +188,31 @@ def test_operand_dimension_mismatch_names_both_dimensions(spec2):
 
 
 def test_blockwise_and_iteration_conjugate_through_the_kernel(monkeypatch, spec_pair):
-    # labels of every operand the public group_apply receives
-    seen = []
+    # labels of every operand the public group_apply receives, and of every
+    # group the iteration series propagates a whole operand with
+    seen, propagated = [], []
 
     def counting(ug, t, f):
         seen.append(f.labels)
         return evolution._conjugate(ug, t, f)
 
+    def propagating(ug, t, x):
+        propagated.append(ug.labels)
+        return evolution.propagate(ug, t, x)
+
     for module in (evolution, bbgky):
         monkeypatch.setattr(module, "group_apply", counting)
+    monkeypatch.setattr(bbgky, "propagate", propagating)
     f = rand_op(55, [1, 2, 3], herm=False)
     group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 3], [2]]), f)
     group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 2, 3]]), f)
     assert seen == []
     f0 = bbgky.marginal_state_from_density(random_density_state(56, 2, 3))
     bbgky.solve_bbgky_iteration(spec_pair, f0, [1], 0.3, bbgky.QuadratureSpec(2, 4))
-    assert seen == [ParticleSet.range1(1)]
+    # the series' own G_s(t) F_s runs in the blocks of H_s, not through the
+    # dense reference kernel
+    assert seen == []
+    assert propagated == [ParticleSet.range1(1)]
 
 
 def test_evolve_density_sequence_componentwise(spec2):
@@ -294,15 +304,21 @@ def test_swap_blocks_diagonalize_h_n_as_eigh_does(d, free, monkeypatch):
         assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-13
 
 
-def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypatch):
-    # the exchange guard accepts a defect of 1e-12 max|phi|, far above the
-    # round-off that the block route allows, so H_n goes to eigh whole
-    d = 2
-    raw = ManyBodyOperator(ParticleSet.range1(2), d, random_hermitian(rng_from_seed(64), 4))
+def _asymmetric_within_the_guard(d):
+    """A system whose pair potential the exchange guard accepts though it is
+    asymmetric by 1e-12 max|phi|, far above the round-off that the block
+    route allows."""
+    raw = ManyBodyOperator(ParticleSet.range1(2), d, random_hermitian(rng_from_seed(64), d * d))
     phi = np.array(symmetrize(raw).matrix)
     phi[0, 1] += 1e-12 * np.abs(phi).max()
     phi[1, 0] = phi[0, 1].conjugate()
-    spec = SystemSpec(d, random_hermitian(rng_from_seed(65), d), {2: phi})
+    return SystemSpec(d, random_hermitian(rng_from_seed(65), d), {2: phi})
+
+
+def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypatch):
+    # so H_n goes to eigh whole
+    d = 2
+    spec = _asymmetric_within_the_guard(d)
     calls = _counting_eigh(monkeypatch)
     for n in (2, 3, 4):
         labels = ParticleSet.range1(n)
@@ -315,6 +331,54 @@ def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypat
         assert ug.eigenvalues.tobytes() == want_lam.tobytes()
         assert ug.eigenvectors.tobytes() == want_v.tobytes()
         assert swap_block_eigh(h, d, n, vectors=False).tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("system", ["symmetric", "asymmetric"])
+def test_block_route_equals_the_dense_reference(d, system):
+    # U = V diag(p) V^* from numpy's whole-matrix eigh of H_n is the
+    # reference; the run's route moves each operand into the pair-swap
+    # blocks once and back per time.  An exchange-symmetric operand keeps
+    # its diagonal block pairs alone, any other operand every pair; H_n of
+    # a potential asymmetric within the guard is one block
+    if system == "symmetric":
+        spec = random_system(70 + d, d, orders=(2, 3), hbar=0.8)
+    else:
+        spec = _asymmetric_within_the_guard(d)
+    rng = rng_from_seed(71 + d)
+    comps = {}
+    for n in range(1, 5):
+        labels = ParticleSet.range1(n)
+        lam, v = np.linalg.eigh(build_hamiltonian(spec, labels).matrix)
+        ug = make_unitary_group(spec, labels)
+        blocks = len(_swap_block_sizes(d, n)) if system == "symmetric" else 1
+        assert len(ug.blocks) == blocks
+        sym = random_operator(rng, labels, d, symmetric=True).matrix
+        general = complex_gaussian(rng, d**n)
+        pairs = {(b, c) for b in range(blocks) for c in range(blocks)}
+        for x, keys in ((sym, {(b, b) for b in range(blocks)}), (general, pairs)):
+            parts = evolution.eigenbasis_parts(ug, x)
+            assert set(parts) == keys
+            for t in (0.9, -1.7):
+                u = (v * np.exp(-1j * t / spec.hbar * lam)) @ v.conj().T
+                want = u @ x @ u.conj().T
+                assert _relative(evolution.evolve_parts(ug, parts, t), want) <= 1e-13
+                assert _relative(evolution.propagate(ug, t, x), want) <= 1e-13
+        assert evolution.propagate(ug, 0.0, general) is general
+        comps[n] = ManyBodyOperator(labels, d, general if n % 2 else sym)
+    d0 = OperatorSequence(d, 4, 1.0, comps)
+    flow = DensityFlow(spec, d0)
+    assert flow.at(0.0) is d0
+    for t in (0.4, -0.6):
+        got = flow.at(t)
+        for n, op in comps.items():
+            u = unitary_matrix(make_unitary_group(spec, op.labels), t)
+            want = u @ op.matrix @ u.conj().T
+            assert _relative(got.components[n].matrix, want) <= 1e-13
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

@@ -2,9 +2,9 @@
 
 Four tasks (`evolve`, `hierarchy`, `bbgky`, `observables`) share one
 `DensityFlow`, which evolves each component in the eigenbasis of its
-Hamiltonian; `bbgky` reduces it.  These tests count the work of a run and
-probe that every task still takes its time dependence from
-`evolution.phases`.
+Hamiltonian, one pair-swap block at a time; `bbgky` reduces it.  These
+tests count the work of a run and probe that every task still takes its
+time dependence from `evolution.phases`.
 """
 
 import json
@@ -25,7 +25,8 @@ from qcorr.serialize import dumps_canonical, encode_raw_matrix, encode_sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every product of two D x D matrices that an eigenvector matrix enters, by D
+# every matrix product that a block's eigenvectors enter, by the shapes of
+# its operands
 PRODUCTS: Counter = Counter()
 
 
@@ -34,11 +35,14 @@ class _Counted(np.ndarray):
     every array computed from it counts too."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _Counted) else x for x in inputs]
-        dim = len(plain[0])
-        if ufunc is np.matmul and all(np.shape(x) == (dim, dim) for x in plain):
-            PRODUCTS[dim] += 1
-        out = getattr(ufunc, method)(*plain, **kwargs)
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, _Counted) else x
+
+        if ufunc is np.matmul:
+            PRODUCTS[tuple(np.shape(x) for x in inputs)] += 1
+        if "out" in kwargs:  # an in-place update writes into the counted array
+            kwargs["out"] = tuple(plain(x) for x in kwargs["out"])
+        out = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
         return out.view(_Counted) if isinstance(out, np.ndarray) else out
 
 
@@ -57,15 +61,18 @@ def _io_scenario(d=2):
 
 
 def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeypatch):
-    # per component and run: V^* D V once (2), V (P o D~) V^* per time (2 x 4),
-    # A~ = V^* A V and A~^2 once (3); the conjugation route took 28 at n = 4
+    # per pair-swap block of each component and run: W^* D_bb W once (2),
+    # W (P o D~_bb) W^* per time (2 x 4), A~_bb and A~_bb^2 once (3), all of
+    # the block's size, and the moments' phase rows against A~^k o D~ (2); the
+    # data are exchange-symmetric, so no pair b != c and no product of size
+    # D = 3^n for n >= 2 runs (the dense route took 13 of size D, and the
+    # conjugation route 28 at n = 4)
     eighs, builds = [], []
     eigh, group, build = np.linalg.eigh, evolution.UnitaryGroup, evolution.unitary_matrix
 
-    def counted_group(*args):
-        ug = group(*args)
-        object.__setattr__(ug, "eigenvectors", ug.eigenvectors.view(_Counted))
-        return ug
+    def counted_group(labels, d, hbar, eigenvalues, blocks):
+        blocks = tuple((cols, w.view(_Counted), basis) for cols, w, basis in blocks)
+        return group(labels, d, hbar, eigenvalues, blocks)
 
     monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(len(h)) or eigh(h))
     monkeypatch.setattr(evolution, "UnitaryGroup", counted_group)
@@ -74,8 +81,13 @@ def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeyp
     assert qcorr_run(tmp_path, _io_scenario(d=3), "out")[0] == 0
     assert builds == []
     # each H_n diagonalized once, in the blocks of its pair swaps
-    assert sorted(eighs) == sorted([3] + [6, 3] + [18, 9] + [36, 18, 18, 9])
-    assert PRODUCTS == {3**n: 13 for n in range(1, 5)}
+    blocks = [3] + [6, 3] + [18, 9] + [36, 18, 18, 9]
+    assert sorted(eighs) == sorted(blocks)
+    want = Counter()
+    for size in blocks:
+        want[(size, size), (size, size)] += 13
+        want[(4, size), (size, size)] += 2  # four times
+    assert PRODUCTS == want
 
 
 def test_hierarchy_and_bbgky_share_one_flow_and_build_no_propagator(tmp_path, monkeypatch):
