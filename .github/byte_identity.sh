@@ -3,12 +3,13 @@
 #
 #     .github/byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
-# Builds the seed-0 scenarios of the three benchmark workloads (d = 4, by the
-# head's bench/workloads.py), the console-script scenario of tests.yml and a
-# density that is not exchange-symmetric (d = 3), whose propagation keeps
-# every pair of pair-swap blocks, runs each through both trees at one BLAS
-# thread, and compares every output
-# file but manifest.json with `diff -r`.  A difference fails the check unless
+# Builds the scenarios of seeds 0, 1 and 2 of the three benchmark workloads
+# (d = 4, by the head's bench/workloads.py), since a seed-0 scenario may keep
+# its bytes where other preset draws move, the console-script scenario of
+# tests.yml and a density that is not exchange-symmetric (d = 3), whose
+# propagation keeps every pair of pair-swap blocks, runs each through both
+# trees at one BLAS thread, and compares every output file but
+# manifest.json with `diff -r`.  A difference fails the check unless
 # qcorr.__version__ differs between the trees: a speedup keeps the bytes of
 # the output or bumps the version.  When the version moved, the differing
 # files are decoded and compared by value, so that a version bump cannot
@@ -32,7 +33,8 @@ from workloads import WORKLOADS, build
 from qcorr.serialize import dumps_canonical
 work = pathlib.Path(sys.argv[2])
 for name in WORKLOADS:
-    (work / f"{name}.json").write_text(dumps_canonical(build(name, 0, 4)))
+    for seed in (0, 1, 2):
+        (work / f"{name}-seed{seed}.json").write_text(dumps_canonical(build(name, seed, 4)))
 EOF
 cat > "$work/console.json" <<'EOF'
 {

@@ -28,7 +28,6 @@ import numpy as np
 
 from .evolution import (
     DensityFlow,
-    _conjugate,
     eigenbasis_parts,
     evolve_parts,
     group_apply,
@@ -144,15 +143,15 @@ def solve_bbgky_cumulant(
 def _embedded_group_conj(
     spec: SystemSpec, full: ParticleSet, sub_n: int, tau: float, x: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Conjugate x by the propagator of its labels ``full`` (= 1..sub_n).
+    """Conjugate x by the propagator of its labels ``full`` (= 1..sub_n),
+    by :func:`qcorr.evolution.group_apply`.
 
-    The dense reference conjugation, which the series' descent no longer
-    calls; kept with five arguments because the benchmark's layer tracer
-    wraps this name.
+    A reference route, which the series' descent no longer calls; it keeps
+    five arguments because the benchmark's layer tracer wraps this name.
     """
     if sub_n != len(full):
         raise ValueError(f"the propagator of {sub_n} particles does not act on {full}")
-    return _conjugate(make_unitary_group(spec, full), tau, x)
+    return group_apply(make_unitary_group(spec, full), tau, x)
 
 
 def _pair_potential_sums(spec: SystemSpec, ms: set[int]) -> dict[int, np.ndarray]:
@@ -178,7 +177,7 @@ def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.
 def _top_level(ug, coupling: np.ndarray, f: np.ndarray) -> tuple:
     """What :func:`_top_commutator` reads for H_m's group ug, V_m and F_m:
     (ug, C, R, parts), where per block b of ug C_b = (V_m Q_b) W_b and
-    R_b = (Q_b W_b)^*, the block's eigenvectors as rows, and parts holds the
+    R_b = (Q_b W_b)^*, the block's eigenbasis as rows, and parts holds the
     nonzero parts (1, H) and (i, K) of F_m = H + iK, H and K Hermitian, each
     as its :func:`qcorr.evolution.eigenbasis_parts`."""
     halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))

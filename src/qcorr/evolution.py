@@ -6,15 +6,13 @@ identical particles commutes with every particle permutation, so it is
 diagonalized in the blocks of the pair swaps (1 2), (3 4), ...
 (:func:`qcorr.operators.swap_block_spectrum`; 100, 60, 60 and 36 at d = 4,
 n = 4, in place of one of 256), and a group keeps its spectral data in
-those blocks: per block the eigenvectors W_b in the block's basis Q_b, so
-that V = Q W.  H_n is one block of the identity basis when an explicit
-potential leaves it asymmetric beyond round-off, and so is a block family's
-H_P = sum_B H_B, whose spectral data is the tensor product of the blocks'
-own.  The spectral data is cached per system, for label sets and for block
-families: cumulant sums revisit the same groups across many partitions,
-and must not pay for repeated eigendecompositions.  Every route takes its
-time dependence from one place, the phases p = exp(-(i/hbar) t lambda) of
-:func:`phases`.
+those blocks alone: per block its eigenvalues and the vectors W_b, in the
+block's basis Q_b, that diagonalize it.  H_n is one block of the identity
+basis when an explicit potential leaves it asymmetric beyond round-off.
+The groups are cached per system and label set: cumulant sums revisit the
+same groups across many partitions, and must not pay for repeated
+eigendecompositions.  Every route takes its time dependence from one
+place, the phases p = exp(-(i/hbar) t lambda) of :func:`phases`.
 
 The run's routes propagate in the blocks.  An operand x moves into the
 eigenbasis once (:func:`eigenbasis_parts`), as the block pairs x~_bc =
@@ -26,11 +24,13 @@ pair and one take per axis and block, so no product of size D = d^n runs
 on exchange-symmetric data.  :class:`DensityFlow` evolves a density
 sequence this way, as do the iteration series and the observables.
 
-The dense eigenvectors V (``UnitaryGroup.eigenvectors``) are built from the
-blocks on demand, for the reference routes: ``unitary_matrix(ug, t)`` and
-the conjugation :func:`_conjugate`, U x U^* with U built on every call,
-which ``group_apply``, ``group_apply_on_subsets`` and the cumulant formula
-share.
+The reference routes build the propagator from the same blocks:
+``unitary_matrix(ug, t)`` is sum_b Q_b (W_b p_b) W_b^* Q_b^T, and a block
+family's propagator is the tensor product of its blocks' own, U_P(t) =
+U_B1(t) x ... x U_Bk(t), so a family has no spectral data of its own.
+The conjugation U x U^* (:func:`_conjugate`), with U built on every call,
+is shared by ``group_apply``, ``group_apply_on_subsets`` and the cumulant
+formula.
 
 Time convention: ``unitary_matrix(ug, t)`` is exp(-(i/hbar) t H), and
 ``group_apply(ug, t, f)`` conjugates f with it.  The t-derivative of
@@ -42,18 +42,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
 
 import numpy as np
 
 from .hamiltonian import SystemSpec, build_hamiltonian
 from .operators import (
     ManyBodyOperator,
-    _swap_blocks,
-    block_vectors,
     from_swap_blocks,
     swap_block_spectrum,
     swap_blocks_of,
+    tensor_product,
 )
 from .partitions import ClusterSet, ParticleSet
 from .star_algebra import OperatorSequence
@@ -62,9 +60,9 @@ from .star_algebra import OperatorSequence
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
     """Spectral data of H on a label set, ready to exponentiate at any t:
-    the eigenvalues, and per block (cols, w, basis) as
-    :func:`qcorr.operators.swap_block_spectrum` gives them, eigenvalues[cols]
-    being the block's."""
+    the eigenvalues, block after block, and per block (cols, w, basis) as
+    :func:`qcorr.operators.swap_block_spectrum` gives them, the slice
+    eigenvalues[cols] being the block's."""
 
     labels: ParticleSet
     dim_single: int
@@ -76,47 +74,19 @@ class UnitaryGroup:
     def bases(self) -> list:
         return [basis for _, _, basis in self.blocks]
 
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """V, whose column j belongs to eigenvalues[j], for the reference routes."""
-        return block_vectors(self.blocks, self.eigenvalues.size)
-
 
 _CACHE: "weakref.WeakKeyDictionary[SystemSpec, dict]" = weakref.WeakKeyDictionary()
 
 
 def make_unitary_group(spec: SystemSpec, labels: ParticleSet) -> UnitaryGroup:
-    """Diagonalize H on the labels, reusing cached spectral data per spec."""
-    return _family_group(spec, (labels,))
-
-
-def _family_group(spec: SystemSpec, blocks: tuple) -> UnitaryGroup:
-    """The group of sum_B H_B on the union of the blocks, cached per spec.
-
-    One block is diagonalized by :func:`qcorr.operators.swap_block_spectrum`,
-    in the blocks of its pair swaps when H is exchange-symmetric.  Several
-    take the Kronecker sum of the blocks' eigenvalues and the Kronecker
-    product of their eigenvectors, rows in label order, as one block of the
-    identity basis.
-    """
-    key = tuple(b.labels for b in blocks)
+    """Diagonalize H on the labels by :func:`qcorr.operators.swap_block_spectrum`,
+    reusing the group cached per spec and label set."""
     cache = _CACHE.setdefault(spec, {})
-    if key in cache:
-        return cache[key]
-    slots = sum(key, ())
-    if len(key) == 1:
-        h = build_hamiltonian(spec, blocks[0]).matrix
-        lam, parts = swap_block_spectrum(h, spec.dim_single, len(slots))
-    else:
-        groups = [make_unitary_group(spec, b) for b in blocks]
-        lam = reduce(np.add.outer, (g.eigenvalues for g in groups)).ravel()
-        v = reduce(np.kron, (g.eigenvectors for g in groups))
-        v = v.reshape((spec.dim_single,) * len(slots) + (lam.size,))
-        v = v.transpose((*np.argsort(slots), len(slots))).reshape(lam.size, lam.size)
-        parts = ((np.arange(lam.size), v, _swap_blocks(lam.size, 1)[0]),)
-    ug = UnitaryGroup(ParticleSet.of(slots), spec.dim_single, spec.hbar, lam, parts)
-    cache[key] = ug
-    return ug
+    if labels not in cache:
+        h = build_hamiltonian(spec, labels).matrix
+        lam, blocks = swap_block_spectrum(h, spec.dim_single, len(labels))
+        cache[labels] = UnitaryGroup(labels, spec.dim_single, spec.hbar, lam, blocks)
+    return cache[labels]
 
 
 def phases(ug: UnitaryGroup, t) -> np.ndarray:
@@ -126,8 +96,11 @@ def phases(ug: UnitaryGroup, t) -> np.ndarray:
 
 
 def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
-    """exp(-(i/hbar) t H) from the cached spectral data."""
-    return (ug.eigenvectors * phases(ug, t)) @ ug.eigenvectors.conj().T
+    """exp(-(i/hbar) t H) = sum_b Q_b (W_b p_b) W_b^* Q_b^T, p = phases(ug, t),
+    assembled from the blocks by :func:`qcorr.operators.from_swap_blocks`."""
+    p = phases(ug, t)
+    moved = {(b, b): (w * p[cols]) @ w.conj().T for b, (cols, w, _) in enumerate(ug.blocks)}
+    return from_swap_blocks(moved, ug.bases)
 
 
 def eigenbasis_parts(ug: UnitaryGroup, x: np.ndarray) -> dict:
@@ -153,29 +126,35 @@ def propagate(ug: UnitaryGroup, t: float, x: np.ndarray) -> np.ndarray:
     return x if t == 0.0 else evolve_parts(ug, eigenbasis_parts(ug, x), t)
 
 
-def _conjugate(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:
-    """The reference conjugation: U f U^* with U = unitary_matrix(ug, t), or f at t = 0."""
-    if f.labels != ug.labels or f.dim_single != ug.dim_single:
+def _conjugate(labels: ParticleSet, d: int, t: float, f: ManyBodyOperator, propagator):
+    """U f U^*, U = propagator(t) on the labels with dimension d; f at t = 0."""
+    if f.labels != labels or f.dim_single != d:
         raise ValueError(
-            f"propagator on {ug.labels} with d = {ug.dim_single} cannot act "
+            f"propagator on {labels} with d = {d} cannot act "
             f"on an operand on {f.labels} with d = {f.dim_single}"
         )
     if t == 0.0:
         return f
-    u = unitary_matrix(ug, t)
+    u = propagator(t)
     return ManyBodyOperator(f.labels, f.dim_single, u @ f.matrix @ u.conj().T)
 
 
 def group_apply(ug: UnitaryGroup, t: float, f: ManyBodyOperator) -> ManyBodyOperator:
     """Conjugate f with the propagator at time t (t = 0 returns f itself)."""
-    return _conjugate(ug, t, f)
+    return _conjugate(ug.labels, ug.dim_single, t, f, lambda t: unitary_matrix(ug, t))
 
 
 def group_apply_on_subsets(
     spec: SystemSpec, t: float, blocks: ClusterSet, f: ManyBodyOperator
 ) -> ManyBodyOperator:
-    """Conjugate f with the product of the blocks' own propagators."""
-    return _conjugate(_family_group(spec, blocks.elements), t, f)
+    """Conjugate f with the tensor product of the blocks' own propagators."""
+    d = spec.dim_single
+
+    def product(t):
+        us = [unitary_matrix(make_unitary_group(spec, b), t) for b in blocks]
+        return tensor_product(ManyBodyOperator(b, d, u) for b, u in zip(blocks, us)).matrix
+
+    return _conjugate(blocks.union, d, t, f, product)
 
 
 class DensityFlow:

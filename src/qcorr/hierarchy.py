@@ -20,7 +20,8 @@ as a reference route in :mod:`qcorr.verify`.
 :func:`solve_via_density_oracle` is the literal route to the same answer:
 Exp and Ln as the paper's partition sums (:func:`literal_cluster_transform`)
 around the same componentwise evolution.  It shares only the propagator
-with the solver, which the group-law checks compare with numpy.
+with the solver, which the group-law checks hold to the group laws and the
+test ``test_swap_blocks_diagonalize_h_n_as_eigh_does`` to numpy's ``eigh``.
 
 The chaos solution, the generator of the hierarchy and its checks are
 reference routes in :mod:`qcorr.verify`.

@@ -485,43 +485,22 @@ def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True):
     which the round-off of a symmetric sum does not reach, m is one block of
     the identity basis, and numpy sees it whole, as it is.
 
-    Returns (lam, blocks): every eigenvalue, ascending, and per block
-    (cols, w, basis), where lam[cols] are the block's eigenvalues, the
-    columns of w its eigenvectors in the block's basis (None without
-    vectors), and basis its entry of :func:`_swap_blocks`.
+    Returns (lam, blocks): every eigenvalue, block after block, each block's
+    ascending, and per block (cols, w, basis), where the slice lam[cols]
+    holds the block's eigenvalues, the columns of w its eigenbasis in the
+    block's basis (None without vectors), and basis its entry of
+    :func:`_swap_blocks`.
     """
     symmetric = _pair_swap_symmetric(m, d, n)
     bases = _swap_blocks(d, n) if symmetric else _swap_blocks(len(m), 1)
-    parts = []
+    lams, blocks, start = [], [], 0
     for basis in bases:
         block = into_swap_basis(into_swap_basis(m, basis, 0), basis, 1)
-        parts.append(np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None))
-    lam = np.concatenate([w for w, _ in parts])
-    order = np.argsort(lam, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(lam.size)
-    blocks, start = [], 0
-    for (w, v), basis in zip(parts, bases):
-        blocks.append((column[start : start + len(w)], v, basis))
-        start += len(w)
-    return lam[order], tuple(blocks)
-
-
-def block_vectors(blocks: Sequence[tuple], dim: int) -> np.ndarray:
-    """The eigenvectors of a :func:`swap_block_spectrum` as the columns of
-    one dense matrix: column cols[r] of a block is Q w[:, r]."""
-    v = np.empty((dim, dim), blocks[0][1].dtype)
-    for cols, w, basis in blocks:
-        v[:, cols] = out_of_swap_basis(w, basis, 0)
-    return v
-
-
-def swap_block_eigh(m: np.ndarray, d: int, n: int, vectors: bool = True):
-    """``np.linalg.eigh(m)``, or ``eigvalsh`` without vectors, for a Hermitian
-    matrix m on n slots of dimension d, by :func:`swap_block_spectrum`: the
-    eigenvalues ascending, and the vectors as the columns of one matrix."""
-    lam, blocks = swap_block_spectrum(m, d, n, vectors)
-    return (lam, block_vectors(blocks, len(m))) if vectors else lam
+        lam, w = np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None)
+        lams.append(lam)
+        blocks.append((slice(start, start + lam.size), w, basis))
+        start += lam.size
+    return np.concatenate(lams), tuple(blocks)
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

@@ -6,7 +6,8 @@ platform.  Hermitian draws follow the usual Gaussian-ensemble recipe
 (B + B*)/2 and are then rescaled, symmetrized, or de-traced as requested.
 A random operator is symmetrized and de-traced first and rescaled once, to
 its trace norm, which one spectrum gives: that of the exchange-symmetric
-draws in the blocks of the pair swaps (:func:`qcorr.operators.swap_block_eigh`).
+draws in the blocks of the pair swaps
+(:func:`qcorr.operators.swap_block_spectrum`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .hierarchy import CorrelationState, DensityState
 from .operators import (
     ManyBodyOperator,
     identity_operator,
-    swap_block_eigh,
+    swap_block_spectrum,
     symmetrize,
 )
 from .partitions import ParticleSet
@@ -90,7 +91,7 @@ def random_operator(
     The draw is that of :func:`random_hermitian`, from the same stream, left
     unscaled: the trace norm, the sum of |eigenvalue|, sets the scale, and
     one spectrum gives it, in the pair-swap blocks of a symmetric draw
-    (:func:`qcorr.operators.swap_block_eigh`).
+    (:func:`qcorr.operators.swap_block_spectrum`).
     """
     dim = dim_single ** len(labels)
     op = ManyBodyOperator(labels, dim_single, _gaussian_hermitian(rng, dim))
@@ -98,8 +99,10 @@ def random_operator(
         op = symmetrize(op)
     if traceless:
         op = op - identity_operator(labels, dim_single) * (op.trace / dim)
-    lam = swap_block_eigh(op.matrix, dim_single, len(labels), vectors=False)
-    tn = float(np.sum(np.abs(lam)))
+    lam, _ = swap_block_spectrum(op.matrix, dim_single, len(labels), vectors=False)
+    # summed ascending, as eigvalsh gives lambda: summed block after block,
+    # the last bit of about one trace norm in eight moves, and the draw too
+    tn = float(np.sum(np.abs(np.sort(lam))))
     if tn == 0.0:  # pragma: no cover - measure-zero draw
         return op
     return op * (norm / tn)

@@ -32,6 +32,7 @@ from .bbgky import (
     additive_dispersion,
     additive_observable_moment,
     average_particle_number,
+    flow_observable_moments,
     marginal_state_from_density,
     reduce_from_density,
     solve_bbgky_cumulant,
@@ -40,6 +41,7 @@ from .bbgky import (
 from .cumulants import cumulant_apply
 from .errors import CapacityError
 from .evolution import (
+    DensityFlow,
     evolve_density_sequence,
     group_apply,
     group_apply_on_subsets,
@@ -1449,6 +1451,20 @@ def _suite_observables() -> list[Check]:
     def zero_observable():
         return abs(additive_dispersion(np.zeros((2, 2)), f_of_d))
 
+    def flow_moments():
+        times, seq = [0.3, 0.9], d0.seq
+        z = require_normalizable(annihilation_scalar(seq))
+        got = flow_observable_moments(DensityFlow(spec, seq), a1, times, z)
+        worst = 0.0
+        for t, row in zip(times, got):
+            ugs = {n: make_unitary_group(spec, op.labels) for n, op in seq.components.items()}
+            moved = {n: group_apply(ugs[n], t, op) for n, op in seq.components.items()}
+            dt = DensityState(OperatorSequence(2, seq.n_max, 1.0, moved))
+            want = [average_particle_number(marginal_state_from_density(dt))]
+            want += [additive_observable_moment(dt, a1, k) for k in (1, 2)]
+            worst = max(worst, *(abs(x - y) for x, y in zip(row, want)))
+        return worst
+
     def chaos_expansion_paths():
         g1 = chaos_one_particle(543, 2, norm=0.7)
         t = 0.5
@@ -1494,6 +1510,13 @@ def _suite_observables() -> list[Check]:
             "the dispersion of the zero observable is zero",
             0.0,
             zero_observable,
+        ),
+        Check(
+            "flow-moments",
+            "the moments taken in the eigenbasis of the density flow equal "
+            "those of the density evolved by the reference conjugation",
+            1e-10,
+            flow_moments,
         ),
         Check(
             "chaos-expansion-paths",

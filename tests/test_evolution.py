@@ -6,7 +6,6 @@ from qcorr import bbgky, evolution
 from qcorr.cumulants import cumulant_apply
 from qcorr.evolution import (
     DensityFlow,
-    _family_group,
     evolve_density_sequence,
     group_apply,
     group_apply_on_subsets,
@@ -15,7 +14,13 @@ from qcorr.evolution import (
 )
 from qcorr import operators, presets
 from qcorr.hamiltonian import SystemSpec, build_hamiltonian
-from qcorr.operators import ManyBodyOperator, swap_block_eigh, symmetrize, trace_norm
+from qcorr.operators import (
+    ManyBodyOperator,
+    from_swap_blocks,
+    swap_block_spectrum,
+    symmetrize,
+    trace_norm,
+)
 from qcorr.partitions import ClusterSet, ParticleSet
 from qcorr.star_algebra import OperatorSequence
 from qcorr.presets import (
@@ -136,11 +141,22 @@ def test_blockwise_free_system_equals_full_group(spec_free):
 
 
 @pytest.mark.parametrize(
-    "d,blocks", [(3, [[1, 3], [2]]), (2, [[1, 4], [2, 3]])], ids=["d3-13-2", "d2-14-23"]
+    "system,d,blocks",
+    [
+        ("preset", 3, [[1, 3], [2]]),
+        ("preset", 2, [[1, 4], [2, 3]]),
+        ("preset", 4, [[1, 3], [2]]),
+        ("asymmetric", 3, [[1, 3], [2]]),
+    ],
+    ids=["d3-13-2", "d2-14-23", "d4-13-2", "asymmetric-d3-13-2"],
 )
-def test_interleaved_block_family_is_product_of_block_exponentials(d, blocks):
-    # guards the label order of the family's Kronecker-sum eigenvalues
-    spec = random_system(seed=51, dim_single=d, orders=(2, 3))
+def test_interleaved_block_family_is_product_of_block_exponentials(system, d, blocks):
+    # guards the label order of the tensor product of the blocks' propagators,
+    # on blocks in their pair swaps' blocks and on blocks of the identity basis
+    if system == "preset":
+        spec = random_system(seed=51, dim_single=d, orders=(2, 3))
+    else:
+        spec = _asymmetric_within_the_guard(d)
     family = ClusterSet.of(blocks)
     n = len(family.union)
     f = ManyBodyOperator(family.union, d, complex_gaussian(rng_from_seed(52), d**n))
@@ -152,25 +168,24 @@ def test_interleaved_block_family_is_product_of_block_exponentials(d, blocks):
         u = u @ expm_series(-1j * t / spec.hbar * h)
     got = group_apply_on_subsets(spec, t, family, f)
     assert np.abs(got.matrix - u @ f.matrix @ u.conj().T).max() <= 1e-12
+    # a preset H_B with two or more particles splits into its pair swaps'
+    # blocks; the asymmetric potential leaves every H_B whole
+    whole = [len(evolution._CACHE[spec][block].blocks) == 1 for block in family]
+    assert whole == [system == "asymmetric" or len(block) == 1 for block in family]
 
 
 def test_block_family_group_is_cached_without_its_own_eigh(monkeypatch):
     spec = random_system(seed=53, dim_single=2, orders=(2, 3))
-    eigh = np.linalg.eigh
-    calls = []
-
-    def counting(m):
-        calls.append(m.shape[0])
-        return eigh(m)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = _counting_eigh(monkeypatch)
     blocks = ClusterSet.of([[1, 3], [2]])
-    first = _family_group(spec, blocks.elements)
+    f = rand_op(57, [1, 2, 3], herm=False)
+    first = group_apply_on_subsets(spec, 0.6, blocks, f)
     # {2} whole, {1,3} in its swap's blocks [3, 1], nothing on {1,2,3}
     assert sorted(calls) == [1, 2, 3]
-    assert _family_group(spec, blocks.elements) is first
+    assert set(evolution._CACHE[spec]) == {ParticleSet((1, 3)), ParticleSet((2,))}
+    again = group_apply_on_subsets(spec, 0.6, blocks, f)
     assert len(calls) == 3
-    assert first.labels == ParticleSet.range1(3)
+    assert again.matrix.tobytes() == first.matrix.tobytes()
 
 
 def test_operand_dimension_mismatch_names_both_dimensions(spec2):
@@ -291,17 +306,18 @@ def test_swap_blocks_diagonalize_h_n_as_eigh_does(d, free, monkeypatch):
         calls.clear()
         ug = make_unitary_group(spec, labels)
         assert sorted(calls) == _swap_block_sizes(d, n)
-        lam, v = ug.eigenvalues, ug.eigenvectors
+        lam = ug.eigenvalues
         want_lam, want_v = np.linalg.eigh(h)
-        assert np.all(np.diff(lam) >= 0)
-        assert np.abs(lam - want_lam).max() <= 1e-13
-        assert np.abs((v * lam) @ v.conj().T - h).max() <= 1e-13
-        assert np.abs(v.conj().T @ v - np.eye(d**n)).max() <= 1e-13
+        assert np.abs(np.sort(lam) - want_lam).max() <= 1e-13
+        for cols, w, _ in ug.blocks:
+            assert np.abs(w.conj().T @ w - np.eye(len(w))).max() <= 1e-13
+        parts = {(b, b): (w * lam[cols]) @ w.conj().T for b, (cols, w, _) in enumerate(ug.blocks)}
+        assert np.abs(from_swap_blocks(parts, ug.bases) - h).max() <= 1e-13
         for t in (0.7, -2.3):
             want_u = (want_v * np.exp(-1j * t / spec.hbar * want_lam)) @ want_v.conj().T
             assert np.abs(unitary_matrix(ug, t) - want_u).max() <= 1e-13
-        values = swap_block_eigh(h, d, n, vectors=False)
-        assert np.abs(values - np.linalg.eigvalsh(h)).max() <= 1e-13
+        values, _ = swap_block_spectrum(h, d, n, vectors=False)
+        assert np.abs(np.sort(values) - np.linalg.eigvalsh(h)).max() <= 1e-13
 
 
 def _asymmetric_within_the_guard(d):
@@ -328,9 +344,12 @@ def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypat
         ug = make_unitary_group(spec, labels)
         assert calls == [d**n]
         want_lam, want_v = np.linalg.eigh(h)
+        ((cols, w, _),) = ug.blocks
+        assert cols == slice(0, d**n)
         assert ug.eigenvalues.tobytes() == want_lam.tobytes()
-        assert ug.eigenvectors.tobytes() == want_v.tobytes()
-        assert swap_block_eigh(h, d, n, vectors=False).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        assert w.tobytes() == want_v.tobytes()
+        values, _ = swap_block_spectrum(h, d, n, vectors=False)
+        assert values.tobytes() == np.linalg.eigvalsh(h).tobytes()
 
 
 def _relative(got, want):
@@ -368,6 +387,8 @@ def test_block_route_equals_the_dense_reference(d, system):
                 want = u @ x @ u.conj().T
                 assert _relative(evolution.evolve_parts(ug, parts, t), want) <= 1e-13
                 assert _relative(evolution.propagate(ug, t, x), want) <= 1e-13
+                got = group_apply(ug, t, ManyBodyOperator(labels, d, x)).matrix
+                assert _relative(got, want) <= 1e-13
         assert evolution.propagate(ug, 0.0, general) is general
         comps[n] = ManyBodyOperator(labels, d, general if n % 2 else sym)
     d0 = OperatorSequence(d, 4, 1.0, comps)

@@ -25,7 +25,7 @@ from qcorr.serialize import dumps_canonical, encode_raw_matrix, encode_sequence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every matrix product that a block's eigenvectors enter, by the shapes of
+# every matrix product that a block's eigenbasis W_b enters, by the shapes of
 # its operands
 PRODUCTS: Counter = Counter()
 

@@ -11,7 +11,7 @@ runs both documents through `cli.main`, parsing and writing included:
 - a run of the state that a run at t1 writes, at t2, is the run at t1 + t2.
 
 The factors are powers of two, so every scaled matrix is exact and `eigh`
-returns the scaled eigenvalues and the same eigenvectors.  A fault that only
+returns the scaled eigenvalues and the same eigenbasis.  A fault that only
 shows at hbar != 1, or one that two routes share, breaks these relations.
 """
 
