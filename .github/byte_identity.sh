@@ -6,9 +6,11 @@
 # Builds the scenarios of seeds 0, 1 and 2 of the three benchmark workloads
 # (d = 4, by the head's bench/workloads.py), since a seed-0 scenario may keep
 # its bytes where other preset draws move, the console-script scenario of
-# tests.yml and a density that is not exchange-symmetric (d = 3), whose
-# propagation keeps every pair of pair-swap blocks, runs each through both
-# trees at one BLAS thread, and compares every output file but
+# tests.yml, a density that is not exchange-symmetric (d = 3), whose
+# propagation keeps every pair of pair-swap blocks, and an explicit density
+# that is exchange-symmetric but not Hermitian (d = 3), whose iteration
+# series takes both traced directions of every collision, runs each
+# through both trees at one BLAS thread, and compares every output file but
 # manifest.json with `diff -r`.  A difference fails the check unless
 # qcorr.__version__ differs between the trees: a speedup keeps the bytes of
 # the output or bumps the version.  When the version moved, the differing
@@ -35,6 +37,28 @@ work = pathlib.Path(sys.argv[2])
 for name in WORKLOADS:
     for seed in (0, 1, 2):
         (work / f"{name}-seed{seed}.json").write_text(dumps_canonical(build(name, seed, 4)))
+
+import numpy as np
+from qcorr.operators import ManyBodyOperator, symmetrize
+from qcorr.partitions import ParticleSet
+from qcorr.presets import rng_from_seed
+from qcorr.serialize import encode_sequence
+from qcorr.star_algebra import OperatorSequence
+# symmetrized complex Gaussian components, of trace norm 0.3 before the average
+rng, comps = rng_from_seed(15), {}
+for n in (1, 2, 3):
+    m = rng.standard_normal((3**n, 3**n)) + 1j * rng.standard_normal((3**n, 3**n))
+    m *= 0.3 / np.linalg.svd(m, compute_uv=False).sum()
+    comps[n] = symmetrize(ManyBodyOperator(ParticleSet.range1(n), 3, m))
+(work / "non-hermitian.json").write_text(dumps_canonical({
+    "system": {"preset": "random_hermitian", "seed": 16, "dim_single": 3, "orders": [2]},
+    "initial": {"density": encode_sequence(OperatorSequence(3, 3, 1.0, comps), kind="density")},
+    "times": [0.0, 0.3],
+    "n_max": 3,
+    "s_values": [1, 2],
+    "quadrature": {"order": 2, "nodes_per_dim": 6},
+    "tasks": ["bbgky", "iterate"],
+}))
 EOF
 cat > "$work/console.json" <<'EOF'
 {

@@ -11,10 +11,11 @@ cumulant solution formula, un-reduce/evolve/reduce for one s
 (:func:`solve_bbgky_cumulant`), is the reference route that the run's
 F_s(t) must equal on exchange-symmetric data.  The module also holds the
 time-ordered iteration series with numerical quadrature, which solves
-every s of one time in one call, and the particle-number / dispersion
-observables.  The third route (reduce the evolved correlation sequence),
-the literal cumulant sum and the correlation operators G_s are reference
-routes in :mod:`qcorr.verify`.
+every s of one time in one call by one descent from each F_m and one
+collision kernel, and the particle-number / dispersion observables.  The
+third route (reduce the evolved correlation sequence), the literal
+cumulant sum and the correlation operators G_s are reference routes in
+:mod:`qcorr.verify`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .evolution import (
     group_apply,
     make_unitary_group,
     phases,
-    propagate,
 )
 from .hamiltonian import SystemSpec
 from .hierarchy import DensityState
@@ -154,63 +154,49 @@ def _embedded_group_conj(
     return group_apply(make_unitary_group(spec, full), tau, x)
 
 
-def _pair_potential_sums(spec: SystemSpec, ms: set[int]) -> dict[int, np.ndarray]:
-    """V_m = sum_{i<m} Phi(i, m) on particles 1..m, for each m in ``ms``, ascending."""
-    d, phi2 = spec.dim_single, spec.potentials[2]
-    return {
-        m: embed_sum([((i, m), phi2) for i in range(1, m)], ParticleSet.range1(m), d)
-        for m in sorted(ms)
-    }
+def _collision_level(spec: SystemSpec, ug) -> tuple:
+    """(ug, C, L, C^*, L^*) for :func:`_collision` on H_m's group ug: per
+    block b, L_b = Q_b W_b and C_b = V_m L_b, V_m = sum_{i<m} Phi(i, m), and
+    each adjoint as a (d s_b) x (D/d) matrix whose row (k, r) is its row r
+    at the columns k, k + d, ..., so that Tr_m takes one product."""
+    d, m = spec.dim_single, len(ug.labels)
+    v = embed_sum([((i, m), spec.potentials[2]) for i in range(1, m)], ParticleSet.range1(m), d)
+    ls = [out_of_swap_basis(w, basis, 0) for _, w, basis in ug.blocks]
+    cs = [into_swap_basis(v, basis, 1) @ w for _, w, basis in ug.blocks]
+
+    def adjoint(a):
+        return a.conj().reshape(len(a) // d, d, -1).transpose(1, 2, 0).reshape(-1, len(a) // d)
+
+    return ug, cs, ls, [adjoint(c) for c in cs], [adjoint(x) for x in ls]
 
 
-def _trace_last(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """Tr_m(a b), m the last tensor factor: only the blocks of a b diagonal
-    in m (rows and columns k, k+d, ... for each k < d) count, D^3/d flops."""
-    return sum(a[k::d] @ b[:, k::d] for k in range(d))
+def _collision(level: tuple, parts: dict, hermitian: bool, tau: float) -> np.ndarray:
+    """Tr_m of -(i/hbar)[V_m, X], X = G_m(tau) x, from x's
+    :func:`qcorr.evolution.eigenbasis_parts` and the factors of
+    :func:`_collision_level`, particle m being the last tensor factor.
 
-
-def _traced_commutator(v: np.ndarray, x: np.ndarray, d: int, hbar: float) -> np.ndarray:
-    """Tr_m of -(i/hbar)[V, X], particle m being the last tensor factor."""
-    return (-1j / hbar) * (_trace_last(v, x, d) - _trace_last(x, v, d))
-
-
-def _top_level(ug, coupling: np.ndarray, f: np.ndarray) -> tuple:
-    """What :func:`_top_commutator` reads for H_m's group ug, V_m and F_m:
-    (ug, C, R, parts), where per block b of ug C_b = (V_m Q_b) W_b and
-    R_b = (Q_b W_b)^*, the block's eigenbasis as rows, and parts holds the
-    nonzero parts (1, H) and (i, K) of F_m = H + iK, H and K Hermitian, each
-    as its :func:`qcorr.evolution.eigenbasis_parts`."""
-    halves = ((1, (f + f.conj().T) / 2), (1j, (f - f.conj().T) / 2j))
-    parts = [(c, eigenbasis_parts(ug, h)) for c, h in halves if np.any(h)]
-    cs = [into_swap_basis(coupling, basis, 1) @ w for _, w, basis in ug.blocks]
-    rs = [out_of_swap_basis(w.conj().T, basis, 1) for _, w, basis in ug.blocks]
-    return ug, cs, rs, parts
-
-
-def _top_commutator(top: tuple, tn: float, d: int, hbar: float) -> np.ndarray:
-    """T_m(t_n) = Tr_m of -(i/hbar)[V_m, G_m(t_n) F_m] at an outer node t_n.
-
-    The top level of every series term on m particles: it depends on m and
-    t_n alone, so one solve evaluates it once per (m, t_n) for all s with
-    s < m <= s + order.  ``top`` is :func:`_top_level`'s.  With
-    p = ``phases(group, t_n)`` each part P evolves to the Hermitian
-    X = sum over its block pairs of Q_b W_b (p_b P_bc p_c^*) W_c^* Q_c^T, so
-    Tr_m(X V_m) = T^* for T = Tr_m(V_m X) = sum over the pairs of
-    Tr_m((C_b p_b)(P_bc p_c^*) R_c): per pair one product of a D x s_b by an
-    s_b x s_c matrix, and D^2 s_c/d flops for the trace, where the dense
-    route took a D^3 product per part.
+    X = sum over the pairs of L_b (p_b x~_bc p_c^*) L_c^*, p = ``phases``,
+    so Tr_m(V_m X) = sum_c Tr_m(M_c L_c^*), M_c = sum_b C_b (p_b x~_bc p_c^*),
+    and for the Hermitian V_m Tr_m(X V_m) is the same with L and C swapped,
+    or Tr_m(V_m X)^* when x is Hermitian.  Per pair one D x s_b by s_b x s_c
+    product, and per block one product of M_c, read as D/d rows of d s_c,
+    by the adjoint: D^2 s_c/d flops, not the D^3 of a full V_m X.
     """
-    ug, cs, rs, parts = top
-    p = phases(ug, tn)
+    ug, cs, ls, cs_adj, ls_adj = level
+    p = phases(ug, tau)
     ps = [p[cols] for cols, _, _ in ug.blocks]
-    cps = [c * pb for c, pb in zip(cs, ps)]
-    acc = np.zeros((p.size // d,) * 2, dtype=complex)
-    for coef, part in parts:
-        tr = sum(
-            _trace_last(cps[b] @ (x * ps[c].conj()), rs[c], d) for (b, c), x in part.items()
-        )
-        acc = acc + coef * (tr - tr.conj().T)
-    return (-1j / hbar) * acc
+    moved = {(b, c): (ps[b][:, None] * x) * ps[c].conj() for (b, c), x in parts.items()}
+
+    def traced(left, right):
+        rows = {}
+        for (b, c), y in moved.items():
+            rows[c] = rows[c] + left[b] @ y if c in rows else left[b] @ y
+        d = ug.dim_single
+        return sum(z.reshape(len(z) // d, -1) @ right[c] for c, z in rows.items())
+
+    vx = traced(cs, ls_adj)
+    xv = vx.conj().T if hermitian else traced(ls, cs_adj)
+    return (-1j / ug.hbar) * (vx - xv)
 
 
 @lru_cache(maxsize=None)
@@ -260,60 +246,58 @@ def solve_bbgky_iteration(
     The rule nests t_n outermost, on [0, t], and each t_{j-1} on [t_j, t]
     (:func:`_interval_nodes`), so a term is a tree.  No level depends on
     s: a chain from level m passes level j at the same nodes for every s
-    below j.  So V_m, the spectral parts of F_m and the top level T_m(t_n)
-    (:func:`_top_commutator`) are built once per call, and one descent from
-    each T_m(t_n) serves every s whose series reaches m, ending the chain
-    of F_s at level s.  Every s sums its terms in the order of a solve for
-    it alone, so F_s does not depend on the other s requested, to the bit.
-    Tracing each level out at once is exact: every later step acts on
-    particles 1..m-1 only, so Tr_m commutes with it.
+    below j.  So one descent from each F_m serves every s with
+    s <= m <= s + order, and ends the chain of F_s at level s; at m = s
+    that end is the zeroth order G_s(t) F_s.  Every collision, at every
+    level, is one kernel (:func:`_collision`), whose factors
+    (:func:`_collision_level`) are built once per call and level.  Every s
+    sums its terms in the order of a solve for it alone, so F_s does not
+    depend on the other s requested, to the bit.  Tracing each level out
+    at once is exact: every later step acts on particles 1..m-1 only, so
+    Tr_m commutes with it.  At t = 0 each F_s is returned as given.
     """
     require_two_body(spec)
     seq = f0.seq
     for s in s_values:
         if not 1 <= s <= seq.n_max:
             raise ValueError(f"s must be in [1, {seq.n_max}], got {s}")
-    d, hbar = spec.dim_single, spec.hbar
+    if t == 0.0:
+        return {s: seq.component(s) for s in s_values}
+    levels = {}
 
     def descend(ends: list[int], m: int, tau: float, x: np.ndarray) -> dict:
         """{s: the chain of F_s} for each s <= m in ``ends``, from x on
         particles 1..m at time tau on to time t.
 
-        The chain of s = m conjugates x with G_m(t - tau).  Each node t' of
-        [tau, t] conjugates x with G_m(t' - tau), and the chains of the
-        s < m descend together from Tr_m[V_m, .] of that at t'.  x moves
-        into the eigenbasis of H_m once, and each node only applies phases.
+        The chain of s = m conjugates x with G_m(t - tau).  At each node t'
+        of [tau, t] the chains of the s < m descend together from
+        Tr_m[V_m, G_m(t' - tau) x] (:func:`_collision`).  x moves into the
+        eigenbasis of H_m once, and the chain end and every node read those
+        parts.
         """
         ug = make_unitary_group(spec, ParticleSet.range1(m))
         parts = eigenbasis_parts(ug, x)
+        hermitian = np.array_equal(x, x.conj().T)
         below = [s for s in ends if s < m]
+        if below and m not in levels:
+            levels[m] = _collision_level(spec, ug)
         acc = {s: 0 for s in below}
         for node, w in _interval_nodes(q, tau, t) if below else []:
-            y = _traced_commutator(coupling[m], evolve_parts(ug, parts, node - tau), d, hbar)
+            y = _collision(levels[m], parts, hermitian, node - tau)
             for s, chain in descend(below, m - 1, node, y).items():
                 acc[s] = acc[s] + w * chain
         if m in ends:  # from 0, as every sum here, so -0.0 ends as +0.0
             acc[m] = 0 + evolve_parts(ug, parts, t - tau)
         return acc
 
-    totals = {}
-    for s in s_values:
-        ug = make_unitary_group(spec, ParticleSet.range1(s))
-        totals[s] = propagate(ug, t, seq.component(s).matrix)
-    top_end = {s: min(s + q.order, seq.n_max) for s in totals}
-    coupling = _pair_potential_sums(
-        spec, {m for s in totals for m in range(s + 1, top_end[s] + 1)}
-    )
-    for m in coupling:
-        if not seq.has(m):
-            continue
-        ends = [s for s in totals if s < m <= top_end[s]]
-        ug = make_unitary_group(spec, ParticleSet.range1(m))
-        top = _top_level(ug, coupling[m], seq.components[m].matrix)
-        for tn, wt in _interval_nodes(q, 0.0, t):
-            x = _top_commutator(top, tn, d, hbar)
-            for s, chain in descend(ends, m - 1, tn, x).items():
-                totals[s] = totals[s] + wt * chain
+    d = spec.dim_single
+    totals = {s: np.zeros((d**s, d**s), dtype=complex) for s in s_values}
+    top = {s: min(s + q.order, seq.n_max) for s in s_values}
+    for m in range(1, seq.n_max + 1):
+        ends = [s for s in s_values if s <= m <= top[s]]
+        if ends and seq.has(m):
+            for s, chain in descend(ends, m, 0.0, seq.components[m].matrix).items():
+                totals[s] = totals[s] + chain
     return {s: ManyBodyOperator(ParticleSet.range1(s), d, m) for s, m in totals.items()}
 
 

@@ -162,7 +162,9 @@ class Scenario:
     def state(self, t: float) -> OperatorSequence:
         """D(t): from states when two or more of evolve, hierarchy and bbgky
         read it, which keeps every D(t) until the run ends; else computed
-        afresh, so a lone reader holds one D(t) at a time."""
+        afresh.  A lone hierarchy or bbgky reader then holds one D(t) at a
+        time, but evolve's result keeps every D(t) until it is written, as
+        states view each D(t) through encode_raw_matrix."""
         shared = len({"evolve", "hierarchy", "bbgky"}.intersection(self.tasks)) > 1
         return self.states[t] if shared else self.flow.at(t)
 

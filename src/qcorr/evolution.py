@@ -22,7 +22,8 @@ pairs b = c alone.  At time t it returns as sum Q_b W_b (p_b x~_bc p_c^*)
 W_c^* Q_c^T (:func:`evolve_parts`), again two block-sized products per
 pair and one take per axis and block, so no product of size D = d^n runs
 on exchange-symmetric data.  :class:`DensityFlow` evolves a density
-sequence this way, as do the iteration series and the observables.
+sequence this way, as do the observables and the chain ends of the
+iteration series, whose collisions read the same parts.
 
 The reference routes build the propagator from the same blocks:
 ``unitary_matrix(ug, t)`` is sum_b Q_b (W_b p_b) W_b^* Q_b^T, and a block
@@ -119,11 +120,6 @@ def evolve_parts(ug: UnitaryGroup, parts: dict, t: float) -> np.ndarray:
     wp = [w * p[cols] for cols, w, _ in ug.blocks]
     moved = {(b, c): wp[b] @ x @ wp[c].conj().T for (b, c), x in parts.items()}
     return from_swap_blocks(moved, ug.bases)
-
-
-def propagate(ug: UnitaryGroup, t: float, x: np.ndarray) -> np.ndarray:
-    """U(t) x U(t)^* in the blocks of ug, or x itself at t = 0."""
-    return x if t == 0.0 else evolve_parts(ug, eigenbasis_parts(ug, x), t)
 
 
 def _conjugate(labels: ParticleSet, d: int, t: float, f: ManyBodyOperator, propagator):

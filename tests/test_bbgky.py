@@ -35,16 +35,18 @@ from qcorr.bbgky import (
     solve_bbgky_iteration,
 )
 from qcorr import bbgky
-from qcorr.bbgky import _embedded_group_conj, _interval_nodes, _traced_commutator
+from qcorr.bbgky import _collision, _collision_level, _embedded_group_conj, _interval_nodes
 from qcorr.errors import NormalizationError
 from qcorr.evolution import (
     DensityFlow,
+    eigenbasis_parts,
     evolve_density_sequence,
     make_unitary_group,
     unitary_matrix,
 )
 from qcorr.hierarchy import DensityState, cluster_expand, solve_hierarchy
-from qcorr.operators import ManyBodyOperator, partial_trace, trace_norm
+from qcorr.hamiltonian import build_hamiltonian
+from qcorr.operators import ManyBodyOperator, partial_trace, symmetrize, trace_norm
 from qcorr.partitions import ParticleSet
 from qcorr.presets import (
     chaos_one_particle,
@@ -330,40 +332,47 @@ def test_gauss_error_decreases_with_nodes():
 # the ids of the iteration tests name the quadrature rule they run
 GAUSS = "gauss-legendre-simplex"
 
-# (s, order, nodes, d, n_max, t, hermitian); d = 2 alone cannot tell a
-# stride of d from 2, complex Gaussian components run the anti-Hermitian
-# part of the top level, and t < 0 runs every interval [t_j, t] backwards
-CHAINS = [(1, 2, 5, 2, 4, 0.4, True), (2, 2, 5, 2, 4, 0.4, True),
-          (3, 2, 5, 2, 4, 0.4, True), (1, 3, 4, 2, 4, 0.4, True),
-          (1, 2, 4, 3, 3, 0.4, True), (1, 2, 5, 2, 4, -0.4, True),
-          (1, 3, 4, 2, 4, 0.4, False), (1, 2, 4, 3, 3, 0.4, False)]
+# (s, order, nodes, d, n_max, t, data); d = 2 alone cannot tell a stride
+# of d from 2, and t < 0 runs every interval [t_j, t] backwards.  Hermitian
+# data take the collisions' shortcut Tr_m(X V_m) = Tr_m(V_m X)^*; complex
+# Gaussian components keep every pair of pair-swap blocks, and symmetrized
+# ones, exchange-symmetric but not Hermitian (the only such data that
+# `qcorr run` lets `iterate` take), the diagonal pairs, both without it
+CHAINS = [(1, 2, 5, 2, 4, 0.4, "hermitian"), (2, 2, 5, 2, 4, 0.4, "hermitian"),
+          (3, 2, 5, 2, 4, 0.4, "hermitian"), (1, 3, 4, 2, 4, 0.4, "hermitian"),
+          (1, 2, 4, 3, 3, 0.4, "hermitian"), (1, 2, 5, 2, 4, -0.4, "hermitian"),
+          (1, 3, 4, 2, 4, 0.4, "complex"), (1, 2, 4, 3, 3, 0.4, "complex"),
+          (1, 2, 4, 3, 3, 0.4, "symmetric")]
 
 
-def _chain_id(s, order, nodes, d, n_max, t, hermitian):
+def _chain_id(s, order, nodes, d, n_max, t, data):
     return (f"{s}-{order}-{nodes}" + (f"-d{d}" if d != 2 else "")
-            + (f"-t{t}" if t != 0.4 else "") + ("" if hermitian else "-complex")
+            + (f"-t{t}" if t != 0.4 else "") + ("" if data == "hermitian" else f"-{data}")
             + f"-{GAUSS}")
 
 
-def _complex_marginals(seed, d, n_max):
-    """A marginal sequence of complex Gaussian components, not Hermitian."""
+def _complex_marginals(seed, d, n_max, symmetric=False):
+    """A marginal sequence of complex Gaussian components, not Hermitian,
+    each averaged over the particle permutations when ``symmetric``."""
     rng = rng_from_seed(seed)
     comps = {n: ManyBodyOperator(ParticleSet.range1(n), d, complex_gaussian(rng, d**n))
              for n in range(1, n_max + 1)}
+    if symmetric:
+        comps = {n: symmetrize(op) for n, op in comps.items()}
     return MarginalState(OperatorSequence(d, n_max, 1.0, comps))
 
 
 @pytest.mark.parametrize(
-    "s,order,nodes,d,n_max,t,hermitian", CHAINS, ids=[_chain_id(*c) for c in CHAINS]
+    "s,order,nodes,d,n_max,t,data", CHAINS, ids=[_chain_id(*c) for c in CHAINS]
 )
-def test_iteration_matches_full_embedding_chain(s, order, nodes, d, n_max, t, hermitian):
+def test_iteration_matches_full_embedding_chain(s, order, nodes, d, n_max, t, data):
     # the literal chain keeps every operator on all s+n particles and traces
     # them out at the end; the series traces each level out right away
     spec = random_system(318, dim_single=d, orders=(2,), hbar=0.7)
-    if hermitian:
+    if data == "hermitian":
         f0 = marginal_state_from_density(random_density_state(319, d, n_max))
     else:
-        f0 = _complex_marginals(320, d, n_max)
+        f0 = _complex_marginals(320, d, n_max, symmetric=data == "symmetric")
     comps = {n: op.matrix for n, op in f0.seq.components.items()}
     ref = naive_iteration_series(
         spec.one_body, spec.potentials[2], spec.hbar, d, comps, s, t, order, nodes
@@ -423,47 +432,54 @@ def test_nested_gauss_rule_is_exact_to_degree_2k_minus_n(n, k, t):
     assert worst_beyond > 1e-7
 
 
-def _count_top_levels(monkeypatch):
-    """Count _top_commutator calls by the dimension of their top level."""
+def _count_collisions(monkeypatch):
+    """Count _collision calls by the dimension of the level they act on."""
     counts = {}
-    original = bbgky._top_commutator
+    original = bbgky._collision
 
-    def counting(top, tn, d, hbar):
-        dim = top[0].eigenvalues.size
+    def counting(level, parts, hermitian, tau):
+        dim = level[0].eigenvalues.size
         counts[dim] = counts.get(dim, 0) + 1
-        return original(top, tn, d, hbar)
+        return original(level, parts, hermitian, tau)
 
-    monkeypatch.setattr(bbgky, "_top_commutator", counting)
+    monkeypatch.setattr(bbgky, "_collision", counting)
     return counts
 
 
 @pytest.mark.parametrize("order", [2, 3], ids=lambda order: f"{order}-{GAUSS}")
 def test_top_level_runs_once_per_outer_node(monkeypatch, order):
-    # term n evaluates G_{s+n}(t_n) F_{s+n} and its traced commutator at the
-    # nodes_per_dim nodes t_n alone, not at all nodes_per_dim^n leaves
-    counts = _count_top_levels(monkeypatch)
+    # term n takes the collision of G_{s+n}(t_n) F_{s+n} at the k nodes t_n
+    # alone, not at all k^n leaves; the descent from level j reaches level m
+    # once per node prefix (t_n, ..., t_m), so m runs k^(j-m+1) collisions
+    counts = _count_collisions(monkeypatch)
     spec = random_system(332, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(333, 2, 4))
     solve_bbgky_iteration(spec, f0, [1], 0.3, QuadratureSpec(order, 5))
-    assert counts == {2 ** (1 + n): 5 for n in range(1, order + 1)}
+    top = 1 + order
+    assert counts[2**top] == 5
+    assert counts == {
+        2**m: sum(5 ** (j - m + 1) for j in range(m, top + 1)) for m in range(2, top + 1)
+    }
 
 
 def test_top_level_is_shared_by_every_s(monkeypatch):
-    # s = 1, 2, 3 all reach m = 4 at order 3, and s = 1, 2 reach m = 3; each
-    # top level still runs once per outer node, not once per s
-    counts = _count_top_levels(monkeypatch)
+    # s = 1, 2, 3 all reach m = 4 at order 3, and s = 1, 2 reach m = 3; one
+    # descent from each level serves every s, so the joint solve runs the
+    # collisions of s = 1 alone
+    counts = _count_collisions(monkeypatch)
     spec = random_system(332, dim_single=2, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(333, 2, 4))
     solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.3, QuadratureSpec(3, 5))
-    assert counts == {4: 5, 8: 5, 16: 5}
+    assert counts == {4: 155, 8: 30, 16: 5}
 
 
-@pytest.mark.parametrize("d,nodes,calls", [(3, 6, 594), (2, 16, 9264)])
+@pytest.mark.parametrize("d,nodes,calls", [(3, 6, 309), (2, 16, 4659)])
 def test_lower_levels_run_once_for_every_s(monkeypatch, d, nodes, calls):
-    # s = 1, 2, 3 at order 3 and n_max = 4: per outer node the descent from
-    # m = 2, 3, 4 conjugates 1, 1 + 2k and 1 + 2k + 2k^2 times (k nodes), as
-    # every s below a level shares its conjugations; 3k + 4k^2 + 2k^3 in all.
-    # Each conjugation applies phases to an operand already in the blocks.
+    # s = 1, 2, 3 at order 3 and n_max = 4: a chain ends once per node prefix
+    # from each level, at level 1 1 + k + k^2 + k^3 times (k nodes), at level
+    # 2 1 + k + k^2 and at level 3 1 + k, as every s below a level shares
+    # its descent; 3 + 3k + 2k^2 + k^3 in all.  Each end applies phases to
+    # an operand already in the blocks, and no collision conjugates in full
     count = [0]
     original = bbgky.evolve_parts
 
@@ -475,7 +491,7 @@ def test_lower_levels_run_once_for_every_s(monkeypatch, d, nodes, calls):
     spec = random_system(318, dim_single=d, orders=(2,))
     f0 = marginal_state_from_density(random_density_state(319, d, 4))
     solve_bbgky_iteration(spec, f0, [1, 2, 3], 0.4, QuadratureSpec(3, nodes))
-    assert count[0] == calls == 3 * nodes + 4 * nodes**2 + 2 * nodes**3
+    assert count[0] == calls == 3 + 3 * nodes + 2 * nodes**2 + nodes**3
 
 
 @pytest.mark.parametrize("order", [1, 2, 3], ids=lambda order: f"{order}-{GAUSS}")
@@ -512,16 +528,27 @@ def test_each_s_is_solved_alike_whatever_else_is_asked(d, t):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_traced_commutator_matches_full_commutator_then_trace(d, m):
-    # non-Hermitian operands, so no symmetry of the blocks can hide an error
-    rng = rng_from_seed(340 + 10 * d + m)
+    # the collision kernel against G X G^* from numpy's whole-matrix eigh,
+    # its commutator with V_m in full and the trace over particle m.  X is a
+    # non-symmetric complex Gaussian, so it keeps every pair of blocks and no
+    # symmetry can hide an error; its Hermitian part takes the shortcut
+    spec = random_system(340 + 10 * d + m, dim_single=d, orders=(2,), hbar=0.7)
     labels = ParticleSet.range1(m)
-    v = ManyBodyOperator(labels, d, complex_gaussian(rng, d**m))
-    x = ManyBodyOperator(labels, d, complex_gaussian(rng, d**m))
-    hbar = 0.7
-    want = partial_trace(liouvillian_apply(v, x, hbar), ParticleSet((m,)))
-    got = _traced_commutator(v.matrix, x.matrix, d, hbar)
-    got_op = ManyBodyOperator(ParticleSet.range1(m - 1), d, got)
-    assert trace_norm(got_op - want) <= 1e-14 * trace_norm(want)
+    pairs = [naive_embed(spec.potentials[2], [i, m - 1], m, d) for i in range(m - 1)]
+    v = ManyBodyOperator(labels, d, sum(pairs))
+    lam, vec = np.linalg.eigh(build_hamiltonian(spec, labels).matrix)
+    ug = make_unitary_group(spec, labels)
+    level = _collision_level(spec, ug)
+    x = complex_gaussian(rng_from_seed(341 + 10 * d + m), d**m)
+    for operand, hermitian in ((x, False), ((x + x.conj().T) / 2, True)):
+        parts = eigenbasis_parts(ug, operand)
+        for tau in (0.0, 0.6):
+            g = (vec * np.exp(-1j * tau / spec.hbar * lam)) @ vec.conj().T
+            moved = ManyBodyOperator(labels, d, g @ operand @ g.conj().T)
+            want = partial_trace(liouvillian_apply(v, moved, spec.hbar), ParticleSet((m,)))
+            got = _collision(level, parts, hermitian, tau)
+            got_op = ManyBodyOperator(ParticleSet.range1(m - 1), d, got)
+            assert trace_norm(got_op - want) <= 1e-13 * trace_norm(want)
 
 
 def test_iteration_requires_pair_potential_only():

@@ -203,31 +203,32 @@ def test_operand_dimension_mismatch_names_both_dimensions(spec2):
 
 
 def test_blockwise_and_iteration_conjugate_through_the_kernel(monkeypatch, spec_pair):
-    # labels of every operand the public group_apply receives, and of every
-    # group the iteration series propagates a whole operand with
-    seen, propagated = [], []
+    # labels of every operand the public group_apply receives, and of the
+    # group at every chain end of the iteration series
+    seen, ends = [], []
 
     def counting(ug, t, f):
         seen.append(f.labels)
         return evolution._conjugate(ug, t, f)
 
-    def propagating(ug, t, x):
-        propagated.append(ug.labels)
-        return evolution.propagate(ug, t, x)
+    def ending(ug, parts, t):
+        ends.append(ug.labels)
+        return evolution.evolve_parts(ug, parts, t)
 
     for module in (evolution, bbgky):
         monkeypatch.setattr(module, "group_apply", counting)
-    monkeypatch.setattr(bbgky, "propagate", propagating)
+    monkeypatch.setattr(bbgky, "evolve_parts", ending)
     f = rand_op(55, [1, 2, 3], herm=False)
     group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 3], [2]]), f)
     group_apply_on_subsets(spec_pair, 0.4, ClusterSet.of([[1, 2, 3]]), f)
     assert seen == []
     f0 = bbgky.marginal_state_from_density(random_density_state(56, 2, 3))
     bbgky.solve_bbgky_iteration(spec_pair, f0, [1], 0.3, bbgky.QuadratureSpec(2, 4))
-    # the series' own G_s(t) F_s runs in the blocks of H_s, not through the
-    # dense reference kernel
+    # every chain, G_s(t) F_s among them, ends in the blocks of H_s, not
+    # through the dense reference kernel: at order 2 with 4 nodes the chains
+    # of s = 1 end 1 + 4 + 16 times
     assert seen == []
-    assert propagated == [ParticleSet.range1(1)]
+    assert ends == [ParticleSet.range1(1)] * 21
 
 
 def test_evolve_density_sequence_componentwise(spec2):
@@ -386,10 +387,8 @@ def test_block_route_equals_the_dense_reference(d, system):
                 u = (v * np.exp(-1j * t / spec.hbar * lam)) @ v.conj().T
                 want = u @ x @ u.conj().T
                 assert _relative(evolution.evolve_parts(ug, parts, t), want) <= 1e-13
-                assert _relative(evolution.propagate(ug, t, x), want) <= 1e-13
                 got = group_apply(ug, t, ManyBodyOperator(labels, d, x)).matrix
                 assert _relative(got, want) <= 1e-13
-        assert evolution.propagate(ug, 0.0, general) is general
         comps[n] = ManyBodyOperator(labels, d, general if n % 2 else sym)
     d0 = OperatorSequence(d, 4, 1.0, comps)
     flow = DensityFlow(spec, d0)

@@ -155,13 +155,15 @@ def test_every_density_task_moves_when_the_phases_move(tmp_path, task):
 
 
 def test_the_iteration_top_level_takes_its_phases_from_evolution(monkeypatch):
-    # probe M1 reaches the series' top level too: every top-level node
-    # evaluates its phases through evolution.phases
+    # probe M1 reaches the series' collisions too: each one evaluates its
+    # phases through evolution.phases
     calls = []
     monkeypatch.setattr(bbgky, "phases", lambda ug, t: calls.append(t) or evolution.phases(ug, t))
     spec = random_system(26, dim_single=2, orders=(2,))
     f0 = bbgky.marginal_state_from_density(random_density_state(27, 2, 4))
     bbgky.solve_bbgky_iteration(spec, f0, [1, 2], 0.3, bbgky.QuadratureSpec(2, 4))
-    # m = 2, 3, 4, each at the 4 Gauss nodes t_n in [0, 0.3]
-    assert len(calls) == 3 * 4
+    # k = 4 nodes: s = 1 reaches m = 2, 3 and s = 2 reaches m = 3, 4; the
+    # descent from m = 4 collides k + k^2 times, from m = 3 k + k^2 and from
+    # m = 2 k times, every s below a level sharing it
+    assert len(calls) == 44
     assert all(0.0 < t < 0.3 for t in calls)
