@@ -183,8 +183,7 @@ def _collision(level: tuple, parts: dict, hermitian: bool, tau: float) -> np.nda
     by the adjoint: D^2 s_c/d flops, not the D^3 of a full V_m X.
     """
     ug, cs, ls, cs_adj, ls_adj = level
-    p = phases(ug, tau)
-    ps = [p[cols] for cols, _, _ in ug.blocks]
+    ps = phases(ug, tau)
     moved = {(b, c): (ps[b][:, None] * x) * ps[c].conj() for (b, c), x in parts.items()}
 
     def traced(left, right):
@@ -351,10 +350,9 @@ def flow_observable_moments(
     number, moments = 0.0, np.zeros((2, len(times)), dtype=complex)
     for n, (ug, dt) in flow.parts.items():
         a = eigenbasis_parts(ug, _additive(a1, n, flow.d0.dim_single))
-        p = phases(ug, np.array(times)[:, None])  # a row per time
+        ps = phases(ug, np.array(times)[:, None])  # per block, a row per time
         number += n * np.trace(flow.d0.components[n].matrix) / factorial(n)
-        for b, (cols, _, _) in enumerate(ug.blocks):
-            pb = p[:, cols]
+        for b, pb in enumerate(ps):
             for k, x in enumerate((a[b, b], a[b, b] @ a[b, b])):
                 moments[k] += ((pb @ (x.T * dt[b, b])) * pb.conj()).sum(axis=1) / factorial(n)
     return [tuple(float((x / z).real) for x in (number, *m)) for m in moments.T]

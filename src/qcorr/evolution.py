@@ -12,7 +12,8 @@ basis when an explicit potential leaves it asymmetric beyond round-off.
 The groups are cached per system and label set: cumulant sums revisit the
 same groups across many partitions, and must not pay for repeated
 eigendecompositions.  Every route takes its time dependence from one
-place, the phases p = exp(-(i/hbar) t lambda) of :func:`phases`.
+place, the phases p_b = exp(-(i/hbar) t lambda_b) of :func:`phases`, one
+array per block.
 
 The run's routes propagate in the blocks.  An operand x moves into the
 eigenbasis once (:func:`eigenbasis_parts`), as the block pairs x~_bc =
@@ -61,19 +62,13 @@ from .star_algebra import OperatorSequence
 @dataclass(frozen=True, eq=False)
 class UnitaryGroup:
     """Spectral data of H on a label set, ready to exponentiate at any t:
-    the eigenvalues, block after block, and per block (cols, w, basis) as
-    :func:`qcorr.operators.swap_block_spectrum` gives them, the slice
-    eigenvalues[cols] being the block's."""
+    per block (lam, w, basis), as :func:`qcorr.operators.swap_block_spectrum`
+    gives them."""
 
     labels: ParticleSet
     dim_single: int
     hbar: float
-    eigenvalues: np.ndarray
     blocks: tuple
-
-    @property
-    def bases(self) -> list:
-        return [basis for _, _, basis in self.blocks]
 
 
 _CACHE: "weakref.WeakKeyDictionary[SystemSpec, dict]" = weakref.WeakKeyDictionary()
@@ -85,41 +80,40 @@ def make_unitary_group(spec: SystemSpec, labels: ParticleSet) -> UnitaryGroup:
     cache = _CACHE.setdefault(spec, {})
     if labels not in cache:
         h = build_hamiltonian(spec, labels).matrix
-        lam, blocks = swap_block_spectrum(h, spec.dim_single, len(labels))
-        cache[labels] = UnitaryGroup(labels, spec.dim_single, spec.hbar, lam, blocks)
+        blocks = swap_block_spectrum(h, spec.dim_single, len(labels))
+        cache[labels] = UnitaryGroup(labels, spec.dim_single, spec.hbar, blocks)
     return cache[labels]
 
 
-def phases(ug: UnitaryGroup, t) -> np.ndarray:
-    """exp(-(i/hbar) t lambda): the propagator's eigenvalues at time t, or a
-    row of them per time for a column t of times."""
-    return np.exp(-1j * t / ug.hbar * ug.eigenvalues)
+def phases(ug: UnitaryGroup, t) -> list:
+    """exp(-(i/hbar) t lambda) per block: the propagator's eigenvalues at
+    time t, or a row of them per time for a column t of times."""
+    return [np.exp(-1j * t / ug.hbar * lam) for lam, _, _ in ug.blocks]
 
 
 def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
     """exp(-(i/hbar) t H) = sum_b Q_b (W_b p_b) W_b^* Q_b^T, p = phases(ug, t),
     assembled from the blocks by :func:`qcorr.operators.from_swap_blocks`."""
-    p = phases(ug, t)
-    moved = {(b, b): (w * p[cols]) @ w.conj().T for b, (cols, w, _) in enumerate(ug.blocks)}
-    return from_swap_blocks(moved, ug.bases)
+    ps = phases(ug, t)
+    moved = {(b, b): (w * ps[b]) @ w.conj().T for b, (_, w, _) in enumerate(ug.blocks)}
+    return from_swap_blocks(moved, ug.blocks)
 
 
 def eigenbasis_parts(ug: UnitaryGroup, x: np.ndarray) -> dict:
     """{(b, c): W_b^* Q_b^T x Q_c W_c}: the matrix x moved into the eigenbasis
     of ug, one pair of its blocks at a time, the pairs b = c alone when x
     commutes with the pair swaps (:func:`qcorr.operators.swap_blocks_of`)."""
-    blocks = swap_blocks_of(x, ug.dim_single, len(ug.labels), ug.bases)
+    parts = swap_blocks_of(x, ug.dim_single, len(ug.labels), ug.blocks)
     ws = [w for _, w, _ in ug.blocks]
-    return {(b, c): ws[b].conj().T @ y @ ws[c] for (b, c), y in blocks.items()}
+    return {(b, c): ws[b].conj().T @ y @ ws[c] for (b, c), y in parts.items()}
 
 
 def evolve_parts(ug: UnitaryGroup, parts: dict, t: float) -> np.ndarray:
     """U(t) x U(t)^* from x's :func:`eigenbasis_parts`: the sum over the
     pairs of Q_b (W_b p_b) x~_bc (W_c p_c)^* Q_c^T, p = phases(ug, t)."""
-    p = phases(ug, t)
-    wp = [w * p[cols] for cols, w, _ in ug.blocks]
+    wp = [w * p for (_, w, _), p in zip(ug.blocks, phases(ug, t))]
     moved = {(b, c): wp[b] @ x @ wp[c].conj().T for (b, c), x in parts.items()}
-    return from_swap_blocks(moved, ug.bases)
+    return from_swap_blocks(moved, ug.blocks)
 
 
 def _conjugate(labels: ParticleSet, d: int, t: float, f: ManyBodyOperator, propagator):

@@ -33,7 +33,8 @@ Exchange symmetry also splits spectra: :func:`swap_block_spectrum`
 diagonalizes a symmetric Hermitian matrix in the joint eigenbasis of the
 pair swaps (1 2), (3 4), ..., one block per pattern of signs, with the
 basis change done by index arithmetic; it gives any other matrix to numpy
-whole, as one block of the identity basis.  :func:`swap_blocks_of` and
+whole, as one block of the identity basis, and each block carries its
+own eigenvalues, vectors and basis.  :func:`swap_blocks_of` and
 :func:`from_swap_blocks` move any operand into those blocks and back, by
 the same arithmetic, keeping only the diagonal block pairs of an operand
 that commutes with the swaps.  The slot kernels take their dtype from their
@@ -433,37 +434,37 @@ def out_of_swap_basis(y: np.ndarray, basis: tuple, axis: int) -> np.ndarray:
     return _scale(np.take(y, back, axis=axis), back_coef, axis)
 
 
-def swap_blocks_of(x: np.ndarray, d: int, n: int, bases: Sequence[tuple]) -> dict:
-    """{(b, c): Q_b^T x Q_c} for the blocks Q_b of ``bases``, either one
-    block of any basis or the blocks of :func:`_swap_blocks` (d, n).
+def swap_blocks_of(x: np.ndarray, d: int, n: int, blocks: Sequence[tuple]) -> dict:
+    """{(b, c): Q_b^T x Q_c} for the blocks (lam, w, Q_b) of a
+    :func:`swap_block_spectrum` on n slots of dimension d.
 
     A matrix that commutes with the pair swaps is block diagonal in their
     basis, so when x passes :func:`_pair_swap_symmetric` only the pairs
     b = c are kept; any other x keeps every pair, exactly.
     """
-    diagonal = len(bases) == 1 or _pair_swap_symmetric(x, d, n)
-    blocks = {}
-    for b, qb in enumerate(bases):
+    diagonal = len(blocks) == 1 or _pair_swap_symmetric(x, d, n)
+    parts = {}
+    for b, (_, _, qb) in enumerate(blocks):
         rows = into_swap_basis(x, qb, 0)
-        for c, qc in enumerate(bases):
+        for c, (_, _, qc) in enumerate(blocks):
             if c == b or not diagonal:
-                blocks[b, c] = into_swap_basis(rows, qc, 1)
-    return blocks
+                parts[b, c] = into_swap_basis(rows, qc, 1)
+    return parts
 
 
-def from_swap_blocks(blocks: dict, bases: Sequence[tuple]) -> np.ndarray:
+def from_swap_blocks(parts: dict, blocks: Sequence[tuple]) -> np.ndarray:
     """sum over (b, c) of Q_b y_bc Q_c^T, the inverse of :func:`swap_blocks_of`:
     one take per axis and block."""
     rows = {}
-    for (b, c), y in blocks.items():
-        y = out_of_swap_basis(y, bases[c], 1)
+    for (b, c), y in parts.items():
+        y = out_of_swap_basis(y, blocks[c][2], 1)
         if b in rows:
             rows[b] += y
         else:
             rows[b] = y
     total = None
     for b, y in rows.items():
-        y = out_of_swap_basis(y, bases[b], 0)
+        y = out_of_swap_basis(y, blocks[b][2], 0)
         if total is None:
             total = y
         else:
@@ -471,7 +472,7 @@ def from_swap_blocks(blocks: dict, bases: Sequence[tuple]) -> np.ndarray:
     return total
 
 
-def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True):
+def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True) -> tuple:
     """The spectrum of a Hermitian matrix m on n slots of dimension d, one
     block of the pair swaps' joint eigenbasis at a time.
 
@@ -485,22 +486,18 @@ def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True):
     which the round-off of a symmetric sum does not reach, m is one block of
     the identity basis, and numpy sees it whole, as it is.
 
-    Returns (lam, blocks): every eigenvalue, block after block, each block's
-    ascending, and per block (cols, w, basis), where the slice lam[cols]
-    holds the block's eigenvalues, the columns of w its eigenbasis in the
-    block's basis (None without vectors), and basis its entry of
-    :func:`_swap_blocks`.
+    Returns one (lam, w, basis) per block: its eigenvalues, ascending, the
+    columns of w its eigenbasis in the block's basis (None without
+    vectors), and basis its entry of :func:`_swap_blocks`.
     """
     symmetric = _pair_swap_symmetric(m, d, n)
     bases = _swap_blocks(d, n) if symmetric else _swap_blocks(len(m), 1)
-    lams, blocks, start = [], [], 0
+    blocks = []
     for basis in bases:
         block = into_swap_basis(into_swap_basis(m, basis, 0), basis, 1)
         lam, w = np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None)
-        lams.append(lam)
-        blocks.append((slice(start, start + lam.size), w, basis))
-        start += lam.size
-    return np.concatenate(lams), tuple(blocks)
+        blocks.append((lam, w, basis))
+    return tuple(blocks)
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

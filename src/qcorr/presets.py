@@ -99,7 +99,8 @@ def random_operator(
         op = symmetrize(op)
     if traceless:
         op = op - identity_operator(labels, dim_single) * (op.trace / dim)
-    lam, _ = swap_block_spectrum(op.matrix, dim_single, len(labels), vectors=False)
+    blocks = swap_block_spectrum(op.matrix, dim_single, len(labels), vectors=False)
+    lam = np.concatenate([values for values, _, _ in blocks])
     # summed ascending, as eigvalsh gives lambda: summed block after block,
     # the last bit of about one trace norm in eight moves, and the draw too
     tn = float(np.sum(np.abs(np.sort(lam))))

@@ -502,12 +502,13 @@ def decode_raw_matrix(rows, what: str | None = None) -> np.ndarray:
     return np.fromiter(pairs, float, 2 * n * n).view(complex).reshape(n, n)
 
 
-def encode_sequence(seq, kind: str | None = None) -> dict:
-    """The sequence document of a plain OperatorSequence seq, or of anything
-    with its dim_single, n_max, scalar0, prefix and components."""
+def encode_sequence(seq, kind: str) -> dict:
+    """The sequence document of the given kind of a plain OperatorSequence
+    seq, or of anything with its dim_single, n_max, scalar0, prefix and components."""
     if seq.prefix:
         raise ValueError("only plain sequences are serialized")
-    out = {
+    return {
+        "kind": kind,
         "dim_single": seq.dim_single,
         "n_max": seq.n_max,
         "scalar0": encode_complex(seq.scalar0),
@@ -518,6 +519,3 @@ def encode_sequence(seq, kind: str | None = None) -> dict:
             for n in range(1, seq.n_max + 1)
         ],
     }
-    if kind is not None:
-        out["kind"] = kind
-    return out

@@ -438,7 +438,7 @@ def _count_collisions(monkeypatch):
     original = bbgky._collision
 
     def counting(level, parts, hermitian, tau):
-        dim = level[0].eigenvalues.size
+        dim = sum(lam.size for lam, _, _ in level[0].blocks)
         counts[dim] = counts.get(dim, 0) + 1
         return original(level, parts, hermitian, tau)
 

@@ -224,7 +224,7 @@ def test_seed_override_needs_a_preset(tmp_path, capsys):
     explicit = dict(
         BASE_SCENARIO,
         system=wire(system),
-        initial=wire({"correlation": serialize.encode_sequence(base.initial.seq)}),
+        initial=wire({"correlation": serialize.encode_sequence(base.initial.seq, "correlation")}),
     )
     code, out = qcorr_run(tmp_path, explicit, "explicit", ("--seed", "99"))
     assert code == 2

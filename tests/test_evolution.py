@@ -22,7 +22,7 @@ from qcorr.operators import (
     trace_norm,
 )
 from qcorr.partitions import ClusterSet, ParticleSet
-from qcorr.star_algebra import OperatorSequence
+from qcorr.star_algebra import OperatorSequence, annihilation_scalar
 from qcorr.presets import (
     free_system,
     random_correlation_state,
@@ -307,18 +307,19 @@ def test_swap_blocks_diagonalize_h_n_as_eigh_does(d, free, monkeypatch):
         calls.clear()
         ug = make_unitary_group(spec, labels)
         assert sorted(calls) == _swap_block_sizes(d, n)
-        lam = ug.eigenvalues
         want_lam, want_v = np.linalg.eigh(h)
-        assert np.abs(np.sort(lam) - want_lam).max() <= 1e-13
-        for cols, w, _ in ug.blocks:
+        every = np.concatenate([lam for lam, _, _ in ug.blocks])
+        assert np.abs(np.sort(every) - want_lam).max() <= 1e-13
+        for _, w, _ in ug.blocks:
             assert np.abs(w.conj().T @ w - np.eye(len(w))).max() <= 1e-13
-        parts = {(b, b): (w * lam[cols]) @ w.conj().T for b, (cols, w, _) in enumerate(ug.blocks)}
-        assert np.abs(from_swap_blocks(parts, ug.bases) - h).max() <= 1e-13
+        parts = {(b, b): (w * lam) @ w.conj().T for b, (lam, w, _) in enumerate(ug.blocks)}
+        assert np.abs(from_swap_blocks(parts, ug.blocks) - h).max() <= 1e-13
         for t in (0.7, -2.3):
             want_u = (want_v * np.exp(-1j * t / spec.hbar * want_lam)) @ want_v.conj().T
             assert np.abs(unitary_matrix(ug, t) - want_u).max() <= 1e-13
-        values, _ = swap_block_spectrum(h, d, n, vectors=False)
-        assert np.abs(np.sort(values) - np.linalg.eigvalsh(h)).max() <= 1e-13
+        blocks = swap_block_spectrum(h, d, n, vectors=False)
+        every = np.concatenate([lam for lam, _, _ in blocks])
+        assert np.abs(np.sort(every) - np.linalg.eigvalsh(h)).max() <= 1e-13
 
 
 def _asymmetric_within_the_guard(d):
@@ -345,11 +346,11 @@ def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypat
         ug = make_unitary_group(spec, labels)
         assert calls == [d**n]
         want_lam, want_v = np.linalg.eigh(h)
-        ((cols, w, _),) = ug.blocks
-        assert cols == slice(0, d**n)
-        assert ug.eigenvalues.tobytes() == want_lam.tobytes()
+        ((lam, w, _),) = ug.blocks
+        assert lam.size == d**n
+        assert lam.tobytes() == want_lam.tobytes()
         assert w.tobytes() == want_v.tobytes()
-        values, _ = swap_block_spectrum(h, d, n, vectors=False)
+        ((values, _, _),) = swap_block_spectrum(h, d, n, vectors=False)
         assert values.tobytes() == np.linalg.eigvalsh(h).tobytes()
 
 
@@ -399,6 +400,35 @@ def test_block_route_equals_the_dense_reference(d, system):
             u = unitary_matrix(make_unitary_group(spec, op.labels), t)
             want = u @ op.matrix @ u.conj().T
             assert _relative(got.components[n].matrix, want) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("system", ["symmetric", "asymmetric"])
+def test_a_column_of_times_gives_each_block_a_row_per_time(d, system):
+    # the moments take the phases of all their times at once, a row per time
+    # in each block's array; H_n of a potential asymmetric within the guard
+    # is one block
+    if system == "symmetric":
+        spec = random_system(80 + d, d, orders=(2, 3))
+    else:
+        spec = _asymmetric_within_the_guard(d)
+    times = [-0.7, 0.3, 1.1]
+    for n in range(1, 5):
+        ug = make_unitary_group(spec, ParticleSet.range1(n))
+        rows = evolution.phases(ug, np.array(times)[:, None])
+        assert len(rows) == len(ug.blocks)
+        for i, t in enumerate(times):
+            for row, p in zip(rows, evolution.phases(ug, t), strict=True):
+                assert row[i].tobytes() == p.tobytes()
+    d0 = random_density_state(83 + d, d, 4, trace_scale=0.7).seq
+    a1 = random_hermitian(rng_from_seed(84 + d), d, 1.0)
+    flow, z = DensityFlow(spec, d0), annihilation_scalar(d0)
+    # BLAS takes another path for a single row, so the moments agree to
+    # round-off, not bit for bit
+    together = bbgky.flow_observable_moments(flow, a1, times, z)
+    for t, row in zip(times, together, strict=True):
+        (alone,) = bbgky.flow_observable_moments(flow, a1, [t], z)
+        assert np.abs(np.subtract(row, alone)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

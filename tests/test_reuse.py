@@ -70,9 +70,9 @@ def test_evolve_and_observables_form_13_products_per_component(tmp_path, monkeyp
     eighs, builds = [], []
     eigh, group, build = np.linalg.eigh, evolution.UnitaryGroup, evolution.unitary_matrix
 
-    def counted_group(labels, d, hbar, eigenvalues, blocks):
-        blocks = tuple((cols, w.view(_Counted), basis) for cols, w, basis in blocks)
-        return group(labels, d, hbar, eigenvalues, blocks)
+    def counted_group(labels, d, hbar, blocks):
+        blocks = tuple((lam, w.view(_Counted), basis) for lam, w, basis in blocks)
+        return group(labels, d, hbar, blocks)
 
     monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(len(h)) or eigh(h))
     monkeypatch.setattr(evolution, "UnitaryGroup", counted_group)

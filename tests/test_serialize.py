@@ -144,7 +144,9 @@ def test_sequence_roundtrip_with_gap():
 def test_sequence_scalar_preserved():
     op = ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
     seq = OperatorSequence(2, 1, 0.5 - 0.25j, {1: op})
-    obj = wire(encode_sequence(seq))
+    # "kind" is optional on input: a document without it decodes under its tag
+    obj = wire(encode_sequence(seq, kind="correlation"))
+    del obj["kind"]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     back = cli._decode_sequence("correlation", obj, 2, obj["n_max"])
     assert back.scalar0 == 0.5 - 0.25j
@@ -154,11 +156,11 @@ def test_prefixed_sequence_not_serialized():
     op = ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2, dtype=complex))
     seq = OperatorSequence(2, 2, 0.0, {0: op}, 1)
     with pytest.raises(ValueError):
-        encode_sequence(seq)
+        encode_sequence(seq, kind="correlation")
 
 
 def test_sequence_component_count_capped():
-    obj = wire(encode_sequence(random_correlation_state(13, 2, 2).seq))
+    obj = wire(encode_sequence(random_correlation_state(13, 2, 2).seq, kind="correlation"))
     obj["n_max"] = 1
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="n_max"):
@@ -166,7 +168,7 @@ def test_sequence_component_count_capped():
 
 
 def test_sequence_component_size_checked():
-    obj = wire(encode_sequence(random_correlation_state(14, 2, 2).seq))
+    obj = wire(encode_sequence(random_correlation_state(14, 2, 2).seq, kind="correlation"))
     obj["components"][1] = obj["components"][0]
     validate(obj, SEQUENCE_SCHEMA, "sequence")
     with pytest.raises(SchemaViolation, match="component 2"):
@@ -465,7 +467,7 @@ def test_a_long_list_of_lists_is_walked_as_json_writes_it():
 def test_each_leaf_goes_to_orjson_as_its_flat_blocks(monkeypatch):
     g = random_correlation_state(12, 2, 3).seq
     gapped = OperatorSequence(2, 3, g.scalar0, {n: g.components[n] for n in (1, 3)})
-    encoded = encode_sequence(gapped)
+    encoded = encode_sequence(gapped, kind="correlation")
     leaves = encoded["components"][::2]
     want = stdlib_text(wire(encoded))
     dumps = orjson.dumps
@@ -691,7 +693,8 @@ def test_scenario_requires_exactly_one_initial():
         "correlation": wire(encode_sequence(
             OperatorSequence(
                 2, 1, 0.0, {1: ManyBodyOperator(ParticleSet.range1(1), 2, np.eye(2))}
-            )
+            ),
+            kind="correlation",
         )),
     }
     with pytest.raises(SchemaViolation, match="has too many properties"):

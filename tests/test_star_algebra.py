@@ -380,7 +380,7 @@ def test_sparse_input_keeps_components_absent():
     assert cluster_expand(CorrelationState(corr)).seq.support == (2,)
     assert star_ln(dens).support == (2,)
     assert star_exp(corr, out_n_max=6).support == (2, 4, 6)
-    assert encode_sequence(star_ln(dens))["components"][0::2] == [None, None]
+    assert encode_sequence(star_ln(dens), "correlation")["components"][0::2] == [None, None]
     # the cluster reading still materializes zeros
     args = cluster_argument_sequence(dens, 1, 2)
     assert args.support == (0, 1, 2)
