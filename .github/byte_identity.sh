@@ -3,22 +3,24 @@
 #
 #     .github/byte_identity.sh BASE_TREE HEAD_TREE WORK_DIR
 #
-# Builds the scenarios of seeds 0, 1 and 2 of the three benchmark workloads
-# (d = 4, by the head's bench/workloads.py), since a seed-0 scenario may keep
-# its bytes where other preset draws move, the console-script scenario of
-# tests.yml, a density that is not exchange-symmetric (d = 3), whose
-# propagation keeps every pair of pair-swap blocks, and an explicit density
-# that is exchange-symmetric but not Hermitian (d = 3), whose iteration
-# series takes both traced directions of every collision, runs each
-# through both trees at one BLAS thread, and compares every output file but
-# manifest.json with `diff -r`.  A difference fails the check unless
-# qcorr.__version__ differs between the trees: a speedup keeps the bytes of
-# the output or bumps the version.  When the version moved, the differing
-# files are decoded and compared by value, so that a version bump cannot
-# hide a numeric drift: every matrix must lie within 1e-12 of the base's in
-# trace norm, relative to the base's; every other number within 1e-12,
-# relative when it exceeds 1 in size; every key, length, integer and string
-# must be equal.
+# Builds 13 scenarios: those of seeds 0, 1 and 2 of the three benchmark
+# workloads (d = 4, by the head's bench/workloads.py), since a seed-0
+# scenario may keep its bytes where other preset draws move, the
+# console-script scenario of tests.yml, a density that is not
+# exchange-symmetric (d = 3), whose propagation keeps every pair of
+# pair-swap blocks, an explicit density that is exchange-symmetric but not
+# Hermitian (d = 3), whose iteration series takes both traced directions of
+# every collision, and an explicit system whose pair potential is asymmetric
+# within the exchange guard (d = 3), whose H_2 and H_3 are diagonalized
+# whole.  It runs each through both trees at one BLAS thread, and compares
+# every output file but manifest.json with `diff -r`.  A difference fails
+# the check unless qcorr.__version__ differs between the trees: a speedup
+# keeps the bytes of the output or bumps the version.  When the version
+# moved, the differing files are decoded and compared by value, so that a
+# version bump cannot hide a numeric drift: every matrix must lie within
+# 1e-12 of the base's in trace norm, relative to the base's; every other
+# number within 1e-12, relative when it exceeds 1 in size; every key,
+# length, integer and string must be equal.
 set -euo pipefail
 
 base=$(cd "$1" && pwd)
@@ -58,6 +60,27 @@ for n in (1, 2, 3):
     "s_values": [1, 2],
     "quadrature": {"order": 2, "nodes_per_dim": 6},
     "tasks": ["bbgky", "iterate"],
+}))
+
+from qcorr.presets import random_hermitian
+from qcorr.serialize import encode_raw_matrix
+# a symmetrized pair potential made asymmetric by 1e-12 max|phi| in one entry
+# pair: the exchange guard accepts it, but it moves every H_n with n >= 2
+# beyond the round-off of the pair-swap blocks, so each is diagonalized whole
+raw = ManyBodyOperator(ParticleSet.range1(2), 3, random_hermitian(rng_from_seed(17), 9))
+phi = np.array(symmetrize(raw).matrix)
+phi[0, 1] += 1e-12 * np.abs(phi).max()
+phi[1, 0] = phi[0, 1].conjugate()
+(work / "whole-matrix.json").write_text(dumps_canonical({
+    "system": {
+        "dim_single": 3,
+        "one_body": encode_raw_matrix(random_hermitian(rng_from_seed(18), 3)),
+        "potentials": {"2": encode_raw_matrix(phi)},
+    },
+    "initial": {"preset": {"preset": "random_density", "seed": 19}},
+    "times": [0.0, 0.4],
+    "n_max": 3,
+    "tasks": ["evolve", "hierarchy", "observables"],
 }))
 EOF
 cat > "$work/console.json" <<'EOF'

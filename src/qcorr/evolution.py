@@ -18,7 +18,7 @@ array per block.
 The run's routes propagate in the blocks.  An operand x moves into the
 eigenbasis once (:func:`eigenbasis_parts`), as the block pairs x~_bc =
 W_b^* Q_b^T x Q_c W_c, by index arithmetic and two products per pair of
-the blocks' sizes; an operand that commutes with the pair swaps keeps the
+the blocks' sizes; an operand whose pairs b != c are round-off keeps the
 pairs b = c alone.  At time t it returns as sum Q_b W_b (p_b x~_bc p_c^*)
 W_c^* Q_c^T (:func:`evolve_parts`), again two block-sized products per
 pair and one take per axis and block, so no product of size D = d^n runs
@@ -96,14 +96,14 @@ def unitary_matrix(ug: UnitaryGroup, t: float) -> np.ndarray:
     assembled from the blocks by :func:`qcorr.operators.from_swap_blocks`."""
     ps = phases(ug, t)
     moved = {(b, b): (w * ps[b]) @ w.conj().T for b, (_, w, _) in enumerate(ug.blocks)}
-    return from_swap_blocks(moved, ug.blocks)
+    return from_swap_blocks(moved, [basis for _, _, basis in ug.blocks])
 
 
 def eigenbasis_parts(ug: UnitaryGroup, x: np.ndarray) -> dict:
     """{(b, c): W_b^* Q_b^T x Q_c W_c}: the matrix x moved into the eigenbasis
-    of ug, one pair of its blocks at a time, the pairs b = c alone when x
-    commutes with the pair swaps (:func:`qcorr.operators.swap_blocks_of`)."""
-    parts = swap_blocks_of(x, ug.dim_single, len(ug.labels), ug.blocks)
+    of ug, one pair of its blocks at a time, the pairs b = c alone when
+    every pair b != c is round-off (:func:`qcorr.operators.swap_blocks_of`)."""
+    parts = swap_blocks_of(x, [basis for _, _, basis in ug.blocks])
     ws = [w for _, w, _ in ug.blocks]
     return {(b, c): ws[b].conj().T @ y @ ws[c] for (b, c), y in parts.items()}
 
@@ -113,7 +113,7 @@ def evolve_parts(ug: UnitaryGroup, parts: dict, t: float) -> np.ndarray:
     pairs of Q_b (W_b p_b) x~_bc (W_c p_c)^* Q_c^T, p = phases(ug, t)."""
     wp = [w * p for (_, w, _), p in zip(ug.blocks, phases(ug, t))]
     moved = {(b, c): wp[b] @ x @ wp[c].conj().T for (b, c), x in parts.items()}
-    return from_swap_blocks(moved, ug.blocks)
+    return from_swap_blocks(moved, [basis for _, _, basis in ug.blocks])
 
 
 def _conjugate(labels: ParticleSet, d: int, t: float, f: ManyBodyOperator, propagator):

@@ -29,16 +29,17 @@ one Hermiticity test, for input data and the ``min_eig`` gate alike, and
 the potentials and the density data of the reduced-operator tasks.  It
 compares a matrix with its own symmetrization, in n(n-1)/2 slot swaps.
 
-Exchange symmetry also splits spectra: :func:`swap_block_spectrum`
-diagonalizes a symmetric Hermitian matrix in the joint eigenbasis of the
-pair swaps (1 2), (3 4), ..., one block per pattern of signs, with the
-basis change done by index arithmetic; it gives any other matrix to numpy
-whole, as one block of the identity basis, and each block carries its
-own eigenvalues, vectors and basis.  :func:`swap_blocks_of` and
-:func:`from_swap_blocks` move any operand into those blocks and back, by
-the same arithmetic, keeping only the diagonal block pairs of an operand
-that commutes with the swaps.  The slot kernels take their dtype from their
-operands, so they run on object arrays of exact numbers too.
+Exchange symmetry also splits operands and spectra, in the joint
+eigenbasis of the pair swaps (1 2), (3 4), ..., one block per pattern of
+signs.  :func:`swap_blocks_of` moves any operand into those blocks by
+index arithmetic and keeps only the diagonal block pairs when every other
+pair lies within round-off of zero, so it drops only what it has measured;
+:func:`from_swap_blocks` moves the pairs back.  :func:`swap_block_spectrum`
+diagonalizes the diagonal pairs of a Hermitian matrix, or gives numpy the
+matrix whole, as one block of the identity basis, when another pair is
+kept; each block carries its own eigenvalues, vectors and basis.  The slot
+kernels take their dtype from their operands, so they run on object arrays
+of exact numbers too.
 """
 
 from __future__ import annotations
@@ -283,6 +284,11 @@ def symmetrize(op: ManyBodyOperator) -> ManyBodyOperator:
     return ManyBodyOperator(op.labels, op.dim_single, acc / factorial(n))
 
 
+def _peak(x: np.ndarray) -> float:
+    """The largest |Re| or |Im| of an entry of x."""
+    return float(np.abs(np.asarray(x, complex).reshape(-1).view(float)).max())
+
+
 def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
     """||m - m^dagger||_F and ||m||_F, each divided by c, and c itself.
 
@@ -291,7 +297,7 @@ def scaled_hermitian_defect(m: np.ndarray) -> tuple[float, float, float]:
     imaginary parts are scaled apart: complex division by a subnormal c
     would overflow in its reciprocal.  The entries of m must be finite.
     """
-    scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max())) or 1.0
+    scale = _peak(m) or 1.0
     re, im = m.real / scale, m.imag / scale
     dev = np.hypot(np.linalg.norm(re - re.T), np.linalg.norm(im + im.T))
     return float(dev), float(np.hypot(np.linalg.norm(re), np.linalg.norm(im))), scale
@@ -325,8 +331,7 @@ def require_exchange_symmetric(m: np.ndarray, d: int, what: str) -> None:
     The entries of m must be finite.
     """
     m = np.ascontiguousarray(m, dtype=complex)
-    peak = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
-    x = np.ldexp(m.view(float), -frexp(peak)[1]).view(complex)
+    x = np.ldexp(m.view(float), -frexp(_peak(m))[1]).view(complex)
     n = round(log(len(x), d))
     dev = float(np.abs(x - _permutation_sum(x, n, d) / factorial(n)).max())
     top = float(np.abs(x).max())
@@ -385,21 +390,6 @@ def _swap_blocks(d: int, n: int) -> tuple:
     return tuple(blocks)
 
 
-def _pair_swap_symmetric(m: np.ndarray, d: int, n: int) -> bool:
-    """Whether m differs from its conjugate by each pair swap (1 2), (3 4), ...
-    by at most 16 eps max|m|, each read as the largest |Re| or |Im|."""
-
-    def peak(x):
-        v = np.asarray(x, complex).reshape(-1).view(float)
-        return max(float(v.max()), -float(v.min()))
-
-    t, bound = m.reshape((d,) * (2 * n)), 16 * np.finfo(float).eps * peak(m)
-    return all(
-        peak(t - t.transpose(_slot_axes(_transposition(n, k, k + 1), n))) <= bound
-        for k in range(0, n - 1, 2)
-    )
-
-
 def _signed_sum(x: np.ndarray, idx: np.ndarray, signs: np.ndarray, axis: int) -> np.ndarray:
     """sum_a signs[a] x.take(idx[a], axis), in a fresh array."""
     acc = np.take(x, idx[0], axis=axis)
@@ -434,37 +424,38 @@ def out_of_swap_basis(y: np.ndarray, basis: tuple, axis: int) -> np.ndarray:
     return _scale(np.take(y, back, axis=axis), back_coef, axis)
 
 
-def swap_blocks_of(x: np.ndarray, d: int, n: int, blocks: Sequence[tuple]) -> dict:
-    """{(b, c): Q_b^T x Q_c} for the blocks (lam, w, Q_b) of a
-    :func:`swap_block_spectrum` on n slots of dimension d.
+def swap_blocks_of(x: np.ndarray, bases: Sequence[tuple]) -> dict:
+    """{(b, c): Q_b^T x Q_c} for the bases Q_b, entries of :func:`_swap_blocks`.
 
     A matrix that commutes with the pair swaps is block diagonal in their
-    basis, so when x passes :func:`_pair_swap_symmetric` only the pairs
-    b = c are kept; any other x keeps every pair, exactly.
+    basis, so when every pair b != c lies within 16 eps max|x| of zero, each
+    read as the largest |Re| or |Im|, only the pairs b = c are kept; when
+    any lies beyond, x keeps every pair, exactly.
     """
-    diagonal = len(blocks) == 1 or _pair_swap_symmetric(x, d, n)
     parts = {}
-    for b, (_, _, qb) in enumerate(blocks):
+    for b, qb in enumerate(bases):
         rows = into_swap_basis(x, qb, 0)
-        for c, (_, _, qc) in enumerate(blocks):
-            if c == b or not diagonal:
-                parts[b, c] = into_swap_basis(rows, qc, 1)
-    return parts
+        for c, qc in enumerate(bases):
+            parts[b, c] = into_swap_basis(rows, qc, 1)
+    bound = 16 * np.finfo(float).eps * _peak(x)
+    if any(_peak(y) > bound for (b, c), y in parts.items() if b != c):
+        return parts
+    return {(b, b): parts[b, b] for b in range(len(bases))}
 
 
-def from_swap_blocks(parts: dict, blocks: Sequence[tuple]) -> np.ndarray:
+def from_swap_blocks(parts: dict, bases: Sequence[tuple]) -> np.ndarray:
     """sum over (b, c) of Q_b y_bc Q_c^T, the inverse of :func:`swap_blocks_of`:
     one take per axis and block."""
     rows = {}
     for (b, c), y in parts.items():
-        y = out_of_swap_basis(y, blocks[c][2], 1)
+        y = out_of_swap_basis(y, bases[c], 1)
         if b in rows:
             rows[b] += y
         else:
             rows[b] = y
     total = None
     for b, y in rows.items():
-        y = out_of_swap_basis(y, blocks[b][2], 0)
+        y = out_of_swap_basis(y, bases[b], 0)
         if total is None:
             total = y
         else:
@@ -479,25 +470,23 @@ def swap_block_spectrum(m: np.ndarray, d: int, n: int, vectors: bool = True) -> 
     A particle-permutation symmetric m commutes with the swaps (1 2), (3 4),
     ..., so Q^T m Q is block diagonal in their real orthogonal eigenbasis Q
     (:func:`_swap_blocks`; blocks of 100, 60, 60 and 36 at d = 4, n = 4).
-    Each block is formed by index arithmetic, at most two terms per entry
-    and pair, with no product by Q, and goes to ``np.linalg.eigh``, or
-    ``eigvalsh`` without vectors.  When m differs from its conjugate by a
-    pair swap by more than 16 eps max|m| (:func:`_pair_swap_symmetric`),
-    which the round-off of a symmetric sum does not reach, m is one block of
-    the identity basis, and numpy sees it whole, as it is.
+    The blocks are the diagonal pairs of :func:`swap_blocks_of`, formed by
+    index arithmetic with no product by Q, and each goes to
+    ``np.linalg.eigh``, or ``eigvalsh`` without vectors.  When
+    :func:`swap_blocks_of` keeps a pair b != c, which the round-off of a
+    symmetric sum does not reach, m is one block of the identity basis, and
+    numpy sees it whole, as it is.
 
     Returns one (lam, w, basis) per block: its eigenvalues, ascending, the
     columns of w its eigenbasis in the block's basis (None without
     vectors), and basis its entry of :func:`_swap_blocks`.
     """
-    symmetric = _pair_swap_symmetric(m, d, n)
-    bases = _swap_blocks(d, n) if symmetric else _swap_blocks(len(m), 1)
-    blocks = []
-    for basis in bases:
-        block = into_swap_basis(into_swap_basis(m, basis, 0), basis, 1)
-        lam, w = np.linalg.eigh(block) if vectors else (np.linalg.eigvalsh(block), None)
-        blocks.append((lam, w, basis))
-    return tuple(blocks)
+    bases = _swap_blocks(d, n)
+    parts = swap_blocks_of(m, bases)
+    if len(parts) > len(bases):
+        bases, parts = _swap_blocks(len(m), 1), {(0, 0): m}
+    eig = np.linalg.eigh if vectors else lambda a: (np.linalg.eigvalsh(a), None)
+    return tuple((*eig(parts[b, b]), basis) for b, basis in enumerate(bases))
 
 
 def min_eigenvalue(op: ManyBodyOperator) -> float:

@@ -18,6 +18,7 @@ from qcorr.operators import (
     ManyBodyOperator,
     from_swap_blocks,
     swap_block_spectrum,
+    swap_blocks_of,
     symmetrize,
     trace_norm,
 )
@@ -205,11 +206,11 @@ def test_operand_dimension_mismatch_names_both_dimensions(spec2):
 def test_blockwise_and_iteration_conjugate_through_the_kernel(monkeypatch, spec_pair):
     # labels of every operand the public group_apply receives, and of the
     # group at every chain end of the iteration series
-    seen, ends = [], []
+    seen, ends, conjugate = [], [], evolution.group_apply
 
     def counting(ug, t, f):
         seen.append(f.labels)
-        return evolution._conjugate(ug, t, f)
+        return conjugate(ug, t, f)
 
     def ending(ug, parts, t):
         ends.append(ug.labels)
@@ -313,7 +314,8 @@ def test_swap_blocks_diagonalize_h_n_as_eigh_does(d, free, monkeypatch):
         for _, w, _ in ug.blocks:
             assert np.abs(w.conj().T @ w - np.eye(len(w))).max() <= 1e-13
         parts = {(b, b): (w * lam) @ w.conj().T for b, (lam, w, _) in enumerate(ug.blocks)}
-        assert np.abs(from_swap_blocks(parts, ug.blocks) - h).max() <= 1e-13
+        bases = [basis for _, _, basis in ug.blocks]
+        assert np.abs(from_swap_blocks(parts, bases) - h).max() <= 1e-13
         for t in (0.7, -2.3):
             want_u = (want_v * np.exp(-1j * t / spec.hbar * want_lam)) @ want_v.conj().T
             assert np.abs(unitary_matrix(ug, t) - want_u).max() <= 1e-13
@@ -341,7 +343,8 @@ def test_a_potential_asymmetric_within_the_guard_is_diagonalized_whole(monkeypat
     for n in (2, 3, 4):
         labels = ParticleSet.range1(n)
         h = build_hamiltonian(spec, labels).matrix
-        assert not operators._pair_swap_symmetric(h, d, n)
+        bases = operators._swap_blocks(d, n)
+        assert len(swap_blocks_of(h, bases)) == len(bases) ** 2
         calls.clear()
         ug = make_unitary_group(spec, labels)
         assert calls == [d**n]

@@ -20,11 +20,12 @@ from bruteforce import (
 )
 from qcorr import operators
 from qcorr.errors import CapacityError
-from qcorr.hamiltonian import SystemSpec
+from qcorr.hamiltonian import SystemSpec, build_hamiltonian
 from qcorr.operators import (
     TAU_HERM,
     ManyBodyOperator,
     embed_sum,
+    from_swap_blocks,
     identity_operator,
     min_eigenvalue,
     partial_trace,
@@ -32,6 +33,7 @@ from qcorr.operators import (
     relabel,
     require_exchange_symmetric,
     scaled_hermitian_defect,
+    swap_blocks_of,
     symmetrize,
     tensor_embed,
     tensor_product,
@@ -39,7 +41,13 @@ from qcorr.operators import (
     zero_operator,
 )
 from qcorr.partitions import ParticleSet
-from qcorr.presets import random_system
+from qcorr.presets import (
+    random_correlation_state,
+    random_density_state,
+    random_hermitian,
+    random_system,
+    rng_from_seed,
+)
 
 TOL = 1e-12
 
@@ -366,6 +374,71 @@ def test_symmetry_verdict_does_not_change_when_the_matrix_is_rescaled(c):
         with pytest.raises(ValueError, match="not exchange-symmetric"):
             require_exchange_symmetric(c * asym, 2, "m")
         require_exchange_symmetric(c * sym, 2, "m")
+
+
+def _peak(x):
+    """The largest |Re| or |Im| of an entry of x."""
+    return max(float(np.abs(x.real).max()), float(np.abs(x.imag).max()))
+
+
+def _pair(x, qb, qc):
+    """Q_b^T x Q_c by two basis changes, of the rows and then the columns."""
+    return operators.into_swap_basis(operators.into_swap_basis(x, qb, 0), qc, 1)
+
+
+def _symmetric_operands(seed, d):
+    """(n, matrix) of preset H_n, symmetric correlation draws and density
+    draws, n = 2, 3, 4: data that commute with every particle permutation
+    up to the round-off of their sums."""
+    spec = random_system(seed, d, orders=(2, 3))
+    corr = random_correlation_state(seed, d, 4, symmetric=True).seq.components
+    dens = random_density_state(seed, d, 4).seq.components
+    for n in (2, 3, 4):
+        h = build_hamiltonian(spec, ParticleSet.range1(n)).matrix
+        for x in (h, corr[n].matrix, dens[n].matrix):
+            yield n, x
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_swap_blocks_of_drops_exactly_the_pairs_it_measured_as_round_off(d):
+    bound = 16 * np.finfo(float).eps
+    # symmetric data keep the pairs b = c alone, each formed as _pair forms it
+    for seed in range(20):
+        for n, x in _symmetric_operands(seed, d):
+            bases = operators._swap_blocks(d, n)
+            parts = swap_blocks_of(x, bases)
+            assert set(parts) == {(b, b) for b in range(len(bases))}
+            for b, q in enumerate(bases):
+                assert parts[b, b].tobytes() == _pair(x, q, q).tobytes()
+    # a Hermitian perturbation antisymmetric under the swap (1 2) lies in
+    # the pairs b != c alone: read there at 8 times the bound, every pair is
+    # kept and returns the operand; at an eighth of it, b = c alone
+    rng = rng_from_seed(90 + d)
+    for n, x in _symmetric_operands(0, d):
+        bases = operators._swap_blocks(d, n)
+        a = random_hermitian(rng, d**n)
+        swap = operators._slot_axes(operators._transposition(n, 0, 1), n)
+        delta = a - a.reshape((d,) * (2 * n)).transpose(swap).reshape(a.shape)
+        off = max(
+            _peak(_pair(delta, qb, qc))
+            for b, qb in enumerate(bases)
+            for c, qc in enumerate(bases)
+            if b != c
+        )
+        for scale, kept in ((8.0, len(bases) ** 2), (1 / 8, len(bases))):
+            y = x + delta * (scale * bound * _peak(x) / off)
+            parts = swap_blocks_of(y, bases)
+            assert len(parts) == kept
+            if scale > 1:
+                back = from_swap_blocks(parts, bases)
+                assert np.linalg.norm(back - y) <= 1e-15 * np.linalg.norm(y)
+    # one block keeps its one pair: one slot, and the identity basis
+    one_slot, identity = operators._swap_blocks(d, 1), operators._swap_blocks(d**3, 1)
+    for bases, dim in ((one_slot, d), (identity, d**3)):
+        x = complex_gaussian(rng, dim)
+        parts = swap_blocks_of(x, bases)
+        assert list(parts) == [(0, 0)]
+        assert parts[0, 0].tobytes() == x.tobytes()
 
 
 def test_hermiticity_and_spectrum_helpers():
